@@ -109,7 +109,7 @@ class PairedDemo:
     def __post_init__(self):
         if self.human.pair_id != self.robot.pair_id:
             raise ValueError("pair ids disagree between the two clips")
-        if self.human.task_id != self.robot.task_id != self.description.task_id:
+        if len({self.human.task_id, self.robot.task_id, self.description.task_id}) != 1:
             raise ValueError("task ids disagree within the pair")
         if self.human.domain != "human" or self.robot.domain != "robot":
             raise ValueError("pair must hold one human and one robot clip")
@@ -335,7 +335,7 @@ def sample_frame_indices(t_len: int, t: int, rng: RngState) -> list[int]:
 def sample_frames(clip: VideoClip, t: int, rng: RngState) -> np.ndarray:
     """Randomly sampled frames in temporal order, shape (t, H, W, C)."""
     idx = sample_frame_indices(clip.length, t, rng)
-    return clip.frames[idx].copy()
+    return clip.frames[idx]  # fancy indexing copies
 
 
 # ---------------------------------------------------------------------------
@@ -365,10 +365,17 @@ def split_pairs(
 
 
 def _atomic_write(path: str, data: bytes) -> None:
+    """Write a temp file, then rename it over ``path``: a failed write
+    leaves the previous file whole and no temp file behind."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def _sha256(data: bytes) -> str:

@@ -6,6 +6,16 @@ float64 so analytic gradients can be audited against central finite
 differences at tight tolerances. Single-threaded by contract: tensors are
 treated as immutable once produced; only an optimizer step mutates
 parameter data in place.
+
+:func:`conv2d` reads its input channels-last. It pads into a zeroed
+(N, H+2p, W+2p, C) buffer and copies one strided view of that into the
+patch matrix (N, Ho*Wo, C*k*k), whose columns run in (c, ki, kj) order,
+the order of ``kernels.reshape(C_out, -1)``. The product is one GEMM per
+frame: each output element is then the same dot product, summed in the
+same order, as with one GEMM per output row. A single GEMM over all
+N*Ho*Wo rows is not equivalent: the BLAS may block it differently and
+change the last bits. Outputs are NCHW views of channels-last memory, so
+the next conv's padding copy reads its input in order.
 """
 
 from __future__ import annotations
@@ -192,8 +202,10 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add: cannot broadcast {a.shape} with {b.shape}") from e
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g, a.data.shape))
-        _accumulate(b, _unbroadcast(g, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.data.shape))
 
     return _from_op(data, (a, b), bwd)
 
@@ -206,8 +218,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"mul: cannot broadcast {a.shape} with {b.shape}") from e
 
     def bwd(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.data.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.data.shape))
 
     return _from_op(data, (a, b), bwd)
 
@@ -276,7 +290,7 @@ def tsum(a: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:
         if not keepdims and axis is not None:
             axes = (axis,) if isinstance(axis, int) else axis
             gg = np.expand_dims(g, axes)
-        _accumulate(a, np.broadcast_to(gg, a.data.shape).copy())
+        _accumulate(a, np.broadcast_to(gg, a.data.shape))
 
     return _from_op(data, (a,), bwd)
 
@@ -304,8 +318,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def bwd(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return _from_op(data, (a, b), bwd)
 
@@ -403,26 +419,13 @@ def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-24) -> Tensor:
 # convolution
 
 
-def _im2col(x: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """(N, C, H, W) -> (N, Ho, Wo, C*k*k) patch matrix (copies)."""
-    n, c, h, w = x.shape
-    ho = (h - k) // stride + 1
-    wo = (w - k) // stride + 1
-    s0, s1, s2, s3 = x.strides
-    view = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, k, k, ho, wo),
-        strides=(s0, s1, s2, s3, s2 * stride, s3 * stride),
-    )
-    return view.transpose(0, 4, 5, 1, 2, 3).reshape(n, ho, wo, c * k * k)
-
-
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation.
 
     ``x`` is (C_in, H, W) or batched (N, C_in, H, W); ``kernels`` is
     (C_out, C_in, k, k). Output spatial size follows
-    floor((H + 2*padding - k) / stride) + 1.
+    floor((H + 2*padding - k) / stride) + 1. The module docstring gives
+    the patch layout and GEMM grouping that keep results bitwise stable.
     """
     x, kernels = _ensure_tensor(x), _ensure_tensor(kernels)
     if not isinstance(stride, int) or stride <= 0:
@@ -445,15 +448,25 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
         raise ShapeError(
             f"conv2d: kernel {k}x{k} exceeds padded input {h + 2 * padding}x{w + 2 * padding}"
         )
+    hp, wp = h + 2 * padding, w + 2 * padding
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+    xt = xv.transpose(0, 2, 3, 1)  # (N, H, W, C) view
     if padding:
-        xp = np.pad(xv, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        xp = np.zeros((n, hp, wp, c_in))
+        xp[:, padding : padding + h, padding : padding + w] = xt
     else:
-        xp = xv
-    cols = _im2col(xp, k, stride)  # (N, Ho, Wo, C*k*k)
+        xp = xt
+    s0, s1, s2, s3 = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp,
+        shape=(n, ho, wo, c_in, k, k),
+        strides=(s0, s1 * stride, s2 * stride, s3, s1, s2),
+        writeable=False,
+    )
+    cols = view.reshape(n, ho * wo, c_in * k * k)  # copies unless already contiguous
     wmat = kernels.data.reshape(c_out, c_in * k * k)
-    out = cols @ wmat.T  # (N, Ho, Wo, C_out)
-    data = out.transpose(0, 3, 1, 2)
-    ho, wo = data.shape[2], data.shape[3]
+    out = cols @ wmat.T  # (N, Ho*Wo, C_out)
+    data = out.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2)
     if squeeze:
         data = data[0]
 
@@ -465,7 +478,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
         if x.requires_grad:
             gcols = gt @ wmat  # (N, Ho, Wo, C*k*k)
             gcols = gcols.reshape(n, ho, wo, c_in, k, k).transpose(0, 3, 4, 5, 1, 2)
-            gx = np.zeros_like(xp)
+            gx = np.zeros((n, c_in, hp, wp))
             for ki in range(k):
                 for kj in range(k):
                     gx[

@@ -11,16 +11,18 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import struct
 import time
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 
 import numpy as np
 
 from . import tensor as T
 from .adapter import AdapterStack, count_learnable
 from .alignment import AlignmentBatchFeatures, alignment_stats, hr_align_loss, pool_many
-from .dataset import PairedDemo, VideoClip, sample_frames
+from .dataset import PairedDemo, VideoClip, _atomic_write, sample_frames
 from .encoder import Backbone, encode_batch, pretext_loss
 from .optim import AdamState, adam_step, collect_grads, zero_grads
 from .rng import RngState
@@ -54,6 +56,9 @@ class TrainConfig:
     def validate(self) -> "TrainConfig":
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        for name in ("learning_rate", "tau"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("frames", "batch_size", "learning_rate", "tau", "adapter_ratio"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
@@ -63,6 +68,15 @@ class TrainConfig:
 
         if self.adapter_positions not in POSITION_SPECS:
             raise ValueError(f"adapter_positions must be one of {POSITION_SPECS}")
+        if (
+            self.method == "hr_align"
+            and self.adapter_positions == "none"
+            and not self.use_language
+        ):
+            raise ValueError(
+                "adapter_positions='none' with use_language=False leaves hr_align "
+                "nothing to learn"
+            )
         return self
 
     def to_mapping(self) -> dict:
@@ -168,8 +182,7 @@ class MetricsLog:
         return "\n".join(lines) + "\n"
 
     def save(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv_text())
+        _atomic_write(path, self.to_csv_text().encode("utf-8"))
 
     @property
     def losses(self) -> list[float]:
@@ -307,11 +320,7 @@ class ModelCheckpoint:
             "tensors": index,
         }
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        with open(path, "wb") as fh:
-            fh.write(struct.pack("<I", len(header_bytes)))
-            fh.write(header_bytes)
-            for blob in blobs:
-                fh.write(blob)
+        _atomic_write(path, b"".join([struct.pack("<I", len(header_bytes)), header_bytes, *blobs]))
 
     @classmethod
     def load(cls, path: str) -> "ModelCheckpoint":
@@ -386,8 +395,12 @@ class ModelCheckpoint:
 # batching
 
 
+@lru_cache(maxsize=64)
 def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
-    return RngState(seed).derive("epoch", epoch).permutation(n)
+    """One epoch's shuffle, built once and shared read-only by its steps."""
+    order = RngState(seed).derive("epoch", epoch).permutation(n)
+    order.flags.writeable = False
+    return order
 
 
 def _batch_indices(seed: int, step: int, n: int, batch_size: int) -> list[int]:
@@ -440,6 +453,10 @@ def train_hr_align(
         bad = _resume_mismatch(resume.config, config)
         if bad:
             raise ValueError(f"resume config differs on {bad}")
+        if config.steps < resume.step:
+            raise ValueError(
+                f"steps={config.steps} is below the checkpoint's step {resume.step}"
+            )
         stack, embedder = resume.stack, resume.embedder
         adam, rng, start_step = resume.adam, resume.rng.clone(), resume.step
     else:

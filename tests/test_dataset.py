@@ -10,6 +10,8 @@ from hralign.dataset import (
     CLIP_LEN_MAX,
     CLIP_LEN_MIN,
     ManifestError,
+    PairedDemo,
+    VideoClip,
     generate_paired_set,
     load_manifest,
     sample_frame_indices,
@@ -20,6 +22,7 @@ from hralign.dataset import (
     task_phrase,
 )
 from hralign.rng import RngState
+from hralign.task_query import TaskDescription
 
 
 def mean_pair_pixel_diff(pairs):
@@ -66,6 +69,17 @@ def test_pair_invariants():
         assert p.human.domain == "human" and p.robot.domain == "robot"
         assert p.human.length == p.robot.length
         assert CLIP_LEN_MIN <= p.human.length <= CLIP_LEN_MAX
+
+
+@pytest.mark.parametrize("human,robot,text", [(0, 0, 1), (0, 1, 1), (1, 0, 1), (0, 1, 2)])
+def test_pair_rejects_any_task_id_disagreement(human, robot, text):
+    frames = np.zeros((2, 16, 16, 3))
+    with pytest.raises(ValueError, match="task ids"):
+        PairedDemo(
+            VideoClip(frames, "human", human, 0),
+            VideoClip(frames, "robot", robot, 0),
+            TaskDescription("push the block", text),
+        )
 
 
 def test_clip_lengths_vary():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import check_grad_against_fd, numeric_grad, rel_err
@@ -89,6 +89,160 @@ def test_conv2d_channel_mismatch():
 def test_conv2d_kernel_too_large():
     with pytest.raises(ShapeError):
         T.conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))))
+
+
+def _seed_conv2d(x, w, stride, padding, g):
+    """Forward, weight gradient and input gradient by the reference formula:
+    np.pad on NCHW, an NCHW im2col, and one matmul over the stacked
+    (N, Ho, Wo, C*k*k) patches. conv2d must match it bitwise, so that
+    recorded results reproduce."""
+    n, c_in, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding))) if padding else x
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (wd + 2 * padding - k) // stride + 1
+    s0, s1, s2, s3 = xp.strides
+    view = np.lib.stride_tricks.as_strided(
+        xp, (n, c_in, k, k, ho, wo), (s0, s1, s2, s3, s2 * stride, s3 * stride)
+    )
+    cols = view.transpose(0, 4, 5, 1, 2, 3).reshape(n, ho, wo, c_in * k * k)
+    wmat = w.reshape(c_out, -1)
+    out = (cols @ wmat.T).transpose(0, 3, 1, 2)
+    gt = g.transpose(0, 2, 3, 1)
+    gw = (gt.reshape(-1, c_out).T @ cols.reshape(-1, c_in * k * k)).reshape(w.shape)
+    gcols = (gt @ wmat).reshape(n, ho, wo, c_in, k, k).transpose(0, 3, 4, 5, 1, 2)
+    gx = np.zeros_like(xp)
+    for ki in range(k):
+        for kj in range(k):
+            rows = slice(ki, ki + (ho - 1) * stride + 1, stride)
+            wcols = slice(kj, kj + (wo - 1) * stride + 1, stride)
+            gx[:, :, rows, wcols] += gcols[:, :, ki, kj]
+    if padding:
+        gx = gx[:, :, padding:-padding, padding:-padding]
+    return out, gw, gx
+
+
+CONV_SHAPES = {
+    # (input NCHW, kernels, stride, padding) at the 80-frame training batch
+    "block0": ((80, 3, 16, 16), (16, 3, 3, 3), 2, 1),
+    "block1": ((80, 16, 8, 8), (32, 16, 3, 3), 2, 1),
+    "block2": ((80, 32, 4, 4), (32, 32, 3, 3), 1, 1),
+    "adapter_down": ((80, 32, 4, 4), (8, 32, 1, 1), 1, 0),
+    "adapter_up": ((80, 8, 4, 4), (32, 8, 1, 1), 1, 0),
+}
+
+
+@pytest.mark.parametrize("layout", ["nchw", "channels_last"])
+@pytest.mark.parametrize("shape", sorted(CONV_SHAPES))
+def test_conv2d_bitwise_equals_seed_formula(shape, layout):
+    x_shape, w_shape, stride, padding = CONV_SHAPES[shape]
+    rng = RngState(41)
+    n, c, h, w = x_shape
+    if layout == "nchw":
+        x = rng.normal(x_shape)
+    else:  # an NCHW view of channels-last memory, as conv outputs are
+        x = rng.normal((n, h, w, c)).transpose(0, 3, 1, 2)
+    kernels = rng.normal(w_shape)
+    xt = Tensor(x, requires_grad=True)
+    kt = Tensor(kernels, requires_grad=True)
+    out = T.conv2d(xt, kt, stride=stride, padding=padding)
+    # backward hands conv2d a gradient laid out like its output
+    g = np.zeros_like(out.data)
+    g += rng.normal(out.shape)
+    out.backward(g)
+    ref_out, ref_gw, ref_gx = _seed_conv2d(x, kernels, stride, padding, g)
+    assert np.array_equal(out.data, ref_out)
+    assert np.array_equal(kt.grad, ref_gw)
+    assert np.array_equal(xt.grad, ref_gx)
+
+
+def _naive_conv2d(x, w, stride, padding, g):
+    """Forward, weight and input gradients by explicit loops."""
+    n, c_in, h, wd = x.shape
+    c_out, _, k, _ = w.shape
+    xp = np.zeros((n, c_in, h + 2 * padding, wd + 2 * padding))
+    xp[:, :, padding : padding + h, padding : padding + wd] = x
+    ho = (h + 2 * padding - k) // stride + 1
+    wo = (wd + 2 * padding - k) // stride + 1
+    out = np.zeros((n, c_out, ho, wo))
+    gw = np.zeros_like(w)
+    gxp = np.zeros_like(xp)
+    for b in range(n):
+        for o in range(c_out):
+            for i in range(ho):
+                for j in range(wo):
+                    patch = xp[b, :, i * stride : i * stride + k, j * stride : j * stride + k]
+                    out[b, o, i, j] = np.sum(patch * w[o])
+                    gw[o] += g[b, o, i, j] * patch
+                    gxp[b, :, i * stride : i * stride + k, j * stride : j * stride + k] += (
+                        g[b, o, i, j] * w[o]
+                    )
+    return out, gw, gxp[:, :, padding : padding + h, padding : padding + wd]
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    n=st.integers(1, 3),
+    c_in=st.integers(1, 3),
+    c_out=st.integers(1, 3),
+    h=st.integers(1, 7),
+    w=st.integers(1, 7),
+    k=st.integers(1, 3),
+    stride=st.integers(1, 3),
+    padding=st.integers(0, 2),
+    channels_last=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_conv2d_matches_naive_loop(n, c_in, c_out, h, w, k, stride, padding, channels_last, seed):
+    assume(k <= h + 2 * padding and k <= w + 2 * padding)
+    rng = RngState(seed)
+    if channels_last:
+        x = rng.normal((n, h, w, c_in)).transpose(0, 3, 1, 2)
+    else:
+        x = rng.normal((n, c_in, h, w))
+    kernels = rng.normal((c_out, c_in, k, k))
+    xt = Tensor(x, requires_grad=True)
+    kt = Tensor(kernels, requires_grad=True)
+    out = T.conv2d(xt, kt, stride=stride, padding=padding)
+    g = rng.normal(out.shape)
+    out.backward(g)
+    ref_out, ref_gw, ref_gx = _naive_conv2d(x, kernels, stride, padding, g)
+    assert np.allclose(out.data, ref_out, rtol=1e-12, atol=1e-12)
+    assert np.allclose(kt.grad, ref_gw, rtol=1e-12, atol=1e-12)
+    assert np.allclose(xt.grad, ref_gx, rtol=1e-12, atol=1e-12)
+
+
+class _NoTranspose(np.ndarray):
+    """An array whose transpose must never be taken."""
+
+    @property
+    def T(self):
+        raise AssertionError("gradient of a constant operand was computed")
+
+
+def test_matmul_backward_skips_constant_operand():
+    # the constant's gradient would be g @ w.T; only w's, x.T @ g, is built
+    x = RngState(15).normal((4, 3))
+    w = Tensor(RngState(14).normal((3, 2)), requires_grad=True)
+    w.data = w.data.view(_NoTranspose)
+    T.tsum(T.matmul(Tensor(x), w)).backward()
+    assert np.array_equal(w.grad, x.T @ np.ones((4, 2)))
+
+
+@pytest.mark.parametrize("op", [T.add, T.mul])
+def test_broadcast_backward_skips_constant_operand(op, monkeypatch):
+    reduced = []
+    unbroadcast = T._unbroadcast
+
+    def recording(g, shape):
+        reduced.append(shape)
+        return unbroadcast(g, shape)
+
+    monkeypatch.setattr(T, "_unbroadcast", recording)
+    b = Tensor(RngState(16).normal((4,)), requires_grad=True)
+    T.tsum(op(Tensor(RngState(17).normal((3, 4))), b)).backward()
+    assert reduced == [(4,)]
+    assert b.grad is not None
 
 
 def test_softmax_uniform():

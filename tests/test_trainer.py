@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from conftest import BASELINE_LR
 from helpers import sum_param_sizes
 from hralign.dataset import generate_paired_set, split_pairs
 from hralign.encoder import Backbone, pretext_pretrain
+from hralign import dataset
 from hralign.rng import RngState
 from hralign.trainer import (
     MetricsLog,
@@ -17,6 +20,8 @@ from hralign.trainer import (
     train_baseline_cls,
     train_baseline_pret,
     train_hr_align,
+    _batch_indices,
+    _epoch_order,
 )
 
 
@@ -63,6 +68,23 @@ def test_config_rejects_bad_values():
         TrainConfig(adapter_positions="Q").validate()
     with pytest.raises(ValueError):
         TrainConfig.from_mapping({"use_language": "maybe"})
+
+
+@pytest.mark.parametrize("name", ["learning_rate", "tau"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_config_rejects_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        TrainConfig(**{name: value}).validate()
+    with pytest.raises(ValueError, match=name):
+        TrainConfig.from_mapping({name: str(value)})
+
+
+def test_config_rejects_hr_align_with_nothing_to_learn():
+    with pytest.raises(ValueError, match="adapter_positions.*use_language"):
+        TrainConfig(adapter_positions="none", use_language=False).validate()
+    # each alone still leaves something to learn
+    TrainConfig(adapter_positions="none", use_language=True).validate()
+    TrainConfig(adapter_positions="L", use_language=False).validate()
 
 
 def test_config_hash_stable_and_sensitive():
@@ -179,6 +201,77 @@ def test_resume_equals_uninterrupted(small_setup, tmp_path):
     full.save(full_path)
     resumed.save(resumed_path)
     assert open(full_path, "rb").read() == open(resumed_path, "rb").read()
+
+
+def test_resume_below_checkpoint_step_rejected(small_setup):
+    _, train, _, backbone = small_setup
+    part, _ = train_hr_align(small_config(steps=5), train, backbone)
+    with pytest.raises(ValueError, match="steps=3.*step 5"):
+        train_hr_align(small_config(steps=3), train, backbone, resume=part)
+    # resuming at the checkpoint's own step is a no-op, not an error
+    same, metrics = train_hr_align(small_config(steps=5), train, backbone, resume=part)
+    assert same.step == 5 and not metrics.rows
+
+
+def test_epoch_order_is_shared_read_only():
+    order = _epoch_order(31, 2, 18)
+    assert order is _epoch_order(31, 2, 18)
+    assert not order.flags.writeable
+    assert np.array_equal(order, RngState(31).derive("epoch", 2).permutation(18))
+    assert _batch_indices(31, 2 * 4 + 1, 18, 4) == [int(i) for i in order[4:8]]
+
+
+class _HalfWriter:
+    """A file whose write stores half the bytes and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+
+def _fail_writes_partway(monkeypatch):
+    monkeypatch.setattr(
+        dataset, "open", lambda path, mode="r", **kw: _HalfWriter(open(path, mode, **kw)),
+        raising=False,
+    )
+
+
+def test_checkpoint_save_failing_partway_keeps_previous_file(small_setup, tmp_path, monkeypatch):
+    _, train, _, backbone = small_setup
+    first, _ = train_hr_align(small_config(steps=2), train, backbone)
+    second, _ = train_hr_align(small_config(steps=4), train, backbone)
+    path = str(tmp_path / "model.ckpt")
+    first.save(path)
+    before = open(path, "rb").read()
+    _fail_writes_partway(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        second.save(path)
+    monkeypatch.undo()
+    assert open(path, "rb").read() == before
+    assert ModelCheckpoint.load(path).step == 2
+    assert os.listdir(tmp_path) == ["model.ckpt"]
+
+
+def test_metrics_save_failing_partway_keeps_previous_file(tmp_path, monkeypatch):
+    path = str(tmp_path / "metrics.csv")
+    log = MetricsLog([MetricsRow(1, 2.5, 0.1, 0.2, 3.0)])
+    log.save(path)
+    log.append(MetricsRow(2, 2.4, 0.1, 0.2, 3.0))
+    _fail_writes_partway(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        log.save(path)
+    monkeypatch.undo()
+    assert open(path, encoding="utf-8").read() == MetricsLog(log.rows[:1]).to_csv_text()
+    assert os.listdir(tmp_path) == ["metrics.csv"]
 
 
 def test_resume_config_mismatch_rejected(small_setup):
