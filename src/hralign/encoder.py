@@ -167,13 +167,8 @@ def encode_batch(
     hooks: Mapping[int, Callable[[Tensor], Tensor]] | None = None,
 ) -> Tensor:
     """Encode a (N, H, W, C) stack of frames to (N, H', W', C')."""
-    x = frames.transpose(0, 3, 1, 2)  # NCHW view of channels-last memory
-    if hooks and 0 in hooks:
-        # An adapter before block 0 runs its 1x1 convs on the frames
-        # themselves, and their GEMM rounds differently on channels-last
-        # memory. NCHW memory there keeps recorded E/EML results bitwise.
-        x = np.ascontiguousarray(x)
-    y = backbone.apply(Tensor(x), hooks)
+    x = Tensor(np.ascontiguousarray(frames.transpose(0, 3, 1, 2)))
+    y = backbone.apply(x, hooks)
     return T.transpose(y, (0, 2, 3, 1))
 
 

@@ -11,11 +11,13 @@ parameter data in place.
 (N, H+2p, W+2p, C) buffer and copies one strided view of that into the
 patch matrix (N, Ho*Wo, C*k*k), whose columns run in (c, ki, kj) order,
 the order of ``kernels.reshape(C_out, -1)``. The product is one GEMM per
-frame: each output element is then the same dot product, summed in the
-same order, as with one GEMM per output row. A single GEMM over all
-N*Ho*Wo rows is not equivalent: the BLAS may block it differently and
-change the last bits. Outputs are NCHW views of channels-last memory, so
-the next conv's padding copy reads its input in order.
+frame. BLAS does not promise that grouping rows differently keeps the
+summation order; on OpenBLAS 0.3.31 one GEMM per frame was measured to be
+bitwise equal to one GEMM per output row (the earlier formula), and
+``test_conv2d_bitwise_equals_seed_formula`` guards that. A single GEMM
+over all N*Ho*Wo rows was measured to change the last bits. Outputs are
+NCHW views of channels-last memory, so the next conv's padding copy reads
+its input in order.
 """
 
 from __future__ import annotations
