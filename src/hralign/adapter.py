@@ -121,11 +121,6 @@ class AdapterStack:
             out.update(blk.named_parameters(f"{prefix}.j{j}"))
         return out
 
-    def zero_up_projections(self) -> None:
-        for _, blk in self.blocks:
-            blk.up_w.data = np.zeros_like(blk.up_w.data)
-            blk.up_b.data = np.zeros_like(blk.up_b.data)
-
 
 def encode_adapted(
     backbone: Backbone, stack: AdapterStack | None, frames, domain: str = "unknown"

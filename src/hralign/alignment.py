@@ -120,13 +120,6 @@ class AlignmentBatchFeatures:
     def batch_size(self) -> int:
         return self.human.shape[0]
 
-    @classmethod
-    def from_pooled(cls, human, robot_frozen, robot_adapted, tau: float):
-        def stacked(feats):
-            return T.concat([T.reshape(f.vector, (1, f.vector.size)) for f in feats], axis=0)
-
-        return cls(stacked(human), stacked(robot_frozen), stacked(robot_adapted), tau)
-
 
 def hr_align_loss(batch: AlignmentBatchFeatures) -> Tensor:
     """Symmetric contrastive alignment loss over one batch.

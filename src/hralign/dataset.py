@@ -424,6 +424,19 @@ def save_manifest(pairs: list[PairedDemo], path: str) -> None:
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True).encode("utf-8"))
 
 
+_ENTRY_KEYS = (
+    "pair_id",
+    "task_id",
+    "description",
+    "human_file",
+    "robot_file",
+    "human_len",
+    "robot_len",
+    "human_sha256",
+    "robot_sha256",
+)
+
+
 def load_manifest(path: str) -> list[PairedDemo]:
     """Load a manifest; errors name the offending entry or file."""
     try:
@@ -433,6 +446,8 @@ def load_manifest(path: str) -> list[PairedDemo]:
         raise ManifestError(f"manifest not found: {path}") from e
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ManifestError(f"manifest is not valid JSON: {path}: {e}") from e
+    if not isinstance(doc, dict):
+        raise ManifestError(f"manifest is not a JSON object: {path}")
     if doc.get("version") != MANIFEST_VERSION:
         raise ManifestError(f"unsupported manifest version {doc.get('version')!r} in {path}")
     frame_shape = tuple(doc.get("frame_shape", ()))
@@ -440,8 +455,13 @@ def load_manifest(path: str) -> list[PairedDemo]:
         raise ManifestError(f"manifest frame_shape malformed in {path}")
     root = os.path.dirname(os.path.abspath(path))
     pairs: list[PairedDemo] = []
-    for entry in doc.get("pairs", []):
+    for i, entry in enumerate(doc.get("pairs", [])):
+        if not isinstance(entry, dict):
+            raise ManifestError(f"pairs[{i}] in {path} is not a JSON object")
         pid = entry.get("pair_id")
+        for key in _ENTRY_KEYS:
+            if key not in entry:
+                raise ManifestError(f"pairs[{i}] (pair {pid}) in {path} lacks key {key!r}")
         clips = {}
         for side, domain in (("human", "human"), ("robot", "robot")):
             rel = entry[f"{side}_file"]
@@ -467,6 +487,8 @@ def load_manifest(path: str) -> list[PairedDemo]:
         latent = entry.get("latent")
         positions = gripper = None
         if latent is not None:
+            if not isinstance(latent, dict) or not {"positions", "gripper"} <= latent.keys():
+                raise ManifestError(f"pair {pid}: latent needs 'positions' and 'gripper'")
             positions = np.asarray(latent["positions"], dtype=np.float64)
             gripper = np.asarray(latent["gripper"], dtype=np.uint8)
         human = VideoClip(clips["human"], "human", entry["task_id"], pid, positions, gripper)

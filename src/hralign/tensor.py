@@ -8,21 +8,33 @@ treated as immutable once produced; only an optimizer step mutates
 parameter data in place.
 
 :func:`conv2d` reads its input channels-last. It pads into a zeroed
-(N, H+2p, W+2p, C) buffer and copies one strided view of that into the
-patch matrix (N, Ho*Wo, C*k*k), whose columns run in (c, ki, kj) order,
-the order of ``kernels.reshape(C_out, -1)``. The product is one GEMM per
-frame. BLAS does not promise that grouping rows differently keeps the
-summation order; on OpenBLAS 0.3.31 one GEMM per frame was measured to be
+(N, H+2p, W+2p, C) buffer and gathers the patch matrix (N, Ho*Wo, C*k*k)
+from it with one ``np.take`` over each flattened frame. The flat index is
+built once per (padded size, C, k, stride), cached and read-only; the
+gather moves whole patch rows where a strided copy would walk k-element
+runs. A 1x1 stride-1 conv needs no gather: its patch matrix is a view of
+the channels-last input. Columns run in (c, ki, kj) order, the order of
+``kernels.reshape(C_out, -1)``. The product is one GEMM per frame. BLAS
+does not promise that grouping rows differently keeps the summation
+order; on OpenBLAS 0.3.31 one GEMM per frame was measured to be
 bitwise equal to one GEMM per output row (the earlier formula), and
 ``test_conv2d_bitwise_equals_seed_formula`` guards that. A single GEMM
 over all N*Ho*Wo rows was measured to change the last bits. Outputs are
 NCHW views of channels-last memory, so the next conv's padding copy reads
 its input in order.
+
+:func:`relu` computes ``np.fmax(a, 0.0)`` and then adds 0.0 in place,
+which is bitwise ``np.where(a > 0, a, 0.0)`` without its branches: fmax
+returns 0.0 for NaN and for every a < 0, and a positive a (subnormals and
++inf included) comes through unchanged, while adding +0.0 is exact and
+turns the -0.0 that fmax may return for a = -0.0 into +0.0. Being a ufunc,
+fmax lays out its result like its input, as np.where does.
 """
 
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -165,8 +177,11 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     if not t.requires_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # One pass laid out like t.data, not like g; adding 0.0 turns -0.0
+        # into +0.0, so this is bitwise zeros_like(t.data) + g.
+        t.grad = np.add(g, 0.0, out=np.empty_like(t.data))
+    else:
+        t.grad += g
 
 
 def _from_op(data: np.ndarray, parents: Sequence[Tensor], bwd) -> Tensor:
@@ -239,9 +254,9 @@ def neg(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     a = _ensure_tensor(a)
-    # np.where rather than np.maximum: clamped entries come out as +0.0,
-    # which keeps residual identity checks bitwise.
-    data = np.where(a.data > 0.0, a.data, 0.0)
+    # Bitwise np.where(a > 0, a, 0.0); see the module docstring.
+    data = np.fmax(a.data, 0.0)
+    data += 0.0
 
     def bwd(g):
         _accumulate(a, g * (a.data > 0.0))
@@ -458,14 +473,11 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
         xp[:, padding : padding + h, padding : padding + w] = xt
     else:
         xp = xt
-    s0, s1, s2, s3 = xp.strides
-    view = np.lib.stride_tricks.as_strided(
-        xp,
-        shape=(n, ho, wo, c_in, k, k),
-        strides=(s0, s1 * stride, s2 * stride, s3, s1, s2),
-        writeable=False,
-    )
-    cols = view.reshape(n, ho * wo, c_in * k * k)  # copies unless already contiguous
+    if k == 1 and stride == 1:
+        cols = xp.reshape(n, ho * wo, c_in)  # a view of channels-last memory
+    else:
+        idx = _patch_index(hp, wp, c_in, k, stride)
+        cols = np.take(xp.reshape(n, -1), idx, axis=1)  # (N, Ho*Wo, C*k*k)
     wmat = kernels.data.reshape(c_out, c_in * k * k)
     out = cols @ wmat.T  # (N, Ho*Wo, C_out)
     data = out.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2)
@@ -494,6 +506,20 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
             _accumulate(x, gx[0] if squeeze else gx)
 
     return _from_op(data, (x, kernels), bwd)
+
+
+@lru_cache(maxsize=32)
+def _patch_index(hp: int, wp: int, c: int, k: int, stride: int) -> np.ndarray:
+    """Flat offsets into one padded (hp, wp, c) channels-last frame of every
+    patch entry: row ``oi*Wo + oj``, columns in (c, ki, kj) order. Shared by
+    every caller, hence read-only."""
+    ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
+    rows = (np.arange(ho) * stride)[:, None, None, None, None] + np.arange(k)[:, None]
+    cols = (np.arange(wo) * stride)[None, :, None, None, None] + np.arange(k)
+    idx = (rows * wp + cols) * c + np.arange(c)[:, None, None]  # (Ho, Wo, C, k, k)
+    idx = idx.reshape(ho * wo, c * k * k)
+    idx.flags.writeable = False
+    return idx
 
 
 def conv_output_size(size: int, k: int, stride: int, padding: int) -> int:

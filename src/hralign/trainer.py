@@ -223,6 +223,10 @@ class LinearHead:
         return T.mul(T.add(pooled, Tensor(-self.mu.data)), Tensor(1.0 / self.sd.data))
 
 
+class CheckpointError(ValueError):
+    """A checkpoint file is truncated, corrupt or lacks a tensor entry."""
+
+
 @dataclass
 class ModelCheckpoint:
     """Everything needed to resume or evaluate a run."""
@@ -326,23 +330,43 @@ class ModelCheckpoint:
     def load(cls, path: str) -> "ModelCheckpoint":
         with open(path, "rb") as fh:
             raw = fh.read()
+        if len(raw) < 4:
+            raise CheckpointError(f"{path}: {len(raw)} bytes, too short for a checkpoint")
         (hlen,) = struct.unpack_from("<I", raw, 0)
-        header = json.loads(raw[4 : 4 + hlen].decode("utf-8"))
-        if header["version"] != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {header['version']}")
+        if 4 + hlen > len(raw):
+            raise CheckpointError(
+                f"{path}: header truncated ({len(raw) - 4} of {hlen} bytes present)"
+            )
+        try:
+            header = json.loads(raw[4 : 4 + hlen].decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as e:
+            raise CheckpointError(f"{path}: header is not valid JSON: {e}") from e
+        if header.get("version") != CHECKPOINT_VERSION:
+            raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
         body = raw[4 + hlen :]
         arrays: dict[str, np.ndarray] = {}
         for entry in header["tensors"]:
-            arr, _ = T.from_bytes(body, entry["offset"])
+            if entry["offset"] + entry["nbytes"] > len(body):
+                raise CheckpointError(f"{path}: body truncated inside tensor {entry['name']!r}")
+            try:
+                arr, _ = T.from_bytes(body, entry["offset"])
+            except (struct.error, ValueError) as e:
+                raise CheckpointError(f"{path}: tensor {entry['name']!r} is corrupt: {e}") from e
             arrays[entry["name"]] = arr
+
+        def fill(named: dict[str, Tensor]) -> None:
+            for name, tensor in named.items():
+                if name not in arrays:
+                    raise CheckpointError(f"{path}: no tensor entry {name!r}")
+                tensor.data = arrays[name].copy()
+
         config = TrainConfig.from_mapping(header["config"])
         arch = header["backbone"]
         init_rng = RngState(0)
         backbone = Backbone.create(
             init_rng, arch["channels"], arch["strides"], arch["kernel"]
         )
-        for name, tensor in backbone.named_parameters().items():
-            tensor.data = arrays[name].copy()
+        fill(backbone.named_parameters())
         if arch["frozen"]:
             backbone.freeze()
         stack = None
@@ -350,20 +374,17 @@ class ModelCheckpoint:
             stack = AdapterStack.for_positions(
                 header["stack"]["positions"], backbone, header["stack"]["ratio"], init_rng
             )
-            for name, tensor in stack.named_parameters().items():
-                tensor.data = arrays[name].copy()
+            fill(stack.named_parameters())
         embedder = None
         if header["embedder"] is not None:
             embedder = QueryEmbedder.create(init_rng, header["embedder"]["out_dim"])
-            for name, tensor in embedder.named_parameters().items():
-                tensor.data = arrays[name].copy()
+            fill(embedder.named_parameters())
         head = None
         if header["head"] is not None:
             head = LinearHead.create(
                 init_rng, header["head"]["in_dim"], header["head"]["n_classes"]
             )
-            for name, tensor in {**head.named_parameters(), **head.named_buffers()}.items():
-                tensor.data = arrays[name].copy()
+            fill({**head.named_parameters(), **head.named_buffers()})
         adam = None
         if header["adam"] is not None:
             adam = AdamState(

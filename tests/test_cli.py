@@ -51,6 +51,29 @@ def test_bad_manifest_exits_two(tmp_path, capsys):
     assert "manifest" in capsys.readouterr().err
 
 
+def test_manifest_entry_missing_key_exits_two(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["generate", "--out", str(data), "--tasks", "2", "--pairs-per-task", "2"]) == 0
+    manifest = data / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    del doc["pairs"][0]["robot_sha256"]
+    manifest.write_text(json.dumps(doc))
+    code = run(["pretrain", "--data", str(manifest), "--out", str(tmp_path / "pre")])
+    assert code == 2
+    assert "robot_sha256" in capsys.readouterr().err
+
+
+def test_truncated_checkpoint_exits_two(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["generate", "--out", str(data), "--tasks", "2", "--pairs-per-task", "2"]) == 0
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(b"\x01\x00")
+    manifest = str(data / "manifest.json")
+    code = run(["eval", "--checkpoint", str(ckpt), "--data", manifest, "--out", str(tmp_path)])
+    assert code == 2
+    assert "too short" in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """Tiny end-to-end pipeline: generate -> pretrain -> adapt."""

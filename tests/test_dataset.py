@@ -238,6 +238,46 @@ def test_manifest_unknown_version_rejected(tmp_path):
         load_manifest(str(path))
 
 
+@pytest.mark.parametrize(
+    "key", ["robot_sha256", "human_file", "task_id", "description", "pair_id", "robot_len"]
+)
+def test_manifest_entry_missing_key_names_pair_and_key(tmp_path, key):
+    pairs = generate_paired_set(RngState(6), 2, 1, 0.5)
+    path = tmp_path / "manifest.json"
+    save_manifest(pairs, str(path))
+    doc = json.loads(path.read_text())
+    del doc["pairs"][1][key]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match=rf"pairs\[1\].*lacks key '{key}'"):
+        load_manifest(str(path))
+
+
+@pytest.mark.parametrize("where", ["document", "entry"])
+def test_manifest_non_object_rejected(tmp_path, where):
+    pairs = generate_paired_set(RngState(6), 2, 1, 0.5)
+    path = tmp_path / "manifest.json"
+    save_manifest(pairs, str(path))
+    doc = json.loads(path.read_text())
+    if where == "document":
+        doc = [doc]
+    else:
+        doc["pairs"][0] = ["not", "an", "object"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match="not a JSON object"):
+        load_manifest(str(path))
+
+
+def test_manifest_latent_missing_field_rejected(tmp_path):
+    pairs = generate_paired_set(RngState(6), 2, 1, 0.5)
+    path = tmp_path / "manifest.json"
+    save_manifest(pairs, str(path))
+    doc = json.loads(path.read_text())
+    del doc["pairs"][0]["latent"]["gripper"]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match="latent"):
+        load_manifest(str(path))
+
+
 def test_manifest_not_found():
     with pytest.raises(ManifestError, match="no/such"):
         load_manifest("no/such/manifest.json")

@@ -220,6 +220,54 @@ class _NoTranspose(np.ndarray):
         raise AssertionError("gradient of a constant operand was computed")
 
 
+def test_patch_index_is_read_only():
+    T.conv2d(Tensor(np.ones((2, 3, 6, 6))), Tensor(np.ones((4, 3, 3, 3))), stride=2, padding=1)
+    idx = T._patch_index(8, 8, 3, 3, 2)
+    assert idx is T._patch_index(8, 8, 3, 3, 2)
+    assert idx.shape == (9, 27) and not idx.flags.writeable
+    with pytest.raises(ValueError):
+        idx[0, 0] = 1
+
+
+_SPECIAL = np.array(
+    [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1.5, -1.5]
+)
+
+
+def _relu_inputs():
+    rng = RngState(13)
+    flat = np.concatenate([_SPECIAL, rng.normal((228,))])
+    contiguous = flat.reshape(2, 3, 5, 8)
+    channels_last = flat.reshape(2, 5, 8, 3).transpose(0, 3, 1, 2)
+    return {"contiguous": contiguous, "channels_last": channels_last}
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
+def test_relu_bitwise_equals_where_formula(layout):
+    x = _relu_inputs()[layout]
+    ref = np.where(x > 0.0, x, 0.0)
+    out = T.relu(Tensor(x)).data
+    # viewed as integers, so the sign of zero and NaN payloads count too
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+    assert out.strides == ref.strides == x.strides
+
+
+@pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
+def test_first_gradient_write_equals_zeros_plus_g(layout):
+    inputs = _relu_inputs()
+    data = inputs[layout]
+    t = Tensor(data, requires_grad=True)
+    # laid out unlike t.data, with -0.0 and NaN entries
+    g = -inputs["channels_last" if layout == "contiguous" else "contiguous"]
+    assert g.strides != data.strides
+    ref = np.zeros_like(data)
+    ref += g
+    T._accumulate(t, g)
+    assert np.array_equal(t.grad.view(np.int64), ref.view(np.int64))
+    assert t.grad.strides == ref.strides == data.strides
+    assert t.grad is not g
+
+
 def test_matmul_backward_skips_constant_operand():
     # the constant's gradient would be g @ w.T; only w's, x.T @ g, is built
     x = RngState(15).normal((4, 3))

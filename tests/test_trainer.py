@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -10,6 +11,7 @@ from hralign.encoder import Backbone, pretext_pretrain
 from hralign import dataset
 from hralign.rng import RngState
 from hralign.trainer import (
+    CheckpointError,
     MetricsLog,
     MetricsRow,
     ModelCheckpoint,
@@ -272,6 +274,65 @@ def test_metrics_save_failing_partway_keeps_previous_file(tmp_path, monkeypatch)
     monkeypatch.undo()
     assert open(path, encoding="utf-8").read() == MetricsLog(log.rows[:1]).to_csv_text()
     assert os.listdir(tmp_path) == ["metrics.csv"]
+
+
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("ckpt") / "model.ckpt")
+    ModelCheckpoint(TrainConfig(), Backbone.create(RngState(0))).save(path)
+    return open(path, "rb").read()
+
+
+def _header_length(raw: bytes) -> int:
+    return int.from_bytes(raw[:4], "little")
+
+
+@pytest.mark.parametrize(
+    "cut, match",
+    [
+        (lambda raw: raw[:3], "too short"),
+        (lambda raw: raw[: 4 + _header_length(raw) // 2], "header truncated"),
+        (lambda raw: raw[:-5], "body truncated"),
+    ],
+    ids=["under_4_bytes", "header", "body"],
+)
+def test_truncated_checkpoint_raises_checkpoint_error(checkpoint_bytes, tmp_path, cut, match):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(cut(checkpoint_bytes))
+    with pytest.raises(CheckpointError, match=match):
+        ModelCheckpoint.load(str(path))
+
+
+def test_checkpoint_with_unparsable_header_raises_checkpoint_error(checkpoint_bytes, tmp_path):
+    raw = bytearray(checkpoint_bytes)
+    raw[4] = 0xFF  # the header's opening brace, now invalid UTF-8
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="header is not valid JSON"):
+        ModelCheckpoint.load(str(path))
+
+
+def test_checkpoint_corrupt_tensor_dims_raise_checkpoint_error(checkpoint_bytes, tmp_path):
+    raw = bytearray(checkpoint_bytes)
+    first = 4 + _header_length(checkpoint_bytes)  # the first tensor's rank, then its dims
+    raw[first + 4 : first + 8] = (10**6).to_bytes(4, "little")
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointError, match="is corrupt"):
+        ModelCheckpoint.load(str(path))
+
+
+def test_checkpoint_missing_tensor_entry_raises_checkpoint_error(checkpoint_bytes, tmp_path):
+    hlen = _header_length(checkpoint_bytes)
+    header = json.loads(checkpoint_bytes[4 : 4 + hlen])
+    dropped = header["tensors"].pop(0)["name"]
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(
+        len(header_bytes).to_bytes(4, "little") + header_bytes + checkpoint_bytes[4 + hlen :]
+    )
+    with pytest.raises(CheckpointError, match=f"no tensor entry '{dropped}'"):
+        ModelCheckpoint.load(str(path))
 
 
 def test_resume_config_mismatch_rejected(small_setup):
