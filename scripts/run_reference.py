@@ -20,7 +20,7 @@ from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from hralign.dataset import generate_paired_set, save_manifest, split_pairs
+from hralign.dataset import _atomic_write, generate_paired_set, save_manifest, split_pairs
 from hralign.encoder import pretext_pretrain
 from hralign.evaluation import dump_embeddings, eval_downstream, eval_retrieval
 from hralign.rng import RngState
@@ -69,8 +69,9 @@ def main() -> int:
     os.makedirs(config.out_dir, exist_ok=True)
     checkpoint.save(os.path.join(config.out_dir, "model.ckpt"))
     metrics.save(os.path.join(config.out_dir, "metrics.csv"))
-    with open(os.path.join(config.out_dir, "resolved_config.txt"), "w") as fh:
-        fh.write(format_config(config))
+    _atomic_write(
+        os.path.join(config.out_dir, "resolved_config.txt"), format_config(config).encode("utf-8")
+    )
     print(f"      loss {metrics.losses[0]:.4f} -> {metrics.losses[-1]:.4f}")
 
     print("[4/6] evaluation: adapted vs frozen")
@@ -121,8 +122,9 @@ def main() -> int:
                 f"r2h@1 {run.row['r2h_recall1']:.3f}  probe {run.row['probe_accuracy']:.3f}"
             )
 
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=2)
+    _atomic_write(
+        os.path.join(args.out, "summary.json"), json.dumps(summary, indent=2).encode("utf-8")
+    )
     print(f"done in {time.time() - t_start:.0f}s -> {args.out}/summary.json")
     return 0
 

@@ -8,14 +8,8 @@ dataset with a controllable domain gap, and retrieval / downstream
 evaluation of the adapted representation.
 """
 
-from .adapter import AdapterBlock, AdapterStack, adapter_forward, count_learnable, encode_adapted
-from .alignment import (
-    AlignmentBatchFeatures,
-    PooledFeature,
-    hr_align_loss,
-    similarity,
-    task_aware_pool,
-)
+from .adapter import AdapterBlock, AdapterStack, adapter_forward, count_learnable
+from .alignment import AlignmentBatchFeatures, hr_align_loss
 from .dataset import (
     PairedDemo,
     VideoClip,
@@ -25,7 +19,7 @@ from .dataset import (
     save_manifest,
     split_pairs,
 )
-from .encoder import Backbone, FeatureMap, encode_frozen, pretext_pretrain
+from .encoder import Backbone, pretext_pretrain
 from .evaluation import (
     DownstreamReport,
     RetrievalReport,
@@ -35,7 +29,7 @@ from .evaluation import (
 )
 from .optim import AdamState, adam_step
 from .rng import RngState, fnv1a64
-from .task_query import QueryEmbedder, TaskDescription, embed_task
+from .task_query import QueryEmbedder, TaskDescription
 from .tensor import Tensor
 from .trainer import (
     MetricsLog,

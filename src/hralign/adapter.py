@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .encoder import Backbone, FeatureMap, _check_frames, encode_batch
+from .encoder import Backbone
 from .rng import RngState
 from .tensor import ShapeError, Tensor
 
@@ -120,28 +120,6 @@ class AdapterStack:
         for j, blk in self.blocks:
             out.update(blk.named_parameters(f"{prefix}.j{j}"))
         return out
-
-
-def encode_adapted(
-    backbone: Backbone, stack: AdapterStack | None, frames, domain: str = "unknown"
-) -> FeatureMap:
-    """Adapted-stream encoding: frozen backbone with adapter hooks.
-
-    Only adapter weights can receive gradients. An empty stack bypasses
-    adapters entirely and the result is flagged unadapted.
-    """
-    if not backbone.frozen:
-        raise ValueError("encode_adapted requires a frozen backbone")
-    if stack is not None:
-        for j in stack.junctions:
-            if not 0 <= j <= backbone.n_blocks:
-                raise ValueError(f"adapter junction {j} invalid for {backbone.n_blocks} blocks")
-    if isinstance(frames, Tensor):
-        frames = frames.data
-    frames = _check_frames(frames, backbone.in_channels)
-    hooks = stack.hooks() if stack is not None and len(stack) else None
-    values = encode_batch(backbone, frames, hooks)
-    return FeatureMap(values, domain=domain, adapted=hooks is not None)
 
 
 @dataclass

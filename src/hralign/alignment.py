@@ -13,32 +13,12 @@ float64 long before features get interesting.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .encoder import FeatureMap
 from .tensor import NumericError, ShapeError, Tensor
-
-STREAM_TAGS = ("human-frozen", "robot-frozen", "robot-adapted")
-
-
-@dataclass
-class PooledFeature:
-    vector: Tensor  # (C,)
-    stream: str
-
-    def __post_init__(self):
-        if self.stream not in STREAM_TAGS:
-            raise ValueError(f"unknown stream tag {self.stream!r}")
-
-
-def stream_tag(domain: str, adapted: bool) -> str:
-    if domain == "human":
-        return "human-frozen"
-    return "robot-adapted" if adapted else "robot-frozen"
 
 
 def pool_many(values: Tensor, queries: Tensor | None, normalize: bool = True) -> Tensor:
@@ -59,40 +39,6 @@ def pool_many(values: Tensor, queries: Tensor | None, normalize: bool = True) ->
     if normalize:
         pooled = T.l2_normalize(pooled, axis=1)
     return pooled
-
-
-def attention_weights(features: FeatureMap, query: Tensor) -> np.ndarray:
-    """Softmax position weights for one clip; sums to 1 over T*H*W."""
-    t, h, w, c = features.values.shape
-    flat = T.reshape(features.values, (1, t * h * w, c))
-    logits = T.tsum(T.mul(flat, T.reshape(query, (1, 1, c))), axis=2)
-    return T.softmax(logits, axis=1).data[0]
-
-
-def task_aware_pool(
-    features: FeatureMap, query: Tensor | None, normalize: bool = True
-) -> PooledFeature:
-    """Pool one clip's feature map into a single (C,) vector."""
-    t, h, w, c = features.values.shape
-    if query is not None and query.shape != (c,):
-        raise ShapeError(f"query width {query.shape} does not match channels {c}")
-    flat = T.reshape(features.values, (1, t * h * w, c))
-    q = None if query is None else T.reshape(query, (1, c))
-    pooled = pool_many(flat, q, normalize=normalize)
-    return PooledFeature(T.reshape(pooled, (c,)), stream_tag(features.domain, features.adapted))
-
-
-def similarity(x, y, tau: float) -> float:
-    """exp(dot(x, y) / tau); symmetric in its arguments."""
-    return math.exp(log_similarity(x, y, tau))
-
-
-def log_similarity(x, y, tau: float) -> float:
-    if tau <= 0:
-        raise ValueError(f"temperature must be positive, got {tau}")
-    xv = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
-    yv = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float64)
-    return float(xv @ yv) / tau
 
 
 @dataclass
@@ -142,9 +88,8 @@ def hr_align_loss(batch: AlignmentBatchFeatures) -> Tensor:
     frozen = batch.robot_frozen.detach()
     adapted = batch.robot_adapted
     logits = T.mul(T.matmul(human, T.transpose(adapted)), Tensor(inv_tau))  # (M, M)
-    extra = (human.data * frozen.data).sum(axis=1, keepdims=True) * inv_tau  # (M, 1)
-    extra_col = Tensor(extra)
-    pos = T.tsum(T.mul(logits, Tensor(np.eye(m))), axis=1)  # diag, (M,)
+    extra_col = Tensor((human.data * frozen.data).sum(axis=1, keepdims=True) * inv_tau)  # (M, 1)
+    pos = T.take(logits, (np.arange(m), np.arange(m)))  # diag, (M,)
     denom_h2r = T.logsumexp(T.concat([logits, extra_col], axis=1), axis=1)
     denom_r2h = T.logsumexp(T.concat([T.transpose(logits), extra_col], axis=1), axis=1)
     half = Tensor(0.5)

@@ -9,16 +9,15 @@ runtime error.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
 from dataclasses import replace
 
-import numpy as np
-
 from .dataset import (
     ManifestError,
+    _atomic_write,
+    _atomic_write_csv,
     generate_paired_set,
     load_manifest,
     save_manifest,
@@ -44,10 +43,9 @@ RUNTIME_ERROR = 2
 
 def _write_run_outputs(out_dir: str, config_text: str, produced: list[str]) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    with open(os.path.join(out_dir, "resolved_config.txt"), "w", encoding="utf-8") as fh:
-        fh.write(config_text)
-    with open(os.path.join(out_dir, "files.json"), "w", encoding="utf-8") as fh:
-        json.dump({"produced": sorted(produced + ["resolved_config.txt", "files.json"])}, fh, indent=2)
+    _atomic_write(os.path.join(out_dir, "resolved_config.txt"), config_text.encode("utf-8"))
+    files = {"produced": sorted(produced + ["resolved_config.txt", "files.json"])}
+    _atomic_write(os.path.join(out_dir, "files.json"), json.dumps(files, indent=2).encode("utf-8"))
 
 
 def _flat_args_text(args: argparse.Namespace, keys: list[str]) -> str:
@@ -107,12 +105,11 @@ def cmd_pretrain(args) -> int:
     checkpoint = ModelCheckpoint(config=config, backbone=backbone, rng=rng, step=0)
     ckpt_path = os.path.join(args.out, "backbone.ckpt")
     checkpoint.save(ckpt_path)
-    loss_path = os.path.join(args.out, "pretext_loss.csv")
-    with open(loss_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "loss"])
-        for i, value in enumerate(history):
-            writer.writerow([i + 1, repr(value)])
+    _atomic_write_csv(
+        os.path.join(args.out, "pretext_loss.csv"),
+        ["epoch", "loss"],
+        [[i + 1, repr(value)] for i, value in enumerate(history)],
+    )
     _write_run_outputs(
         args.out,
         _flat_args_text(args, ["epochs", "lr", "seed", "heldout_frac"]),
@@ -172,13 +169,12 @@ def cmd_ablate(args) -> int:
     os.makedirs(config.out_dir, exist_ok=True)
     produced = []
     rows = [run.row for run in runs]
-    with open(os.path.join(config.out_dir, "ablation.json"), "w", encoding="utf-8") as fh:
-        json.dump(rows, fh, indent=2)
+    ablation_json = json.dumps(rows, indent=2).encode("utf-8")
+    _atomic_write(os.path.join(config.out_dir, "ablation.json"), ablation_json)
     keys = list(rows[0].keys())
-    with open(os.path.join(config.out_dir, "ablation.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
-        writer.writeheader()
-        writer.writerows(rows)
+    _atomic_write_csv(
+        os.path.join(config.out_dir, "ablation.csv"), keys, [[row[k] for k in keys] for row in rows]
+    )
     produced.extend(["ablation.json", "ablation.csv"])
     for run in runs:
         run_dir = os.path.join(config.out_dir, run.name)
@@ -209,11 +205,10 @@ def cmd_eval(args) -> int:
         raise RuntimeError("evaluation mutated the checkpoint file")
     os.makedirs(args.out, exist_ok=True)
     report = {"retrieval": retrieval.to_dict(), "downstream": downstream.to_dict()}
-    with open(os.path.join(args.out, "report.json"), "w", encoding="utf-8") as fh:
-        json.dump(report, fh, indent=2)
+    report_json = json.dumps(report, indent=2).encode("utf-8")
+    _atomic_write(os.path.join(args.out, "report.json"), report_json)
     text = retrieval.to_text() + downstream.to_text()
-    with open(os.path.join(args.out, "report.txt"), "w", encoding="utf-8") as fh:
-        fh.write(text)
+    _atomic_write(os.path.join(args.out, "report.txt"), text.encode("utf-8"))
     _write_run_outputs(
         args.out,
         _flat_args_text(args, ["checkpoint", "data", "frozen", "heldout_frac", "seed"]),

@@ -14,7 +14,9 @@ writing the same layout.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import os
 from dataclasses import dataclass, field
@@ -94,6 +96,9 @@ class VideoClip:
             raise ValueError(f"unknown domain {self.domain!r}")
         if self.frames.ndim != 4 or self.frames.shape[0] < 1:
             raise ValueError(f"clip frames must be (T, H, W, C), got {self.frames.shape}")
+        # written so that NaN fails too
+        if not ((self.frames >= 0.0) & (self.frames <= 1.0)).all():
+            raise ValueError("clip frame values must lie in [0, 1]")
 
     @property
     def length(self) -> int:
@@ -378,6 +383,15 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
+def _atomic_write_csv(path: str, header: list, rows) -> None:
+    """``csv.writer`` text of ``header`` then ``rows``, written atomically."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(header)
+    writer.writerows(rows)
+    _atomic_write(path, buf.getvalue().encode("utf-8"))
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
@@ -462,8 +476,15 @@ def load_manifest(path: str) -> list[PairedDemo]:
         for key in _ENTRY_KEYS:
             if key not in entry:
                 raise ManifestError(f"pairs[{i}] (pair {pid}) in {path} lacks key {key!r}")
+        latent = entry.get("latent")
+        positions = gripper = None
+        if latent is not None:
+            if not isinstance(latent, dict) or not {"positions", "gripper"} <= latent.keys():
+                raise ManifestError(f"pair {pid}: latent needs 'positions' and 'gripper'")
+            positions = np.asarray(latent["positions"], dtype=np.float64)
+            gripper = np.asarray(latent["gripper"], dtype=np.uint8)
         clips = {}
-        for side, domain in (("human", "human"), ("robot", "robot")):
+        for side in ("human", "robot"):
             rel = entry[f"{side}_file"]
             file_path = os.path.join(root, rel)
             try:
@@ -483,22 +504,11 @@ def load_manifest(path: str) -> list[PairedDemo]:
                 raise ManifestError(
                     f"pair {pid}: clip {rel} has shape {frames.shape}, manifest says {expected}"
                 )
-            clips[side] = frames
-        latent = entry.get("latent")
-        positions = gripper = None
-        if latent is not None:
-            if not isinstance(latent, dict) or not {"positions", "gripper"} <= latent.keys():
-                raise ManifestError(f"pair {pid}: latent needs 'positions' and 'gripper'")
-            positions = np.asarray(latent["positions"], dtype=np.float64)
-            gripper = np.asarray(latent["gripper"], dtype=np.uint8)
-        human = VideoClip(clips["human"], "human", entry["task_id"], pid, positions, gripper)
-        robot = VideoClip(
-            clips["robot"],
-            "robot",
-            entry["task_id"],
-            pid,
-            None if positions is None else positions.copy(),
-            None if gripper is None else gripper.copy(),
-        )
-        pairs.append(PairedDemo(human, robot, TaskDescription(entry["description"], entry["task_id"])))
+            latent_copies = [None if a is None else a.copy() for a in (positions, gripper)]
+            try:
+                clips[side] = VideoClip(frames, side, entry["task_id"], pid, *latent_copies)
+            except ValueError as e:
+                raise ManifestError(f"pair {pid}: clip {rel}: {e}") from e
+        description = TaskDescription(entry["description"], entry["task_id"])
+        pairs.append(PairedDemo(clips["human"], clips["robot"], description))
     return pairs

@@ -17,7 +17,7 @@ import numpy as np
 from . import tensor as T
 from .optim import AdamState, adam_step, collect_grads, zero_grads
 from .rng import RngState
-from .tensor import ShapeError, Tensor
+from .tensor import Tensor
 
 REF_CHANNELS = (3, 16, 32, 32)
 REF_STRIDES = (2, 2, 1)
@@ -133,34 +133,6 @@ class Backbone:
         return h
 
 
-@dataclass
-class FeatureMap:
-    """Encoder output for one clip: (T, H', W', C') values plus provenance."""
-
-    values: Tensor
-    domain: str = "unknown"
-    adapted: bool = False
-
-    def __post_init__(self):
-        if self.values.ndim != 4:
-            raise ShapeError(f"FeatureMap expects rank-4 values, got {self.values.shape}")
-        if not np.isfinite(self.values.data).all():
-            raise T.NumericError("FeatureMap values must be finite")
-
-
-def _check_frames(frames: np.ndarray, in_channels: int) -> np.ndarray:
-    frames = np.asarray(frames, dtype=np.float64)
-    if frames.ndim != 4:
-        raise ShapeError(f"frames must be (T, H, W, C), got {frames.shape}")
-    if frames.shape[3] != in_channels:
-        raise ShapeError(
-            f"frames have {frames.shape[3]} channels, backbone expects {in_channels}"
-        )
-    if frames.min() < 0.0 or frames.max() > 1.0:
-        raise ValueError("frame values must lie in [0, 1]")
-    return frames
-
-
 def encode_batch(
     backbone: Backbone,
     frames: np.ndarray,
@@ -170,16 +142,6 @@ def encode_batch(
     x = Tensor(np.ascontiguousarray(frames.transpose(0, 3, 1, 2)))
     y = backbone.apply(x, hooks)
     return T.transpose(y, (0, 2, 3, 1))
-
-
-def encode_frozen(backbone: Backbone, frames, domain: str = "unknown") -> FeatureMap:
-    """Frozen-stream encoding of one clip's frames (T, H, W, C) in [0, 1]."""
-    if not backbone.frozen:
-        raise ValueError("encode_frozen requires a frozen backbone")
-    if isinstance(frames, Tensor):
-        frames = frames.data
-    frames = _check_frames(frames, backbone.in_channels)
-    return FeatureMap(encode_batch(backbone, frames), domain=domain, adapted=False)
 
 
 # ---------------------------------------------------------------------------
@@ -210,32 +172,26 @@ def pretext_loss(
     positives serve as in-batch negatives.
     """
     b = len(clips)
-    frames = []
-    for clip in clips:
-        a, p, f = _triplet_indices(clip.frames.shape[0], rng, window)
-        frames.append((clip.frames[a], clip.frames[p], clip.frames[f]))
-    stacked = np.stack(
-        [fr[0] for fr in frames] + [fr[1] for fr in frames] + [fr[2] for fr in frames]
-    )
+    triplets = [
+        clip.frames[list(_triplet_indices(len(clip.frames), rng, window))] for clip in clips
+    ]
+    # anchors, then positives, then far frames
+    stacked = np.stack(triplets, axis=1).reshape(3 * b, *triplets[0].shape[1:])
     feats = encode(stacked)  # (3B, H', W', C')
     pooled = T.tmean(feats, axis=(1, 2))  # (3B, C')
     pooled = T.l2_normalize(pooled, axis=1)
-    # split rows without an indexing primitive: multiply by selector matrices
-    eye = np.eye(3 * b)
-    a_rows = T.matmul(Tensor(eye[:b]), pooled)
-    p_rows = T.matmul(Tensor(eye[b : 2 * b]), pooled)
-    f_rows = T.matmul(Tensor(eye[2 * b :]), pooled)
+    a_rows = T.take(pooled, slice(0, b))
+    p_rows = T.take(pooled, slice(b, 2 * b))
+    f_rows = T.take(pooled, slice(2 * b, 3 * b))
     inv_tau = 1.0 / temperature
     cross = T.mul(T.matmul(a_rows, T.transpose(p_rows)), Tensor(inv_tau))  # (B, B)
     far_col = T.mul(
         T.tsum(T.mul(a_rows, f_rows), axis=1, keepdims=True), Tensor(inv_tau)
     )  # (B, 1)
-    denom = T.logsumexp(T.concat([cross, far_col], axis=1), axis=1)  # (B,)
-    pos = T.tsum(T.mul(cross, Tensor(np.eye(b))), axis=1)  # diag
-    loss = T.tmean(T.add(denom, T.neg(pos)))
+    # row i's positive is column i; the far frame is the last column
+    loss = T.cross_entropy(T.concat([cross, far_col], axis=1), np.arange(b))
 
-    with np.errstate(over="ignore"):
-        c = cross.data
+    c = cross.data
     off = c - np.diag(np.diag(c)) - np.eye(b) * 1e18
     stats = {
         "pos_sim": float(np.mean(np.diag(c)) * temperature),

@@ -9,18 +9,17 @@ effector position, and a tube-following success proxy over whole clips.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tensor as T
-from .dataset import PairedDemo, VideoClip
+from .dataset import PairedDemo, VideoClip, _atomic_write_csv
 from .optim import AdamState, adam_step, collect_grads, zero_grads
 from .rng import RngState
 from .task_query import embed_texts
 from .tensor import Tensor
-from .trainer import ModelCheckpoint
+from .trainer import ModelCheckpoint, standard_stats
 
 TUBE_RADIUS = 0.1
 
@@ -111,9 +110,8 @@ def embed_clip(
     t = t or config.frames
     idx = _clip_indices(clip, t, seed)
     frames = clip.frames[idx]
-    hooks = None
-    if adapted and checkpoint.stack is not None and len(checkpoint.stack):
-        hooks = checkpoint.stack.hooks()
+    # an empty stack's hooks are an empty mapping: the frozen encoder
+    hooks = checkpoint.stack.hooks() if adapted and checkpoint.stack is not None else None
     feat = encode_batch(checkpoint.backbone, frames, hooks)
     n, h, w, c = feat.shape
     positions = T.reshape(feat, (1, n * h * w, c))
@@ -182,12 +180,6 @@ def eval_retrieval(
 # downstream heads
 
 
-def standardize(train: np.ndarray, other: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    mu = train.mean(axis=0, keepdims=True)
-    sd = train.std(axis=0, keepdims=True) + 1e-8
-    return (train - mu) / sd, (other - mu) / sd
-
-
 def train_linear_probe(
     train_x: np.ndarray,
     train_y: np.ndarray,
@@ -198,19 +190,15 @@ def train_linear_probe(
     lr: float = 0.05,
 ) -> float:
     """Multinomial logistic probe; returns held-out accuracy."""
-    train_x, test_x = standardize(train_x, test_x)
+    mu, sd = standard_stats(train_x)
+    train_x, test_x = (train_x - mu) / sd, (test_x - mu) / sd
     w = Tensor(np.zeros((train_x.shape[1], n_classes)), requires_grad=True)
     b = Tensor(np.zeros(n_classes), requires_grad=True)
     params = {"w": w, "b": b}
     adam = AdamState.for_params(params, lr=lr)
-    onehot = np.zeros((len(train_y), n_classes))
-    onehot[np.arange(len(train_y)), train_y] = 1.0
     x_t = Tensor(train_x)
     for _ in range(epochs):
-        logits = T.add(T.matmul(x_t, w), b)
-        loss = T.tmean(
-            T.add(T.logsumexp(logits, axis=1), T.neg(T.tsum(T.mul(logits, Tensor(onehot)), axis=1)))
-        )
+        loss = T.cross_entropy(T.add(T.matmul(x_t, w), b), train_y)
         zero_grads(params)
         loss.backward()
         adam_step(params, collect_grads(params), adam)
@@ -260,9 +248,7 @@ def _frame_features(
     """(T_len, C) per-frame mean-pooled features of a whole clip."""
     from .encoder import encode_batch
 
-    hooks = None
-    if adapted and checkpoint.stack is not None and len(checkpoint.stack):
-        hooks = checkpoint.stack.hooks()
+    hooks = checkpoint.stack.hooks() if adapted and checkpoint.stack is not None else None
     feat = encode_batch(checkpoint.backbone, clip.frames, hooks)
     return feat.data.mean(axis=(1, 2))
 
@@ -329,12 +315,10 @@ def eval_downstream(
 
     train_x, train_y = bc_samples(train_idx)
     held_x, held_y = bc_samples(held_idx)
-    train_x, held_x = standardize(train_x, held_x)
-    predict = train_bc_head(train_x, train_y, seed=seed)
-    bc_mse = float(((predict(held_x) - held_y) ** 2).mean())
+    mu, sd = standard_stats(train_x)
+    predict = train_bc_head((train_x - mu) / sd, train_y, seed=seed)
+    bc_mse = float(((predict((held_x - mu) / sd) - held_y) ** 2).mean())
 
-    mu = np.concatenate([feats[i][:-1] for i in train_idx]).mean(axis=0, keepdims=True)
-    sd = np.concatenate([feats[i][:-1] for i in train_idx]).std(axis=0, keepdims=True) + 1e-8
     successes = 0
     for i in held_idx:
         clip = robot_clips[i]
@@ -367,16 +351,15 @@ def dump_embeddings(
     """CSV of pooled embeddings: clip_id,task_id,domain,adapted,f0..f{C-1}."""
     width = checkpoint.backbone.out_channels
     header = ["clip_id", "task_id", "domain", "adapted"] + [f"f{i}" for i in range(width)]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for clip in clips:
-            desc = descriptions.get(clip.pair_id) if descriptions else None
-            vec = embed_clip(checkpoint, clip, desc, adapted=adapted, seed=seed)
-            writer.writerow(
-                [f"{clip.pair_id}_{clip.domain}", clip.task_id, clip.domain, int(adapted)]
-                + [repr(float(v)) for v in vec]
-            )
+    rows = []
+    for clip in clips:
+        desc = descriptions.get(clip.pair_id) if descriptions else None
+        vec = embed_clip(checkpoint, clip, desc, adapted=adapted, seed=seed)
+        rows.append(
+            [f"{clip.pair_id}_{clip.domain}", clip.task_id, clip.domain, int(adapted)]
+            + [repr(float(v)) for v in vec]
+        )
+    _atomic_write_csv(path, header, rows)
     return path
 
 

@@ -88,7 +88,3 @@ def embed_texts(embedder: QueryEmbedder, texts: list[str]) -> Tensor:
     bags = np.stack([embedder.bag_of_tokens(t) for t in texts])
     return T.add(T.matmul(Tensor(bags), embedder.proj_w), embedder.proj_b)
 
-
-def embed_task(embedder: QueryEmbedder, desc: TaskDescription) -> Tensor:
-    """Query vector for one description, shape (out_dim,)."""
-    return T.reshape(embed_texts(embedder, [desc.text]), (embedder.out_dim,))

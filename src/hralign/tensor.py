@@ -29,6 +29,17 @@ returns 0.0 for NaN and for every a < 0, and a positive a (subnormals and
 +inf included) comes through unchanged, while adding +0.0 is exact and
 turns the -0.0 that fmax may return for a = -0.0 into +0.0. Being a ufunc,
 fmax lays out its result like its input, as np.where does.
+
+:func:`take` is the one indexing op: ``a.data[index]`` forward, an
+``np.add.at`` scatter into zeros backward. Where one-hot or ``eye`` masks
+and selector-matrix products stood, it yields the same values and
+gradients bitwise: those added only exact zeros to the picked entries.
+:func:`cross_entropy` (log-sum-exp minus the picked label logit, averaged)
+serves the classification heads and the pretext loss. ``hr_align_loss``
+only takes its diagonal with ``take``: its positive logit feeds two
+InfoNCE terms, and two cross_entropy calls would sum the three gradient
+terms on the diagonal in another order, moving the last bits of every
+trained adapter.
 """
 
 from __future__ import annotations
@@ -386,6 +397,26 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
             offset += s
 
     return _from_op(data, tuple(parts), bwd)
+
+
+def take(a: Tensor, index) -> Tensor:
+    """``a.data[index]`` for a basic or advanced numpy index; repeated
+    entries of an advanced index sum their gradients."""
+    a = _ensure_tensor(a)
+
+    def bwd(g):
+        ga = np.zeros_like(a.data)
+        np.add.at(ga, index, g)
+        _accumulate(a, ga)
+
+    return _from_op(a.data[index], (a,), bwd)
+
+
+def cross_entropy(logits: Tensor, labels) -> Tensor:
+    """Mean negative log-softmax of ``labels`` over the rows of (B, K) logits."""
+    labels = np.asarray(labels)
+    picked = take(logits, (np.arange(len(labels)), labels))
+    return tmean(add(logsumexp(logits, axis=1), neg(picked)))
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

@@ -193,6 +193,12 @@ class MetricsLog:
 # checkpoint container
 
 
+def standard_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column mean and std + 1e-8 of (N, C) features: the one
+    standardiser of the classification head and the evaluation heads."""
+    return x.mean(axis=0), x.std(axis=0) + 1e-8
+
+
 @dataclass
 class LinearHead:
     """Linear classifier over standardized pooled features.
@@ -341,18 +347,29 @@ class ModelCheckpoint:
             header = json.loads(raw[4 : 4 + hlen].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"{path}: header is not valid JSON: {e}") from e
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
+
+        def need(node, key: str, where: str = ""):
+            if not isinstance(node, dict) or key not in node:
+                raise CheckpointError(f"{path}: header lacks key {where + key!r}")
+            return node[key]
+
         if header.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
         body = raw[4 + hlen :]
         arrays: dict[str, np.ndarray] = {}
-        for entry in header["tensors"]:
-            if entry["offset"] + entry["nbytes"] > len(body):
-                raise CheckpointError(f"{path}: body truncated inside tensor {entry['name']!r}")
+        for i, entry in enumerate(need(header, "tensors")):
+            name, offset, nbytes = (
+                need(entry, key, f"tensors[{i}].") for key in ("name", "offset", "nbytes")
+            )
+            if offset + nbytes > len(body):
+                raise CheckpointError(f"{path}: body truncated inside tensor {name!r}")
             try:
-                arr, _ = T.from_bytes(body, entry["offset"])
+                arr, _ = T.from_bytes(body, offset)
             except (struct.error, ValueError) as e:
-                raise CheckpointError(f"{path}: tensor {entry['name']!r} is corrupt: {e}") from e
-            arrays[entry["name"]] = arr
+                raise CheckpointError(f"{path}: tensor {name!r} is corrupt: {e}") from e
+            arrays[name] = arr
 
         def fill(named: dict[str, Tensor]) -> None:
             for name, tensor in named.items():
@@ -360,46 +377,42 @@ class ModelCheckpoint:
                     raise CheckpointError(f"{path}: no tensor entry {name!r}")
                 tensor.data = arrays[name].copy()
 
-        config = TrainConfig.from_mapping(header["config"])
-        arch = header["backbone"]
+        config = TrainConfig.from_mapping(need(header, "config"))
+        arch = need(header, "backbone")
         init_rng = RngState(0)
         backbone = Backbone.create(
-            init_rng, arch["channels"], arch["strides"], arch["kernel"]
+            init_rng, *(need(arch, k, "backbone.") for k in ("channels", "strides", "kernel"))
         )
         fill(backbone.named_parameters())
-        if arch["frozen"]:
+        if need(arch, "frozen", "backbone."):
             backbone.freeze()
         stack = None
-        if header["stack"] is not None:
+        if (spec := need(header, "stack")) is not None:
             stack = AdapterStack.for_positions(
-                header["stack"]["positions"], backbone, header["stack"]["ratio"], init_rng
+                need(spec, "positions", "stack."), backbone, need(spec, "ratio", "stack."), init_rng
             )
             fill(stack.named_parameters())
         embedder = None
-        if header["embedder"] is not None:
-            embedder = QueryEmbedder.create(init_rng, header["embedder"]["out_dim"])
+        if (spec := need(header, "embedder")) is not None:
+            embedder = QueryEmbedder.create(init_rng, need(spec, "out_dim", "embedder."))
             fill(embedder.named_parameters())
         head = None
-        if header["head"] is not None:
+        if (spec := need(header, "head")) is not None:
             head = LinearHead.create(
-                init_rng, header["head"]["in_dim"], header["head"]["n_classes"]
+                init_rng, need(spec, "in_dim", "head."), need(spec, "n_classes", "head.")
             )
             fill({**head.named_parameters(), **head.named_buffers()})
         adam = None
-        if header["adam"] is not None:
+        if (spec := need(header, "adam")) is not None:
             adam = AdamState(
-                lr=header["adam"]["lr"],
-                beta1=header["adam"]["beta1"],
-                beta2=header["adam"]["beta2"],
-                eps=header["adam"]["eps"],
-                step=header["adam"]["step"],
+                **{k: need(spec, k, "adam.") for k in ("lr", "beta1", "beta2", "eps", "step")}
             )
             for name in arrays:
                 if name.startswith("adam.m."):
                     adam.m[name[len("adam.m.") :]] = arrays[name].copy()
                 elif name.startswith("adam.v."):
                     adam.v[name[len("adam.v.") :]] = arrays[name].copy()
-        rng = RngState.from_state(header["rng"]) if header["rng"] is not None else None
+        rng_state = need(header, "rng")
         return cls(
             config=config,
             backbone=backbone,
@@ -407,8 +420,8 @@ class ModelCheckpoint:
             embedder=embedder,
             head=head,
             adam=adam,
-            rng=rng,
-            step=header["step"],
+            rng=RngState.from_state(rng_state) if rng_state is not None else None,
+            step=need(header, "step"),
         )
 
 
@@ -723,18 +736,13 @@ def _fit_head_scaler(head, backbone, hooks, clips, config) -> None:
     rng = RngState(config.seed).derive("cls-scaler")
     frames = np.concatenate([sample_frames(c, config.frames, rng) for c in clips], axis=0)
     pooled = _pooled_clip_features(backbone, hooks, frames, len(clips), config.frames)
-    head.mu.data = pooled.data.mean(axis=0)
-    head.sd.data = pooled.data.std(axis=0) + 1e-8
+    head.mu.data, head.sd.data = standard_stats(pooled.data)
 
 
 def _cls_loss(backbone, hooks, head, frames, labels, b, t):
     pooled = head.standardize(_pooled_clip_features(backbone, hooks, frames, b, t))
     logits = T.add(T.matmul(pooled, head.w), head.b)
-    log_z = T.logsumexp(logits, axis=1)
-    onehot = np.zeros((b, logits.shape[1]))
-    onehot[np.arange(b), labels] = 1.0
-    picked = T.tsum(T.mul(logits, Tensor(onehot)), axis=1)
-    loss = T.tmean(T.add(log_z, T.neg(picked)))
+    loss = T.cross_entropy(logits, labels)
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     probs = e / e.sum(axis=1, keepdims=True)

@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from hralign import dataset
 from hralign.encoder import Backbone
 from hralign.rng import RngState
 
@@ -93,3 +94,29 @@ def random_clip_frames(rng: RngState, t: int = 3, h: int = 16, w: int = 16) -> n
 def sum_param_sizes(named: dict) -> int:
     """Independent size-sum oracle for parameter counts."""
     return int(sum(t.data.size for t in named.values()))
+
+
+class _HalfWriter:
+    """A file whose write stores half the bytes and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        raise OSError("disk full")
+
+
+def fail_writes_partway(monkeypatch) -> None:
+    """Make every file write of ``dataset._atomic_write``, which all
+    artifacts go through, store half its bytes and raise."""
+    monkeypatch.setattr(
+        dataset, "open", lambda path, mode="r", **kw: _HalfWriter(open(path, mode, **kw)),
+        raising=False,
+    )

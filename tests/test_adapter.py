@@ -9,9 +9,8 @@ from hralign.adapter import (
     adaptation_ratio,
     adapter_forward,
     count_learnable,
-    encode_adapted,
 )
-from hralign.encoder import Backbone, encode_frozen
+from hralign.encoder import Backbone, encode_batch
 from hralign.rng import RngState
 from hralign.task_query import QueryEmbedder
 from hralign.tensor import ShapeError, Tensor
@@ -92,10 +91,11 @@ def test_encode_adapted_empty_stack_bitwise_frozen():
     bb = frozen_backbone()
     frames = random_clip_frames(RngState(7), t=3)
     stack = AdapterStack.for_positions("none", bb, 4, RngState(1))
-    frozen = encode_frozen(bb, frames)
-    adapted = encode_adapted(bb, stack, frames)
-    assert not adapted.adapted
-    assert np.array_equal(adapted.values.data, frozen.values.data)
+    assert len(stack) == 0 and stack.hooks() == {}
+    frozen = encode_batch(bb, frames)
+    adapted = encode_batch(bb, frames, stack.hooks())
+    assert not adapted.requires_grad
+    assert np.array_equal(adapted.data, frozen.data)
 
 
 @pytest.mark.parametrize("positions", ["E", "M", "L", "EML"])
@@ -103,10 +103,10 @@ def test_encode_adapted_identity_init_bitwise(positions):
     bb = frozen_backbone()
     stack = AdapterStack.for_positions(positions, bb, 4, RngState(9))
     frames = random_clip_frames(RngState(8), t=4)
-    frozen = encode_frozen(bb, frames)
-    adapted = encode_adapted(bb, stack, frames)
-    assert adapted.adapted
-    assert np.array_equal(adapted.values.data, frozen.values.data)
+    frozen = encode_batch(bb, frames)
+    adapted = encode_batch(bb, frames, stack.hooks())
+    assert adapted.requires_grad
+    assert np.array_equal(adapted.data, frozen.data)
 
 
 def test_shape_preserved_for_all_positions():
@@ -116,26 +116,26 @@ def test_shape_preserved_for_all_positions():
         stack = AdapterStack.for_positions(positions, bb, 4, RngState(11))
         for _, block in stack.blocks:
             block.up_w.data = RngState(12).normal(block.up_w.shape) * 0.1
-        out = encode_adapted(bb, stack, frames)
-        assert out.values.shape == encode_frozen(bb, frames).values.shape
+        out = encode_batch(bb, frames, stack.hooks())
+        assert out.shape == encode_batch(bb, frames).shape
 
 
 def test_perturbed_adapter_changes_output():
     bb = frozen_backbone()
     stack = AdapterStack.for_positions("L", bb, 4, RngState(13))
     frames = random_clip_frames(RngState(14), t=3)
-    frozen = encode_frozen(bb, frames)
+    frozen = encode_batch(bb, frames)
     stack.blocks[0][1].up_b.data = stack.blocks[0][1].up_b.data + 0.05
-    adapted = encode_adapted(bb, stack, frames)
-    assert not np.array_equal(adapted.values.data, frozen.values.data)
+    adapted = encode_batch(bb, frames, stack.hooks())
+    assert not np.array_equal(adapted.data, frozen.data)
 
 
 def test_gradient_isolation():
     bb = frozen_backbone()
     stack = AdapterStack.for_positions("EML", bb, 4, RngState(15))
     frames = random_clip_frames(RngState(16), t=2)
-    out = encode_adapted(bb, stack, frames)
-    T.tsum(T.mul(out.values, out.values)).backward()
+    out = encode_batch(bb, frames, stack.hooks())
+    T.tsum(T.mul(out, out)).backward()
     for name, p in bb.named_parameters().items():
         assert p.grad is None, name
     for name, p in stack.named_parameters().items():

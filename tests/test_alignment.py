@@ -9,21 +9,17 @@ from helpers import check_grad_against_fd, naive_hr_align_loss, rel_err
 from hralign import tensor as T
 from hralign.alignment import (
     AlignmentBatchFeatures,
-    PooledFeature,
     alignment_stats,
-    attention_weights,
     hr_align_loss,
-    log_similarity,
-    similarity,
-    task_aware_pool,
+    pool_many,
 )
-from hralign.encoder import FeatureMap
 from hralign.rng import RngState
 from hralign.tensor import NumericError, ShapeError, Tensor
 
 
-def feature_map(rng, t=2, h=2, w=2, c=6, domain="robot", adapted=True):
-    return FeatureMap(Tensor(rng.normal((t, h, w, c))), domain=domain, adapted=adapted)
+def clip_positions(rng, t=2, h=2, w=2, c=6):
+    """One clip's (T, H, W, C) feature map, flattened to (1, T*H*W, C)."""
+    return Tensor(rng.normal((t, h, w, c)).reshape(1, t * h * w, c))
 
 
 def unit_rows(rng, m, c):
@@ -36,51 +32,56 @@ def unit_rows(rng, m, c):
 
 def test_zero_query_equals_plain_mean():
     rng = RngState(1)
-    fm = feature_map(rng)
-    pooled = task_aware_pool(fm, Tensor(np.zeros(6)), normalize=False)
-    mean = fm.values.data.reshape(-1, 6).mean(axis=0)
-    assert rel_err(pooled.vector.data, mean) < 1e-15
-    assert pooled.stream == "robot-adapted"
+    values = clip_positions(rng)
+    pooled = pool_many(values, Tensor(np.zeros((1, 6))), normalize=False)
+    mean = values.data[0].mean(axis=0)
+    assert pooled.shape == (1, 6)
+    assert rel_err(pooled.data[0], mean) < 1e-15
 
 
 def test_none_query_matches_zero_query():
     rng = RngState(2)
-    fm = feature_map(rng)
-    a = task_aware_pool(fm, None, normalize=True)
-    b = task_aware_pool(fm, Tensor(np.zeros(6)), normalize=True)
-    assert rel_err(a.vector.data, b.vector.data) < 1e-12
+    values = clip_positions(rng)
+    a = pool_many(values, None, normalize=True)
+    b = pool_many(values, Tensor(np.zeros((1, 6))), normalize=True)
+    assert rel_err(a.data, b.data) < 1e-12
 
 
 def test_single_position_returns_that_feature():
     rng = RngState(3)
-    fm = feature_map(rng, t=1, h=1, w=1)
-    pooled = task_aware_pool(fm, Tensor(rng.normal(6)), normalize=True)
-    expected = fm.values.data.reshape(6)
+    values = clip_positions(rng, t=1, h=1, w=1)
+    pooled = pool_many(values, Tensor(rng.normal((1, 6))), normalize=True)
+    expected = values.data.reshape(6)
     expected = expected / np.linalg.norm(expected)
-    assert rel_err(pooled.vector.data, expected) < 1e-12
+    assert rel_err(pooled.data[0], expected) < 1e-12
 
 
 def test_dominant_logit_saturates():
     values = np.zeros((1, 2, 2, 3))
     values[0, 0, 0] = [60.0, 0.0, 0.0]  # dot with query e0 exceeds others by >= 50
     values[0, 0, 1] = [1.0, 2.0, 3.0]
-    fm = FeatureMap(Tensor(values), domain="human", adapted=False)
-    pooled = task_aware_pool(fm, Tensor(np.array([1.0, 0.0, 0.0])), normalize=False)
-    assert rel_err(pooled.vector.data, values[0, 0, 0]) < 1e-12
+    pooled = pool_many(
+        Tensor(values.reshape(1, 4, 3)), Tensor(np.array([[1.0, 0.0, 0.0]])), normalize=False
+    )
+    assert rel_err(pooled.data[0], values[0, 0, 0]) < 1e-12
 
 
 def test_attention_weights_sum_to_one():
+    """A channel of ones pools to the sum of the attention weights, which
+    the other (random) channels make unequal."""
     rng = RngState(4)
-    fm = feature_map(rng, t=3, h=2, w=2)
-    w = attention_weights(fm, Tensor(rng.normal(6)))
-    assert w.shape == (12,)
-    assert abs(w.sum() - 1.0) < 1e-12
+    values = rng.normal((2, 12, 6))
+    values[:, :, 0] = 1.0
+    pooled = pool_many(Tensor(values), Tensor(rng.normal((2, 6))), normalize=False)
+    assert np.abs(pooled.data[:, 0] - 1.0).max() < 1e-12
+    ones = pool_many(Tensor(np.ones((2, 12, 6))), Tensor(rng.normal((2, 6))), normalize=False)
+    assert np.abs(ones.data - 1.0).max() < 1e-12
 
 
 def test_pool_channel_mismatch():
     rng = RngState(5)
     with pytest.raises(ShapeError):
-        task_aware_pool(feature_map(rng), Tensor(np.zeros(5)))
+        pool_many(clip_positions(rng), Tensor(np.zeros((1, 5))))
 
 
 def test_pool_gradient_vs_fd():
@@ -89,42 +90,10 @@ def test_pool_gradient_vs_fd():
     probe = rng.normal(6)
 
     def build(q):
-        from hralign.alignment import pool_many
-
         pooled = pool_many(Tensor(vals), T.reshape(q, (1, 6)), normalize=True)
         return T.tsum(T.mul(pooled, Tensor(probe.reshape(1, 6))))
 
     check_grad_against_fd(build, rng.normal(6))
-
-
-def test_pooled_feature_stream_tags():
-    with pytest.raises(ValueError):
-        PooledFeature(Tensor(np.ones(3)), "nonsense")
-
-
-# similarity ------------------------------------------------------------------
-
-
-def test_similarity_orthogonal_is_one():
-    assert similarity(np.array([1.0, 0.0]), np.array([0.0, 1.0]), 0.1) == 1.0
-
-
-def test_similarity_unit_self_tau_point_one():
-    x = np.array([1.0, 0.0, 0.0])
-    assert abs(similarity(x, x, 0.1) - math.exp(10.0)) < 1e-6
-
-
-@settings(deadline=None, max_examples=25)
-@given(st.integers(0, 2**31), st.floats(min_value=0.05, max_value=2.0))
-def test_similarity_symmetric(seed, tau):
-    rng = RngState(seed)
-    x, y = rng.normal(4), rng.normal(4)
-    assert abs(similarity(x, y, tau) - similarity(y, x, tau)) < 1e-9 * similarity(x, y, tau)
-
-
-def test_similarity_requires_positive_tau():
-    with pytest.raises(ValueError):
-        log_similarity(np.ones(2), np.ones(2), 0.0)
 
 
 # loss ------------------------------------------------------------------------

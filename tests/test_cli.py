@@ -1,10 +1,13 @@
+import hashlib
 import json
 import os
 
 import numpy as np
 import pytest
 
-from hralign.cli import cli_main
+from helpers import fail_writes_partway
+from hralign.cli import _write_run_outputs, cli_main
+from hralign.tensor import from_bytes, to_bytes
 
 
 def run(argv):
@@ -72,6 +75,49 @@ def test_truncated_checkpoint_exits_two(tmp_path, capsys):
     code = run(["eval", "--checkpoint", str(ckpt), "--data", manifest, "--out", str(tmp_path)])
     assert code == 2
     assert "too short" in capsys.readouterr().err
+
+
+def test_checkpoint_header_missing_key_exits_two(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["generate", "--out", str(data), "--tasks", "2", "--pairs-per-task", "2"]) == 0
+    header = json.dumps({"version": 1}).encode("utf-8")
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(len(header).to_bytes(4, "little") + header)
+    manifest = str(data / "manifest.json")
+    code = run(["eval", "--checkpoint", str(ckpt), "--data", manifest, "--out", str(tmp_path)])
+    assert code == 2
+    assert "header lacks key 'tensors'" in capsys.readouterr().err
+
+
+def test_clip_values_outside_unit_range_exit_two(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["generate", "--out", str(data), "--tasks", "2", "--pairs-per-task", "2"]) == 0
+    manifest = data / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    entry = doc["pairs"][1]
+    clip = data / entry["robot_file"]
+    frames, _ = from_bytes(clip.read_bytes())
+    frames[0, 0, 0, 0] = 1.5
+    blob = to_bytes(frames)
+    clip.write_bytes(blob)
+    entry["robot_sha256"] = hashlib.sha256(blob).hexdigest()  # past the checksum check
+    manifest.write_text(json.dumps(doc))
+    code = run(["pretrain", "--data", str(manifest), "--out", str(tmp_path / "pre")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"pair {entry['pair_id']}: clip {entry['robot_file']}" in err
+    assert "[0, 1]" in err
+
+
+def test_run_outputs_failing_partway_keep_previous_files(tmp_path, monkeypatch):
+    _write_run_outputs(str(tmp_path), "seed = 1\n", ["report.txt"])
+    before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
+    assert sorted(before) == ["files.json", "resolved_config.txt"]
+    fail_writes_partway(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        _write_run_outputs(str(tmp_path), "seed = 2\n", ["report.json"])
+    monkeypatch.undo()
+    assert {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)} == before
 
 
 @pytest.fixture(scope="module")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -22,6 +23,7 @@ from hralign.dataset import (
     task_phrase,
 )
 from hralign.rng import RngState
+from hralign.tensor import from_bytes, to_bytes
 from hralign.task_query import TaskDescription
 
 
@@ -218,6 +220,27 @@ def test_manifest_checksum_failure_names_entry(tmp_path):
     victim.write_bytes(bytes(blob))
     with pytest.raises(ManifestError, match="checksum"):
         load_manifest(path)
+
+
+@pytest.mark.parametrize("bad", [1.5, np.nan], ids=["1.5", "nan"])
+def test_manifest_clip_values_outside_unit_range_name_pair_and_file(tmp_path, bad):
+    pairs = generate_paired_set(RngState(6), 2, 2, 0.5)
+    path = tmp_path / "manifest.json"
+    save_manifest(pairs, str(path))
+    doc = json.loads(path.read_text())
+    entry = doc["pairs"][2]
+    victim = tmp_path / entry["human_file"]
+    frames, _ = from_bytes(victim.read_bytes())
+    frames[3, 5, 7, 1] = bad
+    blob = to_bytes(frames)
+    victim.write_bytes(blob)
+    entry["human_sha256"] = hashlib.sha256(blob).hexdigest()  # the checksum still holds
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError) as info:
+        load_manifest(str(path))
+    message = str(info.value)
+    assert f"pair {entry['pair_id']}: clip {entry['human_file']}" in message
+    assert "[0, 1]" in message
 
 
 def test_manifest_shape_mismatch_detected(tmp_path):

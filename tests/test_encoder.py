@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from helpers import random_clip_frames
-from hralign.dataset import generate_paired_set
-from hralign.encoder import Backbone, FeatureMap, encode_frozen, pretext_pretrain
+from hralign.dataset import VideoClip, generate_paired_set
+from hralign.encoder import Backbone, encode_batch, pretext_pretrain
 from hralign.rng import RngState
-from hralign.tensor import ShapeError, Tensor
+from hralign.tensor import ShapeError
 
 
 def frozen_backbone(seed=3):
@@ -14,67 +14,63 @@ def frozen_backbone(seed=3):
 
 def test_zero_frames_zero_features():
     bb = frozen_backbone()
-    fm = encode_frozen(bb, np.zeros((2, 16, 16, 3)))
-    assert np.array_equal(fm.values.data, np.zeros_like(fm.values.data))
+    out = encode_batch(bb, np.zeros((2, 16, 16, 3)))
+    assert np.array_equal(out.data, np.zeros_like(out.data))
 
 
 def test_reference_shape_law():
     bb = frozen_backbone()
-    fm = encode_frozen(bb, random_clip_frames(RngState(1), t=5))
-    assert fm.values.shape == (5, 4, 4, 32)
+    out = encode_batch(bb, random_clip_frames(RngState(1), t=5))
+    assert out.shape == (5, 4, 4, 32)
 
 
 def test_single_frame_shape_contract():
     bb = frozen_backbone()
-    fm = encode_frozen(bb, random_clip_frames(RngState(2), t=1))
+    out = encode_batch(bb, random_clip_frames(RngState(2), t=1))
     h, w = bb.output_hw(16, 16)
-    assert fm.values.shape == (1, h, w, bb.out_channels)
+    assert out.shape == (1, h, w, bb.out_channels)
 
 
 def test_per_frame_determinism():
     bb = frozen_backbone()
     frames = random_clip_frames(RngState(4), t=5)
     frames[3] = frames[0]
-    fm = encode_frozen(bb, frames)
-    assert np.array_equal(fm.values.data[0], fm.values.data[3])
+    out = encode_batch(bb, frames)
+    assert np.array_equal(out.data[0], out.data[3])
 
 
 def test_frame_permutation_permutes_time_slices():
     bb = frozen_backbone()
     frames = random_clip_frames(RngState(5), t=4)
     perm = [2, 0, 3, 1]
-    fm = encode_frozen(bb, frames)
-    fm_perm = encode_frozen(bb, frames[perm])
-    assert np.array_equal(fm_perm.values.data, fm.values.data[perm])
+    out = encode_batch(bb, frames)
+    out_perm = encode_batch(bb, frames[perm])
+    assert np.array_equal(out_perm.data, out.data[perm])
 
 
 def test_wrong_channel_count_rejected():
     bb = frozen_backbone()
     with pytest.raises(ShapeError):
-        encode_frozen(bb, np.zeros((2, 16, 16, 4)))
+        encode_batch(bb, np.zeros((2, 16, 16, 4)))
 
 
 def test_out_of_range_frames_rejected():
-    bb = frozen_backbone()
-    with pytest.raises(ValueError):
-        encode_frozen(bb, np.full((1, 16, 16, 3), 1.5))
-
-
-def test_unfrozen_backbone_rejected():
-    bb = Backbone.create(RngState(3))
-    with pytest.raises(ValueError):
-        encode_frozen(bb, np.zeros((1, 16, 16, 3)))
-
-
-def test_featuremap_rejects_nonfinite():
-    with pytest.raises(Exception):
-        FeatureMap(Tensor(np.full((1, 2, 2, 3), np.nan)))
+    """Frames are range-checked where they enter, in VideoClip, so every
+    clip the encoder sees (generated or loaded) lies in [0, 1]."""
+    for bad in (1.5, -0.5, np.nan):
+        frames = np.full((2, 16, 16, 3), 0.5)
+        frames[1, 3, 4, 2] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            VideoClip(frames, "human", 0, 0)
+    frames[1, 3, 4, 2] = 1.0
+    frames[0, 0, 0, 0] = 0.0
+    VideoClip(frames, "human", 0, 0)  # both bounds are inside
 
 
 def test_encode_frozen_retains_no_gradients():
     bb = frozen_backbone()
-    fm = encode_frozen(bb, random_clip_frames(RngState(6), t=2))
-    assert not fm.values.requires_grad
+    out = encode_batch(bb, random_clip_frames(RngState(6), t=2))
+    assert not out.requires_grad
     for p in bb.named_parameters().values():
         assert p.grad is None
 

@@ -1,8 +1,10 @@
 import csv
+import os
 
 import numpy as np
 import pytest
 
+from helpers import fail_writes_partway
 from hralign.dataset import generate_paired_set, split_pairs
 from hralign.encoder import pretext_pretrain
 from hralign.evaluation import (
@@ -159,6 +161,19 @@ def test_dump_embeddings_schema(small_ckpt, tmp_path):
     assert rows[1][0].endswith("_human")
     values = np.array([float(v) for v in rows[1][4:]])
     assert np.isfinite(values).all()
+
+
+def test_dump_embeddings_failing_partway_keeps_previous_file(small_ckpt, tmp_path, monkeypatch):
+    pairs, _, _, checkpoint = small_ckpt
+    path = str(tmp_path / "emb.csv")
+    dump_embeddings(checkpoint, [pairs[0].human], path)
+    before = open(path, "rb").read()
+    fail_writes_partway(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        dump_embeddings(checkpoint, [p.robot for p in pairs[:3]], path)
+    monkeypatch.undo()
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["emb.csv"]
 
 
 def test_dump_embeddings_empty(small_ckpt, tmp_path):

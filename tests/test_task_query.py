@@ -10,7 +10,6 @@ from hralign.task_query import (
     QueryEmbedder,
     TaskDescription,
     build_table,
-    embed_task,
     embed_texts,
     token_bucket,
 )
@@ -34,15 +33,15 @@ def test_table_identical_across_builds():
 
 def test_bag_of_tokens_order_invariant():
     emb = QueryEmbedder.create(RngState(1), 32)
-    a = embed_task(emb, TaskDescription("stack the cups", 0))
-    b = embed_task(emb, TaskDescription("cups the stack", 0))
+    a = embed_texts(emb, ["stack the cups"])
+    b = embed_texts(emb, ["cups the stack"])
     assert np.array_equal(a.data, b.data)
 
 
 def test_case_and_whitespace_normalized():
     emb = QueryEmbedder.create(RngState(1), 32)
-    a = embed_task(emb, TaskDescription("Stack  The CUPS", 0))
-    b = embed_task(emb, TaskDescription("stack the cups", 0))
+    a = embed_texts(emb, ["Stack  The CUPS"])
+    b = embed_texts(emb, ["stack the cups"])
     assert np.array_equal(a.data, b.data)
 
 
@@ -50,14 +49,14 @@ def test_zero_projection_zero_query():
     emb = QueryEmbedder.create(RngState(2), 32)
     emb.proj_w.data = np.zeros_like(emb.proj_w.data)
     emb.proj_b.data = np.zeros_like(emb.proj_b.data)
-    out = embed_task(emb, TaskDescription("open the drawer", 1))
-    assert np.array_equal(out.data, np.zeros(32))
+    out = embed_texts(emb, ["open the drawer"])
+    assert np.array_equal(out.data, np.zeros((1, 32)))
 
 
 def test_reference_descriptions_differ():
     emb = QueryEmbedder.create(RngState(3), 32)
-    a = embed_task(emb, TaskDescription("stack cups", 0))
-    b = embed_task(emb, TaskDescription("open drawer", 1))
+    a = embed_texts(emb, ["stack cups"])
+    b = embed_texts(emb, ["open drawer"])
     assert not np.array_equal(a.data, b.data)
 
 
@@ -90,6 +89,6 @@ def test_frozen_table_shared_between_instances():
 def test_embedding_deterministic(tokens):
     text = " ".join(tokens)
     emb = QueryEmbedder.create(RngState(8), 16)
-    a = embed_task(emb, TaskDescription(text, 0))
-    b = embed_task(emb, TaskDescription(text, 0))
+    a = embed_texts(emb, [text])
+    b = embed_texts(emb, [text])
     assert np.array_equal(a.data, b.data)

@@ -268,6 +268,167 @@ def test_first_gradient_write_equals_zeros_plus_g(layout):
     assert t.grad is not g
 
 
+# take and cross_entropy against the formulas they replaced ------------------
+
+
+def _onehot_cross_entropy(logits, labels):
+    """Cross-entropy through a one-hot mask, the formula of the
+    classification head and the linear probe before ``cross_entropy``."""
+    onehot = np.zeros(logits.shape)
+    onehot[np.arange(len(labels)), labels] = 1.0
+    picked = T.tsum(T.mul(logits, Tensor(onehot)), axis=1)
+    return T.tmean(T.add(T.logsumexp(logits, axis=1), T.neg(picked)))
+
+
+def _eye_diagonal(x):
+    """The diagonal of a square matrix through an ``eye`` mask."""
+    return T.tsum(T.mul(x, Tensor(np.eye(x.shape[0]))), axis=1)
+
+
+def _selector_rows(x, start, stop):
+    """Rows start:stop through a product with a slice of ``eye``."""
+    return T.matmul(Tensor(np.eye(x.shape[0])[start:stop]), x)
+
+
+def _selector_pretext_loss(feats, b, temperature):
+    """The time-contrastive loss as written with selector matrices and an
+    ``eye``-masked diagonal."""
+    pooled = T.l2_normalize(T.tmean(feats, axis=(1, 2)), axis=1)
+    a_rows, p_rows, f_rows = (_selector_rows(pooled, i * b, (i + 1) * b) for i in range(3))
+    inv_tau = 1.0 / temperature
+    cross = T.mul(T.matmul(a_rows, T.transpose(p_rows)), Tensor(inv_tau))
+    far_col = T.mul(T.tsum(T.mul(a_rows, f_rows), axis=1, keepdims=True), Tensor(inv_tau))
+    denom = T.logsumexp(T.concat([cross, far_col], axis=1), axis=1)
+    return T.tmean(T.add(denom, T.neg(_eye_diagonal(cross))))
+
+
+def _eye_hr_align_loss(human, frozen, adapted, tau):
+    """The alignment loss with its positives picked by an ``eye`` mask."""
+    inv_tau = 1.0 / tau
+    logits = T.mul(T.matmul(Tensor(human), T.transpose(adapted)), Tensor(inv_tau))
+    extra_col = Tensor((human * frozen).sum(axis=1, keepdims=True) * inv_tau)
+    pos = _eye_diagonal(logits)
+    denom_h2r = T.logsumexp(T.concat([logits, extra_col], axis=1), axis=1)
+    denom_r2h = T.logsumexp(T.concat([T.transpose(logits), extra_col], axis=1), axis=1)
+    half = Tensor(0.5)
+    return T.add(
+        T.mul(T.tmean(T.add(denom_h2r, T.neg(pos))), half),
+        T.mul(T.tmean(T.add(denom_r2h, T.neg(pos))), half),
+    )
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _twin_leaves(x0):
+    return Tensor(x0, requires_grad=True), Tensor(x0.copy(), requires_grad=True)
+
+
+CROSS_ENTROPY_CASES = {
+    # (rows, classes, labels) of the classification head, the linear probe
+    # and the pretext loss (positive on the diagonal, far frame last)
+    "cls_head": (16, 8, "random"),
+    "linear_probe": (144, 8, "random"),
+    "pretext": (16, 17, "diagonal"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CROSS_ENTROPY_CASES))
+def test_cross_entropy_bitwise_equals_onehot_formula(case):
+    rows, classes, kind = CROSS_ENTROPY_CASES[case]
+    rng = RngState(51)
+    logits = rng.normal((rows, classes)) * 4.0
+    if kind == "diagonal":
+        labels = np.arange(rows)
+    else:
+        labels = np.array([rng.randint(classes) for _ in range(rows)])
+    new, old = _twin_leaves(logits)
+    loss, ref = T.cross_entropy(new, labels), _onehot_cross_entropy(old, labels)
+    loss.backward()
+    ref.backward()
+    assert _same_bits(loss.data, ref.data)
+    assert _same_bits(new.grad, old.grad)
+
+
+def test_take_diagonal_bitwise_equals_eye_formula():
+    rng = RngState(52)
+    new, old = _twin_leaves(rng.normal((16, 16)) * 10.0)
+    g = rng.normal(16)
+    diag, ref = T.take(new, (np.arange(16), np.arange(16))), _eye_diagonal(old)
+    diag.backward(g)
+    ref.backward(g)
+    assert _same_bits(diag.data, ref.data)
+    assert _same_bits(new.grad, old.grad)
+
+
+def test_take_rows_bitwise_equals_selector_matmul():
+    rng = RngState(53)
+    b = 16
+    new, old = _twin_leaves(rng.normal((3 * b, 32)))
+    probes = [Tensor(rng.normal((b, 32))) for _ in range(3)]
+
+    def probed(parts):
+        total = T.tsum(T.mul(parts[0], probes[0]))
+        for part, probe in zip(parts[1:], probes[1:]):
+            total = T.add(total, T.tsum(T.mul(part, probe)))
+        return total
+
+    rows = [T.take(new, slice(i * b, (i + 1) * b)) for i in range(3)]
+    refs = [_selector_rows(old, i * b, (i + 1) * b) for i in range(3)]
+    for part, ref in zip(rows, refs):
+        assert _same_bits(part.data, ref.data)
+    probed(rows).backward()
+    probed(refs).backward()
+    assert _same_bits(new.grad, old.grad)
+
+
+def test_take_repeated_index_sums_gradients():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    picked = T.take(x, (np.array([0, 1, 0]), np.array([2, 0, 2])))
+    assert np.array_equal(picked.data, [2.0, 3.0, 2.0])
+    picked.backward(np.array([1.0, 10.0, 100.0]))
+    assert np.array_equal(x.grad, [[0.0, 0.0, 101.0], [10.0, 0.0, 0.0]])
+
+
+@pytest.mark.parametrize("seed", [61, 62, 63])
+def test_pretext_loss_bitwise_equals_selector_formula(seed):
+    from hralign.dataset import VideoClip
+    from hralign.encoder import pretext_loss
+
+    rng = RngState(seed)
+    b = 16
+    clips = [VideoClip(rng.uniform((8, 4, 4, 3)), "human", 0, i) for i in range(b)]
+    new, old = _twin_leaves(rng.normal((3 * b, 4, 4, 32)))
+    loss, _ = pretext_loss(lambda frames: new, clips, rng, temperature=0.1)
+    ref = _selector_pretext_loss(old, b, 0.1)
+    loss.backward()
+    ref.backward()
+    assert _same_bits(loss.data, ref.data)
+    assert _same_bits(new.grad, old.grad)
+
+
+@pytest.mark.parametrize("seed", [71, 72, 73])
+def test_hr_align_loss_bitwise_equals_eye_formula(seed):
+    from hralign.alignment import AlignmentBatchFeatures, hr_align_loss
+
+    rng = RngState(seed)
+
+    def unit_rows():
+        x = rng.normal((16, 32))
+        return x / np.linalg.norm(x, axis=1, keepdims=True)
+
+    human, frozen = unit_rows(), unit_rows()
+    new, old = _twin_leaves(unit_rows())
+    loss = hr_align_loss(AlignmentBatchFeatures(Tensor(human), Tensor(frozen), new, 0.1))
+    ref = _eye_hr_align_loss(human, frozen, old, 0.1)
+    loss.backward()
+    ref.backward()
+    assert _same_bits(loss.data, ref.data)
+    assert _same_bits(new.grad, old.grad)
+
+
 def test_matmul_backward_skips_constant_operand():
     # the constant's gradient would be g @ w.T; only w's, x.T @ g, is built
     x = RngState(15).normal((4, 3))
@@ -359,6 +520,9 @@ def test_l2_normalize_unit_norm():
         ("l2_normalize", lambda x: T.tsum(T.mul(T.l2_normalize(x, axis=1), Tensor(RngState(26).normal((3, 4))))), (3, 4)),
         ("power", lambda x: T.tsum(T.power(T.add(T.mul(x, x), Tensor(0.5)), -0.5)), (3, 4)),
         ("concat", lambda x: T.tsum(T.mul(T.concat([x, x], axis=1), Tensor(RngState(27).normal((3, 8))))), (3, 4)),
+        ("take_slice", lambda x: T.tsum(T.mul(T.take(x, slice(1, 3)), Tensor(RngState(28).normal((2, 4))))), (3, 4)),
+        ("take_index", lambda x: T.tsum(T.mul(T.take(x, (np.array([0, 2, 2, 1]), np.array([1, 3, 3, 0]))), Tensor(RngState(29).normal(4)))), (3, 4)),
+        ("cross_entropy", lambda x: T.cross_entropy(x, np.array([2, 0, 3])), (3, 4)),
     ],
 )
 def test_op_gradients_vs_fd(name, build, shape):

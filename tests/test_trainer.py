@@ -1,14 +1,14 @@
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
 from conftest import BASELINE_LR
-from helpers import sum_param_sizes
+from helpers import fail_writes_partway, sum_param_sizes
 from hralign.dataset import generate_paired_set, split_pairs
 from hralign.encoder import Backbone, pretext_pretrain
-from hralign import dataset
 from hralign.rng import RngState
 from hralign.trainer import (
     CheckpointError,
@@ -223,30 +223,6 @@ def test_epoch_order_is_shared_read_only():
     assert _batch_indices(31, 2 * 4 + 1, 18, 4) == [int(i) for i in order[4:8]]
 
 
-class _HalfWriter:
-    """A file whose write stores half the bytes and then fails."""
-
-    def __init__(self, fh):
-        self.fh = fh
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.fh.close()
-
-    def write(self, data):
-        self.fh.write(data[: len(data) // 2])
-        raise OSError("disk full")
-
-
-def _fail_writes_partway(monkeypatch):
-    monkeypatch.setattr(
-        dataset, "open", lambda path, mode="r", **kw: _HalfWriter(open(path, mode, **kw)),
-        raising=False,
-    )
-
-
 def test_checkpoint_save_failing_partway_keeps_previous_file(small_setup, tmp_path, monkeypatch):
     _, train, _, backbone = small_setup
     first, _ = train_hr_align(small_config(steps=2), train, backbone)
@@ -254,7 +230,7 @@ def test_checkpoint_save_failing_partway_keeps_previous_file(small_setup, tmp_pa
     path = str(tmp_path / "model.ckpt")
     first.save(path)
     before = open(path, "rb").read()
-    _fail_writes_partway(monkeypatch)
+    fail_writes_partway(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         second.save(path)
     monkeypatch.undo()
@@ -268,7 +244,7 @@ def test_metrics_save_failing_partway_keeps_previous_file(tmp_path, monkeypatch)
     log = MetricsLog([MetricsRow(1, 2.5, 0.1, 0.2, 3.0)])
     log.save(path)
     log.append(MetricsRow(2, 2.4, 0.1, 0.2, 3.0))
-    _fail_writes_partway(monkeypatch)
+    fail_writes_partway(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         log.save(path)
     monkeypatch.undo()
@@ -322,16 +298,62 @@ def test_checkpoint_corrupt_tensor_dims_raise_checkpoint_error(checkpoint_bytes,
         ModelCheckpoint.load(str(path))
 
 
+def _with_header(checkpoint_bytes: bytes, edit) -> bytes:
+    """The checkpoint with its JSON header replaced by ``edit(header)``."""
+    hlen = _header_length(checkpoint_bytes)
+    header = edit(json.loads(checkpoint_bytes[4 : 4 + hlen]))
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    return len(header_bytes).to_bytes(4, "little") + header_bytes + checkpoint_bytes[4 + hlen :]
+
+
+def _without(*keys):
+    """A header edit deleting one (nested) key; ints index lists."""
+
+    def edit(header):
+        node = header
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+        return header
+
+    return edit
+
+
 def test_checkpoint_missing_tensor_entry_raises_checkpoint_error(checkpoint_bytes, tmp_path):
     hlen = _header_length(checkpoint_bytes)
-    header = json.loads(checkpoint_bytes[4 : 4 + hlen])
-    dropped = header["tensors"].pop(0)["name"]
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    dropped = json.loads(checkpoint_bytes[4 : 4 + hlen])["tensors"][0]["name"]
     path = tmp_path / "model.ckpt"
-    path.write_bytes(
-        len(header_bytes).to_bytes(4, "little") + header_bytes + checkpoint_bytes[4 + hlen :]
-    )
+    path.write_bytes(_with_header(checkpoint_bytes, _without("tensors", 0)))
     with pytest.raises(CheckpointError, match=f"no tensor entry '{dropped}'"):
+        ModelCheckpoint.load(str(path))
+
+
+@pytest.mark.parametrize("header", [[1], "x"], ids=["list", "string"])
+def test_checkpoint_header_not_an_object_raises_checkpoint_error(
+    checkpoint_bytes, tmp_path, header
+):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(_with_header(checkpoint_bytes, lambda _: header))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: header is not a JSON object")):
+        ModelCheckpoint.load(str(path))
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (lambda header: {"version": header["version"]}, "tensors"),
+        (_without("config"), "config"),
+        (_without("backbone", "channels"), "backbone.channels"),
+        (_without("tensors", 0, "offset"), "tensors[0].offset"),
+    ],
+    ids=["version_only", "config", "backbone.channels", "tensor_offset"],
+)
+def test_checkpoint_header_missing_key_raises_checkpoint_error(
+    checkpoint_bytes, tmp_path, edit, key
+):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(_with_header(checkpoint_bytes, edit))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: header lacks key '{key}'")):
         ModelCheckpoint.load(str(path))
 
 
