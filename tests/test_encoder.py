@@ -67,6 +67,20 @@ def test_out_of_range_frames_rejected():
     VideoClip(frames, "human", 0, 0)  # both bounds are inside
 
 
+def test_featuremap_rejects_nonfinite():
+    """Non-finite values are stopped at VideoClip, so no clip the encoder
+    is given can make a non-finite feature map."""
+    with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        VideoClip(np.full((1, 2, 2, 3), np.nan), "human", 0, 0)
+    for bad in (np.inf, -np.inf):
+        frames = np.full((2, 16, 16, 3), 0.5)
+        frames[0, 5, 6, 1] = bad
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            VideoClip(frames, "robot", 0, 0)
+    clip = VideoClip(random_clip_frames(RngState(8), t=2), "human", 0, 0)
+    assert np.isfinite(encode_batch(frozen_backbone(), clip.frames).data).all()
+
+
 def test_encode_frozen_retains_no_gradients():
     bb = frozen_backbone()
     out = encode_batch(bb, random_clip_frames(RngState(6), t=2))
