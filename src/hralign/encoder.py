@@ -15,7 +15,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import tensor as T
-from .optim import AdamState, adam_step, collect_grads, zero_grads
+from .optim import AdamState, fit
 from .rng import RngState
 from .tensor import Tensor
 
@@ -226,26 +226,31 @@ def pretext_pretrain(
     for clip in human_clips:
         if clip.domain != "human":
             raise ValueError(f"pretext_pretrain: clip {clip.pair_id} is not human-domain")
+    if batch_size < 1:
+        raise ValueError(f"pretext_pretrain: batch_size must be positive, got {batch_size}")
     if backbone is None:
         backbone = Backbone.create(rng)
     backbone.unfreeze()
     params = backbone.named_parameters()
-    adam = AdamState.for_params(params, lr=lr)
     n = len(human_clips)
     bsz = min(batch_size, n)
-    history: list[float] = []
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        losses = []
-        for start in range(0, n - bsz + 1, bsz):
-            batch = [human_clips[i] for i in order[start : start + bsz]]
-            loss, _ = pretext_loss(
-                lambda fr: encode_batch(backbone, fr), batch, rng, temperature, window
-            )
-            zero_grads(params)
-            loss.backward()
-            adam_step(params, collect_grads(params), adam)
-            losses.append(loss.item())
-        history.append(float(np.mean(losses)))
+    per_epoch = n // bsz
+    order = None
+
+    def step_loss(step: int) -> tuple[Tensor, dict]:
+        nonlocal order
+        slot = step % per_epoch
+        if slot == 0:  # a fresh shuffle, drawn before the epoch's triplets
+            order = rng.permutation(n)
+        batch = [human_clips[i] for i in order[slot * bsz : (slot + 1) * bsz]]
+        return pretext_loss(
+            lambda fr: encode_batch(backbone, fr), batch, rng, temperature, window
+        )
+
+    rows = fit(params, AdamState.for_params(params, lr=lr), epochs * per_epoch, step_loss)
+    history = [
+        float(np.mean([loss for loss, _, _ in rows[e * per_epoch : (e + 1) * per_epoch]]))
+        for e in range(epochs)
+    ]
     backbone.freeze()
     return backbone, history

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import tensor as T
 from .dataset import PairedDemo, VideoClip, _atomic_write_csv
-from .optim import AdamState, adam_step, collect_grads, zero_grads
+from .optim import AdamState, fit
 from .rng import RngState
 from .task_query import embed_texts
 from .tensor import Tensor
@@ -195,13 +195,13 @@ def train_linear_probe(
     w = Tensor(np.zeros((train_x.shape[1], n_classes)), requires_grad=True)
     b = Tensor(np.zeros(n_classes), requires_grad=True)
     params = {"w": w, "b": b}
-    adam = AdamState.for_params(params, lr=lr)
     x_t = Tensor(train_x)
-    for _ in range(epochs):
-        loss = T.cross_entropy(T.add(T.matmul(x_t, w), b), train_y)
-        zero_grads(params)
-        loss.backward()
-        adam_step(params, collect_grads(params), adam)
+    fit(
+        params,
+        AdamState.for_params(params, lr=lr),
+        epochs,
+        lambda _: (T.cross_entropy(T.add(T.matmul(x_t, w), b), train_y), {}),
+    )
     pred = np.argmax(test_x @ w.data + b.data, axis=1)
     return float((pred == test_y).mean())
 
@@ -223,17 +223,15 @@ def train_bc_head(
     w2 = Tensor(rng.normal((hidden, out)) * np.sqrt(1.0 / hidden), requires_grad=True)
     b2 = Tensor(np.zeros(out), requires_grad=True)
     params = {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
-    adam = AdamState.for_params(params, lr=lr)
     x_t = Tensor(train_x)
     y_t = Tensor(train_y)
-    for _ in range(epochs):
+
+    def mse(_):
         h = T.relu(T.add(T.matmul(x_t, w1), b1))
-        pred = T.add(T.matmul(h, w2), b2)
-        err = T.add(pred, T.neg(y_t))
-        loss = T.tmean(T.mul(err, err))
-        zero_grads(params)
-        loss.backward()
-        adam_step(params, collect_grads(params), adam)
+        err = T.add(T.add(T.matmul(h, w2), b2), T.neg(y_t))
+        return T.tmean(T.mul(err, err)), {}
+
+    fit(params, AdamState.for_params(params, lr=lr), epochs, mse)
 
     def predict(x: np.ndarray) -> np.ndarray:
         hidden_act = np.maximum(x @ w1.data + b1.data, 0.0)

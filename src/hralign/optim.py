@@ -1,8 +1,10 @@
-"""Adam optimizer over named parameter tensors."""
+"""Adam optimizer over named parameter tensors, and the one training loop."""
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -69,3 +71,27 @@ def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 def zero_grads(params: dict[str, Tensor]) -> None:
     for p in params.values():
         p.grad = None
+
+
+def fit(
+    params: dict[str, Tensor],
+    adam: AdamState,
+    steps: int,
+    step_fn: Callable[[int], tuple[Tensor, dict]],
+    start: int = 0,
+) -> list[tuple[float, dict, float]]:
+    """The training loop: steps ``start .. steps-1`` of Adam on ``params``.
+
+    ``step_fn(step)`` builds the step's loss and a stats dict; the loop then
+    clears the gradients, backpropagates and takes one Adam step. Returns
+    ``(loss value, stats, wall ms)`` per step, in step order.
+    """
+    rows = []
+    for step in range(start, steps):
+        t0 = time.perf_counter()
+        loss, stats = step_fn(step)
+        zero_grads(params)
+        loss.backward()
+        adam_step(params, collect_grads(params), adam)
+        rows.append((loss.item(), stats, (time.perf_counter() - t0) * 1e3))
+    return rows

@@ -13,7 +13,6 @@ import hashlib
 import json
 import math
 import struct
-import time
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
@@ -24,7 +23,7 @@ from .adapter import AdapterStack, count_learnable
 from .alignment import AlignmentBatchFeatures, alignment_stats, hr_align_loss, pool_many
 from .dataset import PairedDemo, VideoClip, _atomic_write, sample_frames
 from .encoder import Backbone, encode_batch, pretext_loss
-from .optim import AdamState, adam_step, collect_grads, zero_grads
+from .optim import AdamState, fit
 from .rng import RngState
 from .task_query import QueryEmbedder, embed_texts
 from .tensor import Tensor
@@ -350,18 +349,27 @@ class ModelCheckpoint:
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: header is not a JSON object")
 
-        def need(node, key: str, where: str = ""):
+        def need(node, key: str, kind, where: str = ""):
+            """``node[key]``, which must be an instance of ``kind``."""
             if not isinstance(node, dict) or key not in node:
                 raise CheckpointError(f"{path}: header lacks key {where + key!r}")
+            if not isinstance(node[key], kind):
+                raise CheckpointError(
+                    f"{path}: header key {where + key!r} has the wrong type "
+                    f"{type(node[key]).__name__}"
+                )
             return node[key]
+
+        optional = (dict, type(None))
 
         if header.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
         body = raw[4 + hlen :]
         arrays: dict[str, np.ndarray] = {}
-        for i, entry in enumerate(need(header, "tensors")):
+        for i, entry in enumerate(need(header, "tensors", list)):
             name, offset, nbytes = (
-                need(entry, key, f"tensors[{i}].") for key in ("name", "offset", "nbytes")
+                need(entry, key, kind, f"tensors[{i}].")
+                for key, kind in (("name", str), ("offset", int), ("nbytes", int))
             )
             if offset + nbytes > len(body):
                 raise CheckpointError(f"{path}: body truncated inside tensor {name!r}")
@@ -377,42 +385,45 @@ class ModelCheckpoint:
                     raise CheckpointError(f"{path}: no tensor entry {name!r}")
                 tensor.data = arrays[name].copy()
 
-        config = TrainConfig.from_mapping(need(header, "config"))
-        arch = need(header, "backbone")
+        config = TrainConfig.from_mapping(need(header, "config", dict))
+        arch = need(header, "backbone", dict)
         init_rng = RngState(0)
-        backbone = Backbone.create(
-            init_rng, *(need(arch, k, "backbone.") for k in ("channels", "strides", "kernel"))
-        )
+        shape = (("channels", list), ("strides", list), ("kernel", int))
+        backbone = Backbone.create(init_rng, *(need(arch, k, t, "backbone.") for k, t in shape))
         fill(backbone.named_parameters())
-        if need(arch, "frozen", "backbone."):
+        if need(arch, "frozen", bool, "backbone."):
             backbone.freeze()
         stack = None
-        if (spec := need(header, "stack")) is not None:
+        if (spec := need(header, "stack", optional)) is not None:
             stack = AdapterStack.for_positions(
-                need(spec, "positions", "stack."), backbone, need(spec, "ratio", "stack."), init_rng
+                need(spec, "positions", str, "stack."),
+                backbone,
+                need(spec, "ratio", int, "stack."),
+                init_rng,
             )
             fill(stack.named_parameters())
         embedder = None
-        if (spec := need(header, "embedder")) is not None:
-            embedder = QueryEmbedder.create(init_rng, need(spec, "out_dim", "embedder."))
+        if (spec := need(header, "embedder", optional)) is not None:
+            embedder = QueryEmbedder.create(init_rng, need(spec, "out_dim", int, "embedder."))
             fill(embedder.named_parameters())
         head = None
-        if (spec := need(header, "head")) is not None:
+        if (spec := need(header, "head", optional)) is not None:
             head = LinearHead.create(
-                init_rng, need(spec, "in_dim", "head."), need(spec, "n_classes", "head.")
+                init_rng, need(spec, "in_dim", int, "head."), need(spec, "n_classes", int, "head.")
             )
             fill({**head.named_parameters(), **head.named_buffers()})
         adam = None
-        if (spec := need(header, "adam")) is not None:
+        if (spec := need(header, "adam", optional)) is not None:
             adam = AdamState(
-                **{k: need(spec, k, "adam.") for k in ("lr", "beta1", "beta2", "eps", "step")}
+                *(need(spec, k, (int, float), "adam.") for k in ("lr", "beta1", "beta2", "eps")),
+                step=need(spec, "step", int, "adam."),
             )
             for name in arrays:
                 if name.startswith("adam.m."):
                     adam.m[name[len("adam.m.") :]] = arrays[name].copy()
                 elif name.startswith("adam.v."):
                     adam.v[name[len("adam.v.") :]] = arrays[name].copy()
-        rng_state = need(header, "rng")
+        rng_state = need(header, "rng", (list, type(None)))
         return cls(
             config=config,
             backbone=backbone,
@@ -421,7 +432,7 @@ class ModelCheckpoint:
             head=head,
             adam=adam,
             rng=RngState.from_state(rng_state) if rng_state is not None else None,
-            step=need(header, "step"),
+            step=need(header, "step", int),
         )
 
 
@@ -451,6 +462,47 @@ def _check_batchable(n: int, batch_size: int) -> None:
         raise ValueError("dataset is empty")
     if batch_size > n:
         raise ValueError(f"batch size {batch_size} exceeds dataset size {n}")
+
+
+def _fit_checkpoint(
+    config: TrainConfig,
+    items: list,
+    params: dict[str, Tensor],
+    batch_loss,
+    resume: ModelCheckpoint | None = None,
+    *,
+    backbone: Backbone,
+    **parts,
+) -> tuple[ModelCheckpoint, MetricsLog]:
+    """Train ``params`` on the ``_batch_indices`` batches of ``items``.
+
+    Step s trains on ``batch_loss(batch) -> (loss, stats)`` and logs metrics
+    row s + 1; a resumed run goes on from the checkpoint's step and Adam
+    state. Returns the checkpoint of ``backbone`` and ``parts`` at
+    ``config.steps``, the backbone frozen (a fine-tuned copy is frozen once
+    trained).
+    """
+    if resume is not None:
+        adam, start = resume.adam, resume.step
+    else:
+        adam, start = AdamState.for_params(params, lr=config.learning_rate), 0
+    n, seed, bsz = len(items), config.seed, config.batch_size
+    rows = fit(
+        params,
+        adam,
+        config.steps,
+        lambda step: batch_loss([items[i] for i in _batch_indices(seed, step, n, bsz)]),
+        start,
+    )
+    backbone.freeze()
+    metrics = MetricsLog(
+        [
+            MetricsRow(step + 1, loss, stats["pos_sim"], stats["hard_neg_sim"], wall_ms)
+            for step, (loss, stats, wall_ms) in enumerate(rows, start)
+        ]
+    )
+    checkpoint = ModelCheckpoint(config, backbone, adam=adam, step=config.steps, **parts)
+    return checkpoint, metrics
 
 
 # ---------------------------------------------------------------------------
@@ -491,178 +543,91 @@ def train_hr_align(
             raise ValueError(
                 f"steps={config.steps} is below the checkpoint's step {resume.step}"
             )
-        stack, embedder = resume.stack, resume.embedder
-        adam, rng, start_step = resume.adam, resume.rng.clone(), resume.step
+        stack, embedder, rng = resume.stack, resume.embedder, resume.rng.clone()
     else:
-        init_rng = RngState(config.seed)
+        rng = RngState(config.seed)
         stack = AdapterStack.for_positions(
-            config.adapter_positions, backbone, config.adapter_ratio, init_rng
+            config.adapter_positions, backbone, config.adapter_ratio, rng
         )
         embedder = (
-            QueryEmbedder.create(init_rng, backbone.out_channels)
-            if config.use_language
-            else None
+            QueryEmbedder.create(rng, backbone.out_channels) if config.use_language else None
         )
-        rng = init_rng
-        start_step = 0
-        params0 = dict(stack.named_parameters())
-        if embedder is not None:
-            params0.update(embedder.named_parameters())
-        adam = AdamState.for_params(params0, lr=config.learning_rate)
-
     params = dict(stack.named_parameters())
     if embedder is not None:
         params.update(embedder.named_parameters())
 
-    metrics = MetricsLog()
-    for step in range(start_step, config.steps):
-        t0 = time.perf_counter()
-        idx = _batch_indices(config.seed, step, len(pairs), config.batch_size)
-        batch = [pairs[i] for i in idx]
+    def batch_loss(batch: list[PairedDemo]) -> tuple[Tensor, dict]:
         human_frames, robot_frames = [], []
         for demo in batch:
             human_frames.append(sample_frames(demo.human, config.frames, rng))
             # one shared sample per robot clip feeds both robot streams
             robot_frames.append(sample_frames(demo.robot, config.frames, rng))
-        feats = _stream_features(
-            backbone, stack, embedder, batch, human_frames, robot_frames, config
+        human, robot = np.concatenate(human_frames), np.concatenate(robot_frames)
+        hooks = stack.hooks() if len(stack) else None
+
+        def positions(feat: Tensor) -> Tensor:  # (B*T, H, W, C) -> (B, T*H*W, C)
+            return T.reshape(feat, (len(batch), -1, feat.shape[-1]))
+
+        human_feat = positions(encode_batch(backbone, human))
+        frozen_feat = positions(encode_batch(backbone, robot))
+        adapted_feat = positions(encode_batch(backbone, robot, hooks))
+        if embedder is not None:
+            queries = embed_texts(embedder, [d.description.text for d in batch])
+            frozen_queries = queries.detach()
+        else:
+            queries = frozen_queries = None
+        feats = AlignmentBatchFeatures(
+            pool_many(human_feat, frozen_queries, config.normalize),
+            pool_many(frozen_feat, frozen_queries, config.normalize),
+            pool_many(adapted_feat, queries, config.normalize),
+            config.tau,
         )
-        loss = hr_align_loss(feats)
-        zero_grads(params)
-        loss.backward()
-        adam_step(params, collect_grads(params), adam)
-        stats = alignment_stats(feats)
-        metrics.append(
-            MetricsRow(
-                step=step + 1,
-                loss=loss.item(),
-                pos_sim=stats["pos_sim"],
-                hard_neg_sim=stats["hard_neg_sim"],
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
-    checkpoint = ModelCheckpoint(
-        config=config,
-        backbone=backbone,
-        stack=stack,
-        embedder=embedder,
-        adam=adam,
-        rng=rng,
-        step=config.steps,
+        return hr_align_loss(feats), alignment_stats(feats)
+
+    return _fit_checkpoint(
+        config, pairs, params, batch_loss, resume,
+        backbone=backbone, stack=stack, embedder=embedder, rng=rng,
     )
-    return checkpoint, metrics
-
-
-def _stream_features(
-    backbone: Backbone,
-    stack: AdapterStack,
-    embedder: QueryEmbedder | None,
-    batch: list[PairedDemo],
-    human_frames: list[np.ndarray],
-    robot_frames: list[np.ndarray],
-    config: TrainConfig,
-) -> AlignmentBatchFeatures:
-    b = len(batch)
-    t = config.frames
-    human_stack = np.concatenate(human_frames, axis=0)
-    robot_stack = np.concatenate(robot_frames, axis=0)
-    hooks = stack.hooks() if len(stack) else None
-
-    def to_positions(feat: Tensor) -> Tensor:
-        n, h, w, c = feat.shape
-        return T.reshape(feat, (b, (n // b) * h * w, c))
-
-    human_feat = to_positions(encode_batch(backbone, human_stack))
-    frozen_feat = to_positions(encode_batch(backbone, robot_stack))
-    adapted_feat = to_positions(encode_batch(backbone, robot_stack, hooks))
-    if embedder is not None:
-        queries = embed_texts(embedder, [d.description.text for d in batch])
-        frozen_queries = queries.detach()
-    else:
-        queries = frozen_queries = None
-    human_pooled = pool_many(human_feat, frozen_queries, config.normalize)
-    frozen_pooled = pool_many(frozen_feat, frozen_queries, config.normalize)
-    adapted_pooled = pool_many(adapted_feat, queries, config.normalize)
-    return AlignmentBatchFeatures(human_pooled, frozen_pooled, adapted_pooled, config.tau)
 
 
 # ---------------------------------------------------------------------------
 # baselines
 
 
-def _baseline_setup(config: TrainConfig, backbone: Backbone):
-    """Learnable set for a baseline: the whole backbone copy, or adapters
-    only in the parameter-efficient variant."""
-    if config.baseline_adapter_only:
-        backbone.freeze()
-        rng = RngState(config.seed)
-        stack = AdapterStack.for_positions(
-            config.adapter_positions if config.adapter_positions != "none" else "L",
-            backbone,
-            config.adapter_ratio,
-            rng,
-        )
-        params = dict(stack.named_parameters())
-        hooks = stack.hooks()
-    else:
-        if backbone.frozen:
-            raise ValueError("baseline fine-tuning needs an unfrozen backbone copy")
-        rng = RngState(config.seed)
-        stack = None
-        params = dict(backbone.named_parameters())
-        hooks = None
-    return rng, stack, params, hooks
-
-
-def _baseline_clips(config: TrainConfig, pairs: list[PairedDemo]) -> list[VideoClip]:
+def _baseline_setup(config: TrainConfig, method: str, pairs: list[PairedDemo], backbone: Backbone):
+    """Clips, RNG, adapter stack (or None), learnable set and hooks of a
+    baseline: the whole backbone copy learns, or adapters only in the
+    parameter-efficient variant."""
+    config.validate()
+    if config.method != method:
+        raise ValueError(f"train_baseline_{method.split('_')[0]} got method {config.method!r}")
     clips = [demo.robot for demo in pairs]
     if config.baseline_full_data:
         clips = clips + [demo.human for demo in pairs]
-    return clips
+    _check_batchable(len(clips), config.batch_size)
+    rng = RngState(config.seed)
+    if config.baseline_adapter_only:
+        backbone.freeze()
+        positions = config.adapter_positions if config.adapter_positions != "none" else "L"
+        stack = AdapterStack.for_positions(positions, backbone, config.adapter_ratio, rng)
+        return clips, rng, stack, dict(stack.named_parameters()), stack.hooks()
+    if backbone.frozen:
+        raise ValueError("baseline fine-tuning needs an unfrozen backbone copy")
+    return clips, rng, None, dict(backbone.named_parameters()), None
 
 
 def train_baseline_pret(
     config: TrainConfig, pairs: list[PairedDemo], backbone: Backbone
 ) -> tuple[ModelCheckpoint, MetricsLog]:
     """Continue the pretext objective on robot clips, all weights learnable."""
-    config = config.validate()
-    if config.method != "pret_baseline":
-        raise ValueError(f"train_baseline_pret got method {config.method!r}")
-    clips = _baseline_clips(config, pairs)
-    _check_batchable(len(clips), config.batch_size)
-    rng, stack, params, hooks = _baseline_setup(config, backbone)
-    adam = AdamState.for_params(params, lr=config.learning_rate)
-    metrics = MetricsLog()
-    for step in range(config.steps):
-        t0 = time.perf_counter()
-        idx = _batch_indices(config.seed, step, len(clips), config.batch_size)
-        batch = [clips[i] for i in idx]
-        loss, stats = pretext_loss(
-            lambda fr: encode_batch(backbone, fr, hooks), batch, rng, config.tau
-        )
-        zero_grads(params)
-        loss.backward()
-        adam_step(params, collect_grads(params), adam)
-        metrics.append(
-            MetricsRow(
-                step + 1,
-                loss.item(),
-                stats["pos_sim"],
-                stats["hard_neg_sim"],
-                (time.perf_counter() - t0) * 1e3,
-            )
-        )
-    if not config.baseline_adapter_only:
-        backbone.freeze()
-    checkpoint = ModelCheckpoint(
-        config=config,
-        backbone=backbone,
-        stack=stack,
-        adam=adam,
-        rng=rng,
-        step=config.steps,
+    clips, rng, stack, params, hooks = _baseline_setup(config, "pret_baseline", pairs, backbone)
+
+    def batch_loss(batch: list[VideoClip]) -> tuple[Tensor, dict]:
+        return pretext_loss(lambda fr: encode_batch(backbone, fr, hooks), batch, rng, config.tau)
+
+    return _fit_checkpoint(
+        config, clips, params, batch_loss, backbone=backbone, stack=stack, rng=rng
     )
-    return checkpoint, metrics
 
 
 def _class_index(pairs: list[PairedDemo]) -> dict[int, int]:
@@ -673,56 +638,29 @@ def train_baseline_cls(
     config: TrainConfig, pairs: list[PairedDemo], backbone: Backbone
 ) -> tuple[ModelCheckpoint, MetricsLog]:
     """Fine-tune by classifying robot clips into their task categories."""
-    config = config.validate()
-    if config.method != "cls_baseline":
-        raise ValueError(f"train_baseline_cls got method {config.method!r}")
     classes = _class_index(pairs)
     if len(classes) < 2:
         raise ValueError(f"classification baseline needs >= 2 task classes, got {len(classes)}")
-    clips = _baseline_clips(config, pairs)
-    _check_batchable(len(clips), config.batch_size)
-    rng, stack, params, hooks = _baseline_setup(config, backbone)
+    clips, rng, stack, params, hooks = _baseline_setup(config, "cls_baseline", pairs, backbone)
     head = LinearHead.create(rng, backbone.out_channels, len(classes))
     _fit_head_scaler(head, backbone, hooks, clips, config)
     params.update(head.named_parameters())
-    adam = AdamState.for_params(params, lr=config.learning_rate)
-    metrics = MetricsLog()
-    for step in range(config.steps):
-        t0 = time.perf_counter()
-        idx = _batch_indices(config.seed, step, len(clips), config.batch_size)
-        batch = [clips[i] for i in idx]
-        frames = np.concatenate(
-            [sample_frames(clip, config.frames, rng) for clip in batch], axis=0
-        )
+
+    def batch_loss(batch: list[VideoClip]) -> tuple[Tensor, dict]:
+        b = len(batch)
+        frames = np.concatenate([sample_frames(clip, config.frames, rng) for clip in batch], axis=0)
         labels = np.array([classes[clip.task_id] for clip in batch])
-        loss, probs = _cls_loss(backbone, hooks, head, frames, labels, len(batch), config.frames)
-        zero_grads(params)
-        loss.backward()
-        adam_step(params, collect_grads(params), adam)
-        true_p = probs[np.arange(len(batch)), labels]
-        wrong = probs.copy()
-        wrong[np.arange(len(batch)), labels] = -1.0
-        metrics.append(
-            MetricsRow(
-                step + 1,
-                loss.item(),
-                float(true_p.mean()),
-                float(wrong.max(axis=1).mean()),
-                (time.perf_counter() - t0) * 1e3,
-            )
-        )
-    if not config.baseline_adapter_only:
-        backbone.freeze()
-    checkpoint = ModelCheckpoint(
-        config=config,
-        backbone=backbone,
-        stack=stack,
-        head=head,
-        adam=adam,
-        rng=rng,
-        step=config.steps,
+        logits = _head_logits(head, backbone, hooks, frames, b, config.frames)
+        e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+        true_p = probs[np.arange(b), labels]
+        probs[np.arange(b), labels] = -1.0  # the rest: the most probable wrong class
+        stats = {"pos_sim": float(true_p.mean()), "hard_neg_sim": float(probs.max(axis=1).mean())}
+        return T.cross_entropy(logits, labels), stats
+
+    return _fit_checkpoint(
+        config, clips, params, batch_loss, backbone=backbone, stack=stack, head=head, rng=rng
     )
-    return checkpoint, metrics
 
 
 def _pooled_clip_features(backbone, hooks, frames, b, t) -> Tensor:
@@ -739,14 +677,10 @@ def _fit_head_scaler(head, backbone, hooks, clips, config) -> None:
     head.mu.data, head.sd.data = standard_stats(pooled.data)
 
 
-def _cls_loss(backbone, hooks, head, frames, labels, b, t):
+def _head_logits(head: LinearHead, backbone, hooks, frames, b, t) -> Tensor:
+    """(B, K) class logits of B clips' (B*T, H, W, C) frames."""
     pooled = head.standardize(_pooled_clip_features(backbone, hooks, frames, b, t))
-    logits = T.add(T.matmul(pooled, head.w), head.b)
-    loss = T.cross_entropy(logits, labels)
-    shifted = logits.data - logits.data.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=1, keepdims=True)
-    return loss, probs
+    return T.add(T.matmul(pooled, head.w), head.b)
 
 
 def classification_accuracy(
@@ -762,10 +696,7 @@ def classification_accuracy(
     hits = 0
     for demo in pairs:
         frames = sample_frames(demo.robot, config.frames, rng)
-        pooled = checkpoint.head.standardize(
-            _pooled_clip_features(checkpoint.backbone, hooks, frames, 1, config.frames)
-        )
-        logits = T.add(T.matmul(pooled, checkpoint.head.w), checkpoint.head.b)
+        logits = _head_logits(checkpoint.head, checkpoint.backbone, hooks, frames, 1, config.frames)
         if int(np.argmax(logits.data[0])) == classes[demo.task_id]:
             hits += 1
     return hits / len(pairs)

@@ -89,6 +89,18 @@ def test_checkpoint_header_missing_key_exits_two(tmp_path, capsys):
     assert "header lacks key 'tensors'" in capsys.readouterr().err
 
 
+def test_checkpoint_header_value_of_wrong_type_exits_two(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["generate", "--out", str(data), "--tasks", "2", "--pairs-per-task", "2"]) == 0
+    header = json.dumps({"version": 1, "tensors": 5}).encode("utf-8")
+    ckpt = tmp_path / "model.ckpt"
+    ckpt.write_bytes(len(header).to_bytes(4, "little") + header)
+    manifest = str(data / "manifest.json")
+    code = run(["eval", "--checkpoint", str(ckpt), "--data", manifest, "--out", str(tmp_path)])
+    assert code == 2
+    assert "header key 'tensors' has the wrong type int" in capsys.readouterr().err
+
+
 def test_clip_values_outside_unit_range_exit_two(tmp_path, capsys):
     data = tmp_path / "data"
     assert run(["generate", "--out", str(data), "--tasks", "2", "--pairs-per-task", "2"]) == 0

@@ -357,6 +357,55 @@ def test_checkpoint_header_missing_key_raises_checkpoint_error(
         ModelCheckpoint.load(str(path))
 
 
+def _setting(*keys):
+    """A header edit setting one (nested) key to ``keys[-1]``; ints index lists."""
+
+    def edit(header):
+        node = header
+        for key in keys[:-2]:
+            node = node[key]
+        node[keys[-2]] = keys[-1]
+        return header
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (_setting("tensors", 5), "tensors"),
+        (_setting("tensors", 0, "name", [1]), "tensors[0].name"),
+        (_setting("tensors", 0, "offset", "x"), "tensors[0].offset"),
+        (_setting("tensors", 0, "nbytes", "x"), "tensors[0].nbytes"),
+        (_setting("config", [1]), "config"),
+        (_setting("backbone", "channels", 5), "backbone.channels"),
+        (_setting("backbone", "kernel", "3"), "backbone.kernel"),
+        (_setting("rng", 5), "rng"),
+        (_setting("step", "x"), "step"),
+    ],
+    ids=[
+        "tensors",
+        "tensor_name",
+        "tensor_offset",
+        "tensor_nbytes",
+        "config",
+        "backbone.channels",
+        "backbone.kernel",
+        "rng",
+        "step",
+    ],
+)
+def test_checkpoint_header_value_of_wrong_type_raises_checkpoint_error(
+    checkpoint_bytes, tmp_path, edit, key
+):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(_with_header(checkpoint_bytes, edit))
+    with pytest.raises(
+        CheckpointError, match=re.escape(f"{path}: header key '{key}' has the wrong type")
+    ):
+        ModelCheckpoint.load(str(path))
+
+
 def test_resume_config_mismatch_rejected(small_setup):
     _, train, _, backbone = small_setup
     part, _ = train_hr_align(small_config(steps=3), train, backbone)
