@@ -64,10 +64,6 @@ class Backbone:
         return len(self.blocks)
 
     @property
-    def in_channels(self) -> int:
-        return self.channels[0]
-
-    @property
     def out_channels(self) -> int:
         return self.channels[-1]
 

@@ -95,9 +95,6 @@ class Tensor:
         """A view of the same values, cut loose from the graph."""
         return Tensor(self.data)
 
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def backward(self, seed=None) -> None:
         """Accumulate gradients of this tensor w.r.t. every reachable
         tensor that has ``requires_grad``.

@@ -83,12 +83,12 @@ class TrainConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "TrainConfig":
-        known = {f.name: f.type for f in dataclasses.fields(cls)}
+        known = {f.name for f in dataclasses.fields(cls)}
         kwargs = {}
         for key, value in mapping.items():
             if key not in known:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _coerce(value, getattr(cls, key))
+            kwargs[key] = _coerce(key, value, getattr(cls, key))
         return cls(**kwargs).validate()
 
     def config_hash(self) -> str:
@@ -96,21 +96,23 @@ class TrainConfig:
         return hashlib.sha256(blob).hexdigest()
 
 
-def _coerce(value, default):
-    if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        text = str(value).strip().lower()
-        if text in ("true", "1", "yes"):
-            return True
-        if text in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected a boolean, got {value!r}")
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
-    return str(value)
+_BOOLEANS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+
+
+def _coerce(key: str, value, default):
+    """``value`` as the type of ``default``: strings are parsed, an int field
+    takes an integral float, and anything else is a ValueError naming ``key``."""
+    kind = type(default)
+    try:
+        if kind is bool:
+            return value if isinstance(value, bool) else _BOOLEANS[str(value).strip().lower()]
+        if isinstance(value, str) or (kind is not str and type(value) in (int, float)):
+            out = kind(value)
+            if not (kind is int and isinstance(value, float) and out != value):
+                return out
+    except (KeyError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"config key {key!r}: cannot read {value!r} as {kind.__name__}")
 
 
 def parse_config_text(text: str) -> dict:
@@ -229,7 +231,57 @@ class LinearHead:
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file is truncated, corrupt or lacks a tensor entry."""
+    """A checkpoint file is truncated or corrupt, or its header disagrees
+    with itself or with the tensors it indexes."""
+
+
+# The checkpoint header, key by key in the order ``load`` checks it. A leaf
+# is a JSON type (``float`` takes ints too; a bool is never an int or a
+# float); ``[t]`` is a list of t, a dict an object with at least these keys,
+# and ``(spec, None)`` either spec or null.
+HEADER_SPEC = {
+    "version": int,
+    "tensors": [{"name": str, "shape": [int], "offset": int, "nbytes": int}],
+    "config": dict,
+    "config_hash": str,
+    "backbone": {"channels": [int], "strides": [int], "kernel": int, "frozen": bool},
+    "stack": ({"positions": str, "junctions": [int], "ratio": int}, None),
+    "embedder": ({"text_dim": int, "out_dim": int}, None),
+    "head": ({"in_dim": int, "n_classes": int}, None),
+    "adam": ({"lr": float, "beta1": float, "beta2": float, "eps": float, "step": int}, None),
+    "rng": ([int], None),
+    "step": int,
+}
+
+
+def _check_header(path: str, node, spec, key: str = "") -> None:
+    """Raise CheckpointError naming the first key of ``node`` that ``spec`` rejects."""
+    if isinstance(spec, tuple):
+        if node is None:
+            return
+        spec = spec[0]
+    kind = {float: (int, float)}.get(spec, spec) if isinstance(spec, type) else type(spec)
+    if not isinstance(node, kind) or (isinstance(node, bool) and spec is not bool):
+        raise CheckpointError(f"{path}: header key {key!r} has the wrong type {type(node).__name__}")
+    if isinstance(spec, list):
+        for i, item in enumerate(node):
+            _check_header(path, item, spec[0], f"{key}[{i}]")
+    elif isinstance(spec, dict):
+        for name, sub in spec.items():
+            where = f"{key}.{name}" if key else name
+            if name not in node:
+                raise CheckpointError(f"{path}: header lacks key {where!r}")
+            _check_header(path, node[name], sub, where)
+
+
+def _differing_key(a, b, key: str = "") -> str:
+    """The dotted key of the first place where JSON values ``a != b`` differ."""
+    if isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        return next(_differing_key(x, y, f"{key}[{i}]") for i, (x, y) in enumerate(zip(a, b)) if x != y)
+    if isinstance(a, dict) and isinstance(b, dict):  # ``a`` stands in for a missing key
+        k = min(k for k in a.keys() | b.keys() if a.get(k, a) != b.get(k, a))
+        return _differing_key(a.get(k), b.get(k), f"{key}.{k}" if key else k)
+    return key
 
 
 @dataclass
@@ -244,10 +296,6 @@ class ModelCheckpoint:
     adam: AdamState | None = None
     rng: RngState | None = None
     step: int = 0
-    version: int = CHECKPOINT_VERSION
-
-    def config_hash(self) -> str:
-        return self.config.config_hash()
 
     def named_tensors(self) -> dict[str, Tensor]:
         out = dict(self.backbone.named_parameters())
@@ -263,76 +311,53 @@ class ModelCheckpoint:
     def learnable_parameters(self) -> dict[str, Tensor]:
         return {name: t for name, t in self.named_tensors().items() if t.requires_grad}
 
-    def save(self, path: str) -> None:
-        tensors = dict(self.named_tensors())
-        if self.adam is not None:
-            for name in sorted(self.adam.m):
-                tensors[f"adam.m.{name}"] = Tensor(self.adam.m[name])
-                tensors[f"adam.v.{name}"] = Tensor(self.adam.v[name])
-        blobs: list[bytes] = []
-        index = []
-        offset = 0
-        for name in sorted(tensors):
-            blob = T.to_bytes(tensors[name])
-            index.append(
-                {
-                    "name": name,
-                    "shape": list(tensors[name].shape),
-                    "offset": offset,
-                    "nbytes": len(blob),
-                }
-            )
-            blobs.append(blob)
-            offset += len(blob)
+    def _header(self) -> tuple[dict, list[bytes]]:
+        """The JSON header and, in name order, the serialized tensors it indexes."""
+        arrays = {name: t.data for name, t in self.named_tensors().items()}
+        for name in self.adam.m if self.adam is not None else ():
+            arrays[f"adam.m.{name}"], arrays[f"adam.v.{name}"] = self.adam.m[name], self.adam.v[name]
+        names = sorted(arrays)
+        blobs = [T.to_bytes(arrays[name]) for name in names]
+        offsets = np.cumsum([0] + [len(blob) for blob in blobs]).tolist()
+        index = [
+            {"name": name, "shape": list(arrays[name].shape), "offset": offset, "nbytes": len(blob)}
+            for name, offset, blob in zip(names, offsets, blobs)
+        ]
+        bb, stack, emb, head, adam = self.backbone, self.stack, self.embedder, self.head, self.adam
         header = {
-            "version": self.version,
-            "config": self.config.to_mapping(),
-            "config_hash": self.config_hash(),
-            "step": self.step,
-            "rng": list(self.rng.state()) if self.rng is not None else None,
-            "adam": (
-                {
-                    "lr": self.adam.lr,
-                    "beta1": self.adam.beta1,
-                    "beta2": self.adam.beta2,
-                    "eps": self.adam.eps,
-                    "step": self.adam.step,
-                }
-                if self.adam is not None
-                else None
-            ),
-            "backbone": {
-                "channels": list(self.backbone.channels),
-                "strides": [blk.stride for blk in self.backbone.blocks],
-                "kernel": self.backbone.kernel,
-                "frozen": self.backbone.frozen,
-            },
-            "stack": (
-                {
-                    "positions": self.stack.positions,
-                    "junctions": self.stack.junctions,
-                    "ratio": self.config.adapter_ratio,
-                }
-                if self.stack is not None
-                else None
-            ),
-            "embedder": (
-                {"text_dim": self.embedder.text_dim, "out_dim": self.embedder.out_dim}
-                if self.embedder is not None
-                else None
-            ),
-            "head": (
-                {"in_dim": self.head.w.shape[0], "n_classes": self.head.w.shape[1]}
-                if self.head is not None
-                else None
-            ),
+            "version": CHECKPOINT_VERSION,
             "tensors": index,
+            "config": self.config.to_mapping(),
+            "config_hash": self.config.config_hash(),
+            "backbone": {
+                "channels": list(bb.channels), "strides": [blk.stride for blk in bb.blocks],
+                "kernel": bb.kernel, "frozen": bb.frozen,
+            },
+            "stack": None if stack is None else {
+                "positions": stack.positions, "junctions": stack.junctions,
+                "ratio": self.config.adapter_ratio,
+            },
+            "embedder": None if emb is None else {"text_dim": emb.text_dim, "out_dim": emb.out_dim},
+            "head": None if head is None else {"in_dim": head.w.shape[0], "n_classes": head.w.shape[1]},
+            "adam": None if adam is None else {
+                "lr": adam.lr, "beta1": adam.beta1, "beta2": adam.beta2, "eps": adam.eps,
+                "step": adam.step,
+            },
+            "rng": None if self.rng is None else list(self.rng.state()),
+            "step": self.step,
         }
+        return header, blobs
+
+    def save(self, path: str) -> None:
+        header, blobs = self._header()
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
         _atomic_write(path, b"".join([struct.pack("<I", len(header_bytes)), header_bytes, *blobs]))
 
     @classmethod
     def load(cls, path: str) -> "ModelCheckpoint":
+        """Read a checkpoint, checking its header against ``HEADER_SPEC``,
+        every tensor's shape against the model the header builds, and the
+        header against the one ``save`` writes for what was loaded."""
         with open(path, "rb") as fh:
             raw = fh.read()
         if len(raw) < 4:
@@ -348,92 +373,67 @@ class ModelCheckpoint:
             raise CheckpointError(f"{path}: header is not valid JSON: {e}") from e
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: header is not a JSON object")
-
-        def need(node, key: str, kind, where: str = ""):
-            """``node[key]``, which must be an instance of ``kind``."""
-            if not isinstance(node, dict) or key not in node:
-                raise CheckpointError(f"{path}: header lacks key {where + key!r}")
-            if not isinstance(node[key], kind):
-                raise CheckpointError(
-                    f"{path}: header key {where + key!r} has the wrong type "
-                    f"{type(node[key]).__name__}"
-                )
-            return node[key]
-
-        optional = (dict, type(None))
-
-        if header.get("version") != CHECKPOINT_VERSION:
-            raise CheckpointError(f"unsupported checkpoint version {header.get('version')}")
+        _check_header(path, header, HEADER_SPEC)
+        if header["version"] != CHECKPOINT_VERSION:
+            raise CheckpointError(f"{path}: unsupported checkpoint version {header['version']}")
         body = raw[4 + hlen :]
         arrays: dict[str, np.ndarray] = {}
-        for i, entry in enumerate(need(header, "tensors", list)):
-            name, offset, nbytes = (
-                need(entry, key, kind, f"tensors[{i}].")
-                for key, kind in (("name", str), ("offset", int), ("nbytes", int))
-            )
-            if offset + nbytes > len(body):
+        for entry in header["tensors"]:
+            name = entry["name"]
+            if entry["offset"] + entry["nbytes"] > len(body):
                 raise CheckpointError(f"{path}: body truncated inside tensor {name!r}")
             try:
-                arr, _ = T.from_bytes(body, offset)
+                arrays[name], _ = T.from_bytes(body, entry["offset"])
             except (struct.error, ValueError) as e:
                 raise CheckpointError(f"{path}: tensor {name!r} is corrupt: {e}") from e
-            arrays[name] = arr
 
-        def fill(named: dict[str, Tensor]) -> None:
-            for name, tensor in named.items():
-                if name not in arrays:
-                    raise CheckpointError(f"{path}: no tensor entry {name!r}")
-                tensor.data = arrays[name].copy()
+        arch, init_rng = header["backbone"], RngState(0)
+        stack = embedder = head = adam = rng = None
+        try:
+            backbone = Backbone.create(init_rng, arch["channels"], arch["strides"], arch["kernel"])
+            if arch["frozen"]:
+                backbone.freeze()
+            if (spec := header["stack"]) is not None:
+                stack = AdapterStack.for_positions(spec["positions"], backbone, spec["ratio"], init_rng)
+            if (spec := header["embedder"]) is not None:
+                embedder = QueryEmbedder.create(init_rng, spec["out_dim"])
+            if (spec := header["head"]) is not None:
+                head = LinearHead.create(init_rng, spec["in_dim"], spec["n_classes"])
+            if (spec := header["adam"]) is not None:
+                adam = AdamState(*(spec[k] for k in ("lr", "beta1", "beta2", "eps", "step")))
+            if header["rng"] is not None:
+                rng = RngState.from_state(header["rng"])
+            config = TrainConfig.from_mapping(header["config"])
+        except (ValueError, ZeroDivisionError) as e:
+            raise CheckpointError(f"{path}: {e}") from e
+        for key, step in (("step", header["step"]), ("adam.step", adam.step if adam else 0)):
+            if step < 0:
+                raise CheckpointError(f"{path}: header key {key!r} is negative: {step}")
+        checkpoint = cls(config, backbone, stack, embedder, head, adam, rng, header["step"])
 
-        config = TrainConfig.from_mapping(need(header, "config", dict))
-        arch = need(header, "backbone", dict)
-        init_rng = RngState(0)
-        shape = (("channels", list), ("strides", list), ("kernel", int))
-        backbone = Backbone.create(init_rng, *(need(arch, k, t, "backbone.") for k, t in shape))
-        fill(backbone.named_parameters())
-        if need(arch, "frozen", bool, "backbone."):
-            backbone.freeze()
-        stack = None
-        if (spec := need(header, "stack", optional)) is not None:
-            stack = AdapterStack.for_positions(
-                need(spec, "positions", str, "stack."),
-                backbone,
-                need(spec, "ratio", int, "stack."),
-                init_rng,
-            )
-            fill(stack.named_parameters())
-        embedder = None
-        if (spec := need(header, "embedder", optional)) is not None:
-            embedder = QueryEmbedder.create(init_rng, need(spec, "out_dim", int, "embedder."))
-            fill(embedder.named_parameters())
-        head = None
-        if (spec := need(header, "head", optional)) is not None:
-            head = LinearHead.create(
-                init_rng, need(spec, "in_dim", int, "head."), need(spec, "n_classes", int, "head.")
-            )
-            fill({**head.named_parameters(), **head.named_buffers()})
-        adam = None
-        if (spec := need(header, "adam", optional)) is not None:
-            adam = AdamState(
-                *(need(spec, k, (int, float), "adam.") for k in ("lr", "beta1", "beta2", "eps")),
-                step=need(spec, "step", int, "adam."),
-            )
-            for name in arrays:
-                if name.startswith("adam.m."):
-                    adam.m[name[len("adam.m.") :]] = arrays[name].copy()
-                elif name.startswith("adam.v."):
-                    adam.v[name[len("adam.v.") :]] = arrays[name].copy()
-        rng_state = need(header, "rng", (list, type(None)))
-        return cls(
-            config=config,
-            backbone=backbone,
-            stack=stack,
-            embedder=embedder,
-            head=head,
-            adam=adam,
-            rng=RngState.from_state(rng_state) if rng_state is not None else None,
-            step=need(header, "step", int),
-        )
+        def take(name: str, shape: tuple[int, ...]) -> np.ndarray:
+            if name not in arrays:
+                raise CheckpointError(f"{path}: no tensor entry {name!r}")
+            if arrays[name].shape != shape:
+                raise CheckpointError(
+                    f"{path}: tensor {name!r} has shape {arrays[name].shape}, the model {shape}"
+                )
+            return arrays[name]
+
+        named = checkpoint.named_tensors()
+        for name, tensor in named.items():
+            tensor.data = take(name, tensor.shape)
+        if adam is not None:
+            prefixes = ("adam.m.", "adam.v.")
+            for name in sorted({n[len("adam.m.") :] for n in arrays if n.startswith(prefixes)}):
+                if name not in named:
+                    raise CheckpointError(f"{path}: adam moments of unknown tensor {name!r}")
+                adam.m[name], adam.v[name] = (take(p + name, named[name].shape) for p in prefixes)
+        rebuilt, _ = checkpoint._header()
+        if rebuilt != header:
+            key = _differing_key(header, rebuilt)
+            raise CheckpointError(f"{path}: header key {key!r} disagrees with the checkpoint")
+        return checkpoint
 
 
 # ---------------------------------------------------------------------------

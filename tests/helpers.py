@@ -1,5 +1,5 @@
 """Shared test oracles: finite differences, a direct-exponential loss
-reference, and small model builders.
+reference, small model and checkpoint builders, and checkpoint header edits.
 
 Everything here is deliberately independent of the library's analytic
 paths: gradients come from central differences on the forward value, and
@@ -9,13 +9,18 @@ of working in log space.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
 from hralign import dataset
+from hralign.adapter import AdapterStack
 from hralign.encoder import Backbone
+from hralign.optim import AdamState
 from hralign.rng import RngState
+from hralign.task_query import QueryEmbedder
+from hralign.trainer import LinearHead, ModelCheckpoint, TrainConfig
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -85,6 +90,82 @@ def naive_hr_align_loss(
 def micro_backbone(seed: int = 3, channels=(3, 4, 4, 4)) -> Backbone:
     """Tiny backbone for finite-difference audits through the full stack."""
     return Backbone.create(RngState(seed), channels=channels)
+
+
+def small_checkpoint(
+    positions: str = "L", language: bool = True, head: bool = False, adam: bool = False, seed: int = 0
+) -> ModelCheckpoint:
+    """A micro-backbone checkpoint with an adapter stack at ``positions`` and,
+    on request, a query projection, a classification head and Adam moments.
+    Adapter up-projections and moments are drawn at random, so a round trip
+    carries real values."""
+    rng = RngState(seed)
+    backbone = micro_backbone(seed).freeze()
+    stack = AdapterStack.for_positions(positions, backbone, 2, rng)
+    for _, blk in stack.blocks:
+        blk.up_w.data = rng.normal(blk.up_w.shape)
+    config = TrainConfig(
+        # hr_align needs adapters or a query projection to learn
+        method="hr_align" if language or positions != "none" else "cls_baseline",
+        adapter_positions=positions,
+        use_language=language,
+        adapter_ratio=2,
+        out_dir="runs/small",
+    )
+    checkpoint = ModelCheckpoint(
+        config,
+        backbone,
+        stack,
+        QueryEmbedder.create(rng, backbone.out_channels) if language else None,
+        LinearHead.create(rng, backbone.out_channels, 3) if head else None,
+        rng=rng.derive("train"),
+        step=seed % 7,
+    )
+    if adam:
+        params = checkpoint.learnable_parameters()
+        checkpoint.adam = AdamState.for_params(params, lr=0.01, step=seed % 7)
+        for name, p in params.items():
+            checkpoint.adam.m[name] = rng.normal(p.shape)
+            checkpoint.adam.v[name] = rng.uniform(p.shape)
+    return checkpoint
+
+
+def header_length(raw: bytes) -> int:
+    return int.from_bytes(raw[:4], "little")
+
+
+def with_header(checkpoint_bytes: bytes, edit) -> bytes:
+    """The checkpoint with its JSON header replaced by ``edit(header)``."""
+    hlen = header_length(checkpoint_bytes)
+    header = edit(json.loads(checkpoint_bytes[4 : 4 + hlen]))
+    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
+    return len(header_bytes).to_bytes(4, "little") + header_bytes + checkpoint_bytes[4 + hlen :]
+
+
+def without(*keys):
+    """A header edit deleting one (nested) key; ints index lists."""
+
+    def edit(header):
+        node = header
+        for key in keys[:-1]:
+            node = node[key]
+        del node[keys[-1]]
+        return header
+
+    return edit
+
+
+def setting(*keys):
+    """A header edit setting one (nested) key to ``keys[-1]``; ints index lists."""
+
+    def edit(header):
+        node = header
+        for key in keys[:-2]:
+            node = node[key]
+        node[keys[-2]] = keys[-1]
+        return header
+
+    return edit
 
 
 def random_clip_frames(rng: RngState, t: int = 3, h: int = 16, w: int = 16) -> np.ndarray:

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from helpers import fail_writes_partway
+from helpers import fail_writes_partway, setting, small_checkpoint, with_header
 from hralign.cli import _write_run_outputs, cli_main
 from hralign.tensor import from_bytes, to_bytes
 
@@ -66,39 +66,59 @@ def test_manifest_entry_missing_key_exits_two(tmp_path, capsys):
     assert "robot_sha256" in capsys.readouterr().err
 
 
-def test_truncated_checkpoint_exits_two(tmp_path, capsys):
-    data = tmp_path / "data"
-    assert run(["generate", "--out", str(data), "--tasks", "2", "--pairs-per-task", "2"]) == 0
+@pytest.fixture(scope="module")
+def checkpoint_bytes(tmp_path_factory):
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    small_checkpoint(adam=True).save(str(path))
+    return path.read_bytes()
+
+
+def eval_checkpoint(tmp_path, raw: bytes) -> int:
+    """Exit code of ``hralign eval`` on a checkpoint file holding ``raw``;
+    the checkpoint is read before the (absent) manifest."""
     ckpt = tmp_path / "model.ckpt"
-    ckpt.write_bytes(b"\x01\x00")
-    manifest = str(data / "manifest.json")
-    code = run(["eval", "--checkpoint", str(ckpt), "--data", manifest, "--out", str(tmp_path)])
-    assert code == 2
+    ckpt.write_bytes(raw)
+    manifest = str(tmp_path / "manifest.json")
+    return run(["eval", "--checkpoint", str(ckpt), "--data", manifest, "--out", str(tmp_path)])
+
+
+def test_truncated_checkpoint_exits_two(tmp_path, capsys, checkpoint_bytes):
+    assert eval_checkpoint(tmp_path, checkpoint_bytes[:2]) == 2
     assert "too short" in capsys.readouterr().err
 
 
-def test_checkpoint_header_missing_key_exits_two(tmp_path, capsys):
-    data = tmp_path / "data"
-    assert run(["generate", "--out", str(data), "--tasks", "2", "--pairs-per-task", "2"]) == 0
-    header = json.dumps({"version": 1}).encode("utf-8")
-    ckpt = tmp_path / "model.ckpt"
-    ckpt.write_bytes(len(header).to_bytes(4, "little") + header)
-    manifest = str(data / "manifest.json")
-    code = run(["eval", "--checkpoint", str(ckpt), "--data", manifest, "--out", str(tmp_path)])
-    assert code == 2
+def test_checkpoint_header_missing_key_exits_two(tmp_path, capsys, checkpoint_bytes):
+    raw = with_header(checkpoint_bytes, lambda header: {"version": header["version"]})
+    assert eval_checkpoint(tmp_path, raw) == 2
     assert "header lacks key 'tensors'" in capsys.readouterr().err
 
 
-def test_checkpoint_header_value_of_wrong_type_exits_two(tmp_path, capsys):
-    data = tmp_path / "data"
-    assert run(["generate", "--out", str(data), "--tasks", "2", "--pairs-per-task", "2"]) == 0
-    header = json.dumps({"version": 1, "tensors": 5}).encode("utf-8")
-    ckpt = tmp_path / "model.ckpt"
-    ckpt.write_bytes(len(header).to_bytes(4, "little") + header)
-    manifest = str(data / "manifest.json")
-    code = run(["eval", "--checkpoint", str(ckpt), "--data", manifest, "--out", str(tmp_path)])
-    assert code == 2
+def test_checkpoint_header_value_of_wrong_type_exits_two(tmp_path, capsys, checkpoint_bytes):
+    assert eval_checkpoint(tmp_path, with_header(checkpoint_bytes, setting("tensors", 5))) == 2
     assert "header key 'tensors' has the wrong type int" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (setting("backbone", "kernel", 5), "tensor 'backbone.block0.w' has shape"),
+        (setting("stack", "ratio", 0), "division"),
+        (setting("config_hash", "0" * 64), "header key 'config_hash' disagrees"),
+        (setting("config", "steps", 1.7), "config key 'steps'"),
+    ],
+    ids=["kernel", "ratio_0", "config_hash", "config_steps"],
+)
+def test_checkpoint_header_disagreeing_with_its_model_exits_two(
+    tmp_path, capsys, checkpoint_bytes, edit, message
+):
+    assert eval_checkpoint(tmp_path, with_header(checkpoint_bytes, edit)) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_unreadable_set_value_exits_two_naming_its_key(tmp_path, capsys):
+    argv = ["adapt", "--data", str(tmp_path / "manifest.json"), "--backbone", "none.ckpt"]
+    assert run(argv + ["--set", "steps=x"]) == 2
+    assert "config key 'steps'" in capsys.readouterr().err
 
 
 def test_clip_values_outside_unit_range_exit_two(tmp_path, capsys):

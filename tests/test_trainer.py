@@ -4,9 +4,20 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BASELINE_LR
-from helpers import fail_writes_partway, sum_param_sizes
+from helpers import (
+    fail_writes_partway,
+    header_length,
+    setting,
+    small_checkpoint,
+    sum_param_sizes,
+    with_header,
+    without,
+)
+from hralign.adapter import POSITION_SPECS
 from hralign.dataset import generate_paired_set, split_pairs
 from hralign.encoder import Backbone, pretext_pretrain
 from hralign.rng import RngState
@@ -70,6 +81,31 @@ def test_config_rejects_bad_values():
         TrainConfig(adapter_positions="Q").validate()
     with pytest.raises(ValueError):
         TrainConfig.from_mapping({"use_language": "maybe"})
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("steps", [1]),
+        ("steps", None),
+        ("steps", "x"),
+        ("steps", 1.7),
+        ("steps", True),
+        ("learning_rate", None),
+        ("learning_rate", "fast"),
+        ("use_language", "maybe"),
+        ("method", 5),
+    ],
+)
+def test_config_value_that_cannot_be_read_names_its_key(key, value):
+    with pytest.raises(ValueError, match=re.escape(f"config key '{key}': cannot read")):
+        TrainConfig.from_mapping({key: value})
+
+
+def test_config_reads_integral_floats_and_strings():
+    config = TrainConfig.from_mapping({"steps": 12.0, "seed": " 5", "tau": 1, "normalize": "no"})
+    assert (config.steps, config.seed, config.tau, config.normalize) == (12, 5, 1.0, False)
+    assert type(config.steps) is int and type(config.tau) is float
 
 
 @pytest.mark.parametrize("name", ["learning_rate", "tau"])
@@ -255,19 +291,15 @@ def test_metrics_save_failing_partway_keeps_previous_file(tmp_path, monkeypatch)
 @pytest.fixture(scope="module")
 def checkpoint_bytes(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("ckpt") / "model.ckpt")
-    ModelCheckpoint(TrainConfig(), Backbone.create(RngState(0))).save(path)
+    small_checkpoint("L", language=True, head=True, adam=True, seed=3).save(path)
     return open(path, "rb").read()
-
-
-def _header_length(raw: bytes) -> int:
-    return int.from_bytes(raw[:4], "little")
 
 
 @pytest.mark.parametrize(
     "cut, match",
     [
         (lambda raw: raw[:3], "too short"),
-        (lambda raw: raw[: 4 + _header_length(raw) // 2], "header truncated"),
+        (lambda raw: raw[: 4 + header_length(raw) // 2], "header truncated"),
         (lambda raw: raw[:-5], "body truncated"),
     ],
     ids=["under_4_bytes", "header", "body"],
@@ -290,7 +322,7 @@ def test_checkpoint_with_unparsable_header_raises_checkpoint_error(checkpoint_by
 
 def test_checkpoint_corrupt_tensor_dims_raise_checkpoint_error(checkpoint_bytes, tmp_path):
     raw = bytearray(checkpoint_bytes)
-    first = 4 + _header_length(checkpoint_bytes)  # the first tensor's rank, then its dims
+    first = 4 + header_length(checkpoint_bytes)  # the first tensor's rank, then its dims
     raw[first + 4 : first + 8] = (10**6).to_bytes(4, "little")
     path = tmp_path / "model.ckpt"
     path.write_bytes(bytes(raw))
@@ -298,33 +330,13 @@ def test_checkpoint_corrupt_tensor_dims_raise_checkpoint_error(checkpoint_bytes,
         ModelCheckpoint.load(str(path))
 
 
-def _with_header(checkpoint_bytes: bytes, edit) -> bytes:
-    """The checkpoint with its JSON header replaced by ``edit(header)``."""
-    hlen = _header_length(checkpoint_bytes)
-    header = edit(json.loads(checkpoint_bytes[4 : 4 + hlen]))
-    header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    return len(header_bytes).to_bytes(4, "little") + header_bytes + checkpoint_bytes[4 + hlen :]
-
-
-def _without(*keys):
-    """A header edit deleting one (nested) key; ints index lists."""
-
-    def edit(header):
-        node = header
-        for key in keys[:-1]:
-            node = node[key]
-        del node[keys[-1]]
-        return header
-
-    return edit
-
-
 def test_checkpoint_missing_tensor_entry_raises_checkpoint_error(checkpoint_bytes, tmp_path):
-    hlen = _header_length(checkpoint_bytes)
-    dropped = json.loads(checkpoint_bytes[4 : 4 + hlen])["tensors"][0]["name"]
+    hlen = header_length(checkpoint_bytes)
+    names = [entry["name"] for entry in json.loads(checkpoint_bytes[4 : 4 + hlen])["tensors"]]
+    at = names.index("backbone.block0.w")
     path = tmp_path / "model.ckpt"
-    path.write_bytes(_with_header(checkpoint_bytes, _without("tensors", 0)))
-    with pytest.raises(CheckpointError, match=f"no tensor entry '{dropped}'"):
+    path.write_bytes(with_header(checkpoint_bytes, without("tensors", at)))
+    with pytest.raises(CheckpointError, match="no tensor entry 'backbone.block0.w'"):
         ModelCheckpoint.load(str(path))
 
 
@@ -333,7 +345,7 @@ def test_checkpoint_header_not_an_object_raises_checkpoint_error(
     checkpoint_bytes, tmp_path, header
 ):
     path = tmp_path / "model.ckpt"
-    path.write_bytes(_with_header(checkpoint_bytes, lambda _: header))
+    path.write_bytes(with_header(checkpoint_bytes, lambda _: header))
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: header is not a JSON object")):
         ModelCheckpoint.load(str(path))
 
@@ -342,9 +354,9 @@ def test_checkpoint_header_not_an_object_raises_checkpoint_error(
     "edit, key",
     [
         (lambda header: {"version": header["version"]}, "tensors"),
-        (_without("config"), "config"),
-        (_without("backbone", "channels"), "backbone.channels"),
-        (_without("tensors", 0, "offset"), "tensors[0].offset"),
+        (without("config"), "config"),
+        (without("backbone", "channels"), "backbone.channels"),
+        (without("tensors", 0, "offset"), "tensors[0].offset"),
     ],
     ids=["version_only", "config", "backbone.channels", "tensor_offset"],
 )
@@ -352,36 +364,29 @@ def test_checkpoint_header_missing_key_raises_checkpoint_error(
     checkpoint_bytes, tmp_path, edit, key
 ):
     path = tmp_path / "model.ckpt"
-    path.write_bytes(_with_header(checkpoint_bytes, edit))
+    path.write_bytes(with_header(checkpoint_bytes, edit))
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: header lacks key '{key}'")):
         ModelCheckpoint.load(str(path))
-
-
-def _setting(*keys):
-    """A header edit setting one (nested) key to ``keys[-1]``; ints index lists."""
-
-    def edit(header):
-        node = header
-        for key in keys[:-2]:
-            node = node[key]
-        node[keys[-2]] = keys[-1]
-        return header
-
-    return edit
 
 
 @pytest.mark.parametrize(
     "edit, key",
     [
-        (_setting("tensors", 5), "tensors"),
-        (_setting("tensors", 0, "name", [1]), "tensors[0].name"),
-        (_setting("tensors", 0, "offset", "x"), "tensors[0].offset"),
-        (_setting("tensors", 0, "nbytes", "x"), "tensors[0].nbytes"),
-        (_setting("config", [1]), "config"),
-        (_setting("backbone", "channels", 5), "backbone.channels"),
-        (_setting("backbone", "kernel", "3"), "backbone.kernel"),
-        (_setting("rng", 5), "rng"),
-        (_setting("step", "x"), "step"),
+        (setting("tensors", 5), "tensors"),
+        (setting("tensors", 0, "name", [1]), "tensors[0].name"),
+        (setting("tensors", 0, "offset", "x"), "tensors[0].offset"),
+        (setting("tensors", 0, "nbytes", "x"), "tensors[0].nbytes"),
+        (setting("config", [1]), "config"),
+        (setting("backbone", "channels", 5), "backbone.channels"),
+        (setting("backbone", "kernel", "3"), "backbone.kernel"),
+        (setting("rng", 5), "rng"),
+        (setting("step", "x"), "step"),
+        (setting("backbone", "channels", 0, "a"), "backbone.channels[0]"),
+        (setting("backbone", "strides", 1, "x"), "backbone.strides[1]"),
+        (setting("rng", 1, "x"), "rng[1]"),
+        (setting("step", True), "step"),
+        (setting("version", True), "version"),
+        (setting("adam", "lr", True), "adam.lr"),
     ],
     ids=[
         "tensors",
@@ -393,17 +398,174 @@ def _setting(*keys):
         "backbone.kernel",
         "rng",
         "step",
+        "backbone.channels[0]",
+        "backbone.strides[1]",
+        "rng[1]",
+        "step_bool",
+        "version_bool",
+        "adam.lr_bool",
     ],
 )
 def test_checkpoint_header_value_of_wrong_type_raises_checkpoint_error(
     checkpoint_bytes, tmp_path, edit, key
 ):
     path = tmp_path / "model.ckpt"
-    path.write_bytes(_with_header(checkpoint_bytes, edit))
+    path.write_bytes(with_header(checkpoint_bytes, edit))
     with pytest.raises(
         CheckpointError, match=re.escape(f"{path}: header key '{key}' has the wrong type")
     ):
         ModelCheckpoint.load(str(path))
+
+
+def _entry(header, name):
+    """The tensor index entry of ``name``."""
+    return next(e for e in header["tensors"] if e["name"] == name)
+
+
+def _editing(name, **fields):
+    """A header edit setting ``fields`` of the tensor entry ``name``."""
+
+    def edit(header):
+        _entry(header, name).update(fields)
+        return header
+
+    return edit
+
+
+def _swap_offsets(header):
+    a, b = _entry(header, "backbone.block1.b"), _entry(header, "backbone.block2.b")
+    a["offset"], b["offset"] = b["offset"], a["offset"]
+    return header
+
+
+def _share_offset(header):
+    _entry(header, "backbone.block2.b")["offset"] = _entry(header, "backbone.block1.b")["offset"]
+    return header
+
+
+def _dropping(name):
+    """A header edit removing the tensor entry ``name``."""
+
+    def edit(header):
+        header["tensors"].remove(_entry(header, name))
+        return header
+
+    return edit
+
+
+def _adding(name, like):
+    """A header edit indexing one more tensor ``name`` at the blob of ``like``."""
+
+    def edit(header):
+        header["tensors"].append({**_entry(header, like), "name": name})
+        return header
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (setting("backbone", "kernel", 5), "tensor 'backbone.block0.w' has shape"),
+        (setting("stack", "ratio", 0), "division"),
+        (setting("stack", "ratio", 8), "tensor 'adapter.j3.down_w' has shape"),
+        (setting("stack", "junctions", [0]), "header key 'stack.junctions[0]' disagrees"),
+        (setting("embedder", "text_dim", 16), "header key 'embedder.text_dim' disagrees"),
+        (setting("embedder", "out_dim", 16), "tensor 'query.proj_w' has shape"),
+        (setting("config_hash", "0" * 64), "header key 'config_hash' disagrees"),
+        (_editing("backbone.block0.b", shape=[5]), ".shape[0]' disagrees"),
+        (_swap_offsets, ".offset' disagrees"),
+        (_share_offset, ".offset' disagrees"),
+        (_dropping("adam.m.head.b"), "no tensor entry 'adam.m.head.b'"),
+        (
+            _adding("adam.m.backbone.block0.b", "backbone.block0.b"),
+            "no tensor entry 'adam.v.backbone.block0.b'",
+        ),
+        (_adding("adam.m.nothing", "head.b"), "adam moments of unknown tensor 'nothing'"),
+        (_adding("stray", "head.b"), "header key 'tensors' disagrees"),
+        (setting("step", -1), "header key 'step' is negative"),
+        (setting("adam", "step", -1), "header key 'adam.step' is negative"),
+        (setting("config", "steps", 1.7), "config key 'steps'"),
+        (setting("config", "steps", [1]), "config key 'steps'"),
+    ],
+    ids=[
+        "kernel",
+        "ratio_0",
+        "ratio_8",
+        "junctions",
+        "text_dim",
+        "out_dim",
+        "config_hash",
+        "tensor_shape",
+        "swapped_offsets",
+        "shared_offset",
+        "dropped_adam_m",
+        "adam_m_without_v",
+        "adam_m_of_unknown_tensor",
+        "stray_tensor",
+        "negative_step",
+        "negative_adam_step",
+        "config_steps_fraction",
+        "config_steps_list",
+    ],
+)
+def test_checkpoint_header_disagreeing_with_its_model_raises_checkpoint_error(
+    checkpoint_bytes, tmp_path, edit, message
+):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(with_header(checkpoint_bytes, edit))
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+        ModelCheckpoint.load(str(path))
+
+
+checkpoints = st.builds(
+    small_checkpoint,
+    positions=st.sampled_from(POSITION_SPECS),
+    language=st.booleans(),
+    head=st.booleans(),
+    adam=st.booleans(),
+    seed=st.integers(0, 1000),
+)
+
+
+@pytest.fixture(scope="module")
+def ckpt_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("checkpoints")
+
+
+def _saved(checkpoint: ModelCheckpoint, ckpt_dir) -> bytes:
+    checkpoint.save(str(ckpt_dir / "model.ckpt"))
+    return (ckpt_dir / "model.ckpt").read_bytes()
+
+
+@settings(deadline=None, max_examples=30)
+@given(checkpoint=checkpoints)
+def test_checkpoint_save_load_save_is_byte_identical(ckpt_dir, checkpoint):
+    raw = _saved(checkpoint, ckpt_dir)
+    assert _saved(ModelCheckpoint.load(str(ckpt_dir / "model.ckpt")), ckpt_dir) == raw
+
+
+@settings(deadline=None, max_examples=30)
+@given(checkpoint=checkpoints, data=st.data())
+def test_every_strict_prefix_of_a_checkpoint_raises_checkpoint_error(ckpt_dir, checkpoint, data):
+    raw = _saved(checkpoint, ckpt_dir)
+    (ckpt_dir / "model.ckpt").write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+    with pytest.raises(CheckpointError):
+        ModelCheckpoint.load(str(ckpt_dir / "model.ckpt"))
+
+
+@settings(deadline=None, max_examples=50)
+@given(checkpoint=checkpoints, data=st.data())
+def test_a_flipped_checkpoint_byte_raises_checkpoint_error_or_loads(ckpt_dir, checkpoint, data):
+    raw = bytearray(_saved(checkpoint, ckpt_dir))
+    # half the flips land in the length prefix or the JSON header
+    at = data.draw(st.integers(0, 3 + header_length(raw)) | st.integers(0, len(raw) - 1))
+    raw[at] ^= data.draw(st.integers(1, 255))
+    (ckpt_dir / "model.ckpt").write_bytes(bytes(raw))
+    try:
+        ModelCheckpoint.load(str(ckpt_dir / "model.ckpt"))
+    except CheckpointError:
+        pass
 
 
 def test_resume_config_mismatch_rejected(small_setup):
