@@ -248,24 +248,6 @@ def _paint(frame: np.ndarray, mask: np.ndarray, color: np.ndarray) -> np.ndarray
     return frame * (1.0 - mask[..., None]) + color * mask[..., None]
 
 
-def _render_frame(
-    pos: np.ndarray, closed: bool, props: SceneProps, domain: str, gap: float
-) -> np.ndarray:
-    if domain == "human":
-        bg = (1.0 - gap) * _BASE_BG + gap * _warm_background()
-        effector_color = (1.0 - gap) * _BASE_COLOR + gap * _WARM_COLOR
-    else:
-        bg = (1.0 - gap) * _BASE_BG + gap * _cool_background()
-        effector_color = (1.0 - gap) * _BASE_COLOR + gap * _COOL_COLOR
-    frame = np.broadcast_to(bg, (FRAME_H, FRAME_W, 3)).astype(np.float64).copy()
-    for k in range(len(props.centers)):
-        mask = _shape_mask(props.centers[k], float(props.radii[k]), domain, gap)
-        frame = _paint(frame, mask, _domain_color(props.colors[k], domain, gap))
-    brightness = 0.72 if closed else 1.0
-    mask = _shape_mask(pos, _EFFECTOR_RADIUS, domain, gap)
-    return _paint(frame, mask, effector_color * brightness)
-
-
 def sample_props(rng: RngState) -> SceneProps:
     # kept smaller and dimmer than the effector so scene identity aids
     # pair matching without drowning the motion signal
@@ -279,12 +261,25 @@ def sample_props(rng: RngState) -> SceneProps:
 def render_clip(
     traj: LatentTrajectory, props: SceneProps, domain: str, gap: float, pair_id: int
 ) -> VideoClip:
-    frames = np.stack(
-        [
-            _render_frame(traj.positions[t], bool(traj.gripper[t]), props, domain, gap)
-            for t in range(len(traj.positions))
-        ]
-    )
+    """Compose the static scene (background, then props) once, then paint
+    the effector on all T frames in one broadcast."""
+    if domain == "human":
+        scene = (1.0 - gap) * _BASE_BG + gap * _warm_background()
+        effector_color = (1.0 - gap) * _BASE_COLOR + gap * _WARM_COLOR
+    else:
+        scene = (1.0 - gap) * _BASE_BG + gap * _cool_background()
+        effector_color = (1.0 - gap) * _BASE_COLOR + gap * _COOL_COLOR
+    for k in range(len(props.centers)):
+        mask = _shape_mask(props.centers[k], float(props.radii[k]), domain, gap)
+        scene = _paint(scene, mask, _domain_color(props.colors[k], domain, gap))
+    centers = traj.positions.T[:, :, None, None]  # x and y each (T, 1, 1)
+    brightness = np.where(traj.gripper[:, None] != 0, 0.72, 1.0)  # (T, 1), dimmer if closed
+    # allocated before the mask temporaries, so freeing those leaves no heap
+    # holes between the clips a dataset keeps
+    frames = np.empty((len(traj.positions), FRAME_H, FRAME_W, FRAME_C))
+    mask = _shape_mask(centers, _EFFECTOR_RADIUS, domain, gap)[..., None]  # (T, H, W, 1)
+    np.multiply(scene, 1.0 - mask, out=frames)  # _paint, written into the kept array
+    frames += (effector_color * brightness)[:, None, None, :] * mask
     return VideoClip(
         frames=frames,
         domain=domain,

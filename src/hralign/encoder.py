@@ -51,6 +51,9 @@ class Backbone:
     ) -> "Backbone":
         if len(strides) != len(channels) - 1:
             raise ValueError("strides must have one entry per block")
+        for i, stride in enumerate(strides):
+            if not isinstance(stride, int) or stride < 1:
+                raise ValueError(f"block {i}: stride must be a positive int, got {stride!r}")
         blocks = []
         for c_in, c_out, stride in zip(channels[:-1], channels[1:], strides):
             scale = math.sqrt(2.0 / (c_in * kernel * kernel))

@@ -84,8 +84,9 @@ class RngState:
         return _mix((self.seed + self.position * _GOLDEN) & _MASK)
 
     def u64(self, n: int) -> np.ndarray:
-        """Vectorized draws; bit-identical to ``n`` calls of next_u64."""
-        idx = np.arange(self.position + 1, self.position + n + 1, dtype=np.uint64)
+        """Vectorized draws; bit-identical to ``n`` calls of next_u64, the
+        position wrapping modulo 2**64 in both."""
+        idx = np.arange(1, n + 1, dtype=np.uint64) + np.uint64(self.position)
         out = _mix_array(np.uint64(self.seed) + idx * np.uint64(_GOLDEN))
         self.position = (self.position + n) & _MASK
         return out

@@ -356,8 +356,9 @@ class ModelCheckpoint:
     @classmethod
     def load(cls, path: str) -> "ModelCheckpoint":
         """Read a checkpoint, checking its header against ``HEADER_SPEC``,
-        every tensor's shape against the model the header builds, and the
-        header against the one ``save`` writes for what was loaded."""
+        every tensor's shape against the model the header builds, the
+        header against the one ``save`` writes for what was loaded, and that
+        no bytes follow the last tensor."""
         with open(path, "rb") as fh:
             raw = fh.read()
         if len(raw) < 4:
@@ -386,6 +387,9 @@ class ModelCheckpoint:
                 arrays[name], _ = T.from_bytes(body, entry["offset"])
             except (struct.error, ValueError) as e:
                 raise CheckpointError(f"{path}: tensor {name!r} is corrupt: {e}") from e
+        end = max((entry["offset"] + entry["nbytes"] for entry in header["tensors"]), default=0)
+        if len(body) > end:
+            raise CheckpointError(f"{path}: {len(body) - end} trailing bytes after the last tensor")
 
         arch, init_rng = header["backbone"], RngState(0)
         stack = embedder = head = adam = rng = None

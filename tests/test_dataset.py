@@ -49,6 +49,27 @@ def test_same_seed_bitwise_identical():
         assert np.array_equal(x.human.positions, y.human.positions)
 
 
+@pytest.mark.parametrize(
+    "args, digest",
+    [
+        ((7, 8, 32, 0.7), "b9b27d877d178714bac962c869f5f5b59914468d4c4b7ff7f5b929752cfa25c0"),
+        ((3, 4, 3, 1.0), "cc65091fca49c7d9e1036be2ffba071723ed6bc62bd18e91d9456a5e5bdffae1"),
+        ((7, 3, 4, 0.0), "402e19d13ae4f8772d3a980c962ec93116db0a5adb3de000517eb719c3d9a31f"),
+    ],
+    ids=["reference", "gap_1", "gap_0"],
+)
+def test_generated_frames_match_pinned_digest(args, digest):
+    """The generator's frame bytes are pinned: any change to rendering
+    that moves a single bit changes the digest."""
+    seed, n_tasks, pairs_per_task, gap = args
+    h = hashlib.sha256()
+    for p in generate_paired_set(RngState(seed), n_tasks, pairs_per_task, gap):
+        for clip in (p.human, p.robot):
+            assert clip.frames.dtype == np.float64 and clip.frames.flags.c_contiguous
+            h.update(clip.frames.tobytes())
+    assert h.hexdigest() == digest
+
+
 def test_gap_monotone_in_pixel_difference():
     lo = generate_paired_set(RngState(7), 8, 32, 0.2)
     hi = generate_paired_set(RngState(7), 8, 32, 0.7)

@@ -138,6 +138,14 @@ def test_pretext_reference_loss_improves(reference_backbone):
     assert history[-1] < history[0]
 
 
+@pytest.mark.parametrize(
+    "strides, bad", [((2, 0, 1), "block 1"), ((2, 2, -2), "block 2"), ((2.0, 2, 1), "block 0")]
+)
+def test_create_rejects_stride_that_is_not_a_positive_int(strides, bad):
+    with pytest.raises(ValueError, match=f"{bad}: stride must be a positive int"):
+        Backbone.create(RngState(0), strides=strides)
+
+
 def test_frozen_flag_blocks_grad_flags():
     bb = frozen_backbone()
     for p in bb.named_parameters().values():

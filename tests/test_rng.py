@@ -35,6 +35,19 @@ def test_vectorized_matches_scalar():
     assert a.position == b.position
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**64 - 1),
+    position=st.integers(2**64 - 300, 2**64 - 1),
+    n=st.integers(1, 300),
+)
+def test_vectorized_matches_scalar_across_position_wrap(seed, position, n):
+    a, b = RngState(seed, position), RngState(seed, position)
+    vec = a.u64(n)
+    assert [int(v) for v in vec] == [b.next_u64() for _ in range(n)]
+    assert a.position == b.position
+
+
 def test_uniform_range_and_reproducibility():
     u = RngState(5).uniform((1000,))
     assert u.min() >= 0.0 and u.max() < 1.0

@@ -468,6 +468,10 @@ def _adding(name, like):
     [
         (setting("backbone", "kernel", 5), "tensor 'backbone.block0.w' has shape"),
         (setting("stack", "ratio", 0), "division"),
+        (
+            setting("backbone", "strides", [2, 0, 1]),
+            "block 1: stride must be a positive int, got 0",
+        ),
         (setting("stack", "ratio", 8), "tensor 'adapter.j3.down_w' has shape"),
         (setting("stack", "junctions", [0]), "header key 'stack.junctions[0]' disagrees"),
         (setting("embedder", "text_dim", 16), "header key 'embedder.text_dim' disagrees"),
@@ -491,6 +495,7 @@ def _adding(name, like):
     ids=[
         "kernel",
         "ratio_0",
+        "stride_0",
         "ratio_8",
         "junctions",
         "text_dim",
@@ -515,6 +520,15 @@ def test_checkpoint_header_disagreeing_with_its_model_raises_checkpoint_error(
     path = tmp_path / "model.ckpt"
     path.write_bytes(with_header(checkpoint_bytes, edit))
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+        ModelCheckpoint.load(str(path))
+
+
+def test_checkpoint_with_trailing_bytes_raises_checkpoint_error(checkpoint_bytes, tmp_path):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(checkpoint_bytes + b"garbage")
+    with pytest.raises(
+        CheckpointError, match=re.escape(f"{path}: 7 trailing bytes after the last tensor")
+    ):
         ModelCheckpoint.load(str(path))
 
 
