@@ -18,6 +18,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -345,15 +346,17 @@ def sample_frames(clip: VideoClip, t: int, rng: RngState) -> np.ndarray:
 def split_pairs(
     pairs: list[PairedDemo], heldout_frac: float = 0.25
 ) -> tuple[list[PairedDemo], list[PairedDemo]]:
-    """Per-task split: the trailing fraction of each task's pairs is held out."""
+    """Per-task split: the trailing fraction of each task's pairs is held out;
+    every task keeps at least one training pair."""
+    if not (math.isfinite(heldout_frac) and 0.0 <= heldout_frac < 1.0):
+        raise ValueError(f"heldout_frac must be finite and in [0, 1), got {heldout_frac}")
     by_task: dict[int, list[PairedDemo]] = {}
     for pair in pairs:
         by_task.setdefault(pair.task_id, []).append(pair)
     train, heldout = [], []
     for task_id in sorted(by_task):
         group = sorted(by_task[task_id], key=lambda p: p.pair_id)
-        n_held = int(round(heldout_frac * len(group)))
-        n_held = min(max(n_held, 0), len(group) - 1)
+        n_held = min(int(round(heldout_frac * len(group))), len(group) - 1)
         cut = len(group) - n_held
         train.extend(group[:cut])
         heldout.extend(group[cut:])
@@ -453,6 +456,8 @@ def load_manifest(path: str) -> list[PairedDemo]:
             doc = json.loads(fh.read().decode("utf-8"))
     except FileNotFoundError as e:
         raise ManifestError(f"manifest not found: {path}") from e
+    except OSError as e:  # a directory, or no read permission
+        raise ManifestError(f"manifest cannot be read: {path}: {e.strerror}") from e
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise ManifestError(f"manifest is not valid JSON: {path}: {e}") from e
     if not isinstance(doc, dict):

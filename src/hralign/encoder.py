@@ -227,6 +227,10 @@ def pretext_pretrain(
             raise ValueError(f"pretext_pretrain: clip {clip.pair_id} is not human-domain")
     if batch_size < 1:
         raise ValueError(f"pretext_pretrain: batch_size must be positive, got {batch_size}")
+    if epochs < 1:
+        raise ValueError(f"pretext_pretrain: epochs must be at least 1, got {epochs}")
+    if not (math.isfinite(lr) and lr > 0):
+        raise ValueError(f"pretext_pretrain: lr must be finite and positive, got {lr}")
     if backbone is None:
         backbone = Backbone.create(rng)
     backbone.unfreeze()

@@ -23,6 +23,18 @@ over all N*Ho*Wo rows was measured to change the last bits. Outputs are
 NCHW views of channels-last memory, so the next conv's padding copy reads
 its input in order.
 
+The input gradient (col2im) scatters channels-last too: the patch-gradient
+matrix is read as (N, Ho, Wo, C, k, k) without a transpose, and each
+kernel tap (ki, kj) adds its strided slice into a zeroed (N, H, W, C)
+buffer whose NCHW view goes to the input. Taps add in (ki, kj) order, so
+every element gets the same IEEE additions in the same order, from +0.0,
+as the seed formula's NCHW scatter: its bits cannot move with the layout.
+Each tap's slice is clipped to the unpadded input, since adds into the
+padding would be thrown away. At C = 3 (the first block, reached only when
+an adapter sits at junction 0) the C-element inner runs are short, and
+this scatter alone measured slower than the NCHW one (1.0 against 0.8 ms
+per 80 frames); at C = 16 and 32 it is two to three times faster.
+
 :func:`relu` computes ``np.fmax(a, 0.0)`` and then adds 0.0 in place,
 which is bitwise ``np.where(a > 0, a, 0.0)`` without its branches: fmax
 returns 0.0 for NaN and for every a < 0, and a positive a (subnormals and
@@ -518,22 +530,27 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
             gw = gt.reshape(-1, c_out).T @ cols.reshape(-1, c_in * k * k)
             _accumulate(kernels, gw.reshape(c_out, c_in, k, k))
         if x.requires_grad:
-            gcols = gt @ wmat  # (N, Ho, Wo, C*k*k)
-            gcols = gcols.reshape(n, ho, wo, c_in, k, k).transpose(0, 3, 4, 5, 1, 2)
-            gx = np.zeros((n, c_in, hp, wp))
+            gcols = (gt @ wmat).reshape(n, ho, wo, c_in, k, k)
+            gx = np.zeros((n, h, w, c_in))  # channels-last, padding never stored
             for ki in range(k):
+                src_i, dst_i = _scatter_span(ki, ho, h, stride, padding)
                 for kj in range(k):
-                    gx[
-                        :,
-                        :,
-                        ki : ki + (ho - 1) * stride + 1 : stride,
-                        kj : kj + (wo - 1) * stride + 1 : stride,
-                    ] += gcols[:, :, ki, kj]
-            if padding:
-                gx = gx[:, :, padding:-padding, padding:-padding]
+                    src_j, dst_j = _scatter_span(kj, wo, w, stride, padding)
+                    gx[:, dst_i, dst_j] += gcols[:, src_i, src_j, :, ki, kj]
+            gx = gx.transpose(0, 3, 1, 2)
             _accumulate(x, gx[0] if squeeze else gx)
 
     return _from_op(data, (x, kernels), bwd)
+
+
+def _scatter_span(kk: int, out: int, size: int, stride: int, padding: int) -> tuple[slice, slice]:
+    """Output positions o whose kernel tap ``kk`` lands inside the unpadded
+    input (0 <= kk + o*stride - padding < size), and the input positions they
+    land on; both are empty when the tap only ever reads padding."""
+    lo = max(0, -((kk - padding) // stride))
+    hi = max(lo, min(out, (size + padding - 1 - kk) // stride + 1))
+    start = kk + lo * stride - padding
+    return slice(lo, hi), slice(start, start + (hi - lo) * stride, stride)
 
 
 @lru_cache(maxsize=32)

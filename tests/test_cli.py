@@ -66,6 +66,33 @@ def test_manifest_entry_missing_key_exits_two(tmp_path, capsys):
     assert "robot_sha256" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--lr", "nan"),
+        ("--lr", "0"),
+        ("--epochs", "0"),
+        ("--epochs", "-1"),
+        ("--heldout-frac", "nan"),
+        ("--heldout-frac", "5"),
+    ],
+)
+def test_pretrain_bad_schedule_exits_two_writing_nothing(tmp_path, capsys, flag, value):
+    data = str(tmp_path / "data")
+    assert run(["generate", "--out", data, "--tasks", "2", "--pairs-per-task", "2"]) == 0
+    out = tmp_path / "pre"
+    manifest = os.path.join(data, "manifest.json")
+    assert run(["pretrain", "--data", manifest, "--out", str(out), flag, value]) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_path_that_is_a_directory_exits_two(tmp_path, capsys):
+    code = run(["pretrain", "--data", str(tmp_path), "--out", str(tmp_path / "pre")])
+    assert code == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
 @pytest.fixture(scope="module")
 def checkpoint_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -197,6 +198,13 @@ def test_split_disjoint_and_complete():
         assert sum(p.task_id == task for p in heldout) == 2
 
 
+@pytest.mark.parametrize("frac", [float("nan"), float("inf"), -0.25, 1.0, 5.0])
+def test_split_rejects_heldout_frac_outside_unit_interval(frac):
+    pairs = generate_paired_set(RngState(9), 2, 2, 0.5)
+    with pytest.raises(ValueError, match="heldout_frac"):
+        split_pairs(pairs, frac)
+
+
 # manifest --------------------------------------------------------------------
 
 
@@ -320,6 +328,11 @@ def test_manifest_latent_missing_field_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ManifestError, match="latent"):
         load_manifest(str(path))
+
+
+def test_manifest_path_that_is_a_directory_names_it(tmp_path):
+    with pytest.raises(ManifestError, match=re.escape(f"cannot be read: {tmp_path}")):
+        load_manifest(str(tmp_path))
 
 
 def test_manifest_not_found():

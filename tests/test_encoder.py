@@ -97,17 +97,22 @@ def human_clips(n=24, seed=9):
     return [p.human for p in pairs]
 
 
-def test_pretext_zero_epochs_identity():
-    clips = human_clips()
-    rng = RngState(17)
-    init = Backbone.create(rng.clone())
-    backbone, history = pretext_pretrain(rng, clips, epochs=0)
-    assert backbone.frozen
-    assert history == []
-    for (_, a), (_, b) in zip(
-        sorted(init.named_parameters().items()), sorted(backbone.named_parameters().items())
-    ):
-        assert np.array_equal(a.data, b.data)
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("epochs", 0),
+        ("epochs", -1),
+        ("lr", float("nan")),
+        ("lr", float("inf")),
+        ("lr", 0.0),
+        ("lr", -1e-3),
+    ],
+)
+def test_pretext_rejects_bad_schedule(field, value):
+    """No run that trains nothing, or trains to non-finite weights."""
+    clips = human_clips(n=6)
+    with pytest.raises(ValueError, match=rf"\b{field}\b"):
+        pretext_pretrain(RngState(17), clips, **{"epochs": 1, field: value})
 
 
 def test_pretext_rejects_empty():

@@ -6,7 +6,7 @@ import pytest
 
 from helpers import fail_writes_partway
 from hralign.dataset import generate_paired_set, split_pairs
-from hralign.encoder import pretext_pretrain
+from hralign.encoder import Backbone, pretext_pretrain
 from hralign.evaluation import (
     RetrievalReport,
     dump_embeddings,
@@ -55,9 +55,7 @@ def test_retrieval_requires_two_pairs(small_ckpt):
 
 def test_gap_zero_perfect_recall():
     pairs = generate_paired_set(RngState(43), 3, 4, 0.0)
-    backbone, _ = pretext_pretrain(
-        RngState(43), [p.human for p in pairs], epochs=0, lr=3e-6
-    )
+    backbone = Backbone.create(RngState(43)).freeze()
     checkpoint = ModelCheckpoint(config=TrainConfig(steps=0), backbone=backbone)
     for adapted in (False, True):
         report = eval_retrieval(checkpoint, pairs, adapted=adapted)
@@ -67,7 +65,7 @@ def test_gap_zero_perfect_recall():
 
 def test_identity_adapter_matches_frozen_embeddings(small_ckpt):
     pairs, train, _, _ = small_ckpt
-    backbone, _ = pretext_pretrain(RngState(44), [p.human for p in train], epochs=0)
+    backbone = Backbone.create(RngState(44)).freeze()
     fresh, _ = train_hr_align(TrainConfig(steps=0, batch_size=4, seed=44), train, backbone)
     human_a, robot_a = embed_pairs(fresh, train[:4], adapted=False)
     assert np.isfinite(human_a).all() and np.isfinite(robot_a).all()

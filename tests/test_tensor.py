@@ -129,6 +129,10 @@ CONV_SHAPES = {
     "block2": ((80, 32, 4, 4), (32, 32, 3, 3), 1, 1),
     "adapter_down": ((80, 32, 4, 4), (8, 32, 1, 1), 1, 0),
     "adapter_up": ((80, 8, 4, 4), (32, 8, 1, 1), 1, 0),
+    # the 48-frame pretext batch, and one unbatched (C, H, W) input
+    "pretext_block1": ((48, 16, 8, 8), (32, 16, 3, 3), 2, 1),
+    "pretext_block2": ((48, 32, 4, 4), (32, 32, 3, 3), 1, 1),
+    "unbatched_block1": ((16, 8, 8), (32, 16, 3, 3), 2, 1),
 }
 
 
@@ -137,11 +141,11 @@ CONV_SHAPES = {
 def test_conv2d_bitwise_equals_seed_formula(shape, layout):
     x_shape, w_shape, stride, padding = CONV_SHAPES[shape]
     rng = RngState(41)
-    n, c, h, w = x_shape
+    *n, c, h, w = x_shape  # n is [] for an unbatched (C, H, W) input
     if layout == "nchw":
         x = rng.normal(x_shape)
     else:  # an NCHW view of channels-last memory, as conv outputs are
-        x = rng.normal((n, h, w, c)).transpose(0, 3, 1, 2)
+        x = np.moveaxis(rng.normal((*n, h, w, c)), -1, -3)
     kernels = rng.normal(w_shape)
     xt = Tensor(x, requires_grad=True)
     kt = Tensor(kernels, requires_grad=True)
@@ -150,10 +154,15 @@ def test_conv2d_bitwise_equals_seed_formula(shape, layout):
     g = np.zeros_like(out.data)
     g += rng.normal(out.shape)
     out.backward(g)
-    ref_out, ref_gw, ref_gx = _seed_conv2d(x, kernels, stride, padding, g)
-    assert np.array_equal(out.data, ref_out)
-    assert np.array_equal(kt.grad, ref_gw)
-    assert np.array_equal(xt.grad, ref_gx)
+    ref_out, ref_gw, ref_gx = _seed_conv2d(
+        x if n else x[None], kernels, stride, padding, g if n else g[None]
+    )
+    if not n:
+        ref_out, ref_gx = ref_out[0], ref_gx[0]
+    # bytes, not values: array_equal would let a -0.0 pass for +0.0
+    for got, ref in zip((out.data, kt.grad, xt.grad), (ref_out, ref_gw, ref_gx)):
+        assert got.shape == ref.shape
+        assert np.ascontiguousarray(got).tobytes() == np.ascontiguousarray(ref).tobytes()
 
 
 def _naive_conv2d(x, w, stride, padding, g):

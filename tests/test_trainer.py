@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -714,3 +715,49 @@ def test_method_mismatch_rejected(small_setup):
         train_hr_align(small_config(method="cls_baseline"), train, backbone)
     with pytest.raises(ValueError, match="method"):
         train_baseline_pret(small_config(), train, backbone.copy().unfreeze())
+
+
+# write path --------------------------------------------------------------------
+
+# sha256 of the checkpoint files these tiny runs write, recorded with conv2d's
+# NCHW input-gradient scatter. The pretext backbone and both full fine-tune
+# baselines train every conv weight through input gradients, and the EML run
+# puts an adapter at junction 0 (the c_in = 3 scatter) and trains the 1x1
+# adapter convs, so a moved bit of any gradient shows here.
+WRITE_PATH_DIGESTS = {
+    "pretext": "09858057e219dc6318ab5fa7e5ac15f08023ba244e30df5db7d30f9e10473f54",
+    "pret_baseline": "b76017b07f962a1aff0840b300f4a5835138d1517d8dc91d777f3a840e9e9300",
+    "cls_baseline": "d4559d0e35c536b9cdc6fb229b49d0a9ca177ecb889ed9a1ec1a0e94297ee3b7",
+    "hr_align_EML": "1ee76bbd0d2a395a58371562094c6b0ed054660d9efcfaeac13b36d570b03cdb",
+}
+
+
+def _checkpoint_sha256(checkpoint: ModelCheckpoint, path) -> str:
+    checkpoint.save(str(path))
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_write_path_checkpoints_match_pinned_digests(small_setup, tmp_path):
+    _, train, _, _ = small_setup
+    rng = RngState(37)
+    backbone, _ = pretext_pretrain(rng, [p.human for p in train], epochs=2, lr=3e-4, batch_size=8)
+    fixed = dict(steps=3, out_dir="runs/pinned")
+    pretext = ModelCheckpoint(config=small_config(**fixed), backbone=backbone, rng=rng, step=0)
+    runs = {
+        "pretext": pretext,
+        "pret_baseline": train_baseline_pret(
+            small_config(method="pret_baseline", learning_rate=BASELINE_LR, **fixed),
+            train,
+            backbone.copy().unfreeze(),
+        )[0],
+        "cls_baseline": train_baseline_cls(
+            small_config(method="cls_baseline", learning_rate=BASELINE_LR, **fixed),
+            train,
+            backbone.copy().unfreeze(),
+        )[0],
+        "hr_align_EML": train_hr_align(
+            small_config(adapter_positions="EML", **fixed), train, backbone
+        )[0],
+    }
+    digests = {name: _checkpoint_sha256(c, tmp_path / f"{name}.ckpt") for name, c in runs.items()}
+    assert digests == WRITE_PATH_DIGESTS
