@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor
+from .tensor import NumericError, ShapeError, Tensor
 
 
 @dataclass
@@ -84,7 +84,10 @@ def fit(
 
     ``step_fn(step)`` builds the step's loss and a stats dict; the loop then
     clears the gradients, backpropagates and takes one Adam step. Returns
-    ``(loss value, stats, wall ms)`` per step, in step order.
+    ``(loss value, stats, wall ms)`` per step, in step order. Raises
+    ``NumericError`` naming the step, the lr and the first parameter that a
+    step leaves NaN or infinite (say, from a step size that overflows), rather
+    than training on from weights no later step can repair.
     """
     rows = []
     for step in range(start, steps):
@@ -93,5 +96,10 @@ def fit(
         zero_grads(params)
         loss.backward()
         adam_step(params, collect_grads(params), adam)
+        for name, p in params.items():
+            if not np.isfinite(p.data).all():
+                raise NumericError(
+                    f"fit: step {step} at lr {adam.lr!r} left parameter {name!r} non-finite"
+                )
         rows.append((loss.item(), stats, (time.perf_counter() - t0) * 1e3))
     return rows

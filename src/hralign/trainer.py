@@ -357,8 +357,9 @@ class ModelCheckpoint:
     def load(cls, path: str) -> "ModelCheckpoint":
         """Read a checkpoint, checking its header against ``HEADER_SPEC``,
         every tensor's shape against the model the header builds, the
-        header against the one ``save`` writes for what was loaded, and that
-        no bytes follow the last tensor."""
+        header against the one ``save`` writes for what was loaded, that
+        every tensor value is finite, and that no bytes follow the last
+        tensor."""
         with open(path, "rb") as fh:
             raw = fh.read()
         if len(raw) < 4:
@@ -387,6 +388,8 @@ class ModelCheckpoint:
                 arrays[name], _ = T.from_bytes(body, entry["offset"])
             except (struct.error, ValueError) as e:
                 raise CheckpointError(f"{path}: tensor {name!r} is corrupt: {e}") from e
+            if not np.isfinite(arrays[name]).all():
+                raise CheckpointError(f"{path}: tensor {name!r} holds a NaN or infinite value")
         end = max((entry["offset"] + entry["nbytes"] for entry in header["tensors"]), default=0)
         if len(body) > end:
             raise CheckpointError(f"{path}: {len(body) - end} trailing bytes after the last tensor")
@@ -674,11 +677,24 @@ def _pooled_clip_features(backbone, hooks, frames, b, t) -> Tensor:
 
 
 def _fit_head_scaler(head, backbone, hooks, clips, config) -> None:
-    """Standardization stats from one deterministic pass over the clips."""
+    """Standardization stats from one deterministic pass over the clips,
+    sampled and encoded ``config.batch_size`` clips at a time.
+
+    On an unfrozen backbone each encode keeps its whole graph alive until it
+    returns, so chunking caps the pass at one training batch's activations
+    instead of the whole set's. The stats are bitwise those of one pass over
+    all clips: the clips draw from the ``cls-scaler`` stream in the same
+    order, conv2d runs one GEMM per frame, bias add and ReLU are elementwise,
+    and each clip's pooled row is a mean over its own frames only, so no
+    value depends on which clips share a call.
+    """
     rng = RngState(config.seed).derive("cls-scaler")
-    frames = np.concatenate([sample_frames(c, config.frames, rng) for c in clips], axis=0)
-    pooled = _pooled_clip_features(backbone, hooks, frames, len(clips), config.frames)
-    head.mu.data, head.sd.data = standard_stats(pooled.data)
+    rows = []
+    for start in range(0, len(clips), config.batch_size):
+        chunk = clips[start : start + config.batch_size]
+        frames = np.concatenate([sample_frames(c, config.frames, rng) for c in chunk], axis=0)
+        rows.append(_pooled_clip_features(backbone, hooks, frames, len(chunk), config.frames).data)
+    head.mu.data, head.sd.data = standard_stats(np.concatenate(rows, axis=0))
 
 
 def _head_logits(head: LinearHead, backbone, hooks, frames, b, t) -> Tensor:

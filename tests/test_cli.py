@@ -71,6 +71,7 @@ def test_manifest_entry_missing_key_exits_two(tmp_path, capsys):
     [
         ("--lr", "nan"),
         ("--lr", "0"),
+        ("--lr", "1e300"),  # finite, but the first Adam steps overflow the weights
         ("--epochs", "0"),
         ("--epochs", "-1"),
         ("--heldout-frac", "nan"),

@@ -9,7 +9,7 @@ from hralign.dataset import generate_paired_set
 from hralign.encoder import Backbone, encode_batch, pretext_loss, pretext_pretrain
 from hralign.optim import AdamState, adam_step, collect_grads, fit, zero_grads
 from hralign.rng import RngState
-from hralign.tensor import ShapeError, Tensor
+from hralign.tensor import NumericError, ShapeError, Tensor
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hralign"
 
@@ -113,6 +113,31 @@ def test_fit_gives_unreached_parameters_a_zero_gradient():
     fit(params, state, 3, lambda _: (T.tsum(T.mul(w, w)), {}))
     assert np.array_equal(idle.data, [3.0])
     assert np.array_equal(state.m["idle"], [0.0])
+
+
+def test_fit_names_the_step_and_parameter_left_non_finite():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    b = Tensor(np.array([0.5]), requires_grad=True)
+    params = {"a": a, "b": b}
+    state = AdamState.for_params(params, lr=0.1)
+
+    def step_fn(step):
+        scale = np.inf if step == 2 else 1.0  # an infinite gradient: Adam's step is inf/inf
+        return T.add(T.tsum(T.mul(a, a)), T.tsum(T.mul(b, Tensor(scale)))), {}
+
+    with np.errstate(all="ignore"), pytest.raises(
+        NumericError, match=r"^fit: step 2 at lr 0\.1 left parameter 'b' non-finite$"
+    ):
+        fit(params, state, 5, step_fn)
+    assert state.step == 3
+    assert np.isfinite(a.data).all()
+
+
+def test_pretext_pretrain_with_an_overflowing_lr_raises():
+    clips = [p.human for p in generate_paired_set(RngState(3), 2, 4, 0.5)]
+    message = r"fit: step \d+ at lr 1e\+300 left parameter 'backbone\.block\d\.[wb]' non-finite"
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match=message):
+        pretext_pretrain(RngState(3), clips, 3, lr=1e300)
 
 
 def _seed_pretext_pretrain(rng, human_clips, epochs, lr, batch_size):

@@ -2,6 +2,8 @@ import hashlib
 import json
 import os
 import re
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +26,7 @@ from hralign.encoder import Backbone, pretext_pretrain
 from hralign.rng import RngState
 from hralign.trainer import (
     CheckpointError,
+    LinearHead,
     MetricsLog,
     MetricsRow,
     ModelCheckpoint,
@@ -36,6 +39,7 @@ from hralign.trainer import (
     train_hr_align,
     _batch_indices,
     _epoch_order,
+    _fit_head_scaler,
 )
 
 
@@ -533,6 +537,25 @@ def test_checkpoint_with_trailing_bytes_raises_checkpoint_error(checkpoint_bytes
         ModelCheckpoint.load(str(path))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_checkpoint_with_non_finite_tensor_value_raises_checkpoint_error(
+    checkpoint_bytes, tmp_path, value
+):
+    hlen = header_length(checkpoint_bytes)
+    entries = json.loads(checkpoint_bytes[4 : 4 + hlen])["tensors"]
+    start = 4 + hlen + next(e["offset"] for e in entries if e["name"] == "backbone.block1.b")
+    (rank,) = struct.unpack_from("<I", checkpoint_bytes, start)
+    raw = bytearray(checkpoint_bytes)
+    struct.pack_into("<d", raw, start + 4 + 4 * rank, value)  # the tensor's first float
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(bytes(raw))
+    with pytest.raises(
+        CheckpointError,
+        match=re.escape(f"{path}: tensor 'backbone.block1.b' holds a NaN or infinite value"),
+    ):
+        ModelCheckpoint.load(str(path))
+
+
 checkpoints = st.builds(
     small_checkpoint,
     positions=st.sampled_from(POSITION_SPECS),
@@ -717,6 +740,27 @@ def test_method_mismatch_rejected(small_setup):
         train_baseline_pret(small_config(), train, backbone.copy().unfreeze())
 
 
+def test_head_scaler_pass_peaks_at_one_batch_not_the_whole_set():
+    # the scaler pass runs through an unfrozen backbone, whose graph keeps
+    # every block's activations until the encode returns
+    clips = [p.robot for p in generate_paired_set(RngState(41), 4, 16, 0.5)]
+    config = small_config(method="cls_baseline", batch_size=16)
+
+    def peak_bytes(n: int) -> int:
+        backbone = Backbone.create(RngState(41))
+        head = LinearHead.create(RngState(41), backbone.out_channels, 4)
+        tracemalloc.start()
+        try:
+            _fit_head_scaler(head, backbone, None, clips[:n], config)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert not Backbone.create(RngState(41)).frozen
+    small, large = peak_bytes(16), peak_bytes(64)
+    assert large <= 1.5 * small, f"{small / 2**20:.1f} MB at 16 clips, {large / 2**20:.1f} at 64"
+
+
 # write path --------------------------------------------------------------------
 
 # sha256 of the checkpoint files these tiny runs write, recorded with conv2d's
@@ -724,10 +768,15 @@ def test_method_mismatch_rejected(small_setup):
 # baselines train every conv weight through input gradients, and the EML run
 # puts an adapter at junction 0 (the c_in = 3 scatter) and trains the 1x1
 # adapter convs, so a moved bit of any gradient shows here.
+# ``cls_baseline_partial`` was recorded with the head scaler's single encode
+# over all clips: its batch size 5 splits the 36 clips (both domains) into
+# chunks that end with a partial one, so chunking the scaler pass must leave
+# its stats bitwise.
 WRITE_PATH_DIGESTS = {
     "pretext": "09858057e219dc6318ab5fa7e5ac15f08023ba244e30df5db7d30f9e10473f54",
     "pret_baseline": "b76017b07f962a1aff0840b300f4a5835138d1517d8dc91d777f3a840e9e9300",
     "cls_baseline": "d4559d0e35c536b9cdc6fb229b49d0a9ca177ecb889ed9a1ec1a0e94297ee3b7",
+    "cls_baseline_partial": "b23aa0394f6f56c2848d78332e567aa5c773ffd4e2e60bed1a7d65241dad0dfc",
     "hr_align_EML": "1ee76bbd0d2a395a58371562094c6b0ed054660d9efcfaeac13b36d570b03cdb",
 }
 
@@ -755,9 +804,21 @@ def test_write_path_checkpoints_match_pinned_digests(small_setup, tmp_path):
             train,
             backbone.copy().unfreeze(),
         )[0],
+        "cls_baseline_partial": train_baseline_cls(
+            small_config(
+                method="cls_baseline",
+                learning_rate=BASELINE_LR,
+                batch_size=5,
+                baseline_full_data=True,
+                **fixed,
+            ),
+            train,
+            backbone.copy().unfreeze(),
+        )[0],
         "hr_align_EML": train_hr_align(
             small_config(adapter_positions="EML", **fixed), train, backbone
         )[0],
     }
     digests = {name: _checkpoint_sha256(c, tmp_path / f"{name}.ckpt") for name, c in runs.items()}
     assert digests == WRITE_PATH_DIGESTS
+
