@@ -20,6 +20,7 @@ import io
 import json
 import math
 import os
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -35,6 +36,17 @@ FRAME_C = 3
 CLIP_LEN_MIN = 8
 CLIP_LEN_MAX = 24
 MANIFEST_VERSION = 1
+# The manifest, in the spec language of ``_check_json``. An entry's optional
+# ``latent`` is absent, null or an object matching ``LATENT_SPEC``.
+MANIFEST_SPEC = {
+    "version": int,
+    "frame_shape": [int],
+    "pairs": [{
+        "pair_id": int, "task_id": int, "description": str, "human_file": str, "robot_file": str,
+        "human_len": int, "robot_len": int, "human_sha256": str, "robot_sha256": str,
+    }],
+}
+LATENT_SPEC = ({"positions": [[float]], "gripper": [int]}, None)
 
 _MARGIN = 0.15
 _GOLDEN_ANGLE = 2.399963229728653
@@ -100,6 +112,15 @@ class VideoClip:
         # written so that NaN fails too
         if not ((self.frames >= 0.0) & (self.frames <= 1.0)).all():
             raise ValueError("clip frame values must lie in [0, 1]")
+        if self.positions is not None and self.positions.shape != (self.length, 2):
+            raise ValueError(
+                f"latent positions have shape {self.positions.shape}, "
+                f"not one [x, y] row per frame {(self.length, 2)}"
+            )
+        if self.gripper is not None and not (
+            self.gripper.shape == (self.length,) and ((self.gripper == 0) | (self.gripper == 1)).all()
+        ):
+            raise ValueError(f"latent gripper must hold one value in {{0, 1}} per frame ({self.length})")
 
     @property
     def length(self) -> int:
@@ -381,6 +402,32 @@ def _atomic_write(path: str, data: bytes) -> None:
         raise
 
 
+def _check_json(prefix: str, error: type[Exception], node, spec, key: str = "") -> None:
+    """Raise ``error`` naming the first key of the JSON value ``node`` that
+    ``spec`` rejects; messages start with ``prefix``.
+
+    A leaf spec is a JSON type (``float`` takes ints too; a bool is never an
+    int or a float); ``[t]`` is a list of t, a dict an object with at least
+    these keys, and ``(spec, None)`` either spec or null.
+    """
+    if isinstance(spec, tuple):
+        if node is None:
+            return
+        spec = spec[0]
+    kind = {float: (int, float)}.get(spec, spec) if isinstance(spec, type) else type(spec)
+    if not isinstance(node, kind) or (isinstance(node, bool) and spec is not bool):
+        raise error(f"{prefix} key {key!r} has the wrong type {type(node).__name__}")
+    if isinstance(spec, list):
+        for i, item in enumerate(node):
+            _check_json(prefix, error, item, spec[0], f"{key}[{i}]")
+    elif isinstance(spec, dict):
+        for name, sub in spec.items():
+            where = f"{key}.{name}" if key else name
+            if name not in node:
+                raise error(f"{prefix} lacks key {where!r}")
+            _check_json(prefix, error, node[name], sub, where)
+
+
 def _atomic_write_csv(path: str, header: list, rows) -> None:
     """``csv.writer`` text of ``header`` then ``rows``, written atomically."""
     buf = io.StringIO()
@@ -436,21 +483,9 @@ def save_manifest(pairs: list[PairedDemo], path: str) -> None:
     _atomic_write(path, json.dumps(doc, indent=2, sort_keys=True).encode("utf-8"))
 
 
-_ENTRY_KEYS = (
-    "pair_id",
-    "task_id",
-    "description",
-    "human_file",
-    "robot_file",
-    "human_len",
-    "robot_len",
-    "human_sha256",
-    "robot_sha256",
-)
-
-
 def load_manifest(path: str) -> list[PairedDemo]:
-    """Load a manifest; errors name the offending entry or file."""
+    """Load a manifest, checking it against ``MANIFEST_SPEC``; errors name
+    the offending key, entry or file."""
     try:
         with open(path, "rb") as fh:
             doc = json.loads(fh.read().decode("utf-8"))
@@ -462,27 +497,28 @@ def load_manifest(path: str) -> list[PairedDemo]:
         raise ManifestError(f"manifest is not valid JSON: {path}: {e}") from e
     if not isinstance(doc, dict):
         raise ManifestError(f"manifest is not a JSON object: {path}")
-    if doc.get("version") != MANIFEST_VERSION:
-        raise ManifestError(f"unsupported manifest version {doc.get('version')!r} in {path}")
-    frame_shape = tuple(doc.get("frame_shape", ()))
+    prefix = f"{path}: manifest"
+    _check_json(prefix, ManifestError, doc, MANIFEST_SPEC)
+    if doc["version"] != MANIFEST_VERSION:
+        raise ManifestError(f"unsupported manifest version {doc['version']!r} in {path}")
+    frame_shape = tuple(doc["frame_shape"])
     if len(frame_shape) != 3:
         raise ManifestError(f"manifest frame_shape malformed in {path}")
     root = os.path.dirname(os.path.abspath(path))
+    index_of: dict[int, int] = {}
     pairs: list[PairedDemo] = []
-    for i, entry in enumerate(doc.get("pairs", [])):
-        if not isinstance(entry, dict):
-            raise ManifestError(f"pairs[{i}] in {path} is not a JSON object")
-        pid = entry.get("pair_id")
-        for key in _ENTRY_KEYS:
-            if key not in entry:
-                raise ManifestError(f"pairs[{i}] (pair {pid}) in {path} lacks key {key!r}")
+    for i, entry in enumerate(doc["pairs"]):
+        pid = entry["pair_id"]
+        if index_of.setdefault(pid, i) != i:
+            raise ManifestError(
+                f"{prefix} key 'pairs[{i}].pair_id' repeats {pid}, the pair_id of pairs[{index_of[pid]}]"
+            )
         latent = entry.get("latent")
-        positions = gripper = None
-        if latent is not None:
-            if not isinstance(latent, dict) or not {"positions", "gripper"} <= latent.keys():
-                raise ManifestError(f"pair {pid}: latent needs 'positions' and 'gripper'")
-            positions = np.asarray(latent["positions"], dtype=np.float64)
-            gripper = np.asarray(latent["gripper"], dtype=np.uint8)
+        _check_json(prefix, ManifestError, latent, LATENT_SPEC, f"pairs[{i}].latent")
+        try:
+            description = TaskDescription(entry["description"], entry["task_id"])
+        except ValueError as e:
+            raise ManifestError(f"{prefix} key 'pairs[{i}].description': {e}") from e
         clips = {}
         for side in ("human", "robot"):
             rel = entry[f"{side}_file"]
@@ -490,25 +526,31 @@ def load_manifest(path: str) -> list[PairedDemo]:
             try:
                 with open(file_path, "rb") as fh:
                     blob = fh.read()
-            except FileNotFoundError as e:
-                raise ManifestError(f"pair {pid}: missing clip file {file_path}") from e
+            except OSError as e:
+                raise ManifestError(f"pair {pid}: cannot read clip file {file_path}: {e.strerror}") from e
             digest = _sha256(blob)
             if digest != entry[f"{side}_sha256"]:
                 raise ManifestError(
                     f"pair {pid}: checksum mismatch for {rel} "
                     f"(expected {entry[f'{side}_sha256']}, got {digest})"
                 )
-            frames, _ = from_bytes(blob)
+            try:
+                frames, _ = from_bytes(blob)
+            except (struct.error, ValueError) as e:
+                raise ManifestError(f"pair {pid}: clip {rel} is not a serialized tensor: {e}") from e
             expected = (entry[f"{side}_len"],) + frame_shape
             if frames.shape != expected:
                 raise ManifestError(
                     f"pair {pid}: clip {rel} has shape {frames.shape}, manifest says {expected}"
                 )
-            latent_copies = [None if a is None else a.copy() for a in (positions, gripper)]
             try:
-                clips[side] = VideoClip(frames, side, entry["task_id"], pid, *latent_copies)
-            except ValueError as e:
+                if latent is not None:
+                    positions = np.array(latent["positions"], dtype=np.float64)
+                    gripper = np.array(latent["gripper"])
+                else:
+                    positions = gripper = None
+                clips[side] = VideoClip(frames, side, entry["task_id"], pid, positions, gripper)
+            except (ValueError, OverflowError) as e:  # OverflowError: an int too large for a float
                 raise ManifestError(f"pair {pid}: clip {rel}: {e}") from e
-        description = TaskDescription(entry["description"], entry["task_id"])
         pairs.append(PairedDemo(clips["human"], clips["robot"], description))
     return pairs

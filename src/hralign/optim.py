@@ -86,20 +86,26 @@ def fit(
     clears the gradients, backpropagates and takes one Adam step. Returns
     ``(loss value, stats, wall ms)`` per step, in step order. Raises
     ``NumericError`` naming the step, the lr and the first parameter that a
-    step leaves NaN or infinite (say, from a step size that overflows), rather
-    than training on from weights no later step can repair.
+    step leaves NaN or infinite (say, from a step size that overflows), or
+    else the step's non-finite loss, rather than training on from weights no
+    later step can repair. Since it names the failure itself, numpy's
+    overflow and invalid-value warnings are silenced inside the loop.
     """
     rows = []
-    for step in range(start, steps):
-        t0 = time.perf_counter()
-        loss, stats = step_fn(step)
-        zero_grads(params)
-        loss.backward()
-        adam_step(params, collect_grads(params), adam)
-        for name, p in params.items():
-            if not np.isfinite(p.data).all():
-                raise NumericError(
-                    f"fit: step {step} at lr {adam.lr!r} left parameter {name!r} non-finite"
-                )
-        rows.append((loss.item(), stats, (time.perf_counter() - t0) * 1e3))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for step in range(start, steps):
+            t0 = time.perf_counter()
+            loss, stats = step_fn(step)
+            zero_grads(params)
+            loss.backward()
+            adam_step(params, collect_grads(params), adam)
+            for name, p in params.items():
+                if not np.isfinite(p.data).all():
+                    raise NumericError(
+                        f"fit: step {step} at lr {adam.lr!r} left parameter {name!r} non-finite"
+                    )
+            value = loss.item()
+            if not np.isfinite(value):
+                raise NumericError(f"fit: step {step} at lr {adam.lr!r} gave the non-finite loss {value}")
+            rows.append((value, stats, (time.perf_counter() - t0) * 1e3))
     return rows

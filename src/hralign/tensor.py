@@ -147,46 +147,9 @@ class Tensor:
             if node._bwd is not None and node.grad is not None:
                 node._bwd(node.grad)
 
-    # Operator sugar. Python scalars are promoted to constant tensors.
-    def __add__(self, other):
-        return add(self, _ensure_tensor(other))
-
-    def __radd__(self, other):
-        return add(_ensure_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, neg(_ensure_tensor(other)))
-
-    def __rsub__(self, other):
-        return add(_ensure_tensor(other), neg(self))
-
-    def __mul__(self, other):
-        return mul(self, _ensure_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_ensure_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, _ensure_tensor(other))
-
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-    def reshape(self, shape) -> "Tensor":
-        return reshape(self, shape)
-
-    def transpose(self, axes=None) -> "Tensor":
-        return transpose(self, axes)
-
-    def sum(self, axis: Axis = None, keepdims: bool = False) -> "Tensor":
-        return tsum(self, axis, keepdims)
-
-    def mean(self, axis: Axis = None, keepdims: bool = False) -> "Tensor":
-        return tmean(self, axis, keepdims)
 
 
 def _ensure_tensor(x) -> Tensor:

@@ -21,7 +21,7 @@ import numpy as np
 from . import tensor as T
 from .adapter import AdapterStack, count_learnable
 from .alignment import AlignmentBatchFeatures, alignment_stats, hr_align_loss, pool_many
-from .dataset import PairedDemo, VideoClip, _atomic_write, sample_frames
+from .dataset import PairedDemo, VideoClip, _atomic_write, _check_json, sample_frames
 from .encoder import Backbone, encode_batch, pretext_loss
 from .optim import AdamState, fit
 from .rng import RngState
@@ -235,10 +235,8 @@ class CheckpointError(ValueError):
     with itself or with the tensors it indexes."""
 
 
-# The checkpoint header, key by key in the order ``load`` checks it. A leaf
-# is a JSON type (``float`` takes ints too; a bool is never an int or a
-# float); ``[t]`` is a list of t, a dict an object with at least these keys,
-# and ``(spec, None)`` either spec or null.
+# The checkpoint header, key by key in the order ``load`` checks it, in the
+# spec language of ``dataset._check_json``.
 HEADER_SPEC = {
     "version": int,
     "tensors": [{"name": str, "shape": [int], "offset": int, "nbytes": int}],
@@ -252,26 +250,6 @@ HEADER_SPEC = {
     "rng": ([int], None),
     "step": int,
 }
-
-
-def _check_header(path: str, node, spec, key: str = "") -> None:
-    """Raise CheckpointError naming the first key of ``node`` that ``spec`` rejects."""
-    if isinstance(spec, tuple):
-        if node is None:
-            return
-        spec = spec[0]
-    kind = {float: (int, float)}.get(spec, spec) if isinstance(spec, type) else type(spec)
-    if not isinstance(node, kind) or (isinstance(node, bool) and spec is not bool):
-        raise CheckpointError(f"{path}: header key {key!r} has the wrong type {type(node).__name__}")
-    if isinstance(spec, list):
-        for i, item in enumerate(node):
-            _check_header(path, item, spec[0], f"{key}[{i}]")
-    elif isinstance(spec, dict):
-        for name, sub in spec.items():
-            where = f"{key}.{name}" if key else name
-            if name not in node:
-                raise CheckpointError(f"{path}: header lacks key {where!r}")
-            _check_header(path, node[name], sub, where)
 
 
 def _differing_key(a, b, key: str = "") -> str:
@@ -375,7 +353,7 @@ class ModelCheckpoint:
             raise CheckpointError(f"{path}: header is not valid JSON: {e}") from e
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: header is not a JSON object")
-        _check_header(path, header, HEADER_SPEC)
+        _check_json(f"{path}: header", CheckpointError, header, HEADER_SPEC)
         if header["version"] != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {header['version']}")
         body = raw[4 + hlen :]

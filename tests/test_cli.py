@@ -66,6 +66,19 @@ def test_manifest_entry_missing_key_exits_two(tmp_path, capsys):
     assert "robot_sha256" in capsys.readouterr().err
 
 
+def test_manifest_key_of_wrong_type_exits_two_writing_nothing(tmp_path, capsys):
+    data = tmp_path / "data"
+    assert run(["generate", "--out", str(data), "--tasks", "2", "--pairs-per-task", "2"]) == 0
+    manifest = data / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    doc["pairs"][1]["description"] = 5
+    manifest.write_text(json.dumps(doc))
+    out = tmp_path / "pre"
+    assert run(["pretrain", "--data", str(manifest), "--out", str(out)]) == 2
+    assert "manifest key 'pairs[1].description' has the wrong type int" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "flag, value",
     [

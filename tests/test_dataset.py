@@ -272,6 +272,19 @@ def test_manifest_clip_values_outside_unit_range_name_pair_and_file(tmp_path, ba
     assert "[0, 1]" in message
 
 
+def test_manifest_clip_that_is_no_tensor_names_pair_and_file(tmp_path):
+    pairs = generate_paired_set(RngState(6), 2, 1, 0.5)
+    path = tmp_path / "manifest.json"
+    save_manifest(pairs, str(path))
+    doc = json.loads(path.read_text())
+    victim = tmp_path / doc["pairs"][1]["robot_file"]
+    victim.write_bytes(victim.read_bytes()[:-8])
+    doc["pairs"][1]["robot_sha256"] = hashlib.sha256(victim.read_bytes()).hexdigest()
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ManifestError, match="^pair 1: clip clips/p0001_r.bin is not a serialized tensor"):
+        load_manifest(str(path))
+
+
 def test_manifest_shape_mismatch_detected(tmp_path):
     pairs = generate_paired_set(RngState(6), 2, 1, 0.5)
     path = str(tmp_path / "manifest.json")
@@ -300,7 +313,7 @@ def test_manifest_entry_missing_key_names_pair_and_key(tmp_path, key):
     doc = json.loads(path.read_text())
     del doc["pairs"][1][key]
     path.write_text(json.dumps(doc))
-    with pytest.raises(ManifestError, match=rf"pairs\[1\].*lacks key '{key}'"):
+    with pytest.raises(ManifestError, match=re.escape(f"{path}: manifest lacks key 'pairs[1].{key}'")):
         load_manifest(str(path))
 
 
@@ -311,11 +324,12 @@ def test_manifest_non_object_rejected(tmp_path, where):
     save_manifest(pairs, str(path))
     doc = json.loads(path.read_text())
     if where == "document":
-        doc = [doc]
+        doc, message = [doc], f"manifest is not a JSON object: {path}"
     else:
         doc["pairs"][0] = ["not", "an", "object"]
+        message = f"{path}: manifest key 'pairs[0]' has the wrong type list"
     path.write_text(json.dumps(doc))
-    with pytest.raises(ManifestError, match="not a JSON object"):
+    with pytest.raises(ManifestError, match=re.escape(message)):
         load_manifest(str(path))
 
 
@@ -328,6 +342,90 @@ def test_manifest_latent_missing_field_rejected(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ManifestError, match="latent"):
         load_manifest(str(path))
+
+
+def _set(doc, keys, value):
+    for key in keys[:-1]:
+        doc = doc[key]
+    doc[keys[-1]] = value
+
+
+# Each edit of a saved 2-task x 1-pair manifest and the start of the error it
+# must raise: after "<path>: ", unless the error names a pair's clip file.
+MANIFEST_PROBES = {
+    "human_file=5": (lambda d: _set(d, ["pairs", 0, "human_file"], 5),
+                     "manifest key 'pairs[0].human_file' has the wrong type int"),
+    "description=5": (lambda d: _set(d, ["pairs", 0, "description"], 5),
+                      "manifest key 'pairs[0].description' has the wrong type int"),
+    "task_id=a": (lambda d: _set(d, ["pairs", 0, "task_id"], "a"),
+                  "manifest key 'pairs[0].task_id' has the wrong type str"),
+    "task_id=true": (lambda d: _set(d, ["pairs", 1, "task_id"], True),
+                     "manifest key 'pairs[1].task_id' has the wrong type bool"),
+    "pair_id=[1]": (lambda d: _set(d, ["pairs", 0, "pair_id"], [1]),
+                    "manifest key 'pairs[0].pair_id' has the wrong type list"),
+    "pairs={}": (lambda d: _set(d, ["pairs"], {}), "manifest key 'pairs' has the wrong type dict"),
+    "no pairs": (lambda d: d.pop("pairs"), "manifest lacks key 'pairs'"),
+    "frame_shape=5": (lambda d: _set(d, ["frame_shape"], 5),
+                      "manifest key 'frame_shape' has the wrong type int"),
+    "repeated pair_id": (lambda d: _set(d, ["pairs", 1, "pair_id"], 0),
+                         "manifest key 'pairs[1].pair_id' repeats 0, the pair_id of pairs[0]"),
+    "gripper=300": (lambda d: _set(d, ["pairs", 0, "latent", "gripper", 0], 300),
+                    "pair 0: clip clips/p0000_h.bin: latent gripper must hold one value in {0, 1}"),
+    "positions truncated": (lambda d: d["pairs"][0]["latent"]["positions"].pop(),
+                            "pair 0: clip clips/p0000_h.bin: latent positions have shape"),
+    "position=10**400": (lambda d: _set(d, ["pairs", 0, "latent", "positions", 0, 0], 10**400),
+                         "pair 0: clip clips/p0000_h.bin: int too large to convert to float"),
+    "description empty": (lambda d: _set(d, ["pairs", 0, "description"], ""),
+                          "manifest key 'pairs[0].description': task description text must be non-empty"),
+    "human_file empty": (lambda d: _set(d, ["pairs", 0, "human_file"], ""), "pair 0: cannot read clip file"),
+}
+
+
+def _saved_manifest(tmp_path):
+    """A saved 2-task x 1-pair manifest's path and its parsed document."""
+    path = tmp_path / "manifest.json"
+    save_manifest(generate_paired_set(RngState(6), 2, 1, 0.5), str(path))
+    return path, json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("edit, message", MANIFEST_PROBES.values(), ids=MANIFEST_PROBES.keys())
+def test_manifest_probe_names_its_key_or_pair(tmp_path, edit, message):
+    path, doc = _saved_manifest(tmp_path)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    prefix = "" if message.startswith("pair ") else f"{path}: "
+    with pytest.raises(ManifestError, match="^" + re.escape(prefix + message)):
+        load_manifest(str(path))
+
+
+def _key_paths(node, keys=()):
+    """Every key of a JSON document, descending into the first element of
+    each list."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node[:1])
+    else:
+        return
+    for key, child in children:
+        yield keys + (key,)
+        yield from _key_paths(child, keys + (key,))
+
+
+def test_manifest_substitution_sweep_raises_only_manifest_errors(tmp_path):
+    path, doc = _saved_manifest(tmp_path)
+    text = json.dumps(doc)
+    paths = list(_key_paths(doc))
+    assert ("pairs", 0, "latent", "positions", 0, 0) in paths and len(paths) == 20
+    for keys in paths:
+        for value in (None, True, 0, 1.5, "x", [], {}):
+            edited = json.loads(text)
+            _set(edited, keys, value)
+            path.write_text(json.dumps(edited))
+            try:
+                load_manifest(str(path))
+            except ManifestError:
+                pass
 
 
 def test_manifest_path_that_is_a_directory_names_it(tmp_path):

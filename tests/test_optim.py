@@ -133,6 +133,21 @@ def test_fit_names_the_step_and_parameter_left_non_finite():
     assert np.isfinite(a.data).all()
 
 
+def test_fit_names_the_step_whose_loss_is_non_finite():
+    a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
+    params = {"a": a}
+    state = AdamState.for_params(params, lr=0.1)
+
+    def step_fn(step):
+        offset = np.inf if step == 1 else 0.0  # a constant: every gradient stays finite
+        return T.add(T.tsum(T.mul(a, a)), Tensor(offset)), {}
+
+    with pytest.raises(NumericError, match=r"^fit: step 1 at lr 0\.1 gave the non-finite loss inf$"):
+        fit(params, state, 3, step_fn)
+    assert state.step == 2
+    assert np.isfinite(a.data).all()
+
+
 def test_pretext_pretrain_with_an_overflowing_lr_raises():
     clips = [p.human for p in generate_paired_set(RngState(3), 2, 4, 0.5)]
     message = r"fit: step \d+ at lr 1e\+300 left parameter 'backbone\.block\d\.[wb]' non-finite"

@@ -521,7 +521,7 @@ def test_l2_normalize_unit_norm():
         ("mul", lambda x: T.tsum(T.mul(x, Tensor(RngState(22).normal((3, 4))))), (3, 4)),
         ("relu", lambda x: T.tsum(T.mul(T.relu(x), x)), (3, 4)),
         ("exp", lambda x: T.tsum(T.exp(x)), (2, 3)),
-        ("mean", lambda x: T.tmean(T.mul(x, x), axis=(0, 2)).sum(), (2, 3, 2)),
+        ("mean", lambda x: T.tsum(T.tmean(T.mul(x, x), axis=(0, 2))), (2, 3, 2)),
         ("transpose", lambda x: T.tsum(T.mul(T.transpose(x, (1, 0)), Tensor(RngState(23).normal((4, 3))))), (3, 4)),
         ("reshape", lambda x: T.tsum(T.mul(T.reshape(x, (2, 6)), Tensor(RngState(24).normal((2, 6))))), (3, 4)),
         ("softmax", lambda x: T.tsum(T.mul(T.softmax(x, axis=1), Tensor(RngState(25).normal((3, 4))))), (3, 4)),
