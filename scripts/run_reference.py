@@ -2,10 +2,11 @@
 """End-to-end reference experiment.
 
 Generates the paired dataset, pre-trains the frozen backbone on human
-clips, runs the adapter alignment, both full-fine-tune baselines, and the
-position/language ablation grid, then evaluates everything (retrieval +
-downstream) and writes a summary table. Takes a few minutes on one CPU
-core at the default sizes.
+clips, trains and scores the ablation arms (adapter positions E, M, L, EML
+and L without language; retrieval + downstream), evaluates the L arm's
+checkpoint frozen as well, trains both full-fine-tune baselines, and writes
+a summary table. The "adapted" summary is the L arm itself, so L trains
+once. Takes about a minute on one CPU core at the default sizes.
 
 Usage:
     python scripts/run_reference.py --out runs/reference
@@ -22,16 +23,15 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from hralign.dataset import _atomic_write, generate_paired_set, save_manifest, split_pairs
 from hralign.encoder import pretext_pretrain
-from hralign.evaluation import dump_embeddings, eval_downstream, eval_retrieval
-from hralign.rng import RngState
-from hralign.trainer import (
-    TrainConfig,
-    format_config,
+from hralign.evaluation import (
+    dump_embeddings,
+    eval_downstream,
+    eval_retrieval,
     run_ablation_grid,
-    train_baseline_cls,
-    train_baseline_pret,
-    train_hr_align,
+    run_arm,
 )
+from hralign.rng import RngState
+from hralign.trainer import TrainConfig, train_baseline_cls, train_baseline_pret
 
 BASELINE_LR = 3e-4
 
@@ -52,37 +52,55 @@ def main() -> int:
     os.makedirs(args.out, exist_ok=True)
     t_start = time.time()
 
-    print(f"[1/6] dataset: {args.tasks} tasks x {args.pairs_per_task} pairs, gap {args.gap}")
+    print(f"[1/5] dataset: {args.tasks} tasks x {args.pairs_per_task} pairs, gap {args.gap}")
     pairs = generate_paired_set(RngState(args.seed), args.tasks, args.pairs_per_task, args.gap)
     save_manifest(pairs, os.path.join(args.out, "manifest.json"))
     train, heldout = split_pairs(pairs, 0.25)
 
-    print(f"[2/6] pretext pre-training, {args.pretext_epochs} epochs")
+    print(f"[2/5] pretext pre-training, {args.pretext_epochs} epochs")
     backbone, history = pretext_pretrain(
         RngState(args.seed), [p.human for p in train], epochs=args.pretext_epochs
     )
     print(f"      pretext loss {history[0]:.4f} -> {history[-1]:.4f}")
 
-    print(f"[3/6] adapter alignment, {args.steps} steps")
-    config = TrainConfig(steps=args.steps, seed=args.seed, out_dir=os.path.join(args.out, "adapt"))
-    checkpoint, metrics = train_hr_align(config, train, backbone)
-    os.makedirs(config.out_dir, exist_ok=True)
-    checkpoint.save(os.path.join(config.out_dir, "model.ckpt"))
-    metrics.save(os.path.join(config.out_dir, "metrics.csv"))
-    _atomic_write(
-        os.path.join(config.out_dir, "resolved_config.txt"), format_config(config).encode("utf-8")
+    config = TrainConfig(
+        steps=args.steps, seed=args.seed, out_dir=os.path.join(args.out, "ablation")
     )
-    print(f"      loss {metrics.losses[0]:.4f} -> {metrics.losses[-1]:.4f}")
-
-    print("[4/6] evaluation: adapted vs frozen")
-    summary = {}
-    for tag, adapted in (("adapted", True), ("frozen", False)):
-        retrieval = eval_retrieval(checkpoint, heldout, adapted=adapted)
-        downstream = eval_downstream(checkpoint, [p.robot for p in pairs], adapted=adapted)
-        summary[tag] = {"retrieval": retrieval.to_dict(), "downstream": downstream.to_dict()}
+    if args.skip_ablation:
+        print(f"[3/5] adapter alignment (L), {args.steps} steps")
+        runs = [run_arm(config, "L", train, heldout, backbone)]
+    else:
+        print(f"[3/5] ablation grid (E, M, L, EML, L without language), {args.steps} steps each")
+        runs = run_ablation_grid(config, train, heldout, backbone)
+    for run in runs:
+        run.save()
+        row = run.row
         print(
-            f"      {tag:>7}: r2h@1 {retrieval.r2h_recall1:.3f}  "
-            f"probe {downstream.probe_accuracy:.3f}  bc {downstream.bc_mse:.5f}"
+            f"      {run.name:>9}: adapter params {row['adapter_params']:>5}  "
+            f"loss {row['final_loss']:.4f}  r2h@1 {row['r2h_recall1']:.3f}  "
+            f"probe {row['probe_accuracy']:.3f}"
+        )
+
+    print("[4/5] evaluation: adapted (the L arm) vs frozen")
+    adapted = {run.name: run for run in runs}["L"]
+    checkpoint = adapted.checkpoint
+    summary = {
+        "adapted": {
+            "retrieval": adapted.retrieval.to_dict(),
+            "downstream": adapted.downstream.to_dict(),
+        },
+        "frozen": {
+            "retrieval": eval_retrieval(checkpoint, heldout, adapted=False).to_dict(),
+            "downstream": eval_downstream(
+                checkpoint, [p.robot for p in pairs], adapted=False
+            ).to_dict(),
+        },
+    }
+    for tag, report in summary.items():
+        print(
+            f"      {tag:>7}: r2h@1 {report['retrieval']['r2h_recall1']:.3f}  "
+            f"probe {report['downstream']['probe_accuracy']:.3f}  "
+            f"bc {report['downstream']['bc_mse']:.5f}"
         )
     dump_embeddings(
         checkpoint,
@@ -92,7 +110,7 @@ def main() -> int:
         adapted=True,
     )
 
-    print(f"[5/6] baselines, {args.baseline_steps} steps each")
+    print(f"[5/5] baselines, {args.baseline_steps} steps each")
     base = TrainConfig(
         steps=args.baseline_steps, seed=args.seed, learning_rate=BASELINE_LR
     )
@@ -110,17 +128,8 @@ def main() -> int:
         f"      pret {pret_metrics.losses[0]:.3f} -> {pret_metrics.losses[-1]:.3f}   "
         f"cls {cls_metrics.losses[0]:.3f} -> {cls_metrics.losses[-1]:.3f}"
     )
-
     if not args.skip_ablation:
-        print("[6/6] ablation grid (E, M, L, EML, L without language)")
-        grid_config = replace(config, out_dir=os.path.join(args.out, "ablation"))
-        runs = run_ablation_grid(grid_config, train, backbone, heldout=heldout)
         summary["ablation"] = [run.row for run in runs]
-        for run in runs:
-            print(
-                f"      {run.name:>9}: adapter params {run.row['adapter_params']:>5}  "
-                f"r2h@1 {run.row['r2h_recall1']:.3f}  probe {run.row['probe_accuracy']:.3f}"
-            )
 
     _atomic_write(
         os.path.join(args.out, "summary.json"), json.dumps(summary, indent=2).encode("utf-8")

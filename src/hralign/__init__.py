@@ -26,6 +26,7 @@ from .evaluation import (
     dump_embeddings,
     eval_downstream,
     eval_retrieval,
+    run_ablation_grid,
 )
 from .optim import AdamState, adam_step
 from .rng import RngState, fnv1a64
@@ -35,7 +36,6 @@ from .trainer import (
     MetricsLog,
     ModelCheckpoint,
     TrainConfig,
-    run_ablation_grid,
     train_baseline_cls,
     train_baseline_pret,
     train_hr_align,

@@ -24,14 +24,13 @@ from .dataset import (
     split_pairs,
 )
 from .encoder import pretext_pretrain
-from .evaluation import dump_embeddings, eval_downstream, eval_retrieval
+from .evaluation import dump_embeddings, eval_downstream, eval_retrieval, run_ablation_grid
 from .rng import RngState
 from .trainer import (
     ModelCheckpoint,
     TrainConfig,
     format_config,
     load_config,
-    run_ablation_grid,
     train_baseline_cls,
     train_baseline_pret,
     train_hr_align,
@@ -165,9 +164,8 @@ def cmd_ablate(args) -> int:
     backbone = _load_backbone(args.backbone)
     if not backbone.frozen:
         backbone.freeze()
-    runs = run_ablation_grid(config, train, backbone, heldout=heldout, evaluate=True)
+    runs = run_ablation_grid(config, train, heldout, backbone)
     os.makedirs(config.out_dir, exist_ok=True)
-    produced = []
     rows = [run.row for run in runs]
     ablation_json = json.dumps(rows, indent=2).encode("utf-8")
     _atomic_write(os.path.join(config.out_dir, "ablation.json"), ablation_json)
@@ -175,18 +173,13 @@ def cmd_ablate(args) -> int:
     _atomic_write_csv(
         os.path.join(config.out_dir, "ablation.csv"), keys, [[row[k] for k in keys] for row in rows]
     )
-    produced.extend(["ablation.json", "ablation.csv"])
     for run in runs:
-        run_dir = os.path.join(config.out_dir, run.name)
-        os.makedirs(run_dir, exist_ok=True)
-        run.checkpoint.save(os.path.join(run_dir, "model.ckpt"))
-        run.metrics.save(os.path.join(run_dir, "metrics.csv"))
-        produced.append(run.name)
+        run.save()
+    produced = ["ablation.json", "ablation.csv"] + [run.name for run in runs]
     _write_run_outputs(config.out_dir, format_config(config), produced)
     for row in rows:
         print(
-            f"{row['name']:>9}: params {row['adapter_params']:>6}  "
-            f"r2h@1 {row.get('r2h_recall1', float('nan')):.3f}"
+            f"{row['name']:>9}: params {row['adapter_params']:>6}  r2h@1 {row['r2h_recall1']:.3f}"
         )
     return 0
 

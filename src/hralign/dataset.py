@@ -23,6 +23,7 @@ import os
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TypeVar
 
 import numpy as np
 
@@ -67,6 +68,11 @@ class ManifestError(RuntimeError):
     """A dataset manifest or one of its referenced files is unusable."""
 
 
+def _in_unit_range(values: np.ndarray) -> bool:
+    """Every value in [0, 1]; written so that NaN fails too."""
+    return bool(((values >= 0.0) & (values <= 1.0)).all())
+
+
 @dataclass
 class LatentTrajectory:
     """The shared semantics both renders depict: effector path + gripper."""
@@ -78,7 +84,7 @@ class LatentTrajectory:
     def __post_init__(self):
         if len(self.positions) < 2:
             raise ValueError("trajectory needs at least two steps")
-        if self.positions.min() < 0.0 or self.positions.max() > 1.0:
+        if not _in_unit_range(self.positions):
             raise ValueError("trajectory positions must lie inside the unit square")
 
 
@@ -109,14 +115,15 @@ class VideoClip:
             raise ValueError(f"unknown domain {self.domain!r}")
         if self.frames.ndim != 4 or self.frames.shape[0] < 1:
             raise ValueError(f"clip frames must be (T, H, W, C), got {self.frames.shape}")
-        # written so that NaN fails too
-        if not ((self.frames >= 0.0) & (self.frames <= 1.0)).all():
+        if not _in_unit_range(self.frames):
             raise ValueError("clip frame values must lie in [0, 1]")
         if self.positions is not None and self.positions.shape != (self.length, 2):
             raise ValueError(
                 f"latent positions have shape {self.positions.shape}, "
                 f"not one [x, y] row per frame {(self.length, 2)}"
             )
+        if self.positions is not None and not _in_unit_range(self.positions):
+            raise ValueError("latent positions must lie inside the unit square")
         if self.gripper is not None and not (
             self.gripper.shape == (self.length,) and ((self.gripper == 0) | (self.gripper == 1)).all()
         ):
@@ -364,14 +371,16 @@ def sample_frames(clip: VideoClip, t: int, rng: RngState) -> np.ndarray:
 # splits
 
 
-def split_pairs(
-    pairs: list[PairedDemo], heldout_frac: float = 0.25
-) -> tuple[list[PairedDemo], list[PairedDemo]]:
-    """Per-task split: the trailing fraction of each task's pairs is held out;
-    every task keeps at least one training pair."""
+_Item = TypeVar("_Item", PairedDemo, VideoClip)
+
+
+def split_pairs(pairs: list[_Item], heldout_frac: float = 0.25) -> tuple[list[_Item], list[_Item]]:
+    """Per-task split of pairs, or of clips: the trailing fraction of each
+    task's items by pair id is held out; every task keeps at least one
+    training item."""
     if not (math.isfinite(heldout_frac) and 0.0 <= heldout_frac < 1.0):
         raise ValueError(f"heldout_frac must be finite and in [0, 1), got {heldout_frac}")
-    by_task: dict[int, list[PairedDemo]] = {}
+    by_task: dict[int, list[_Item]] = {}
     for pair in pairs:
         by_task.setdefault(pair.task_id, []).append(pair)
     train, heldout = [], []

@@ -5,21 +5,26 @@ other among all held-out candidates. The downstream report freezes the
 encoder (adapters included) and trains small heads on robot features: a
 linear task probe, a two-layer regressor predicting the next latent
 effector position, and a tube-following success proxy over whole clips.
+The ablation arms are declared once in ``ARMS``; ``run_arm`` trains one
+arm and scores it with both reports.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import os
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import tensor as T
-from .dataset import PairedDemo, VideoClip, _atomic_write_csv
+from .adapter import count_learnable
+from .dataset import PairedDemo, VideoClip, _atomic_write_csv, split_pairs
+from .encoder import Backbone
 from .optim import AdamState, fit
 from .rng import RngState
 from .task_query import embed_texts
 from .tensor import Tensor
-from .trainer import ModelCheckpoint, standard_stats
+from .trainer import MetricsLog, ModelCheckpoint, TrainConfig, standard_stats, train_hr_align
 
 TUBE_RADIUS = 0.1
 
@@ -251,20 +256,6 @@ def _frame_features(
     return feat.data.mean(axis=(1, 2))
 
 
-def _split_clips(clips: list[VideoClip], heldout_frac: float) -> tuple[list[int], list[int]]:
-    by_task: dict[int, list[int]] = {}
-    order = sorted(range(len(clips)), key=lambda i: (clips[i].task_id, clips[i].pair_id))
-    for i in order:
-        by_task.setdefault(clips[i].task_id, []).append(i)
-    train_idx, held_idx = [], []
-    for task_id in sorted(by_task):
-        group = by_task[task_id]
-        n_held = min(max(int(round(heldout_frac * len(group))), 1), len(group) - 1)
-        train_idx.extend(group[: len(group) - n_held])
-        held_idx.extend(group[len(group) - n_held :])
-    return train_idx, held_idx
-
-
 def eval_downstream(
     checkpoint: ModelCheckpoint,
     robot_clips: list[VideoClip],
@@ -281,15 +272,17 @@ def eval_downstream(
     for clip in robot_clips:
         if clip.domain != "robot":
             raise ValueError(f"downstream eval expects robot clips, got {clip.domain!r}")
-    train_idx, held_idx = _split_clips(robot_clips, heldout_frac)
-    if not train_idx or not held_idx:
+    train, held = split_pairs(robot_clips, heldout_frac)
+    if not train or not held:
         raise ValueError("downstream split too small")
-    feats = [_frame_features(checkpoint, clip, adapted) for clip in robot_clips]
-    task_ids = sorted({c.task_id for c in robot_clips})
+    clips = train + held
+    train_idx, held_idx = np.arange(len(train)), np.arange(len(train), len(clips))
+    feats = [_frame_features(checkpoint, clip, adapted) for clip in clips]
+    task_ids = sorted({c.task_id for c in clips})
     class_of = {t: i for i, t in enumerate(task_ids)}
 
     clip_feat = np.stack([f.mean(axis=0) for f in feats])
-    labels = np.array([class_of[c.task_id] for c in robot_clips])
+    labels = np.array([class_of[c.task_id] for c in clips])
     probe_acc = train_linear_probe(
         clip_feat[train_idx],
         labels[train_idx],
@@ -301,7 +294,7 @@ def eval_downstream(
     def bc_samples(indices):
         xs, ys = [], []
         for i in indices:
-            clip = robot_clips[i]
+            clip = clips[i]
             if clip.positions is None:
                 raise ValueError(
                     f"clip pair {clip.pair_id} carries no latent trajectory; "
@@ -319,7 +312,7 @@ def eval_downstream(
 
     successes = 0
     for i in held_idx:
-        clip = robot_clips[i]
+        clip = clips[i]
         pred = predict((feats[i][:-1] - mu) / sd)
         err = np.linalg.norm(pred - clip.positions[1:], axis=1)
         if err.max() <= tube_radius:
@@ -361,33 +354,76 @@ def dump_embeddings(
     return path
 
 
-def mean_within_task_distance(embeddings: np.ndarray, task_ids: np.ndarray) -> float:
-    """Mean pairwise distance between same-task embeddings (compactness)."""
-    total, count = 0.0, 0
-    for task in np.unique(task_ids):
-        rows = embeddings[task_ids == task]
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                total += float(np.linalg.norm(rows[i] - rows[j]))
-                count += 1
-    return total / count if count else 0.0
+# ---------------------------------------------------------------------------
+# ablation arms
+
+# Each arm trains hr_align from scratch with these TrainConfig overrides.
+ARMS = {
+    "E": {"adapter_positions": "E", "use_language": True},
+    "M": {"adapter_positions": "M", "use_language": True},
+    "L": {"adapter_positions": "L", "use_language": True},
+    "EML": {"adapter_positions": "EML", "use_language": True},
+    "L_nolang": {"adapter_positions": "L", "use_language": False},
+}
 
 
-def mean_pairwise_distance(embeddings: np.ndarray) -> float:
-    total, count = 0.0, 0
-    for i in range(len(embeddings)):
-        for j in range(i + 1, len(embeddings)):
-            total += float(np.linalg.norm(embeddings[i] - embeddings[j]))
-            count += 1
-    return total / count if count else 0.0
+@dataclass
+class AblationRun:
+    name: str
+    config: TrainConfig
+    checkpoint: ModelCheckpoint
+    metrics: MetricsLog
+    retrieval: RetrievalReport
+    downstream: DownstreamReport
+
+    @property
+    def row(self) -> dict:
+        counts = count_learnable(self.checkpoint.stack, self.checkpoint.embedder)
+        return {
+            "name": self.name,
+            "adapter_positions": self.config.adapter_positions,
+            "use_language": self.config.use_language,
+            "adapter_params": counts.adapter,
+            "projection_params": counts.projection,
+            "total_learnable": counts.total,
+            "final_loss": self.metrics.losses[-1] if self.metrics.rows else float("nan"),
+            "r2h_recall1": self.retrieval.r2h_recall1,
+            "r2h_recall5": self.retrieval.r2h_recall5,
+            "h2r_recall1": self.retrieval.h2r_recall1,
+            "h2r_recall5": self.retrieval.h2r_recall5,
+            "probe_accuracy": self.downstream.probe_accuracy,
+            "bc_mse": self.downstream.bc_mse,
+            "success_rate": self.downstream.success_rate,
+        }
+
+    def save(self) -> None:
+        """Write model.ckpt and metrics.csv into the run's out_dir."""
+        os.makedirs(self.config.out_dir, exist_ok=True)
+        self.checkpoint.save(os.path.join(self.config.out_dir, "model.ckpt"))
+        self.metrics.save(os.path.join(self.config.out_dir, "metrics.csv"))
 
 
-def task_compactness_ratio(embeddings: np.ndarray, task_ids: np.ndarray) -> float:
-    """Within-task distance relative to overall spread; lower = tighter
-    task clusters. The raw within-task distance alone is meaningless when
-    an embedding cloud is globally collapsed, so compactness is judged
-    against the cloud's own scale."""
-    overall = mean_pairwise_distance(embeddings)
-    if overall == 0.0:
-        return 1.0
-    return mean_within_task_distance(embeddings, task_ids) / overall
+def run_arm(
+    base: TrainConfig,
+    arm: str,
+    train: list[PairedDemo],
+    heldout: list[PairedDemo],
+    backbone: Backbone,
+) -> AblationRun:
+    """Train one arm on ``train`` into ``<base.out_dir>/<arm>`` and score it:
+    retrieval on ``heldout``, downstream on the robot clips of both."""
+    if len(heldout) < 2:
+        raise ValueError(f"arm {arm} needs at least 2 held-out pairs, got {len(heldout)}")
+    config = replace(base, method="hr_align", out_dir=f"{base.out_dir}/{arm}", **ARMS[arm])
+    checkpoint, metrics = train_hr_align(config, train, backbone)
+    retrieval = eval_retrieval(checkpoint, heldout, adapted=True)
+    downstream = eval_downstream(checkpoint, [p.robot for p in train + heldout], adapted=True)
+    return AblationRun(arm, config, checkpoint, metrics, retrieval, downstream)
+
+
+def run_ablation_grid(
+    base: TrainConfig, train: list[PairedDemo], heldout: list[PairedDemo], backbone: Backbone
+) -> list[AblationRun]:
+    """Every arm of ``ARMS``, in order: the adapter-position sweep {E, M, L,
+    EML} plus L without language."""
+    return [run_arm(base, arm, train, heldout, backbone) for arm in ARMS]

@@ -1,4 +1,4 @@
-"""Training loops: adapter alignment, full-fine-tune baselines, ablations.
+"""Training loops: adapter alignment and the full-fine-tune baselines.
 
 All runs are deterministic given (config, seed): batch order is derived
 per epoch from the seed, frame sampling consumes the single training RNG
@@ -13,13 +13,13 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from . import tensor as T
-from .adapter import AdapterStack, count_learnable
+from .adapter import AdapterStack
 from .alignment import AlignmentBatchFeatures, alignment_stats, hr_align_loss, pool_many
 from .dataset import PairedDemo, VideoClip, _atomic_write, _check_json, sample_frames
 from .encoder import Backbone, encode_batch, pretext_loss
@@ -698,82 +698,3 @@ def classification_accuracy(
         if int(np.argmax(logits.data[0])) == classes[demo.task_id]:
             hits += 1
     return hits / len(pairs)
-
-
-# ---------------------------------------------------------------------------
-# ablation grid
-
-
-ABLATION_VARIANTS = (
-    ("E", True),
-    ("M", True),
-    ("L", True),
-    ("EML", True),
-    ("L_nolang", False),
-)
-
-
-@dataclass
-class AblationRun:
-    name: str
-    config: TrainConfig
-    checkpoint: ModelCheckpoint
-    metrics: MetricsLog
-    row: dict
-
-
-def run_ablation_grid(
-    base_config: TrainConfig,
-    pairs: list[PairedDemo],
-    backbone: Backbone,
-    heldout: list[PairedDemo] | None = None,
-    evaluate: bool = True,
-) -> list[AblationRun]:
-    """Adapter-position sweep {E, M, L, EML} plus a no-language L variant.
-
-    Each run trains from scratch on ``pairs`` and, when ``evaluate`` is
-    set, reports retrieval and downstream metrics on ``heldout``.
-    """
-    from .evaluation import eval_downstream, eval_retrieval
-
-    runs: list[AblationRun] = []
-    for name, use_language in ABLATION_VARIANTS:
-        positions = name.split("_")[0]
-        config = replace(
-            base_config,
-            method="hr_align",
-            adapter_positions=positions,
-            use_language=use_language,
-            out_dir=f"{base_config.out_dir}/{name}",
-        )
-        checkpoint, metrics = train_hr_align(config, pairs, backbone)
-        counts = count_learnable(checkpoint.stack, checkpoint.embedder, backbone)
-        row = {
-            "name": name,
-            "adapter_positions": positions,
-            "use_language": use_language,
-            "adapter_params": counts.adapter,
-            "projection_params": counts.projection,
-            "total_learnable": counts.total,
-            "final_loss": metrics.losses[-1] if metrics.rows else float("nan"),
-        }
-        if evaluate and heldout:
-            retrieval = eval_retrieval(checkpoint, heldout, adapted=True)
-            row.update(
-                {
-                    "r2h_recall1": retrieval.r2h_recall1,
-                    "r2h_recall5": retrieval.r2h_recall5,
-                    "h2r_recall1": retrieval.h2r_recall1,
-                    "h2r_recall5": retrieval.h2r_recall5,
-                }
-            )
-            downstream = eval_downstream(checkpoint, [d.robot for d in pairs + heldout], adapted=True)
-            row.update(
-                {
-                    "probe_accuracy": downstream.probe_accuracy,
-                    "bc_mse": downstream.bc_mse,
-                    "success_rate": downstream.success_rate,
-                }
-            )
-        runs.append(AblationRun(name, config, checkpoint, metrics, row))
-    return runs

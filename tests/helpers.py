@@ -1,5 +1,6 @@
 """Shared test oracles: finite differences, a direct-exponential loss
-reference, small model and checkpoint builders, and checkpoint header edits.
+reference, small model and checkpoint builders, checkpoint header edits,
+and a task-compactness ratio for embedding clouds.
 
 Everything here is deliberately independent of the library's analytic
 paths: gradients come from central differences on the forward value, and
@@ -175,6 +176,38 @@ def random_clip_frames(rng: RngState, t: int = 3, h: int = 16, w: int = 16) -> n
 def sum_param_sizes(named: dict) -> int:
     """Independent size-sum oracle for parameter counts."""
     return int(sum(t.data.size for t in named.values()))
+
+
+def mean_within_task_distance(embeddings: np.ndarray, task_ids: np.ndarray) -> float:
+    """Mean pairwise distance between same-task embeddings (compactness)."""
+    total, count = 0.0, 0
+    for task in np.unique(task_ids):
+        rows = embeddings[task_ids == task]
+        for i in range(len(rows)):
+            for j in range(i + 1, len(rows)):
+                total += float(np.linalg.norm(rows[i] - rows[j]))
+                count += 1
+    return total / count if count else 0.0
+
+
+def mean_pairwise_distance(embeddings: np.ndarray) -> float:
+    total, count = 0.0, 0
+    for i in range(len(embeddings)):
+        for j in range(i + 1, len(embeddings)):
+            total += float(np.linalg.norm(embeddings[i] - embeddings[j]))
+            count += 1
+    return total / count if count else 0.0
+
+
+def task_compactness_ratio(embeddings: np.ndarray, task_ids: np.ndarray) -> float:
+    """Within-task distance relative to overall spread; lower = tighter
+    task clusters. The raw within-task distance alone is meaningless when
+    an embedding cloud is globally collapsed, so compactness is judged
+    against the cloud's own scale."""
+    overall = mean_pairwise_distance(embeddings)
+    if overall == 0.0:
+        return 1.0
+    return mean_within_task_distance(embeddings, task_ids) / overall
 
 
 class _HalfWriter:

@@ -24,13 +24,12 @@ from hralign.adapter import AdapterBlock, AdapterStack, adapter_forward, count_l
 from hralign.alignment import AlignmentBatchFeatures, hr_align_loss, pool_many
 from hralign.dataset import generate_paired_set, load_manifest, save_manifest, split_pairs
 from hralign.encoder import Backbone, encode_batch
-from hralign.evaluation import eval_downstream, eval_retrieval
+from hralign.evaluation import eval_downstream, eval_retrieval, run_ablation_grid
 from hralign.rng import RngState
 from hralign.tensor import Tensor
 from hralign.trainer import (
     ModelCheckpoint,
     TrainConfig,
-    run_ablation_grid,
     train_baseline_cls,
     train_baseline_pret,
     train_hr_align,
@@ -256,7 +255,7 @@ def test_criterion_7_baseline_structure(reference_split, reference_backbone, ref
 def ablation_runs(reference_split, reference_backbone, tmp_path_factory):
     train, heldout = reference_split
     base = TrainConfig(out_dir=str(tmp_path_factory.mktemp("grid")))
-    return run_ablation_grid(base, train, reference_backbone, heldout=heldout, evaluate=True)
+    return run_ablation_grid(base, train, heldout, reference_backbone)
 
 
 def test_criterion_8_ablation_grid(ablation_runs, reference_backbone):

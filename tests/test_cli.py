@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -7,6 +8,7 @@ import pytest
 
 from helpers import fail_writes_partway, setting, small_checkpoint, with_header
 from hralign.cli import _write_run_outputs, cli_main
+from hralign.trainer import ModelCheckpoint
 from hralign.tensor import from_bytes, to_bytes
 
 
@@ -182,6 +184,22 @@ def test_clip_values_outside_unit_range_exit_two(tmp_path, capsys):
     assert "[0, 1]" in err
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_latent_position_that_is_not_finite_exits_two_writing_nothing(tmp_path, capsys, bad):
+    data = tmp_path / "data"
+    assert run(["generate", "--out", str(data), "--tasks", "2", "--pairs-per-task", "2"]) == 0
+    manifest = data / "manifest.json"
+    doc = json.loads(manifest.read_text())
+    entry = doc["pairs"][1]
+    entry["latent"]["positions"][0][0] = bad
+    manifest.write_text(json.dumps(doc))  # the NaN / Infinity literal
+    out = tmp_path / "pre"
+    assert run(["pretrain", "--data", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"pair {entry['pair_id']}: clip {entry['human_file']}: latent positions" in err
+    assert not out.exists()
+
+
 def test_run_outputs_failing_partway_keep_previous_files(tmp_path, monkeypatch):
     _write_run_outputs(str(tmp_path), "seed = 1\n", ["report.txt"])
     before = {name: (tmp_path / name).read_bytes() for name in os.listdir(tmp_path)}
@@ -341,3 +359,60 @@ def test_cli_resume_matches_straight_run(pipeline, tmp_path):
         assert np.array_equal(tensor.data, resumed.named_tensors()[name].data), name
     for name in direct.adam.m:
         assert np.array_equal(direct.adam.m[name], resumed.adam.m[name])
+
+
+ARMS = ["E", "M", "L", "EML", "L_nolang"]
+ABLATION_KEYS = [
+    "name",
+    "adapter_positions",
+    "use_language",
+    "adapter_params",
+    "projection_params",
+    "total_learnable",
+    "final_loss",
+    "r2h_recall1",
+    "r2h_recall5",
+    "h2r_recall1",
+    "h2r_recall5",
+    "probe_accuracy",
+    "bc_mse",
+    "success_rate",
+]
+
+
+def _ablate_argv(pipeline, out):
+    _, manifest, backbone, _ = pipeline
+    return [
+        "ablate", "--data", manifest, "--backbone", backbone, "--out", str(out),
+        "--set", "steps=2", "--set", "batch_size=4",
+    ]
+
+
+def test_cli_ablate_trains_scores_and_saves_every_arm(pipeline, tmp_path):
+    out = tmp_path / "ablate"
+    assert run(_ablate_argv(pipeline, out)) == 0
+    rows = json.loads((out / "ablation.json").read_text())
+    assert [row["name"] for row in rows] == ARMS
+    for row in rows:
+        assert list(row) == ABLATION_KEYS
+        for key in ABLATION_KEYS[7:]:
+            assert np.isfinite(row[key]), (row["name"], key)
+    with open(out / "ablation.csv", newline="") as fh:
+        table = list(csv.reader(fh))
+    assert table[0] == ABLATION_KEYS
+    assert [line[0] for line in table[1:]] == ARMS
+    for row in rows:
+        run_dir = out / row["name"]
+        assert sorted(os.listdir(run_dir)) == ["metrics.csv", "model.ckpt"]
+        config = ModelCheckpoint.load(str(run_dir / "model.ckpt")).config
+        assert (config.adapter_positions, config.use_language) == (
+            row["adapter_positions"],
+            row["use_language"],
+        )
+
+
+def test_cli_ablate_without_heldout_pairs_exits_two_writing_nothing(pipeline, tmp_path, capsys):
+    out = tmp_path / "ablate"
+    assert run(_ablate_argv(pipeline, out) + ["--heldout-frac", "0"]) == 2
+    assert "at least 2 held-out pairs, got 0" in capsys.readouterr().err
+    assert not out.exists()

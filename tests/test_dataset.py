@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hralign.dataset import (
     CLIP_LEN_MAX,
     CLIP_LEN_MIN,
+    LatentTrajectory,
     ManifestError,
     PairedDemo,
     VideoClip,
@@ -378,7 +379,24 @@ MANIFEST_PROBES = {
     "description empty": (lambda d: _set(d, ["pairs", 0, "description"], ""),
                           "manifest key 'pairs[0].description': task description text must be non-empty"),
     "human_file empty": (lambda d: _set(d, ["pairs", 0, "human_file"], ""), "pair 0: cannot read clip file"),
+    # json writes and reads these as the NaN / Infinity literals
+    "position=NaN": (lambda d: _set(d, ["pairs", 0, "latent", "positions", 0, 0], float("nan")),
+                     "pair 0: clip clips/p0000_h.bin: latent positions must lie inside the unit square"),
+    "position=Infinity": (lambda d: _set(d, ["pairs", 1, "latent", "positions", 2, 1], float("inf")),
+                          "pair 1: clip clips/p0001_h.bin: latent positions must lie inside the unit square"),
+    "position=-0.5": (lambda d: _set(d, ["pairs", 0, "latent", "positions", 0, 1], -0.5),
+                      "pair 0: clip clips/p0000_h.bin: latent positions must lie inside the unit square"),
 }
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -0.1])
+def test_trajectory_and_clip_refuse_positions_outside_unit_square(bad):
+    positions = np.full((3, 2), 0.5)
+    positions[1, 0] = bad
+    with pytest.raises(ValueError, match="unit square"):
+        LatentTrajectory(positions, np.zeros(3, dtype=np.uint8), 0)
+    with pytest.raises(ValueError, match="unit square"):
+        VideoClip(np.zeros((3, 16, 16, 3)), "robot", 0, 0, positions)
 
 
 def _saved_manifest(tmp_path):

@@ -4,7 +4,8 @@ import os
 import numpy as np
 import pytest
 
-from helpers import fail_writes_partway
+from helpers import fail_writes_partway, mean_within_task_distance, task_compactness_ratio
+from hralign import evaluation
 from hralign.dataset import generate_paired_set, split_pairs
 from hralign.encoder import Backbone, pretext_pretrain
 from hralign.evaluation import (
@@ -13,7 +14,6 @@ from hralign.evaluation import (
     embed_pairs,
     eval_downstream,
     eval_retrieval,
-    mean_within_task_distance,
     train_linear_probe,
 )
 from hralign.rng import RngState
@@ -115,6 +115,32 @@ def test_eval_downstream_reports(small_ckpt):
     assert report.n_train_clips + report.n_heldout_clips == len(robot)
 
 
+def test_eval_downstream_holds_out_the_robot_clips_of_split_pairs(small_ckpt, monkeypatch):
+    """The probe scores exactly the robot clips of split_pairs' held-out
+    pairs, whatever order the clips arrive in, and each clip is encoded once."""
+    pairs, _, heldout, checkpoint = small_ckpt
+    probe, frame_features = evaluation.train_linear_probe, evaluation._frame_features
+    scored, encoded = {}, []
+
+    def spy_probe(train_x, train_y, test_x, test_y, n_classes):
+        scored["x"], scored["y"] = test_x, test_y
+        return probe(train_x, train_y, test_x, test_y, n_classes)
+
+    def spy_features(ckpt, clip, adapted):
+        encoded.append(clip.pair_id)
+        return frame_features(ckpt, clip, adapted)
+
+    monkeypatch.setattr(evaluation, "train_linear_probe", spy_probe)
+    monkeypatch.setattr(evaluation, "_frame_features", spy_features)
+    robot = [p.robot for p in reversed(pairs)]
+    report = eval_downstream(checkpoint, robot, adapted=True)
+    assert sorted(encoded) == sorted(p.pair_id for p in pairs)
+    assert report.n_heldout_clips == len(heldout)
+    expected = [frame_features(checkpoint, p.robot, True).mean(axis=0) for p in heldout]
+    assert np.array_equal(scored["x"], np.stack(expected))
+    assert scored["y"].tolist() == [p.task_id for p in heldout]  # tasks 0..2 are classes 0..2
+
+
 def test_eval_downstream_rejects_human_clips(small_ckpt):
     pairs, _, _, checkpoint = small_ckpt
     with pytest.raises(ValueError, match="robot"):
@@ -190,8 +216,6 @@ def test_mean_within_task_distance():
 
 
 def test_task_compactness_ratio_ordering():
-    from hralign.evaluation import task_compactness_ratio
-
     tight = np.array([[0.0, 0.0], [0.1, 0.0], [5.0, 0.0], [5.1, 0.0]])
     loose = np.array([[0.0, 0.0], [5.0, 0.0], [0.0, 5.0], [5.0, 5.0]])
     tasks = np.array([0, 0, 1, 1])
@@ -201,7 +225,7 @@ def test_task_compactness_ratio_ordering():
 def test_reference_adapted_features_cluster_by_task(reference_run, reference_split):
     """The adapted embedding cloud groups by task much more tightly than
     the frozen one (the embedding-dump compactness check)."""
-    from hralign.evaluation import embed_clip, task_compactness_ratio
+    from hralign.evaluation import embed_clip
 
     checkpoint, _, _ = reference_run
     _, heldout = reference_split
