@@ -2,8 +2,10 @@
 
 The backbone is a stack of (conv, ReLU) blocks applied to each frame
 independently; a clip of T frames maps to a T x H' x W' x C' feature map.
-Pre-training is time-contrastive: pooled features of temporally close
-frames attract, far frames and other clips' frames repel.
+``encode_pooled`` is the one path from clips' frames to one pooled vector
+per clip, shared by the alignment loss, the classification head and
+retrieval. Pre-training is time-contrastive: pooled features of temporally
+close frames attract, far frames and other clips' frames repel.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import tensor as T
+from .alignment import pool_many
 from .optim import AdamState, fit
 from .rng import RngState
 from .tensor import Tensor
@@ -106,12 +109,6 @@ class Backbone:
         dup.frozen = self.frozen
         return dup
 
-    def output_hw(self, h: int, w: int) -> tuple[int, int]:
-        for block in self.blocks:
-            h = T.conv_output_size(h, self.kernel, block.stride, block.padding)
-            w = T.conv_output_size(w, self.kernel, block.stride, block.padding)
-        return h, w
-
     def apply(self, x: Tensor, hooks: Mapping[int, Callable[[Tensor], Tensor]] | None = None) -> Tensor:
         """Run (N, C, H, W) through all blocks.
 
@@ -141,6 +138,22 @@ def encode_batch(
     x = Tensor(np.ascontiguousarray(frames.transpose(0, 3, 1, 2)))
     y = backbone.apply(x, hooks)
     return T.transpose(y, (0, 2, 3, 1))
+
+
+def encode_pooled(
+    backbone: Backbone,
+    frames: np.ndarray,
+    clips: int,
+    hooks: Mapping[int, Callable[[Tensor], Tensor]] | None = None,
+    queries: Tensor | None = None,
+    normalize: bool = True,
+) -> Tensor:
+    """Encode ``clips`` clips' frames, stacked clip by clip as (clips * T,
+    H, W, C), and pool each clip's T * H' * W' positions to one row of the
+    (clips, C') result: uniformly, or by attention with (clips, C')
+    ``queries``; each row is L2-normalised when ``normalize``."""
+    feat = encode_batch(backbone, frames, hooks)
+    return pool_many(T.reshape(feat, (clips, -1, feat.shape[-1])), queries, normalize)
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +190,7 @@ def pretext_loss(
     # anchors, then positives, then far frames
     stacked = np.stack(triplets, axis=1).reshape(3 * b, *triplets[0].shape[1:])
     feats = encode(stacked)  # (3B, H', W', C')
-    pooled = T.tmean(feats, axis=(1, 2))  # (3B, C')
-    pooled = T.l2_normalize(pooled, axis=1)
+    pooled = pool_many(T.reshape(feats, (3 * b, -1, feats.shape[-1])), None)  # (3B, C')
     a_rows = T.take(pooled, slice(0, b))
     p_rows = T.take(pooled, slice(b, 2 * b))
     f_rows = T.take(pooled, slice(2 * b, 3 * b))

@@ -1,10 +1,13 @@
 """Representation quality checks for adapted vs frozen encoders.
 
 Retrieval asks whether paired human/robot clips embed closest to each
-other among all held-out candidates. The downstream report freezes the
-encoder (adapters included) and trains small heads on robot features: a
-linear task probe, a two-layer regressor predicting the next latent
-effector position, and a tube-following success proxy over whole clips.
+other among all held-out candidates; a clip's embedding comes from
+``encoder.encode_pooled``, the same pooling the alignment loss trains. The
+downstream report freezes the encoder (adapters included) and trains small
+heads on robot features, mean-pooled per frame: a linear task probe, a
+two-layer regressor predicting the next latent effector position, and a
+tube-following success proxy over whole clips. ``ModelCheckpoint.hooks``
+picks the adapted or the frozen encoder for both.
 The ablation arms are declared once in ``ARMS``; ``run_arm`` trains one
 arm and scores it with both reports.
 """
@@ -18,8 +21,8 @@ import numpy as np
 
 from . import tensor as T
 from .adapter import count_learnable
-from .dataset import PairedDemo, VideoClip, _atomic_write_csv, split_pairs
-from .encoder import Backbone
+from .dataset import PairedDemo, VideoClip, _atomic_write_csv, sample_frame_indices, split_pairs
+from .encoder import Backbone, encode_batch, encode_pooled
 from .optim import AdamState, fit
 from .rng import RngState
 from .task_query import embed_texts
@@ -88,8 +91,6 @@ class DownstreamReport:
 
 def _clip_indices(clip: VideoClip, t: int, seed: int) -> list[int]:
     # keyed by pair id only, so both clips of a pair sample the same frames
-    from .dataset import sample_frame_indices
-
     rng = RngState(seed).derive("eval-frames", clip.pair_id)
     return sample_frame_indices(clip.length, t, rng)
 
@@ -108,42 +109,14 @@ def embed_clip(
     policy (task-aware when it was trained with language). The frozen path
     is the unadapted model: frozen stream, uniform pooling.
     """
-    from .alignment import pool_many
-    from .encoder import encode_batch
-
     config = checkpoint.config
-    t = t or config.frames
-    idx = _clip_indices(clip, t, seed)
-    frames = clip.frames[idx]
-    # an empty stack's hooks are an empty mapping: the frozen encoder
-    hooks = checkpoint.stack.hooks() if adapted and checkpoint.stack is not None else None
-    feat = encode_batch(checkpoint.backbone, frames, hooks)
-    n, h, w, c = feat.shape
-    positions = T.reshape(feat, (1, n * h * w, c))
+    frames = clip.frames[_clip_indices(clip, t or config.frames, seed)]
     queries = None
     if adapted and checkpoint.embedder is not None and description is not None:
         queries = embed_texts(checkpoint.embedder, [description]).detach()
-    pooled = pool_many(positions, queries, normalize=config.normalize)
+    hooks = checkpoint.hooks(adapted)
+    pooled = encode_pooled(checkpoint.backbone, frames, 1, hooks, queries, config.normalize)
     return pooled.data[0].copy()
-
-
-def embed_pairs(
-    checkpoint: ModelCheckpoint, pairs: list[PairedDemo], adapted: bool, seed: int = 311
-) -> tuple[np.ndarray, np.ndarray]:
-    """Human-stream and robot-stream embeddings, row i = pair i."""
-    human = np.stack(
-        [
-            embed_clip(checkpoint, p.human, p.description.text, adapted=adapted, seed=seed)
-            for p in pairs
-        ]
-    )
-    robot = np.stack(
-        [
-            embed_clip(checkpoint, p.robot, p.description.text, adapted=adapted, seed=seed)
-            for p in pairs
-        ]
-    )
-    return human, robot
 
 
 def _retrieval_stats(scores: np.ndarray) -> tuple[float, float, float]:
@@ -166,7 +139,15 @@ def eval_retrieval(
     """Cross-domain pair retrieval by dot product over pooled embeddings."""
     if len(heldout_pairs) < 2:
         raise ValueError(f"retrieval needs at least 2 pairs, got {len(heldout_pairs)}")
-    human, robot = embed_pairs(checkpoint, heldout_pairs, adapted=adapted, seed=seed)
+    human, robot = (  # row i of each stream embeds pair i
+        np.stack(
+            [
+                embed_clip(checkpoint, getattr(p, side), p.description.text, adapted, seed)
+                for p in heldout_pairs
+            ]
+        )
+        for side in ("human", "robot")
+    )
     scores_r2h = robot @ human.T
     r2h = _retrieval_stats(scores_r2h)
     h2r = _retrieval_stats(scores_r2h.T)
@@ -249,10 +230,7 @@ def _frame_features(
     checkpoint: ModelCheckpoint, clip: VideoClip, adapted: bool
 ) -> np.ndarray:
     """(T_len, C) per-frame mean-pooled features of a whole clip."""
-    from .encoder import encode_batch
-
-    hooks = checkpoint.stack.hooks() if adapted and checkpoint.stack is not None else None
-    feat = encode_batch(checkpoint.backbone, clip.frames, hooks)
+    feat = encode_batch(checkpoint.backbone, clip.frames, checkpoint.hooks(adapted))
     return feat.data.mean(axis=(1, 2))
 
 

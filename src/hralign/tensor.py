@@ -530,10 +530,6 @@ def _patch_index(hp: int, wp: int, c: int, k: int, stride: int) -> np.ndarray:
     return idx
 
 
-def conv_output_size(size: int, k: int, stride: int, padding: int) -> int:
-    return (size + 2 * padding - k) // stride + 1
-
-
 # ---------------------------------------------------------------------------
 # serialization: rank and dims as unsigned 32-bit little-endian, followed by
 # the row-major float64 little-endian payload.

@@ -3,7 +3,9 @@
 All runs are deterministic given (config, seed): batch order is derived
 per epoch from the seed, frame sampling consumes the single training RNG
 stream, and that stream plus optimizer moments live in the checkpoint, so
-save/resume reproduces an uninterrupted run bitwise.
+save/resume reproduces an uninterrupted run bitwise. The alignment loss's
+three streams and the classification head's inputs are all pooled clip
+vectors from ``encoder.encode_pooled``.
 """
 
 from __future__ import annotations
@@ -19,10 +21,10 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as T
-from .adapter import AdapterStack
-from .alignment import AlignmentBatchFeatures, alignment_stats, hr_align_loss, pool_many
+from .adapter import POSITION_SPECS, AdapterStack
+from .alignment import AlignmentBatchFeatures, alignment_stats, hr_align_loss
 from .dataset import PairedDemo, VideoClip, _atomic_write, _check_json, sample_frames
-from .encoder import Backbone, encode_batch, pretext_loss
+from .encoder import Backbone, encode_batch, encode_pooled, pretext_loss
 from .optim import AdamState, fit
 from .rng import RngState
 from .task_query import QueryEmbedder, embed_texts
@@ -63,8 +65,6 @@ class TrainConfig:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.steps < 0:
             raise ValueError(f"steps must be non-negative, got {self.steps}")
-        from .adapter import POSITION_SPECS
-
         if self.adapter_positions not in POSITION_SPECS:
             raise ValueError(f"adapter_positions must be one of {POSITION_SPECS}")
         if (
@@ -135,8 +135,15 @@ def format_config(config: TrainConfig) -> str:
 
 
 def load_config(path: str, overrides: dict | None = None) -> TrainConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        mapping = parse_config_text(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            mapping = parse_config_text(fh.read())
+    except FileNotFoundError:
+        raise
+    except OSError as e:  # a directory, or no read permission
+        raise ValueError(f"config cannot be read: {path}: {e.strerror}") from e
+    except UnicodeDecodeError as e:
+        raise ValueError(f"config is not UTF-8 text: {path}: {e.reason}") from e
     if overrides:
         mapping.update(overrides)
     return TrainConfig.from_mapping(mapping)
@@ -158,13 +165,6 @@ class MetricsRow:
 @dataclass
 class MetricsLog:
     rows: list[MetricsRow] = field(default_factory=list)
-
-    def append(self, row: MetricsRow) -> None:
-        if self.rows and row.step <= self.rows[-1].step:
-            raise ValueError(
-                f"metrics steps must increase: {row.step} after {self.rows[-1].step}"
-            )
-        self.rows.append(row)
 
     def to_csv_text(self) -> str:
         lines = [METRICS_HEADER]
@@ -289,6 +289,11 @@ class ModelCheckpoint:
     def learnable_parameters(self) -> dict[str, Tensor]:
         return {name: t for name, t in self.named_tensors().items() if t.requires_grad}
 
+    def hooks(self, adapted: bool = True) -> dict:
+        """The adapter hooks to encode with: the stack's, or none (the
+        frozen model) when ``adapted`` is false or there is no stack."""
+        return self.stack.hooks() if adapted and self.stack is not None else {}
+
     def _header(self) -> tuple[dict, list[bytes]]:
         """The JSON header and, in name order, the serialized tensors it indexes."""
         arrays = {name: t.data for name, t in self.named_tensors().items()}
@@ -338,8 +343,13 @@ class ModelCheckpoint:
         header against the one ``save`` writes for what was loaded, that
         every tensor value is finite, and that no bytes follow the last
         tensor."""
-        with open(path, "rb") as fh:
-            raw = fh.read()
+        try:
+            with open(path, "rb") as fh:
+                raw = fh.read()
+        except FileNotFoundError:
+            raise
+        except OSError as e:  # a directory, or no read permission
+            raise CheckpointError(f"{path}: cannot be read: {e.strerror}") from e
         if len(raw) < 4:
             raise CheckpointError(f"{path}: {len(raw)} bytes, too short for a checkpoint")
         (hlen,) = struct.unpack_from("<I", raw, 0)
@@ -548,23 +558,16 @@ def train_hr_align(
             # one shared sample per robot clip feeds both robot streams
             robot_frames.append(sample_frames(demo.robot, config.frames, rng))
         human, robot = np.concatenate(human_frames), np.concatenate(robot_frames)
-        hooks = stack.hooks() if len(stack) else None
-
-        def positions(feat: Tensor) -> Tensor:  # (B*T, H, W, C) -> (B, T*H*W, C)
-            return T.reshape(feat, (len(batch), -1, feat.shape[-1]))
-
-        human_feat = positions(encode_batch(backbone, human))
-        frozen_feat = positions(encode_batch(backbone, robot))
-        adapted_feat = positions(encode_batch(backbone, robot, hooks))
         if embedder is not None:
             queries = embed_texts(embedder, [d.description.text for d in batch])
             frozen_queries = queries.detach()
         else:
             queries = frozen_queries = None
+        b, norm = len(batch), config.normalize
         feats = AlignmentBatchFeatures(
-            pool_many(human_feat, frozen_queries, config.normalize),
-            pool_many(frozen_feat, frozen_queries, config.normalize),
-            pool_many(adapted_feat, queries, config.normalize),
+            encode_pooled(backbone, human, b, queries=frozen_queries, normalize=norm),
+            encode_pooled(backbone, robot, b, queries=frozen_queries, normalize=norm),
+            encode_pooled(backbone, robot, b, stack.hooks(), queries, norm),
             config.tau,
         )
         return hr_align_loss(feats), alignment_stats(feats)
@@ -635,7 +638,7 @@ def train_baseline_cls(
         b = len(batch)
         frames = np.concatenate([sample_frames(clip, config.frames, rng) for clip in batch], axis=0)
         labels = np.array([classes[clip.task_id] for clip in batch])
-        logits = _head_logits(head, backbone, hooks, frames, b, config.frames)
+        logits = _head_logits(head, backbone, hooks, frames, b)
         e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
         true_p = probs[np.arange(b), labels]
@@ -646,12 +649,6 @@ def train_baseline_cls(
     return _fit_checkpoint(
         config, clips, params, batch_loss, backbone=backbone, stack=stack, head=head, rng=rng
     )
-
-
-def _pooled_clip_features(backbone, hooks, frames, b, t) -> Tensor:
-    feat = encode_batch(backbone, frames, hooks)  # (B*T, H', W', C)
-    n, h, w, c = feat.shape
-    return T.tmean(T.reshape(feat, (b, t * h * w, c)), axis=1)  # (B, C)
 
 
 def _fit_head_scaler(head, backbone, hooks, clips, config) -> None:
@@ -671,30 +668,40 @@ def _fit_head_scaler(head, backbone, hooks, clips, config) -> None:
     for start in range(0, len(clips), config.batch_size):
         chunk = clips[start : start + config.batch_size]
         frames = np.concatenate([sample_frames(c, config.frames, rng) for c in chunk], axis=0)
-        rows.append(_pooled_clip_features(backbone, hooks, frames, len(chunk), config.frames).data)
+        rows.append(encode_pooled(backbone, frames, len(chunk), hooks, normalize=False).data)
     head.mu.data, head.sd.data = standard_stats(np.concatenate(rows, axis=0))
 
 
-def _head_logits(head: LinearHead, backbone, hooks, frames, b, t) -> Tensor:
+def _head_logits(head: LinearHead, backbone, hooks, frames, b) -> Tensor:
     """(B, K) class logits of B clips' (B*T, H, W, C) frames."""
-    pooled = head.standardize(_pooled_clip_features(backbone, hooks, frames, b, t))
+    pooled = head.standardize(encode_pooled(backbone, frames, b, hooks, normalize=False))
     return T.add(T.matmul(pooled, head.w), head.b)
 
 
 def classification_accuracy(
     checkpoint: ModelCheckpoint, pairs: list[PairedDemo], seed: int = 977
 ) -> float:
-    """Accuracy of a cls-baseline checkpoint on the given pairs' robot clips."""
+    """Accuracy of a cls-baseline checkpoint on the given pairs' robot clips.
+
+    Task ids map to the head's classes in sorted order, as in training, so
+    the pairs must hold as many tasks as the head has classes.
+    """
     if checkpoint.head is None:
         raise ValueError("checkpoint has no classification head")
     classes = _class_index(pairs)
+    n_classes = checkpoint.head.w.shape[1]
+    if len(classes) != n_classes:
+        raise ValueError(
+            f"classification_accuracy: the pairs hold {len(classes)} tasks, "
+            f"the head has {n_classes} classes"
+        )
     config = checkpoint.config
     rng = RngState(seed)
-    hooks = checkpoint.stack.hooks() if checkpoint.stack is not None else None
+    hooks = checkpoint.hooks()
     hits = 0
     for demo in pairs:
         frames = sample_frames(demo.robot, config.frames, rng)
-        logits = _head_logits(checkpoint.head, checkpoint.backbone, hooks, frames, 1, config.frames)
+        logits = _head_logits(checkpoint.head, checkpoint.backbone, hooks, frames, 1)
         if int(np.argmax(logits.data[0])) == classes[demo.task_id]:
             hits += 1
     return hits / len(pairs)

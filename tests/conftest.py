@@ -2,9 +2,10 @@
 acceptance tests.
 
 The reference configuration: 8 tasks x 32 pairs, gap 0.7, seed 7; pretext
-pre-training on the train-split human clips; 300-step adaptation with the
-default config. Built once per session because several tests pin ordinals
-measured on exactly this run.
+pre-training on the train-split human clips; the ablation grid's five
+300-step arms, whose L arm is the default-config reference run. Built once
+per session because several tests pin ordinals measured on exactly these
+runs.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 from hralign.dataset import generate_paired_set, split_pairs
 from hralign.encoder import pretext_pretrain
+from hralign.evaluation import run_ablation_grid
 from hralign.rng import RngState
-from hralign.trainer import TrainConfig, train_hr_align
+from hralign.trainer import TrainConfig
 
 REFERENCE_SEED = 7
 REFERENCE_TASKS = 8
@@ -57,14 +59,24 @@ def reference_backbone(reference_split):
 
 
 @pytest.fixture(scope="session")
-def reference_run(reference_split, reference_backbone):
-    """(checkpoint, metrics, backbone snapshot taken before training)."""
-    train, _ = reference_split
+def reference_grid(reference_split, reference_backbone, tmp_path_factory):
+    """(every ablation arm's run, backbone snapshot taken before training)."""
+    train, heldout = reference_split
     snapshot = {
         name: t.data.copy() for name, t in reference_backbone.named_parameters().items()
     }
-    checkpoint, metrics = train_hr_align(TrainConfig(), train, reference_backbone)
-    return checkpoint, metrics, snapshot
+    base = TrainConfig(out_dir=str(tmp_path_factory.mktemp("grid")))
+    return run_ablation_grid(base, train, heldout, reference_backbone), snapshot
+
+
+@pytest.fixture(scope="session")
+def reference_run(reference_grid):
+    """(checkpoint, metrics, backbone snapshot taken before training) of the
+    grid's L arm: its config is ``TrainConfig()`` but for ``out_dir``, which
+    training never reads."""
+    runs, snapshot = reference_grid
+    run = next(run for run in runs if run.name == "L")
+    return run.checkpoint, run.metrics, snapshot
 
 
 @pytest.fixture(scope="session")

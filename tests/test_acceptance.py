@@ -10,7 +10,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 
 from conftest import BASELINE_LR
 from helpers import (
@@ -24,7 +23,7 @@ from hralign.adapter import AdapterBlock, AdapterStack, adapter_forward, count_l
 from hralign.alignment import AlignmentBatchFeatures, hr_align_loss, pool_many
 from hralign.dataset import generate_paired_set, load_manifest, save_manifest, split_pairs
 from hralign.encoder import Backbone, encode_batch
-from hralign.evaluation import eval_downstream, eval_retrieval, run_ablation_grid
+from hralign.evaluation import eval_downstream, eval_retrieval
 from hralign.rng import RngState
 from hralign.tensor import Tensor
 from hralign.trainer import (
@@ -251,14 +250,8 @@ def test_criterion_7_baseline_structure(reference_split, reference_backbone, ref
     )
 
 
-@pytest.fixture(scope="module")
-def ablation_runs(reference_split, reference_backbone, tmp_path_factory):
-    train, heldout = reference_split
-    base = TrainConfig(out_dir=str(tmp_path_factory.mktemp("grid")))
-    return run_ablation_grid(base, train, heldout, reference_backbone)
-
-
-def test_criterion_8_ablation_grid(ablation_runs, reference_backbone):
+def test_criterion_8_ablation_grid(reference_grid, reference_backbone):
+    ablation_runs, _ = reference_grid
     assert len(ablation_runs) == 5
     names = [run.name for run in ablation_runs]
     assert names == ["E", "M", "L", "EML", "L_nolang"]

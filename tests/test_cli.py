@@ -49,6 +49,14 @@ def test_missing_config_exits_one_naming_path(tmp_path, capsys):
     assert "/nonexistent/config.txt" in capsys.readouterr().err
 
 
+def test_config_that_is_not_utf8_exits_two_naming_path(tmp_path, capsys):
+    config = tmp_path / "bad.cfg"
+    config.write_bytes(b"steps = 3\n\xff\xfe\n")
+    argv = ["adapt", "--config", str(config), "--data", "m.json", "--backbone", "b.ckpt"]
+    assert run(argv) == 2
+    assert f"config is not UTF-8 text: {config}" in capsys.readouterr().err
+
+
 def test_bad_manifest_exits_two(tmp_path, capsys):
     out = str(tmp_path / "pre")
     code = run(["pretrain", "--data", str(tmp_path / "missing.json"), "--out", out])
@@ -415,4 +423,28 @@ def test_cli_ablate_without_heldout_pairs_exits_two_writing_nothing(pipeline, tm
     out = tmp_path / "ablate"
     assert run(_ablate_argv(pipeline, out) + ["--heldout-frac", "0"]) == 2
     assert "at least 2 held-out pairs, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _path_flag_argv(pipeline, flag, path, out):
+    _, manifest, backbone, _ = pipeline
+    if flag == "--checkpoint":
+        return ["eval", "--checkpoint", path, "--data", manifest, "--out", out]
+    argv = ["adapt", "--data", manifest, "--out", out, flag, path]
+    return argv if flag == "--backbone" else argv + ["--backbone", backbone]
+
+
+@pytest.mark.parametrize("flag", ["--backbone", "--resume", "--config", "--checkpoint"])
+def test_path_flag_naming_a_directory_exits_two_and_a_missing_file_one(
+    pipeline, tmp_path, capsys, flag
+):
+    out = tmp_path / "out"
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    assert run(_path_flag_argv(pipeline, flag, str(directory), str(out))) == 2
+    err = capsys.readouterr().err
+    assert any(line.startswith("error:") and str(directory) in line for line in err.splitlines())
+    missing = str(tmp_path / "absent")
+    assert run(_path_flag_argv(pipeline, flag, missing, str(out))) == 1
+    assert missing in capsys.readouterr().err
     assert not out.exists()

@@ -11,7 +11,7 @@ from hralign.encoder import Backbone, pretext_pretrain
 from hralign.evaluation import (
     RetrievalReport,
     dump_embeddings,
-    embed_pairs,
+    embed_clip,
     eval_downstream,
     eval_retrieval,
     train_linear_probe,
@@ -67,8 +67,11 @@ def test_identity_adapter_matches_frozen_embeddings(small_ckpt):
     pairs, train, _, _ = small_ckpt
     backbone = Backbone.create(RngState(44)).freeze()
     fresh, _ = train_hr_align(TrainConfig(steps=0, batch_size=4, seed=44), train, backbone)
-    human_a, robot_a = embed_pairs(fresh, train[:4], adapted=False)
-    assert np.isfinite(human_a).all() and np.isfinite(robot_a).all()
+    for clip in [c for p in train[:4] for c in (p.human, p.robot)]:
+        frozen = embed_clip(fresh, clip, None, adapted=False)
+        assert np.isfinite(frozen).all()
+        # no description: uniform pooling, so only the identity adapters differ
+        assert np.array_equal(embed_clip(fresh, clip, None, adapted=True), frozen)
 
 
 def test_permutation_null_recall_near_chance():

@@ -23,6 +23,7 @@ from helpers import (
 from hralign.adapter import POSITION_SPECS
 from hralign.dataset import generate_paired_set, split_pairs
 from hralign.encoder import Backbone, pretext_pretrain
+from hralign.evaluation import dump_embeddings, eval_downstream, eval_retrieval
 from hralign.rng import RngState
 from hralign.trainer import (
     CheckpointError,
@@ -136,16 +137,8 @@ def test_config_hash_stable_and_sensitive():
     assert a.config_hash() != TrainConfig(seed=8).config_hash()
 
 
-def test_metrics_log_requires_increasing_steps():
-    log = MetricsLog()
-    log.append(MetricsRow(1, 1.0, 0.0, 0.0, 1.0))
-    with pytest.raises(ValueError):
-        log.append(MetricsRow(1, 1.0, 0.0, 0.0, 1.0))
-
-
 def test_metrics_csv_header():
-    log = MetricsLog()
-    log.append(MetricsRow(1, 0.5, 0.1, 0.2, 3.0))
+    log = MetricsLog([MetricsRow(1, 0.5, 0.1, 0.2, 3.0)])
     text = log.to_csv_text()
     assert text.splitlines()[0] == "step,loss,pos_sim,hard_neg_sim,wall_ms"
     assert text.splitlines()[1].startswith("1,0.5,")
@@ -282,14 +275,13 @@ def test_checkpoint_save_failing_partway_keeps_previous_file(small_setup, tmp_pa
 
 def test_metrics_save_failing_partway_keeps_previous_file(tmp_path, monkeypatch):
     path = str(tmp_path / "metrics.csv")
-    log = MetricsLog([MetricsRow(1, 2.5, 0.1, 0.2, 3.0)])
-    log.save(path)
-    log.append(MetricsRow(2, 2.4, 0.1, 0.2, 3.0))
+    first = MetricsLog([MetricsRow(1, 2.5, 0.1, 0.2, 3.0)])
+    first.save(path)
     fail_writes_partway(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
-        log.save(path)
+        MetricsLog(first.rows + [MetricsRow(2, 2.4, 0.1, 0.2, 3.0)]).save(path)
     monkeypatch.undo()
-    assert open(path, encoding="utf-8").read() == MetricsLog(log.rows[:1]).to_csv_text()
+    assert open(path, encoding="utf-8").read() == first.to_csv_text()
     assert os.listdir(tmp_path) == ["metrics.csv"]
 
 
@@ -706,6 +698,20 @@ def test_baseline_cls_accuracy_evaluable(small_setup):
     assert len(metrics.rows) == 20
 
 
+def test_classification_accuracy_rejects_pairs_missing_a_class(small_setup):
+    # scored on tasks {1, 2} alone, task 1 would be read as class 0
+    _, train, heldout, backbone = small_setup
+    checkpoint, _ = train_baseline_cls(
+        small_config(method="cls_baseline", steps=0, learning_rate=BASELINE_LR),
+        train,
+        backbone.copy().unfreeze(),
+    )
+    assert checkpoint.head.w.shape[1] == 3
+    partial = [p for p in heldout if p.task_id != 0]
+    with pytest.raises(ValueError, match="the pairs hold 2 tasks, the head has 3 classes"):
+        classification_accuracy(checkpoint, partial)
+
+
 def test_baseline_adapter_only_learnable_set(small_setup):
     _, train, _, backbone = small_setup
     frozen_copy = backbone.copy()
@@ -789,13 +795,15 @@ def _checkpoint_sha256(checkpoint: ModelCheckpoint, path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_write_path_checkpoints_match_pinned_digests(small_setup, tmp_path):
+@pytest.fixture(scope="module")
+def pinned_runs(small_setup):
+    """The tiny runs whose checkpoints and evaluations are pinned, by name."""
     _, train, _, _ = small_setup
     rng = RngState(37)
     backbone, _ = pretext_pretrain(rng, [p.human for p in train], epochs=2, lr=3e-4, batch_size=8)
     fixed = dict(steps=3, out_dir="runs/pinned")
     pretext = ModelCheckpoint(config=small_config(**fixed), backbone=backbone, rng=rng, step=0)
-    runs = {
+    return {
         "pretext": pretext,
         "pret_baseline": train_baseline_pret(
             small_config(method="pret_baseline", learning_rate=BASELINE_LR, **fixed),
@@ -822,6 +830,52 @@ def test_write_path_checkpoints_match_pinned_digests(small_setup, tmp_path):
             small_config(adapter_positions="EML", **fixed), train, backbone
         )[0],
     }
-    digests = {name: _checkpoint_sha256(c, tmp_path / f"{name}.ckpt") for name, c in runs.items()}
+
+
+def test_write_path_checkpoints_match_pinned_digests(pinned_runs, tmp_path):
+    digests = {
+        name: _checkpoint_sha256(c, tmp_path / f"{name}.ckpt") for name, c in pinned_runs.items()
+    }
     assert digests == WRITE_PATH_DIGESTS
+
+
+# sha256 of what the evaluation functions make of two pinned runs: the
+# retrieval and downstream reports as sorted JSON (float repr is exact), the
+# embedding CSV bytes and the classification accuracy's repr. The EML run has
+# early, middle and late adapters and a query projection, so the adapted and the
+# frozen path of each clip-level encode are both pinned.
+READ_PATH_DIGESTS = {
+    "retrieval_adapted": "aa0ee1232b24aea085c7b65a773bfdedc7221ec89e59bddf326493072435e566",
+    "downstream_adapted": "d072276b0c8db555f4d3b6f7e8a8dfb74bb6388cdba088798135b0de57932e5d",
+    "embeddings_adapted": "cc06c9a3cfbacea1c3749fa8e0376e10d0d34af4237bc6bd5bbed9b48a2170a5",
+    "retrieval_frozen": "32258fa5d3e27d14bcf3c3fa959b1893950a4559111c9ce73d4329ce8a060fc6",
+    "downstream_frozen": "024eda91206d1f8f0e3c750a8c87ec257a133641958ce5a4e5fb423327bacfb5",
+    "embeddings_frozen": "f0f42ffc7dc06b8848f7943c9cc4854d7104d2b3183f0d5bc45e5050dc5e3087",
+    "classification_accuracy": "cf1a763e65018b273fd16a1e7bf8d18198f5af3e7d47b369952af7654b09acc2",
+}
+
+
+def test_read_path_evaluations_match_pinned_digests(pinned_runs, small_setup, tmp_path):
+    pairs, _, heldout, _ = small_setup
+    eml, cls = pinned_runs["hr_align_EML"], pinned_runs["cls_baseline"]
+
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    def report_sha(report) -> str:
+        return sha(json.dumps(report.to_dict(), sort_keys=True).encode())
+
+    descriptions = {p.pair_id: p.description.text for p in heldout}
+    clips = [clip for p in heldout for clip in (p.human, p.robot)]
+    digests = {}
+    for tag, adapted in (("adapted", True), ("frozen", False)):
+        digests[f"retrieval_{tag}"] = report_sha(eval_retrieval(eml, heldout, adapted=adapted))
+        digests[f"downstream_{tag}"] = report_sha(
+            eval_downstream(eml, [p.robot for p in pairs], adapted=adapted)
+        )
+        path = tmp_path / f"embeddings_{tag}.csv"
+        dump_embeddings(eml, clips, str(path), descriptions, adapted=adapted)
+        digests[f"embeddings_{tag}"] = sha(path.read_bytes())
+    digests["classification_accuracy"] = sha(repr(classification_accuracy(cls, heldout)).encode())
+    assert digests == READ_PATH_DIGESTS
 
