@@ -3,7 +3,8 @@
 An adapter block is down-project (1x1 conv), ReLU, up-project (1x1 conv),
 plus the residual input. The up-projection starts at exactly zero, so a
 freshly built adapted stream coincides bitwise with the frozen stream and
-training is a pure departure from it. Position labels:
+training is a pure departure from it. Blocks take batched (N, C, H, W)
+activations only, as ``Backbone.apply`` passes them. Position labels:
 
   E   before the first backbone block (narrowest channels),
   M   at every junction between consecutive blocks,
@@ -59,14 +60,12 @@ class AdapterBlock:
 
 
 def adapter_forward(block: AdapterBlock, x: Tensor) -> Tensor:
-    """x + up(relu(down(x))) on (C, H, W) or (N, C, H, W) activations."""
-    channel_axis = 0 if x.ndim == 3 else 1
-    if x.ndim not in (3, 4):
-        raise ShapeError(f"adapter_forward: expected rank 3 or 4, got {x.shape}")
-    if x.shape[channel_axis] != block.channels:
+    """x + up(relu(down(x))) on (N, C, H, W) activations."""
+    if x.ndim != 4:
+        raise ShapeError(f"adapter_forward: expected rank 4 (N, C, H, W), got {x.shape}")
+    if x.shape[1] != block.channels:
         raise ShapeError(
-            f"adapter_forward: input has {x.shape[channel_axis]} channels, "
-            f"block expects {block.channels}"
+            f"adapter_forward: input has {x.shape[1]} channels, block expects {block.channels}"
         )
     down_b = T.reshape(block.down_b, (block.bottleneck, 1, 1))
     up_b = T.reshape(block.up_b, (block.channels, 1, 1))
@@ -78,7 +77,7 @@ def adapter_forward(block: AdapterBlock, x: Tensor) -> Tensor:
 class AdapterStack:
     """Adapter blocks keyed by backbone junction index, at most one each."""
 
-    def __init__(self, blocks: list[tuple[int, AdapterBlock]], positions: str = "none"):
+    def __init__(self, blocks: list[tuple[int, AdapterBlock]], positions: str):
         junctions = [j for j, _ in blocks]
         if len(set(junctions)) != len(junctions):
             raise ValueError(f"duplicate adapter junctions: {junctions}")
@@ -105,9 +104,6 @@ class AdapterStack:
         ]
         return cls(blocks, positions)
 
-    def __len__(self) -> int:
-        return len(self.blocks)
-
     @property
     def junctions(self) -> list[int]:
         return [j for j, _ in self.blocks]
@@ -115,10 +111,10 @@ class AdapterStack:
     def hooks(self):
         return {j: (lambda x, blk=blk: adapter_forward(blk, x)) for j, blk in self.blocks}
 
-    def named_parameters(self, prefix: str = "adapter") -> dict[str, Tensor]:
+    def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
         for j, blk in self.blocks:
-            out.update(blk.named_parameters(f"{prefix}.j{j}"))
+            out.update(blk.named_parameters(f"adapter.j{j}"))
         return out
 
 

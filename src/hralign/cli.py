@@ -59,19 +59,12 @@ def _load_train_config(args: argparse.Namespace) -> TrainConfig:
         key, value = item.split("=", 1)
         overrides[key.strip()] = value.strip()
     if args.config is not None:
-        if not os.path.exists(args.config):
-            raise FileNotFoundError(args.config)
         config = load_config(args.config, overrides)
     else:
         config = TrainConfig.from_mapping(overrides)
     if args.out is not None:
         config = replace(config, out_dir=args.out)
-    return config.validate()
-
-
-def _load_backbone(path: str):
-    checkpoint = ModelCheckpoint.load(path)
-    return checkpoint.backbone
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +123,10 @@ def _finish_training(out_dir, config, checkpoint, metrics, label) -> int:
 
 
 def cmd_adapt(args) -> int:
-    config = _load_train_config(args)
-    if config.method != "hr_align":
-        config = replace(config, method="hr_align")
+    config = replace(_load_train_config(args), method="hr_align")
     pairs = load_manifest(args.data)
     train, _ = split_pairs(pairs, args.heldout_frac)
-    backbone = _load_backbone(args.backbone)
-    if not backbone.frozen:
-        backbone.freeze()
+    backbone = ModelCheckpoint.load(args.backbone).backbone.freeze()
     resume = ModelCheckpoint.load(args.resume) if args.resume else None
     checkpoint, metrics = train_hr_align(config, train, backbone, resume=resume)
     return _finish_training(config.out_dir, config, checkpoint, metrics, "adapt")
@@ -149,7 +138,7 @@ def cmd_baseline(args) -> int:
     config = replace(config, method=method)
     pairs = load_manifest(args.data)
     train, _ = split_pairs(pairs, args.heldout_frac)
-    backbone = _load_backbone(args.backbone)
+    backbone = ModelCheckpoint.load(args.backbone).backbone
     if not config.baseline_adapter_only:
         backbone.unfreeze()
     trainer = train_baseline_pret if args.kind == "pret" else train_baseline_cls
@@ -161,9 +150,7 @@ def cmd_ablate(args) -> int:
     config = _load_train_config(args)
     pairs = load_manifest(args.data)
     train, heldout = split_pairs(pairs, args.heldout_frac)
-    backbone = _load_backbone(args.backbone)
-    if not backbone.frozen:
-        backbone.freeze()
+    backbone = ModelCheckpoint.load(args.backbone).backbone.freeze()
     runs = run_ablation_grid(config, train, heldout, backbone)
     os.makedirs(config.out_dir, exist_ok=True)
     rows = [run.row for run in runs]
@@ -192,7 +179,7 @@ def cmd_eval(args) -> int:
     adapted = not args.frozen
     retrieval = eval_retrieval(checkpoint, heldout, adapted=adapted, seed=args.seed)
     robot_clips = [p.robot for p in pairs]
-    downstream = eval_downstream(checkpoint, robot_clips, adapted=adapted, seed=args.seed)
+    downstream = eval_downstream(checkpoint, robot_clips, adapted=adapted)
     after = open(args.checkpoint, "rb").read()
     if before != after:
         raise RuntimeError("evaluation mutated the checkpoint file")
@@ -290,7 +277,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--frozen", action="store_true", help="evaluate the unadapted model")
     p.add_argument("--heldout-frac", type=float, default=0.25)
-    p.add_argument("--seed", type=int, default=311)
+    p.add_argument(
+        "--seed", type=int, default=311, help="picks the frames retrieval samples from each clip"
+    )
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("dump", help="write pooled clip embeddings as CSV")

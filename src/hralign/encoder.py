@@ -5,7 +5,10 @@ independently; a clip of T frames maps to a T x H' x W' x C' feature map.
 ``encode_pooled`` is the one path from clips' frames to one pooled vector
 per clip, shared by the alignment loss, the classification head and
 retrieval. Pre-training is time-contrastive: pooled features of temporally
-close frames attract, far frames and other clips' frames repel.
+close frames attract, far frames and other clips' frames repel. Its
+positive lies 1 or 2 frames from the anchor, ``pretext_pretrain`` scores at
+temperature 0.1 and always trains a fresh backbone drawn from its ``rng``;
+these are fixed in the code, not options.
 """
 
 from __future__ import annotations
@@ -87,11 +90,11 @@ class Backbone:
             block.b.requires_grad = True
         return self
 
-    def named_parameters(self, prefix: str = "backbone") -> dict[str, Tensor]:
+    def named_parameters(self) -> dict[str, Tensor]:
         out = {}
         for i, block in enumerate(self.blocks):
-            out[f"{prefix}.block{i}.w"] = block.w
-            out[f"{prefix}.block{i}.b"] = block.b
+            out[f"backbone.block{i}.w"] = block.w
+            out[f"backbone.block{i}.b"] = block.b
         return out
 
     def copy(self) -> "Backbone":
@@ -160,9 +163,9 @@ def encode_pooled(
 # time-contrastive pretext
 
 
-def _triplet_indices(t_len: int, rng: RngState, window: int) -> tuple[int, int, int]:
+def _triplet_indices(t_len: int, rng: RngState) -> tuple[int, int, int]:
     anchor = rng.randint(t_len)
-    delta = 1 + rng.randint(window)
+    delta = 1 + rng.randint(2)  # the positive is 1 or 2 frames away
     candidates = [i for i in (anchor + delta, anchor - delta) if 0 <= i < t_len]
     positive = candidates[rng.randint(len(candidates))]
     far = 0 if anchor > (t_len - 1) / 2 else t_len - 1
@@ -174,7 +177,6 @@ def pretext_loss(
     clips,
     rng: RngState,
     temperature: float = 0.1,
-    window: int = 2,
 ) -> tuple[Tensor, dict]:
     """Time-contrastive InfoNCE over a batch of clips.
 
@@ -184,9 +186,7 @@ def pretext_loss(
     positives serve as in-batch negatives.
     """
     b = len(clips)
-    triplets = [
-        clip.frames[list(_triplet_indices(len(clip.frames), rng, window))] for clip in clips
-    ]
+    triplets = [clip.frames[list(_triplet_indices(len(clip.frames), rng))] for clip in clips]
     # anchors, then positives, then far frames
     stacked = np.stack(triplets, axis=1).reshape(3 * b, *triplets[0].shape[1:])
     feats = encode(stacked)  # (3B, H', W', C')
@@ -219,9 +219,6 @@ def pretext_pretrain(
     epochs: int,
     lr: float = 3e-6,
     batch_size: int = 16,
-    temperature: float = 0.1,
-    window: int = 2,
-    backbone: Backbone | None = None,
 ) -> tuple[Backbone, list[float]]:
     """Train a fresh backbone on human clips; returns it frozen.
 
@@ -243,9 +240,7 @@ def pretext_pretrain(
         raise ValueError(f"pretext_pretrain: epochs must be at least 1, got {epochs}")
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError(f"pretext_pretrain: lr must be finite and positive, got {lr}")
-    if backbone is None:
-        backbone = Backbone.create(rng)
-    backbone.unfreeze()
+    backbone = Backbone.create(rng)
     params = backbone.named_parameters()
     n = len(human_clips)
     bsz = min(batch_size, n)
@@ -258,9 +253,7 @@ def pretext_pretrain(
         if slot == 0:  # a fresh shuffle, drawn before the epoch's triplets
             order = rng.permutation(n)
         batch = [human_clips[i] for i in order[slot * bsz : (slot + 1) * bsz]]
-        return pretext_loss(
-            lambda fr: encode_batch(backbone, fr), batch, rng, temperature, window
-        )
+        return pretext_loss(lambda fr: encode_batch(backbone, fr), batch, rng)
 
     rows = fit(params, AdamState.for_params(params, lr=lr), epochs * per_epoch, step_loss)
     history = [

@@ -24,8 +24,8 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, Tensor], lr: float, **kwargs) -> "AdamState":
-        state = cls(lr=lr, **kwargs)
+    def for_params(cls, params: dict[str, Tensor], lr: float) -> "AdamState":
+        state = cls(lr=lr)
         for name, p in params.items():
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)

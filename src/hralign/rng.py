@@ -103,10 +103,10 @@ class RngState:
         u = (self.u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53
         return (low + (high - low) * u).reshape(shape)
 
-    def normal(self, shape=None):
-        """Standard normals via Box-Muller; consumes two draws per pair."""
-        scalar = shape is None
-        shape = (1,) if scalar else ((shape,) if isinstance(shape, int) else tuple(shape))
+    def normal(self, shape):
+        """An array of standard normals via Box-Muller; consumes two draws
+        per pair."""
+        shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         m = (n + 1) // 2
         d = self.u64(2 * m)
@@ -117,8 +117,7 @@ class RngState:
         z = np.empty(2 * m, dtype=np.float64)
         z[0::2] = r * np.cos(theta)
         z[1::2] = r * np.sin(theta)
-        out = z[:n].reshape(shape)
-        return float(out[0]) if scalar else out
+        return z[:n].reshape(shape)
 
     def randint(self, n: int) -> int:
         """Uniform integer in [0, n)."""

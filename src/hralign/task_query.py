@@ -36,12 +36,12 @@ class TaskDescription:
             raise ValueError("task description text must be non-empty")
 
 
-def token_bucket(token: str, n_buckets: int = N_BUCKETS) -> int:
-    return fnv1a64(token.encode("utf-8")) % n_buckets
+def token_bucket(token: str) -> int:
+    return fnv1a64(token.encode("utf-8")) % N_BUCKETS
 
 
-def build_table(n_buckets: int = N_BUCKETS, text_dim: int = TEXT_DIM) -> np.ndarray:
-    table = RngState(_TABLE_SEED).normal((n_buckets, text_dim)) / math.sqrt(text_dim)
+def build_table() -> np.ndarray:
+    table = RngState(_TABLE_SEED).normal((N_BUCKETS, TEXT_DIM)) / math.sqrt(TEXT_DIM)
     table.flags.writeable = False
     return table
 
@@ -70,8 +70,8 @@ class QueryEmbedder:
     def out_dim(self) -> int:
         return self.proj_w.shape[1]
 
-    def named_parameters(self, prefix: str = "query") -> dict[str, Tensor]:
-        return {f"{prefix}.proj_w": self.proj_w, f"{prefix}.proj_b": self.proj_b}
+    def named_parameters(self) -> dict[str, Tensor]:
+        return {"query.proj_w": self.proj_w, "query.proj_b": self.proj_b}
 
     def bag_of_tokens(self, text: str) -> np.ndarray:
         tokens = text.lower().split()
@@ -79,7 +79,7 @@ class QueryEmbedder:
             raise ValueError(f"cannot embed empty task description: {text!r}")
         # sorted bucket order makes the float sum independent of token order,
         # so equal token multisets embed bitwise-identically
-        idx = sorted(token_bucket(tok, self.table.shape[0]) for tok in tokens)
+        idx = sorted(token_bucket(tok) for tok in tokens)
         return self.table[idx].mean(axis=0)
 
 

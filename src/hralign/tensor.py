@@ -1,11 +1,12 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
 The computation graph is rebuilt on every forward pass and walked once, in
-reverse topological order, by :meth:`Tensor.backward`. All storage is numpy
-float64 so analytic gradients can be audited against central finite
-differences at tight tolerances. Single-threaded by contract: tensors are
-treated as immutable once produced; only an optimizer step mutates
-parameter data in place.
+reverse topological order, by :meth:`Tensor.backward`, seeded with ones.
+Ops take :class:`Tensor` operands only; nothing coerces an array, so wrap
+one in ``Tensor(...)``. All storage is numpy float64 so analytic gradients
+can be audited against central finite differences at tight tolerances.
+Single-threaded by contract: tensors are treated as immutable once
+produced; only an optimizer step mutates parameter data in place.
 
 :func:`conv2d` reads its input channels-last. It pads into a zeroed
 (N, H+2p, W+2p, C) buffer and gathers the patch matrix (N, Ho*Wo, C*k*k)
@@ -107,24 +108,15 @@ class Tensor:
         """A view of the same values, cut loose from the graph."""
         return Tensor(self.data)
 
-    def backward(self, seed=None) -> None:
+    def backward(self) -> None:
         """Accumulate gradients of this tensor w.r.t. every reachable
-        tensor that has ``requires_grad``.
-
-        ``seed`` defaults to ones (the usual case is a scalar loss).
-        Gradients accumulate into ``.grad``; callers zero them between
-        optimizer steps.
+        tensor that has ``requires_grad``, seeded with ones (the usual case
+        is a scalar loss; a vector-Jacobian product with ``g`` is
+        ``tsum(mul(x, Tensor(g))).backward()``). Gradients accumulate into
+        ``.grad``; callers zero them between optimizer steps.
         """
         if not self.requires_grad:
             raise ValueError("backward() on a tensor that does not require grad")
-        if seed is None:
-            seed = np.ones_like(self.data)
-        else:
-            seed = _asarray(seed)
-            if seed.shape != self.data.shape:
-                raise ShapeError(
-                    f"backward seed shape {seed.shape} != tensor shape {self.data.shape}"
-                )
         # Iterative topological sort; graphs routinely exceed the Python
         # recursion limit.
         topo: list[Tensor] = []
@@ -142,7 +134,7 @@ class Tensor:
             for parent in node._parents:
                 if id(parent) not in visited:
                     stack.append((parent, False))
-        _accumulate(self, seed)
+        _accumulate(self, np.ones_like(self.data))
         for node in reversed(topo):
             if node._bwd is not None and node.grad is not None:
                 node._bwd(node.grad)
@@ -150,10 +142,6 @@ class Tensor:
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{flag})"
-
-
-def _ensure_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -195,7 +183,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _ensure_tensor(a), _ensure_tensor(b)
     try:
         data = a.data + b.data
     except ValueError as e:
@@ -211,7 +198,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _ensure_tensor(a), _ensure_tensor(b)
     try:
         data = a.data * b.data
     except ValueError as e:
@@ -227,8 +213,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def neg(a: Tensor) -> Tensor:
-    a = _ensure_tensor(a)
-
     def bwd(g):
         _accumulate(a, -g)
 
@@ -236,7 +220,6 @@ def neg(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    a = _ensure_tensor(a)
     # Bitwise np.where(a > 0, a, 0.0); see the module docstring.
     data = np.fmax(a.data, 0.0)
     data += 0.0
@@ -248,7 +231,6 @@ def relu(a: Tensor) -> Tensor:
 
 
 def exp(a: Tensor) -> Tensor:
-    a = _ensure_tensor(a)
     data = np.exp(a.data)
 
     def bwd(g):
@@ -258,7 +240,6 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    a = _ensure_tensor(a)
     if np.any(a.data <= 0.0):
         raise NumericError("log: non-positive input")
     data = np.log(a.data)
@@ -271,7 +252,6 @@ def log(a: Tensor) -> Tensor:
 
 def power(a: Tensor, p: float) -> Tensor:
     """Elementwise ``a ** p`` for a fixed scalar exponent."""
-    a = _ensure_tensor(a)
     p = float(p)
     data = a.data**p
 
@@ -282,7 +262,6 @@ def power(a: Tensor, p: float) -> Tensor:
 
 
 def tsum(a: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:
-    a = _ensure_tensor(a)
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def bwd(g):
@@ -295,8 +274,7 @@ def tsum(a: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:
     return _from_op(data, (a,), bwd)
 
 
-def tmean(a: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:
-    a = _ensure_tensor(a)
+def tmean(a: Tensor, axis: Axis = None) -> Tensor:
     if axis is None:
         n = a.data.size
     else:
@@ -304,13 +282,12 @@ def tmean(a: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:
         n = 1
         for ax in axes:
             n *= a.data.shape[ax]
-    s = tsum(a, axis, keepdims)
+    s = tsum(a, axis)
     return mul(s, Tensor(1.0 / n))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product of two rank-2 tensors."""
-    a, b = _ensure_tensor(a), _ensure_tensor(b)
     if a.ndim != 2 or b.ndim != 2:
         raise ShapeError(f"matmul: expected rank-2 operands, got {a.shape} and {b.shape}")
     if a.shape[1] != b.shape[0]:
@@ -327,7 +304,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
-    a = _ensure_tensor(a)
     if axes is None:
         axes = tuple(reversed(range(a.ndim)))
     axes = tuple(axes)
@@ -340,7 +316,6 @@ def transpose(a: Tensor, axes=None) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    a = _ensure_tensor(a)
     old = a.data.shape
     try:
         data = a.data.reshape(shape)
@@ -354,7 +329,7 @@ def reshape(a: Tensor, shape) -> Tensor:
 
 
 def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
-    parts = [_ensure_tensor(p) for p in parts]
+    parts = list(parts)
     if not parts:
         raise ValueError("concat: empty input")
     data = np.concatenate([p.data for p in parts], axis=axis)
@@ -374,7 +349,6 @@ def concat(parts: Iterable[Tensor], axis: int = 0) -> Tensor:
 def take(a: Tensor, index) -> Tensor:
     """``a.data[index]`` for a basic or advanced numpy index; repeated
     entries of an advanced index sum their gradients."""
-    a = _ensure_tensor(a)
 
     def bwd(g):
         ga = np.zeros_like(a.data)
@@ -393,7 +367,6 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
     """Numerically stable softmax along one axis."""
-    a = _ensure_tensor(a)
     if np.isnan(a.data).any():
         raise NumericError("softmax: NaN input")
     shifted = a.data - a.data.max(axis=axis, keepdims=True)
@@ -407,31 +380,28 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _from_op(data, (a,), bwd)
 
 
-def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    a = _ensure_tensor(a)
+def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     m = a.data.max(axis=axis, keepdims=True)
     e = np.exp(a.data - m)
     s = e.sum(axis=axis, keepdims=True)
-    data = m + np.log(s)
+    data = (m + np.log(s)).squeeze(axis=axis)
     soft = e / s
-    if not keepdims:
-        data = data.squeeze(axis=axis)
 
     def bwd(g):
-        gg = g if keepdims else np.expand_dims(g, axis)
-        _accumulate(a, soft * gg)
+        _accumulate(a, soft * np.expand_dims(g, axis))
 
     return _from_op(data, (a,), bwd)
 
 
-def l2_normalize(a: Tensor, axis: int = -1, eps: float = 1e-24) -> Tensor:
+def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
     """Scale slices along ``axis`` to unit Euclidean norm.
 
-    Composite of primitive ops, so gradients come for free. ``eps`` only
-    matters for exactly-zero slices, which stay zero.
+    Composite of primitive ops, so gradients come for free. The 1e-24
+    added to the squared norm only matters for exactly-zero slices, which
+    stay zero.
     """
     sq = tsum(mul(a, a), axis=axis, keepdims=True)
-    inv = power(add(sq, Tensor(eps)), -0.5)
+    inv = power(add(sq, Tensor(1e-24)), -0.5)
     return mul(a, inv)
 
 
@@ -447,7 +417,6 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     floor((H + 2*padding - k) / stride) + 1. The module docstring gives
     the patch layout and GEMM grouping that keep results bitwise stable.
     """
-    x, kernels = _ensure_tensor(x), _ensure_tensor(kernels)
     if not isinstance(stride, int) or stride <= 0:
         raise ValueError(f"conv2d: stride must be a positive integer, got {stride!r}")
     if not isinstance(padding, int) or padding < 0:

@@ -176,11 +176,9 @@ class MetricsLog:
 
     def deterministic_text(self) -> str:
         """CSV content without the wall-clock column (the one
-        inherently non-reproducible field)."""
-        lines = ["step,loss,pos_sim,hard_neg_sim"]
-        for r in self.rows:
-            lines.append(f"{r.step},{r.loss!r},{r.pos_sim!r},{r.hard_neg_sim!r}")
-        return "\n".join(lines) + "\n"
+        inherently non-reproducible field), which is each line's last."""
+        lines = self.to_csv_text().splitlines()
+        return "".join(line.rsplit(",", 1)[0] + "\n" for line in lines)
 
     def save(self, path: str) -> None:
         _atomic_write(path, self.to_csv_text().encode("utf-8"))
@@ -220,11 +218,11 @@ class LinearHead:
         b = Tensor(np.zeros(n_classes), requires_grad=True)
         return cls(w, b, Tensor(np.zeros(in_dim)), Tensor(np.ones(in_dim)))
 
-    def named_parameters(self, prefix: str = "head") -> dict[str, Tensor]:
-        return {f"{prefix}.w": self.w, f"{prefix}.b": self.b}
+    def named_parameters(self) -> dict[str, Tensor]:
+        return {"head.w": self.w, "head.b": self.b}
 
-    def named_buffers(self, prefix: str = "head") -> dict[str, Tensor]:
-        return {f"{prefix}.mu": self.mu, f"{prefix}.sd": self.sd}
+    def named_buffers(self) -> dict[str, Tensor]:
+        return {"head.mu": self.mu, "head.sd": self.sd}
 
     def standardize(self, pooled: Tensor) -> Tensor:
         return T.mul(T.add(pooled, Tensor(-self.mu.data)), Tensor(1.0 / self.sd.data))
@@ -618,8 +616,10 @@ def train_baseline_pret(
     )
 
 
-def _class_index(pairs: list[PairedDemo]) -> dict[int, int]:
-    return {task_id: i for i, task_id in enumerate(sorted({p.task_id for p in pairs}))}
+def _class_index(items: list[PairedDemo] | list[VideoClip]) -> dict[int, int]:
+    """Class of each task id among ``items`` (pairs or clips): its rank in
+    sorted order, the one task-to-class mapping of every head."""
+    return {task_id: i for i, task_id in enumerate(sorted({p.task_id for p in items}))}
 
 
 def train_baseline_cls(
@@ -678,10 +678,9 @@ def _head_logits(head: LinearHead, backbone, hooks, frames, b) -> Tensor:
     return T.add(T.matmul(pooled, head.w), head.b)
 
 
-def classification_accuracy(
-    checkpoint: ModelCheckpoint, pairs: list[PairedDemo], seed: int = 977
-) -> float:
-    """Accuracy of a cls-baseline checkpoint on the given pairs' robot clips.
+def classification_accuracy(checkpoint: ModelCheckpoint, pairs: list[PairedDemo]) -> float:
+    """Accuracy of a cls-baseline checkpoint on the given pairs' robot clips,
+    their frames sampled from seed 977.
 
     Task ids map to the head's classes in sorted order, as in training, so
     the pairs must hold as many tasks as the head has classes.
@@ -696,7 +695,7 @@ def classification_accuracy(
             f"the head has {n_classes} classes"
         )
     config = checkpoint.config
-    rng = RngState(seed)
+    rng = RngState(977)
     hooks = checkpoint.hooks()
     hits = 0
     for demo in pairs:

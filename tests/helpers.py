@@ -124,7 +124,8 @@ def small_checkpoint(
     )
     if adam:
         params = checkpoint.learnable_parameters()
-        checkpoint.adam = AdamState.for_params(params, lr=0.01, step=seed % 7)
+        checkpoint.adam = AdamState.for_params(params, lr=0.01)
+        checkpoint.adam.step = seed % 7
         for name, p in params.items():
             checkpoint.adam.m[name] = rng.normal(p.shape)
             checkpoint.adam.v[name] = rng.uniform(p.shape)

@@ -22,7 +22,7 @@ def frozen_backbone(seed=3):
 
 def test_identity_at_init_bitwise():
     block = AdapterBlock.create(8, 4, RngState(1))
-    x = Tensor(RngState(2).normal((8, 5, 5)))
+    x = Tensor(RngState(2).normal((1, 8, 5, 5)))
     out = adapter_forward(block, x)
     assert np.array_equal(out.data, x.data)
 
@@ -31,7 +31,7 @@ def test_identity_like_projections_double_nonnegative_input():
     block = AdapterBlock.create(4, 1, RngState(1))  # bottleneck == channels
     block.down_w.data = np.eye(4).reshape(4, 4, 1, 1)
     block.up_w.data = np.eye(4).reshape(4, 4, 1, 1)
-    x = Tensor(np.abs(RngState(3).normal((4, 3, 3))))
+    x = Tensor(np.abs(RngState(3).normal((1, 4, 3, 3))))
     out = adapter_forward(block, x)
     assert np.allclose(out.data, 2 * x.data, atol=1e-15)
 
@@ -39,7 +39,13 @@ def test_identity_like_projections_double_nonnegative_input():
 def test_adapter_channel_mismatch():
     block = AdapterBlock.create(8, 4, RngState(1))
     with pytest.raises(ShapeError):
-        adapter_forward(block, Tensor(np.zeros((7, 4, 4))))
+        adapter_forward(block, Tensor(np.zeros((1, 7, 4, 4))))
+
+
+def test_adapter_rejects_unbatched_input():
+    block = AdapterBlock.create(8, 4, RngState(1))
+    with pytest.raises(ShapeError, match="rank 4"):
+        adapter_forward(block, Tensor(np.zeros((8, 4, 4))))
 
 
 def test_adapter_gradient_vs_fd():
@@ -47,7 +53,7 @@ def test_adapter_gradient_vs_fd():
     block = AdapterBlock.create(3, 2, rng)
     block.up_w.data = rng.normal(block.up_w.shape) * 0.3  # move off identity
     block.up_b.data = rng.normal(block.up_b.shape) * 0.1
-    x = rng.normal((3, 4, 4))
+    x = rng.normal((1, 3, 4, 4))
 
     def build_for(param_name):
         def build(p):
@@ -91,7 +97,7 @@ def test_encode_adapted_empty_stack_bitwise_frozen():
     bb = frozen_backbone()
     frames = random_clip_frames(RngState(7), t=3)
     stack = AdapterStack.for_positions("none", bb, 4, RngState(1))
-    assert len(stack) == 0 and stack.hooks() == {}
+    assert stack.blocks == [] and stack.hooks() == {}
     frozen = encode_batch(bb, frames)
     adapted = encode_batch(bb, frames, stack.hooks())
     assert not adapted.requires_grad

@@ -8,6 +8,8 @@ import pytest
 
 from helpers import fail_writes_partway, setting, small_checkpoint, with_header
 from hralign.cli import _write_run_outputs, cli_main
+from hralign.dataset import load_manifest, split_pairs
+from hralign.evaluation import eval_downstream, eval_retrieval
 from hralign.trainer import ModelCheckpoint
 from hralign.tensor import from_bytes, to_bytes
 
@@ -296,6 +298,23 @@ def test_cli_eval_and_dump(pipeline, tmp_path):
     assert run(["dump", "--checkpoint", model, "--data", manifest, "--out", dump_path]) == 0
     lines = open(dump_path).read().splitlines()
     assert len(lines) == 1 + 2 * 24  # header + human+robot clips of 24 pairs
+
+
+def test_cli_eval_report_equals_the_reports_run_arm_writes(pipeline, tmp_path):
+    """``hralign eval`` scores a checkpoint as ``run_arm`` does, so it
+    reproduces ``summary.json``'s numbers: ``--seed`` picks retrieval's
+    frames only, and downstream keeps its own fixed seed."""
+    root, manifest, backbone, model = pipeline
+    eval_dir = str(tmp_path / "eval")
+    assert run(["eval", "--checkpoint", model, "--data", manifest, "--out", eval_dir]) == 0
+    report = json.load(open(os.path.join(eval_dir, "report.json")))
+    checkpoint = ModelCheckpoint.load(model)
+    train, heldout = split_pairs(load_manifest(manifest), 0.25)
+    robot = [p.robot for p in train + heldout]
+    assert report == {
+        "retrieval": eval_retrieval(checkpoint, heldout, adapted=True).to_dict(),
+        "downstream": eval_downstream(checkpoint, robot, adapted=True).to_dict(),
+    }
 
 
 def test_cli_eval_frozen_mode(pipeline, tmp_path):

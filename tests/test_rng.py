@@ -64,7 +64,7 @@ def test_normal_moments():
 
 def test_normal_scalar_consumes_stream():
     rng = RngState(7)
-    _ = rng.normal()
+    _ = rng.normal(1)
     assert rng.position == 2  # one Box-Muller pair
 
 
