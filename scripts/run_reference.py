@@ -31,7 +31,7 @@ from hralign.evaluation import (
     run_arm,
 )
 from hralign.rng import RngState
-from hralign.trainer import TrainConfig, train_baseline_cls, train_baseline_pret
+from hralign.trainer import TrainConfig, save_run, train_baseline_cls, train_baseline_pret
 
 BASELINE_LR = 3e-4
 
@@ -73,7 +73,7 @@ def main() -> int:
         print(f"[3/5] ablation grid (E, M, L, EML, L without language), {args.steps} steps each")
         runs = run_ablation_grid(config, train, heldout, backbone)
     for run in runs:
-        run.save()
+        save_run(run.checkpoint, run.metrics)
         row = run.row
         print(
             f"      {run.name:>9}: adapter params {row['adapter_params']:>5}  "

@@ -9,6 +9,9 @@ activations only, as ``Backbone.apply`` passes them. Position labels:
   E   before the first backbone block (narrowest channels),
   M   at every junction between consecutive blocks,
   L   after the last block.
+
+``count_learnable`` reports a model's trainable footprint as the summed
+sizes of its adapter and query-projection tensors.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ class AdapterBlock:
     up_b: Tensor  # (C,)
     channels: int
     bottleneck: int
-    ratio: int
 
     @classmethod
     def create(cls, channels: int, ratio: int, rng: RngState) -> "AdapterBlock":
@@ -47,7 +49,6 @@ class AdapterBlock:
             up_b=Tensor(np.zeros(channels), requires_grad=True),
             channels=channels,
             bottleneck=bottleneck,
-            ratio=ratio,
         )
 
     def named_parameters(self, prefix: str) -> dict[str, Tensor]:
@@ -120,55 +121,22 @@ class AdapterStack:
 
 @dataclass
 class LearnableCount:
-    """Parameter accounting for one adapted model.
-
-    ``ratio`` follows the adaptation-footprint convention: adapter
-    parameters over frozen-backbone parameters. The loss-side query
-    projection is reported separately and included in ``total``.
-    """
+    """Learnable-parameter counts of one adapted model: its adapters and
+    its loss-side query projection; ``total`` is both."""
 
     adapter: int
     projection: int
-    backbone: int
 
     @property
     def total(self) -> int:
         return self.adapter + self.projection
 
-    @property
-    def ratio(self) -> float:
-        return adaptation_ratio(self.adapter, self.backbone)
 
+def count_learnable(stack: AdapterStack | None, embedder) -> LearnableCount:
+    """The summed ``named_parameters()`` sizes of ``stack`` and of the query
+    ``embedder``; an absent part counts 0."""
 
-def adaptation_ratio(adapter_params: int, backbone_params: int) -> float:
-    return adapter_params / backbone_params
+    def size(part) -> int:
+        return 0 if part is None else sum(t.size for t in part.named_parameters().values())
 
-
-def backbone_param_count(backbone: Backbone) -> int:
-    """Closed-form count from architecture numbers (not tensor sizes)."""
-    k = backbone.kernel
-    total = 0
-    for c_in, c_out in zip(backbone.channels[:-1], backbone.channels[1:]):
-        total += c_out * c_in * k * k + c_out
-    return total
-
-
-def count_learnable(
-    stack: AdapterStack | None,
-    embedder=None,
-    backbone: Backbone | None = None,
-) -> LearnableCount:
-    """Exact learnable-parameter counts from layer dimensions.
-
-    Kept as pure arithmetic over (channels, bottleneck, width) so tests can
-    cross-check it by independently summing tensor sizes.
-    """
-    adapter = 0
-    if stack is not None:
-        for _, blk in stack.blocks:
-            adapter += 2 * blk.channels * blk.bottleneck + blk.channels + blk.bottleneck
-    projection = 0
-    if embedder is not None:
-        projection = embedder.text_dim * embedder.out_dim + embedder.out_dim
-    backbone_total = backbone_param_count(backbone) if backbone is not None else 0
-    return LearnableCount(adapter=adapter, projection=projection, backbone=backbone_total)
+    return LearnableCount(adapter=size(stack), projection=size(embedder))

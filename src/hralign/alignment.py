@@ -100,15 +100,23 @@ def hr_align_loss(batch: AlignmentBatchFeatures) -> Tensor:
     return loss
 
 
+def label_stats(scores: np.ndarray, labels: np.ndarray) -> dict[str, float]:
+    """The logged diagnostics of (B, K) ``scores`` whose row i belongs at
+    column ``labels[i]``: ``pos_sim``, the mean score at each row's label,
+    and ``hard_neg_sim``, the mean of each row's highest other score."""
+    rows = np.arange(len(labels))
+    others = scores.copy()
+    others[rows, labels] = -np.inf
+    return {
+        "pos_sim": float(scores[rows, labels].mean()),
+        "hard_neg_sim": float(others.max(axis=1).mean()),
+    }
+
+
 def alignment_stats(batch: AlignmentBatchFeatures) -> dict[str, float]:
-    """Diagnostics: mean paired dot and mean hardest-negative dot."""
+    """``label_stats`` of each human row's dots with every adapted row and
+    with its own frozen robot row; its label is its paired adapted row."""
     h = batch.human.data
-    f = batch.robot_frozen.data
-    a = batch.robot_adapted.data
-    m = h.shape[0]
-    cross = h @ a.T
-    pos = np.diag(cross)
-    off = cross - np.eye(m) * 1e18
-    extra = (h * f).sum(axis=1)
-    hardest = np.maximum(off.max(axis=1), extra) if m > 1 else extra
-    return {"pos_sim": float(pos.mean()), "hard_neg_sim": float(hardest.mean())}
+    extra = (h * batch.robot_frozen.data).sum(axis=1, keepdims=True)
+    scores = np.concatenate([h @ batch.robot_adapted.data.T, extra], axis=1)
+    return label_stats(scores, np.arange(batch.batch_size))

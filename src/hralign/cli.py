@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 from .dataset import (
     ManifestError,
@@ -31,6 +32,7 @@ from .trainer import (
     TrainConfig,
     format_config,
     load_config,
+    save_run,
     train_baseline_cls,
     train_baseline_pret,
     train_hr_align,
@@ -111,12 +113,10 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _finish_training(out_dir, config, checkpoint, metrics, label) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    ckpt_path = os.path.join(out_dir, "model.ckpt")
-    checkpoint.save(ckpt_path)
-    metrics.save(os.path.join(out_dir, "metrics.csv"))
-    _write_run_outputs(out_dir, format_config(config), ["model.ckpt", "metrics.csv"])
+def _finish_training(checkpoint, metrics, label) -> int:
+    config = checkpoint.config
+    ckpt_path = save_run(checkpoint, metrics)
+    _write_run_outputs(config.out_dir, format_config(config), ["model.ckpt", "metrics.csv"])
     final = metrics.losses[-1] if metrics.rows else float("nan")
     print(f"{label}: {config.steps} steps, final loss {final:.4f} -> {ckpt_path}")
     return 0
@@ -129,7 +129,7 @@ def cmd_adapt(args) -> int:
     backbone = ModelCheckpoint.load(args.backbone).backbone.freeze()
     resume = ModelCheckpoint.load(args.resume) if args.resume else None
     checkpoint, metrics = train_hr_align(config, train, backbone, resume=resume)
-    return _finish_training(config.out_dir, config, checkpoint, metrics, "adapt")
+    return _finish_training(checkpoint, metrics, "adapt")
 
 
 def cmd_baseline(args) -> int:
@@ -143,7 +143,7 @@ def cmd_baseline(args) -> int:
         backbone.unfreeze()
     trainer = train_baseline_pret if args.kind == "pret" else train_baseline_cls
     checkpoint, metrics = trainer(config, train, backbone)
-    return _finish_training(config.out_dir, config, checkpoint, metrics, f"baseline {args.kind}")
+    return _finish_training(checkpoint, metrics, f"baseline {args.kind}")
 
 
 def cmd_ablate(args) -> int:
@@ -161,7 +161,7 @@ def cmd_ablate(args) -> int:
         os.path.join(config.out_dir, "ablation.csv"), keys, [[row[k] for k in keys] for row in rows]
     )
     for run in runs:
-        run.save()
+        save_run(run.checkpoint, run.metrics)
     produced = ["ablation.json", "ablation.csv"] + [run.name for run in runs]
     _write_run_outputs(config.out_dir, format_config(config), produced)
     for row in rows:
@@ -173,15 +173,14 @@ def cmd_ablate(args) -> int:
 
 def cmd_eval(args) -> int:
     checkpoint = ModelCheckpoint.load(args.checkpoint)
-    before = open(args.checkpoint, "rb").read()
+    before = Path(args.checkpoint).read_bytes()
     pairs = load_manifest(args.data)
     _, heldout = split_pairs(pairs, args.heldout_frac)
     adapted = not args.frozen
     retrieval = eval_retrieval(checkpoint, heldout, adapted=adapted, seed=args.seed)
     robot_clips = [p.robot for p in pairs]
     downstream = eval_downstream(checkpoint, robot_clips, adapted=adapted)
-    after = open(args.checkpoint, "rb").read()
-    if before != after:
+    if Path(args.checkpoint).read_bytes() != before:
         raise RuntimeError("evaluation mutated the checkpoint file")
     os.makedirs(args.out, exist_ok=True)
     report = {"retrieval": retrieval.to_dict(), "downstream": downstream.to_dict()}

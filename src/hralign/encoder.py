@@ -20,7 +20,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from . import tensor as T
-from .alignment import pool_many
+from .alignment import label_stats, pool_many
 from .optim import AdamState, fit
 from .rng import RngState
 from .tensor import Tensor
@@ -200,17 +200,11 @@ def pretext_loss(
         T.tsum(T.mul(a_rows, f_rows), axis=1, keepdims=True), Tensor(inv_tau)
     )  # (B, 1)
     # row i's positive is column i; the far frame is the last column
-    loss = T.cross_entropy(T.concat([cross, far_col], axis=1), np.arange(b))
-
-    c = cross.data
-    off = c - np.diag(np.diag(c)) - np.eye(b) * 1e18
-    stats = {
-        "pos_sim": float(np.mean(np.diag(c)) * temperature),
-        "hard_neg_sim": float(
-            np.mean(np.maximum(off.max(axis=1), far_col.data[:, 0])) * temperature
-        ),
-    }
-    return loss, stats
+    logits = T.concat([cross, far_col], axis=1)
+    labels = np.arange(b)
+    loss = T.cross_entropy(logits, labels)
+    stats = label_stats(logits.data, labels)  # of dots scaled by 1 / temperature
+    return loss, {name: value * temperature for name, value in stats.items()}
 
 
 def pretext_pretrain(

@@ -18,7 +18,6 @@ docstrings of ``eval_downstream``, ``train_linear_probe`` and
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -372,12 +371,6 @@ class AblationRun:
             "bc_mse": self.downstream.bc_mse,
             "success_rate": self.downstream.success_rate,
         }
-
-    def save(self) -> None:
-        """Write model.ckpt and metrics.csv into the run's out_dir."""
-        os.makedirs(self.config.out_dir, exist_ok=True)
-        self.checkpoint.save(os.path.join(self.config.out_dir, "model.ckpt"))
-        self.metrics.save(os.path.join(self.config.out_dir, "metrics.csv"))
 
 
 def run_arm(

@@ -94,10 +94,10 @@ class RngState:
     # derived distributions --------------------------------------------------
 
     def uniform(self, shape=None, low: float = 0.0, high: float = 1.0):
-        """Uniform floats in [low, high) with 53-bit resolution."""
+        """Uniform floats in [low, high) with 53-bit resolution: an array of
+        ``shape``, or one float when ``shape`` is None."""
         if shape is None:
-            u = (self.next_u64() >> 11) * 2.0**-53
-            return low + (high - low) * u
+            return float(self.uniform(1, low, high)[0])
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         u = (self.u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53

@@ -8,16 +8,17 @@ can be audited against central finite differences at tight tolerances.
 Single-threaded by contract: tensors are treated as immutable once
 produced; only an optimizer step mutates parameter data in place.
 
-:func:`conv2d` reads its input channels-last. It pads into a zeroed
-(N, H+2p, W+2p, C) buffer and gathers the patch matrix (N, Ho*Wo, C*k*k)
-from it with one ``np.take`` over each flattened frame. The flat index is
-built once per (padded size, C, k, stride), cached and read-only; the
-gather moves whole patch rows where a strided copy would walk k-element
-runs. A 1x1 stride-1 conv needs no gather: its patch matrix is a view of
-the channels-last input. Columns run in (c, ki, kj) order, the order of
-``kernels.reshape(C_out, -1)``. The product is one GEMM per frame. BLAS
-does not promise that grouping rows differently keeps the summation
-order; on OpenBLAS 0.3.31 one GEMM per frame was measured to be
+:func:`conv2d` takes batched (N, C, H, W) input only; a rank-3 input
+raises :class:`ShapeError`. It reads its input channels-last. It pads into
+a zeroed (N, H+2p, W+2p, C) buffer and gathers the patch matrix
+(N, Ho*Wo, C*k*k) from it with one ``np.take`` over each flattened frame.
+The flat index is built once per (padded size, C, k, stride), cached and
+read-only; the gather moves whole patch rows where a strided copy would
+walk k-element runs. A 1x1 stride-1 conv needs no gather: its patch matrix
+is a view of the channels-last input. Columns run in (c, ki, kj) order,
+the order of ``kernels.reshape(C_out, -1)``. The product is one GEMM per
+frame. BLAS does not promise that grouping rows differently keeps the
+summation order; on OpenBLAS 0.3.31 one GEMM per frame was measured to be
 bitwise equal to one GEMM per output row (the earlier formula), and
 ``test_conv2d_bitwise_equals_seed_formula`` guards that. A single GEMM
 over all N*Ho*Wo rows was measured to change the last bits. Outputs are
@@ -230,26 +231,6 @@ def relu(a: Tensor) -> Tensor:
     return _from_op(data, (a,), bwd)
 
 
-def exp(a: Tensor) -> Tensor:
-    data = np.exp(a.data)
-
-    def bwd(g):
-        _accumulate(a, g * data)
-
-    return _from_op(data, (a,), bwd)
-
-
-def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0.0):
-        raise NumericError("log: non-positive input")
-    data = np.log(a.data)
-
-    def bwd(g):
-        _accumulate(a, g / a.data)
-
-    return _from_op(data, (a,), bwd)
-
-
 def power(a: Tensor, p: float) -> Tensor:
     """Elementwise ``a ** p`` for a fixed scalar exponent."""
     p = float(p)
@@ -412,8 +393,8 @@ def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
 def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Tensor:
     """2-D cross-correlation.
 
-    ``x`` is (C_in, H, W) or batched (N, C_in, H, W); ``kernels`` is
-    (C_out, C_in, k, k). Output spatial size follows
+    ``x`` is (N, C_in, H, W), any other rank a ``ShapeError``; ``kernels``
+    is (C_out, C_in, k, k). Output spatial size follows
     floor((H + 2*padding - k) / stride) + 1. The module docstring gives
     the patch layout and GEMM grouping that keep results bitwise stable.
     """
@@ -423,15 +404,13 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
         raise ValueError(f"conv2d: padding must be a non-negative integer, got {padding!r}")
     if kernels.ndim != 4 or kernels.shape[2] != kernels.shape[3]:
         raise ShapeError(f"conv2d: kernels must be (C_out, C_in, k, k), got {kernels.shape}")
-    squeeze = x.ndim == 3
-    xv = x.data[None] if squeeze else x.data
-    if xv.ndim != 4:
-        raise ShapeError(f"conv2d: input must be (C,H,W) or (N,C,H,W), got {x.shape}")
-    n, c_in, h, w = xv.shape
+    if x.ndim != 4:
+        raise ShapeError(f"conv2d: input must be (N, C, H, W), got {x.shape}")
+    n, c_in, h, w = x.shape
     c_out, ck, k, _ = kernels.shape
     if c_in != ck:
         raise ShapeError(
-            f"conv2d: input channels {tuple(xv.shape)} do not match kernels {kernels.shape}"
+            f"conv2d: input channels {x.shape} do not match kernels {kernels.shape}"
         )
     if k > h + 2 * padding or k > w + 2 * padding:
         raise ShapeError(
@@ -439,7 +418,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
         )
     hp, wp = h + 2 * padding, w + 2 * padding
     ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
-    xt = xv.transpose(0, 2, 3, 1)  # (N, H, W, C) view
+    xt = x.data.transpose(0, 2, 3, 1)  # (N, H, W, C) view
     if padding:
         xp = np.zeros((n, hp, wp, c_in))
         xp[:, padding : padding + h, padding : padding + w] = xt
@@ -453,11 +432,9 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     wmat = kernels.data.reshape(c_out, c_in * k * k)
     out = cols @ wmat.T  # (N, Ho*Wo, C_out)
     data = out.reshape(n, ho, wo, c_out).transpose(0, 3, 1, 2)
-    if squeeze:
-        data = data[0]
 
     def bwd(g):
-        gt = (g[None] if squeeze else g).transpose(0, 2, 3, 1)  # (N, Ho, Wo, C_out)
+        gt = g.transpose(0, 2, 3, 1)  # (N, Ho, Wo, C_out)
         if kernels.requires_grad:
             gw = gt.reshape(-1, c_out).T @ cols.reshape(-1, c_in * k * k)
             _accumulate(kernels, gw.reshape(c_out, c_in, k, k))
@@ -469,8 +446,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
                 for kj in range(k):
                     src_j, dst_j = _scatter_span(kj, wo, w, stride, padding)
                     gx[:, dst_i, dst_j] += gcols[:, src_i, src_j, :, ki, kj]
-            gx = gx.transpose(0, 3, 1, 2)
-            _accumulate(x, gx[0] if squeeze else gx)
+            _accumulate(x, gx.transpose(0, 3, 1, 2))
 
     return _from_op(data, (x, kernels), bwd)
 
@@ -504,10 +480,9 @@ def _patch_index(hp: int, wp: int, c: int, k: int, stride: int) -> np.ndarray:
 # the row-major float64 little-endian payload.
 
 
-def to_bytes(arr) -> bytes:
-    a = arr.data if isinstance(arr, Tensor) else _asarray(arr)
-    header = struct.pack("<I", a.ndim) + struct.pack(f"<{a.ndim}I", *a.shape)
-    return header + np.ascontiguousarray(a, dtype="<f8").tobytes()
+def to_bytes(arr: np.ndarray) -> bytes:
+    header = struct.pack("<I", arr.ndim) + struct.pack(f"<{arr.ndim}I", *arr.shape)
+    return header + np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
 def from_bytes(buf: bytes, offset: int = 0) -> tuple[np.ndarray, int]:

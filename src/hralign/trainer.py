@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import tensor as T
 from .adapter import POSITION_SPECS, AdapterStack
-from .alignment import AlignmentBatchFeatures, alignment_stats, hr_align_loss
+from .alignment import AlignmentBatchFeatures, alignment_stats, hr_align_loss, label_stats
 from .dataset import PairedDemo, VideoClip, _atomic_write, _check_json, sample_frames
 from .encoder import Backbone, encode_batch, encode_pooled, pretext_loss
 from .optim import AdamState, fit
@@ -284,9 +285,6 @@ class ModelCheckpoint:
             out.update(self.head.named_buffers())
         return out
 
-    def learnable_parameters(self) -> dict[str, Tensor]:
-        return {name: t for name, t in self.named_tensors().items() if t.requires_grad}
-
     def hooks(self, adapted: bool = True) -> dict:
         """The adapter hooks to encode with: the stack's, or none (the
         frozen model) when ``adapted`` is false or there is no stack."""
@@ -427,6 +425,17 @@ class ModelCheckpoint:
             key = _differing_key(header, rebuilt)
             raise CheckpointError(f"{path}: header key {key!r} disagrees with the checkpoint")
         return checkpoint
+
+
+def save_run(checkpoint: ModelCheckpoint, metrics: MetricsLog) -> str:
+    """Write a trained run's ``model.ckpt`` and ``metrics.csv`` into its
+    ``config.out_dir``; returns the checkpoint's path."""
+    out_dir = checkpoint.config.out_dir
+    os.makedirs(out_dir, exist_ok=True)
+    path = os.path.join(out_dir, "model.ckpt")
+    checkpoint.save(path)
+    metrics.save(os.path.join(out_dir, "metrics.csv"))
+    return path
 
 
 # ---------------------------------------------------------------------------
@@ -641,10 +650,7 @@ def train_baseline_cls(
         logits = _head_logits(head, backbone, hooks, frames, b)
         e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
-        true_p = probs[np.arange(b), labels]
-        probs[np.arange(b), labels] = -1.0  # the rest: the most probable wrong class
-        stats = {"pos_sim": float(true_p.mean()), "hard_neg_sim": float(probs.max(axis=1).mean())}
-        return T.cross_entropy(logits, labels), stats
+        return T.cross_entropy(logits, labels), label_stats(probs, labels)
 
     return _fit_checkpoint(
         config, clips, params, batch_loss, backbone=backbone, stack=stack, head=head, rng=rng

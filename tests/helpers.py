@@ -123,13 +123,18 @@ def small_checkpoint(
         step=seed % 7,
     )
     if adam:
-        params = checkpoint.learnable_parameters()
+        params = learnable_parameters(checkpoint)
         checkpoint.adam = AdamState.for_params(params, lr=0.01)
         checkpoint.adam.step = seed % 7
         for name, p in params.items():
             checkpoint.adam.m[name] = rng.normal(p.shape)
             checkpoint.adam.v[name] = rng.uniform(p.shape)
     return checkpoint
+
+
+def learnable_parameters(checkpoint: ModelCheckpoint) -> dict:
+    """The checkpoint's tensors that training updates, by name."""
+    return {name: t for name, t in checkpoint.named_tensors().items() if t.requires_grad}
 
 
 def header_length(raw: bytes) -> int:

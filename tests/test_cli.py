@@ -1,7 +1,9 @@
 import csv
+import gc
 import hashlib
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -325,6 +327,17 @@ def test_cli_eval_frozen_mode(pipeline, tmp_path):
     )
     report = json.load(open(os.path.join(eval_dir, "report.json")))
     assert report["retrieval"]["tag"] == "frozen"
+
+
+def test_cli_eval_leaves_no_checkpoint_handle_open(pipeline, tmp_path):
+    root, manifest, backbone, model = pipeline
+    eval_dir = str(tmp_path / "eval")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        assert run(["eval", "--checkpoint", model, "--data", manifest, "--out", eval_dir]) == 0
+        gc.collect()
+    leaks = [str(w.message) for w in caught if model in str(w.message)]
+    assert leaks == []
 
 
 def test_cli_baseline(pipeline, tmp_path):

@@ -1,13 +1,22 @@
 """The library's surface is no wider than its traffic.
 
+The programs that use the library are ``src/hralign`` itself (bar the
+re-exports of ``__init__.py``), ``scripts`` and ``perfbench/*.py``.
+
 Every defaulted parameter of a ``def`` in ``src/hralign`` must be set by
-some call in the programs that use the library: ``src/hralign`` itself,
-``scripts`` and ``perfbench/*.py``. A default that no program overrides is
+some call in the programs. A default that no program overrides is
 a configuration nothing runs; it belongs inlined as a constant. Calls are
 matched by the called name only (``x.f(...)`` and ``f(...)`` both call
 every ``def f``; ``Cls(...)`` calls ``Cls.__init__``), ``ledger.call(label,
 fn, *args, **kwargs)`` counts as a call of ``fn``, and a call passing
 ``*`` or ``**`` sets every parameter.
+
+Every name the library defines must be reached by a program. A
+module-level ``def`` or ``class`` is reached by a load of its name in its
+own module outside its own body, by an import of it into another program,
+or by ``<alias of its module>.<name>``; a method or property is reached by
+a ``.<name>`` load anywhere (dunders are exempt). A name only tests reach
+is an API that exists for tests; it belongs in the tests or nowhere.
 """
 
 from __future__ import annotations
@@ -20,13 +29,26 @@ ROOT = Path(__file__).resolve().parent.parent
 # Defaults no program sets, each kept for a stated reason.
 ALLOWED = {
     "cli_main.argv": "the console entry point reads sys.argv; tests pass argv",
-    "count_learnable.backbone": "the acceptance tests read the adapter-to-backbone ratio",
     "pretext_pretrain.batch_size": "tests drive partial batches through pre-training",
 }
 
 
+# Names no program reaches, each kept for a stated reason.
+UNREACHED_ALLOWED: dict[str, str] = {}
+
+
 def _parse(paths):
     return [ast.parse(p.read_text(encoding="utf-8"), str(p)) for p in paths]
+
+
+def _library(root: Path) -> list[Path]:
+    return [p for p in sorted((root / "src" / "hralign").glob("*.py")) if p.name != "__init__.py"]
+
+
+def _programs(root: Path) -> list[Path]:
+    return _library(root) + sorted((root / "scripts").glob("*.py")) + sorted(
+        (root / "perfbench").glob("*.py")
+    )
 
 
 def _definitions(root: Path):
@@ -52,7 +74,7 @@ def _definitions(root: Path):
             else:
                 visit(child, owner)
 
-    for tree in _parse(sorted((root / "src" / "hralign").glob("*.py"))):
+    for tree in _parse(_library(root)):
         visit(tree, None)
     return out
 
@@ -67,10 +89,8 @@ def _name(func) -> str | None:
 
 def _calls(root: Path):
     """called name -> list of (positional count, keyword names, splat)."""
-    paths = sorted((root / "src" / "hralign").glob("*.py"))
-    paths += sorted((root / "scripts").glob("*.py")) + sorted((root / "perfbench").glob("*.py"))
     out: dict[str, list] = {}
-    for tree in _parse(paths):
+    for tree in _parse(_programs(root)):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
@@ -99,6 +119,58 @@ def unset_defaults(root: Path = ROOT) -> set[str]:
     return unset
 
 
+def unreached_names(root: Path = ROOT) -> set[str]:
+    """``module.name`` of each module-level def or class and ``Class.name``
+    of each method or property that no program reaches."""
+    modules = {p.stem for p in _library(root)}
+    imported, via_alias, attributes = set(), set(), set()
+    for tree in _parse(_programs(root)):
+        aliases = {}  # local name -> library module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                source = (node.module or "").rsplit(".", 1)[-1]
+                for a in node.names:
+                    if source in ("", "hralign") and a.name in modules:
+                        aliases[a.asname or a.name] = a.name
+                    imported.add((source, a.name))
+            elif isinstance(node, ast.Import):
+                for a in node.names:
+                    if a.name.startswith("hralign.") and a.asname:
+                        aliases[a.asname] = a.name.rsplit(".", 1)[-1]
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in aliases:
+                    via_alias.add((aliases[node.value.id], node.attr))
+    unreached = set()
+    for path, tree in zip(_library(root), _parse(_library(root))):
+        module = path.stem
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            loaded_elsewhere = any(
+                isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load) and n.id == node.name
+                for other in tree.body
+                if other is not node
+                for n in ast.walk(other)
+            )
+            if not (
+                loaded_elsewhere
+                or {(module, node.name), ("hralign", node.name)} & imported
+                or (module, node.name) in via_alias
+            ):
+                unreached.add(f"{module}.{node.name}")
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if (
+                        isinstance(method, ast.FunctionDef)
+                        and not (method.name.startswith("__") and method.name.endswith("__"))
+                        and method.name not in attributes
+                    ):
+                        unreached.add(f"{node.name}.{method.name}")
+    return unreached
+
+
 def test_every_default_is_set_by_a_program_or_allowed():
     unset = unset_defaults()
     assert not unset - set(ALLOWED), (
@@ -122,3 +194,38 @@ def test_checker_sees_an_unset_default(tmp_path):
         encoding="utf-8",
     )
     assert unset_defaults(tmp_path) == {"f.c"}
+
+
+def test_every_name_is_reached_by_a_program_or_allowed():
+    unreached = unreached_names()
+    assert not unreached - set(UNREACHED_ALLOWED), (
+        "library names no program reaches (move them to the tests or delete "
+        f"them): {sorted(unreached - set(UNREACHED_ALLOWED))}"
+    )
+    assert not set(UNREACHED_ALLOWED) - unreached, (
+        f"allowlisted names that a program now reaches: {sorted(set(UNREACHED_ALLOWED) - unreached)}"
+    )
+
+
+def test_name_checker_sees_an_unreached_name(tmp_path):
+    """Each way of reaching a name counts, and only those do."""
+    src = tmp_path / "src" / "hralign"
+    src.mkdir(parents=True)
+    (src / "m.py").write_text(
+        "def used():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1)\n\n"
+        "def imported():\n    pass\n\n"
+        "def via_alias():\n    pass\n\n"
+        "class K:\n    def __repr__(self):\n        return ''\n\n"
+        "    def called(self):\n        return used()\n\n"
+        "    def unused(self):\n        pass\n\n"
+        "K().called()\n",
+        encoding="utf-8",
+    )
+    (src / "__init__.py").write_text("from .m import recursive\n", encoding="utf-8")
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "s.py").write_text(
+        "from hralign.m import imported\nfrom hralign import m as mm\n\nmm.via_alias()\n",
+        encoding="utf-8",
+    )
+    assert unreached_names(tmp_path) == {"m.recursive", "K.unused"}

@@ -34,34 +34,34 @@ def test_matmul_gradient_vs_fd():
 
 def test_conv2d_identity_1x1():
     rng = RngState(2)
-    x = rng.normal((3, 5, 5))
+    x = rng.normal((1, 3, 5, 5))
     kernels = np.eye(3).reshape(3, 3, 1, 1)
     out = T.conv2d(Tensor(x), Tensor(kernels))
     assert np.array_equal(out.data, x)
 
 
 def test_conv2d_one_hot_box():
-    x = np.zeros((1, 5, 5))
-    x[0, 2, 2] = 1.0
+    x = np.zeros((1, 1, 5, 5))
+    x[0, 0, 2, 2] = 1.0
     kernels = np.ones((1, 1, 3, 3))
     out = T.conv2d(Tensor(x), Tensor(kernels), stride=1, padding=1)
-    expected = np.zeros((1, 5, 5))
-    expected[0, 1:4, 1:4] = 1.0
+    expected = np.zeros((1, 1, 5, 5))
+    expected[0, 0, 1:4, 1:4] = 1.0
     assert np.array_equal(out.data, expected)
 
 
 def test_conv2d_output_shape_formula():
     rng = RngState(3)
-    x = Tensor(rng.normal((2, 9, 7)))
+    x = Tensor(rng.normal((1, 2, 9, 7)))
     w = Tensor(rng.normal((4, 2, 3, 3)))
     out = T.conv2d(x, w, stride=2, padding=1)
-    assert out.shape == (4, (9 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1)
+    assert out.shape == (1, 4, (9 + 2 - 3) // 2 + 1, (7 + 2 - 3) // 2 + 1)
 
 
 def test_conv2d_gradient_vs_fd():
     rng = RngState(4)
     w = rng.normal((3, 2, 3, 3))
-    x0 = rng.normal((2, 4, 4))
+    x0 = rng.normal((1, 2, 4, 4))
     check_grad_against_fd(
         lambda x: T.tsum(T.conv2d(x, Tensor(w), stride=1, padding=1)), x0
     )
@@ -69,7 +69,7 @@ def test_conv2d_gradient_vs_fd():
 
 def test_conv2d_kernel_gradient_vs_fd():
     rng = RngState(6)
-    x = rng.normal((2, 4, 4))
+    x = rng.normal((1, 2, 4, 4))
     w0 = rng.normal((3, 2, 3, 3))
     check_grad_against_fd(
         lambda w: T.tsum(T.conv2d(Tensor(x), w, stride=2, padding=1)), w0
@@ -78,17 +78,22 @@ def test_conv2d_kernel_gradient_vs_fd():
 
 def test_conv2d_bad_stride():
     with pytest.raises(ValueError, match="stride"):
-        T.conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), stride=0)
+        T.conv2d(Tensor(np.zeros((1, 1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))), stride=0)
 
 
 def test_conv2d_channel_mismatch():
     with pytest.raises(ShapeError):
-        T.conv2d(Tensor(np.zeros((2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
+        T.conv2d(Tensor(np.zeros((1, 2, 4, 4))), Tensor(np.zeros((1, 3, 3, 3))))
 
 
 def test_conv2d_kernel_too_large():
     with pytest.raises(ShapeError):
-        T.conv2d(Tensor(np.zeros((1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))))
+        T.conv2d(Tensor(np.zeros((1, 1, 2, 2))), Tensor(np.zeros((1, 1, 3, 3))))
+
+
+def test_conv2d_rejects_unbatched_input():
+    with pytest.raises(ShapeError, match=r"\(N, C, H, W\)"):
+        T.conv2d(Tensor(np.zeros((1, 4, 4))), Tensor(np.zeros((1, 1, 3, 3))))
 
 
 def _seed_conv2d(x, w, stride, padding, g):
@@ -129,10 +134,10 @@ CONV_SHAPES = {
     "block2": ((80, 32, 4, 4), (32, 32, 3, 3), 1, 1),
     "adapter_down": ((80, 32, 4, 4), (8, 32, 1, 1), 1, 0),
     "adapter_up": ((80, 8, 4, 4), (32, 8, 1, 1), 1, 0),
-    # the 48-frame pretext batch, and one unbatched (C, H, W) input
+    # the 48-frame pretext batch, and a batch of one frame
     "pretext_block1": ((48, 16, 8, 8), (32, 16, 3, 3), 2, 1),
     "pretext_block2": ((48, 32, 4, 4), (32, 32, 3, 3), 1, 1),
-    "unbatched_block1": ((16, 8, 8), (32, 16, 3, 3), 2, 1),
+    "single_frame_block1": ((1, 16, 8, 8), (32, 16, 3, 3), 2, 1),
 }
 
 
@@ -141,11 +146,11 @@ CONV_SHAPES = {
 def test_conv2d_bitwise_equals_seed_formula(shape, layout):
     x_shape, w_shape, stride, padding = CONV_SHAPES[shape]
     rng = RngState(41)
-    *n, c, h, w = x_shape  # n is [] for an unbatched (C, H, W) input
+    n, c, h, w = x_shape
     if layout == "nchw":
         x = rng.normal(x_shape)
     else:  # an NCHW view of channels-last memory, as conv outputs are
-        x = np.moveaxis(rng.normal((*n, h, w, c)), -1, -3)
+        x = np.moveaxis(rng.normal((n, h, w, c)), -1, -3)
     kernels = rng.normal(w_shape)
     xt = Tensor(x, requires_grad=True)
     kt = Tensor(kernels, requires_grad=True)
@@ -154,11 +159,7 @@ def test_conv2d_bitwise_equals_seed_formula(shape, layout):
     g = np.zeros_like(out.data)
     g += rng.normal(out.shape)
     T.tsum(T.mul(out, Tensor(g))).backward()
-    ref_out, ref_gw, ref_gx = _seed_conv2d(
-        x if n else x[None], kernels, stride, padding, g if n else g[None]
-    )
-    if not n:
-        ref_out, ref_gx = ref_out[0], ref_gx[0]
+    ref_out, ref_gw, ref_gx = _seed_conv2d(x, kernels, stride, padding, g)
     # bytes, not values: array_equal would let a -0.0 pass for +0.0
     for got, ref in zip((out.data, kt.grad, xt.grad), (ref_out, ref_gw, ref_gx)):
         assert got.shape == ref.shape
@@ -520,7 +521,7 @@ def test_l2_normalize_unit_norm():
         ("add", lambda x: T.tsum(T.mul(T.add(x, Tensor(RngState(21).normal((3, 4)))), x)), (3, 4)),
         ("mul", lambda x: T.tsum(T.mul(x, Tensor(RngState(22).normal((3, 4))))), (3, 4)),
         ("relu", lambda x: T.tsum(T.mul(T.relu(x), x)), (3, 4)),
-        ("exp", lambda x: T.tsum(T.exp(x)), (2, 3)),
+        ("neg", lambda x: T.tsum(T.mul(T.neg(x), Tensor(RngState(30).normal((2, 3))))), (2, 3)),
         ("mean", lambda x: T.tsum(T.tmean(T.mul(x, x), axis=(0, 2))), (2, 3, 2)),
         ("transpose", lambda x: T.tsum(T.mul(T.transpose(x, (1, 0)), Tensor(RngState(23).normal((4, 3))))), (3, 4)),
         ("reshape", lambda x: T.tsum(T.mul(T.reshape(x, (2, 6)), Tensor(RngState(24).normal((2, 6))))), (3, 4)),
@@ -540,11 +541,6 @@ def test_op_gradients_vs_fd(name, build, shape):
     if name == "relu":
         x0 = x0 + np.sign(x0) * 0.2  # keep away from the kink
     check_grad_against_fd(build, x0)
-
-
-def test_log_rejects_nonpositive():
-    with pytest.raises(NumericError):
-        T.log(Tensor([1.0, 0.0]))
 
 
 def test_backward_requires_grad():

@@ -14,6 +14,7 @@ from conftest import BASELINE_LR
 from helpers import (
     fail_writes_partway,
     header_length,
+    learnable_parameters,
     setting,
     small_checkpoint,
     sum_param_sizes,
@@ -184,7 +185,7 @@ def test_backbone_bitwise_frozen_after_short_run(small_setup):
 def test_learnable_set_is_adapters_and_projection(small_setup):
     _, train, _, backbone = small_setup
     checkpoint, _ = train_hr_align(small_config(), train, backbone)
-    names = set(checkpoint.learnable_parameters())
+    names = set(learnable_parameters(checkpoint))
     assert names == {
         "adapter.j3.down_w",
         "adapter.j3.down_b",
@@ -198,7 +199,7 @@ def test_learnable_set_is_adapters_and_projection(small_setup):
 def test_no_language_learnable_set(small_setup):
     _, train, _, backbone = small_setup
     checkpoint, _ = train_hr_align(small_config(use_language=False), train, backbone)
-    assert all(n.startswith("adapter.") for n in checkpoint.learnable_parameters())
+    assert all(n.startswith("adapter.") for n in learnable_parameters(checkpoint))
     assert checkpoint.embedder is None
 
 
@@ -620,7 +621,7 @@ def test_checkpoint_roundtrip_values(small_setup, tmp_path):
     for name in checkpoint.adam.m:
         assert np.array_equal(checkpoint.adam.m[name], loaded.adam.m[name])
     # requires_grad flags survive
-    assert set(loaded.learnable_parameters()) == set(checkpoint.learnable_parameters())
+    assert set(learnable_parameters(loaded)) == set(learnable_parameters(checkpoint))
 
 
 # baselines -------------------------------------------------------------------
@@ -722,7 +723,7 @@ def test_baseline_adapter_only_learnable_set(small_setup):
         train,
         frozen_copy,
     )
-    names = set(checkpoint.learnable_parameters())
+    names = set(learnable_parameters(checkpoint))
     assert names and all(n.startswith("adapter.") for n in names)
     for name, tensor in checkpoint.backbone.named_parameters().items():
         assert np.array_equal(tensor.data, backbone.named_parameters()[name].data)
@@ -797,24 +798,25 @@ def _checkpoint_sha256(checkpoint: ModelCheckpoint, path) -> str:
 
 @pytest.fixture(scope="module")
 def pinned_runs(small_setup):
-    """The tiny runs whose checkpoints and evaluations are pinned, by name."""
+    """The tiny runs whose checkpoints, metrics and evaluations are pinned, by
+    name: (checkpoint, metrics log), the log None for the pretext backbone."""
     _, train, _, _ = small_setup
     rng = RngState(37)
     backbone, _ = pretext_pretrain(rng, [p.human for p in train], epochs=2, lr=3e-4, batch_size=8)
     fixed = dict(steps=3, out_dir="runs/pinned")
     pretext = ModelCheckpoint(config=small_config(**fixed), backbone=backbone, rng=rng, step=0)
     return {
-        "pretext": pretext,
+        "pretext": (pretext, None),
         "pret_baseline": train_baseline_pret(
             small_config(method="pret_baseline", learning_rate=BASELINE_LR, **fixed),
             train,
             backbone.copy().unfreeze(),
-        )[0],
+        ),
         "cls_baseline": train_baseline_cls(
             small_config(method="cls_baseline", learning_rate=BASELINE_LR, **fixed),
             train,
             backbone.copy().unfreeze(),
-        )[0],
+        ),
         "cls_baseline_partial": train_baseline_cls(
             small_config(
                 method="cls_baseline",
@@ -825,18 +827,40 @@ def pinned_runs(small_setup):
             ),
             train,
             backbone.copy().unfreeze(),
-        )[0],
+        ),
         "hr_align_EML": train_hr_align(
             small_config(adapter_positions="EML", **fixed), train, backbone
-        )[0],
+        ),
     }
 
 
 def test_write_path_checkpoints_match_pinned_digests(pinned_runs, tmp_path):
     digests = {
-        name: _checkpoint_sha256(c, tmp_path / f"{name}.ckpt") for name, c in pinned_runs.items()
+        name: _checkpoint_sha256(c, tmp_path / f"{name}.ckpt") for name, (c, _) in pinned_runs.items()
     }
     assert digests == WRITE_PATH_DIGESTS
+
+
+# sha256 of the deterministic metrics.csv text (every column but wall_ms) of
+# the pinned training runs. The baselines and the EML run each log their
+# pos_sim/hard_neg_sim columns through a different scorer input (pretext
+# logits, class probabilities, alignment dots), so a moved bit of any of
+# them shows here.
+METRICS_DIGESTS = {
+    "pret_baseline": "dfc603357eea62b61c2f6d9fc3de8433123d16e07034b788c4512750aea2cefc",
+    "cls_baseline": "c19c377fa2371aedb3a0659e9742bdfb62e9f1eacaa2ab98ddd5b8774cb126c9",
+    "cls_baseline_partial": "c0fa8bd1d0a66f279725d8fd238fa09010364ce7bc4056d8551875270e43c915",
+    "hr_align_EML": "33b7f96b35e0ebd26b5f1c88acba3395e5eacf3475913dec718dad472dc4783c",
+}
+
+
+def test_training_metrics_match_pinned_digests(pinned_runs):
+    digests = {
+        name: hashlib.sha256(metrics.deterministic_text().encode()).hexdigest()
+        for name, (_, metrics) in pinned_runs.items()
+        if metrics is not None
+    }
+    assert digests == METRICS_DIGESTS
 
 
 # sha256 of what the evaluation functions make of two pinned runs: the
@@ -857,7 +881,7 @@ READ_PATH_DIGESTS = {
 
 def test_read_path_evaluations_match_pinned_digests(pinned_runs, small_setup, tmp_path):
     pairs, _, heldout, _ = small_setup
-    eml, cls = pinned_runs["hr_align_EML"], pinned_runs["cls_baseline"]
+    (eml, _), (cls, _) = pinned_runs["hr_align_EML"], pinned_runs["cls_baseline"]
 
     def sha(data: bytes) -> str:
         return hashlib.sha256(data).hexdigest()
