@@ -115,10 +115,10 @@ def main() -> int:
         steps=args.baseline_steps, seed=args.seed, learning_rate=BASELINE_LR
     )
     pret_ckpt, pret_metrics = train_baseline_pret(
-        replace(base, method="pret_baseline"), train, backbone.copy().unfreeze()
+        replace(base, method="pret_baseline"), train, backbone
     )
     cls_ckpt, cls_metrics = train_baseline_cls(
-        replace(base, method="cls_baseline"), train, backbone.copy().unfreeze()
+        replace(base, method="cls_baseline"), train, backbone
     )
     summary["baselines"] = {
         "pret_loss": [pret_metrics.losses[0], pret_metrics.losses[-1]],

@@ -4,7 +4,9 @@ An adapter block is down-project (1x1 conv), ReLU, up-project (1x1 conv),
 plus the residual input. The up-projection starts at exactly zero, so a
 freshly built adapted stream coincides bitwise with the frozen stream and
 training is a pure departure from it. Blocks take batched (N, C, H, W)
-activations only, as ``Backbone.apply`` passes them. Position labels:
+activations only, as ``encoder.encode_batch`` passes them. A stack is
+data: ``AdapterStack.blocks`` maps each junction to its block, and
+``encode_batch`` runs each block at its junction. Position labels:
 
   E   before the first backbone block (narrowest channels),
   M   at every junction between consecutive blocks,
@@ -18,13 +20,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import tensor as T
-from .encoder import Backbone
 from .rng import RngState
 from .tensor import ShapeError, Tensor
+
+if TYPE_CHECKING:
+    from .encoder import Backbone
 
 POSITION_SPECS = ("E", "M", "L", "EML", "none")
 
@@ -75,15 +80,12 @@ def adapter_forward(block: AdapterBlock, x: Tensor) -> Tensor:
     return T.add(x, delta)
 
 
+@dataclass
 class AdapterStack:
-    """Adapter blocks keyed by backbone junction index, at most one each."""
+    """Adapter blocks keyed by backbone junction index, in junction order."""
 
-    def __init__(self, blocks: list[tuple[int, AdapterBlock]], positions: str):
-        junctions = [j for j, _ in blocks]
-        if len(set(junctions)) != len(junctions):
-            raise ValueError(f"duplicate adapter junctions: {junctions}")
-        self.blocks = sorted(blocks, key=lambda item: item[0])
-        self.positions = positions
+    blocks: dict[int, AdapterBlock]
+    positions: str
 
     @classmethod
     def for_positions(
@@ -92,29 +94,19 @@ class AdapterStack:
         if positions not in POSITION_SPECS:
             raise ValueError(f"adapter positions must be one of {POSITION_SPECS}, got {positions!r}")
         n = backbone.n_blocks
-        junctions: list[int] = []
-        if positions != "none":
-            if "E" in positions:
-                junctions.append(0)
-            if "M" in positions:
-                junctions.extend(range(1, n))
-            if "L" in positions:
-                junctions.append(n)
-        blocks = [
-            (j, AdapterBlock.create(backbone.channels[j], ratio, rng)) for j in sorted(junctions)
-        ]
+        junctions: list[int] = []  # "none" holds no position letter
+        if "E" in positions:
+            junctions.append(0)
+        if "M" in positions:
+            junctions.extend(range(1, n))
+        if "L" in positions:
+            junctions.append(n)
+        blocks = {j: AdapterBlock.create(backbone.channels[j], ratio, rng) for j in junctions}
         return cls(blocks, positions)
-
-    @property
-    def junctions(self) -> list[int]:
-        return [j for j, _ in self.blocks]
-
-    def hooks(self):
-        return {j: (lambda x, blk=blk: adapter_forward(blk, x)) for j, blk in self.blocks}
 
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}
-        for j, blk in self.blocks:
+        for j, blk in self.blocks.items():
             out.update(blk.named_parameters(f"adapter.j{j}"))
         return out
 

@@ -126,7 +126,7 @@ def cmd_adapt(args) -> int:
     config = replace(_load_train_config(args), method="hr_align")
     pairs = load_manifest(args.data)
     train, _ = split_pairs(pairs, args.heldout_frac)
-    backbone = ModelCheckpoint.load(args.backbone).backbone.freeze()
+    backbone = ModelCheckpoint.load(args.backbone).backbone
     resume = ModelCheckpoint.load(args.resume) if args.resume else None
     checkpoint, metrics = train_hr_align(config, train, backbone, resume=resume)
     return _finish_training(checkpoint, metrics, "adapt")
@@ -139,8 +139,6 @@ def cmd_baseline(args) -> int:
     pairs = load_manifest(args.data)
     train, _ = split_pairs(pairs, args.heldout_frac)
     backbone = ModelCheckpoint.load(args.backbone).backbone
-    if not config.baseline_adapter_only:
-        backbone.unfreeze()
     trainer = train_baseline_pret if args.kind == "pret" else train_baseline_cls
     checkpoint, metrics = trainer(config, train, backbone)
     return _finish_training(checkpoint, metrics, f"baseline {args.kind}")
@@ -150,7 +148,7 @@ def cmd_ablate(args) -> int:
     config = _load_train_config(args)
     pairs = load_manifest(args.data)
     train, heldout = split_pairs(pairs, args.heldout_frac)
-    backbone = ModelCheckpoint.load(args.backbone).backbone.freeze()
+    backbone = ModelCheckpoint.load(args.backbone).backbone
     runs = run_ablation_grid(config, train, heldout, backbone)
     os.makedirs(config.out_dir, exist_ok=True)
     rows = [run.row for run in runs]

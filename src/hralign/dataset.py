@@ -185,10 +185,14 @@ def sample_trajectory(task_id: int, rng: RngState) -> LatentTrajectory:
     canvas while keeping the task archetype recognizable."""
     start, goal, bend = _task_endpoints(task_id)
     t_len = CLIP_LEN_MIN + rng.randint(CLIP_LEN_MAX - CLIP_LEN_MIN + 1)
-    start = start + rng.uniform(2, -0.10, 0.10)
-    goal = goal + rng.uniform(2, -0.10, 0.10)
-    bend = bend + rng.uniform(None, -0.30, 0.30)
-    pace = rng.uniform(None, 0.55, 1.80)  # progress exponent along the path
+    # start and goal jitter, bend, pace and grasp window, in one call
+    lo = np.array([-0.10, -0.10, -0.10, -0.10, -0.30, 0.55, 0.20, 0.55])
+    hi = np.array([0.10, 0.10, 0.10, 0.10, 0.30, 1.80, 0.45, 0.80])
+    draws = lo + (hi - lo) * rng.uniform(8)
+    start = start + draws[0:2]
+    goal = goal + draws[2:4]
+    bend = bend + draws[4]
+    pace = draws[5]  # progress exponent along the path
     zigzag = 0.12 if task_id % 4 == 3 else 0.0
     direction = goal - start
     perp = np.array([-direction[1], direction[0]])
@@ -200,10 +204,8 @@ def sample_trajectory(task_id: int, rng: RngState) -> LatentTrajectory:
     if zigzag:
         pos = pos + zigzag * np.sin(3.0 * np.pi * ts) * perp
     pos = np.clip(pos, _MARGIN, 1.0 - _MARGIN)
-    grasp_from = rng.uniform(None, 0.20, 0.45)
-    grasp_to = rng.uniform(None, 0.55, 0.80)
     frac = np.linspace(0.0, 1.0, t_len)
-    gripper = ((frac >= grasp_from) & (frac < grasp_to)).astype(np.uint8)
+    gripper = ((frac >= draws[6]) & (frac < draws[7])).astype(np.uint8)
     return LatentTrajectory(pos, gripper, task_id)
 
 

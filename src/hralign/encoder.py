@@ -2,9 +2,11 @@
 
 The backbone is a stack of (conv, ReLU) blocks applied to each frame
 independently; a clip of T frames maps to a T x H' x W' x C' feature map.
-``encode_pooled`` is the one path from clips' frames to one pooled vector
-per clip, shared by the alignment loss, the classification head and
-retrieval. Pre-training is time-contrastive: pooled features of temporally
+Adapters are data: ``encode_batch`` takes a dict of adapter blocks keyed
+by junction and runs each at its junction. ``encode_pooled`` is the one
+path from clips' frames to one pooled vector per clip, shared by the
+alignment loss, the classification head, retrieval and the downstream
+features. Pre-training is time-contrastive: pooled features of temporally
 close frames attract, far frames and other clips' frames repel. Its
 positive lies 1 or 2 frames from the anchor, ``pretext_pretrain`` scores at
 temperature 0.1 and always trains a fresh backbone drawn from its ``rng``;
@@ -15,11 +17,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from . import tensor as T
+from .adapter import AdapterBlock, adapter_forward
 from .alignment import label_stats, pool_many
 from .optim import AdamState, fit
 from .rng import RngState
@@ -39,13 +42,12 @@ class ConvBlock:
 
 
 class Backbone:
-    """Per-frame conv encoder; ``frozen`` gates gradient flow to weights."""
+    """Per-frame conv encoder; its weights learn unless ``frozen``."""
 
     def __init__(self, blocks: list[ConvBlock], channels: tuple[int, ...], kernel: int):
         self.blocks = blocks
         self.channels = channels
         self.kernel = kernel
-        self.frozen = False
 
     @classmethod
     def create(
@@ -76,18 +78,19 @@ class Backbone:
     def out_channels(self) -> int:
         return self.channels[-1]
 
+    @property
+    def frozen(self) -> bool:
+        """True when no weight requires a gradient."""
+        return not any(t.requires_grad for t in self.named_parameters().values())
+
     def freeze(self) -> "Backbone":
-        self.frozen = True
-        for block in self.blocks:
-            block.w.requires_grad = False
-            block.b.requires_grad = False
+        for tensor in self.named_parameters().values():
+            tensor.requires_grad = False
         return self
 
     def unfreeze(self) -> "Backbone":
-        self.frozen = False
-        for block in self.blocks:
-            block.w.requires_grad = True
-            block.b.requires_grad = True
+        for tensor in self.named_parameters().values():
+            tensor.requires_grad = True
         return self
 
     def named_parameters(self) -> dict[str, Tensor]:
@@ -98,7 +101,7 @@ class Backbone:
         return out
 
     def copy(self) -> "Backbone":
-        """Deep copy with the same frozen flag."""
+        """Deep copy with the same ``requires_grad`` flags."""
         blocks = [
             ConvBlock(
                 Tensor(blk.w.data.copy(), requires_grad=blk.w.requires_grad),
@@ -108,46 +111,37 @@ class Backbone:
             )
             for blk in self.blocks
         ]
-        dup = Backbone(blocks, self.channels, self.kernel)
-        dup.frozen = self.frozen
-        return dup
-
-    def apply(self, x: Tensor, hooks: Mapping[int, Callable[[Tensor], Tensor]] | None = None) -> Tensor:
-        """Run (N, C, H, W) through all blocks.
-
-        ``hooks`` maps junction indices to transforms: junction j sits
-        before block j, junction n_blocks sits after the last block.
-        """
-        h = x
-        for j, block in enumerate(self.blocks):
-            if hooks and j in hooks:
-                h = hooks[j](h)
-            pre = T.add(
-                T.conv2d(h, block.w, stride=block.stride, padding=block.padding),
-                T.reshape(block.b, (block.b.size, 1, 1)),
-            )
-            h = T.relu(pre)
-        if hooks and self.n_blocks in hooks:
-            h = hooks[self.n_blocks](h)
-        return h
+        return Backbone(blocks, self.channels, self.kernel)
 
 
 def encode_batch(
-    backbone: Backbone,
-    frames: np.ndarray,
-    hooks: Mapping[int, Callable[[Tensor], Tensor]] | None = None,
+    backbone: Backbone, frames: np.ndarray, adapters: dict[int, AdapterBlock] | None = None
 ) -> Tensor:
-    """Encode a (N, H, W, C) stack of frames to (N, H', W', C')."""
-    x = Tensor(np.ascontiguousarray(frames.transpose(0, 3, 1, 2)))
-    y = backbone.apply(x, hooks)
-    return T.transpose(y, (0, 2, 3, 1))
+    """Encode a (N, H, W, C) stack of frames to (N, H', W', C').
+
+    ``adapters`` maps junction indices to adapter blocks: junction j sits
+    before block j, junction n_blocks after the last block.
+    """
+    adapters = adapters or {}
+    h = Tensor(np.ascontiguousarray(frames.transpose(0, 3, 1, 2)))
+    for j, block in enumerate(backbone.blocks):
+        if j in adapters:
+            h = adapter_forward(adapters[j], h)
+        pre = T.add(
+            T.conv2d(h, block.w, stride=block.stride, padding=block.padding),
+            T.reshape(block.b, (block.b.size, 1, 1)),
+        )
+        h = T.relu(pre)
+    if backbone.n_blocks in adapters:
+        h = adapter_forward(adapters[backbone.n_blocks], h)
+    return T.transpose(h, (0, 2, 3, 1))
 
 
 def encode_pooled(
     backbone: Backbone,
     frames: np.ndarray,
     clips: int,
-    hooks: Mapping[int, Callable[[Tensor], Tensor]] | None = None,
+    adapters: dict[int, AdapterBlock] | None = None,
     queries: Tensor | None = None,
     normalize: bool = True,
 ) -> Tensor:
@@ -155,7 +149,7 @@ def encode_pooled(
     H, W, C), and pool each clip's T * H' * W' positions to one row of the
     (clips, C') result: uniformly, or by attention with (clips, C')
     ``queries``; each row is L2-normalised when ``normalize``."""
-    feat = encode_batch(backbone, frames, hooks)
+    feat = encode_batch(backbone, frames, adapters)
     return pool_many(T.reshape(feat, (clips, -1, feat.shape[-1])), queries, normalize)
 
 

@@ -4,10 +4,10 @@ Retrieval asks whether paired human/robot clips embed closest to each
 other among all held-out candidates; a clip's embedding comes from
 ``encoder.encode_pooled``, the same pooling the alignment loss trains. The
 downstream report freezes the encoder (adapters included) and trains small
-heads on robot features, mean-pooled per frame: a linear task probe, a
-two-layer regressor predicting the next latent effector position, and a
-tube-following success proxy over whole clips. ``ModelCheckpoint.hooks``
-picks the adapted or the frozen encoder for both.
+heads on robot features ``encode_pooled`` mean-pools per frame: a linear
+task probe, a two-layer regressor predicting the next latent effector
+position, and a tube-following success proxy over whole clips.
+``ModelCheckpoint.adapters`` picks the adapted or the frozen encoder.
 The ablation arms are declared once in ``ARMS``; ``run_arm`` trains one
 arm and scores it with both reports. Only retrieval's frame sample takes a
 seed (the CLI's ``--seed``); the downstream split, head sizes, step
@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .adapter import count_learnable
 from .dataset import PairedDemo, VideoClip, _atomic_write_csv, sample_frame_indices, split_pairs
-from .encoder import Backbone, encode_batch, encode_pooled
+from .encoder import Backbone, encode_pooled
 from .optim import AdamState, fit
 from .rng import RngState
 from .task_query import embed_texts
@@ -106,7 +106,7 @@ def _clip_indices(clip: VideoClip, t: int, seed: int) -> list[int]:
 def embed_clip(
     checkpoint: ModelCheckpoint,
     clip: VideoClip,
-    description: str | None,
+    description: str,
     adapted: bool,
     seed: int = 311,
 ) -> np.ndarray:
@@ -119,10 +119,10 @@ def embed_clip(
     config = checkpoint.config
     frames = clip.frames[_clip_indices(clip, config.frames, seed)]
     queries = None
-    if adapted and checkpoint.embedder is not None and description is not None:
+    if adapted and checkpoint.embedder is not None:
         queries = embed_texts(checkpoint.embedder, [description]).detach()
-    hooks = checkpoint.hooks(adapted)
-    pooled = encode_pooled(checkpoint.backbone, frames, 1, hooks, queries, config.normalize)
+    adapters = checkpoint.adapters(adapted)
+    pooled = encode_pooled(checkpoint.backbone, frames, 1, adapters, queries, config.normalize)
     return pooled.data[0].copy()
 
 
@@ -229,8 +229,9 @@ def _frame_features(
     checkpoint: ModelCheckpoint, clip: VideoClip, adapted: bool
 ) -> np.ndarray:
     """(T_len, C) per-frame mean-pooled features of a whole clip."""
-    feat = encode_batch(checkpoint.backbone, clip.frames, checkpoint.hooks(adapted))
-    return feat.data.mean(axis=(1, 2))
+    adapters = checkpoint.adapters(adapted)
+    pooled = encode_pooled(checkpoint.backbone, clip.frames, clip.length, adapters, normalize=False)
+    return pooled.data
 
 
 def eval_downstream(
@@ -311,7 +312,7 @@ def dump_embeddings(
     checkpoint: ModelCheckpoint,
     clips: list[VideoClip],
     path: str,
-    descriptions: dict[int, str] | None = None,
+    descriptions: dict[int, str],
     adapted: bool = True,
     seed: int = 311,
 ) -> str:
@@ -320,8 +321,7 @@ def dump_embeddings(
     header = ["clip_id", "task_id", "domain", "adapted"] + [f"f{i}" for i in range(width)]
     rows = []
     for clip in clips:
-        desc = descriptions.get(clip.pair_id) if descriptions else None
-        vec = embed_clip(checkpoint, clip, desc, adapted=adapted, seed=seed)
+        vec = embed_clip(checkpoint, clip, descriptions[clip.pair_id], adapted=adapted, seed=seed)
         rows.append(
             [f"{clip.pair_id}_{clip.domain}", clip.task_id, clip.domain, int(adapted)]
             + [repr(float(v)) for v in vec]

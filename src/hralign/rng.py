@@ -54,9 +54,6 @@ class RngState:
         self.seed = int(self.seed) & _MASK
         self.position = int(self.position) & _MASK
 
-    def clone(self) -> "RngState":
-        return RngState(self.seed, self.position)
-
     def state(self) -> tuple[int, int]:
         return (self.seed, self.position)
 
@@ -93,11 +90,9 @@ class RngState:
 
     # derived distributions --------------------------------------------------
 
-    def uniform(self, shape=None, low: float = 0.0, high: float = 1.0):
-        """Uniform floats in [low, high) with 53-bit resolution: an array of
-        ``shape``, or one float when ``shape`` is None."""
-        if shape is None:
-            return float(self.uniform(1, low, high)[0])
+    def uniform(self, shape, low: float = 0.0, high: float = 1.0) -> np.ndarray:
+        """An array of ``shape`` of uniform floats in [low, high) with 53-bit
+        resolution."""
         shape = (shape,) if isinstance(shape, int) else tuple(shape)
         n = int(np.prod(shape, dtype=np.int64)) if shape else 1
         u = (self.u64(n) >> np.uint64(11)).astype(np.float64) * 2.0**-53

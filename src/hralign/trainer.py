@@ -10,6 +10,7 @@ vectors from ``encoder.encode_pooled``.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import hashlib
 import json
@@ -285,10 +286,10 @@ class ModelCheckpoint:
             out.update(self.head.named_buffers())
         return out
 
-    def hooks(self, adapted: bool = True) -> dict:
-        """The adapter hooks to encode with: the stack's, or none (the
+    def adapters(self, adapted: bool = True) -> dict:
+        """The adapter blocks to encode with: the stack's, or none (the
         frozen model) when ``adapted`` is false or there is no stack."""
-        return self.stack.hooks() if adapted and self.stack is not None else {}
+        return self.stack.blocks if adapted and self.stack is not None else {}
 
     def _header(self) -> tuple[dict, list[bytes]]:
         """The JSON header and, in name order, the serialized tensors it indexes."""
@@ -313,7 +314,7 @@ class ModelCheckpoint:
                 "kernel": bb.kernel, "frozen": bb.frozen,
             },
             "stack": None if stack is None else {
-                "positions": stack.positions, "junctions": stack.junctions,
+                "positions": stack.positions, "junctions": list(stack.blocks),
                 "ratio": self.config.adapter_ratio,
             },
             "embedder": None if emb is None else {"text_dim": emb.text_dim, "out_dim": emb.out_dim},
@@ -523,19 +524,18 @@ def train_hr_align(
     backbone: Backbone,
     resume: ModelCheckpoint | None = None,
 ) -> tuple[ModelCheckpoint, MetricsLog]:
-    """Adapt a frozen backbone on paired demos with the alignment loss.
+    """Adapt a frozen copy of ``backbone`` on paired demos with the alignment loss.
 
     Per step: draw a batch of pairs, sample frames (one shared sample per
     robot clip feeds both robot streams), pool the three streams, take one
-    Adam step on adapter + query-projection parameters. The backbone is
-    never touched.
+    Adam step on adapter + query-projection parameters. Neither the
+    caller's backbone nor a ``resume`` checkpoint is touched.
     """
     config = config.validate()
     if config.method != "hr_align":
         raise ValueError(f"train_hr_align got method {config.method!r}")
-    if not backbone.frozen:
-        raise ValueError("train_hr_align requires a frozen backbone")
     _check_batchable(len(pairs), config.batch_size)
+    backbone = backbone.copy().freeze()
 
     if resume is not None:
         bad = _resume_mismatch(resume.config, config)
@@ -545,7 +545,8 @@ def train_hr_align(
             raise ValueError(
                 f"steps={config.steps} is below the checkpoint's step {resume.step}"
             )
-        stack, embedder, rng = resume.stack, resume.embedder, resume.rng.clone()
+        resume = copy.deepcopy(resume)
+        stack, embedder, rng = resume.stack, resume.embedder, resume.rng
     else:
         rng = RngState(config.seed)
         stack = AdapterStack.for_positions(
@@ -574,7 +575,7 @@ def train_hr_align(
         feats = AlignmentBatchFeatures(
             encode_pooled(backbone, human, b, queries=frozen_queries, normalize=norm),
             encode_pooled(backbone, robot, b, queries=frozen_queries, normalize=norm),
-            encode_pooled(backbone, robot, b, stack.hooks(), queries, norm),
+            encode_pooled(backbone, robot, b, stack.blocks, queries, norm),
             config.tau,
         )
         return hr_align_loss(feats), alignment_stats(feats)
@@ -590,9 +591,9 @@ def train_hr_align(
 
 
 def _baseline_setup(config: TrainConfig, method: str, pairs: list[PairedDemo], backbone: Backbone):
-    """Clips, RNG, adapter stack (or None), learnable set and hooks of a
-    baseline: the whole backbone copy learns, or adapters only in the
-    parameter-efficient variant."""
+    """Clips, RNG, trained backbone copy, adapter stack (or None), learnable
+    set and adapters of a baseline: the whole backbone copy learns, or
+    adapters only over a frozen copy in the parameter-efficient variant."""
     config.validate()
     if config.method != method:
         raise ValueError(f"train_baseline_{method.split('_')[0]} got method {config.method!r}")
@@ -602,23 +603,23 @@ def _baseline_setup(config: TrainConfig, method: str, pairs: list[PairedDemo], b
     _check_batchable(len(clips), config.batch_size)
     rng = RngState(config.seed)
     if config.baseline_adapter_only:
-        backbone.freeze()
+        backbone = backbone.copy().freeze()
         positions = config.adapter_positions if config.adapter_positions != "none" else "L"
         stack = AdapterStack.for_positions(positions, backbone, config.adapter_ratio, rng)
-        return clips, rng, stack, dict(stack.named_parameters()), stack.hooks()
-    if backbone.frozen:
-        raise ValueError("baseline fine-tuning needs an unfrozen backbone copy")
-    return clips, rng, None, dict(backbone.named_parameters()), None
+        return clips, rng, backbone, stack, dict(stack.named_parameters()), stack.blocks
+    backbone = backbone.copy().unfreeze()
+    return clips, rng, backbone, None, dict(backbone.named_parameters()), None
 
 
 def train_baseline_pret(
     config: TrainConfig, pairs: list[PairedDemo], backbone: Backbone
 ) -> tuple[ModelCheckpoint, MetricsLog]:
     """Continue the pretext objective on robot clips, all weights learnable."""
-    clips, rng, stack, params, hooks = _baseline_setup(config, "pret_baseline", pairs, backbone)
+    setup = _baseline_setup(config, "pret_baseline", pairs, backbone)
+    clips, rng, backbone, stack, params, adapters = setup
 
     def batch_loss(batch: list[VideoClip]) -> tuple[Tensor, dict]:
-        return pretext_loss(lambda fr: encode_batch(backbone, fr, hooks), batch, rng, config.tau)
+        return pretext_loss(lambda fr: encode_batch(backbone, fr, adapters), batch, rng, config.tau)
 
     return _fit_checkpoint(
         config, clips, params, batch_loss, backbone=backbone, stack=stack, rng=rng
@@ -638,16 +639,17 @@ def train_baseline_cls(
     classes = _class_index(pairs)
     if len(classes) < 2:
         raise ValueError(f"classification baseline needs >= 2 task classes, got {len(classes)}")
-    clips, rng, stack, params, hooks = _baseline_setup(config, "cls_baseline", pairs, backbone)
+    setup = _baseline_setup(config, "cls_baseline", pairs, backbone)
+    clips, rng, backbone, stack, params, adapters = setup
     head = LinearHead.create(rng, backbone.out_channels, len(classes))
-    _fit_head_scaler(head, backbone, hooks, clips, config)
+    _fit_head_scaler(head, backbone, adapters, clips, config)
     params.update(head.named_parameters())
 
     def batch_loss(batch: list[VideoClip]) -> tuple[Tensor, dict]:
         b = len(batch)
         frames = np.concatenate([sample_frames(clip, config.frames, rng) for clip in batch], axis=0)
         labels = np.array([classes[clip.task_id] for clip in batch])
-        logits = _head_logits(head, backbone, hooks, frames, b)
+        logits = _head_logits(head, backbone, adapters, frames, b)
         e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
         return T.cross_entropy(logits, labels), label_stats(probs, labels)
@@ -657,7 +659,7 @@ def train_baseline_cls(
     )
 
 
-def _fit_head_scaler(head, backbone, hooks, clips, config) -> None:
+def _fit_head_scaler(head, backbone, adapters, clips, config) -> None:
     """Standardization stats from one deterministic pass over the clips,
     sampled and encoded ``config.batch_size`` clips at a time.
 
@@ -674,13 +676,13 @@ def _fit_head_scaler(head, backbone, hooks, clips, config) -> None:
     for start in range(0, len(clips), config.batch_size):
         chunk = clips[start : start + config.batch_size]
         frames = np.concatenate([sample_frames(c, config.frames, rng) for c in chunk], axis=0)
-        rows.append(encode_pooled(backbone, frames, len(chunk), hooks, normalize=False).data)
+        rows.append(encode_pooled(backbone, frames, len(chunk), adapters, normalize=False).data)
     head.mu.data, head.sd.data = standard_stats(np.concatenate(rows, axis=0))
 
 
-def _head_logits(head: LinearHead, backbone, hooks, frames, b) -> Tensor:
+def _head_logits(head: LinearHead, backbone, adapters, frames, b) -> Tensor:
     """(B, K) class logits of B clips' (B*T, H, W, C) frames."""
-    pooled = head.standardize(encode_pooled(backbone, frames, b, hooks, normalize=False))
+    pooled = head.standardize(encode_pooled(backbone, frames, b, adapters, normalize=False))
     return T.add(T.matmul(pooled, head.w), head.b)
 
 
@@ -702,11 +704,11 @@ def classification_accuracy(checkpoint: ModelCheckpoint, pairs: list[PairedDemo]
         )
     config = checkpoint.config
     rng = RngState(977)
-    hooks = checkpoint.hooks()
+    adapters = checkpoint.adapters()
     hits = 0
     for demo in pairs:
         frames = sample_frames(demo.robot, config.frames, rng)
-        logits = _head_logits(checkpoint.head, checkpoint.backbone, hooks, frames, 1)
+        logits = _head_logits(checkpoint.head, checkpoint.backbone, adapters, frames, 1)
         if int(np.argmax(logits.data[0])) == classes[demo.task_id]:
             hits += 1
     return hits / len(pairs)

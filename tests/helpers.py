@@ -103,7 +103,7 @@ def small_checkpoint(
     rng = RngState(seed)
     backbone = micro_backbone(seed).freeze()
     stack = AdapterStack.for_positions(positions, backbone, 2, rng)
-    for _, blk in stack.blocks:
+    for blk in stack.blocks.values():
         blk.up_w.data = rng.normal(blk.up_w.shape)
     config = TrainConfig(
         # hr_align needs adapters or a query projection to learn

@@ -80,8 +80,8 @@ def test_stack_positions_and_channels():
     expected = {"E": [0], "M": [1, 2], "L": [3], "EML": [0, 1, 2, 3], "none": []}
     for positions, junctions in expected.items():
         stack = AdapterStack.for_positions(positions, bb, 4, RngState(5))
-        assert stack.junctions == junctions
-        for j, block in stack.blocks:
+        assert list(stack.blocks) == junctions
+        for j, block in stack.blocks.items():
             assert block.channels == bb.channels[j]
 
 
@@ -95,9 +95,9 @@ def test_encode_adapted_empty_stack_bitwise_frozen():
     bb = frozen_backbone()
     frames = random_clip_frames(RngState(7), t=3)
     stack = AdapterStack.for_positions("none", bb, 4, RngState(1))
-    assert stack.blocks == [] and stack.hooks() == {}
+    assert stack.blocks == {}
     frozen = encode_batch(bb, frames)
-    adapted = encode_batch(bb, frames, stack.hooks())
+    adapted = encode_batch(bb, frames, stack.blocks)
     assert not adapted.requires_grad
     assert np.array_equal(adapted.data, frozen.data)
 
@@ -108,7 +108,7 @@ def test_encode_adapted_identity_init_bitwise(positions):
     stack = AdapterStack.for_positions(positions, bb, 4, RngState(9))
     frames = random_clip_frames(RngState(8), t=4)
     frozen = encode_batch(bb, frames)
-    adapted = encode_batch(bb, frames, stack.hooks())
+    adapted = encode_batch(bb, frames, stack.blocks)
     assert adapted.requires_grad
     assert np.array_equal(adapted.data, frozen.data)
 
@@ -118,9 +118,9 @@ def test_shape_preserved_for_all_positions():
     frames = random_clip_frames(RngState(10), t=2)
     for positions in ("E", "M", "L", "EML"):
         stack = AdapterStack.for_positions(positions, bb, 4, RngState(11))
-        for _, block in stack.blocks:
+        for block in stack.blocks.values():
             block.up_w.data = RngState(12).normal(block.up_w.shape) * 0.1
-        out = encode_batch(bb, frames, stack.hooks())
+        out = encode_batch(bb, frames, stack.blocks)
         assert out.shape == encode_batch(bb, frames).shape
 
 
@@ -129,8 +129,8 @@ def test_perturbed_adapter_changes_output():
     stack = AdapterStack.for_positions("L", bb, 4, RngState(13))
     frames = random_clip_frames(RngState(14), t=3)
     frozen = encode_batch(bb, frames)
-    stack.blocks[0][1].up_b.data = stack.blocks[0][1].up_b.data + 0.05
-    adapted = encode_batch(bb, frames, stack.hooks())
+    stack.blocks[3].up_b.data = stack.blocks[3].up_b.data + 0.05
+    adapted = encode_batch(bb, frames, stack.blocks)
     assert not np.array_equal(adapted.data, frozen.data)
 
 
@@ -138,7 +138,7 @@ def test_gradient_isolation():
     bb = frozen_backbone()
     stack = AdapterStack.for_positions("EML", bb, 4, RngState(15))
     frames = random_clip_frames(RngState(16), t=2)
-    out = encode_batch(bb, frames, stack.hooks())
+    out = encode_batch(bb, frames, stack.blocks)
     T.tsum(T.mul(out, out)).backward()
     for name, p in bb.named_parameters().items():
         assert p.grad is None, name
@@ -162,7 +162,7 @@ def test_count_matches_size_sum_oracle():
         counts = count_learnable(stack, embedder)
         assert counts.adapter == sum(
             2 * blk.channels * blk.bottleneck + blk.channels + blk.bottleneck
-            for _, blk in stack.blocks
+            for blk in stack.blocks.values()
         )
         assert counts.projection == embedder.text_dim * embedder.out_dim + embedder.out_dim
         assert counts.total == counts.adapter + counts.projection

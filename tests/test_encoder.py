@@ -154,3 +154,14 @@ def test_frozen_flag_blocks_grad_flags():
     bb = frozen_backbone()
     for p in bb.named_parameters().values():
         assert not p.requires_grad
+
+
+def test_frozen_follows_requires_grad():
+    bb = Backbone.create(RngState(0))
+    assert not bb.frozen
+    assert bb.freeze().frozen and bb.copy().frozen
+    bb.blocks[0].w.requires_grad = True  # one learnable weight unfreezes the backbone
+    assert not bb.frozen
+    bb.blocks[0].w.requires_grad = False
+    assert bb.frozen
+    assert not bb.unfreeze().frozen and not bb.copy().frozen

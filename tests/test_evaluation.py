@@ -66,12 +66,15 @@ def test_gap_zero_perfect_recall():
 def test_identity_adapter_matches_frozen_embeddings(small_ckpt):
     pairs, train, _, _ = small_ckpt
     backbone = Backbone.create(RngState(44)).freeze()
-    fresh, _ = train_hr_align(TrainConfig(steps=0, batch_size=4, seed=44), train, backbone)
-    for clip in [c for p in train[:4] for c in (p.human, p.robot)]:
-        frozen = embed_clip(fresh, clip, None, adapted=False)
-        assert np.isfinite(frozen).all()
-        # no description: uniform pooling, so only the identity adapters differ
-        assert np.array_equal(embed_clip(fresh, clip, None, adapted=True), frozen)
+    config = TrainConfig(steps=0, batch_size=4, seed=44, use_language=False)
+    fresh, _ = train_hr_align(config, train, backbone)
+    for pair in train[:4]:
+        for clip in (pair.human, pair.robot):
+            frozen = embed_clip(fresh, clip, pair.description.text, adapted=False)
+            assert np.isfinite(frozen).all()
+            # no query projection: uniform pooling, so only the identity adapters differ
+            adapted = embed_clip(fresh, clip, pair.description.text, adapted=True)
+            assert np.array_equal(adapted, frozen)
 
 
 def test_permutation_null_recall_near_chance():
@@ -193,11 +196,12 @@ def test_dump_embeddings_schema(small_ckpt, tmp_path):
 def test_dump_embeddings_failing_partway_keeps_previous_file(small_ckpt, tmp_path, monkeypatch):
     pairs, _, _, checkpoint = small_ckpt
     path = str(tmp_path / "emb.csv")
-    dump_embeddings(checkpoint, [pairs[0].human], path)
+    descriptions = {p.pair_id: p.description.text for p in pairs[:3]}
+    dump_embeddings(checkpoint, [pairs[0].human], path, descriptions)
     before = open(path, "rb").read()
     fail_writes_partway(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
-        dump_embeddings(checkpoint, [p.robot for p in pairs[:3]], path)
+        dump_embeddings(checkpoint, [p.robot for p in pairs[:3]], path, descriptions)
     monkeypatch.undo()
     assert open(path, "rb").read() == before
     assert os.listdir(tmp_path) == ["emb.csv"]
@@ -206,7 +210,7 @@ def test_dump_embeddings_failing_partway_keeps_previous_file(small_ckpt, tmp_pat
 def test_dump_embeddings_empty(small_ckpt, tmp_path):
     _, _, _, checkpoint = small_ckpt
     path = str(tmp_path / "empty.csv")
-    dump_embeddings(checkpoint, [], path)
+    dump_embeddings(checkpoint, [], path, {})
     with open(path) as fh:
         rows = list(csv.reader(fh))
     assert len(rows) == 1  # header only

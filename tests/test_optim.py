@@ -190,26 +190,49 @@ def test_pretext_pretrain_matches_the_hand_rolled_loop(batch_size):
     assert all(ref[k].data.tobytes() == new[k].data.tobytes() for k in ref)
 
 
-def test_optimizer_steps_run_only_inside_fit():
-    """zero_grads, backward and adam_step are called in one place in the
-    package: the training loop ``optim.fit``."""
+def _package_calls(names) -> set[tuple[str, str]]:
+    """(where, name) of every call in the package of a function in ``names``,
+    ``where`` being the module and the enclosing defs, dotted; a lambda passed
+    to ``f(...)`` adds ``<lambda in f>``."""
     callers = set()
 
     def visit(node, where):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             where = f"{where}.{node.name}"
+        lambdas = {}
         if isinstance(node, ast.Call):
             f = node.func
             name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
-            if name in ("zero_grads", "backward", "adam_step"):
+            if name in names:
                 callers.add((where, name))
+            lambdas = {
+                id(a): f"{where}.<lambda in {name}>" for a in node.args if isinstance(a, ast.Lambda)
+            }
         for child in ast.iter_child_nodes(node):
-            visit(child, where)
+            visit(child, lambdas.get(id(child), where))
 
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
-    assert callers == {
+    return callers
+
+
+def test_optimizer_steps_run_only_inside_fit():
+    """zero_grads, backward and adam_step are called in one place in the
+    package: the training loop ``optim.fit``."""
+    assert _package_calls({"zero_grads", "backward", "adam_step"}) == {
         ("optim.fit", "zero_grads"),
         ("optim.fit", "backward"),
         ("optim.fit", "adam_step"),
+    }
+
+
+def test_adapters_run_only_inside_encode_batch():
+    """Adapters are data: ``adapter_forward`` runs only in ``encode_batch``'s
+    block loop, and ``encode_batch`` is called only by ``encode_pooled`` and by
+    the encode lambdas the two ``pretext_loss`` callers pass."""
+    assert _package_calls({"adapter_forward", "encode_batch"}) == {
+        ("encoder.encode_batch", "adapter_forward"),
+        ("encoder.encode_pooled", "encode_batch"),
+        ("encoder.pretext_pretrain.step_loss.<lambda in pretext_loss>", "encode_batch"),
+        ("trainer.train_baseline_pret.batch_loss.<lambda in pretext_loss>", "encode_batch"),
     }

@@ -167,13 +167,6 @@ def test_batch_larger_than_dataset_rejected(small_setup):
         train_hr_align(small_config(batch_size=999), train, backbone)
 
 
-def test_unfrozen_backbone_rejected(small_setup):
-    _, train, _, _ = small_setup
-    loose = Backbone.create(RngState(1))
-    with pytest.raises(ValueError, match="frozen"):
-        train_hr_align(small_config(), train, loose)
-
-
 def test_backbone_bitwise_frozen_after_short_run(small_setup):
     _, train, _, backbone = small_setup
     before = {n: t.data.copy() for n, t in backbone.named_parameters().items()}
@@ -238,6 +231,19 @@ def test_resume_equals_uninterrupted(small_setup, tmp_path):
     full.save(full_path)
     resumed.save(resumed_path)
     assert open(full_path, "rb").read() == open(resumed_path, "rb").read()
+
+
+def test_resume_leaves_the_callers_checkpoint_untouched(small_setup, tmp_path):
+    _, train, _, backbone = small_setup
+    part, _ = train_hr_align(small_config(steps=3), train, backbone)
+    path = tmp_path / "part.ckpt"
+    part.save(str(path))
+    before = path.read_bytes()
+    _, first = train_hr_align(small_config(steps=5), train, backbone, resume=part)
+    part.save(str(path))
+    assert path.read_bytes() == before  # step, weights, Adam state and RNG unmoved
+    _, second = train_hr_align(small_config(steps=5), train, backbone, resume=part)
+    assert second.deterministic_text() == first.deterministic_text()
 
 
 def test_resume_below_checkpoint_step_rejected(small_setup):
@@ -639,12 +645,6 @@ def test_baseline_pret_zero_steps_identity(small_setup):
     assert metrics.rows == []
 
 
-def test_baseline_pret_requires_unfrozen(small_setup):
-    _, train, _, backbone = small_setup
-    with pytest.raises(ValueError, match="unfrozen"):
-        train_baseline_pret(small_config(method="pret_baseline"), train, backbone)
-
-
 def test_baseline_pret_loss_decreases(small_setup):
     _, train, _, backbone = small_setup
     copy = backbone.copy().unfreeze()
@@ -745,6 +745,43 @@ def test_method_mismatch_rejected(small_setup):
         train_hr_align(small_config(method="cls_baseline"), train, backbone)
     with pytest.raises(ValueError, match="method"):
         train_baseline_pret(small_config(), train, backbone.copy().unfreeze())
+
+
+TRAINERS = {
+    "hr_align": lambda train, bb: train_hr_align(small_config(steps=2), train, bb),
+    "pret": lambda train, bb: train_baseline_pret(
+        small_config(method="pret_baseline", steps=2, learning_rate=BASELINE_LR), train, bb
+    ),
+    "cls": lambda train, bb: train_baseline_cls(
+        small_config(method="cls_baseline", steps=2, learning_rate=BASELINE_LR), train, bb
+    ),
+    "adapter_only": lambda train, bb: train_baseline_cls(
+        small_config(
+            method="cls_baseline", steps=2, learning_rate=BASELINE_LR, baseline_adapter_only=True
+        ),
+        train,
+        bb,
+    ),
+}
+
+
+@pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "unfrozen"])
+@pytest.mark.parametrize("name", list(TRAINERS))
+def test_trainers_train_a_copy_of_any_backbone(small_setup, name, frozen):
+    """Each trainer takes a frozen or an unfrozen backbone, trains its own
+    copy (the full baselines move its weights, the others do not) and
+    leaves the caller's backbone bitwise unchanged, frozen as it was."""
+    _, train, _, backbone = small_setup
+    given = backbone.copy().freeze() if frozen else backbone.copy().unfreeze()
+    before = {n: t.data.copy() for n, t in given.named_parameters().items()}
+    checkpoint, metrics = TRAINERS[name](train, given)
+    assert len(metrics.rows) == 2 and all(np.isfinite(metrics.losses))
+    assert given.frozen == frozen and checkpoint.backbone.frozen
+    for n, t in given.named_parameters().items():
+        assert t.data.tobytes() == before[n].tobytes(), n
+    trained = checkpoint.backbone.named_parameters()
+    moved = any(not np.array_equal(trained[n].data, before[n]) for n in before)
+    assert moved == (name in ("pret", "cls"))
 
 
 def test_head_scaler_pass_peaks_at_one_batch_not_the_whole_set():
