@@ -21,6 +21,7 @@ from dataclasses import replace
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from hralign import trainer
 from hralign.dataset import _atomic_write, generate_paired_set, save_manifest, split_pairs
 from hralign.encoder import pretext_pretrain
 from hralign.evaluation import (
@@ -31,7 +32,7 @@ from hralign.evaluation import (
     run_arm,
 )
 from hralign.rng import RngState
-from hralign.trainer import TrainConfig, save_run, train_baseline_cls, train_baseline_pret
+from hralign.trainer import TrainConfig, save_run
 
 BASELINE_LR = 3e-4
 
@@ -111,23 +112,13 @@ def main() -> int:
     )
 
     print(f"[5/5] baselines, {args.baseline_steps} steps each")
-    base = TrainConfig(
-        steps=args.baseline_steps, seed=args.seed, learning_rate=BASELINE_LR
-    )
-    pret_ckpt, pret_metrics = train_baseline_pret(
-        replace(base, method="pret_baseline"), train, backbone
-    )
-    cls_ckpt, cls_metrics = train_baseline_cls(
-        replace(base, method="cls_baseline"), train, backbone
-    )
-    summary["baselines"] = {
-        "pret_loss": [pret_metrics.losses[0], pret_metrics.losses[-1]],
-        "cls_loss": [cls_metrics.losses[0], cls_metrics.losses[-1]],
-    }
-    print(
-        f"      pret {pret_metrics.losses[0]:.3f} -> {pret_metrics.losses[-1]:.3f}   "
-        f"cls {cls_metrics.losses[0]:.3f} -> {cls_metrics.losses[-1]:.3f}"
-    )
+    base = TrainConfig(steps=args.baseline_steps, seed=args.seed, learning_rate=BASELINE_LR)
+    summary["baselines"] = {}
+    for kind in ("pret", "cls"):
+        _, metrics = trainer.train(replace(base, method=f"{kind}_baseline"), train, backbone)
+        first, last = metrics.losses[0], metrics.losses[-1]
+        summary["baselines"][f"{kind}_loss"] = [first, last]
+        print(f"      {kind} {first:.3f} -> {last:.3f}")
     if not args.skip_ablation:
         summary["ablation"] = [run.row for run in runs]
 

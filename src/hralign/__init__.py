@@ -36,6 +36,7 @@ from .trainer import (
     MetricsLog,
     ModelCheckpoint,
     TrainConfig,
+    train,
     train_baseline_cls,
     train_baseline_pret,
     train_hr_align,

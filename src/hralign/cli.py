@@ -33,9 +33,7 @@ from .trainer import (
     format_config,
     load_config,
     save_run,
-    train_baseline_cls,
-    train_baseline_pret,
-    train_hr_align,
+    train,
 )
 
 USAGE_ERROR = 1
@@ -122,26 +120,18 @@ def _finish_training(checkpoint, metrics, label) -> int:
     return 0
 
 
-def cmd_adapt(args) -> int:
-    config = replace(_load_train_config(args), method="hr_align")
-    pairs = load_manifest(args.data)
-    train, _ = split_pairs(pairs, args.heldout_frac)
+def cmd_train(args) -> int:
+    """``adapt`` trains hr_align, ``baseline <kind>`` the ``<kind>_baseline`` method."""
+    if args.kind is None:
+        method, label = "hr_align", "adapt"
+    else:
+        method, label = f"{args.kind}_baseline", f"baseline {args.kind}"
+    config = replace(_load_train_config(args), method=method)
+    pairs, _ = split_pairs(load_manifest(args.data), args.heldout_frac)
     backbone = ModelCheckpoint.load(args.backbone).backbone
     resume = ModelCheckpoint.load(args.resume) if args.resume else None
-    checkpoint, metrics = train_hr_align(config, train, backbone, resume=resume)
-    return _finish_training(checkpoint, metrics, "adapt")
-
-
-def cmd_baseline(args) -> int:
-    config = _load_train_config(args)
-    method = "pret_baseline" if args.kind == "pret" else "cls_baseline"
-    config = replace(config, method=method)
-    pairs = load_manifest(args.data)
-    train, _ = split_pairs(pairs, args.heldout_frac)
-    backbone = ModelCheckpoint.load(args.backbone).backbone
-    trainer = train_baseline_pret if args.kind == "pret" else train_baseline_cls
-    checkpoint, metrics = trainer(config, train, backbone)
-    return _finish_training(checkpoint, metrics, f"baseline {args.kind}")
+    checkpoint, metrics = train(config, pairs, backbone, resume)
+    return _finish_training(checkpoint, metrics, label)
 
 
 def cmd_ablate(args) -> int:
@@ -257,12 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("adapt", help="adapter alignment training")
     add_train_args(p)
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
-    p.set_defaults(func=cmd_adapt)
+    p.set_defaults(func=cmd_train, kind=None)
 
     p = sub.add_parser("baseline", help="full fine-tune baselines")
     p.add_argument("kind", choices=("pret", "cls"))
     add_train_args(p)
-    p.set_defaults(func=cmd_baseline)
+    p.set_defaults(func=cmd_train, resume=None)
 
     p = sub.add_parser("ablate", help="adapter-position and language ablation grid")
     add_train_args(p)

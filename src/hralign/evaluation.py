@@ -36,7 +36,7 @@ from .trainer import (
     TrainConfig,
     _class_index,
     standard_stats,
-    train_hr_align,
+    train,
 )
 
 
@@ -127,10 +127,13 @@ def embed_clip(
 
 
 def _retrieval_stats(scores: np.ndarray) -> tuple[float, float, float]:
-    """recall@1, recall@5, MRR when the true match of row i is column i."""
+    """recall@1, recall@5, MRR when the true match of row i is column i,
+    ranked 1 + the number of other candidates scoring at least as high."""
+    if np.isnan(scores).any():
+        raise T.NumericError("retrieval: NaN score")
     n = scores.shape[0]
     diag = scores[np.arange(n), np.arange(n)]
-    ranks = 1 + (scores > diag[:, None]).sum(axis=1)
+    ranks = (scores >= diag[:, None]).sum(axis=1)  # the true match counts itself once
     recall1 = float((ranks == 1).mean())
     recall5 = float((ranks <= 5).mean())
     mrr = float((1.0 / ranks).mean())
@@ -376,18 +379,19 @@ class AblationRun:
 def run_arm(
     base: TrainConfig,
     arm: str,
-    train: list[PairedDemo],
+    train_pairs: list[PairedDemo],
     heldout: list[PairedDemo],
     backbone: Backbone,
 ) -> AblationRun:
-    """Train one arm on ``train`` into ``<base.out_dir>/<arm>`` and score it:
-    retrieval on ``heldout``, downstream on the robot clips of both."""
+    """Train one arm on ``train_pairs`` into ``<base.out_dir>/<arm>`` and
+    score it: retrieval on ``heldout``, downstream on the robot clips of
+    both."""
     if len(heldout) < 2:
         raise ValueError(f"arm {arm} needs at least 2 held-out pairs, got {len(heldout)}")
     config = replace(base, method="hr_align", out_dir=f"{base.out_dir}/{arm}", **ARMS[arm])
-    checkpoint, metrics = train_hr_align(config, train, backbone)
+    checkpoint, metrics = train(config, train_pairs, backbone)
     retrieval = eval_retrieval(checkpoint, heldout, adapted=True)
-    downstream = eval_downstream(checkpoint, [p.robot for p in train + heldout], adapted=True)
+    downstream = eval_downstream(checkpoint, [p.robot for p in train_pairs + heldout], adapted=True)
     return AblationRun(arm, config, checkpoint, metrics, retrieval, downstream)
 
 

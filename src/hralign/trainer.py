@@ -32,7 +32,6 @@ from .rng import RngState
 from .task_query import QueryEmbedder, embed_texts
 from .tensor import Tensor
 
-METHODS = ("hr_align", "pret_baseline", "cls_baseline")
 CHECKPOINT_VERSION = 1
 METRICS_HEADER = "step,loss,pos_sim,hard_neg_sim,wall_ms"
 
@@ -53,12 +52,10 @@ class TrainConfig:
     normalize: bool = True
     out_dir: str = "runs/out"
     adapter_ratio: int = 4
-    baseline_full_data: bool = False
-    baseline_adapter_only: bool = False
 
     def validate(self) -> "TrainConfig":
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.method not in TRAINERS:
+            raise ValueError(f"method must be one of {tuple(TRAINERS)}, got {self.method!r}")
         for name in ("learning_rate", "tau"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
@@ -286,7 +283,7 @@ class ModelCheckpoint:
             out.update(self.head.named_buffers())
         return out
 
-    def adapters(self, adapted: bool = True) -> dict:
+    def adapters(self, adapted: bool) -> dict:
         """The adapter blocks to encode with: the stack's, or none (the
         frozen model) when ``adapted`` is false or there is no stack."""
         return self.stack.blocks if adapted and self.stack is not None else {}
@@ -512,12 +509,6 @@ def _fit_checkpoint(
 # HR-Align adaptation
 
 
-def _resume_mismatch(a: TrainConfig, b: TrainConfig) -> list[str]:
-    skip = {"steps", "out_dir"}
-    fields = [f.name for f in dataclasses.fields(TrainConfig) if f.name not in skip]
-    return [name for name in fields if getattr(a, name) != getattr(b, name)]
-
-
 def train_hr_align(
     config: TrainConfig,
     pairs: list[PairedDemo],
@@ -528,8 +519,9 @@ def train_hr_align(
 
     Per step: draw a batch of pairs, sample frames (one shared sample per
     robot clip feeds both robot streams), pool the three streams, take one
-    Adam step on adapter + query-projection parameters. Neither the
-    caller's backbone nor a ``resume`` checkpoint is touched.
+    Adam step on adapter + query-projection parameters. A ``resume``
+    checkpoint must hold ``backbone`` bitwise. Neither the caller's backbone
+    nor the checkpoint is touched.
     """
     config = config.validate()
     if config.method != "hr_align":
@@ -538,13 +530,19 @@ def train_hr_align(
     backbone = backbone.copy().freeze()
 
     if resume is not None:
-        bad = _resume_mismatch(resume.config, config)
+        bad = [
+            f.name for f in dataclasses.fields(TrainConfig)
+            if f.name not in ("steps", "out_dir") and getattr(resume.config, f.name) != getattr(config, f.name)
+        ]
         if bad:
             raise ValueError(f"resume config differs on {bad}")
         if config.steps < resume.step:
-            raise ValueError(
-                f"steps={config.steps} is below the checkpoint's step {resume.step}"
-            )
+            raise ValueError(f"steps={config.steps} is below the checkpoint's step {resume.step}")
+        ours, theirs = (
+            {n: T.to_bytes(t.data) for n, t in b.named_parameters().items()} for b in (backbone, resume.backbone)
+        )
+        if moved := sorted(n for n in ours.keys() | theirs.keys() if ours.get(n) != theirs.get(n)):
+            raise ValueError(f"resume backbone differs from the checkpoint's at tensor {moved[0]!r}")
         resume = copy.deepcopy(resume)
         stack, embedder, rng = resume.stack, resume.embedder, resume.rng
     else:
@@ -591,39 +589,26 @@ def train_hr_align(
 
 
 def _baseline_setup(config: TrainConfig, method: str, pairs: list[PairedDemo], backbone: Backbone):
-    """Clips, RNG, trained backbone copy, adapter stack (or None), learnable
-    set and adapters of a baseline: the whole backbone copy learns, or
-    adapters only over a frozen copy in the parameter-efficient variant."""
+    """Robot clips, RNG and the unfrozen backbone copy a baseline trains."""
     config.validate()
     if config.method != method:
         raise ValueError(f"train_baseline_{method.split('_')[0]} got method {config.method!r}")
     clips = [demo.robot for demo in pairs]
-    if config.baseline_full_data:
-        clips = clips + [demo.human for demo in pairs]
     _check_batchable(len(clips), config.batch_size)
-    rng = RngState(config.seed)
-    if config.baseline_adapter_only:
-        backbone = backbone.copy().freeze()
-        positions = config.adapter_positions if config.adapter_positions != "none" else "L"
-        stack = AdapterStack.for_positions(positions, backbone, config.adapter_ratio, rng)
-        return clips, rng, backbone, stack, dict(stack.named_parameters()), stack.blocks
-    backbone = backbone.copy().unfreeze()
-    return clips, rng, backbone, None, dict(backbone.named_parameters()), None
+    return clips, RngState(config.seed), backbone.copy().unfreeze()
 
 
 def train_baseline_pret(
     config: TrainConfig, pairs: list[PairedDemo], backbone: Backbone
 ) -> tuple[ModelCheckpoint, MetricsLog]:
     """Continue the pretext objective on robot clips, all weights learnable."""
-    setup = _baseline_setup(config, "pret_baseline", pairs, backbone)
-    clips, rng, backbone, stack, params, adapters = setup
+    clips, rng, backbone = _baseline_setup(config, "pret_baseline", pairs, backbone)
 
     def batch_loss(batch: list[VideoClip]) -> tuple[Tensor, dict]:
-        return pretext_loss(lambda fr: encode_batch(backbone, fr, adapters), batch, rng, config.tau)
+        return pretext_loss(lambda fr: encode_batch(backbone, fr), batch, rng, config.tau)
 
-    return _fit_checkpoint(
-        config, clips, params, batch_loss, backbone=backbone, stack=stack, rng=rng
-    )
+    params = dict(backbone.named_parameters())
+    return _fit_checkpoint(config, clips, params, batch_loss, backbone=backbone, rng=rng)
 
 
 def _class_index(items: list[PairedDemo] | list[VideoClip]) -> dict[int, int]:
@@ -639,27 +624,24 @@ def train_baseline_cls(
     classes = _class_index(pairs)
     if len(classes) < 2:
         raise ValueError(f"classification baseline needs >= 2 task classes, got {len(classes)}")
-    setup = _baseline_setup(config, "cls_baseline", pairs, backbone)
-    clips, rng, backbone, stack, params, adapters = setup
+    clips, rng, backbone = _baseline_setup(config, "cls_baseline", pairs, backbone)
     head = LinearHead.create(rng, backbone.out_channels, len(classes))
-    _fit_head_scaler(head, backbone, adapters, clips, config)
-    params.update(head.named_parameters())
+    _fit_head_scaler(head, backbone, clips, config)
+    params = {**backbone.named_parameters(), **head.named_parameters()}
 
     def batch_loss(batch: list[VideoClip]) -> tuple[Tensor, dict]:
         b = len(batch)
         frames = np.concatenate([sample_frames(clip, config.frames, rng) for clip in batch], axis=0)
         labels = np.array([classes[clip.task_id] for clip in batch])
-        logits = _head_logits(head, backbone, adapters, frames, b)
+        logits = _head_logits(head, backbone, frames, b)
         e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
         probs = e / e.sum(axis=1, keepdims=True)
         return T.cross_entropy(logits, labels), label_stats(probs, labels)
 
-    return _fit_checkpoint(
-        config, clips, params, batch_loss, backbone=backbone, stack=stack, head=head, rng=rng
-    )
+    return _fit_checkpoint(config, clips, params, batch_loss, backbone=backbone, head=head, rng=rng)
 
 
-def _fit_head_scaler(head, backbone, adapters, clips, config) -> None:
+def _fit_head_scaler(head, backbone, clips, config) -> None:
     """Standardization stats from one deterministic pass over the clips,
     sampled and encoded ``config.batch_size`` clips at a time.
 
@@ -676,13 +658,13 @@ def _fit_head_scaler(head, backbone, adapters, clips, config) -> None:
     for start in range(0, len(clips), config.batch_size):
         chunk = clips[start : start + config.batch_size]
         frames = np.concatenate([sample_frames(c, config.frames, rng) for c in chunk], axis=0)
-        rows.append(encode_pooled(backbone, frames, len(chunk), adapters, normalize=False).data)
+        rows.append(encode_pooled(backbone, frames, len(chunk), normalize=False).data)
     head.mu.data, head.sd.data = standard_stats(np.concatenate(rows, axis=0))
 
 
-def _head_logits(head: LinearHead, backbone, adapters, frames, b) -> Tensor:
+def _head_logits(head: LinearHead, backbone, frames, b) -> Tensor:
     """(B, K) class logits of B clips' (B*T, H, W, C) frames."""
-    pooled = head.standardize(encode_pooled(backbone, frames, b, adapters, normalize=False))
+    pooled = head.standardize(encode_pooled(backbone, frames, b, normalize=False))
     return T.add(T.matmul(pooled, head.w), head.b)
 
 
@@ -704,11 +686,38 @@ def classification_accuracy(checkpoint: ModelCheckpoint, pairs: list[PairedDemo]
         )
     config = checkpoint.config
     rng = RngState(977)
-    adapters = checkpoint.adapters()
     hits = 0
     for demo in pairs:
         frames = sample_frames(demo.robot, config.frames, rng)
-        logits = _head_logits(checkpoint.head, checkpoint.backbone, adapters, frames, 1)
+        logits = _head_logits(checkpoint.head, checkpoint.backbone, frames, 1)
         if int(np.argmax(logits.data[0])) == classes[demo.task_id]:
             hits += 1
     return hits / len(pairs)
+
+
+# ---------------------------------------------------------------------------
+# the one entry
+
+
+TRAINERS = {
+    "hr_align": train_hr_align,
+    "pret_baseline": train_baseline_pret,
+    "cls_baseline": train_baseline_cls,
+}
+
+
+def train(
+    config: TrainConfig,
+    pairs: list[PairedDemo],
+    backbone: Backbone,
+    resume: ModelCheckpoint | None = None,
+) -> tuple[ModelCheckpoint, MetricsLog]:
+    """Train ``config.method`` on ``pairs`` over a copy of ``backbone`` by
+    its ``TRAINERS`` entry; every program trains through here. Only
+    hr_align resumes: the baseline trainers take no ``resume``."""
+    config = config.validate()
+    if resume is None:
+        return TRAINERS[config.method](config, pairs, backbone)
+    if config.method != "hr_align":
+        raise ValueError(f"method {config.method!r} cannot resume; only hr_align runs resume")
+    return train_hr_align(config, pairs, backbone, resume)

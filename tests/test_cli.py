@@ -401,6 +401,35 @@ def test_cli_resume_matches_straight_run(pipeline, tmp_path):
         assert np.array_equal(direct.adam.m[name], resumed.adam.m[name])
 
 
+def test_cli_resume_over_a_different_backbone_exits_two_writing_nothing(
+    pipeline, tmp_path, capsys
+):
+    _, manifest, _, model = pipeline
+    other = str(tmp_path / "other")
+    assert run(["pretrain", "--data", manifest, "--out", other, "--epochs", "1", "--seed", "12"]) == 0
+    out = tmp_path / "resumed"
+    argv = [
+        "adapt", "--data", manifest, "--backbone", os.path.join(other, "backbone.ckpt"),
+        "--out", str(out), "--set", "steps=8", "--set", "batch_size=4", "--set", "seed=11",
+        "--resume", model,
+    ]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert "error: resume backbone differs from the checkpoint's at tensor 'backbone.block" in err
+    assert not out.exists()
+
+
+def test_cli_baseline_refuses_a_config_file_with_a_dropped_key(pipeline, tmp_path, capsys):
+    _, manifest, backbone, _ = pipeline
+    config = tmp_path / "old.cfg"
+    config.write_text("steps = 2\nbaseline_full_data = false\n")
+    out = tmp_path / "baseline"
+    argv = ["baseline", "pret", "--config", str(config), "--data", manifest, "--backbone", backbone]
+    assert run(argv + ["--out", str(out)]) == 2
+    assert "unknown config key 'baseline_full_data'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 ARMS = ["E", "M", "L", "EML", "L_nolang"]
 ABLATION_KEYS = [
     "name",

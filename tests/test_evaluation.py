@@ -17,6 +17,7 @@ from hralign.evaluation import (
     train_linear_probe,
 )
 from hralign.rng import RngState
+from hralign.tensor import NumericError
 from hralign.trainer import ModelCheckpoint, TrainConfig, train_hr_align
 
 
@@ -61,6 +62,32 @@ def test_gap_zero_perfect_recall():
         report = eval_retrieval(checkpoint, pairs, adapted=adapted)
         assert report.r2h_recall1 == 1.0
         assert report.h2r_recall1 == 1.0
+
+
+def test_all_zero_embeddings_rank_every_true_match_behind_its_ties(small_ckpt):
+    """A tie is not a hit. A last-block bias of -1000 makes the ReLU output
+    zero, so every clip embeds as the zero vector and every score ties: each
+    true match ranks behind all n - 1 other candidates."""
+    _, _, heldout, _ = small_ckpt
+    backbone = Backbone.create(RngState(45)).freeze()
+    last = backbone.blocks[-1].b
+    last.data = np.full_like(last.data, -1000.0)
+    checkpoint = ModelCheckpoint(config=TrainConfig(steps=0), backbone=backbone)
+    assert not embed_clip(checkpoint, heldout[0].robot, "", adapted=False).any()
+    n = len(heldout)
+    assert n > 5
+    report = eval_retrieval(checkpoint, heldout, adapted=False)
+    assert (report.r2h_recall1, report.r2h_recall5, report.h2r_recall1, report.h2r_recall5) == (
+        0.0, 0.0, 0.0, 0.0
+    )
+    assert report.r2h_mrr == pytest.approx(1 / n) and report.h2r_mrr == pytest.approx(1 / n)
+
+
+def test_retrieval_rejects_a_nan_score():
+    scores = np.eye(3)
+    scores[1, 2] = np.nan
+    with pytest.raises(NumericError, match="NaN score"):
+        evaluation._retrieval_stats(scores)
 
 
 def test_identity_adapter_matches_frozen_embeddings(small_ckpt):

@@ -11,7 +11,8 @@ from hralign.optim import AdamState, adam_step, collect_grads, fit, zero_grads
 from hralign.rng import RngState
 from hralign.tensor import NumericError, ShapeError, Tensor
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hralign"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "hralign"
 
 
 def test_zero_gradient_leaves_params_and_bumps_step():
@@ -190,10 +191,11 @@ def test_pretext_pretrain_matches_the_hand_rolled_loop(batch_size):
     assert all(ref[k].data.tobytes() == new[k].data.tobytes() for k in ref)
 
 
-def _package_calls(names) -> set[tuple[str, str]]:
-    """(where, name) of every call in the package of a function in ``names``,
-    ``where`` being the module and the enclosing defs, dotted; a lambda passed
-    to ``f(...)`` adds ``<lambda in f>``."""
+def _package_calls(names, loads: bool = False) -> set[tuple[str, str]]:
+    """(where, name) of every call in the package and the scripts of a
+    function in ``names``, or with ``loads`` of every load of such a name,
+    called or not; ``where`` is the module and the enclosing defs, dotted,
+    and a lambda passed to ``f(...)`` adds ``<lambda in f>``."""
     callers = set()
 
     def visit(node, where):
@@ -208,10 +210,14 @@ def _package_calls(names) -> set[tuple[str, str]]:
             lambdas = {
                 id(a): f"{where}.<lambda in {name}>" for a in node.args if isinstance(a, ast.Lambda)
             }
+        elif loads and isinstance(getattr(node, "ctx", None), ast.Load):
+            name = node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+            if name in names:
+                callers.add((where, name))
         for child in ast.iter_child_nodes(node):
             visit(child, lambdas.get(id(child), where))
 
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py")):
         visit(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     return callers
 
@@ -223,6 +229,19 @@ def test_optimizer_steps_run_only_inside_fit():
         ("optim.fit", "zero_grads"),
         ("optim.fit", "backward"),
         ("optim.fit", "adam_step"),
+    }
+
+
+TRAINER_NAMES = {"train_hr_align", "train_baseline_pret", "train_baseline_cls"}
+
+
+def test_trainers_run_only_through_train():
+    """Programs train through ``trainer.train``: it is the only caller of
+    the three trainers, which are otherwise named only in the module-level
+    ``TRAINERS`` table it dispatches through."""
+    assert _package_calls(TRAINER_NAMES) == {("trainer.train", "train_hr_align")}
+    assert _package_calls(TRAINER_NAMES, loads=True) == {("trainer.train", "train_hr_align")} | {
+        ("trainer", name) for name in TRAINER_NAMES
     }
 
 

@@ -21,6 +21,7 @@ from helpers import (
     with_header,
     without,
 )
+from hralign import trainer
 from hralign.adapter import POSITION_SPECS
 from hralign.dataset import generate_paired_set, split_pairs
 from hralign.encoder import Backbone, pretext_pretrain
@@ -254,6 +255,21 @@ def test_resume_below_checkpoint_step_rejected(small_setup):
     # resuming at the checkpoint's own step is a no-op, not an error
     same, metrics = train_hr_align(small_config(steps=5), train, backbone, resume=part)
     assert same.step == 5 and not metrics.rows
+
+
+def test_resume_over_a_different_backbone_rejected(small_setup):
+    _, train, _, backbone = small_setup
+    part, _ = train_hr_align(small_config(steps=2), train, backbone)
+    nudged = backbone.copy()
+    w = nudged.named_parameters()["backbone.block1.w"]
+    w.data = w.data.copy()
+    w.data.flat[0] = np.nextafter(w.data.flat[0], np.inf)  # one bit of one weight
+    with pytest.raises(ValueError, match="differs from the checkpoint's at tensor 'backbone.block1.w'"):
+        train_hr_align(small_config(steps=4), train, nudged, resume=part)
+    with pytest.raises(ValueError, match="differs from the checkpoint's at tensor 'backbone.block"):
+        train_hr_align(small_config(steps=4), train, Backbone.create(RngState(2)), resume=part)
+    resumed, _ = train_hr_align(small_config(steps=4), train, backbone.copy().unfreeze(), resume=part)
+    assert resumed.step == 4  # the same weights resume, frozen or not
 
 
 def test_epoch_order_is_shared_read_only():
@@ -495,6 +511,11 @@ def _adding(name, like):
         (setting("adam", "step", -1), "header key 'adam.step' is negative"),
         (setting("config", "steps", 1.7), "config key 'steps'"),
         (setting("config", "steps", [1]), "config key 'steps'"),
+        (setting("config", "baseline_full_data", False), "unknown config key 'baseline_full_data'"),
+        (
+            setting("config", "baseline_adapter_only", False),
+            "unknown config key 'baseline_adapter_only'",
+        ),
     ],
     ids=[
         "kernel",
@@ -516,6 +537,8 @@ def _adding(name, like):
         "negative_adam_step",
         "config_steps_fraction",
         "config_steps_list",
+        "config_dropped_full_data",
+        "config_dropped_adapter_only",
     ],
 )
 def test_checkpoint_header_disagreeing_with_its_model_raises_checkpoint_error(
@@ -713,32 +736,6 @@ def test_classification_accuracy_rejects_pairs_missing_a_class(small_setup):
         classification_accuracy(checkpoint, partial)
 
 
-def test_baseline_adapter_only_learnable_set(small_setup):
-    _, train, _, backbone = small_setup
-    frozen_copy = backbone.copy()
-    checkpoint, _ = train_baseline_pret(
-        small_config(
-            method="pret_baseline", steps=2, learning_rate=BASELINE_LR, baseline_adapter_only=True
-        ),
-        train,
-        frozen_copy,
-    )
-    names = set(learnable_parameters(checkpoint))
-    assert names and all(n.startswith("adapter.") for n in names)
-    for name, tensor in checkpoint.backbone.named_parameters().items():
-        assert np.array_equal(tensor.data, backbone.named_parameters()[name].data)
-
-
-def test_baseline_full_data_uses_both_domains(small_setup):
-    _, train, _, backbone = small_setup
-    copy = backbone.copy().unfreeze()
-    config = small_config(
-        method="pret_baseline", steps=2, learning_rate=BASELINE_LR, baseline_full_data=True
-    )
-    checkpoint, metrics = train_baseline_pret(config, train, copy)
-    assert len(metrics.rows) == 2
-
-
 def test_method_mismatch_rejected(small_setup):
     _, train, _, backbone = small_setup
     with pytest.raises(ValueError, match="method"):
@@ -755,13 +752,6 @@ TRAINERS = {
     "cls": lambda train, bb: train_baseline_cls(
         small_config(method="cls_baseline", steps=2, learning_rate=BASELINE_LR), train, bb
     ),
-    "adapter_only": lambda train, bb: train_baseline_cls(
-        small_config(
-            method="cls_baseline", steps=2, learning_rate=BASELINE_LR, baseline_adapter_only=True
-        ),
-        train,
-        bb,
-    ),
 }
 
 
@@ -769,8 +759,8 @@ TRAINERS = {
 @pytest.mark.parametrize("name", list(TRAINERS))
 def test_trainers_train_a_copy_of_any_backbone(small_setup, name, frozen):
     """Each trainer takes a frozen or an unfrozen backbone, trains its own
-    copy (the full baselines move its weights, the others do not) and
-    leaves the caller's backbone bitwise unchanged, frozen as it was."""
+    copy (the baselines move its weights, hr_align does not) and leaves the
+    caller's backbone bitwise unchanged, frozen as it was."""
     _, train, _, backbone = small_setup
     given = backbone.copy().freeze() if frozen else backbone.copy().unfreeze()
     before = {n: t.data.copy() for n, t in given.named_parameters().items()}
@@ -784,6 +774,39 @@ def test_trainers_train_a_copy_of_any_backbone(small_setup, name, frozen):
     assert moved == (name in ("pret", "cls"))
 
 
+DIRECT = {
+    "hr_align": train_hr_align,
+    "pret_baseline": train_baseline_pret,
+    "cls_baseline": train_baseline_cls,
+}
+
+
+@pytest.mark.parametrize("method", list(DIRECT))
+def test_train_equals_a_direct_trainer_call(small_setup, method, tmp_path):
+    """``train`` dispatches ``config.method`` to its trainer: the same
+    metrics and checkpoint bytes as calling that trainer."""
+    _, train, _, backbone = small_setup
+    lr = {} if method == "hr_align" else {"learning_rate": BASELINE_LR}
+    config = small_config(method=method, steps=2, **lr)
+    via_train, via_train_metrics = trainer.train(config, train, backbone)
+    direct, direct_metrics = DIRECT[method](config, train, backbone)
+    assert via_train_metrics.deterministic_text() == direct_metrics.deterministic_text()
+    a, b = tmp_path / "train.ckpt", tmp_path / "direct.ckpt"
+    via_train.save(str(a))
+    direct.save(str(b))
+    assert a.read_bytes() == b.read_bytes()
+    assert list(trainer.TRAINERS) == list(DIRECT)
+
+
+@pytest.mark.parametrize("method", ["pret_baseline", "cls_baseline"])
+def test_train_refuses_a_baseline_resume_by_name(small_setup, method):
+    _, train, _, backbone = small_setup
+    config = small_config(method=method, steps=1, learning_rate=BASELINE_LR)
+    part, _ = trainer.train(config, train, backbone)
+    with pytest.raises(ValueError, match=f"method '{method}' cannot resume"):
+        trainer.train(small_config(method=method, steps=2, learning_rate=BASELINE_LR), train, backbone, part)
+
+
 def test_head_scaler_pass_peaks_at_one_batch_not_the_whole_set():
     # the scaler pass runs through an unfrozen backbone, whose graph keeps
     # every block's activations until the encode returns
@@ -795,7 +818,7 @@ def test_head_scaler_pass_peaks_at_one_batch_not_the_whole_set():
         head = LinearHead.create(RngState(41), backbone.out_channels, 4)
         tracemalloc.start()
         try:
-            _fit_head_scaler(head, backbone, None, clips[:n], config)
+            _fit_head_scaler(head, backbone, clips[:n], config)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -812,19 +835,19 @@ def test_head_scaler_pass_peaks_at_one_batch_not_the_whole_set():
 # baselines train every conv weight through input gradients, and the EML run
 # puts an adapter at junction 0 (the c_in = 3 scatter) and trains the 1x1
 # adapter convs, so a moved bit of any gradient shows here.
-# ``cls_baseline_partial`` was recorded with the head scaler's single encode
-# over all clips: its batch size 5 splits the 36 clips (both domains) into
-# chunks that end with a partial one, so chunking the scaler pass must leave
+# ``cls_baseline_partial``'s batch size 5 splits its 18 robot clips into
+# scaler chunks of 5, 5, 5 and 3; its digests equal those of a run whose head
+# scaler encodes all clips at once, so chunking the scaler pass must leave
 # its stats bitwise. All five are recorded at one BLAS thread, which the root
 # conftest.py pins: at two OpenBLAS threads conv2d's 25-frame weight-gradient
 # GEMMs, (32x400)@(400x144) and (32x400)@(400x288), change their last bits,
-# and ``cls_baseline_partial`` alone reads b23aa039...
+# and ``cls_baseline_partial`` alone reads e2d4da20...
 WRITE_PATH_DIGESTS = {
-    "pretext": "09858057e219dc6318ab5fa7e5ac15f08023ba244e30df5db7d30f9e10473f54",
-    "pret_baseline": "b76017b07f962a1aff0840b300f4a5835138d1517d8dc91d777f3a840e9e9300",
-    "cls_baseline": "d4559d0e35c536b9cdc6fb229b49d0a9ca177ecb889ed9a1ec1a0e94297ee3b7",
-    "cls_baseline_partial": "da0d657fc6f699301ac55ce67bb5a84d4b8e575a3ed30de791d9e0ec49135625",
-    "hr_align_EML": "1ee76bbd0d2a395a58371562094c6b0ed054660d9efcfaeac13b36d570b03cdb",
+    "pretext": "389b7894931039063b0def766ae23670c6840d88c287993f64162f6c290d1e35",
+    "pret_baseline": "d6e76fe407908653ea614089a94806b9b5dff90534eb73b2a4affcc011bc7b42",
+    "cls_baseline": "f62ff35cca594ca7f358a3bcde6661b7322d8a083c10b2bd122a1639ba37ab81",
+    "cls_baseline_partial": "d4910559ae2634130e5e5890d6a1e760e131dfa23b625f21e4168923ce37a48c",
+    "hr_align_EML": "28b4f1c98fd366fbce286e63925e4d4fdf170857524f649b52c8d7f959179066",
 }
 
 
@@ -859,7 +882,6 @@ def pinned_runs(small_setup):
                 method="cls_baseline",
                 learning_rate=BASELINE_LR,
                 batch_size=5,
-                baseline_full_data=True,
                 **fixed,
             ),
             train,
@@ -886,7 +908,7 @@ def test_write_path_checkpoints_match_pinned_digests(pinned_runs, tmp_path):
 METRICS_DIGESTS = {
     "pret_baseline": "dfc603357eea62b61c2f6d9fc3de8433123d16e07034b788c4512750aea2cefc",
     "cls_baseline": "c19c377fa2371aedb3a0659e9742bdfb62e9f1eacaa2ab98ddd5b8774cb126c9",
-    "cls_baseline_partial": "c0fa8bd1d0a66f279725d8fd238fa09010364ce7bc4056d8551875270e43c915",
+    "cls_baseline_partial": "23b40cb09f2a393d0d89e166a02d4099061557a6cfd2b5c951e336662255f3f7",
     "hr_align_EML": "33b7f96b35e0ebd26b5f1c88acba3395e5eacf3475913dec718dad472dc4783c",
 }
 
