@@ -32,6 +32,8 @@ if TYPE_CHECKING:
     from .encoder import Backbone
 
 POSITION_SPECS = ("E", "M", "L", "EML", "none")
+# Channels per bottleneck unit of every adapter ``train_hr_align`` builds.
+ADAPTER_RATIO = 4
 
 
 @dataclass
@@ -82,10 +84,12 @@ def adapter_forward(block: AdapterBlock, x: Tensor) -> Tensor:
 
 @dataclass
 class AdapterStack:
-    """Adapter blocks keyed by backbone junction index, in junction order."""
+    """Adapter blocks keyed by backbone junction index, in junction order,
+    and the bottleneck ratio they were built with."""
 
     blocks: dict[int, AdapterBlock]
     positions: str
+    ratio: int
 
     @classmethod
     def for_positions(
@@ -102,7 +106,7 @@ class AdapterStack:
         if "L" in positions:
             junctions.append(n)
         blocks = {j: AdapterBlock.create(backbone.channels[j], ratio, rng) for j in junctions}
-        return cls(blocks, positions)
+        return cls(blocks, positions, ratio)
 
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

@@ -6,7 +6,7 @@ weights. The alignment loss is a symmetric InfoNCE-style objective over a
 batch of (human-frozen, robot-frozen, robot-adapted) pooled triples: each
 human feature must match its paired adapted robot feature better than the
 unadapted robot feature and better than every other pair's adapted
-feature, and vice versa. Similarities are exp(dot / tau); the loss is
+feature, and vice versa. Similarities are exp(dot / TAU); the loss is
 evaluated in log space (log-sum-exp) because the exponentials overflow
 float64 long before features get interesting.
 """
@@ -19,6 +19,9 @@ import numpy as np
 
 from . import tensor as T
 from .tensor import NumericError, ShapeError, Tensor
+
+# The contrastive temperature of the alignment loss and of the pretext loss.
+TAU = 0.1
 
 
 def pool_many(values: Tensor, queries: Tensor | None, normalize: bool = True) -> Tensor:
@@ -43,12 +46,11 @@ def pool_many(values: Tensor, queries: Tensor | None, normalize: bool = True) ->
 
 @dataclass
 class AlignmentBatchFeatures:
-    """M pooled triples, stacked row-wise, plus the temperature."""
+    """M pooled triples, stacked row-wise."""
 
     human: Tensor  # (M, C) frozen human stream
     robot_frozen: Tensor  # (M, C)
     robot_adapted: Tensor  # (M, C), the only gradient-carrying operand
-    tau: float
 
     def __post_init__(self):
         shapes = {self.human.shape, self.robot_frozen.shape, self.robot_adapted.shape}
@@ -59,8 +61,6 @@ class AlignmentBatchFeatures:
             )
         if self.human.shape[0] < 1:
             raise ValueError("alignment batch must contain at least one triple")
-        if self.tau <= 0:
-            raise ValueError(f"temperature must be positive, got {self.tau}")
 
     @property
     def batch_size(self) -> int:
@@ -71,7 +71,7 @@ def hr_align_loss(batch: AlignmentBatchFeatures) -> Tensor:
     """Symmetric contrastive alignment loss over one batch.
 
     For pair i with human feature h_i, frozen robot feature f_i and
-    adapted robot feature a_i, writing s(x, y) = exp(dot(x, y) / tau):
+    adapted robot feature a_i, writing s(x, y) = exp(dot(x, y) / TAU):
 
         L = mean_i 1/2 * [ -log s(h_i,a_i) / (sum_j s(h_i,a_j) + s(h_i,f_i))
                            -log s(a_i,h_i) / (sum_j s(a_i,h_j) + s(f_i,h_i)) ]
@@ -83,7 +83,7 @@ def hr_align_loss(batch: AlignmentBatchFeatures) -> Tensor:
     for operand in (batch.human, batch.robot_frozen, batch.robot_adapted):
         if not np.isfinite(operand.data).all():
             raise NumericError("hr_align_loss: non-finite features")
-    inv_tau = 1.0 / batch.tau
+    inv_tau = 1.0 / TAU
     human = batch.human.detach()
     frozen = batch.robot_frozen.detach()
     adapted = batch.robot_adapted

@@ -36,6 +36,9 @@ FRAME_W = 16
 FRAME_C = 3
 CLIP_LEN_MIN = 8
 CLIP_LEN_MAX = 24
+# Frames sampled from a clip to encode it in training, in the classification
+# head and in the retrieval embeddings.
+FRAMES_PER_CLIP = 5
 MANIFEST_VERSION = 1
 # The manifest, in the spec language of ``_check_json``. An entry's optional
 # ``latent`` is absent, null or an object matching ``LATENT_SPEC``.

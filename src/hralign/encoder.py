@@ -8,9 +8,10 @@ path from clips' frames to one pooled vector per clip, shared by the
 alignment loss, the classification head, retrieval and the downstream
 features. Pre-training is time-contrastive: pooled features of temporally
 close frames attract, far frames and other clips' frames repel. Its
-positive lies 1 or 2 frames from the anchor, ``pretext_pretrain`` scores at
-temperature 0.1 and always trains a fresh backbone drawn from its ``rng``;
-these are fixed in the code, not options.
+positive lies 1 or 2 frames from the anchor, it scores at the alignment
+loss's temperature ``alignment.TAU``, and ``pretext_pretrain`` always trains
+a fresh backbone drawn from its ``rng``; these are fixed in the code, not
+options.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .adapter import AdapterBlock, adapter_forward
-from .alignment import label_stats, pool_many
+from .alignment import TAU, label_stats, pool_many
 from .optim import AdamState, fit
 from .rng import RngState
 from .tensor import Tensor
@@ -167,10 +168,7 @@ def _triplet_indices(t_len: int, rng: RngState) -> tuple[int, int, int]:
 
 
 def pretext_loss(
-    encode: Callable[[np.ndarray], Tensor],
-    clips,
-    rng: RngState,
-    temperature: float = 0.1,
+    encode: Callable[[np.ndarray], Tensor], clips, rng: RngState
 ) -> tuple[Tensor, dict]:
     """Time-contrastive InfoNCE over a batch of clips.
 
@@ -188,7 +186,7 @@ def pretext_loss(
     a_rows = T.take(pooled, slice(0, b))
     p_rows = T.take(pooled, slice(b, 2 * b))
     f_rows = T.take(pooled, slice(2 * b, 3 * b))
-    inv_tau = 1.0 / temperature
+    inv_tau = 1.0 / TAU
     cross = T.mul(T.matmul(a_rows, T.transpose(p_rows)), Tensor(inv_tau))  # (B, B)
     far_col = T.mul(
         T.tsum(T.mul(a_rows, f_rows), axis=1, keepdims=True), Tensor(inv_tau)
@@ -197,8 +195,8 @@ def pretext_loss(
     logits = T.concat([cross, far_col], axis=1)
     labels = np.arange(b)
     loss = T.cross_entropy(logits, labels)
-    stats = label_stats(logits.data, labels)  # of dots scaled by 1 / temperature
-    return loss, {name: value * temperature for name, value in stats.items()}
+    stats = label_stats(logits.data, labels)  # of dots scaled by 1 / TAU
+    return loss, {name: value * TAU for name, value in stats.items()}
 
 
 def pretext_pretrain(

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import tensor as T
 from .adapter import count_learnable
-from .dataset import PairedDemo, VideoClip, _atomic_write_csv, sample_frame_indices, split_pairs
+from .dataset import FRAMES_PER_CLIP, PairedDemo, VideoClip, _atomic_write_csv, sample_frames, split_pairs
 from .encoder import Backbone, encode_pooled
 from .optim import AdamState, fit
 from .rng import RngState
@@ -97,12 +97,6 @@ class DownstreamReport:
 # embedding extraction
 
 
-def _clip_indices(clip: VideoClip, t: int, seed: int) -> list[int]:
-    # keyed by pair id only, so both clips of a pair sample the same frames
-    rng = RngState(seed).derive("eval-frames", clip.pair_id)
-    return sample_frame_indices(clip.length, t, rng)
-
-
 def embed_clip(
     checkpoint: ModelCheckpoint,
     clip: VideoClip,
@@ -116,13 +110,14 @@ def embed_clip(
     policy (task-aware when it was trained with language). The frozen path
     is the unadapted model: frozen stream, uniform pooling.
     """
-    config = checkpoint.config
-    frames = clip.frames[_clip_indices(clip, config.frames, seed)]
+    # keyed by pair id only, so both clips of a pair sample the same frames
+    rng = RngState(seed).derive("eval-frames", clip.pair_id)
+    frames = sample_frames(clip, FRAMES_PER_CLIP, rng)
     queries = None
     if adapted and checkpoint.embedder is not None:
         queries = embed_texts(checkpoint.embedder, [description]).detach()
     adapters = checkpoint.adapters(adapted)
-    pooled = encode_pooled(checkpoint.backbone, frames, 1, adapters, queries, config.normalize)
+    pooled = encode_pooled(checkpoint.backbone, frames, 1, adapters, queries)
     return pooled.data[0].copy()
 
 
@@ -259,7 +254,7 @@ def eval_downstream(
     clips = train + held
     train_idx, held_idx = np.arange(len(train)), np.arange(len(train), len(clips))
     feats = [_frame_features(checkpoint, clip, adapted) for clip in clips]
-    classes = _class_index(clips)
+    classes = _class_index(c.task_id for c in clips)
 
     clip_feat = np.stack([f.mean(axis=0) for f in feats])
     labels = np.array([classes[c.task_id] for c in clips])

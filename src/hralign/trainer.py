@@ -23,9 +23,9 @@ from functools import lru_cache
 import numpy as np
 
 from . import tensor as T
-from .adapter import POSITION_SPECS, AdapterStack
+from .adapter import ADAPTER_RATIO, POSITION_SPECS, AdapterStack
 from .alignment import AlignmentBatchFeatures, alignment_stats, hr_align_loss, label_stats
-from .dataset import PairedDemo, VideoClip, _atomic_write, _check_json, sample_frames
+from .dataset import FRAMES_PER_CLIP, PairedDemo, VideoClip, _atomic_write, _check_json, sample_frames
 from .encoder import Backbone, encode_batch, encode_pooled, pretext_loss
 from .optim import AdamState, fit
 from .rng import RngState
@@ -34,6 +34,7 @@ from .tensor import Tensor
 
 CHECKPOINT_VERSION = 1
 METRICS_HEADER = "step,loss,pos_sim,hard_neg_sim,wall_ms"
+METHODS = ("hr_align", "pret_baseline", "cls_baseline")
 
 
 @dataclass
@@ -41,25 +42,20 @@ class TrainConfig:
     method: str = "hr_align"
     adapter_positions: str = "L"
     use_language: bool = True
-    frames: int = 5
     batch_size: int = 16
     # the 300-step desk-scale budget needs a larger step size than a long
     # full-scale run would use; see README on scaled-down defaults
     learning_rate: float = 1e-2
-    tau: float = 0.1
     steps: int = 300
     seed: int = 7
-    normalize: bool = True
     out_dir: str = "runs/out"
-    adapter_ratio: int = 4
 
     def validate(self) -> "TrainConfig":
-        if self.method not in TRAINERS:
-            raise ValueError(f"method must be one of {tuple(TRAINERS)}, got {self.method!r}")
-        for name in ("learning_rate", "tau"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        for name in ("frames", "batch_size", "learning_rate", "tau", "adapter_ratio"):
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+        if not math.isfinite(self.learning_rate):
+            raise ValueError(f"learning_rate must be finite, got {self.learning_rate}")
+        for name in ("batch_size", "learning_rate"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.steps < 0:
@@ -201,21 +197,26 @@ def standard_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class LinearHead:
     """Linear classifier over standardized pooled features.
 
-    ``mu``/``sd`` are fixed standardization buffers computed once from the
-    training clips; without them the pooled features bunch too tightly
-    around a common direction for a linear head to separate.
+    Class k is the k-th of ``task_ids``, the ascending task ids the head
+    was trained on. ``mu``/``sd`` are fixed standardization buffers computed
+    once from the training clips; without them the pooled features bunch
+    too tightly around a common direction for a linear head to separate.
     """
 
     w: Tensor  # (C, K)
     b: Tensor  # (K,)
     mu: Tensor  # (C,), buffer
     sd: Tensor  # (C,), buffer
+    task_ids: list[int]  # (K,)
 
     @classmethod
-    def create(cls, rng: RngState, in_dim: int, n_classes: int) -> "LinearHead":
+    def create(cls, rng: RngState, in_dim: int, task_ids: list[int]) -> "LinearHead":
+        if not task_ids or any(a >= b for a, b in zip(task_ids, task_ids[1:])):
+            raise ValueError(f"head task ids must be ascending and distinct, got {task_ids}")
+        n_classes = len(task_ids)
         w = Tensor(rng.normal((in_dim, n_classes)) / np.sqrt(in_dim), requires_grad=True)
         b = Tensor(np.zeros(n_classes), requires_grad=True)
-        return cls(w, b, Tensor(np.zeros(in_dim)), Tensor(np.ones(in_dim)))
+        return cls(w, b, Tensor(np.zeros(in_dim)), Tensor(np.ones(in_dim)), list(task_ids))
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {"head.w": self.w, "head.b": self.b}
@@ -242,7 +243,7 @@ HEADER_SPEC = {
     "backbone": {"channels": [int], "strides": [int], "kernel": int, "frozen": bool},
     "stack": ({"positions": str, "junctions": [int], "ratio": int}, None),
     "embedder": ({"text_dim": int, "out_dim": int}, None),
-    "head": ({"in_dim": int, "n_classes": int}, None),
+    "head": ({"in_dim": int, "task_ids": [int]}, None),
     "adam": ({"lr": float, "beta1": float, "beta2": float, "eps": float, "step": int}, None),
     "rng": ([int], None),
     "step": int,
@@ -311,11 +312,10 @@ class ModelCheckpoint:
                 "kernel": bb.kernel, "frozen": bb.frozen,
             },
             "stack": None if stack is None else {
-                "positions": stack.positions, "junctions": list(stack.blocks),
-                "ratio": self.config.adapter_ratio,
+                "positions": stack.positions, "junctions": list(stack.blocks), "ratio": stack.ratio,
             },
             "embedder": None if emb is None else {"text_dim": emb.text_dim, "out_dim": emb.out_dim},
-            "head": None if head is None else {"in_dim": head.w.shape[0], "n_classes": head.w.shape[1]},
+            "head": None if head is None else {"in_dim": head.w.shape[0], "task_ids": head.task_ids},
             "adam": None if adam is None else {
                 "lr": adam.lr, "beta1": adam.beta1, "beta2": adam.beta2, "eps": adam.eps,
                 "step": adam.step,
@@ -387,7 +387,7 @@ class ModelCheckpoint:
             if (spec := header["embedder"]) is not None:
                 embedder = QueryEmbedder.create(init_rng, spec["out_dim"])
             if (spec := header["head"]) is not None:
-                head = LinearHead.create(init_rng, spec["in_dim"], spec["n_classes"])
+                head = LinearHead.create(init_rng, spec["in_dim"], spec["task_ids"])
             if (spec := header["adam"]) is not None:
                 adam = AdamState(*(spec[k] for k in ("lr", "beta1", "beta2", "eps", "step")))
             if header["rng"] is not None:
@@ -547,9 +547,7 @@ def train_hr_align(
         stack, embedder, rng = resume.stack, resume.embedder, resume.rng
     else:
         rng = RngState(config.seed)
-        stack = AdapterStack.for_positions(
-            config.adapter_positions, backbone, config.adapter_ratio, rng
-        )
+        stack = AdapterStack.for_positions(config.adapter_positions, backbone, ADAPTER_RATIO, rng)
         embedder = (
             QueryEmbedder.create(rng, backbone.out_channels) if config.use_language else None
         )
@@ -560,21 +558,20 @@ def train_hr_align(
     def batch_loss(batch: list[PairedDemo]) -> tuple[Tensor, dict]:
         human_frames, robot_frames = [], []
         for demo in batch:
-            human_frames.append(sample_frames(demo.human, config.frames, rng))
+            human_frames.append(sample_frames(demo.human, FRAMES_PER_CLIP, rng))
             # one shared sample per robot clip feeds both robot streams
-            robot_frames.append(sample_frames(demo.robot, config.frames, rng))
+            robot_frames.append(sample_frames(demo.robot, FRAMES_PER_CLIP, rng))
         human, robot = np.concatenate(human_frames), np.concatenate(robot_frames)
         if embedder is not None:
             queries = embed_texts(embedder, [d.description.text for d in batch])
             frozen_queries = queries.detach()
         else:
             queries = frozen_queries = None
-        b, norm = len(batch), config.normalize
+        b = len(batch)
         feats = AlignmentBatchFeatures(
-            encode_pooled(backbone, human, b, queries=frozen_queries, normalize=norm),
-            encode_pooled(backbone, robot, b, queries=frozen_queries, normalize=norm),
-            encode_pooled(backbone, robot, b, stack.blocks, queries, norm),
-            config.tau,
+            encode_pooled(backbone, human, b, queries=frozen_queries),
+            encode_pooled(backbone, robot, b, queries=frozen_queries),
+            encode_pooled(backbone, robot, b, stack.blocks, queries),
         )
         return hr_align_loss(feats), alignment_stats(feats)
 
@@ -605,33 +602,33 @@ def train_baseline_pret(
     clips, rng, backbone = _baseline_setup(config, "pret_baseline", pairs, backbone)
 
     def batch_loss(batch: list[VideoClip]) -> tuple[Tensor, dict]:
-        return pretext_loss(lambda fr: encode_batch(backbone, fr), batch, rng, config.tau)
+        return pretext_loss(lambda fr: encode_batch(backbone, fr), batch, rng)
 
     params = dict(backbone.named_parameters())
     return _fit_checkpoint(config, clips, params, batch_loss, backbone=backbone, rng=rng)
 
 
-def _class_index(items: list[PairedDemo] | list[VideoClip]) -> dict[int, int]:
-    """Class of each task id among ``items`` (pairs or clips): its rank in
+def _class_index(task_ids) -> dict[int, int]:
+    """Class of each of ``task_ids``: its rank among the distinct ids in
     sorted order, the one task-to-class mapping of every head."""
-    return {task_id: i for i, task_id in enumerate(sorted({p.task_id for p in items}))}
+    return {task_id: i for i, task_id in enumerate(sorted(set(task_ids)))}
 
 
 def train_baseline_cls(
     config: TrainConfig, pairs: list[PairedDemo], backbone: Backbone
 ) -> tuple[ModelCheckpoint, MetricsLog]:
     """Fine-tune by classifying robot clips into their task categories."""
-    classes = _class_index(pairs)
+    classes = _class_index(p.task_id for p in pairs)
     if len(classes) < 2:
         raise ValueError(f"classification baseline needs >= 2 task classes, got {len(classes)}")
     clips, rng, backbone = _baseline_setup(config, "cls_baseline", pairs, backbone)
-    head = LinearHead.create(rng, backbone.out_channels, len(classes))
+    head = LinearHead.create(rng, backbone.out_channels, list(classes))
     _fit_head_scaler(head, backbone, clips, config)
     params = {**backbone.named_parameters(), **head.named_parameters()}
 
     def batch_loss(batch: list[VideoClip]) -> tuple[Tensor, dict]:
         b = len(batch)
-        frames = np.concatenate([sample_frames(clip, config.frames, rng) for clip in batch], axis=0)
+        frames = np.concatenate([sample_frames(clip, FRAMES_PER_CLIP, rng) for clip in batch], axis=0)
         labels = np.array([classes[clip.task_id] for clip in batch])
         logits = _head_logits(head, backbone, frames, b)
         e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
@@ -657,7 +654,7 @@ def _fit_head_scaler(head, backbone, clips, config) -> None:
     rows = []
     for start in range(0, len(clips), config.batch_size):
         chunk = clips[start : start + config.batch_size]
-        frames = np.concatenate([sample_frames(c, config.frames, rng) for c in chunk], axis=0)
+        frames = np.concatenate([sample_frames(c, FRAMES_PER_CLIP, rng) for c in chunk], axis=0)
         rows.append(encode_pooled(backbone, frames, len(chunk), normalize=False).data)
     head.mu.data, head.sd.data = standard_stats(np.concatenate(rows, axis=0))
 
@@ -672,24 +669,22 @@ def classification_accuracy(checkpoint: ModelCheckpoint, pairs: list[PairedDemo]
     """Accuracy of a cls-baseline checkpoint on the given pairs' robot clips,
     their frames sampled from seed 977.
 
-    Task ids map to the head's classes in sorted order, as in training, so
-    the pairs must hold as many tasks as the head has classes.
+    Each pair's task id maps to its class among the head's ``task_ids``, so
+    the pairs may hold any of the head's tasks but no task it never saw.
     """
-    if checkpoint.head is None:
+    head = checkpoint.head
+    if head is None:
         raise ValueError("checkpoint has no classification head")
-    classes = _class_index(pairs)
-    n_classes = checkpoint.head.w.shape[1]
-    if len(classes) != n_classes:
+    classes = _class_index(head.task_ids)
+    if unseen := [p.task_id for p in pairs if p.task_id not in classes]:
         raise ValueError(
-            f"classification_accuracy: the pairs hold {len(classes)} tasks, "
-            f"the head has {n_classes} classes"
+            f"classification_accuracy: task {unseen[0]} is not among the head's tasks {head.task_ids}"
         )
-    config = checkpoint.config
     rng = RngState(977)
     hits = 0
     for demo in pairs:
-        frames = sample_frames(demo.robot, config.frames, rng)
-        logits = _head_logits(checkpoint.head, checkpoint.backbone, frames, 1)
+        frames = sample_frames(demo.robot, FRAMES_PER_CLIP, rng)
+        logits = _head_logits(head, checkpoint.backbone, frames, 1)
         if int(np.argmax(logits.data[0])) == classes[demo.task_id]:
             hits += 1
     return hits / len(pairs)
@@ -699,13 +694,6 @@ def classification_accuracy(checkpoint: ModelCheckpoint, pairs: list[PairedDemo]
 # the one entry
 
 
-TRAINERS = {
-    "hr_align": train_hr_align,
-    "pret_baseline": train_baseline_pret,
-    "cls_baseline": train_baseline_cls,
-}
-
-
 def train(
     config: TrainConfig,
     pairs: list[PairedDemo],
@@ -713,11 +701,13 @@ def train(
     resume: ModelCheckpoint | None = None,
 ) -> tuple[ModelCheckpoint, MetricsLog]:
     """Train ``config.method`` on ``pairs`` over a copy of ``backbone`` by
-    its ``TRAINERS`` entry; every program trains through here. Only
-    hr_align resumes: the baseline trainers take no ``resume``."""
+    its trainer, looked up when called; every program trains through here.
+    Only hr_align resumes: the baseline trainers take no ``resume``."""
     config = config.validate()
-    if resume is None:
-        return TRAINERS[config.method](config, pairs, backbone)
-    if config.method != "hr_align":
+    if config.method == "hr_align":
+        return train_hr_align(config, pairs, backbone, resume)
+    if resume is not None:
         raise ValueError(f"method {config.method!r} cannot resume; only hr_align runs resume")
-    return train_hr_align(config, pairs, backbone, resume)
+    if config.method == "pret_baseline":
+        return train_baseline_pret(config, pairs, backbone)
+    return train_baseline_cls(config, pairs, backbone)

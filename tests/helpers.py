@@ -96,8 +96,9 @@ def micro_backbone(seed: int = 3, channels=(3, 4, 4, 4)) -> Backbone:
 def small_checkpoint(
     positions: str = "L", language: bool = True, head: bool = False, adam: bool = False, seed: int = 0
 ) -> ModelCheckpoint:
-    """A micro-backbone checkpoint with an adapter stack at ``positions`` and,
-    on request, a query projection, a classification head and Adam moments.
+    """A micro-backbone checkpoint with a ratio-2 adapter stack at ``positions``
+    and, on request, a query projection, a classification head over tasks
+    0, 1 and 2, and Adam moments.
     Adapter up-projections and moments are drawn at random, so a round trip
     carries real values."""
     rng = RngState(seed)
@@ -110,7 +111,6 @@ def small_checkpoint(
         method="hr_align" if language or positions != "none" else "cls_baseline",
         adapter_positions=positions,
         use_language=language,
-        adapter_ratio=2,
         out_dir="runs/small",
     )
     checkpoint = ModelCheckpoint(
@@ -118,7 +118,7 @@ def small_checkpoint(
         backbone,
         stack,
         QueryEmbedder.create(rng, backbone.out_channels) if language else None,
-        LinearHead.create(rng, backbone.out_channels, 3) if head else None,
+        LinearHead.create(rng, backbone.out_channels, [0, 1, 2]) if head else None,
         rng=rng.derive("train"),
         step=seed % 7,
     )

@@ -87,7 +87,7 @@ def test_criterion_1_gradient_audit():
         yield "conv2d_w", lambda w: T.tsum(T.mul(T.conv2d(Tensor(conv_x), w, stride=2, padding=1), conv_w_probe)), conv_w
         yield "pool", lambda q: T.tsum(T.mul(pool_many(Tensor(pool_vals), T.reshape(q, (1, 4)), normalize=True), pool_probe)), rng.normal(4)
         yield "hr_align_loss", lambda a: hr_align_loss(
-            AlignmentBatchFeatures(Tensor(human), Tensor(frozen), a, 0.1)
+            AlignmentBatchFeatures(Tensor(human), Tensor(frozen), a)
         ), _unit_rows(rng, 3, 4)
 
     checked = 0
@@ -127,7 +127,7 @@ def test_criterion_1_gradient_audit():
                 T.reshape(human_feat, (2, 2 * hh * hw, hc)), texts_bags.detach(), normalize=True
             ).detach()
             return hr_align_loss(
-                AlignmentBatchFeatures(human_pooled, human_pooled, adapted_pooled, 0.1)
+                AlignmentBatchFeatures(human_pooled, human_pooled, adapted_pooled)
             )
 
         check_grad_against_fd(pipeline, up0.up_w.data.copy(), tol=1e-6)
@@ -147,7 +147,7 @@ def test_criterion_2_closed_form_loss_anchor():
         human = _unit_rows(rng, 1, 16)
         frozen = _unit_rows(rng, 1, 16)
         batch = AlignmentBatchFeatures(
-            Tensor(human), Tensor(frozen), Tensor(frozen.copy(), requires_grad=True), 0.1
+            Tensor(human), Tensor(frozen), Tensor(frozen.copy(), requires_grad=True)
         )
         worst = max(worst, abs(hr_align_loss(batch).item() - math.log(2.0)))
     assert worst < 1e-9
@@ -331,7 +331,7 @@ def test_criterion_10_oracle_equivalence():
         frozen = _unit_rows(rng, m, c) * scale
         adapted = _unit_rows(rng, m, c) * scale
         ours = hr_align_loss(
-            AlignmentBatchFeatures(Tensor(human), Tensor(frozen), Tensor(adapted), 0.1)
+            AlignmentBatchFeatures(Tensor(human), Tensor(frozen), Tensor(adapted))
         ).item()
         reference = naive_hr_align_loss(human, frozen, adapted, 0.1)
         worst = max(worst, abs(ours - reference))

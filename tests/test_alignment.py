@@ -105,7 +105,7 @@ def test_single_pair_identity_adapter_gives_ln2():
     human = unit_rows(rng, 1, 8)
     frozen = unit_rows(rng, 1, 8)
     batch = AlignmentBatchFeatures(
-        Tensor(human), Tensor(frozen), Tensor(frozen.copy(), requires_grad=True), 0.1
+        Tensor(human), Tensor(frozen), Tensor(frozen.copy(), requires_grad=True)
     )
     loss = hr_align_loss(batch)
     assert abs(loss.item() - math.log(2.0)) < 1e-9
@@ -118,7 +118,6 @@ def test_loss_positive_on_random_batches():
             Tensor(unit_rows(rng, 4, 8)),
             Tensor(unit_rows(rng, 4, 8)),
             Tensor(unit_rows(rng, 4, 8), requires_grad=True),
-            0.1,
         )
         assert hr_align_loss(batch).item() > 0.0
 
@@ -128,7 +127,7 @@ def test_loss_matches_naive_oracle():
     human = unit_rows(rng, 3, 6)
     frozen = unit_rows(rng, 3, 6)
     adapted = unit_rows(rng, 3, 6)
-    batch = AlignmentBatchFeatures(Tensor(human), Tensor(frozen), Tensor(adapted), 0.1)
+    batch = AlignmentBatchFeatures(Tensor(human), Tensor(frozen), Tensor(adapted))
     ours = hr_align_loss(batch).item()
     reference = naive_hr_align_loss(human, frozen, adapted, 0.1)
     assert abs(ours - reference) < 1e-9
@@ -142,12 +141,12 @@ def test_loss_batch_permutation_invariant(seed, m):
     frozen = unit_rows(rng, m, 6)
     adapted = unit_rows(rng, m, 6)
     loss = hr_align_loss(
-        AlignmentBatchFeatures(Tensor(human), Tensor(frozen), Tensor(adapted), 0.1)
+        AlignmentBatchFeatures(Tensor(human), Tensor(frozen), Tensor(adapted))
     ).item()
     perm = RngState(seed + 1).permutation(m)
     loss_perm = hr_align_loss(
         AlignmentBatchFeatures(
-            Tensor(human[perm]), Tensor(frozen[perm]), Tensor(adapted[perm]), 0.1
+            Tensor(human[perm]), Tensor(frozen[perm]), Tensor(adapted[perm])
         )
     ).item()
     assert abs(loss - loss_perm) < 1e-12
@@ -189,7 +188,7 @@ def test_loss_gradients_only_reach_adapted():
     human = Tensor(unit_rows(rng, 3, 6), requires_grad=True)
     frozen = Tensor(unit_rows(rng, 3, 6), requires_grad=True)
     adapted = Tensor(unit_rows(rng, 3, 6), requires_grad=True)
-    loss = hr_align_loss(AlignmentBatchFeatures(human, frozen, adapted, 0.1))
+    loss = hr_align_loss(AlignmentBatchFeatures(human, frozen, adapted))
     loss.backward()
     assert human.grad is None
     assert frozen.grad is None
@@ -203,7 +202,7 @@ def test_loss_gradient_vs_fd():
 
     def build(a):
         return hr_align_loss(
-            AlignmentBatchFeatures(Tensor(human), Tensor(frozen), a, 0.1)
+            AlignmentBatchFeatures(Tensor(human), Tensor(frozen), a)
         )
 
     check_grad_against_fd(build, unit_rows(rng, 3, 5))
@@ -215,14 +214,14 @@ def test_one_small_gradient_step_decreases_loss():
     frozen = unit_rows(rng, 4, 8)
     adapted0 = frozen.copy()  # identity-initialized adapter configuration
     a = Tensor(adapted0.copy(), requires_grad=True)
-    loss = hr_align_loss(AlignmentBatchFeatures(Tensor(human), Tensor(frozen), a, 0.1))
+    loss = hr_align_loss(AlignmentBatchFeatures(Tensor(human), Tensor(frozen), a))
     loss.backward()
     base = loss.item()
     stepped = False
     for step in (1e-2, 1e-3, 1e-4):
         moved = adapted0 - step * a.grad
         new = hr_align_loss(
-            AlignmentBatchFeatures(Tensor(human), Tensor(frozen), Tensor(moved), 0.1)
+            AlignmentBatchFeatures(Tensor(human), Tensor(frozen), Tensor(moved))
         ).item()
         if new < base:
             stepped = True
@@ -233,7 +232,7 @@ def test_one_small_gradient_step_decreases_loss():
 def test_empty_batch_rejected():
     with pytest.raises(Exception):
         AlignmentBatchFeatures(
-            Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))), 0.1
+            Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4))), Tensor(np.zeros((0, 4)))
         )
 
 
@@ -242,21 +241,14 @@ def test_nonfinite_features_rejected():
     bad[0, 0] = np.inf
     with pytest.raises(NumericError):
         hr_align_loss(
-            AlignmentBatchFeatures(Tensor(bad), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))), 0.1)
+            AlignmentBatchFeatures(Tensor(bad), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))))
         )
 
 
 def test_mismatched_stacks_rejected():
     with pytest.raises(ShapeError):
         AlignmentBatchFeatures(
-            Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4))), 0.1
-        )
-
-
-def test_nonpositive_temperature_rejected():
-    with pytest.raises(ValueError):
-        AlignmentBatchFeatures(
-            Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))), Tensor(np.ones((2, 4))), -0.1
+            Tensor(np.ones((2, 4))), Tensor(np.ones((3, 4))), Tensor(np.ones((2, 4)))
         )
 
 
@@ -266,7 +258,6 @@ def test_alignment_stats_fields():
         Tensor(unit_rows(rng, 4, 8)),
         Tensor(unit_rows(rng, 4, 8)),
         Tensor(unit_rows(rng, 4, 8)),
-        0.1,
     )
     stats = alignment_stats(batch)
     assert set(stats) == {"pos_sim", "hard_neg_sim"}

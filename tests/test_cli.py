@@ -419,15 +419,26 @@ def test_cli_resume_over_a_different_backbone_exits_two_writing_nothing(
     assert not out.exists()
 
 
+DROPPED_KEYS = {
+    "baseline_full_data": "false",
+    "baseline_adapter_only": "false",
+    "frames": "5",
+    "tau": "0.1",
+    "normalize": "true",
+    "adapter_ratio": "4",
+}
+
+
 def test_cli_baseline_refuses_a_config_file_with_a_dropped_key(pipeline, tmp_path, capsys):
     _, manifest, backbone, _ = pipeline
-    config = tmp_path / "old.cfg"
-    config.write_text("steps = 2\nbaseline_full_data = false\n")
-    out = tmp_path / "baseline"
-    argv = ["baseline", "pret", "--config", str(config), "--data", manifest, "--backbone", backbone]
-    assert run(argv + ["--out", str(out)]) == 2
-    assert "unknown config key 'baseline_full_data'" in capsys.readouterr().err
-    assert not out.exists()
+    for key, value in DROPPED_KEYS.items():
+        config = tmp_path / f"{key}.cfg"
+        config.write_text(f"steps = 2\n{key} = {value}\n")
+        out = tmp_path / f"baseline_{key}"
+        argv = ["baseline", "pret", "--config", str(config), "--data", manifest, "--backbone", backbone]
+        assert run(argv + ["--out", str(out)]) == 2, key
+        assert f"unknown config key '{key}'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 ARMS = ["E", "M", "L", "EML", "L_nolang"]

@@ -237,12 +237,11 @@ TRAINER_NAMES = {"train_hr_align", "train_baseline_pret", "train_baseline_cls"}
 
 def test_trainers_run_only_through_train():
     """Programs train through ``trainer.train``: it is the only caller of
-    the three trainers, which are otherwise named only in the module-level
-    ``TRAINERS`` table it dispatches through."""
-    assert _package_calls(TRAINER_NAMES) == {("trainer.train", "train_hr_align")}
-    assert _package_calls(TRAINER_NAMES, loads=True) == {("trainer.train", "train_hr_align")} | {
-        ("trainer", name) for name in TRAINER_NAMES
-    }
+    the three trainers, and no program names them anywhere else, so no
+    table can hold a trainer bound before a caller replaced it."""
+    through_train = {("trainer.train", name) for name in TRAINER_NAMES}
+    assert _package_calls(TRAINER_NAMES) == through_train
+    assert _package_calls(TRAINER_NAMES, loads=True) == through_train
 
 
 def test_adapters_run_only_inside_encode_batch():

@@ -11,6 +11,11 @@ every ``def f``; ``Cls(...)`` calls ``Cls.__init__``), ``ledger.call(label,
 fn, *args, **kwargs)`` counts as a call of ``fn``, and a call passing
 ``*`` or ``**`` sets every parameter.
 
+Every ``TrainConfig`` field must be set by a program: passed as a keyword
+to ``TrainConfig(...)`` or ``replace(...)``, or named as a key of an
+``ARMS`` entry. A field no program sets is a constant in disguise, and each
+one doubles the configurations a sweep over arms and seeds has to cover.
+
 Every name the library defines must be reached by a program. A
 module-level ``def`` or ``class`` is reached by a load of its name in its
 own module outside its own body, by an import of it into another program,
@@ -22,7 +27,10 @@ is an API that exists for tests; it belongs in the tests or nowhere.
 from __future__ import annotations
 
 import ast
+import dataclasses
 from pathlib import Path
+
+from hralign.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,6 +43,13 @@ ALLOWED = {
 
 # Names no program reaches, each kept for a stated reason.
 UNREACHED_ALLOWED: dict[str, str] = {}
+
+
+# TrainConfig fields no program sets, each kept for a stated reason.
+UNSET_FIELDS_ALLOWED = {
+    "batch_size": "tests and small CLI manifests need a batch below 16, and the batch "
+    "changes results, so it cannot be derived from the data",
+}
 
 
 def _parse(paths):
@@ -117,6 +132,25 @@ def unset_defaults(root: Path = ROOT) -> set[str]:
             ):
                 unset.add(f"{qual}.{param}")
     return unset
+
+
+def config_fields_set(root: Path = ROOT) -> set[str]:
+    """Keywords of every ``TrainConfig(...)`` and ``replace(...)`` call in the
+    programs, and the keys of every entry of a dict assigned to ``ARMS``."""
+    out = set()
+    for tree in _parse(_programs(root)):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and _name(node.func) in ("TrainConfig", "replace"):
+                out.update(k.arg for k in node.keywords if k.arg is not None)
+            elif (
+                isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "ARMS" for t in node.targets)
+                and isinstance(node.value, ast.Dict)
+            ):
+                for entry in node.value.values:
+                    if isinstance(entry, ast.Dict):
+                        out.update(k.value for k in entry.keys if isinstance(k, ast.Constant))
+    return out
 
 
 def unreached_names(root: Path = ROOT) -> set[str]:
@@ -229,3 +263,30 @@ def test_name_checker_sees_an_unreached_name(tmp_path):
         encoding="utf-8",
     )
     assert unreached_names(tmp_path) == {"m.recursive", "K.unused"}
+
+
+def test_every_config_field_is_set_by_a_program_or_allowed():
+    unset = {f.name for f in dataclasses.fields(TrainConfig)} - config_fields_set()
+    assert not unset - set(UNSET_FIELDS_ALLOWED), (
+        "TrainConfig fields no program sets (make them module constants): "
+        f"{sorted(unset - set(UNSET_FIELDS_ALLOWED))}"
+    )
+    assert not set(UNSET_FIELDS_ALLOWED) - unset, (
+        f"allowlisted fields that a program now sets: {sorted(set(UNSET_FIELDS_ALLOWED) - unset)}"
+    )
+
+
+def test_config_field_checker_sees_each_way_of_setting_a_field(tmp_path):
+    """Keywords of the two calls and ARMS entry keys count; a splat, a
+    positional argument and another dict's keys do not."""
+    src = tmp_path / "src" / "hralign"
+    src.mkdir(parents=True)
+    (src / "m.py").write_text(
+        "ARMS = {'a': {'by_arm': 1}}\n"
+        "OTHER = {'a': {'by_other_dict': 1}}\n"
+        "TrainConfig(by_call=1, **{'by_splat': 2})\n"
+        "replace(config, by_replace=1)\n"
+        "TrainConfig('positional')\n",
+        encoding="utf-8",
+    )
+    assert config_fields_set(tmp_path) == {"by_arm", "by_call", "by_replace"}

@@ -411,7 +411,7 @@ def test_pretext_loss_bitwise_equals_selector_formula(seed):
     b = 16
     clips = [VideoClip(rng.uniform((8, 4, 4, 3)), "human", 0, i) for i in range(b)]
     new, old = _twin_leaves(rng.normal((3 * b, 4, 4, 32)))
-    loss, _ = pretext_loss(lambda frames: new, clips, rng, temperature=0.1)
+    loss, _ = pretext_loss(lambda frames: new, clips, rng)
     ref = _selector_pretext_loss(old, b, 0.1)
     loss.backward()
     ref.backward()
@@ -431,7 +431,7 @@ def test_hr_align_loss_bitwise_equals_eye_formula(seed):
 
     human, frozen = unit_rows(), unit_rows()
     new, old = _twin_leaves(unit_rows())
-    loss = hr_align_loss(AlignmentBatchFeatures(Tensor(human), Tensor(frozen), new, 0.1))
+    loss = hr_align_loss(AlignmentBatchFeatures(Tensor(human), Tensor(frozen), new))
     ref = _eye_hr_align_loss(human, frozen, old, 0.1)
     loss.backward()
     ref.backward()

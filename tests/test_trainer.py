@@ -1,9 +1,11 @@
+import dataclasses
 import hashlib
 import json
 import os
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -84,8 +86,6 @@ def test_config_rejects_bad_values():
     with pytest.raises(ValueError):
         TrainConfig(method="nope").validate()
     with pytest.raises(ValueError):
-        TrainConfig(tau=0.0).validate()
-    with pytest.raises(ValueError):
         TrainConfig(adapter_positions="Q").validate()
     with pytest.raises(ValueError):
         TrainConfig.from_mapping({"use_language": "maybe"})
@@ -111,12 +111,15 @@ def test_config_value_that_cannot_be_read_names_its_key(key, value):
 
 
 def test_config_reads_integral_floats_and_strings():
-    config = TrainConfig.from_mapping({"steps": 12.0, "seed": " 5", "tau": 1, "normalize": "no"})
-    assert (config.steps, config.seed, config.tau, config.normalize) == (12, 5, 1.0, False)
-    assert type(config.steps) is int and type(config.tau) is float
+    config = TrainConfig.from_mapping(
+        {"steps": 12.0, "seed": " 5", "learning_rate": 1, "use_language": "no"}
+    )
+    read = (config.steps, config.seed, config.learning_rate, config.use_language)
+    assert read == (12, 5, 1.0, False)
+    assert type(config.steps) is int and type(config.learning_rate) is float
 
 
-@pytest.mark.parametrize("name", ["learning_rate", "tau"])
+@pytest.mark.parametrize("name", ["learning_rate"])
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
 def test_config_rejects_non_finite(name, value):
     with pytest.raises(ValueError, match=name):
@@ -131,6 +134,14 @@ def test_config_rejects_hr_align_with_nothing_to_learn():
     # each alone still leaves something to learn
     TrainConfig(adapter_positions="none", use_language=True).validate()
     TrainConfig(adapter_positions="L", use_language=False).validate()
+
+
+def test_readme_config_table_lists_every_field_and_its_default():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` \| `([^`]*)` \|", section, flags=re.MULTILINE)
+    assert [key for key, _ in rows] == [f.name for f in dataclasses.fields(TrainConfig)]
+    assert TrainConfig.from_mapping(dict(rows)) == TrainConfig()
 
 
 def test_config_hash_stable_and_sensitive():
@@ -516,6 +527,13 @@ def _adding(name, like):
             setting("config", "baseline_adapter_only", False),
             "unknown config key 'baseline_adapter_only'",
         ),
+        (setting("config", "frames", 5), "unknown config key 'frames'"),
+        (setting("config", "tau", 0.1), "unknown config key 'tau'"),
+        (setting("config", "normalize", True), "unknown config key 'normalize'"),
+        (setting("config", "adapter_ratio", 4), "unknown config key 'adapter_ratio'"),
+        (setting("head", "task_ids", [0, 2, 1]), "head task ids must be ascending and distinct"),
+        (setting("head", "task_ids", [0, 1, 1]), "head task ids must be ascending and distinct"),
+        (setting("head", "task_ids", [0, 1]), "tensor 'head.w' has shape (4, 3), the model (4, 2)"),
     ],
     ids=[
         "kernel",
@@ -539,6 +557,13 @@ def _adding(name, like):
         "config_steps_list",
         "config_dropped_full_data",
         "config_dropped_adapter_only",
+        "config_dropped_frames",
+        "config_dropped_tau",
+        "config_dropped_normalize",
+        "config_dropped_adapter_ratio",
+        "head_task_ids_unsorted",
+        "head_task_ids_repeated",
+        "head_task_ids_too_few",
     ],
 )
 def test_checkpoint_header_disagreeing_with_its_model_raises_checkpoint_error(
@@ -632,7 +657,7 @@ def test_resume_config_mismatch_rejected(small_setup):
     _, train, _, backbone = small_setup
     part, _ = train_hr_align(small_config(steps=3), train, backbone)
     with pytest.raises(ValueError, match="resume"):
-        train_hr_align(small_config(steps=8, tau=0.2), train, backbone, resume=part)
+        train_hr_align(small_config(steps=8, learning_rate=2e-2), train, backbone, resume=part)
 
 
 def test_checkpoint_roundtrip_values(small_setup, tmp_path):
@@ -722,18 +747,42 @@ def test_baseline_cls_accuracy_evaluable(small_setup):
     assert len(metrics.rows) == 20
 
 
-def test_classification_accuracy_rejects_pairs_missing_a_class(small_setup):
-    # scored on tasks {1, 2} alone, task 1 would be read as class 0
+def test_classification_accuracy_scores_a_subset_of_the_trained_tasks(small_setup, monkeypatch):
+    """Pairs of tasks {1, 2} alone score by the head's class of each task:
+    their accuracy counts the hits the same pairs make when scored first
+    among all three tasks' pairs, where they draw the same frames."""
     _, train, heldout, backbone = small_setup
     checkpoint, _ = train_baseline_cls(
         small_config(method="cls_baseline", steps=0, learning_rate=BASELINE_LR),
         train,
         backbone.copy().unfreeze(),
     )
-    assert checkpoint.head.w.shape[1] == 3
+    assert checkpoint.head.task_ids == [0, 1, 2]
+    predicted = []
+    head_logits = trainer._head_logits
+
+    def recording(head, backbone, frames, b):
+        logits = head_logits(head, backbone, frames, b)
+        predicted.append(head.task_ids[int(np.argmax(logits.data[0]))])
+        return logits
+
+    monkeypatch.setattr(trainer, "_head_logits", recording)
     partial = [p for p in heldout if p.task_id != 0]
-    with pytest.raises(ValueError, match="the pairs hold 2 tasks, the head has 3 classes"):
-        classification_accuracy(checkpoint, partial)
+    rest = [p for p in heldout if p.task_id == 0]
+    assert partial and rest
+    classification_accuracy(checkpoint, partial + rest)
+    hits = sum(task == p.task_id for task, p in zip(predicted, partial))
+    assert 0 < hits < len(partial)
+    assert classification_accuracy(checkpoint, partial) == hits / len(partial)
+
+
+def test_classification_accuracy_rejects_a_task_the_head_never_saw():
+    # a head over tasks {0, 1, 2} scored on tasks {1, 2, 3} once read task 1
+    # as class 0 and returned 1/3 with no error
+    checkpoint = small_checkpoint(head=True)
+    pairs = [p for p in generate_paired_set(RngState(43), 4, 2, 0.5) if p.task_id > 0]
+    with pytest.raises(ValueError, match=r"task 3 is not among the head's tasks \[0, 1, 2\]"):
+        classification_accuracy(checkpoint, pairs)
 
 
 def test_method_mismatch_rejected(small_setup):
@@ -795,7 +844,21 @@ def test_train_equals_a_direct_trainer_call(small_setup, method, tmp_path):
     via_train.save(str(a))
     direct.save(str(b))
     assert a.read_bytes() == b.read_bytes()
-    assert list(trainer.TRAINERS) == list(DIRECT)
+    assert trainer.METHODS == tuple(DIRECT)
+
+
+@pytest.mark.parametrize("method", list(DIRECT))
+def test_train_looks_its_trainer_up_when_called(monkeypatch, method):
+    """A wrapper put on a ``trainer.train_*`` attribute sees the call that
+    ``train`` makes, and no other trainer is called."""
+    calls = []
+    for trainer_fn in DIRECT.values():
+        name = trainer_fn.__name__
+        monkeypatch.setattr(
+            trainer, name, lambda *args, name=name: calls.append(name) or ("ckpt", "log")
+        )
+    assert trainer.train(small_config(method=method), [], None) == ("ckpt", "log")
+    assert calls == [DIRECT[method].__name__]
 
 
 @pytest.mark.parametrize("method", ["pret_baseline", "cls_baseline"])
@@ -815,7 +878,7 @@ def test_head_scaler_pass_peaks_at_one_batch_not_the_whole_set():
 
     def peak_bytes(n: int) -> int:
         backbone = Backbone.create(RngState(41))
-        head = LinearHead.create(RngState(41), backbone.out_channels, 4)
+        head = LinearHead.create(RngState(41), backbone.out_channels, [0, 1, 2, 3])
         tracemalloc.start()
         try:
             _fit_head_scaler(head, backbone, clips[:n], config)
@@ -841,13 +904,13 @@ def test_head_scaler_pass_peaks_at_one_batch_not_the_whole_set():
 # its stats bitwise. All five are recorded at one BLAS thread, which the root
 # conftest.py pins: at two OpenBLAS threads conv2d's 25-frame weight-gradient
 # GEMMs, (32x400)@(400x144) and (32x400)@(400x288), change their last bits,
-# and ``cls_baseline_partial`` alone reads e2d4da20...
+# and ``cls_baseline_partial`` alone reads a64f2816...
 WRITE_PATH_DIGESTS = {
-    "pretext": "389b7894931039063b0def766ae23670c6840d88c287993f64162f6c290d1e35",
-    "pret_baseline": "d6e76fe407908653ea614089a94806b9b5dff90534eb73b2a4affcc011bc7b42",
-    "cls_baseline": "f62ff35cca594ca7f358a3bcde6661b7322d8a083c10b2bd122a1639ba37ab81",
-    "cls_baseline_partial": "d4910559ae2634130e5e5890d6a1e760e131dfa23b625f21e4168923ce37a48c",
-    "hr_align_EML": "28b4f1c98fd366fbce286e63925e4d4fdf170857524f649b52c8d7f959179066",
+    "pretext": "3abc0414afcc589d63d3b5b4ffac575331fec6d28cf05004484360fadf922f92",
+    "pret_baseline": "2af2bb168372fa955adb97474bc95bca9a104e9ce22397d0492e918934f095ac",
+    "cls_baseline": "46e6be8298165787c79727ed44fef03822fdc1002f63590971b2478b94572c9d",
+    "cls_baseline_partial": "914e495dd6fd967f6772b5a817b89c6909bc27a66029e1b46a6606911862f359",
+    "hr_align_EML": "e332c6ceeed531da4d86aa2d887e240604f431e6a0c42baa1b4ae14f578597c4",
 }
 
 
