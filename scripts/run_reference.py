@@ -24,13 +24,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from hralign import trainer
 from hralign.dataset import _atomic_write, generate_paired_set, save_manifest, split_pairs
 from hralign.encoder import pretext_pretrain
-from hralign.evaluation import (
-    dump_embeddings,
-    eval_downstream,
-    eval_retrieval,
-    run_ablation_grid,
-    run_arm,
-)
+from hralign.evaluation import dump_embeddings, eval_downstream, eval_retrieval, run_ablation_grid
 from hralign.rng import RngState
 from hralign.trainer import TrainConfig, save_run
 
@@ -47,7 +41,6 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=300)
     parser.add_argument("--pretext-epochs", type=int, default=20)
     parser.add_argument("--baseline-steps", type=int, default=120)
-    parser.add_argument("--skip-ablation", action="store_true")
     args = parser.parse_args()
 
     os.makedirs(args.out, exist_ok=True)
@@ -56,7 +49,7 @@ def main() -> int:
     print(f"[1/5] dataset: {args.tasks} tasks x {args.pairs_per_task} pairs, gap {args.gap}")
     pairs = generate_paired_set(RngState(args.seed), args.tasks, args.pairs_per_task, args.gap)
     save_manifest(pairs, os.path.join(args.out, "manifest.json"))
-    train, heldout = split_pairs(pairs, 0.25)
+    train, heldout = split_pairs(pairs)
 
     print(f"[2/5] pretext pre-training, {args.pretext_epochs} epochs")
     backbone, history = pretext_pretrain(
@@ -67,12 +60,8 @@ def main() -> int:
     config = TrainConfig(
         steps=args.steps, seed=args.seed, out_dir=os.path.join(args.out, "ablation")
     )
-    if args.skip_ablation:
-        print(f"[3/5] adapter alignment (L), {args.steps} steps")
-        runs = [run_arm(config, "L", train, heldout, backbone)]
-    else:
-        print(f"[3/5] ablation grid (E, M, L, EML, L without language), {args.steps} steps each")
-        runs = run_ablation_grid(config, train, heldout, backbone)
+    print(f"[3/5] ablation grid (E, M, L, EML, L without language), {args.steps} steps each")
+    runs = run_ablation_grid(config, train, heldout, backbone)
     for run in runs:
         save_run(run.checkpoint, run.metrics)
         row = run.row
@@ -119,8 +108,7 @@ def main() -> int:
         first, last = metrics.losses[0], metrics.losses[-1]
         summary["baselines"][f"{kind}_loss"] = [first, last]
         print(f"      {kind} {first:.3f} -> {last:.3f}")
-    if not args.skip_ablation:
-        summary["ablation"] = [run.row for run in runs]
+    summary["ablation"] = [run.row for run in runs]
 
     _atomic_write(
         os.path.join(args.out, "summary.json"), json.dumps(summary, indent=2).encode("utf-8")

@@ -1,9 +1,10 @@
 """Command-line entry points.
 
 Subcommands: generate, pretrain, adapt, baseline, ablate, eval, dump.
-Every run writes a resolved-config copy and a manifest of produced files
-into its output directory. Exit codes: 0 success, 1 usage error, 2
-runtime error.
+Every command that splits a manifest holds out the same pairs,
+``split_pairs`` at ``dataset.HELDOUT_FRAC``. Every run writes a
+resolved-config copy and a manifest of produced files into its output
+directory. Exit codes: 0 success, 1 usage error, 2 runtime error.
 """
 
 from __future__ import annotations
@@ -64,6 +65,8 @@ def _load_train_config(args: argparse.Namespace) -> TrainConfig:
         config = TrainConfig.from_mapping(overrides)
     if args.out is not None:
         config = replace(config, out_dir=args.out)
+    if os.path.exists(config.out_dir) and not os.path.isdir(config.out_dir):
+        raise ValueError(f"cannot write output: {config.out_dir} is not a directory")
     return config
 
 
@@ -88,7 +91,7 @@ def cmd_generate(args) -> int:
 
 def cmd_pretrain(args) -> int:
     pairs = load_manifest(args.data)
-    train, _ = split_pairs(pairs, args.heldout_frac)
+    train, _ = split_pairs(pairs)
     clips = [p.human for p in train]
     rng = RngState(args.seed)
     backbone, history = pretext_pretrain(rng, clips, epochs=args.epochs, lr=args.lr)
@@ -104,7 +107,7 @@ def cmd_pretrain(args) -> int:
     )
     _write_run_outputs(
         args.out,
-        _flat_args_text(args, ["epochs", "lr", "seed", "heldout_frac"]),
+        _flat_args_text(args, ["epochs", "lr", "seed"]),
         ["backbone.ckpt", "pretext_loss.csv"],
     )
     print(f"pretrained backbone over {args.epochs} epochs -> {ckpt_path}")
@@ -127,7 +130,7 @@ def cmd_train(args) -> int:
     else:
         method, label = f"{args.kind}_baseline", f"baseline {args.kind}"
     config = replace(_load_train_config(args), method=method)
-    pairs, _ = split_pairs(load_manifest(args.data), args.heldout_frac)
+    pairs, _ = split_pairs(load_manifest(args.data))
     backbone = ModelCheckpoint.load(args.backbone).backbone
     resume = ModelCheckpoint.load(args.resume) if args.resume else None
     checkpoint, metrics = train(config, pairs, backbone, resume)
@@ -137,7 +140,7 @@ def cmd_train(args) -> int:
 def cmd_ablate(args) -> int:
     config = _load_train_config(args)
     pairs = load_manifest(args.data)
-    train, heldout = split_pairs(pairs, args.heldout_frac)
+    train, heldout = split_pairs(pairs)
     backbone = ModelCheckpoint.load(args.backbone).backbone
     runs = run_ablation_grid(config, train, heldout, backbone)
     os.makedirs(config.out_dir, exist_ok=True)
@@ -163,7 +166,7 @@ def cmd_eval(args) -> int:
     checkpoint = ModelCheckpoint.load(args.checkpoint)
     before = Path(args.checkpoint).read_bytes()
     pairs = load_manifest(args.data)
-    _, heldout = split_pairs(pairs, args.heldout_frac)
+    _, heldout = split_pairs(pairs)
     adapted = not args.frozen
     retrieval = eval_retrieval(checkpoint, heldout, adapted=adapted, seed=args.seed)
     robot_clips = [p.robot for p in pairs]
@@ -178,7 +181,7 @@ def cmd_eval(args) -> int:
     _atomic_write(os.path.join(args.out, "report.txt"), text.encode("utf-8"))
     _write_run_outputs(
         args.out,
-        _flat_args_text(args, ["checkpoint", "data", "frozen", "heldout_frac", "seed"]),
+        _flat_args_text(args, ["checkpoint", "data", "frozen", "seed"]),
         ["report.json", "report.txt"],
     )
     print(text, end="")
@@ -188,12 +191,8 @@ def cmd_eval(args) -> int:
 def cmd_dump(args) -> int:
     checkpoint = ModelCheckpoint.load(args.checkpoint)
     pairs = load_manifest(args.data)
-    if args.split == "heldout":
-        _, selected = split_pairs(pairs, args.heldout_frac)
-    else:
-        selected = pairs
-    clips = [p.human for p in selected] + [p.robot for p in selected]
-    descriptions = {p.pair_id: p.description.text for p in selected}
+    clips = [p.human for p in pairs] + [p.robot for p in pairs]
+    descriptions = {p.pair_id: p.description.text for p in pairs}
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
     dump_embeddings(
@@ -233,7 +232,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=20)
     p.add_argument("--lr", type=float, default=3e-6)
     p.add_argument("--seed", type=int, default=7)
-    p.add_argument("--heldout-frac", type=float, default=0.25)
     p.set_defaults(func=cmd_pretrain)
 
     def add_train_args(p):
@@ -242,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--data", required=True)
         p.add_argument("--backbone", required=True)
         p.add_argument("--out", default=None, help="override out_dir")
-        p.add_argument("--heldout-frac", type=float, default=0.25)
 
     p = sub.add_parser("adapt", help="adapter alignment training")
     add_train_args(p)
@@ -263,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--frozen", action="store_true", help="evaluate the unadapted model")
-    p.add_argument("--heldout-frac", type=float, default=0.25)
     p.add_argument(
         "--seed", type=int, default=311, help="picks the frames retrieval samples from each clip"
     )
@@ -274,8 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--frozen", action="store_true")
-    p.add_argument("--split", choices=("all", "heldout"), default="all")
-    p.add_argument("--heldout-frac", type=float, default=0.25)
     p.add_argument("--seed", type=int, default=311)
     p.set_defaults(func=cmd_dump)
 
@@ -294,6 +288,9 @@ def cli_main(argv=None) -> int:
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
         return USAGE_ERROR
+    except OSError as exc:  # an output path that cannot be written
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return RUNTIME_ERROR
     except (ValueError, ManifestError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR

@@ -39,6 +39,9 @@ CLIP_LEN_MAX = 24
 # Frames sampled from a clip to encode it in training, in the classification
 # head and in the retrieval embeddings.
 FRAMES_PER_CLIP = 5
+# The held-out share of each task's pairs: every command and script splits
+# a manifest by this one fraction, so adaptation never sees a scored pair.
+HELDOUT_FRAC = 0.25
 MANIFEST_VERSION = 1
 # The manifest, in the spec language of ``_check_json``. An entry's optional
 # ``latent`` is absent, null or an object matching ``LATENT_SPEC``.
@@ -379,10 +382,13 @@ def sample_frames(clip: VideoClip, t: int, rng: RngState) -> np.ndarray:
 _Item = TypeVar("_Item", PairedDemo, VideoClip)
 
 
-def split_pairs(pairs: list[_Item], heldout_frac: float = 0.25) -> tuple[list[_Item], list[_Item]]:
-    """Per-task split of pairs, or of clips: the trailing fraction of each
-    task's items by pair id is held out; every task keeps at least one
-    training item."""
+def split_pairs(
+    pairs: list[_Item], heldout_frac: float = HELDOUT_FRAC
+) -> tuple[list[_Item], list[_Item]]:
+    """Per-task split of pairs, or of clips: the trailing ``heldout_frac``
+    of each task's items by pair id is held out; every task keeps at least
+    one training item. Every command, the reference script and
+    ``eval_downstream`` split at the default, ``HELDOUT_FRAC``."""
     if not (math.isfinite(heldout_frac) and 0.0 <= heldout_frac < 1.0):
         raise ValueError(f"heldout_frac must be finite and in [0, 1), got {heldout_frac}")
     by_task: dict[int, list[_Item]] = {}

@@ -239,7 +239,7 @@ def eval_downstream(
 ) -> DownstreamReport:
     """Frozen-feature probe, behavior cloning, and rollout success proxy.
 
-    A quarter of the clips are held out by ``split_pairs``, the BC head
+    ``split_pairs`` holds out ``HELDOUT_FRAC`` of the clips, the BC head
     is initialised from seed 412, and a held-out clip succeeds when every
     one-step prediction stays within 0.1 of the true path. No gradient
     ever reaches the encoder or adapters here; features are extracted once
@@ -248,7 +248,7 @@ def eval_downstream(
     for clip in robot_clips:
         if clip.domain != "robot":
             raise ValueError(f"downstream eval expects robot clips, got {clip.domain!r}")
-    train, held = split_pairs(robot_clips, 0.25)
+    train, held = split_pairs(robot_clips)
     if not train or not held:
         raise ValueError("downstream split too small")
     clips = train + held

@@ -675,6 +675,8 @@ def classification_accuracy(checkpoint: ModelCheckpoint, pairs: list[PairedDemo]
     head = checkpoint.head
     if head is None:
         raise ValueError("checkpoint has no classification head")
+    if not pairs:
+        raise ValueError("classification_accuracy: no pairs to score")
     classes = _class_index(head.task_ids)
     if unseen := [p.task_id for p in pairs if p.task_id not in classes]:
         raise ValueError(

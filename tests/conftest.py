@@ -18,7 +18,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from hralign.dataset import generate_paired_set, split_pairs
+from hralign.dataset import HELDOUT_FRAC, generate_paired_set, split_pairs
 from hralign.encoder import pretext_pretrain
 from hralign.evaluation import run_ablation_grid
 from hralign.rng import RngState
@@ -42,7 +42,7 @@ def reference_pairs():
 
 @pytest.fixture(scope="session")
 def reference_split(reference_pairs):
-    return split_pairs(reference_pairs, 0.25)
+    return split_pairs(reference_pairs, HELDOUT_FRAC)
 
 
 @pytest.fixture(scope="session")

@@ -11,7 +11,7 @@ import pytest
 from helpers import fail_writes_partway, setting, small_checkpoint, with_header
 from hralign.cli import _write_run_outputs, cli_main
 from hralign.dataset import load_manifest, split_pairs
-from hralign.evaluation import eval_downstream, eval_retrieval
+from hralign.evaluation import embed_clip, eval_downstream, eval_retrieval
 from hralign.trainer import ModelCheckpoint
 from hralign.tensor import from_bytes, to_bytes
 
@@ -101,8 +101,6 @@ def test_manifest_key_of_wrong_type_exits_two_writing_nothing(tmp_path, capsys):
         ("--lr", "1e300"),  # finite, but the first Adam steps overflow the weights
         ("--epochs", "0"),
         ("--epochs", "-1"),
-        ("--heldout-frac", "nan"),
-        ("--heldout-frac", "5"),
     ],
 )
 def test_pretrain_bad_schedule_exits_two_writing_nothing(tmp_path, capsys, flag, value):
@@ -311,12 +309,48 @@ def test_cli_eval_report_equals_the_reports_run_arm_writes(pipeline, tmp_path):
     assert run(["eval", "--checkpoint", model, "--data", manifest, "--out", eval_dir]) == 0
     report = json.load(open(os.path.join(eval_dir, "report.json")))
     checkpoint = ModelCheckpoint.load(model)
-    train, heldout = split_pairs(load_manifest(manifest), 0.25)
+    train, heldout = split_pairs(load_manifest(manifest))
     robot = [p.robot for p in train + heldout]
     assert report == {
         "retrieval": eval_retrieval(checkpoint, heldout, adapted=True).to_dict(),
         "downstream": eval_downstream(checkpoint, robot, adapted=True).to_dict(),
     }
+
+
+def test_cli_eval_seed_picks_retrieval_frames_only(pipeline, tmp_path):
+    root, manifest, backbone, model = pipeline
+    argv = ["eval", "--checkpoint", model, "--data", manifest, "--out"]
+    assert run(argv + [str(tmp_path / "default")]) == 0
+    # 313: the first seed past the default 311 whose frames move the
+    # retrieval numbers of these six held-out pairs (312's do not)
+    assert run(argv + [str(tmp_path / "seeded"), "--seed", "313"]) == 0
+    default, seeded = (
+        json.loads((tmp_path / name / "report.json").read_text()) for name in ("default", "seeded")
+    )
+    assert seeded["downstream"] == default["downstream"]
+    checkpoint = ModelCheckpoint.load(model)
+    _, heldout = split_pairs(load_manifest(manifest))
+    expected = eval_retrieval(checkpoint, heldout, adapted=True, seed=313).to_dict()
+    assert expected != eval_retrieval(checkpoint, heldout, adapted=True).to_dict()
+    assert seeded["retrieval"] == expected
+
+
+def test_cli_dump_frozen_writes_the_unadapted_embeddings(pipeline, tmp_path):
+    root, manifest, backbone, model = pipeline
+    path = tmp_path / "frozen.csv"
+    assert run(["dump", "--checkpoint", model, "--data", manifest, "--out", str(path), "--frozen"]) == 0
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    checkpoint = ModelCheckpoint.load(model)
+    pairs = {p.pair_id: p for p in load_manifest(manifest)}
+    assert len(rows) == 2 * len(pairs)
+    for row in rows:
+        assert row["adapted"] == "0"
+        pair = pairs[int(row["clip_id"].split("_")[0])]
+        clip, text = getattr(pair, row["domain"]), pair.description.text
+        frozen = embed_clip(checkpoint, clip, text, adapted=False)
+        assert [float(row[f"f{i}"]) for i in range(len(frozen))] == frozen.tolist()
+        assert not np.array_equal(frozen, embed_clip(checkpoint, clip, text, adapted=True))
 
 
 def test_cli_eval_frozen_mode(pipeline, tmp_path):
@@ -492,8 +526,12 @@ def test_cli_ablate_trains_scores_and_saves_every_arm(pipeline, tmp_path):
 
 
 def test_cli_ablate_without_heldout_pairs_exits_two_writing_nothing(pipeline, tmp_path, capsys):
+    data = str(tmp_path / "data")  # 2 pairs per task split 2/0
+    assert run(["generate", "--out", data, "--tasks", "2", "--pairs-per-task", "2"]) == 0
     out = tmp_path / "ablate"
-    assert run(_ablate_argv(pipeline, out) + ["--heldout-frac", "0"]) == 2
+    argv = _ablate_argv(pipeline, out)
+    argv[argv.index("--data") + 1] = os.path.join(data, "manifest.json")
+    assert run(argv) == 2
     assert "at least 2 held-out pairs, got 0" in capsys.readouterr().err
     assert not out.exists()
 
@@ -520,3 +558,60 @@ def test_path_flag_naming_a_directory_exits_two_and_a_missing_file_one(
     assert run(_path_flag_argv(pipeline, flag, missing, str(out))) == 1
     assert missing in capsys.readouterr().err
     assert not out.exists()
+
+
+def _out_argv(pipeline, command, out):
+    """A cheap run of ``command`` over the pipeline's files writing to ``out``."""
+    _, manifest, backbone, model = pipeline
+    train = ["--data", manifest, "--backbone", backbone, "--out", out]
+    train += ["--set", "steps=1", "--set", "batch_size=4"]
+    return {
+        "generate": ["generate", "--out", out, "--tasks", "2", "--pairs-per-task", "2"],
+        "pretrain": ["pretrain", "--data", manifest, "--out", out, "--epochs", "1"],
+        "adapt": ["adapt", *train],
+        "baseline": ["baseline", "pret", *train],
+        "ablate": ["ablate", *train],
+        "eval": ["eval", "--checkpoint", model, "--data", manifest, "--out", out],
+        "dump": ["dump", "--checkpoint", model, "--data", manifest, "--out", out],
+    }[command]
+
+
+@pytest.mark.parametrize(
+    "command", ["generate", "pretrain", "adapt", "baseline", "ablate", "eval", "dump"]
+)
+def test_output_path_that_cannot_be_written_exits_two_naming_it(
+    pipeline, tmp_path, capsys, command
+):
+    # an --out naming a file (for dump's CSV, a directory) once escaped as a
+    # FileExistsError or IsADirectoryError traceback
+    if command == "dump":
+        out = tmp_path / "a_directory"
+        out.mkdir()
+    else:
+        out = tmp_path / "a_file"
+        out.write_text("kept\n")
+    assert run(_out_argv(pipeline, command, str(out))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(out) in err
+    assert "Traceback" not in err
+    if command == "dump":
+        assert os.listdir(out) == []
+    else:
+        assert out.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == [out.name]
+
+
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        pytest.param(c, ["--heldout-frac", "0.1"], id=f"{c}-heldout-frac")
+        for c in ("pretrain", "adapt", "baseline", "ablate", "eval", "dump")
+    ]
+    + [pytest.param("dump", ["--split", "heldout"], id="dump-split")],
+)
+def test_removed_split_flags_exit_one_writing_nothing(pipeline, tmp_path, command, flag):
+    # every command holds out the pairs of dataset.HELDOUT_FRAC; a flag that
+    # re-split the manifest once let adaptation train on scored pairs
+    out = tmp_path / "out"
+    assert run(_out_argv(pipeline, command, str(out)) + flag) == 1
+    assert os.listdir(tmp_path) == []

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hralign.dataset import (
     CLIP_LEN_MAX,
     CLIP_LEN_MIN,
+    HELDOUT_FRAC,
     LatentTrajectory,
     ManifestError,
     PairedDemo,
@@ -204,6 +205,17 @@ def test_split_rejects_heldout_frac_outside_unit_interval(frac):
     pairs = generate_paired_set(RngState(9), 2, 2, 0.5)
     with pytest.raises(ValueError, match="heldout_frac"):
         split_pairs(pairs, frac)
+
+
+def test_benchmark_splits_at_the_library_fraction():
+    # perfbench names the fraction it passes to split_pairs; it must hold
+    # out the pairs every command and the reference script hold out
+    from perfbench import workloads
+
+    assert workloads.HELDOUT_FRAC == HELDOUT_FRAC
+    pairs = generate_paired_set(RngState(9), 4, 8, 0.5)
+    ids = lambda split: [[p.pair_id for p in part] for part in split]  # noqa: E731
+    assert ids(split_pairs(pairs, workloads.HELDOUT_FRAC)) == ids(split_pairs(pairs))
 
 
 # manifest --------------------------------------------------------------------

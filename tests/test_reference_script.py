@@ -15,10 +15,10 @@ SMALL = ["--tasks", "2", "--pairs-per-task", "12", "--steps", "2"]
 SMALL += ["--pretext-epochs", "1", "--baseline-steps", "2"]
 
 
-def _run_reference(out: Path, *extra: str) -> dict:
+def _run_reference(out: Path) -> dict:
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys, "path", list(sys.path))  # the script prepends src/
-        mp.setattr(sys, "argv", [str(SCRIPT), "--out", str(out), *SMALL, *extra])
+        mp.setattr(sys, "argv", [str(SCRIPT), "--out", str(out), *SMALL])
         spec = importlib.util.spec_from_file_location("run_reference", SCRIPT)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
@@ -49,12 +49,3 @@ def test_reference_adapted_summary_is_the_l_arm(reference_out):
         assert sorted(os.listdir(out / "ablation" / arm)) == ["metrics.csv", "model.ckpt"]
     assert (out / "embeddings.csv").exists()
 
-
-def test_reference_skip_ablation_trains_the_l_arm_alone(reference_out, tmp_path):
-    _, full = reference_out
-    summary = _run_reference(tmp_path, "--skip-ablation")
-    assert list(summary) == ["adapted", "frozen", "baselines"]
-    assert os.listdir(tmp_path / "ablation") == ["L"]
-    assert {key: summary[key] for key in ("adapted", "frozen", "baselines")} == {
-        key: full[key] for key in ("adapted", "frozen", "baselines")
-    }

@@ -785,6 +785,12 @@ def test_classification_accuracy_rejects_a_task_the_head_never_saw():
         classification_accuracy(checkpoint, pairs)
 
 
+def test_classification_accuracy_of_no_pairs_is_an_error():
+    # it once divided its hit count by zero
+    with pytest.raises(ValueError, match="classification_accuracy: no pairs"):
+        classification_accuracy(small_checkpoint(head=True), [])
+
+
 def test_method_mismatch_rejected(small_setup):
     _, train, _, backbone = small_setup
     with pytest.raises(ValueError, match="method"):
