@@ -10,6 +10,9 @@ once. Takes about a minute on one CPU core at the default sizes.
 
 Usage:
     python scripts/run_reference.py --out runs/reference
+
+Exit codes, as for `hralign`: 0 success, 1 usage error (such as an unknown
+flag).
 """
 
 import argparse
@@ -41,7 +44,11 @@ def main() -> int:
     parser.add_argument("--steps", type=int, default=300)
     parser.add_argument("--pretext-epochs", type=int, default=20)
     parser.add_argument("--baseline-steps", type=int, default=120)
-    args = parser.parse_args()
+    try:
+        args = parser.parse_args()
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error; 1 is the usage-error code of `hralign`
+        return 0 if exc.code == 0 else 1
 
     os.makedirs(args.out, exist_ok=True)
     t_start = time.time()

@@ -84,12 +84,9 @@ def adapter_forward(block: AdapterBlock, x: Tensor) -> Tensor:
 
 @dataclass
 class AdapterStack:
-    """Adapter blocks keyed by backbone junction index, in junction order,
-    and the bottleneck ratio they were built with."""
+    """Adapter blocks keyed by backbone junction index, in junction order."""
 
     blocks: dict[int, AdapterBlock]
-    positions: str
-    ratio: int
 
     @classmethod
     def for_positions(
@@ -106,7 +103,7 @@ class AdapterStack:
         if "L" in positions:
             junctions.append(n)
         blocks = {j: AdapterBlock.create(backbone.channels[j], ratio, rng) for j in junctions}
-        return cls(blocks, positions, ratio)
+        return cls(blocks)
 
     def named_parameters(self) -> dict[str, Tensor]:
         out: dict[str, Tensor] = {}

@@ -52,21 +52,28 @@ def _flat_args_text(args: argparse.Namespace, keys: list[str]) -> str:
     return "\n".join(f"{key} = {getattr(args, key)}" for key in keys) + "\n"
 
 
-def _load_train_config(args: argparse.Namespace) -> TrainConfig:
-    overrides = {}
+def _check_out_dir(path: str) -> None:
+    """Every command with an output directory calls this before any work."""
+    if os.path.exists(path) and not os.path.isdir(path):
+        raise ValueError(f"cannot write output: {path} is not a directory")
+
+
+def _load_train_config(args: argparse.Namespace, method: str) -> TrainConfig:
+    """``--config`` then ``--set`` over the subcommand's ``method``, which neither may change."""
+    mapping = {"method": method}
+    if args.config is not None:
+        mapping.update(load_config(args.config))
     for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
-        overrides[key.strip()] = value.strip()
-    if args.config is not None:
-        config = load_config(args.config, overrides)
-    else:
-        config = TrainConfig.from_mapping(overrides)
+        mapping[key.strip()] = value.strip()
+    if mapping["method"] != method:
+        raise ValueError(f"config sets method {mapping['method']!r}, but {args.command} trains {method!r}")
+    config = TrainConfig.from_mapping(mapping)
     if args.out is not None:
         config = replace(config, out_dir=args.out)
-    if os.path.exists(config.out_dir) and not os.path.isdir(config.out_dir):
-        raise ValueError(f"cannot write output: {config.out_dir} is not a directory")
+    _check_out_dir(config.out_dir)
     return config
 
 
@@ -75,6 +82,7 @@ def _load_train_config(args: argparse.Namespace) -> TrainConfig:
 
 
 def cmd_generate(args) -> int:
+    _check_out_dir(args.out)
     os.makedirs(args.out, exist_ok=True)
     rng = RngState(args.seed)
     pairs = generate_paired_set(rng, args.tasks, args.pairs_per_task, args.gap)
@@ -90,6 +98,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
+    _check_out_dir(args.out)
     pairs = load_manifest(args.data)
     train, _ = split_pairs(pairs)
     clips = [p.human for p in train]
@@ -129,7 +138,7 @@ def cmd_train(args) -> int:
         method, label = "hr_align", "adapt"
     else:
         method, label = f"{args.kind}_baseline", f"baseline {args.kind}"
-    config = replace(_load_train_config(args), method=method)
+    config = _load_train_config(args, method)
     pairs, _ = split_pairs(load_manifest(args.data))
     backbone = ModelCheckpoint.load(args.backbone).backbone
     resume = ModelCheckpoint.load(args.resume) if args.resume else None
@@ -138,7 +147,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = _load_train_config(args)
+    config = _load_train_config(args, "hr_align")
     pairs = load_manifest(args.data)
     train, heldout = split_pairs(pairs)
     backbone = ModelCheckpoint.load(args.backbone).backbone
@@ -163,6 +172,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_out_dir(args.out)
     checkpoint = ModelCheckpoint.load(args.checkpoint)
     before = Path(args.checkpoint).read_bytes()
     pairs = load_manifest(args.data)
@@ -189,6 +199,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_dump(args) -> int:
+    if os.path.isdir(args.out):
+        raise ValueError(f"cannot write output: {args.out} is a directory")
     checkpoint = ModelCheckpoint.load(args.checkpoint)
     pairs = load_manifest(args.data)
     clips = [p.human for p in pairs] + [p.robot for p in pairs]

@@ -10,15 +10,17 @@ import numpy as np
 
 from .tensor import NumericError, ShapeError, Tensor
 
+# Adam's moment decays and denominator guard, the same for every run.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 @dataclass
 class AdamState:
     """Step count plus per-parameter moment buffers, keyed by name."""
 
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -38,9 +40,8 @@ def adam_step(
     """One bias-corrected Adam update, in place on ``params``."""
     state.step += 1
     t = state.step
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1**t
-    c2 = 1.0 - b2**t
+    c1 = 1.0 - BETA1**t
+    c2 = 1.0 - BETA2**t
     for name, p in params.items():
         g = np.asarray(grads[name], dtype=np.float64)
         if g.shape != p.data.shape:
@@ -52,11 +53,11 @@ def adam_step(
                 f"adam_step: moment shape {state.m[name].shape} != param shape "
                 f"{p.data.shape} for {name!r}"
             )
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
         m_hat = state.m[name] / c1
         v_hat = state.v[name] / c2
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
     return state
 
 

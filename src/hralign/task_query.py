@@ -62,14 +62,6 @@ class QueryEmbedder:
         proj_b = Tensor(np.zeros(out_dim), requires_grad=True)
         return cls(table, proj_w, proj_b)
 
-    @property
-    def text_dim(self) -> int:
-        return self.table.shape[1]
-
-    @property
-    def out_dim(self) -> int:
-        return self.proj_w.shape[1]
-
     def named_parameters(self) -> dict[str, Tensor]:
         return {"query.proj_w": self.proj_w, "query.proj_b": self.proj_b}
 

@@ -32,7 +32,7 @@ from .rng import RngState
 from .task_query import QueryEmbedder, embed_texts
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 METRICS_HEADER = "step,loss,pos_sim,hard_neg_sim,wall_ms"
 METHODS = ("hr_align", "pret_baseline", "cls_baseline")
 
@@ -129,19 +129,17 @@ def format_config(config: TrainConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_config(path: str, overrides: dict | None = None) -> TrainConfig:
+def load_config(path: str) -> dict:
+    """The ``key = value`` mapping of a config file, not yet validated."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            mapping = parse_config_text(fh.read())
+            return parse_config_text(fh.read())
     except FileNotFoundError:
         raise
     except OSError as e:  # a directory, or no read permission
         raise ValueError(f"config cannot be read: {path}: {e.strerror}") from e
     except UnicodeDecodeError as e:
         raise ValueError(f"config is not UTF-8 text: {path}: {e.reason}") from e
-    if overrides:
-        mapping.update(overrides)
-    return TrainConfig.from_mapping(mapping)
 
 
 # ---------------------------------------------------------------------------
@@ -230,21 +228,22 @@ class LinearHead:
 
 class CheckpointError(ValueError):
     """A checkpoint file is truncated or corrupt, or its header disagrees
-    with itself or with the tensors it indexes."""
+    with itself or with the tensors it names."""
 
 
 # The checkpoint header, key by key in the order ``load`` checks it, in the
-# spec language of ``dataset._check_json``.
+# spec language of ``dataset._check_json``: only what neither the config,
+# the code's constants nor the tensors determine.
 HEADER_SPEC = {
     "version": int,
-    "tensors": [{"name": str, "shape": [int], "offset": int, "nbytes": int}],
+    "tensors": [str],
     "config": dict,
     "config_hash": str,
-    "backbone": {"channels": [int], "strides": [int], "kernel": int, "frozen": bool},
-    "stack": ({"positions": str, "junctions": [int], "ratio": int}, None),
-    "embedder": ({"text_dim": int, "out_dim": int}, None),
-    "head": ({"in_dim": int, "task_ids": [int]}, None),
-    "adam": ({"lr": float, "beta1": float, "beta2": float, "eps": float, "step": int}, None),
+    "backbone": {"channels": [int], "strides": [int], "kernel": int},
+    "stack": bool,
+    "embedder": bool,
+    "head": ([int], None),
+    "adam": bool,
     "rng": ([int], None),
     "step": int,
 }
@@ -290,53 +289,53 @@ class ModelCheckpoint:
         return self.stack.blocks if adapted and self.stack is not None else {}
 
     def _header(self) -> tuple[dict, list[bytes]]:
-        """The JSON header and, in name order, the serialized tensors it indexes."""
+        """The JSON header and, in name order, the serialized tensors it names;
+        a ValueError for what ``load`` would rebuild otherwise."""
+        bb, adam = self.backbone, self.adam
+        if not bb.frozen or adam is not None and (adam.lr, adam.step) != (self.config.learning_rate, self.step):
+            raise ValueError("a checkpoint holds a frozen backbone and Adam at its config's lr and its step")
         arrays = {name: t.data for name, t in self.named_tensors().items()}
-        for name in self.adam.m if self.adam is not None else ():
-            arrays[f"adam.m.{name}"], arrays[f"adam.v.{name}"] = self.adam.m[name], self.adam.v[name]
+        for name in adam.m if adam is not None else ():
+            arrays[f"adam.m.{name}"], arrays[f"adam.v.{name}"] = adam.m[name], adam.v[name]
         names = sorted(arrays)
-        blobs = [T.to_bytes(arrays[name]) for name in names]
-        offsets = np.cumsum([0] + [len(blob) for blob in blobs]).tolist()
-        index = [
-            {"name": name, "shape": list(arrays[name].shape), "offset": offset, "nbytes": len(blob)}
-            for name, offset, blob in zip(names, offsets, blobs)
-        ]
-        bb, stack, emb, head, adam = self.backbone, self.stack, self.embedder, self.head, self.adam
         header = {
             "version": CHECKPOINT_VERSION,
-            "tensors": index,
+            "tensors": names,
             "config": self.config.to_mapping(),
             "config_hash": self.config.config_hash(),
             "backbone": {
-                "channels": list(bb.channels), "strides": [blk.stride for blk in bb.blocks],
-                "kernel": bb.kernel, "frozen": bb.frozen,
+                "channels": list(bb.channels), "strides": [blk.stride for blk in bb.blocks], "kernel": bb.kernel,
             },
-            "stack": None if stack is None else {
-                "positions": stack.positions, "junctions": list(stack.blocks), "ratio": stack.ratio,
-            },
-            "embedder": None if emb is None else {"text_dim": emb.text_dim, "out_dim": emb.out_dim},
-            "head": None if head is None else {"in_dim": head.w.shape[0], "task_ids": head.task_ids},
-            "adam": None if adam is None else {
-                "lr": adam.lr, "beta1": adam.beta1, "beta2": adam.beta2, "eps": adam.eps,
-                "step": adam.step,
-            },
+            "stack": self.stack is not None,
+            "embedder": self.embedder is not None,
+            "head": None if self.head is None else list(self.head.task_ids),
+            "adam": adam is not None,
             "rng": None if self.rng is None else list(self.rng.state()),
             "step": self.step,
         }
-        return header, blobs
+        return header, [T.to_bytes(arrays[name]) for name in names]
 
     def save(self, path: str) -> None:
+        """Write the header's length and JSON, the tensors in name order, and
+        a sha256 of every byte before it."""
         header, blobs = self._header()
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-        _atomic_write(path, b"".join([struct.pack("<I", len(header_bytes)), header_bytes, *blobs]))
+        data = b"".join([struct.pack("<I", len(header_bytes)), header_bytes, *blobs])
+        _atomic_write(path, data + hashlib.sha256(data).digest())
 
     @classmethod
     def load(cls, path: str) -> "ModelCheckpoint":
-        """Read a checkpoint, checking its header against ``HEADER_SPEC``,
-        every tensor's shape against the model the header builds, the
-        header against the one ``save`` writes for what was loaded, that
-        every tensor value is finite, and that no bytes follow the last
-        tensor."""
+        """Read a checkpoint, checking its version, then its sha256 trailer,
+        its header against ``HEADER_SPEC``, that every tensor value is
+        finite, that no bytes follow the last tensor, every tensor's shape
+        against the model the header builds, and last the header against
+        the one ``save`` writes for what was loaded.
+
+        What the header does not hold is derived: the backbone is frozen,
+        the stack sits at ``config.adapter_positions`` with ``ADAPTER_RATIO``,
+        the query projection and the head are ``backbone.out_channels`` wide,
+        and Adam runs at ``config.learning_rate`` from ``step``.
+        """
         try:
             with open(path, "rb") as fh:
                 raw = fh.read()
@@ -348,56 +347,51 @@ class ModelCheckpoint:
             raise CheckpointError(f"{path}: {len(raw)} bytes, too short for a checkpoint")
         (hlen,) = struct.unpack_from("<I", raw, 0)
         if 4 + hlen > len(raw):
-            raise CheckpointError(
-                f"{path}: header truncated ({len(raw) - 4} of {hlen} bytes present)"
-            )
+            raise CheckpointError(f"{path}: header truncated ({len(raw) - 4} of {hlen} bytes present)")
         try:
             header = json.loads(raw[4 : 4 + hlen].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise CheckpointError(f"{path}: header is not valid JSON: {e}") from e
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: header is not a JSON object")
-        _check_json(f"{path}: header", CheckpointError, header, HEADER_SPEC)
+        _check_json(f"{path}: header", CheckpointError, header, {"version": int})
         if header["version"] != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {header['version']}")
-        body = raw[4 + hlen :]
-        arrays: dict[str, np.ndarray] = {}
-        for entry in header["tensors"]:
-            name = entry["name"]
-            if entry["offset"] + entry["nbytes"] > len(body):
-                raise CheckpointError(f"{path}: body truncated inside tensor {name!r}")
+        body, digest = raw[4 + hlen : -32], raw[-32:]
+        if len(raw) < 4 + hlen + 32 or hashlib.sha256(raw[:-32]).digest() != digest:
+            raise CheckpointError(f"{path}: sha256 mismatch, the file is truncated or corrupt")
+        _check_json(f"{path}: header", CheckpointError, header, HEADER_SPEC)
+        arrays, end = {}, 0
+        for name in header["tensors"]:
             try:
-                arrays[name], _ = T.from_bytes(body, entry["offset"])
+                arrays[name], end = T.from_bytes(body, end)
             except (struct.error, ValueError) as e:
                 raise CheckpointError(f"{path}: tensor {name!r} is corrupt: {e}") from e
             if not np.isfinite(arrays[name]).all():
                 raise CheckpointError(f"{path}: tensor {name!r} holds a NaN or infinite value")
-        end = max((entry["offset"] + entry["nbytes"] for entry in header["tensors"]), default=0)
         if len(body) > end:
             raise CheckpointError(f"{path}: {len(body) - end} trailing bytes after the last tensor")
+        if header["step"] < 0:
+            raise CheckpointError(f"{path}: header key 'step' is negative: {header['step']}")
 
         arch, init_rng = header["backbone"], RngState(0)
         stack = embedder = head = adam = rng = None
         try:
-            backbone = Backbone.create(init_rng, arch["channels"], arch["strides"], arch["kernel"])
-            if arch["frozen"]:
-                backbone.freeze()
-            if (spec := header["stack"]) is not None:
-                stack = AdapterStack.for_positions(spec["positions"], backbone, spec["ratio"], init_rng)
-            if (spec := header["embedder"]) is not None:
-                embedder = QueryEmbedder.create(init_rng, spec["out_dim"])
-            if (spec := header["head"]) is not None:
-                head = LinearHead.create(init_rng, spec["in_dim"], spec["task_ids"])
-            if (spec := header["adam"]) is not None:
-                adam = AdamState(*(spec[k] for k in ("lr", "beta1", "beta2", "eps", "step")))
+            config = TrainConfig.from_mapping(header["config"])
+            backbone = Backbone.create(init_rng, arch["channels"], arch["strides"], arch["kernel"]).freeze()
+            width = backbone.out_channels
+            if header["stack"]:
+                stack = AdapterStack.for_positions(config.adapter_positions, backbone, ADAPTER_RATIO, init_rng)
+            if header["embedder"]:
+                embedder = QueryEmbedder.create(init_rng, width)
+            if header["head"] is not None:
+                head = LinearHead.create(init_rng, width, header["head"])
+            if header["adam"]:
+                adam = AdamState(config.learning_rate, step=header["step"])
             if header["rng"] is not None:
                 rng = RngState.from_state(header["rng"])
-            config = TrainConfig.from_mapping(header["config"])
         except (ValueError, ZeroDivisionError) as e:
             raise CheckpointError(f"{path}: {e}") from e
-        for key, step in (("step", header["step"]), ("adam.step", adam.step if adam else 0)):
-            if step < 0:
-                raise CheckpointError(f"{path}: header key {key!r} is negative: {step}")
         checkpoint = cls(config, backbone, stack, embedder, head, adam, rng, header["step"])
 
         def take(name: str, shape: tuple[int, ...]) -> np.ndarray:

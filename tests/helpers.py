@@ -10,17 +10,19 @@ of working in log space.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 
 import numpy as np
 
 from hralign import dataset
-from hralign.adapter import AdapterStack
+from hralign.adapter import ADAPTER_RATIO, AdapterStack
 from hralign.encoder import Backbone
 from hralign.optim import AdamState
 from hralign.rng import RngState
 from hralign.task_query import QueryEmbedder
+from hralign.tensor import from_bytes
 from hralign.trainer import LinearHead, ModelCheckpoint, TrainConfig
 
 
@@ -96,14 +98,14 @@ def micro_backbone(seed: int = 3, channels=(3, 4, 4, 4)) -> Backbone:
 def small_checkpoint(
     positions: str = "L", language: bool = True, head: bool = False, adam: bool = False, seed: int = 0
 ) -> ModelCheckpoint:
-    """A micro-backbone checkpoint with a ratio-2 adapter stack at ``positions``
+    """A micro-backbone checkpoint with an adapter stack at ``positions``
     and, on request, a query projection, a classification head over tasks
     0, 1 and 2, and Adam moments.
     Adapter up-projections and moments are drawn at random, so a round trip
     carries real values."""
     rng = RngState(seed)
     backbone = micro_backbone(seed).freeze()
-    stack = AdapterStack.for_positions(positions, backbone, 2, rng)
+    stack = AdapterStack.for_positions(positions, backbone, ADAPTER_RATIO, rng)
     for blk in stack.blocks.values():
         blk.up_w.data = rng.normal(blk.up_w.shape)
     config = TrainConfig(
@@ -141,12 +143,49 @@ def header_length(raw: bytes) -> int:
     return int.from_bytes(raw[:4], "little")
 
 
-def with_header(checkpoint_bytes: bytes, edit) -> bytes:
-    """The checkpoint with its JSON header replaced by ``edit(header)``."""
-    hlen = header_length(checkpoint_bytes)
-    header = edit(json.loads(checkpoint_bytes[4 : 4 + hlen]))
+def seal(data: bytes) -> bytes:
+    """``data`` followed by its sha256, as ``ModelCheckpoint.save`` ends a file."""
+    return data + hashlib.sha256(data).digest()
+
+
+def _sealed(header: dict, body: bytes) -> bytes:
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
-    return len(header_bytes).to_bytes(4, "little") + header_bytes + checkpoint_bytes[4 + hlen :]
+    return seal(len(header_bytes).to_bytes(4, "little") + header_bytes + body)
+
+
+def _parts(raw: bytes) -> tuple[dict, bytes]:
+    """A checkpoint's JSON header and its body without the sha256 trailer."""
+    hlen = header_length(raw)
+    return json.loads(raw[4 : 4 + hlen]), raw[4 + hlen : -32]
+
+
+def with_header(checkpoint_bytes: bytes, edit) -> bytes:
+    """The checkpoint with its JSON header replaced by ``edit(header)`` and
+    the sha256 trailer recomputed, so ``load`` gets past the checksum to the
+    check an edit targets."""
+    header, body = _parts(checkpoint_bytes)
+    return _sealed(edit(header), body)
+
+
+def body_tensors(checkpoint_bytes: bytes) -> dict[str, bytes]:
+    """Each tensor's serialized bytes by name, in body order, found by
+    walking the body with ``from_bytes`` as ``load`` does."""
+    header, body = _parts(checkpoint_bytes)
+    out, start = {}, 0
+    for name in header["tensors"]:
+        _, end = from_bytes(body, start)
+        out[name], start = body[start:end], end
+    return out
+
+
+def with_tensors(checkpoint_bytes: bytes, edit) -> bytes:
+    """The checkpoint with its body replaced by the tensors of
+    ``edit(body_tensors(...))``, in that dict's order, which the header's
+    ``tensors`` names follow; resealed."""
+    tensors = edit(body_tensors(checkpoint_bytes))
+    header, _ = _parts(checkpoint_bytes)
+    header["tensors"] = list(tensors)
+    return _sealed(header, b"".join(tensors.values()))
 
 
 def without(*keys):

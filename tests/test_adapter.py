@@ -11,7 +11,7 @@ from hralign.adapter import (
 )
 from hralign.encoder import Backbone, encode_batch
 from hralign.rng import RngState
-from hralign.task_query import QueryEmbedder
+from hralign.task_query import TEXT_DIM, QueryEmbedder
 from hralign.tensor import ShapeError, Tensor
 
 
@@ -154,7 +154,7 @@ def test_count_learnable_empty():
 def test_count_matches_size_sum_oracle():
     """The summed tensor sizes equal the closed forms from layer widths: an
     adapter block of C channels and bottleneck b has 2*C*b + C + b
-    parameters, the query projection text_dim*out_dim + out_dim."""
+    parameters, the query projection TEXT_DIM*C' + C' at feature width C'."""
     bb = frozen_backbone()
     embedder = QueryEmbedder.create(RngState(17), bb.out_channels)
     for positions in ("E", "M", "L", "EML"):
@@ -164,7 +164,8 @@ def test_count_matches_size_sum_oracle():
             2 * blk.channels * blk.bottleneck + blk.channels + blk.bottleneck
             for blk in stack.blocks.values()
         )
-        assert counts.projection == embedder.text_dim * embedder.out_dim + embedder.out_dim
+        width = bb.out_channels
+        assert counts.projection == TEXT_DIM * width + width
         assert counts.total == counts.adapter + counts.projection
 
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from helpers import fail_writes_partway, setting, small_checkpoint, with_header
+from hralign import cli
 from hralign.cli import _write_run_outputs, cli_main
 from hralign.dataset import load_manifest, split_pairs
 from hralign.evaluation import embed_clip, eval_downstream, eval_retrieval
@@ -155,11 +156,10 @@ def test_checkpoint_header_value_of_wrong_type_exits_two(tmp_path, capsys, check
     "edit, message",
     [
         (setting("backbone", "kernel", 5), "tensor 'backbone.block0.w' has shape"),
-        (setting("stack", "ratio", 0), "division"),
         (setting("config_hash", "0" * 64), "header key 'config_hash' disagrees"),
         (setting("config", "steps", 1.7), "config key 'steps'"),
     ],
-    ids=["kernel", "ratio_0", "config_hash", "config_steps"],
+    ids=["kernel", "config_hash", "config_steps"],
 )
 def test_checkpoint_header_disagreeing_with_its_model_exits_two(
     tmp_path, capsys, checkpoint_bytes, edit, message
@@ -580,10 +580,15 @@ def _out_argv(pipeline, command, out):
     "command", ["generate", "pretrain", "adapt", "baseline", "ablate", "eval", "dump"]
 )
 def test_output_path_that_cannot_be_written_exits_two_naming_it(
-    pipeline, tmp_path, capsys, command
+    pipeline, tmp_path, capsys, monkeypatch, command
 ):
     # an --out naming a file (for dump's CSV, a directory) once escaped as a
-    # FileExistsError or IsADirectoryError traceback
+    # FileExistsError or IsADirectoryError traceback, and pretrain, eval and
+    # dump once did all their work before they found it
+    ran = []
+    for name in ("pretext_pretrain", "eval_retrieval", "dump_embeddings"):
+        work = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _f=work, **k: ran.append(_f) or _f(*a, **k))
     if command == "dump":
         out = tmp_path / "a_directory"
         out.mkdir()
@@ -599,6 +604,55 @@ def test_output_path_that_cannot_be_written_exits_two_naming_it(
     else:
         assert out.read_text() == "kept\n"
     assert sorted(os.listdir(tmp_path)) == [out.name]
+    assert ran == []
+
+
+@pytest.mark.parametrize(
+    "command, method, via",
+    [
+        ("adapt", "cls_baseline", "set"),
+        ("adapt", "pret_baseline", "config"),
+        ("baseline", "hr_align", "set"),
+        ("baseline", "cls_baseline", "config"),
+        ("ablate", "pret_baseline", "set"),
+    ],
+)
+def test_method_other_than_the_subcommands_exits_two_naming_both(
+    pipeline, tmp_path, capsys, monkeypatch, command, method, via
+):
+    # `adapt --set method=cls_baseline` once trained hr_align, and `ablate`
+    # wrote the ignored method into resolved_config.txt
+    trained = []
+    for name in ("train", "run_ablation_grid"):
+        monkeypatch.setattr(cli, name, lambda *a, _n=name, **k: trained.append(_n))
+    out = tmp_path / "out"
+    argv = _out_argv(pipeline, command, str(out))
+    if via == "set":
+        argv += ["--set", f"method={method}"]
+    else:
+        config = tmp_path / "run.cfg"
+        config.write_text(f"method = {method}\n")
+        argv += ["--config", str(config)]
+    assert run(argv) == 2
+    ours = {"adapt": "hr_align", "baseline": "pret_baseline", "ablate": "hr_align"}[command]
+    err = capsys.readouterr().err
+    assert f"config sets method {method!r}, but {command} trains {ours!r}" in err
+    assert trained == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, method", [("adapt", "hr_align"), ("baseline", "pret_baseline")])
+def test_method_equal_to_the_subcommands_is_trained(pipeline, tmp_path, monkeypatch, command, method):
+    trained = []
+
+    def train(config, *args):
+        trained.append(config.method)
+        raise RuntimeError("stop before training")
+
+    monkeypatch.setattr(cli, "train", train)
+    argv = _out_argv(pipeline, command, str(tmp_path / "out")) + ["--set", f"method={method}"]
+    assert run(argv) == 2
+    assert trained == [method]
 
 
 @pytest.mark.parametrize(

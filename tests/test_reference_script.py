@@ -15,14 +15,19 @@ SMALL = ["--tasks", "2", "--pairs-per-task", "12", "--steps", "2"]
 SMALL += ["--pretext-epochs", "1", "--baseline-steps", "2"]
 
 
-def _run_reference(out: Path) -> dict:
+def _main(*argv: str) -> int:
+    """The script's exit code for the arguments ``argv``."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sys, "path", list(sys.path))  # the script prepends src/
-        mp.setattr(sys, "argv", [str(SCRIPT), "--out", str(out), *SMALL])
+        mp.setattr(sys, "argv", [str(SCRIPT), *argv])
         spec = importlib.util.spec_from_file_location("run_reference", SCRIPT)
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-        assert module.main() == 0
+        return module.main()
+
+
+def _run_reference(out: Path) -> dict:
+    assert _main("--out", str(out), *SMALL) == 0
     return json.loads((out / "summary.json").read_text())
 
 
@@ -49,3 +54,11 @@ def test_reference_adapted_summary_is_the_l_arm(reference_out):
         assert sorted(os.listdir(out / "ablation" / arm)) == ["metrics.csv", "model.ckpt"]
     assert (out / "embeddings.csv").exists()
 
+
+
+def test_unknown_flag_exits_one_writing_nothing(tmp_path, capsys):
+    # argparse's own exit 2 is the code `hralign` keeps for runtime errors
+    out = tmp_path / "reference"
+    assert _main("--out", str(out), "--skip-ablation") == 1
+    assert "unrecognized arguments: --skip-ablation" in capsys.readouterr().err
+    assert not out.exists()
