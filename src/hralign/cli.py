@@ -178,7 +178,7 @@ def cmd_eval(args) -> int:
     pairs = load_manifest(args.data)
     _, heldout = split_pairs(pairs)
     adapted = not args.frozen
-    retrieval = eval_retrieval(checkpoint, heldout, adapted=adapted, seed=args.seed)
+    retrieval = eval_retrieval(checkpoint, heldout, adapted=adapted)
     robot_clips = [p.robot for p in pairs]
     downstream = eval_downstream(checkpoint, robot_clips, adapted=adapted)
     if Path(args.checkpoint).read_bytes() != before:
@@ -191,7 +191,7 @@ def cmd_eval(args) -> int:
     _atomic_write(os.path.join(args.out, "report.txt"), text.encode("utf-8"))
     _write_run_outputs(
         args.out,
-        _flat_args_text(args, ["checkpoint", "data", "frozen", "seed"]),
+        _flat_args_text(args, ["checkpoint", "data", "frozen"]),
         ["report.json", "report.txt"],
     )
     print(text, end="")
@@ -207,14 +207,7 @@ def cmd_dump(args) -> int:
     descriptions = {p.pair_id: p.description.text for p in pairs}
     out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
     os.makedirs(out_dir, exist_ok=True)
-    dump_embeddings(
-        checkpoint,
-        clips,
-        args.out,
-        descriptions=descriptions,
-        adapted=not args.frozen,
-        seed=args.seed,
-    )
+    dump_embeddings(checkpoint, clips, args.out, descriptions=descriptions, adapted=not args.frozen)
     print(f"wrote {len(clips)} embeddings -> {args.out}")
     return 0
 
@@ -272,9 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--frozen", action="store_true", help="evaluate the unadapted model")
-    p.add_argument(
-        "--seed", type=int, default=311, help="picks the frames retrieval samples from each clip"
-    )
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("dump", help="write pooled clip embeddings as CSV")
@@ -282,7 +272,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--frozen", action="store_true")
-    p.add_argument("--seed", type=int, default=311)
     p.set_defaults(func=cmd_dump)
 
     return parser

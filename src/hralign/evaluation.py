@@ -7,12 +7,13 @@ downstream report freezes the encoder (adapters included) and trains small
 heads on robot features ``encode_pooled`` mean-pools per frame: a linear
 task probe, a two-layer regressor predicting the next latent effector
 position, and a tube-following success proxy over whole clips.
-``ModelCheckpoint.adapters`` picks the adapted or the frozen encoder.
+``ModelCheckpoint.adapters`` picks the adapted or the frozen encoder, and
+every clip is encoded ``EVAL_CHUNK`` clips per ``encode_pooled`` call.
 The ablation arms are declared once in ``ARMS``; ``run_arm`` trains one
-arm and scores it with both reports. Only retrieval's frame sample takes a
-seed (the CLI's ``--seed``); the downstream split, head sizes, step
-counts, step sizes, BC seed and tube radius are fixed in the code, as the
-docstrings of ``eval_downstream``, ``train_linear_probe`` and
+arm and scores it with both reports. Nothing here is a knob: retrieval's
+frame seed, the downstream split, head sizes, step counts, step sizes, BC
+seed and tube radius are fixed in the code, as the docstrings of
+``eval_retrieval``, ``eval_downstream``, ``train_linear_probe`` and
 ``train_bc_head`` state.
 """
 
@@ -96,29 +97,37 @@ class DownstreamReport:
 # ---------------------------------------------------------------------------
 # embedding extraction
 
+# Clips per ``encode_pooled`` call. Encoding costs ~1.5 MB of transient
+# memory per whole reference clip, so 4 (~5 MB) stays below one L training
+# step's ~12 MB peak and evaluation never sets a run's peak memory; 16 would
+# not (~17.5 MB), and is no faster.
+EVAL_CHUNK = 4
 
-def embed_clip(
-    checkpoint: ModelCheckpoint,
-    clip: VideoClip,
-    description: str,
-    adapted: bool,
-    seed: int = 311,
+
+def _clip_embeddings(
+    checkpoint: ModelCheckpoint, clips: list[VideoClip], texts: list[str], adapted: bool
 ) -> np.ndarray:
-    """One pooled embedding per clip.
-
-    The adapted path runs the adapter stack with the checkpoint's pooling
-    policy (task-aware when it was trained with language). The frozen path
-    is the unadapted model: frozen stream, uniform pooling.
-    """
-    # keyed by pair id only, so both clips of a pair sample the same frames
-    rng = RngState(seed).derive("eval-frames", clip.pair_id)
-    frames = sample_frames(clip, FRAMES_PER_CLIP, rng)
-    queries = None
-    if adapted and checkpoint.embedder is not None:
-        queries = embed_texts(checkpoint.embedder, [description]).detach()
+    """(len(clips), C) pooled embeddings, clip i described by ``texts[i]``:
+    frames from seed 311's ``eval-frames`` stream of the pair id (so both
+    clips of a pair sample the same), pooled by task query when adapted with
+    a query projection, else uniformly. Each query is projected alone: one
+    batched projection moves the embeddings' last bits."""
     adapters = checkpoint.adapters(adapted)
-    pooled = encode_pooled(checkpoint.backbone, frames, 1, adapters, queries)
-    return pooled.data[0].copy()
+    embedder = checkpoint.embedder if adapted else None
+    rows = [np.empty((0, checkpoint.backbone.out_channels))]
+    for start in range(0, len(clips), EVAL_CHUNK):
+        chunk = clips[start : start + EVAL_CHUNK]
+        frames = np.concatenate([
+            sample_frames(c, FRAMES_PER_CLIP, RngState(311).derive("eval-frames", c.pair_id))
+            for c in chunk
+        ])
+        queries = None
+        if embedder is not None:
+            queries = Tensor(np.concatenate(
+                [embed_texts(embedder, [text]).data for text in texts[start : start + EVAL_CHUNK]]
+            ))
+        rows.append(encode_pooled(checkpoint.backbone, frames, len(chunk), adapters, queries).data)
+    return np.concatenate(rows)
 
 
 def _retrieval_stats(scores: np.ndarray) -> tuple[float, float, float]:
@@ -139,18 +148,13 @@ def eval_retrieval(
     checkpoint: ModelCheckpoint,
     heldout_pairs: list[PairedDemo],
     adapted: bool = True,
-    seed: int = 311,
 ) -> RetrievalReport:
-    """Cross-domain pair retrieval by dot product over pooled embeddings."""
+    """Cross-domain pair retrieval by dot product over pooled embeddings (frames from seed 311)."""
     if len(heldout_pairs) < 2:
         raise ValueError(f"retrieval needs at least 2 pairs, got {len(heldout_pairs)}")
+    texts = [p.description.text for p in heldout_pairs]
     human, robot = (  # row i of each stream embeds pair i
-        np.stack(
-            [
-                embed_clip(checkpoint, getattr(p, side), p.description.text, adapted, seed)
-                for p in heldout_pairs
-            ]
-        )
+        _clip_embeddings(checkpoint, [getattr(p, side) for p in heldout_pairs], texts, adapted)
         for side in ("human", "robot")
     )
     scores_r2h = robot @ human.T
@@ -223,15 +227,6 @@ def train_bc_head(train_x: np.ndarray, train_y: np.ndarray, seed: int):
     return predict
 
 
-def _frame_features(
-    checkpoint: ModelCheckpoint, clip: VideoClip, adapted: bool
-) -> np.ndarray:
-    """(T_len, C) per-frame mean-pooled features of a whole clip."""
-    adapters = checkpoint.adapters(adapted)
-    pooled = encode_pooled(checkpoint.backbone, clip.frames, clip.length, adapters, normalize=False)
-    return pooled.data
-
-
 def eval_downstream(
     checkpoint: ModelCheckpoint,
     robot_clips: list[VideoClip],
@@ -242,8 +237,8 @@ def eval_downstream(
     ``split_pairs`` holds out ``HELDOUT_FRAC`` of the clips, the BC head
     is initialised from seed 412, and a held-out clip succeeds when every
     one-step prediction stays within 0.1 of the true path. No gradient
-    ever reaches the encoder or adapters here; features are extracted once
-    as plain arrays and only the small heads train.
+    ever reaches the encoder or adapters here; features are extracted once,
+    ``EVAL_CHUNK`` clips per call, as plain arrays and only the small heads train.
     """
     for clip in robot_clips:
         if clip.domain != "robot":
@@ -253,7 +248,12 @@ def eval_downstream(
         raise ValueError("downstream split too small")
     clips = train + held
     train_idx, held_idx = np.arange(len(train)), np.arange(len(train), len(clips))
-    feats = [_frame_features(checkpoint, clip, adapted) for clip in clips]
+    adapters, feats = checkpoint.adapters(adapted), []
+    for start in range(0, len(clips), EVAL_CHUNK):
+        chunk = clips[start : start + EVAL_CHUNK]
+        frames = np.concatenate([c.frames for c in chunk])
+        pooled = encode_pooled(checkpoint.backbone, frames, len(frames), adapters, normalize=False)
+        feats += np.split(pooled.data, np.cumsum([c.length for c in chunk])[:-1])
     classes = _class_index(c.task_id for c in clips)
 
     clip_feat = np.stack([f.mean(axis=0) for f in feats])
@@ -312,18 +312,16 @@ def dump_embeddings(
     path: str,
     descriptions: dict[int, str],
     adapted: bool = True,
-    seed: int = 311,
 ) -> str:
     """CSV of pooled embeddings: clip_id,task_id,domain,adapted,f0..f{C-1}."""
     width = checkpoint.backbone.out_channels
     header = ["clip_id", "task_id", "domain", "adapted"] + [f"f{i}" for i in range(width)]
-    rows = []
-    for clip in clips:
-        vec = embed_clip(checkpoint, clip, descriptions[clip.pair_id], adapted=adapted, seed=seed)
-        rows.append(
-            [f"{clip.pair_id}_{clip.domain}", clip.task_id, clip.domain, int(adapted)]
-            + [repr(float(v)) for v in vec]
-        )
+    texts = [descriptions[clip.pair_id] for clip in clips]
+    rows = [
+        [f"{clip.pair_id}_{clip.domain}", clip.task_id, clip.domain, int(adapted)]
+        + [repr(float(v)) for v in vec]
+        for clip, vec in zip(clips, _clip_embeddings(checkpoint, clips, texts, adapted))
+    ]
     _atomic_write_csv(path, header, rows)
     return path
 

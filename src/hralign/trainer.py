@@ -472,12 +472,15 @@ def _fit_checkpoint(
 
     Step s trains on ``batch_loss(batch) -> (loss, stats)`` and logs metrics
     row s + 1; a resumed run goes on from the checkpoint's step and Adam
-    state. Returns the checkpoint of ``backbone`` and ``parts`` at
+    state, which must hold both moments of every one of ``params``.
+    Returns the checkpoint of ``backbone`` and ``parts`` at
     ``config.steps``, the backbone frozen (a fine-tuned copy is frozen once
     trained).
     """
     if resume is not None:
         adam, start = resume.adam, resume.step
+        if bare := [name for name in params if name not in adam.m or name not in adam.v]:
+            raise ValueError(f"resume checkpoint holds no Adam moments of {bare[0]!r}")
     else:
         adam, start = AdamState.for_params(params, lr=config.learning_rate), 0
     n, seed, bsz = len(items), config.seed, config.batch_size
@@ -514,8 +517,10 @@ def train_hr_align(
     Per step: draw a batch of pairs, sample frames (one shared sample per
     robot clip feeds both robot streams), pool the three streams, take one
     Adam step on adapter + query-projection parameters. A ``resume``
-    checkpoint must hold ``backbone`` bitwise. Neither the caller's backbone
-    nor the checkpoint is touched.
+    checkpoint must hold ``backbone`` bitwise and everything a run goes on
+    from: the adapter stack, the RNG, Adam with both moments of every
+    trained parameter, and the query projection when ``use_language``.
+    Neither the caller's backbone nor the checkpoint is touched.
     """
     config = config.validate()
     if config.method != "hr_align":
@@ -537,6 +542,11 @@ def train_hr_align(
         )
         if moved := sorted(n for n in ours.keys() | theirs.keys() if ours.get(n) != theirs.get(n)):
             raise ValueError(f"resume backbone differs from the checkpoint's at tensor {moved[0]!r}")
+        parts = {"adapter stack": resume.stack, "training RNG": resume.rng, "Adam state": resume.adam}
+        if config.use_language:
+            parts["query projection use_language needs"] = resume.embedder
+        if absent := [part for part, value in parts.items() if value is None]:
+            raise ValueError(f"resume checkpoint holds no {absent[0]}")
         resume = copy.deepcopy(resume)
         stack, embedder, rng = resume.stack, resume.embedder, resume.rng
     else:
@@ -625,8 +635,7 @@ def train_baseline_cls(
         frames = np.concatenate([sample_frames(clip, FRAMES_PER_CLIP, rng) for clip in batch], axis=0)
         labels = np.array([classes[clip.task_id] for clip in batch])
         logits = _head_logits(head, backbone, frames, b)
-        e = np.exp(logits.data - logits.data.max(axis=1, keepdims=True))
-        probs = e / e.sum(axis=1, keepdims=True)
+        probs = T.softmax(logits.detach(), axis=1).data
         return T.cross_entropy(logits, labels), label_stats(probs, labels)
 
     return _fit_checkpoint(config, clips, params, batch_loss, backbone=backbone, head=head, rng=rng)

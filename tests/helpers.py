@@ -1,6 +1,7 @@
 """Shared test oracles: finite differences, a direct-exponential loss
-reference, small model and checkpoint builders, checkpoint header edits,
-and a task-compactness ratio for embedding clouds.
+reference, small model and checkpoint builders, per-clip evaluation
+encodes, checkpoint header edits, and a task-compactness ratio for
+embedding clouds.
 
 Everything here is deliberately independent of the library's analytic
 paths: gradients come from central differences on the forward value, and
@@ -18,10 +19,11 @@ import numpy as np
 
 from hralign import dataset
 from hralign.adapter import ADAPTER_RATIO, AdapterStack
-from hralign.encoder import Backbone
+from hralign.dataset import FRAMES_PER_CLIP, sample_frames
+from hralign.encoder import Backbone, encode_pooled
 from hralign.optim import AdamState
 from hralign.rng import RngState
-from hralign.task_query import QueryEmbedder
+from hralign.task_query import QueryEmbedder, embed_texts
 from hralign.tensor import from_bytes
 from hralign.trainer import LinearHead, ModelCheckpoint, TrainConfig
 
@@ -132,6 +134,25 @@ def small_checkpoint(
             checkpoint.adam.m[name] = rng.normal(p.shape)
             checkpoint.adam.v[name] = rng.uniform(p.shape)
     return checkpoint
+
+
+def clip_embedding(checkpoint: ModelCheckpoint, clip, text: str, adapted: bool) -> np.ndarray:
+    """One clip's retrieval embedding from its own ``encode_pooled`` call:
+    the per-clip oracle of evaluation's chunked encode. Frames come from
+    seed 311's ``eval-frames`` stream of the pair id; the adapted path pools
+    by ``text``'s task query when the checkpoint has a query projection."""
+    frames = sample_frames(clip, FRAMES_PER_CLIP, RngState(311).derive("eval-frames", clip.pair_id))
+    queries = None
+    if adapted and checkpoint.embedder is not None:
+        queries = embed_texts(checkpoint.embedder, [text]).detach()
+    return encode_pooled(checkpoint.backbone, frames, 1, checkpoint.adapters(adapted), queries).data[0]
+
+
+def frame_features(checkpoint: ModelCheckpoint, clip, adapted: bool) -> np.ndarray:
+    """(T_len, C) unnormalised per-frame features of a whole clip from its
+    own ``encode_pooled`` call: the per-clip oracle of ``eval_downstream``."""
+    adapters = checkpoint.adapters(adapted)
+    return encode_pooled(checkpoint.backbone, clip.frames, clip.length, adapters, normalize=False).data
 
 
 def learnable_parameters(checkpoint: ModelCheckpoint) -> dict:

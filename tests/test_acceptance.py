@@ -8,6 +8,7 @@ shared reference run comes from session fixtures in conftest.py
 import math
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -287,7 +288,7 @@ def test_criterion_9_determinism_and_persistence(
     path_a, path_b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
     ckpt_a.save(path_a)
     ckpt_b.save(path_b)
-    assert open(path_a, "rb").read() == open(path_b, "rb").read()
+    assert Path(path_a).read_bytes() == Path(path_b).read_bytes()
 
     part, _ = train_hr_align(TrainConfig(steps=7), train, reference_backbone)
     part_path = str(tmp_path / "part.ckpt")
@@ -297,7 +298,7 @@ def test_criterion_9_determinism_and_persistence(
     )
     resumed_path = str(tmp_path / "resumed.ckpt")
     resumed.save(resumed_path)
-    assert open(path_a, "rb").read() == open(resumed_path, "rb").read()
+    assert Path(path_a).read_bytes() == Path(resumed_path).read_bytes()
 
     pairs = generate_paired_set(RngState(7), 3, 4, 0.7)
     m1 = str(tmp_path / "ds1" / "manifest.json")
@@ -309,10 +310,10 @@ def test_criterion_9_determinism_and_persistence(
         assert np.array_equal(a.human.frames, b.human.frames)
         assert np.array_equal(a.robot.frames, b.robot.frames)
     save_manifest(loaded, m2)
-    assert open(m1, "rb").read() == open(m2, "rb").read()
+    assert Path(m1).read_bytes() == Path(m2).read_bytes()
     for entry in sorted(os.listdir(os.path.join(os.path.dirname(m1), "clips"))):
-        b1 = open(os.path.join(os.path.dirname(m1), "clips", entry), "rb").read()
-        b2 = open(os.path.join(os.path.dirname(m2), "clips", entry), "rb").read()
+        b1 = Path(os.path.dirname(m1), "clips", entry).read_bytes()
+        b2 = Path(os.path.dirname(m2), "clips", entry).read_bytes()
         assert b1 == b2
     print(
         "PASS criterion 9: metrics + checkpoints bitwise reproducible; resume == "

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -475,4 +476,4 @@ def test_manifest_save_is_deterministic(tmp_path):
     os.makedirs(tmp_path / "a"), os.makedirs(tmp_path / "b")
     save_manifest(pairs, p1)
     save_manifest(pairs, p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()

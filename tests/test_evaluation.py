@@ -1,17 +1,26 @@
 import csv
+import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import fail_writes_partway, mean_within_task_distance, task_compactness_ratio
+from helpers import (
+    clip_embedding,
+    fail_writes_partway,
+    frame_features,
+    mean_within_task_distance,
+    small_checkpoint,
+    task_compactness_ratio,
+)
 from hralign import evaluation
 from hralign.dataset import generate_paired_set, split_pairs
-from hralign.encoder import Backbone, pretext_pretrain
+from hralign.encoder import Backbone, encode_pooled, pretext_pretrain
 from hralign.evaluation import (
+    EVAL_CHUNK,
     RetrievalReport,
     dump_embeddings,
-    embed_clip,
     eval_downstream,
     eval_retrieval,
     train_linear_probe,
@@ -73,7 +82,7 @@ def test_all_zero_embeddings_rank_every_true_match_behind_its_ties(small_ckpt):
     last = backbone.blocks[-1].b
     last.data = np.full_like(last.data, -1000.0)
     checkpoint = ModelCheckpoint(config=TrainConfig(steps=0), backbone=backbone)
-    assert not embed_clip(checkpoint, heldout[0].robot, "", adapted=False).any()
+    assert not clip_embedding(checkpoint, heldout[0].robot, "", adapted=False).any()
     n = len(heldout)
     assert n > 5
     report = eval_retrieval(checkpoint, heldout, adapted=False)
@@ -90,18 +99,70 @@ def test_retrieval_rejects_a_nan_score():
         evaluation._retrieval_stats(scores)
 
 
-def test_identity_adapter_matches_frozen_embeddings(small_ckpt):
+def _dumped(checkpoint, pairs, adapted, path) -> np.ndarray:
+    """The f-columns ``dump_embeddings`` writes for the pairs' human then
+    robot clips; ``repr`` round-trips each float exactly."""
+    clips = [p.human for p in pairs] + [p.robot for p in pairs]
+    descriptions = {p.pair_id: p.description.text for p in pairs}
+    dump_embeddings(checkpoint, clips, str(path), descriptions, adapted=adapted)
+    with open(path, newline="") as fh:
+        return np.array([[float(v) for v in row[4:]] for row in list(csv.reader(fh))[1:]])
+
+
+def test_identity_adapter_matches_frozen_embeddings(small_ckpt, tmp_path):
     pairs, train, _, _ = small_ckpt
     backbone = Backbone.create(RngState(44)).freeze()
     config = TrainConfig(steps=0, batch_size=4, seed=44, use_language=False)
     fresh, _ = train_hr_align(config, train, backbone)
-    for pair in train[:4]:
-        for clip in (pair.human, pair.robot):
-            frozen = embed_clip(fresh, clip, pair.description.text, adapted=False)
-            assert np.isfinite(frozen).all()
-            # no query projection: uniform pooling, so only the identity adapters differ
-            adapted = embed_clip(fresh, clip, pair.description.text, adapted=True)
-            assert np.array_equal(adapted, frozen)
+    frozen = _dumped(fresh, train[:4], False, tmp_path / "frozen.csv")
+    assert frozen.shape == (8, backbone.out_channels) and np.isfinite(frozen).all()
+    # no query projection: uniform pooling, so only the identity adapters differ
+    assert np.array_equal(_dumped(fresh, train[:4], True, tmp_path / "adapted.csv"), frozen)
+
+
+@pytest.mark.parametrize("adapted", [True, False], ids=["adapted", "frozen"])
+@pytest.mark.parametrize("arm", list(evaluation.ARMS))
+def test_chunked_encode_equals_one_call_per_clip(small_pairs, tmp_path, monkeypatch, arm, adapted):
+    """Retrieval, the dump and downstream encode at most EVAL_CHUNK clips
+    per encode_pooled call, each clip once, bitwise equal to one call per
+    clip, for every arm and for clip counts that are not a multiple of the
+    chunk (7 pairs, 14 dumped clips, 18 robot clips)."""
+    spec = evaluation.ARMS[arm]
+    checkpoint = small_checkpoint(spec["adapter_positions"], spec["use_language"], seed=5)
+    pairs = small_pairs[:7]
+    calls = []
+
+    def spy(backbone, frames, clips, *args, **kwargs):
+        out = encode_pooled(backbone, frames, clips, *args, **kwargs)
+        calls.append((len(frames), clips, out.data))
+        return out
+
+    monkeypatch.setattr(evaluation, "encode_pooled", spy)
+    human, robot = (
+        np.stack([clip_embedding(checkpoint, getattr(p, side), p.description.text, adapted) for p in pairs])
+        for side in ("human", "robot")
+    )
+    dumped = _dumped(checkpoint, pairs, adapted, tmp_path / "emb.csv")
+    assert np.array_equal(dumped, np.concatenate([human, robot]))
+    assert [clips for _, clips, _ in calls] == [4, 4, 4, 2]
+
+    report = eval_retrieval(checkpoint, pairs, adapted=adapted)
+    scores = robot @ human.T
+    r2h, h2r = evaluation._retrieval_stats(scores), evaluation._retrieval_stats(scores.T)
+    assert (report.r2h_recall1, report.r2h_recall5, report.r2h_mrr) == r2h
+    assert (report.h2r_recall1, report.h2r_recall5, report.h2r_mrr) == h2r
+
+    # downstream: one per-frame call per chunk of whole clips, in split order
+    monkeypatch.setattr(evaluation, "train_linear_probe", lambda *a, **k: 0.0)
+    monkeypatch.setattr(evaluation, "train_bc_head", lambda x, y, seed: lambda f: np.zeros((len(f), 2)))
+    calls.clear()
+    robot_clips = [p.robot for p in small_pairs]
+    eval_downstream(checkpoint, robot_clips, adapted=adapted)
+    train, held = split_pairs(robot_clips)
+    expected = [frame_features(checkpoint, clip, adapted) for clip in train + held]
+    assert len(calls) == math.ceil(len(robot_clips) / EVAL_CHUNK) == 5
+    assert all(n_frames == clips for n_frames, clips, _ in calls)
+    assert np.array_equal(np.concatenate([out for _, _, out in calls]), np.concatenate(expected))
 
 
 def test_permutation_null_recall_near_chance():
@@ -152,22 +213,24 @@ def test_eval_downstream_holds_out_the_robot_clips_of_split_pairs(small_ckpt, mo
     """The probe scores exactly the robot clips of split_pairs' held-out
     pairs, whatever order the clips arrive in, and each clip is encoded once."""
     pairs, _, heldout, checkpoint = small_ckpt
-    probe, frame_features = evaluation.train_linear_probe, evaluation._frame_features
+    probe, encode = evaluation.train_linear_probe, evaluation.encode_pooled
     scored, encoded = {}, []
 
     def spy_probe(train_x, train_y, test_x, test_y, n_classes):
         scored["x"], scored["y"] = test_x, test_y
         return probe(train_x, train_y, test_x, test_y, n_classes)
 
-    def spy_features(ckpt, clip, adapted):
-        encoded.append(clip.pair_id)
-        return frame_features(ckpt, clip, adapted)
+    def spy_encode(backbone, frames, *args, **kwargs):
+        encoded.append(frames)
+        return encode(backbone, frames, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "train_linear_probe", spy_probe)
-    monkeypatch.setattr(evaluation, "_frame_features", spy_features)
+    monkeypatch.setattr(evaluation, "encode_pooled", spy_encode)
     robot = [p.robot for p in reversed(pairs)]
     report = eval_downstream(checkpoint, robot, adapted=True)
-    assert sorted(encoded) == sorted(p.pair_id for p in pairs)
+    train, held = split_pairs(robot)
+    assert np.array_equal(np.concatenate(encoded), np.concatenate([c.frames for c in train + held]))
+    assert sorted(c.pair_id for c in train + held) == sorted(p.pair_id for p in pairs)
     assert report.n_heldout_clips == len(heldout)
     expected = [frame_features(checkpoint, p.robot, True).mean(axis=0) for p in heldout]
     assert np.array_equal(scored["x"], np.stack(expected))
@@ -196,12 +259,12 @@ def test_eval_does_not_mutate_checkpoint_file(small_ckpt, tmp_path):
     pairs, _, heldout, checkpoint = small_ckpt
     path = str(tmp_path / "model.ckpt")
     checkpoint.save(path)
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
     reloaded = ModelCheckpoint.load(path)
     eval_retrieval(reloaded, heldout, adapted=True)
     eval_downstream(reloaded, [p.robot for p in pairs], adapted=True)
     reloaded.save(path)
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
 
 
 def test_dump_embeddings_schema(small_ckpt, tmp_path):
@@ -225,12 +288,12 @@ def test_dump_embeddings_failing_partway_keeps_previous_file(small_ckpt, tmp_pat
     path = str(tmp_path / "emb.csv")
     descriptions = {p.pair_id: p.description.text for p in pairs[:3]}
     dump_embeddings(checkpoint, [pairs[0].human], path, descriptions)
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
     fail_writes_partway(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         dump_embeddings(checkpoint, [p.robot for p in pairs[:3]], path, descriptions)
     monkeypatch.undo()
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
     assert os.listdir(tmp_path) == ["emb.csv"]
 
 
@@ -256,20 +319,14 @@ def test_task_compactness_ratio_ordering():
     assert task_compactness_ratio(tight, tasks) < task_compactness_ratio(loose, tasks)
 
 
-def test_reference_adapted_features_cluster_by_task(reference_run, reference_split):
+def test_reference_adapted_features_cluster_by_task(reference_run, reference_split, tmp_path):
     """The adapted embedding cloud groups by task much more tightly than
     the frozen one (the embedding-dump compactness check)."""
-    from hralign.evaluation import embed_clip
-
     checkpoint, _, _ = reference_run
     _, heldout = reference_split
-    clips = [p.robot for p in heldout]
-    descs = {p.pair_id: p.description.text for p in heldout}
-    adapted = np.stack(
-        [embed_clip(checkpoint, c, descs[c.pair_id], adapted=True) for c in clips]
+    n = len(heldout)
+    adapted, frozen = (  # the robot rows follow the human ones
+        _dumped(checkpoint, heldout, flag, tmp_path / f"{flag}.csv")[n:] for flag in (True, False)
     )
-    frozen = np.stack(
-        [embed_clip(checkpoint, c, descs[c.pair_id], adapted=False) for c in clips]
-    )
-    tids = np.array([c.task_id for c in clips])
+    tids = np.array([p.task_id for p in heldout])
     assert task_compactness_ratio(adapted, tids) <= task_compactness_ratio(frozen, tids)

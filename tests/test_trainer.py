@@ -230,7 +230,7 @@ def test_determinism_same_config_same_metrics(small_setup, tmp_path):
     p1, p2 = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")
     c1.save(p1)
     c2.save(p2)
-    assert open(p1, "rb").read() == open(p2, "rb").read()
+    assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
 
 def test_resume_equals_uninterrupted(small_setup, tmp_path):
@@ -247,7 +247,7 @@ def test_resume_equals_uninterrupted(small_setup, tmp_path):
     full_path, resumed_path = str(tmp_path / "full.ckpt"), str(tmp_path / "resumed.ckpt")
     full.save(full_path)
     resumed.save(resumed_path)
-    assert open(full_path, "rb").read() == open(resumed_path, "rb").read()
+    assert Path(full_path).read_bytes() == Path(resumed_path).read_bytes()
 
 
 def test_resume_leaves_the_callers_checkpoint_untouched(small_setup, tmp_path):
@@ -288,6 +288,54 @@ def test_resume_over_a_different_backbone_rejected(small_setup):
     assert resumed.step == 4  # the same weights resume, frozen or not
 
 
+def _no_training(*args, **kwargs):
+    raise AssertionError("training started")
+
+
+@pytest.mark.parametrize(
+    "field, part",
+    [
+        ("stack", "adapter stack"),
+        ("rng", "training RNG"),
+        ("adam", "Adam state"),
+        ("embedder", "query projection use_language needs"),
+    ],
+    ids=["stack", "rng", "adam", "embedder"],
+)
+def test_resume_missing_a_part_is_refused_before_training(small_pairs, monkeypatch, field, part):
+    # a pretrain output resumed by `adapt --resume` once died with an
+    # AttributeError on its missing adapter stack
+    checkpoint = dataclasses.replace(small_checkpoint("L", adam=True), **{field: None})
+    monkeypatch.setattr(trainer, "fit", _no_training)
+    with pytest.raises(ValueError, match=f"^resume checkpoint holds no {part}$"):
+        train_hr_align(checkpoint.config, small_pairs, checkpoint.backbone, resume=checkpoint)
+
+
+@pytest.mark.parametrize(
+    "dropped, first",
+    [
+        (lambda name: name.startswith("adam."), "adapter.j3.down_w"),
+        (lambda name: name in ("adam.m.query.proj_b", "adam.v.query.proj_b"), "query.proj_b"),
+    ],
+    ids=["every-moment", "one-pair"],
+)
+def test_resume_without_adam_moments_is_refused_before_training(
+    small_pairs, tmp_path, monkeypatch, dropped, first
+):
+    # such a resealed file loads (its header still says adam), and resuming
+    # from it once died with a bare KeyError inside adam_step
+    path = tmp_path / "model.ckpt"
+    small_checkpoint("L", adam=True).save(str(path))
+    path.write_bytes(
+        with_tensors(path.read_bytes(), lambda tensors: {n: b for n, b in tensors.items() if not dropped(n)})
+    )
+    loaded = ModelCheckpoint.load(str(path))
+    assert loaded.adam is not None and first not in loaded.adam.m
+    monkeypatch.setattr(trainer, "fit", _no_training)
+    with pytest.raises(ValueError, match=f"^resume checkpoint holds no Adam moments of '{first}'$"):
+        train_hr_align(loaded.config, small_pairs, loaded.backbone, resume=loaded)
+
+
 def test_epoch_order_is_shared_read_only():
     order = _epoch_order(31, 2, 18)
     assert order is _epoch_order(31, 2, 18)
@@ -302,12 +350,12 @@ def test_checkpoint_save_failing_partway_keeps_previous_file(small_setup, tmp_pa
     second, _ = train_hr_align(small_config(steps=4), train, backbone)
     path = str(tmp_path / "model.ckpt")
     first.save(path)
-    before = open(path, "rb").read()
+    before = Path(path).read_bytes()
     fail_writes_partway(monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         second.save(path)
     monkeypatch.undo()
-    assert open(path, "rb").read() == before
+    assert Path(path).read_bytes() == before
     assert ModelCheckpoint.load(path).step == 2
     assert os.listdir(tmp_path) == ["model.ckpt"]
 
@@ -320,7 +368,7 @@ def test_metrics_save_failing_partway_keeps_previous_file(tmp_path, monkeypatch)
     with pytest.raises(OSError, match="disk full"):
         MetricsLog(first.rows + [MetricsRow(2, 2.4, 0.1, 0.2, 3.0)]).save(path)
     monkeypatch.undo()
-    assert open(path, encoding="utf-8").read() == first.to_csv_text()
+    assert Path(path).read_text(encoding="utf-8") == first.to_csv_text()
     assert os.listdir(tmp_path) == ["metrics.csv"]
 
 
@@ -328,7 +376,7 @@ def test_metrics_save_failing_partway_keeps_previous_file(tmp_path, monkeypatch)
 def checkpoint_bytes(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("ckpt") / "model.ckpt")
     small_checkpoint("L", language=True, head=True, adam=True, seed=3).save(path)
-    return open(path, "rb").read()
+    return Path(path).read_bytes()
 
 
 @pytest.mark.parametrize(
