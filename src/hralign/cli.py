@@ -198,9 +198,20 @@ def cmd_eval(args) -> int:
     return 0
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: ``samefile`` when both exist, else
+    the same resolved path."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
 def cmd_dump(args) -> int:
     if os.path.isdir(args.out):
         raise ValueError(f"cannot write output: {args.out} is a directory")
+    for flag, path in (("--checkpoint", args.checkpoint), ("--data", args.data)):
+        if _same_file(args.out, path):
+            raise ValueError(f"cannot write output: {args.out} is the {flag} input")
     checkpoint = ModelCheckpoint.load(args.checkpoint)
     pairs = load_manifest(args.data)
     clips = [p.human for p in pairs] + [p.robot for p in pairs]

@@ -14,7 +14,15 @@ arm and scores it with both reports. Nothing here is a knob: retrieval's
 frame seed, the downstream split, head sizes, step counts, step sizes, BC
 seed and tube radius are fixed in the code, as the docstrings of
 ``eval_retrieval``, ``eval_downstream``, ``train_linear_probe`` and
-``train_bc_head`` state.
+``train_bc_head`` state. Each report's tag says what its encode used:
+``adapted`` only when adapter blocks or a query projection took part.
+
+The behavior-cloning head trains through ``tensor.mlp_mse``, one graph node
+for its whole loss, since the 400 steps of a ten-node graph were most of
+an evaluation's time. That op runs the composite graph's numpy operations
+in the same order, so the trained head and every reported number are
+bitwise unchanged; ``tests/helpers.composite_bc_head`` keeps the composite
+as the oracle.
 """
 
 from __future__ import annotations
@@ -130,6 +138,12 @@ def _clip_embeddings(
     return np.concatenate(rows)
 
 
+def _tag(adapters: dict, embedder=None) -> str:
+    """A report's tag: ``adapted`` when adapter blocks or a query projection
+    took part in its encode, else ``frozen``, whatever was asked for."""
+    return "adapted" if adapters or embedder is not None else "frozen"
+
+
 def _retrieval_stats(scores: np.ndarray) -> tuple[float, float, float]:
     """recall@1, recall@5, MRR when the true match of row i is column i,
     ranked 1 + the number of other candidates scoring at least as high."""
@@ -161,7 +175,7 @@ def eval_retrieval(
     r2h = _retrieval_stats(scores_r2h)
     h2r = _retrieval_stats(scores_r2h.T)
     return RetrievalReport(
-        tag="adapted" if adapted else "frozen",
+        tag=_tag(checkpoint.adapters(adapted), checkpoint.embedder if adapted else None),
         r2h_recall1=r2h[0],
         r2h_recall5=r2h[1],
         h2r_recall1=h2r[0],
@@ -202,7 +216,8 @@ def train_linear_probe(
 
 def train_bc_head(train_x: np.ndarray, train_y: np.ndarray, seed: int):
     """Two-layer regression head (32 hidden units, 400 full-batch Adam
-    steps at lr 1e-2); returns a predict(features) closure."""
+    steps at lr 1e-2 on the fused ``mlp_mse`` loss); returns a
+    predict(features) closure."""
     rng = RngState(seed)
     d, hidden, out = train_x.shape[1], 32, train_y.shape[1]
     w1 = Tensor(rng.normal((d, hidden)) * np.sqrt(2.0 / d), requires_grad=True)
@@ -210,15 +225,13 @@ def train_bc_head(train_x: np.ndarray, train_y: np.ndarray, seed: int):
     w2 = Tensor(rng.normal((hidden, out)) * np.sqrt(1.0 / hidden), requires_grad=True)
     b2 = Tensor(np.zeros(out), requires_grad=True)
     params = {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
-    x_t = Tensor(train_x)
-    y_t = Tensor(train_y)
-
-    def mse(_):
-        h = T.relu(T.add(T.matmul(x_t, w1), b1))
-        err = T.add(T.add(T.matmul(h, w2), b2), T.neg(y_t))
-        return T.tmean(T.mul(err, err)), {}
-
-    fit(params, AdamState.for_params(params, lr=1e-2), 400, mse)
+    x_t, y_t = Tensor(train_x), Tensor(train_y)
+    fit(
+        params,
+        AdamState.for_params(params, lr=1e-2),
+        400,
+        lambda _: (T.mlp_mse(x_t, w1, b1, w2, b2, y_t), {}),
+    )
 
     def predict(x: np.ndarray) -> np.ndarray:
         hidden_act = np.maximum(x @ w1.data + b1.data, 0.0)
@@ -247,6 +260,12 @@ def eval_downstream(
     if not train or not held:
         raise ValueError("downstream split too small")
     clips = train + held
+    for clip in clips:
+        if clip.positions is None:
+            raise ValueError(
+                f"clip pair {clip.pair_id} carries no latent trajectory; "
+                "behavior cloning needs generated or latent-annotated data"
+            )
     train_idx, held_idx = np.arange(len(train)), np.arange(len(train), len(clips))
     adapters, feats = checkpoint.adapters(adapted), []
     for start in range(0, len(clips), EVAL_CHUNK):
@@ -267,17 +286,8 @@ def eval_downstream(
     )
 
     def bc_samples(indices):
-        xs, ys = [], []
-        for i in indices:
-            clip = clips[i]
-            if clip.positions is None:
-                raise ValueError(
-                    f"clip pair {clip.pair_id} carries no latent trajectory; "
-                    "behavior cloning needs generated or latent-annotated data"
-                )
-            xs.append(feats[i][:-1])
-            ys.append(clip.positions[1:])
-        return np.concatenate(xs), np.concatenate(ys)
+        xs = np.concatenate([feats[i][:-1] for i in indices])
+        return xs, np.concatenate([clips[i].positions[1:] for i in indices])
 
     train_x, train_y = bc_samples(train_idx)
     held_x, held_y = bc_samples(held_idx)
@@ -293,7 +303,7 @@ def eval_downstream(
         if err.max() <= 0.1:
             successes += 1
     return DownstreamReport(
-        tag="adapted" if adapted else "frozen",
+        tag=_tag(adapters),
         probe_accuracy=probe_acc,
         bc_mse=bc_mse,
         success_rate=successes / len(held_idx),

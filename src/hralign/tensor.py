@@ -54,6 +54,20 @@ only takes its diagonal with ``take``: its positive logit feeds two
 InfoNCE terms, and two cross_entropy calls would sum the three gradient
 terms on the diagonal in another order, moving the last bits of every
 trained adapter.
+
+:func:`mlp_mse` is the behavior-cloning head's loss, a two-layer ReLU
+regressor's mean squared error, fused into one node: the ten nodes of
+the composite graph, their temporaries and their gradient copies reduce to
+the passes the math needs. Its value and gradients are bitwise the
+composite's, because it runs the same numpy operations in the same order:
+``err -= y`` stands for ``+ neg(y)``; the squared error's gradient is
+``err * (g * (1/n))``, scaled as ``tmean`` scales, and is then doubled in
+place, as ``mul(err, err)`` accumulates it twice; and the masked hidden
+gradient keeps the ``+ 0.0`` that ``_accumulate`` adds, so it equals the
+composite's down to the sign of a dead unit's zeros. The other copies it
+skips are exact, and the signed zeros they would have turned to +0.0 only
+reach sums and products whose zero results each parameter's own
+``_accumulate`` turns to +0.0.
 """
 
 from __future__ import annotations
@@ -344,6 +358,42 @@ def cross_entropy(logits: Tensor, labels) -> Tensor:
     labels = np.asarray(labels)
     picked = take(logits, (np.arange(len(labels)), labels))
     return tmean(add(logsumexp(logits, axis=1), neg(picked)))
+
+
+def mlp_mse(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, y: Tensor) -> Tensor:
+    """``mean((relu(x @ w1 + b1) @ w2 + b2 - y) ** 2)`` as one graph node,
+    bitwise the composite graph's value and gradients (the module docstring
+    says why). ``x`` and ``y`` are data and may not require grad."""
+    if x.requires_grad or y.requires_grad:
+        raise ValueError("mlp_mse: x and y are data and may not require grad")
+    if x.ndim != 2 or b1.ndim != 1 or b2.ndim != 1 or (w1.shape, w2.shape, y.shape) != (
+        (x.shape[1], b1.size), (b1.size, b2.size), (x.shape[0], b2.size)
+    ):
+        raise ShapeError(
+            f"mlp_mse: x {x.shape}, w1 {w1.shape}, b1 {b1.shape}, w2 {w2.shape}, "
+            f"b2 {b2.shape} and y {y.shape} do not chain"
+        )
+    pre = x.data @ w1.data
+    pre += b1.data
+    hidden = np.fmax(pre, 0.0)
+    hidden += 0.0  # relu, bitwise
+    err = hidden @ w2.data
+    err += b2.data
+    err -= y.data  # + neg(y)
+    scale = 1.0 / err.size
+    data = (err * err).sum() * scale
+
+    def bwd(g):
+        g_err = err * (g * scale)
+        g_err += g_err  # mul(err, err) accumulates g * err twice
+        _accumulate(b2, g_err.sum(axis=0))
+        _accumulate(w2, hidden.T @ g_err)
+        g_pre = (g_err @ w2.data.T) * (pre > 0.0)
+        g_pre += 0.0  # as _accumulate: a dead unit's -0.0 becomes +0.0
+        _accumulate(b1, g_pre.sum(axis=0))
+        _accumulate(w1, x.data.T @ g_pre)
+
+    return _from_op(data, (w1, b1, w2, b2), bwd)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:

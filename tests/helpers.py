@@ -1,7 +1,7 @@
 """Shared test oracles: finite differences, a direct-exponential loss
-reference, small model and checkpoint builders, per-clip evaluation
-encodes, checkpoint header edits, and a task-compactness ratio for
-embedding clouds.
+reference, the composite-graph behavior-cloning head, small model and
+checkpoint builders, per-clip evaluation encodes, checkpoint header
+edits, and a task-compactness ratio for embedding clouds.
 
 Everything here is deliberately independent of the library's analytic
 paths: gradients come from central differences on the forward value, and
@@ -18,13 +18,14 @@ import math
 import numpy as np
 
 from hralign import dataset
+from hralign import tensor as T
 from hralign.adapter import ADAPTER_RATIO, AdapterStack
 from hralign.dataset import FRAMES_PER_CLIP, sample_frames
 from hralign.encoder import Backbone, encode_pooled
-from hralign.optim import AdamState
+from hralign.optim import AdamState, fit
 from hralign.rng import RngState
 from hralign.task_query import QueryEmbedder, embed_texts
-from hralign.tensor import from_bytes
+from hralign.tensor import Tensor, from_bytes
 from hralign.trainer import LinearHead, ModelCheckpoint, TrainConfig
 
 
@@ -90,6 +91,31 @@ def naive_hr_align_loss(
         )
         total += -math.log(num / den1) - math.log(num / den2)
     return total / (2.0 * m)
+
+
+def composite_bc_head(train_x: np.ndarray, train_y: np.ndarray, seed: int):
+    """The behavior-cloning head trained through the composite graph of
+    primitive ops (matmul, add, relu, neg, mul, tmean), with the
+    initialisation, steps and step size of ``evaluation.train_bc_head``:
+    the oracle of its fused ``mlp_mse`` loss. Returns (per-step losses,
+    trained arrays by name)."""
+    rng = RngState(seed)
+    d, hidden, out = train_x.shape[1], 32, train_y.shape[1]
+    w1 = Tensor(rng.normal((d, hidden)) * np.sqrt(2.0 / d), requires_grad=True)
+    b1 = Tensor(np.zeros(hidden), requires_grad=True)
+    w2 = Tensor(rng.normal((hidden, out)) * np.sqrt(1.0 / hidden), requires_grad=True)
+    b2 = Tensor(np.zeros(out), requires_grad=True)
+    params = {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
+    x_t = Tensor(train_x)
+    y_t = Tensor(train_y)
+
+    def mse(_):
+        h = T.relu(T.add(T.matmul(x_t, w1), b1))
+        err = T.add(T.add(T.matmul(h, w2), b2), T.neg(y_t))
+        return T.tmean(T.mul(err, err)), {}
+
+    rows = fit(params, AdamState.for_params(params, lr=1e-2), 400, mse)
+    return [loss for loss, _, _ in rows], {name: p.data for name, p in params.items()}
 
 
 def micro_backbone(seed: int = 3, channels=(3, 4, 4, 4)) -> Backbone:

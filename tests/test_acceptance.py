@@ -71,6 +71,15 @@ def test_criterion_1_gradient_audit():
         conv_w_probe = Tensor(rng.normal((1, 2, 2, 2)))
         relu_in = rng.normal((3, 4))
         relu_in += np.sign(relu_in) * 0.2
+        mlp_rng = rng.derive("mlp_mse")  # its own stream: the draws above stay put
+        mlp_x, mlp_y = Tensor(mlp_rng.normal((5, 3))), Tensor(mlp_rng.normal((5, 2)))
+        mlp = {k: mlp_rng.normal(shape) for k, shape in (("w1", (3, 4)), ("b1", 4), ("w2", (4, 2)), ("b2", 2))}
+
+        def mlp_mse_of(name):
+            return lambda p: T.mlp_mse(
+                mlp_x, **{k: p if k == name else Tensor(v) for k, v in mlp.items()}, y=mlp_y
+            )
+
         yield "add", lambda x: T.tsum(T.mul(T.add(x, other), other)), rng.normal((3, 4))
         yield "mul", lambda x: T.tsum(T.mul(x, other)), rng.normal((3, 4))
         yield "relu", lambda x: T.tsum(T.mul(T.relu(x), other)), relu_in
@@ -90,6 +99,8 @@ def test_criterion_1_gradient_audit():
         yield "hr_align_loss", lambda a: hr_align_loss(
             AlignmentBatchFeatures(Tensor(human), Tensor(frozen), a)
         ), _unit_rows(rng, 3, 4)
+        for name, x0 in mlp.items():
+            yield f"mlp_mse_{name}", mlp_mse_of(name), x0
 
     checked = 0
     for seed in range(AUDIT_SEEDS):

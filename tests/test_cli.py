@@ -349,6 +349,46 @@ def test_cli_eval_frozen_mode(pipeline, tmp_path):
     assert report["retrieval"]["tag"] == "frozen"
 
 
+def test_cli_eval_tags_a_backbone_only_checkpoint_frozen(pipeline, tmp_path):
+    """A pretrain ``backbone.ckpt`` holds no adapters or query projection,
+    so its eval is the frozen one and says so, with or without --frozen."""
+    _, manifest, backbone, _ = pipeline
+    reports = []
+    for extra in ([], ["--frozen"]):
+        out = tmp_path / f"eval{len(extra)}"
+        argv = ["eval", "--checkpoint", backbone, "--data", manifest, "--out", str(out)]
+        assert run(argv + extra) == 0
+        reports.append(json.loads((out / "report.json").read_text()))
+        assert "retrieval [frozen]" in (out / "report.txt").read_text()
+    assert reports[0]["retrieval"]["tag"] == reports[0]["downstream"]["tag"] == "frozen"
+    assert reports[0] == reports[1]
+
+
+@pytest.mark.parametrize("flag", ["--data", "--checkpoint"])
+def test_cli_dump_refuses_an_out_that_is_its_input(pipeline, tmp_path, capsys, monkeypatch, flag):
+    """An --out naming the manifest or the checkpoint, here by another
+    spelling of its path, once replaced that input with the CSV; dump now
+    exits 2 before it loads anything."""
+    _, manifest, _, model = pipeline
+    shutil.copytree(os.path.dirname(manifest), tmp_path / "data")
+    shutil.copy(model, tmp_path / "model.ckpt")
+    inputs = {"--data": "data/manifest.json", "--checkpoint": "model.ckpt"}
+    before = {name: (tmp_path / name).read_bytes() for name in inputs.values()}
+    out = str(tmp_path / "data" / ".." / inputs[flag])
+    loads = []
+    load_manifest, load_checkpoint = cli.load_manifest, ModelCheckpoint.load
+    monkeypatch.setattr(cli, "load_manifest", lambda path: loads.append(path) or load_manifest(path))
+    monkeypatch.setattr(
+        ModelCheckpoint, "load", classmethod(lambda _, path: loads.append(path) or load_checkpoint(path))
+    )
+    argv = ["dump", "--out", out] + [arg for f, name in inputs.items() for arg in (f, str(tmp_path / name))]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output:") and out in err and flag in err
+    assert loads == []
+    assert {name: (tmp_path / name).read_bytes() for name in inputs.values()} == before
+
+
 def test_cli_eval_leaves_no_checkpoint_handle_open(pipeline, tmp_path):
     root, manifest, backbone, model = pipeline
     eval_dir = str(tmp_path / "eval")

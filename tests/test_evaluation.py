@@ -8,6 +8,7 @@ import pytest
 
 from helpers import (
     clip_embedding,
+    composite_bc_head,
     fail_writes_partway,
     frame_features,
     mean_within_task_distance,
@@ -25,6 +26,7 @@ from hralign.evaluation import (
     eval_retrieval,
     train_linear_probe,
 )
+from hralign.optim import fit
 from hralign.rng import RngState
 from hralign.tensor import NumericError
 from hralign.trainer import ModelCheckpoint, TrainConfig, train_hr_align
@@ -165,6 +167,25 @@ def test_chunked_encode_equals_one_call_per_clip(small_pairs, tmp_path, monkeypa
     assert np.array_equal(np.concatenate([out for _, _, out in calls]), np.concatenate(expected))
 
 
+@pytest.mark.parametrize(
+    "positions, language, tags",
+    [
+        ("L", False, ("adapted", "adapted")),
+        ("none", True, ("adapted", "frozen")),
+        ("none", False, ("frozen", "frozen")),
+    ],
+)
+def test_reports_tag_what_took_part_in_the_encode(small_pairs, positions, language, tags):
+    """Retrieval is adapted when adapter blocks or the query projection
+    encode; downstream never pools by query, so only adapter blocks count."""
+    checkpoint = small_checkpoint(positions, language, seed=5)
+    pairs = small_pairs[:4]
+    robot = [p.robot for p in pairs]
+    for adapted, want in ((True, tags), (False, ("frozen", "frozen"))):
+        retrieval = eval_retrieval(checkpoint, pairs, adapted)
+        assert (retrieval.tag, eval_downstream(checkpoint, robot, adapted).tag) == want
+
+
 def test_permutation_null_recall_near_chance():
     """Signal-free features: recall@1 must sit at the 1/N level."""
     from hralign.evaluation import _retrieval_stats
@@ -253,6 +274,73 @@ def test_eval_downstream_requires_latents(small_ckpt):
         stripped.append(dataclasses.replace(clip, positions=None, gripper=None))
     with pytest.raises(ValueError, match="latent"):
         eval_downstream(checkpoint, stripped)
+
+
+def test_eval_downstream_checks_every_latent_before_encoding(small_ckpt, monkeypatch):
+    """A manifest may leave out latents; downstream finds the clip that
+    does (here the last held-out one) before it encodes anything."""
+    import dataclasses
+
+    pairs, _, _, checkpoint = small_ckpt
+    robot = [p.robot for p in pairs]
+    last = split_pairs(robot)[1][-1]
+    robot = [dataclasses.replace(c, positions=None) if c is last else c for c in robot]
+    calls = []
+    monkeypatch.setattr(evaluation, "encode_pooled", lambda *a, **k: calls.append(a))
+    with pytest.raises(ValueError, match=f"clip pair {last.pair_id} carries no latent trajectory"):
+        eval_downstream(checkpoint, robot)
+    assert calls == []
+
+
+def _fused_bc_head(monkeypatch, train_x, train_y, seed):
+    """``train_bc_head``'s per-step losses and trained arrays, read off
+    its one ``fit`` call."""
+    seen = {}
+
+    def spy(params, adam, steps, step_fn):
+        seen["params"] = params
+        seen["rows"] = fit(params, adam, steps, step_fn)
+        return seen["rows"]
+
+    monkeypatch.setattr(evaluation, "fit", spy)
+    evaluation.train_bc_head(train_x, train_y, seed)
+    return [loss for loss, _, _ in seen["rows"]], {n: p.data for n, p in seen["params"].items()}
+
+
+def _assert_bitwise(fused, oracle):
+    assert fused[0] == oracle[0]
+    for name, want in oracle[1].items():
+        got = fused[1][name]
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), name
+
+
+@pytest.mark.parametrize("seed", [412, 0, 1, 2])
+def test_bc_head_is_bitwise_the_composite_graph_at_the_reference_shape(monkeypatch, seed):
+    """The fused mlp_mse head trains to the composite graph's weights and
+    losses, bit for bit, on the reference run's 2,928 x 32 -> 2 samples."""
+    rng = RngState(900 + seed)
+    x = rng.normal((2928, 32))
+    y = np.tanh(x[:, :2] + 0.5 * x[:, 2:4]) * 0.4 + 0.5 + 0.01 * rng.normal((2928, 2))
+    _assert_bitwise(_fused_bc_head(monkeypatch, x, y, seed), composite_bc_head(x, y, seed))
+
+
+@pytest.mark.parametrize("seed", [412, 0, 1, 2])
+def test_bc_head_is_bitwise_the_composite_graph_with_dead_units(monkeypatch, seed):
+    """Rank-one inputs leave hidden units that no sample activates from the
+    first step on; their gradients are signed zeros, which the composite
+    graph turns to +0.0, so those units keep their initial weights and a
+    +0.0 bias."""
+    rng = RngState(950 + seed)
+    x = np.outer(rng.uniform(200, 0.5, 2.0), rng.normal(8))
+    y = rng.uniform((200, 2))
+    fused = _fused_bc_head(monkeypatch, x, y, seed)
+    _assert_bitwise(fused, composite_bc_head(x, y, seed))
+    w1_init = RngState(seed).normal((8, 32)) * np.sqrt(2.0 / 8)  # train_bc_head's first draw
+    dead = (x @ w1_init <= 0.0).all(axis=0)
+    assert 0 < dead.sum() < 32
+    w1, b1 = fused[1]["w1"], fused[1]["b1"]
+    assert np.array_equal(w1[:, dead], w1_init[:, dead])
+    assert (b1[dead] == 0.0).all() and not np.signbit(b1[dead]).any()
 
 
 def test_eval_does_not_mutate_checkpoint_file(small_ckpt, tmp_path):

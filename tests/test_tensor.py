@@ -362,6 +362,41 @@ def test_cross_entropy_bitwise_equals_onehot_formula(case):
     assert _same_bits(new.grad, old.grad)
 
 
+@pytest.mark.parametrize("upstream", [1.0, 3.7])
+def test_mlp_mse_bitwise_equals_the_composite_graph(upstream):
+    """Value and every parameter gradient keep their bits, for the unit
+    gradient a loss is seeded with and for a scaled one."""
+    rng = RngState(54)
+    x, y = Tensor(rng.normal((40, 6))), Tensor(rng.uniform((40, 2)))
+    shapes = {"w1": (6, 5), "b1": (5,), "w2": (5, 2), "b2": (2,)}
+    values = {name: rng.normal(shape) for name, shape in shapes.items()}
+    fused = {name: Tensor(v, requires_grad=True) for name, v in values.items()}
+    comp = {name: Tensor(v.copy(), requires_grad=True) for name, v in values.items()}
+    loss = T.mlp_mse(x, fused["w1"], fused["b1"], fused["w2"], fused["b2"], y)
+    h = T.relu(T.add(T.matmul(x, comp["w1"]), comp["b1"]))
+    err = T.add(T.add(T.matmul(h, comp["w2"]), comp["b2"]), T.neg(y))
+    ref = T.tmean(T.mul(err, err))
+    T.mul(loss, Tensor(upstream)).backward()
+    T.mul(ref, Tensor(upstream)).backward()
+    assert _same_bits(loss.data, ref.data)
+    for name in shapes:
+        assert _same_bits(fused[name].grad, comp[name].grad), name
+
+
+def test_mlp_mse_rejects_trainable_data_and_shapes_that_do_not_chain():
+    w1, b1, w2, b2 = (Tensor(np.zeros(s), requires_grad=True) for s in ((3, 4), 4, (4, 2), 2))
+    x, y = Tensor(np.zeros((5, 3))), Tensor(np.zeros((5, 2)))
+    with pytest.raises(ValueError, match="data"):
+        T.mlp_mse(Tensor(x.data, requires_grad=True), w1, b1, w2, b2, y)
+    with pytest.raises(ValueError, match="data"):
+        T.mlp_mse(x, w1, b1, w2, b2, Tensor(y.data, requires_grad=True))
+    for bad_x, bad_y in (
+        (Tensor(np.zeros((5, 4))), y), (x, Tensor(np.zeros((5, 1)))), (x, Tensor(np.zeros(5)))
+    ):
+        with pytest.raises(ShapeError, match="do not chain"):
+            T.mlp_mse(bad_x, w1, b1, w2, b2, bad_y)
+
+
 def test_take_diagonal_bitwise_equals_eye_formula():
     rng = RngState(52)
     new, old = _twin_leaves(rng.normal((16, 16)) * 10.0)
