@@ -26,7 +26,7 @@ from .evaluation import (
     dump_embeddings,
     eval_downstream,
     eval_retrieval,
-    run_ablation_grid,
+    run_arms,
 )
 from .optim import AdamState, adam_step
 from .rng import RngState, fnv1a64

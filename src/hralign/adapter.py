@@ -115,14 +115,10 @@ class AdapterStack:
 @dataclass
 class LearnableCount:
     """Learnable-parameter counts of one adapted model: its adapters and
-    its loss-side query projection; ``total`` is both."""
+    its loss-side query projection."""
 
     adapter: int
     projection: int
-
-    @property
-    def total(self) -> int:
-        return self.adapter + self.projection
 
 
 def count_learnable(stack: AdapterStack | None, embedder) -> LearnableCount:

@@ -10,7 +10,6 @@ directory. Exit codes: 0 success, 1 usage error, 2 runtime error.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -20,13 +19,14 @@ from .dataset import (
     ManifestError,
     _atomic_write,
     _atomic_write_csv,
+    _atomic_write_json,
     generate_paired_set,
     load_manifest,
     save_manifest,
     split_pairs,
 )
 from .encoder import pretext_pretrain
-from .evaluation import dump_embeddings, eval_downstream, eval_retrieval, run_ablation_grid
+from .evaluation import dump_embeddings, eval_downstream, eval_retrieval, run_arms
 from .rng import RngState
 from .trainer import (
     ModelCheckpoint,
@@ -45,7 +45,7 @@ def _write_run_outputs(out_dir: str, config_text: str, produced: list[str]) -> N
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "resolved_config.txt"), config_text.encode("utf-8"))
     files = {"produced": sorted(produced + ["resolved_config.txt", "files.json"])}
-    _atomic_write(os.path.join(out_dir, "files.json"), json.dumps(files, indent=2).encode("utf-8"))
+    _atomic_write_json(os.path.join(out_dir, "files.json"), files)
 
 
 def _flat_args_text(args: argparse.Namespace, keys: list[str]) -> str:
@@ -151,23 +151,17 @@ def cmd_ablate(args) -> int:
     pairs = load_manifest(args.data)
     train, heldout = split_pairs(pairs)
     backbone = ModelCheckpoint.load(args.backbone).backbone
-    runs = run_ablation_grid(config, train, heldout, backbone)
-    os.makedirs(config.out_dir, exist_ok=True)
+    runs = run_arms(config, train, heldout, backbone)
     rows = [run.row for run in runs]
-    ablation_json = json.dumps(rows, indent=2).encode("utf-8")
-    _atomic_write(os.path.join(config.out_dir, "ablation.json"), ablation_json)
+    _atomic_write_json(os.path.join(config.out_dir, "ablation.json"), rows)
     keys = list(rows[0].keys())
     _atomic_write_csv(
         os.path.join(config.out_dir, "ablation.csv"), keys, [[row[k] for k in keys] for row in rows]
     )
-    for run in runs:
-        save_run(run.checkpoint, run.metrics)
     produced = ["ablation.json", "ablation.csv"] + [run.name for run in runs]
     _write_run_outputs(config.out_dir, format_config(config), produced)
-    for row in rows:
-        print(
-            f"{row['name']:>9}: params {row['adapter_params']:>6}  r2h@1 {row['r2h_recall1']:.3f}"
-        )
+    for run in runs:
+        print(run.to_text())
     return 0
 
 
@@ -185,8 +179,7 @@ def cmd_eval(args) -> int:
         raise RuntimeError("evaluation mutated the checkpoint file")
     os.makedirs(args.out, exist_ok=True)
     report = {"retrieval": retrieval.to_dict(), "downstream": downstream.to_dict()}
-    report_json = json.dumps(report, indent=2).encode("utf-8")
-    _atomic_write(os.path.join(args.out, "report.json"), report_json)
+    _atomic_write_json(os.path.join(args.out, "report.json"), report)
     text = retrieval.to_text() + downstream.to_text()
     _atomic_write(os.path.join(args.out, "report.txt"), text.encode("utf-8"))
     _write_run_outputs(
@@ -267,7 +260,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_train_args(p)
     p.set_defaults(func=cmd_train, resume=None)
 
-    p = sub.add_parser("ablate", help="adapter-position and language ablation grid")
+    p = sub.add_parser("ablate", help="train and score every arm: adapter positions, frozen, fine-tunes")
     add_train_args(p)
     p.set_defaults(func=cmd_ablate)
 
@@ -288,8 +281,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cli_main(argv=None) -> int:
-    parser = build_parser()
+def run_parsed(parser: argparse.ArgumentParser, argv) -> int:
+    """Parse ``argv`` (None: ``sys.argv``) and run the parsed ``func``
+    under the error contract: 0 success, 1 a usage error (bad arguments, a
+    missing input file), 2 a runtime error (an output that cannot be
+    written, a ValueError, ManifestError or RuntimeError), each error
+    printed as one ``error:`` line."""
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -306,6 +303,10 @@ def cli_main(argv=None) -> int:
     except (ValueError, ManifestError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return RUNTIME_ERROR
+
+
+def cli_main(argv=None) -> int:
+    return run_parsed(build_parser(), argv)
 
 
 if __name__ == "__main__":

@@ -457,6 +457,12 @@ def _atomic_write_csv(path: str, header: list, rows) -> None:
     _atomic_write(path, buf.getvalue().encode("utf-8"))
 
 
+def _atomic_write_json(path: str, value) -> None:
+    """Indented JSON of ``value``, written atomically; a NaN or infinite
+    number raises ValueError, since strict JSON readers refuse it."""
+    _atomic_write(path, json.dumps(value, indent=2, allow_nan=False).encode("utf-8"))
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

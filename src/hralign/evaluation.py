@@ -9,13 +9,18 @@ task probe, a two-layer regressor predicting the next latent effector
 position, and a tube-following success proxy over whole clips.
 ``ModelCheckpoint.adapters`` picks the adapted or the frozen encoder, and
 every clip is encoded ``EVAL_CHUNK`` clips per ``encode_pooled`` call.
-The ablation arms are declared once in ``ARMS``; ``run_arm`` trains one
-arm and scores it with both reports. Nothing here is a knob: retrieval's
-frame seed, the downstream split, head sizes, step counts, step sizes, BC
-seed and tube radius are fixed in the code, as the docstrings of
-``eval_retrieval``, ``eval_downstream``, ``train_linear_probe`` and
-``train_bc_head`` state. Each report's tag says what its encode used:
-``adapted`` only when adapter blocks or a query projection took part.
+
+``ARMS`` is the one list of experiments. ``run_arm`` trains an arm through
+``train`` (the frozen arm trains nothing) and scores it with both reports,
+and ``run_arms`` runs the list for ``hralign ablate`` and the reference
+script.
+
+Nothing here is a knob: retrieval's frame seed, the downstream split, head
+sizes, step counts, step sizes, BC seed and tube radius are fixed in the
+code, as the docstrings of ``eval_retrieval``, ``eval_downstream``,
+``train_linear_probe`` and ``train_bc_head`` state. Each report's tag says
+what its encode used: ``adapted`` only when adapter blocks or a query
+projection took part.
 
 The behavior-cloning head trains through ``tensor.mlp_mse``, one graph node
 for its whole loss, since the 400 steps of a ten-node graph were most of
@@ -44,6 +49,7 @@ from .trainer import (
     ModelCheckpoint,
     TrainConfig,
     _class_index,
+    save_run,
     standard_stats,
     train,
 )
@@ -323,12 +329,14 @@ def dump_embeddings(
     descriptions: dict[int, str],
     adapted: bool = True,
 ) -> str:
-    """CSV of pooled embeddings: clip_id,task_id,domain,adapted,f0..f{C-1}."""
+    """CSV of pooled embeddings: clip_id,task_id,domain,adapted,f0..f{C-1};
+    ``adapted`` is 1 when the encode was, as the report tags read."""
     width = checkpoint.backbone.out_channels
     header = ["clip_id", "task_id", "domain", "adapted"] + [f"f{i}" for i in range(width)]
     texts = [descriptions[clip.pair_id] for clip in clips]
+    tag = _tag(checkpoint.adapters(adapted), checkpoint.embedder if adapted else None)
     rows = [
-        [f"{clip.pair_id}_{clip.domain}", clip.task_id, clip.domain, int(adapted)]
+        [f"{clip.pair_id}_{clip.domain}", clip.task_id, clip.domain, int(tag == "adapted")]
         + [repr(float(v)) for v in vec]
         for clip, vec in zip(clips, _clip_embeddings(checkpoint, clips, texts, adapted))
     ]
@@ -337,20 +345,27 @@ def dump_embeddings(
 
 
 # ---------------------------------------------------------------------------
-# ablation arms
+# arms
 
-# Each arm trains hr_align from scratch with these TrainConfig overrides.
+# The experiments, each as TrainConfig overrides of a caller's base config.
+# An arm that names a method trains it through ``train``; ``frozen`` names
+# none and trains nothing, so it scores the pre-trained backbone as it is.
+# An arm's ``steps`` caps the base's: the two full fine-tunes run at most
+# 120 steps, and the frozen arm none.
 ARMS = {
-    "E": {"adapter_positions": "E", "use_language": True},
-    "M": {"adapter_positions": "M", "use_language": True},
-    "L": {"adapter_positions": "L", "use_language": True},
-    "EML": {"adapter_positions": "EML", "use_language": True},
-    "L_nolang": {"adapter_positions": "L", "use_language": False},
+    "E": {"method": "hr_align", "adapter_positions": "E", "use_language": True},
+    "M": {"method": "hr_align", "adapter_positions": "M", "use_language": True},
+    "L": {"method": "hr_align", "adapter_positions": "L", "use_language": True},
+    "EML": {"method": "hr_align", "adapter_positions": "EML", "use_language": True},
+    "L_nolang": {"method": "hr_align", "adapter_positions": "L", "use_language": False},
+    "frozen": {"steps": 0},
+    "pret_ft": {"method": "pret_baseline", "learning_rate": 3e-4, "steps": 120},
+    "cls_ft": {"method": "cls_baseline", "learning_rate": 3e-4, "steps": 120},
 }
 
 
 @dataclass
-class AblationRun:
+class ArmRun:
     name: str
     config: TrainConfig
     checkpoint: ModelCheckpoint
@@ -360,15 +375,18 @@ class AblationRun:
 
     @property
     def row(self) -> dict:
-        counts = count_learnable(self.checkpoint.stack, self.checkpoint.embedder)
+        """The same columns for every arm, naming only what took part;
+        ``total_learnable`` counts the parameters with Adam moments."""
+        ckpt = self.checkpoint
+        counts = count_learnable(ckpt.stack, ckpt.embedder)
         return {
             "name": self.name,
-            "adapter_positions": self.config.adapter_positions,
-            "use_language": self.config.use_language,
+            "adapter_positions": self.config.adapter_positions if ckpt.stack is not None else "none",
+            "use_language": ckpt.embedder is not None,
             "adapter_params": counts.adapter,
             "projection_params": counts.projection,
-            "total_learnable": counts.total,
-            "final_loss": self.metrics.losses[-1] if self.metrics.rows else float("nan"),
+            "total_learnable": sum(m.size for m in ckpt.adam.m.values()) if ckpt.adam else 0,
+            "final_loss": self.metrics.losses[-1] if self.metrics.rows else None,
             "r2h_recall1": self.retrieval.r2h_recall1,
             "r2h_recall5": self.retrieval.r2h_recall5,
             "h2r_recall1": self.retrieval.h2r_recall1,
@@ -378,6 +396,13 @@ class AblationRun:
             "success_rate": self.downstream.success_rate,
         }
 
+    def to_text(self) -> str:
+        row = self.row
+        return (
+            f"{self.name:>9}: {self.config.steps:>4} steps  learnable {row['total_learnable']:>6}  "
+            f"r2h@1 {row['r2h_recall1']:.3f}  probe {row['probe_accuracy']:.3f}  bc {row['bc_mse']:.5f}"
+        )
+
 
 def run_arm(
     base: TrainConfig,
@@ -385,22 +410,27 @@ def run_arm(
     train_pairs: list[PairedDemo],
     heldout: list[PairedDemo],
     backbone: Backbone,
-) -> AblationRun:
-    """Train one arm on ``train_pairs`` into ``<base.out_dir>/<arm>`` and
-    score it: retrieval on ``heldout``, downstream on the robot clips of
-    both."""
+) -> ArmRun:
+    """Train arm ``arm`` of ``ARMS`` on ``train_pairs``, save it by
+    ``save_run`` into ``<base.out_dir>/<arm>`` and score it: retrieval on
+    ``heldout``, downstream on the robot clips of both."""
     if len(heldout) < 2:
         raise ValueError(f"arm {arm} needs at least 2 held-out pairs, got {len(heldout)}")
-    config = replace(base, method="hr_align", out_dir=f"{base.out_dir}/{arm}", **ARMS[arm])
-    checkpoint, metrics = train(config, train_pairs, backbone)
+    spec = ARMS[arm]
+    steps = min(base.steps, spec.get("steps", base.steps))
+    config = replace(base, **{**spec, "steps": steps, "out_dir": f"{base.out_dir}/{arm}"})
+    if "method" in spec:
+        checkpoint, metrics = train(config, train_pairs, backbone)
+    else:
+        checkpoint, metrics = ModelCheckpoint(config, backbone.copy().freeze()), MetricsLog()
+    save_run(checkpoint, metrics)
     retrieval = eval_retrieval(checkpoint, heldout, adapted=True)
     downstream = eval_downstream(checkpoint, [p.robot for p in train_pairs + heldout], adapted=True)
-    return AblationRun(arm, config, checkpoint, metrics, retrieval, downstream)
+    return ArmRun(arm, config, checkpoint, metrics, retrieval, downstream)
 
 
-def run_ablation_grid(
+def run_arms(
     base: TrainConfig, train: list[PairedDemo], heldout: list[PairedDemo], backbone: Backbone
-) -> list[AblationRun]:
-    """Every arm of ``ARMS``, in order: the adapter-position sweep {E, M, L,
-    EML} plus L without language."""
+) -> list[ArmRun]:
+    """Every arm of ``ARMS``, in order."""
     return [run_arm(base, arm, train, heldout, backbone) for arm in ARMS]

@@ -2,10 +2,12 @@
 acceptance tests.
 
 The reference configuration: 8 tasks x 32 pairs, gap 0.7, seed 7; pretext
-pre-training on the train-split human clips; the ablation grid's five
-300-step arms, whose L arm is the default-config reference run. Built once
-per session because several tests pin ordinals measured on exactly these
-runs.
+pre-training on the train-split human clips; every arm of
+``evaluation.ARMS`` at 300 steps (the full fine-tunes at 120), whose L arm
+is the default-config reference run. Built once per session because
+several tests pin ordinals measured on exactly these runs.
+``tiny_reference`` is ``scripts/run_reference.py`` at a tiny size, shared
+by the script's tests and ``hralign ablate``'s.
 """
 
 from __future__ import annotations
@@ -18,9 +20,10 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from helpers import run_reference_script, strict_json
 from hralign.dataset import HELDOUT_FRAC, generate_paired_set, split_pairs
 from hralign.encoder import pretext_pretrain
-from hralign.evaluation import run_ablation_grid
+from hralign.evaluation import run_arms
 from hralign.rng import RngState
 from hralign.trainer import TrainConfig
 
@@ -60,13 +63,20 @@ def reference_backbone(reference_split):
 
 @pytest.fixture(scope="session")
 def reference_grid(reference_split, reference_backbone, tmp_path_factory):
-    """(every ablation arm's run, backbone snapshot taken before training)."""
+    """(every arm's run, backbone snapshot taken before training)."""
     train, heldout = reference_split
     snapshot = {
         name: t.data.copy() for name, t in reference_backbone.named_parameters().items()
     }
     base = TrainConfig(out_dir=str(tmp_path_factory.mktemp("grid")))
-    return run_ablation_grid(base, train, heldout, reference_backbone), snapshot
+    return run_arms(base, train, heldout, reference_backbone), snapshot
+
+
+@pytest.fixture(scope="session")
+def reference_arms(reference_grid):
+    """The session grid's runs by arm name."""
+    runs, _ = reference_grid
+    return {run.name: run for run in runs}
 
 
 @pytest.fixture(scope="session")
@@ -77,6 +87,17 @@ def reference_run(reference_grid):
     runs, snapshot = reference_grid
     run = next(run for run in runs if run.name == "L")
     return run.checkpoint, run.metrics, snapshot
+
+
+@pytest.fixture(scope="session")
+def tiny_reference(tmp_path_factory):
+    """(out directory, strictly parsed summary.json) of the reference script
+    at 2 tasks x 12 pairs (18 training pairs fill one default batch of 16),
+    1 pretext epoch and 2 steps per arm."""
+    out = tmp_path_factory.mktemp("reference")
+    argv = ["--tasks", "2", "--pairs-per-task", "12", "--steps", "2", "--pretext-epochs", "1"]
+    assert run_reference_script("--out", str(out), *argv) == 0
+    return out, strict_json(out / "summary.json")
 
 
 @pytest.fixture(scope="session")

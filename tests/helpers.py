@@ -1,7 +1,8 @@
 """Shared test oracles: finite differences, a direct-exponential loss
 reference, the composite-graph behavior-cloning head, small model and
 checkpoint builders, per-clip evaluation encodes, checkpoint header
-edits, and a task-compactness ratio for embedding clouds.
+edits, a task-compactness ratio for embedding clouds, a strict JSON
+reader, and ``scripts/run_reference.py`` run in process.
 
 Everything here is deliberately independent of the library's analytic
 paths: gradients come from central differences on the forward value, and
@@ -12,10 +13,14 @@ of working in log space.
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
+import pytest
 
 from hralign import dataset
 from hralign import tensor as T
@@ -326,3 +331,28 @@ def fail_writes_partway(monkeypatch) -> None:
         dataset, "open", lambda path, mode="r", **kw: _HalfWriter(open(path, mode, **kw)),
         raising=False,
     )
+
+
+REFERENCE_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "run_reference.py"
+
+
+def run_reference_script(*argv: str) -> int:
+    """``scripts/run_reference.py``'s exit code for the arguments ``argv``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sys, "path", list(sys.path))  # the script prepends src/
+        mp.setattr(sys, "argv", [str(REFERENCE_SCRIPT), *argv])
+        spec = importlib.util.spec_from_file_location("run_reference", REFERENCE_SCRIPT)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        return module.main()
+
+
+def strict_json(path):
+    """The JSON at ``path``, refusing the NaN and Infinity literals that
+    strict JSON readers refuse."""
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    with open(path, encoding="utf-8") as fh:
+        return json.load(fh, parse_constant=refuse)

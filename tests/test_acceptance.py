@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from conftest import BASELINE_LR
 from helpers import (
     check_grad_against_fd,
     learnable_parameters,
@@ -25,16 +24,9 @@ from hralign.adapter import AdapterBlock, AdapterStack, adapter_forward, count_l
 from hralign.alignment import AlignmentBatchFeatures, hr_align_loss, pool_many
 from hralign.dataset import generate_paired_set, load_manifest, save_manifest, split_pairs
 from hralign.encoder import Backbone, encode_batch
-from hralign.evaluation import eval_downstream, eval_retrieval
 from hralign.rng import RngState
 from hralign.tensor import Tensor
-from hralign.trainer import (
-    ModelCheckpoint,
-    TrainConfig,
-    train_baseline_cls,
-    train_baseline_pret,
-    train_hr_align,
-)
+from hralign.trainer import ModelCheckpoint, TrainConfig, classification_accuracy, train_hr_align
 
 AUDIT_SEEDS = 20
 
@@ -195,11 +187,10 @@ def test_criterion_4_frozen_backbone_and_learnable_set(reference_run):
     )
 
 
-def test_criterion_5_alignment_improvement(reference_run, reference_split):
-    checkpoint, metrics, _ = reference_run
-    _, heldout = reference_split
-    adapted = eval_retrieval(checkpoint, heldout, adapted=True)
-    frozen = eval_retrieval(checkpoint, heldout, adapted=False)
+def test_criterion_5_alignment_improvement(reference_arms):
+    adapted, frozen = reference_arms["L"].retrieval, reference_arms["frozen"].retrieval
+    metrics = reference_arms["L"].metrics
+    assert (adapted.tag, frozen.tag) == ("adapted", "frozen")
     margin = adapted.r2h_recall1 - frozen.r2h_recall1
     assert margin >= 0.2, f"recall@1 margin {margin:.3f} < 0.2"
     assert metrics.losses[-1] < metrics.losses[0]
@@ -210,11 +201,9 @@ def test_criterion_5_alignment_improvement(reference_run, reference_split):
     )
 
 
-def test_criterion_6_downstream_ordinal(reference_run, reference_pairs):
-    checkpoint, _, _ = reference_run
-    robot = [p.robot for p in reference_pairs]
-    adapted = eval_downstream(checkpoint, robot, adapted=True)
-    frozen = eval_downstream(checkpoint, robot, adapted=False)
+def test_criterion_6_downstream_ordinal(reference_arms):
+    adapted, frozen = reference_arms["L"].downstream, reference_arms["frozen"].downstream
+    assert (adapted.tag, frozen.tag) == ("adapted", "frozen")
     assert adapted.probe_accuracy >= frozen.probe_accuracy
     assert adapted.bc_mse <= frozen.bc_mse
     print(
@@ -223,32 +212,22 @@ def test_criterion_6_downstream_ordinal(reference_run, reference_pairs):
     )
 
 
-def test_criterion_7_baseline_structure(reference_split, reference_backbone, reference_run):
+def test_criterion_7_baseline_structure(reference_split, reference_backbone, reference_arms):
     train, _ = reference_split
-    config = TrainConfig(steps=120, learning_rate=BASELINE_LR)
-    from dataclasses import replace
-
-    pret_ckpt, pret_metrics = train_baseline_pret(
-        replace(config, method="pret_baseline"), train, reference_backbone.copy().unfreeze()
-    )
-    cls_ckpt, cls_metrics = train_baseline_cls(
-        replace(config, method="cls_baseline"), train, reference_backbone.copy().unfreeze()
-    )
+    pret, cls = reference_arms["pret_ft"], reference_arms["cls_ft"]
     backbone_size = sum_param_sizes(reference_backbone.named_parameters())
-    for ckpt, metrics in ((pret_ckpt, pret_metrics), (cls_ckpt, cls_metrics)):
-        assert len(metrics.rows) == 120  # ran to completion
+    for run in (pret, cls):
+        assert len(run.metrics.rows) == 120  # ran to completion
         # the optimizer moments record exactly what trained
         trained_backbone = sum(
-            v.size for n, v in ckpt.adam.m.items() if n.startswith("backbone.")
+            v.size for n, v in run.checkpoint.adam.m.items() if n.startswith("backbone.")
         )
         assert trained_backbone == backbone_size
-    assert pret_metrics.losses[-1] < pret_metrics.losses[0]
-    from hralign.trainer import classification_accuracy
-
-    acc = classification_accuracy(cls_ckpt, train)
+    assert pret.metrics.losses[-1] < pret.metrics.losses[0]
+    acc = classification_accuracy(cls.checkpoint, train)
     assert acc > 1.0 / 8.0, f"cls training accuracy {acc:.3f} not above chance"
 
-    checkpoint, _, _ = reference_run
+    checkpoint = reference_arms["L"].checkpoint
     counts = count_learnable(checkpoint.stack, checkpoint.embedder)
     ratio = counts.adapter / sum_param_sizes(checkpoint.backbone.named_parameters())
     assert ratio < 0.10, f"adaptation footprint {ratio:.3f} >= 10%"
@@ -256,12 +235,13 @@ def test_criterion_7_baseline_structure(reference_split, reference_backbone, ref
         f"PASS criterion 7: baselines complete with full-backbone counts "
         f"({backbone_size} params, cls acc {acc:.3f} > chance); adapter footprint "
         f"{counts.adapter}/{backbone_size} = {ratio:.3%} < 10% "
-        f"(total learnable incl. projection: {counts.total})"
+        f"(total learnable incl. projection: {counts.adapter + counts.projection})"
     )
 
 
 def test_criterion_8_ablation_grid(reference_grid, reference_backbone):
-    ablation_runs, _ = reference_grid
+    runs, _ = reference_grid
+    ablation_runs = [run for run in runs if run.checkpoint.stack is not None]
     assert len(ablation_runs) == 5
     names = [run.name for run in ablation_runs]
     assert names == ["E", "M", "L", "EML", "L_nolang"]

@@ -148,7 +148,7 @@ def test_gradient_isolation():
 
 def test_count_learnable_empty():
     counts = count_learnable(None, None)
-    assert counts.adapter == 0 and counts.projection == 0 and counts.total == 0
+    assert counts.adapter == 0 and counts.projection == 0
 
 
 def test_count_matches_size_sum_oracle():
@@ -166,7 +166,6 @@ def test_count_matches_size_sum_oracle():
         )
         width = bb.out_channels
         assert counts.projection == TEXT_DIM * width + width
-        assert counts.total == counts.adapter + counts.projection
 
 
 def test_count_ordering_reference_widths():

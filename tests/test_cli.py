@@ -12,8 +12,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import clip_embedding, fail_writes_partway, setting, small_checkpoint, with_header
-from hralign import cli
+from helpers import clip_embedding, fail_writes_partway, setting, small_checkpoint, strict_json, with_header
+from hralign import cli, evaluation
 from hralign.cli import _write_run_outputs, cli_main
 from hralign.dataset import load_manifest, split_pairs
 from hralign.evaluation import eval_downstream, eval_retrieval
@@ -364,6 +364,21 @@ def test_cli_eval_tags_a_backbone_only_checkpoint_frozen(pipeline, tmp_path):
     assert reports[0] == reports[1]
 
 
+def test_cli_dump_labels_a_backbone_only_checkpoint_frozen(pipeline, tmp_path):
+    """``dump`` of a pretrain ``backbone.ckpt`` once wrote ``adapted`` = 1 on
+    every row beside the --frozen dump's very features; the column now says
+    what was encoded, as the report tags do."""
+    _, manifest, backbone, _ = pipeline
+    dumps = []
+    for extra in ([], ["--frozen"]):
+        path = tmp_path / f"emb{len(extra)}.csv"
+        assert run(["dump", "--checkpoint", backbone, "--data", manifest, "--out", str(path), *extra]) == 0
+        with open(path, newline="") as fh:
+            dumps.append(list(csv.DictReader(fh)))
+    assert dumps[0] == dumps[1]
+    assert {row["adapted"] for row in dumps[0]} == {"0"}
+
+
 @pytest.mark.parametrize("flag", ["--data", "--checkpoint"])
 def test_cli_dump_refuses_an_out_that_is_its_input(pipeline, tmp_path, capsys, monkeypatch, flag):
     """An --out naming the manifest or the checkpoint, here by another
@@ -515,7 +530,18 @@ def test_cli_baseline_refuses_a_config_file_with_a_dropped_key(pipeline, tmp_pat
         assert not out.exists()
 
 
-ARMS = ["E", "M", "L", "EML", "L_nolang"]
+ARMS = ["E", "M", "L", "EML", "L_nolang", "frozen", "pret_ft", "cls_ft"]
+# (adapter_positions, use_language) each arm's row claims: only parts that took part
+ARM_PARTS = {
+    "E": ("E", True),
+    "M": ("M", True),
+    "L": ("L", True),
+    "EML": ("EML", True),
+    "L_nolang": ("L", False),
+    "frozen": ("none", False),
+    "pret_ft": ("none", False),
+    "cls_ft": ("none", False),
+}
 ABLATION_KEYS = [
     "name",
     "adapter_positions",
@@ -542,10 +568,17 @@ def _ablate_argv(pipeline, out):
     ]
 
 
-def test_cli_ablate_trains_scores_and_saves_every_arm(pipeline, tmp_path):
+def test_cli_ablate_trains_scores_and_saves_every_arm(tiny_reference, tmp_path):
+    """``hralign ablate`` and ``scripts/run_reference.py`` are one runner:
+    over the script's manifest, with its frozen arm's checkpoint as the
+    backbone, at the same size and seed, ablate writes the script's rows."""
+    reference, summary = tiny_reference
     out = tmp_path / "ablate"
-    assert run(_ablate_argv(pipeline, out)) == 0
-    rows = json.loads((out / "ablation.json").read_text())
+    backbone_path = str(reference / "ablation" / "frozen" / "model.ckpt")
+    argv = ["ablate", "--data", str(reference / "manifest.json"), "--backbone", backbone_path]
+    assert run(argv + ["--out", str(out), "--set", "steps=2"]) == 0
+    rows = strict_json(out / "ablation.json")
+    assert rows == summary["ablation"]
     assert [row["name"] for row in rows] == ARMS
     for row in rows:
         assert list(row) == ABLATION_KEYS
@@ -555,14 +588,37 @@ def test_cli_ablate_trains_scores_and_saves_every_arm(pipeline, tmp_path):
         table = list(csv.reader(fh))
     assert table[0] == ABLATION_KEYS
     assert [line[0] for line in table[1:]] == ARMS
+    backbone = ModelCheckpoint.load(backbone_path).backbone
+    backbone_size = sum(t.size for t in backbone.named_parameters().values())
+    head_size = (backbone.out_channels + 1) * 2  # a linear head over the 2 tasks
     for row in rows:
         run_dir = out / row["name"]
         assert sorted(os.listdir(run_dir)) == ["metrics.csv", "model.ckpt"]
-        config = ModelCheckpoint.load(str(run_dir / "model.ckpt")).config
-        assert (config.adapter_positions, config.use_language) == (
-            row["adapter_positions"],
-            row["use_language"],
-        )
+        checkpoint = ModelCheckpoint.load(str(run_dir / "model.ckpt"))
+        assert (row["adapter_positions"], row["use_language"]) == ARM_PARTS[row["name"]]
+        if checkpoint.stack is not None:
+            assert checkpoint.config.adapter_positions == row["adapter_positions"]
+        assert (checkpoint.embedder is not None) == row["use_language"]
+        trained = {"frozen": 0, "pret_ft": backbone_size, "cls_ft": backbone_size + head_size}
+        want = trained.get(row["name"], row["adapter_params"] + row["projection_params"])
+        assert row["total_learnable"] == want, row["name"]
+
+
+def test_cli_ablate_without_steps_writes_strict_json(pipeline, tmp_path, monkeypatch):
+    """A run with no loss rows once wrote ``"final_loss": NaN``, which strict
+    JSON readers refuse; it is null now, and the CSV cell empty. The heads
+    do not bear on the JSON, so they are stubbed to keep the run short."""
+    monkeypatch.setattr(evaluation, "train_linear_probe", lambda *a, **k: 0.0)
+    monkeypatch.setattr(evaluation, "train_bc_head", lambda x, y, seed: lambda f: np.zeros((len(f), 2)))
+    out = tmp_path / "ablate"
+    argv = _ablate_argv(pipeline, out)
+    argv[argv.index("steps=2")] = "steps=0"
+    assert run(argv) == 0
+    rows = strict_json(out / "ablation.json")
+    assert [row["name"] for row in rows] == ARMS
+    assert all(row["final_loss"] is None for row in rows)
+    with open(out / "ablation.csv", newline="") as fh:
+        assert {row["final_loss"] for row in csv.DictReader(fh)} == {""}
 
 
 def test_cli_ablate_without_heldout_pairs_exits_two_writing_nothing(pipeline, tmp_path, capsys):
@@ -663,7 +719,7 @@ def test_method_other_than_the_subcommands_exits_two_naming_both(
     # `adapt --set method=cls_baseline` once trained hr_align, and `ablate`
     # wrote the ignored method into resolved_config.txt
     trained = []
-    for name in ("train", "run_ablation_grid"):
+    for name in ("train", "run_arms"):
         monkeypatch.setattr(cli, name, lambda *a, _n=name, **k: trained.append(_n))
     out = tmp_path / "out"
     argv = _out_argv(pipeline, command, str(out))
