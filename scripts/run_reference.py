@@ -14,7 +14,7 @@ Usage:
 
 Exit codes, as for `hralign`: 0 success, 1 usage error (such as an unknown
 flag), 2 runtime error (such as a split with fewer than 2 held-out pairs,
-found before anything is written).
+found before any pre-training and before anything is written).
 """
 
 import argparse
@@ -27,7 +27,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from hralign.cli import run_parsed
 from hralign.dataset import _atomic_write_json, generate_paired_set, save_manifest, split_pairs
 from hralign.encoder import pretext_pretrain
-from hralign.evaluation import ARMS, dump_embeddings, run_arms
+from hralign.evaluation import ARMS, check_heldout, dump_embeddings, run_arms
 from hralign.rng import RngState
 from hralign.trainer import TrainConfig
 
@@ -37,6 +37,8 @@ def reference(args: argparse.Namespace) -> int:
     print(f"[1/4] dataset: {args.tasks} tasks x {args.pairs_per_task} pairs, gap {args.gap}")
     pairs = generate_paired_set(RngState(args.seed), args.tasks, args.pairs_per_task, args.gap)
     train, heldout = split_pairs(pairs)
+    for arm in ARMS:  # before the pretext, not after it
+        check_heldout(arm, heldout)
 
     print(f"[2/4] pretext pre-training, {args.pretext_epochs} epochs")
     backbone, history = pretext_pretrain(

@@ -75,10 +75,8 @@ def adapter_forward(block: AdapterBlock, x: Tensor) -> Tensor:
         raise ShapeError(
             f"adapter_forward: input has {x.shape[1]} channels, block expects {block.channels}"
         )
-    down_b = T.reshape(block.down_b, (block.bottleneck, 1, 1))
-    up_b = T.reshape(block.up_b, (block.channels, 1, 1))
-    h = T.relu(T.add(T.conv2d(x, block.down_w), down_b))
-    delta = T.add(T.conv2d(h, block.up_w), up_b)
+    h = T.bias_relu(T.conv2d(x, block.down_w), block.down_b)
+    delta = T.add(T.conv2d(h, block.up_w), T.reshape(block.up_b, (block.channels, 1, 1)))
     return T.add(x, delta)
 
 

@@ -28,20 +28,13 @@ def pool_many(values: Tensor, queries: Tensor | None, normalize: bool = True) ->
     """Attention-pool (B, P, C) position features with (B, C) queries.
 
     A ``None`` query means uniform weights, i.e. a plain mean over
-    positions (the language-off path).
+    positions (the language-off path). With queries the pooling and its
+    normalisation are one graph node, ``tensor.attention_pool``.
     """
-    b, p, c = values.shape
-    if queries is None:
-        pooled = T.tmean(values, axis=1)
-    else:
-        if queries.shape != (b, c):
-            raise ShapeError(f"queries {queries.shape} do not match features {values.shape}")
-        logits = T.tsum(T.mul(values, T.reshape(queries, (b, 1, c))), axis=2)  # (B, P)
-        weights = T.softmax(logits, axis=1)
-        pooled = T.tsum(T.mul(values, T.reshape(weights, (b, p, 1))), axis=1)  # (B, C)
-    if normalize:
-        pooled = T.l2_normalize(pooled, axis=1)
-    return pooled
+    if queries is not None:
+        return T.attention_pool(values, queries, normalize)
+    pooled = T.tmean(values, axis=1)
+    return T.l2_normalize(pooled, axis=1) if normalize else pooled
 
 
 @dataclass

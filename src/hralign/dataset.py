@@ -27,7 +27,7 @@ from typing import TypeVar
 
 import numpy as np
 
-from .rng import RngState
+from .rng import RngState, bounded, shuffled
 from .task_query import TaskDescription
 from .tensor import from_bytes, to_bytes
 
@@ -357,22 +357,32 @@ def generate_paired_set(
 # frame sampling
 
 
-def sample_frame_indices(t_len: int, t: int, rng: RngState) -> list[int]:
-    """T ascending indices: without replacement when the clip is long
-    enough, with replacement otherwise."""
+def sample_frames(clips: list[VideoClip], t: int, rng: RngState) -> np.ndarray:
+    """``t`` sampled frames of each of ``clips``, each clip's in temporal
+    order, stacked clip by clip as (len(clips) * t, H, W, C).
+
+    Draw order: one ``rng.u64`` call draws for the whole list, and the clips
+    take their draws in list order. A clip of L >= t frames takes L - 1
+    draws, a Fisher-Yates shuffle of range(L) (``rng.shuffled``), and keeps
+    its first t entries, sorted: t distinct frames. A shorter clip takes t
+    draws, each ``bounded(d, L)``, sorted: frames with replacement. These
+    are the draws, in order, of a ``rng.permutation(L)`` or of t
+    ``rng.randint(L)`` calls per clip, so the frames and the stream's
+    position equal those of sampling the clips one call each. An empty list
+    draws nothing and returns an empty array.
+    """
     if t < 1:
         raise ValueError(f"frame count must be >= 1, got {t}")
-    if t_len >= t:
-        idx = sorted(int(i) for i in rng.permutation(t_len)[:t])
-    else:
-        idx = sorted(rng.randint(t_len) for _ in range(t))
-    return idx
-
-
-def sample_frames(clip: VideoClip, t: int, rng: RngState) -> np.ndarray:
-    """Randomly sampled frames in temporal order, shape (t, H, W, C)."""
-    idx = sample_frame_indices(clip.length, t, rng)
-    return clip.frames[idx]  # fancy indexing copies
+    lengths = [clip.length for clip in clips]
+    draws = iter(rng.u64(sum(n - 1 if n >= t else t for n in lengths)).tolist())
+    out = []
+    for clip, n in zip(clips, lengths):
+        if n >= t:
+            idx = sorted(shuffled(draws, n)[:t])
+        else:
+            idx = sorted(bounded(next(draws), n) for _ in range(t))
+        out.append(clip.frames[idx])  # fancy indexing copies
+    return np.concatenate(out) if out else np.empty((0,))
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from . import tensor as T
 from .adapter import AdapterBlock, adapter_forward
 from .alignment import TAU, label_stats, pool_many
 from .optim import AdamState, fit
-from .rng import RngState
+from .rng import RngState, bounded
 from .tensor import Tensor
 
 REF_CHANNELS = (3, 16, 32, 32)
@@ -124,15 +124,16 @@ def encode_batch(
     before block j, junction n_blocks after the last block.
     """
     adapters = adapters or {}
-    h = Tensor(np.ascontiguousarray(frames.transpose(0, 3, 1, 2)))
+    # conv2d reads channels-last, so block 0 takes an NCHW view of the
+    # frames; an adapter at junction 0 takes an NCHW copy, since its
+    # residual sum lays out like its input and its bias gradient is summed
+    # in that layout's order
+    x = frames.transpose(0, 3, 1, 2)
+    h = Tensor(np.ascontiguousarray(x) if 0 in adapters else x)
     for j, block in enumerate(backbone.blocks):
         if j in adapters:
             h = adapter_forward(adapters[j], h)
-        pre = T.add(
-            T.conv2d(h, block.w, stride=block.stride, padding=block.padding),
-            T.reshape(block.b, (block.b.size, 1, 1)),
-        )
-        h = T.relu(pre)
+        h = T.bias_relu(T.conv2d(h, block.w, stride=block.stride, padding=block.padding), block.b)
     if backbone.n_blocks in adapters:
         h = adapter_forward(adapters[backbone.n_blocks], h)
     return T.transpose(h, (0, 2, 3, 1))
@@ -158,13 +159,17 @@ def encode_pooled(
 # time-contrastive pretext
 
 
-def _triplet_indices(t_len: int, rng: RngState) -> tuple[int, int, int]:
-    anchor = rng.randint(t_len)
-    delta = 1 + rng.randint(2)  # the positive is 1 or 2 frames away
+def _triplet_indices(t_len: int, draws: list[int]) -> list[int]:
+    """Anchor, positive and far frame of a clip of ``t_len`` frames from its
+    three draws, each mapped as ``RngState.randint`` maps one."""
+    anchor = bounded(draws[0], t_len)
+    delta = 1 + bounded(draws[1], 2)  # the positive is 1 or 2 frames away
     candidates = [i for i in (anchor + delta, anchor - delta) if 0 <= i < t_len]
-    positive = candidates[rng.randint(len(candidates))]
+    if not candidates:
+        raise ValueError(f"pretext: a clip of {t_len} frames has no frame {delta} from frame {anchor}")
+    positive = candidates[bounded(draws[2], len(candidates))]
     far = 0 if anchor > (t_len - 1) / 2 else t_len - 1
-    return anchor, positive, far
+    return [anchor, positive, far]
 
 
 def pretext_loss(
@@ -175,10 +180,14 @@ def pretext_loss(
     ``encode`` maps (N, H, W, C) frames to (N, H', W', C') features. Each
     clip contributes an anchor frame, a temporally close positive, and the
     farthest frame of the same clip as an extra negative; other clips'
-    positives serve as in-batch negatives.
+    positives serve as in-batch negatives. One ``rng.u64`` call draws
+    three per clip, in clip order, the draws of three ``randint`` calls.
     """
     b = len(clips)
-    triplets = [clip.frames[list(_triplet_indices(len(clip.frames), rng))] for clip in clips]
+    draws = rng.u64(3 * b).tolist()  # three per clip, in clip order
+    triplets = [
+        clip.frames[_triplet_indices(clip.length, draws[3 * i : 3 * i + 3])] for i, clip in enumerate(clips)
+    ]
     # anchors, then positives, then far frames
     stacked = np.stack(triplets, axis=1).reshape(3 * b, *triplets[0].shape[1:])
     feats = encode(stacked)  # (3B, H', W', C')

@@ -20,7 +20,8 @@ sizes, step counts, step sizes, BC seed and tube radius are fixed in the
 code, as the docstrings of ``eval_retrieval``, ``eval_downstream``,
 ``train_linear_probe`` and ``train_bc_head`` state. Each report's tag says
 what its encode used: ``adapted`` only when adapter blocks or a query
-projection took part.
+projection took part, ``fine-tuned`` for a backbone a baseline trained,
+else ``frozen``.
 
 The behavior-cloning head trains through ``tensor.mlp_mse``, one graph node
 for its whole loss, since the 400 steps of a ten-node graph were most of
@@ -132,7 +133,7 @@ def _clip_embeddings(
     for start in range(0, len(clips), EVAL_CHUNK):
         chunk = clips[start : start + EVAL_CHUNK]
         frames = np.concatenate([
-            sample_frames(c, FRAMES_PER_CLIP, RngState(311).derive("eval-frames", c.pair_id))
+            sample_frames([c], FRAMES_PER_CLIP, RngState(311).derive("eval-frames", c.pair_id))
             for c in chunk
         ])
         queries = None
@@ -144,10 +145,14 @@ def _clip_embeddings(
     return np.concatenate(rows)
 
 
-def _tag(adapters: dict, embedder=None) -> str:
-    """A report's tag: ``adapted`` when adapter blocks or a query projection
-    took part in its encode, else ``frozen``, whatever was asked for."""
-    return "adapted" if adapters or embedder is not None else "frozen"
+def _tag(checkpoint: ModelCheckpoint, adapters: dict, embedder) -> str:
+    """A report's tag, whatever was asked for: ``adapted`` when adapter
+    blocks or a query projection took part in its encode; else
+    ``fine-tuned`` when a baseline method trained the checkpoint's
+    backbone, which every encode of it then uses; else ``frozen``."""
+    if adapters or embedder is not None:
+        return "adapted"
+    return "frozen" if checkpoint.config.method == "hr_align" else "fine-tuned"
 
 
 def _retrieval_stats(scores: np.ndarray) -> tuple[float, float, float]:
@@ -181,7 +186,7 @@ def eval_retrieval(
     r2h = _retrieval_stats(scores_r2h)
     h2r = _retrieval_stats(scores_r2h.T)
     return RetrievalReport(
-        tag=_tag(checkpoint.adapters(adapted), checkpoint.embedder if adapted else None),
+        tag=_tag(checkpoint, checkpoint.adapters(adapted), checkpoint.embedder if adapted else None),
         r2h_recall1=r2h[0],
         r2h_recall5=r2h[1],
         h2r_recall1=h2r[0],
@@ -309,7 +314,7 @@ def eval_downstream(
         if err.max() <= 0.1:
             successes += 1
     return DownstreamReport(
-        tag=_tag(adapters),
+        tag=_tag(checkpoint, adapters, None),
         probe_accuracy=probe_acc,
         bc_mse=bc_mse,
         success_rate=successes / len(held_idx),
@@ -334,7 +339,7 @@ def dump_embeddings(
     width = checkpoint.backbone.out_channels
     header = ["clip_id", "task_id", "domain", "adapted"] + [f"f{i}" for i in range(width)]
     texts = [descriptions[clip.pair_id] for clip in clips]
-    tag = _tag(checkpoint.adapters(adapted), checkpoint.embedder if adapted else None)
+    tag = _tag(checkpoint, checkpoint.adapters(adapted), checkpoint.embedder if adapted else None)
     rows = [
         [f"{clip.pair_id}_{clip.domain}", clip.task_id, clip.domain, int(tag == "adapted")]
         + [repr(float(v)) for v in vec]
@@ -404,6 +409,14 @@ class ArmRun:
         )
 
 
+def check_heldout(arm: str, heldout: list[PairedDemo]) -> None:
+    """Refuse, as ``run_arm`` does, to score arm ``arm`` on fewer than the 2
+    held-out pairs retrieval ranks; a caller with work to do before the
+    arms run checks first."""
+    if len(heldout) < 2:
+        raise ValueError(f"arm {arm} needs at least 2 held-out pairs, got {len(heldout)}")
+
+
 def run_arm(
     base: TrainConfig,
     arm: str,
@@ -414,8 +427,7 @@ def run_arm(
     """Train arm ``arm`` of ``ARMS`` on ``train_pairs``, save it by
     ``save_run`` into ``<base.out_dir>/<arm>`` and score it: retrieval on
     ``heldout``, downstream on the robot clips of both."""
-    if len(heldout) < 2:
-        raise ValueError(f"arm {arm} needs at least 2 held-out pairs, got {len(heldout)}")
+    check_heldout(arm, heldout)
     spec = ARMS[arm]
     steps = min(base.steps, spec.get("steps", base.steps))
     config = replace(base, **{**spec, "steps": steps, "out_dir": f"{base.out_dir}/{arm}"})

@@ -10,6 +10,7 @@ resumes the exact sequence.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 import numpy as np
 
@@ -118,12 +119,26 @@ class RngState:
         """Uniform integer in [0, n)."""
         if n <= 0:
             raise ValueError(f"randint: n must be positive, got {n}")
-        return (self.next_u64() * n) >> 64
+        return bounded(self.next_u64(), n)
 
     def permutation(self, n: int) -> np.ndarray:
-        """Fisher-Yates shuffle of range(n); consumes n-1 draws."""
-        arr = np.arange(n, dtype=np.int64)
-        for i in range(n - 1, 0, -1):
-            j = self.randint(i + 1)
-            arr[i], arr[j] = arr[j], arr[i]
-        return arr
+        """Fisher-Yates shuffle of range(n) (``shuffled`` on one ``u64``
+        call); consumes n-1 draws."""
+        return np.array(shuffled(iter(self.u64(max(n - 1, 0)).tolist()), n), dtype=np.int64)
+
+
+def bounded(draw: int, n: int) -> int:
+    """A 64-bit ``draw`` mapped into [0, n): ``(draw * n) >> 64`` on Python
+    ints, the map of ``randint``, so a batch drawn by one ``u64`` call and
+    mapped here equals as many ``randint`` calls."""
+    return (draw * n) >> 64
+
+
+def shuffled(draws: Iterator[int], n: int) -> list[int]:
+    """range(n) shuffled by Fisher-Yates on the next n - 1 of ``draws``:
+    for i from n - 1 down to 1, swap entry i with entry ``bounded(d, i + 1)``."""
+    arr = list(range(n))
+    for i, d in zip(range(n - 1, 0, -1), draws):  # range first: no draw past the last
+        j = (d * (i + 1)) >> 64  # bounded(d, i + 1), inlined in this hot loop
+        arr[i], arr[j] = arr[j], arr[i]
+    return arr

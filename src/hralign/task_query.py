@@ -53,6 +53,7 @@ class QueryEmbedder:
         self.table = table
         self.proj_w = proj_w
         self.proj_b = proj_b
+        self._bags: dict[str, np.ndarray] = {}  # by text; the table never changes
 
     @classmethod
     def create(cls, rng: RngState, out_dim: int) -> "QueryEmbedder":
@@ -66,13 +67,20 @@ class QueryEmbedder:
         return {"query.proj_w": self.proj_w, "query.proj_b": self.proj_b}
 
     def bag_of_tokens(self, text: str) -> np.ndarray:
-        tokens = text.lower().split()
-        if not tokens:
-            raise ValueError(f"cannot embed empty task description: {text!r}")
-        # sorted bucket order makes the float sum independent of token order,
-        # so equal token multisets embed bitwise-identically
-        idx = sorted(token_bucket(tok) for tok in tokens)
-        return self.table[idx].mean(axis=0)
+        """The mean bucket vector of ``text``'s tokens, built on its first
+        request and kept, read-only, for every later one."""
+        bag = self._bags.get(text)
+        if bag is None:
+            tokens = text.lower().split()
+            if not tokens:
+                raise ValueError(f"cannot embed empty task description: {text!r}")
+            # sorted bucket order makes the float sum independent of token order,
+            # so equal token multisets embed bitwise-identically
+            idx = sorted(token_bucket(tok) for tok in tokens)
+            bag = self.table[idx].mean(axis=0)
+            bag.flags.writeable = False
+            self._bags[text] = bag
+        return bag
 
 
 def embed_texts(embedder: QueryEmbedder, texts: list[str]) -> Tensor:

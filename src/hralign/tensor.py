@@ -10,7 +10,8 @@ produced; only an optimizer step mutates parameter data in place.
 
 :func:`conv2d` takes batched (N, C, H, W) input only; a rank-3 input
 raises :class:`ShapeError`. It reads its input channels-last. It pads into
-a zeroed (N, H+2p, W+2p, C) buffer and gathers the patch matrix
+an (N, H+2p, W+2p, C) buffer whose border alone it zeroes, since the input
+overwrites the interior, and gathers the patch matrix
 (N, Ho*Wo, C*k*k) from it with one ``np.take`` over each flattened frame.
 The flat index is built once per (padded size, C, k, stride), cached and
 read-only; the gather moves whole patch rows where a strided copy would
@@ -37,12 +38,13 @@ an adapter sits at junction 0) the C-element inner runs are short, and
 this scatter alone measured slower than the NCHW one (1.0 against 0.8 ms
 per 80 frames); at C = 16 and 32 it is two to three times faster.
 
-:func:`relu` computes ``np.fmax(a, 0.0)`` and then adds 0.0 in place,
+Every ReLU computes ``np.fmax(a, 0.0)`` and then adds 0.0 in place,
 which is bitwise ``np.where(a > 0, a, 0.0)`` without its branches: fmax
 returns 0.0 for NaN and for every a < 0, and a positive a (subnormals and
 +inf included) comes through unchanged, while adding +0.0 is exact and
 turns the -0.0 that fmax may return for a = -0.0 into +0.0. Being a ufunc,
-fmax lays out its result like its input, as np.where does.
+fmax lays out its result like its input, as np.where does. The library
+has no bare ReLU node: each sits inside a fused node below.
 
 :func:`take` is the one indexing op: ``a.data[index]`` forward, an
 ``np.add.at`` scatter into zeros backward. Where one-hot or ``eye`` masks
@@ -68,6 +70,37 @@ composite's down to the sign of a dead unit's zeros. The other copies it
 skips are exact, and the signed zeros they would have turned to +0.0 only
 reach sums and products whose zero results each parameter's own
 ``_accumulate`` turns to +0.0.
+
+Two more fused nodes serve every encode and every alignment step, and
+hold their bits by the same rule: each runs its composite graph's numpy
+operations in the same order, on arrays laid out as the composite's are,
+and drops only copies that cannot change a bit. The fusion is allowed to
+save work, never to move a last bit: every trained adapter, checkpoint
+and reported number is pinned bitwise, and a reordered sum or a GEMM on
+another memory layout would move them all.
+
+- :func:`bias_relu` is ``relu(x + b)`` over the channels of an (N, C, H, W)
+  map, the tail of every backbone block and of the adapter's
+  down-projection. The composite's three nodes (bias reshape, add, relu)
+  held two full-size forward arrays; the fused node computes the sum once
+  and applies the ReLU in place. Backward masks the incoming gradient
+  into one array laid out like the input, sums it to the bias as
+  ``add``'s ``_unbroadcast`` does, and hands it to the input without the
+  two full-size copies the composite's ``_accumulate`` calls made.
+- :func:`attention_pool` is task-query pooling: the softmax over positions
+  of each position's dot with the query, the weighted sum, and the L2
+  normalisation of ``l2_normalize`` when asked, about twelve composite
+  nodes. Backward reads the broadcast gradients of the two position sums
+  as views where the composite materialised them, so each (B, P, C)
+  product it forms equals the composite's element for element; the
+  reductions over P or C see C-contiguous products in both, which holds
+  whenever the values are C-contiguous, as ``encoder.encode_pooled``
+  hands them. It keeps every ``+ 0.0`` whose signed zero could reach a
+  later sum, and ``mul(pooled, pooled)``'s two separate accumulations.
+
+``_adopt`` is ``_accumulate`` for a gradient the op has just made in the
+input's layout: the array becomes ``.grad`` instead of being copied.
+``tests/helpers`` keeps each composite graph as the oracle of its bits.
 """
 
 from __future__ import annotations
@@ -170,6 +203,18 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
         t.grad += g
 
 
+def _adopt(t: Tensor, g: np.ndarray) -> None:
+    """``_accumulate`` of a gradient the calling op has just made, laid out
+    like ``t.data`` and held by nothing else: kept as ``t.grad``, not copied."""
+    if not t.requires_grad:
+        return
+    if t.grad is None:
+        g += 0.0  # as _accumulate: -0.0 becomes +0.0
+        t.grad = g
+    else:
+        t.grad += g
+
+
 def _from_op(data: np.ndarray, parents: Sequence[Tensor], bwd) -> Tensor:
     """Wrap an op result; graph edges are only kept when a parent needs them."""
     out = Tensor(data)
@@ -234,15 +279,27 @@ def neg(a: Tensor) -> Tensor:
     return _from_op(-a.data, (a,), bwd)
 
 
-def relu(a: Tensor) -> Tensor:
-    # Bitwise np.where(a > 0, a, 0.0); see the module docstring.
-    data = np.fmax(a.data, 0.0)
-    data += 0.0
+def bias_relu(x: Tensor, b: Tensor) -> Tensor:
+    """``relu(x + b)`` over the channels of (N, C, H, W) ``x`` with (C,) ``b``
+    as one graph node, bitwise the composite ``relu(add(x, reshape(b, (C, 1,
+    1))))``'s value and gradients (the module docstring says why)."""
+    if x.ndim != 4 or b.shape != (x.shape[1],):
+        raise ShapeError(f"bias_relu: expected (N, C, H, W) and (C,), got {x.shape} and {b.shape}")
+    c = b.size
+    data = x.data + b.data.reshape(c, 1, 1)
+    np.fmax(data, 0.0, out=data)
+    data += 0.0  # relu, bitwise
 
     def bwd(g):
-        _accumulate(a, g * (a.data > 0.0))
+        # relu's mask, laid out like x.data as the composite's gradients are;
+        # the bias sum reads it before _adopt's + 0.0, which could only
+        # change the sign of a zero sum, and _accumulate clears that sign
+        g_pre = np.multiply(g, data > 0.0, out=np.empty_like(data))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g_pre, (c, 1, 1)).reshape(c))
+        _adopt(x, g_pre)
 
-    return _from_op(data, (a,), bwd)
+    return _from_op(data, (x, b), bwd)
 
 
 def power(a: Tensor, p: float) -> Tensor:
@@ -411,6 +468,60 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _from_op(data, (a,), bwd)
 
 
+def attention_pool(values: Tensor, queries: Tensor, normalize: bool) -> Tensor:
+    """Each of the B rows of (B, P, C) ``values`` pooled over its P positions
+    under the softmax of their dots with its row of (B, C) ``queries``, then
+    scaled to unit L2 norm when ``normalize``, as one graph node: bitwise
+    the composite graph's value and gradients on C-contiguous ``values``,
+    the layout ``encoder.encode_pooled`` hands it (the module docstring says
+    why)."""
+    v, q = values.data, queries.data
+    b, p, c = v.shape
+    if q.shape != (b, c):
+        raise ShapeError(f"queries {q.shape} do not match features {v.shape}")
+    qr = q.reshape(b, 1, c)
+    logits = (v * qr).sum(axis=2)  # (B, P)
+    if np.isnan(logits).any():
+        raise NumericError("softmax: NaN input")
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    weights = e / e.sum(axis=1, keepdims=True)
+    wr = weights.reshape(b, p, 1)
+    pooled = (v * wr).sum(axis=1)  # (B, C)
+    if normalize:
+        s = (pooled * pooled).sum(axis=1, keepdims=True) + 1e-24
+        inv = s**-0.5
+        data = pooled * inv
+    else:
+        data = pooled
+
+    def bwd(g):
+        if normalize:
+            g_pooled = g * inv
+            g_pooled += 0.0
+            g_inv = (g * pooled).sum(axis=1, keepdims=True)
+            g_s = g_inv * -0.5 * s**-1.5  # power's g * p * s ** (p - 1)
+            g_s += 0.0
+            g_sq = g_s * pooled
+            g_pooled += g_sq  # mul(pooled, pooled) accumulates g * pooled twice
+            g_pooled += g_sq
+        else:
+            g_pooled = g
+        g_m2 = g_pooled.reshape(b, 1, c)  # the pooling sum's gradient, broadcast over P
+        if values.requires_grad:
+            _adopt(values, np.multiply(g_m2, wr, out=np.empty_like(v)))
+        g_w = (g_m2 * v).sum(axis=2)
+        g_w += 0.0
+        g_logits = weights * (g_w - (g_w * weights).sum(axis=1, keepdims=True))
+        g_logits += 0.0
+        g_m1 = g_logits.reshape(b, p, 1)  # the logits sum's gradient, broadcast over C
+        if values.requires_grad:
+            values.grad += g_m1 * qr
+        if queries.requires_grad:
+            _accumulate(queries, (g_m1 * v).sum(axis=1))
+
+    return _from_op(data, (values, queries), bwd)
+
+
 def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     m = a.data.max(axis=axis, keepdims=True)
     e = np.exp(a.data - m)
@@ -470,7 +581,11 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
     xt = x.data.transpose(0, 2, 3, 1)  # (N, H, W, C) view
     if padding:
-        xp = np.zeros((n, hp, wp, c_in))
+        xp = np.empty((n, hp, wp, c_in))  # zeroed at the border only
+        xp[:, :padding] = 0.0
+        xp[:, padding + h :] = 0.0
+        xp[:, padding : padding + h, :padding] = 0.0
+        xp[:, padding : padding + h, padding + w :] = 0.0
         xp[:, padding : padding + h, padding : padding + w] = xt
     else:
         xp = xt

@@ -514,12 +514,13 @@ def train_hr_align(
 ) -> tuple[ModelCheckpoint, MetricsLog]:
     """Adapt a frozen copy of ``backbone`` on paired demos with the alignment loss.
 
-    Per step: draw a batch of pairs, sample frames (one shared sample per
-    robot clip feeds both robot streams), pool the three streams, take one
-    Adam step on adapter + query-projection parameters. A ``resume``
-    checkpoint must hold ``backbone`` bitwise and everything a run goes on
-    from: the adapter stack, the RNG, Adam with both moments of every
-    trained parameter, and the query projection when ``use_language``.
+    Per step: draw a batch of pairs, sample frames by one ``sample_frames``
+    call over the pairs' clips interleaved human, robot, human, ... (one
+    shared sample per robot clip feeds both robot streams), pool the three
+    streams, take one Adam step on adapter + query-projection parameters. A
+    ``resume`` checkpoint must hold ``backbone`` bitwise and everything a
+    run goes on from: the adapter stack, the RNG, Adam with both moments of
+    every trained parameter, and the query projection when ``use_language``.
     Neither the caller's backbone nor the checkpoint is touched.
     """
     config = config.validate()
@@ -560,18 +561,17 @@ def train_hr_align(
         params.update(embedder.named_parameters())
 
     def batch_loss(batch: list[PairedDemo]) -> tuple[Tensor, dict]:
-        human_frames, robot_frames = [], []
-        for demo in batch:
-            human_frames.append(sample_frames(demo.human, FRAMES_PER_CLIP, rng))
-            # one shared sample per robot clip feeds both robot streams
-            robot_frames.append(sample_frames(demo.robot, FRAMES_PER_CLIP, rng))
-        human, robot = np.concatenate(human_frames), np.concatenate(robot_frames)
+        b = len(batch)
+        # each pair's human clip, then its robot clip; one shared sample per
+        # robot clip feeds both robot streams
+        frames = sample_frames([c for d in batch for c in (d.human, d.robot)], FRAMES_PER_CLIP, rng)
+        frames = frames.reshape(b, 2, FRAMES_PER_CLIP, *frames.shape[1:])
+        human, robot = (frames[:, k].reshape(-1, *frames.shape[3:]) for k in (0, 1))
         if embedder is not None:
             queries = embed_texts(embedder, [d.description.text for d in batch])
             frozen_queries = queries.detach()
         else:
             queries = frozen_queries = None
-        b = len(batch)
         feats = AlignmentBatchFeatures(
             encode_pooled(backbone, human, b, queries=frozen_queries),
             encode_pooled(backbone, robot, b, queries=frozen_queries),
@@ -632,7 +632,7 @@ def train_baseline_cls(
 
     def batch_loss(batch: list[VideoClip]) -> tuple[Tensor, dict]:
         b = len(batch)
-        frames = np.concatenate([sample_frames(clip, FRAMES_PER_CLIP, rng) for clip in batch], axis=0)
+        frames = sample_frames(batch, FRAMES_PER_CLIP, rng)
         labels = np.array([classes[clip.task_id] for clip in batch])
         logits = _head_logits(head, backbone, frames, b)
         probs = T.softmax(logits.detach(), axis=1).data
@@ -657,7 +657,7 @@ def _fit_head_scaler(head, backbone, clips, config) -> None:
     rows = []
     for start in range(0, len(clips), config.batch_size):
         chunk = clips[start : start + config.batch_size]
-        frames = np.concatenate([sample_frames(c, FRAMES_PER_CLIP, rng) for c in chunk], axis=0)
+        frames = sample_frames(chunk, FRAMES_PER_CLIP, rng)
         rows.append(encode_pooled(backbone, frames, len(chunk), normalize=False).data)
     head.mu.data, head.sd.data = standard_stats(np.concatenate(rows, axis=0))
 
@@ -688,7 +688,7 @@ def classification_accuracy(checkpoint: ModelCheckpoint, pairs: list[PairedDemo]
     rng = RngState(977)
     hits = 0
     for demo in pairs:
-        frames = sample_frames(demo.robot, FRAMES_PER_CLIP, rng)
+        frames = sample_frames([demo.robot], FRAMES_PER_CLIP, rng)
         logits = _head_logits(head, checkpoint.backbone, frames, 1)
         if int(np.argmax(logits.data[0])) == classes[demo.task_id]:
             hits += 1

@@ -1,5 +1,7 @@
 """Shared test oracles: finite differences, a direct-exponential loss
-reference, the composite-graph behavior-cloning head, small model and
+reference, the composite graphs of the fused ``tensor`` nodes (the
+behavior-cloning head, bias + ReLU, attention pooling), the per-draw
+permutation and the per-clip frame and triplet samplers, small model and
 checkpoint builders, per-clip evaluation encodes, checkpoint header
 edits, a task-compactness ratio for embedding clouds, a strict JSON
 reader, and ``scripts/run_reference.py`` run in process.
@@ -100,7 +102,7 @@ def naive_hr_align_loss(
 
 def composite_bc_head(train_x: np.ndarray, train_y: np.ndarray, seed: int):
     """The behavior-cloning head trained through the composite graph of
-    primitive ops (matmul, add, relu, neg, mul, tmean), with the
+    primitive ops (matmul, add, ``relu``, neg, mul, tmean), with the
     initialisation, steps and step size of ``evaluation.train_bc_head``:
     the oracle of its fused ``mlp_mse`` loss. Returns (per-step losses,
     trained arrays by name)."""
@@ -115,12 +117,78 @@ def composite_bc_head(train_x: np.ndarray, train_y: np.ndarray, seed: int):
     y_t = Tensor(train_y)
 
     def mse(_):
-        h = T.relu(T.add(T.matmul(x_t, w1), b1))
+        h = relu(T.add(T.matmul(x_t, w1), b1))
         err = T.add(T.add(T.matmul(h, w2), b2), T.neg(y_t))
         return T.tmean(T.mul(err, err)), {}
 
     rows = fit(params, AdamState.for_params(params, lr=1e-2), 400, mse)
     return [loss for loss, _, _ in rows], {name: p.data for name, p in params.items()}
+
+
+def relu(a: Tensor) -> Tensor:
+    """The ReLU graph node the composite oracles build on: ``np.fmax(a,
+    0.0)`` plus 0.0, bitwise ``np.where(a > 0, a, 0.0)`` (the ``tensor``
+    docstring says why), its gradient masked by ``a > 0``. The library's
+    ReLUs are fused into ``bias_relu`` and ``mlp_mse``."""
+    data = np.fmax(a.data, 0.0)
+    data += 0.0
+
+    def bwd(g):
+        T._accumulate(a, g * (a.data > 0.0))
+
+    return T._from_op(data, (a,), bwd)
+
+
+def composite_bias_relu(x: Tensor, b: Tensor) -> Tensor:
+    """The graph ``tensor.bias_relu`` fuses: the oracle of its bits."""
+    return relu(T.add(x, T.reshape(b, (b.size, 1, 1))))
+
+
+def composite_attention_pool(values: Tensor, queries: Tensor, normalize: bool) -> Tensor:
+    """The graph of primitive ops ``tensor.attention_pool`` fuses: the
+    oracle of its bits."""
+    b, p, c = values.shape
+    logits = T.tsum(T.mul(values, T.reshape(queries, (b, 1, c))), axis=2)  # (B, P)
+    weights = T.softmax(logits, axis=1)
+    pooled = T.tsum(T.mul(values, T.reshape(weights, (b, p, 1))), axis=1)  # (B, C)
+    return T.l2_normalize(pooled, axis=1) if normalize else pooled
+
+
+def randint_permutation(rng: RngState, n: int) -> list[int]:
+    """Fisher-Yates over range(n), one ``randint`` draw per swap: the
+    oracle of ``RngState.permutation`` and ``rng.shuffled``."""
+    arr = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = rng.randint(i + 1)
+        arr[i], arr[j] = arr[j], arr[i]
+    return arr
+
+
+def per_clip_frame_indices(t_len: int, t: int, rng: RngState) -> list[int]:
+    """One clip's t ascending frame indices from its own draws: without
+    replacement when the clip is long enough, with replacement otherwise.
+    The per-clip sampler that ``dataset.sample_frames`` batches."""
+    if t_len >= t:
+        return sorted(randint_permutation(rng, t_len)[:t])
+    return sorted(rng.randint(t_len) for _ in range(t))
+
+
+def per_clip_sample_frames(clips, t: int, rng: RngState) -> np.ndarray:
+    """``dataset.sample_frames`` one clip at a time, the oracle of its frames
+    and of the stream position it leaves."""
+    frames = [clip.frames[per_clip_frame_indices(clip.length, t, rng)] for clip in clips]
+    return np.concatenate(frames) if frames else np.empty((0,))
+
+
+def per_clip_triplet_indices(t_len: int, rng: RngState) -> tuple[int, int, int]:
+    """A pretext triplet (anchor, positive 1 or 2 frames away, far frame)
+    from three ``randint`` draws: the per-clip form ``pretext_loss`` batches."""
+    anchor = rng.randint(t_len)
+    delta = 1 + rng.randint(2)
+    candidates = [i for i in (anchor + delta, anchor - delta) if 0 <= i < t_len]
+    positive = candidates[rng.randint(len(candidates))]
+    far = 0 if anchor > (t_len - 1) / 2 else t_len - 1
+    return anchor, positive, far
 
 
 def micro_backbone(seed: int = 3, channels=(3, 4, 4, 4)) -> Backbone:
@@ -172,7 +240,7 @@ def clip_embedding(checkpoint: ModelCheckpoint, clip, text: str, adapted: bool) 
     the per-clip oracle of evaluation's chunked encode. Frames come from
     seed 311's ``eval-frames`` stream of the pair id; the adapted path pools
     by ``text``'s task query when the checkpoint has a query projection."""
-    frames = sample_frames(clip, FRAMES_PER_CLIP, RngState(311).derive("eval-frames", clip.pair_id))
+    frames = sample_frames([clip], FRAMES_PER_CLIP, RngState(311).derive("eval-frames", clip.pair_id))
     queries = None
     if adapted and checkpoint.embedder is not None:
         queries = embed_texts(checkpoint.embedder, [text]).detach()

@@ -17,6 +17,7 @@ from helpers import (
     learnable_parameters,
     naive_hr_align_loss,
     rel_err,
+    relu,
     sum_param_sizes,
 )
 from hralign import tensor as T
@@ -74,7 +75,7 @@ def test_criterion_1_gradient_audit():
 
         yield "add", lambda x: T.tsum(T.mul(T.add(x, other), other)), rng.normal((3, 4))
         yield "mul", lambda x: T.tsum(T.mul(x, other)), rng.normal((3, 4))
-        yield "relu", lambda x: T.tsum(T.mul(T.relu(x), other)), relu_in
+        yield "relu", lambda x: T.tsum(T.mul(relu(x), other)), relu_in
         yield "power", lambda x: T.tsum(T.power(x, -0.5)), rng.uniform((2, 3), 0.5, 2.0)
         yield "sum", lambda x: T.tsum(T.mul(T.tsum(x, axis=0, keepdims=True), sum_probe)), rng.normal((3, 4))
         yield "mean", lambda x: T.tsum(T.mul(T.tmean(x, axis=(0, 2)), mean_probe)), rng.normal((2, 3, 2))

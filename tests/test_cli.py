@@ -440,6 +440,28 @@ def test_cli_baseline(pipeline, tmp_path):
     assert os.path.exists(os.path.join(out, "model.ckpt"))
 
 
+@pytest.mark.parametrize("kind", ["pret", "cls"])
+def test_cli_reports_name_a_fine_tuned_checkpoint_fine_tuned(pipeline, tmp_path, kind):
+    """A baseline's checkpoint holds a trained backbone and no adapters:
+    eval once printed ``retrieval [frozen]`` for it. Its reports are now
+    tagged ``fine-tuned``, with or without --frozen, and dump's ``adapted``
+    column stays 0, since no adapter or query projection took part."""
+    _, manifest, backbone, _ = pipeline
+    out = tmp_path / "baseline"
+    train = ["--set", "steps=2", "--set", "batch_size=4", "--set", "learning_rate=3e-4"]
+    assert run(["baseline", kind, "--data", manifest, "--backbone", backbone, "--out", str(out), *train]) == 0
+    model = str(out / "model.ckpt")
+    for extra in ([], ["--frozen"]):
+        report_dir = tmp_path / f"eval{len(extra)}"
+        assert run(["eval", "--checkpoint", model, "--data", manifest, "--out", str(report_dir), *extra]) == 0
+        text = (report_dir / "report.txt").read_text()
+        assert "retrieval [fine-tuned]" in text and "downstream [fine-tuned]" in text
+    path = tmp_path / "emb.csv"
+    assert run(["dump", "--checkpoint", model, "--data", manifest, "--out", str(path)]) == 0
+    with open(path, newline="") as fh:
+        assert {row["adapted"] for row in csv.DictReader(fh)} == {"0"}
+
+
 def test_cli_resume_matches_straight_run(pipeline, tmp_path):
     root, manifest, backbone, _ = pipeline
     a = str(tmp_path / "a")
@@ -474,6 +496,33 @@ def test_cli_resume_matches_straight_run(pipeline, tmp_path):
         assert np.array_equal(tensor.data, resumed.named_tensors()[name].data), name
     for name in direct.adam.m:
         assert np.array_equal(direct.adam.m[name], resumed.adam.m[name])
+
+
+def test_cli_resume_without_backbone_trains_over_the_checkpoints_own(pipeline, tmp_path, capsys):
+    """``adapt --resume R`` without --backbone once exited 1 (a required
+    flag); it now goes on over R's own backbone, byte for byte the run
+    that names it. Neither flag is a usage error."""
+    _, manifest, backbone, _ = pipeline
+    common = ["--data", manifest, "--set", "batch_size=4", "--set", "seed=11"]
+    half = str(tmp_path / "half")
+    assert run(["adapt", *common, "--backbone", backbone, "--out", half, "--set", "steps=3"]) == 0
+    resume = ["--set", "steps=6", "--resume", os.path.join(half, "model.ckpt")]
+    named, own = str(tmp_path / "named"), str(tmp_path / "own")
+    assert run(["adapt", *common, "--backbone", backbone, "--out", named, *resume]) == 0
+    assert run(["adapt", *common, "--out", own, *resume]) == 0
+    ours, theirs = (ModelCheckpoint.load(os.path.join(d, "model.ckpt")) for d in (named, own))
+    for name, tensor in ours.named_tensors().items():
+        assert np.array_equal(tensor.data, theirs.named_tensors()[name].data), name
+    for name in ours.adam.m:
+        assert np.array_equal(ours.adam.m[name], theirs.adam.m[name])
+    assert ours.rng.state() == theirs.rng.state()
+    losses = [[row.rsplit(",", 1)[0] for row in Path(d, "metrics.csv").read_text().splitlines()] for d in (named, own)]
+    assert losses[0] == losses[1]  # every column but wall_ms
+    capsys.readouterr()
+    neither = tmp_path / "neither"
+    assert run(["adapt", *common, "--out", str(neither), "--set", "steps=1"]) == 1
+    assert "error: adapt needs --backbone, or --resume" in capsys.readouterr().err
+    assert not neither.exists()
 
 
 def test_cli_resume_over_a_different_backbone_exits_two_writing_nothing(

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import per_clip_sample_frames
 from hralign.dataset import (
     CLIP_LEN_MAX,
     CLIP_LEN_MIN,
@@ -19,7 +20,6 @@ from hralign.dataset import (
     VideoClip,
     generate_paired_set,
     load_manifest,
-    sample_frame_indices,
     sample_frames,
     sample_trajectory,
     save_manifest,
@@ -141,23 +141,34 @@ def test_trajectory_inside_unit_square():
 # frame sampling --------------------------------------------------------------
 
 
+def _numbered_clip(n: int, scale: float = 128.0) -> VideoClip:
+    """A clip of n one-pixel frames, frame i holding i / scale, so sampled
+    frames name their indices."""
+    frames = (np.arange(n, dtype=np.float64) / scale).reshape(n, 1, 1, 1)
+    return VideoClip(frames, "human", 0, n)
+
+
+def _indices(frames: np.ndarray, scale: float = 128.0) -> list[int]:
+    return [int(round(v * scale)) for v in frames[:, 0, 0, 0]]
+
+
 def test_sample_all_frames_in_order():
     pairs = generate_paired_set(RngState(2), 2, 1, 0.5)
     clip = pairs[0].human
     t = clip.length
-    out = sample_frames(clip, t, RngState(3))
+    out = sample_frames([clip], t, RngState(3))
     assert np.array_equal(out, clip.frames)
 
 
 def test_sample_with_replacement_repeats_single_frame():
-    idx = sample_frame_indices(1, 5, RngState(4))
+    idx = _indices(sample_frames([_numbered_clip(1)], 5, RngState(4)))
     assert idx == [0, 0, 0, 0, 0]
 
 
 def test_sample_indices_match_independent_reimplementation():
     # without replacement: first T of a Fisher-Yates shuffle, sorted
     rng = RngState(55)
-    idx = sample_frame_indices(100, 5, rng)
+    idx = _indices(sample_frames([_numbered_clip(100)], 5, rng))
     rng2 = RngState(55)
     arr = list(range(100))
     for i in range(99, 0, -1):
@@ -166,6 +177,7 @@ def test_sample_indices_match_independent_reimplementation():
     expected = sorted(arr[:5])
     assert idx == expected
     assert idx == sorted(idx)
+    assert rng.position == rng2.position == 99
 
 
 @settings(deadline=None, max_examples=30)
@@ -175,7 +187,7 @@ def test_sample_indices_match_independent_reimplementation():
     st.integers(min_value=0, max_value=2**32),
 )
 def test_sample_indices_properties(t_len, t, seed):
-    idx = sample_frame_indices(t_len, t, RngState(seed))
+    idx = _indices(sample_frames([_numbered_clip(t_len)], t, RngState(seed)))
     assert len(idx) == t
     assert all(0 <= i < t_len for i in idx)
     assert idx == sorted(idx)
@@ -183,10 +195,43 @@ def test_sample_indices_properties(t_len, t, seed):
         assert len(set(idx)) == t  # distinct when possible
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    st.lists(st.integers(min_value=1, max_value=30), max_size=6),
+    st.integers(min_value=1, max_value=8),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.one_of(st.integers(min_value=0, max_value=2**20), st.integers(min_value=2**64 - 200, max_value=2**64 - 1)),
+)
+def test_sample_frames_equals_the_per_clip_sampler(lengths, t, seed, position):
+    """The batched draw takes, in order, the draws of sampling each clip by
+    its own permutation or randint calls: the same frames, the stream left
+    at the same position, across the 2**64 wrap, for both sampling
+    branches and for an empty list."""
+    clips = [_numbered_clip(n) for n in lengths]
+    batched, per_clip = RngState(seed, position), RngState(seed, position)
+    out = sample_frames(clips, t, batched)
+    ref = per_clip_sample_frames(clips, t, per_clip)
+    assert out.shape == ref.shape == ((len(clips) * t, 1, 1, 1) if clips else (0,))
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+    assert batched.state() == per_clip.state()
+    expected_draws = sum(n - 1 if n >= t else t for n in lengths)
+    assert batched.position == (position + expected_draws) % 2**64
+
+
+def test_sample_frames_draws_a_batch_in_one_call(monkeypatch):
+    calls = []
+    for name in ("u64", "next_u64"):
+        original = getattr(RngState, name)
+        monkeypatch.setattr(RngState, name, lambda self, *a, _f=original, _n=name: calls.append(_n) or _f(self, *a))
+    clips = [_numbered_clip(n) for n in (3, 12, 7, 1)]
+    sample_frames(clips, 5, RngState(9))
+    assert calls == ["u64"]
+
+
 def test_sample_frames_requires_positive_t():
     pairs = generate_paired_set(RngState(2), 2, 1, 0.5)
     with pytest.raises(ValueError):
-        sample_frames(pairs[0].human, 0, RngState(1))
+        sample_frames([pairs[0].human], 0, RngState(1))
 
 
 # splits ----------------------------------------------------------------------

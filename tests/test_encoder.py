@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_clip_frames
+from helpers import per_clip_triplet_indices, random_clip_frames
 from hralign.dataset import VideoClip, generate_paired_set
-from hralign.encoder import Backbone, encode_batch, pretext_pretrain
+from hralign.encoder import Backbone, encode_batch, pretext_loss, pretext_pretrain
 from hralign.rng import RngState
-from hralign.tensor import ShapeError
+from hralign.tensor import ShapeError, Tensor
 
 
 def frozen_backbone(seed=3):
@@ -165,3 +167,38 @@ def test_frozen_follows_requires_grad():
     bb.blocks[0].w.requires_grad = False
     assert bb.frozen
     assert not bb.unfreeze().frozen and not bb.copy().frozen
+
+
+def _numbered_clip(n: int) -> VideoClip:
+    """n one-pixel frames, frame i holding i / 64."""
+    return VideoClip((np.arange(n, dtype=np.float64) / 64.0).reshape(n, 1, 1, 1), "human", 0, n)
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.lists(st.integers(min_value=4, max_value=30), min_size=1, max_size=6),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.one_of(st.integers(min_value=0, max_value=2**20), st.integers(min_value=2**64 - 20, max_value=2**64 - 1)),
+)
+def test_pretext_triplets_equal_the_per_clip_draws(lengths, seed, position):
+    """One ``u64`` call of three draws per clip picks the anchors, positives
+    and far frames of three ``randint`` draws per clip, and leaves the
+    stream where they leave it, across the 2**64 wrap."""
+    clips = [_numbered_clip(n) for n in lengths]
+    seen = []
+
+    def encode(frames):
+        seen.append(frames)
+        return Tensor(frames + 1.0)  # (3B, 1, 1, 1) features
+
+    batched, per_clip = RngState(seed, position), RngState(seed, position)
+    pretext_loss(encode, clips, batched)
+    triplets = [clip.frames[list(per_clip_triplet_indices(clip.length, per_clip))] for clip in clips]
+    expected = np.stack(triplets, axis=1).reshape(3 * len(clips), 1, 1, 1)
+    assert np.array_equal(seen[0], expected)
+    assert batched.state() == per_clip.state()
+
+
+def test_pretext_refuses_a_clip_with_no_positive():
+    with pytest.raises(ValueError, match="pretext: a clip of 1 frames"):
+        pretext_loss(lambda fr: Tensor(fr + 1.0), [_numbered_clip(1)], RngState(0))

@@ -169,20 +169,21 @@ def test_chunked_encode_equals_one_call_per_clip(small_pairs, tmp_path, monkeypa
 
 
 @pytest.mark.parametrize(
-    "positions, language, tags",
+    "positions, language, tags, unadapted",
     [
-        ("L", False, ("adapted", "adapted")),
-        ("none", True, ("adapted", "frozen")),
-        ("none", False, ("frozen", "frozen")),
+        ("L", False, ("adapted", "adapted"), "frozen"),
+        ("none", True, ("adapted", "frozen"), "frozen"),
+        ("none", False, ("fine-tuned", "fine-tuned"), "fine-tuned"),  # a cls_baseline checkpoint
     ],
 )
-def test_reports_tag_what_took_part_in_the_encode(small_pairs, positions, language, tags):
+def test_reports_tag_what_took_part_in_the_encode(small_pairs, positions, language, tags, unadapted):
     """Retrieval is adapted when adapter blocks or the query projection
-    encode; downstream never pools by query, so only adapter blocks count."""
+    encode; downstream never pools by query, so only adapter blocks count.
+    Otherwise a backbone a baseline trained is fine-tuned, else frozen."""
     checkpoint = small_checkpoint(positions, language, seed=5)
     pairs = small_pairs[:4]
     robot = [p.robot for p in pairs]
-    for adapted, want in ((True, tags), (False, ("frozen", "frozen"))):
+    for adapted, want in ((True, tags), (False, (unadapted, unadapted))):
         retrieval = eval_retrieval(checkpoint, pairs, adapted)
         assert (retrieval.tag, eval_downstream(checkpoint, robot, adapted).tag) == want
 

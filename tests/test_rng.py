@@ -2,7 +2,8 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hralign.rng import RngState, fnv1a64
+from helpers import randint_permutation
+from hralign.rng import RngState, fnv1a64, shuffled
 
 
 def test_fnv1a64_known_vectors():
@@ -79,6 +80,29 @@ def test_randint_in_range(n, seed):
 def test_permutation_is_permutation(n, seed):
     perm = RngState(seed).permutation(n)
     assert sorted(perm.tolist()) == list(range(n))
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.integers(min_value=0, max_value=40),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.one_of(st.integers(min_value=0, max_value=2**20), st.integers(min_value=2**64 - 64, max_value=2**64 - 1)),
+)
+def test_permutation_equals_per_draw_fisher_yates(n, seed, position):
+    """One ``u64`` call and ``shuffled`` give the permutation, and the
+    stream position, of one ``randint`` draw per swap, across the 2**64 wrap."""
+    batched, per_draw = RngState(seed, position), RngState(seed, position)
+    perm = batched.permutation(n)
+    assert perm.dtype == np.int64
+    assert perm.tolist() == randint_permutation(per_draw, n)
+    assert batched.state() == per_draw.state()
+    assert batched.position == (position + max(n - 1, 0)) % 2**64
+
+
+def test_shuffled_takes_no_draw_past_its_last():
+    draws = iter(RngState(4).u64(6).tolist())
+    shuffled(draws, 4)  # three swaps
+    assert len(list(draws)) == 3
 
 
 def test_derive_independent_streams():

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hralign import task_query
 from hralign import tensor as T
 from hralign.rng import RngState
 from hralign.task_query import (
@@ -92,3 +93,17 @@ def test_embedding_deterministic(tokens):
     a = embed_texts(emb, [text])
     b = embed_texts(emb, [text])
     assert np.array_equal(a.data, b.data)
+
+
+def test_each_description_is_bagged_once(monkeypatch):
+    """Embedding a description again reuses its bag: the tokens are hashed
+    on the first request only, and the reused bag embeds bitwise alike."""
+    hashed = []
+    monkeypatch.setattr(task_query, "token_bucket", lambda tok, _f=task_query.token_bucket: hashed.append(tok) or _f(tok))
+    emb = QueryEmbedder.create(RngState(9), 16)
+    embed_texts(emb, ["push the block", "lift the ball"])
+    again = embed_texts(emb, ["lift the ball", "push the block"])
+    assert sorted(hashed) == sorted("push the block lift the ball".split())
+    fresh = embed_texts(QueryEmbedder.create(RngState(9), 16), ["lift the ball", "push the block"])
+    assert np.array_equal(again.data, fresh.data)
+    assert not emb.bag_of_tokens("push the block").flags.writeable

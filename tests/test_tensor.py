@@ -3,7 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grad_against_fd, numeric_grad, rel_err
+from helpers import (
+    check_grad_against_fd,
+    composite_attention_pool,
+    composite_bias_relu,
+    numeric_grad,
+    rel_err,
+    relu,
+)
 from hralign import tensor as T
 from hralign.rng import RngState, fnv1a64
 from hralign.tensor import NumericError, ShapeError, Tensor
@@ -222,6 +229,18 @@ def test_conv2d_matches_naive_loop(n, c_in, c_out, h, w, k, stride, padding, cha
     assert np.allclose(xt.grad, ref_gx, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("padding", [1, 2])
+def test_conv2d_pads_with_zeros_whatever_the_buffer_held(padding, monkeypatch):
+    """The padded buffer is zeroed at its border only: with a NaN-filled
+    buffer the output still equals the one padded with np.zeros."""
+    rng = RngState(61)
+    x, kernels = Tensor(rng.normal((2, 3, 5, 4))), Tensor(rng.normal((4, 3, 3, 3)))
+    ref = T.conv2d(x, kernels, stride=1, padding=padding).data
+    monkeypatch.setattr(np, "empty", lambda shape, *a, _f=np.full, **k: _f(shape, np.nan))
+    out = T.conv2d(x, kernels, stride=1, padding=padding).data
+    assert np.array_equal(_int_bits(out), _int_bits(ref))
+
+
 class _NoTranspose(np.ndarray):
     """An array whose transpose must never be taken."""
 
@@ -256,10 +275,11 @@ def _relu_inputs():
 def test_relu_bitwise_equals_where_formula(layout):
     x = _relu_inputs()[layout]
     ref = np.where(x > 0.0, x, 0.0)
-    out = T.relu(Tensor(x)).data
-    # viewed as integers, so the sign of zero and NaN payloads count too
-    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
-    assert out.strides == ref.strides == x.strides
+    zero_bias = Tensor(np.zeros(x.shape[1]))
+    for out in (relu(Tensor(x)).data, T.bias_relu(Tensor(x), zero_bias).data):
+        # viewed as integers, so the sign of zero and NaN payloads count too
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64))
+        assert out.strides == ref.strides == x.strides
 
 
 @pytest.mark.parametrize("layout", ["contiguous", "channels_last"])
@@ -373,7 +393,7 @@ def test_mlp_mse_bitwise_equals_the_composite_graph(upstream):
     fused = {name: Tensor(v, requires_grad=True) for name, v in values.items()}
     comp = {name: Tensor(v.copy(), requires_grad=True) for name, v in values.items()}
     loss = T.mlp_mse(x, fused["w1"], fused["b1"], fused["w2"], fused["b2"], y)
-    h = T.relu(T.add(T.matmul(x, comp["w1"]), comp["b1"]))
+    h = relu(T.add(T.matmul(x, comp["w1"]), comp["b1"]))
     err = T.add(T.add(T.matmul(h, comp["w2"]), comp["b2"]), T.neg(y))
     ref = T.tmean(T.mul(err, err))
     T.mul(loss, Tensor(upstream)).backward()
@@ -381,6 +401,102 @@ def test_mlp_mse_bitwise_equals_the_composite_graph(upstream):
     assert _same_bits(loss.data, ref.data)
     for name in shapes:
         assert _same_bits(fused[name].grad, comp[name].grad), name
+
+
+def _int_bits(a) -> np.ndarray:
+    """The int64 bit patterns of a float64 array: signed zeros and NaN
+    payloads count."""
+    return np.asarray(a, dtype=np.float64).view(np.int64)
+
+
+def _same_layout(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal strides along every axis longer than 1, the only ones a
+    stride means anything for."""
+    return a.shape == b.shape and all(
+        sa == sb for sa, sb, n in zip(a.strides, b.strides, a.shape) if n > 1
+    )
+
+
+@settings(deadline=None, max_examples=40)
+@given(
+    st.tuples(*(st.integers(min_value=1, max_value=4) for _ in range(4))),
+    st.sampled_from(["contiguous", "channels_last"]),
+    st.sampled_from([(True, True), (True, False), (False, True)]),
+    st.integers(min_value=0, max_value=2**32),
+    st.booleans(),
+)
+def test_bias_relu_bitwise_equals_the_composite_graph(shape, layout, trainable, seed, twice):
+    """Value, layout and both gradients keep their bits against
+    relu(add(x, reshape(b))), with signed zeros, NaN and subnormals in x,
+    zeros in the upstream gradient, and gradients that accumulate when the
+    operands feed the node ``twice``."""
+    n, c, h, w = shape
+    rng = RngState(seed)
+    flat = rng.normal((n * c * h * w,))
+    special = _SPECIAL[np.isfinite(_SPECIAL) | np.isnan(_SPECIAL)]  # inf * 0 would warn
+    flat[: special.size] = special[: flat.size]
+    x0 = flat.reshape(n, h, w, c).transpose(0, 3, 1, 2) if layout == "channels_last" else flat.reshape(n, c, h, w)
+    b0 = rng.normal((c,))
+    g = rng.normal((n, c, h, w)) * (rng.uniform((n, c, h, w)) > 0.2)
+    grads = []
+    for op in (T.bias_relu, composite_bias_relu):
+        x, b = Tensor(x0, requires_grad=trainable[0]), Tensor(b0.copy(), requires_grad=trainable[1])
+        out = T.add(op(x, b), op(x, b)) if twice else op(x, b)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        grads.append((out.data, x.grad, b.grad))
+    (out, gx, gb), (ref, rx, rb) = grads
+    assert np.array_equal(_int_bits(out), _int_bits(ref)) and _same_layout(out, ref)
+    for got, want in ((gx, rx), (gb, rb)):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(_int_bits(got), _int_bits(want)) and _same_layout(got, want)
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    st.tuples(*(st.integers(min_value=1, max_value=6) for _ in range(3))),
+    st.booleans(),
+    st.sampled_from([(True, True), (True, False), (False, True)]),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([0.1, 1.0, 8.0]),
+    st.booleans(),
+)
+def test_attention_pool_bitwise_equals_the_composite_graph(shape, normalize, trainable, seed, scale, twice):
+    """Value and both gradients keep their bits against the composite
+    pooling graph (softmax attention, weighted sum, l2_normalize), with
+    sharp and flat attention, zeros in the upstream gradient, and gradients
+    that accumulate when the operands feed the node ``twice``."""
+    b, p, c = shape
+    rng = RngState(seed)
+    v0, q0 = rng.normal((b, p, c)), rng.normal((b, c)) * scale
+    g = rng.normal((b, c)) * (rng.uniform((b, c)) > 0.2)
+    grads = []
+    for op in (T.attention_pool, composite_attention_pool):
+        values, queries = Tensor(v0, requires_grad=trainable[0]), Tensor(q0.copy(), requires_grad=trainable[1])
+        out = op(values, queries, normalize)
+        if twice:
+            out = T.add(out, op(values, queries, normalize))
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        grads.append((out.data, values.grad, queries.grad))
+    (out, gv, gq), (ref, rv, rq) = grads
+    assert np.array_equal(_int_bits(out), _int_bits(ref))
+    for got, want in ((gv, rv), (gq, rq)):
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert np.array_equal(_int_bits(got), _int_bits(want)) and _same_layout(got, want)
+
+
+def test_fused_nodes_reject_shapes_and_nan_as_their_composites_do():
+    with pytest.raises(ShapeError, match="bias_relu"):
+        T.bias_relu(Tensor(np.zeros((2, 3, 4, 4))), Tensor(np.zeros(4)))
+    with pytest.raises(ShapeError, match="bias_relu"):
+        T.bias_relu(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros(3)))
+    with pytest.raises(ShapeError, match="do not match"):
+        T.attention_pool(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((2, 4))), True)
+    values = np.zeros((1, 5, 3))
+    values[0, 2, 1] = np.nan
+    with pytest.raises(NumericError, match="NaN"):
+        T.attention_pool(Tensor(values), Tensor(np.ones((1, 3))), True)
 
 
 def test_mlp_mse_rejects_trainable_data_and_shapes_that_do_not_chain():
@@ -555,7 +671,7 @@ def test_l2_normalize_unit_norm():
     [
         ("add", lambda x: T.tsum(T.mul(T.add(x, Tensor(RngState(21).normal((3, 4)))), x)), (3, 4)),
         ("mul", lambda x: T.tsum(T.mul(x, Tensor(RngState(22).normal((3, 4))))), (3, 4)),
-        ("relu", lambda x: T.tsum(T.mul(T.relu(x), x)), (3, 4)),
+        ("relu", lambda x: T.tsum(T.mul(relu(x), x)), (3, 4)),
         ("neg", lambda x: T.tsum(T.mul(T.neg(x), Tensor(RngState(30).normal((2, 3))))), (2, 3)),
         ("mean", lambda x: T.tsum(T.tmean(T.mul(x, x), axis=(0, 2))), (2, 3, 2)),
         ("transpose", lambda x: T.tsum(T.mul(T.transpose(x, (1, 0)), Tensor(RngState(23).normal((4, 3))))), (3, 4)),
@@ -568,12 +684,17 @@ def test_l2_normalize_unit_norm():
         ("take_slice", lambda x: T.tsum(T.mul(T.take(x, slice(1, 3)), Tensor(RngState(28).normal((2, 4))))), (3, 4)),
         ("take_index", lambda x: T.tsum(T.mul(T.take(x, (np.array([0, 2, 2, 1]), np.array([1, 3, 3, 0]))), Tensor(RngState(29).normal(4)))), (3, 4)),
         ("cross_entropy", lambda x: T.cross_entropy(x, np.array([2, 0, 3])), (3, 4)),
+        ("bias_relu", lambda x: T.tsum(T.mul(T.bias_relu(x, Tensor(np.zeros(3))), Tensor(RngState(31).normal((2, 3, 2, 2))))), (2, 3, 2, 2)),
+        ("bias_relu_bias", lambda x: T.tsum(T.mul(T.bias_relu(Tensor(RngState(32).normal((2, 3, 2, 2))), x), Tensor(RngState(33).normal((2, 3, 2, 2))))), (3,)),
+        ("attention_pool", lambda x: T.tsum(T.mul(T.attention_pool(x, Tensor(RngState(34).normal((2, 3))), True), Tensor(RngState(35).normal((2, 3))))), (2, 4, 3)),
+        ("attention_pool_query", lambda x: T.tsum(T.mul(T.attention_pool(Tensor(RngState(36).normal((2, 4, 3))), x, True), Tensor(RngState(37).normal((2, 3))))), (2, 3)),
+        ("attention_pool_unnormalised", lambda x: T.tsum(T.mul(T.attention_pool(x, Tensor(RngState(38).normal((2, 3))), False), Tensor(RngState(39).normal((2, 3))))), (2, 4, 3)),
     ],
 )
 def test_op_gradients_vs_fd(name, build, shape):
     rng = RngState(fnv1a64(name.encode()) % 1000 + 13)
     x0 = rng.normal(shape)
-    if name == "relu":
+    if name in ("relu", "bias_relu"):
         x0 = x0 + np.sign(x0) * 0.2  # keep away from the kink
     check_grad_against_fd(build, x0)
 
@@ -591,7 +712,7 @@ def test_backward_deterministic_repeat():
     def run():
         x.grad = None
         w.grad = None
-        loss = T.tsum(T.relu(T.matmul(x, w)))
+        loss = T.tsum(relu(T.matmul(x, w)))
         loss.backward()
         return x.grad.copy(), w.grad.copy()
 
@@ -627,7 +748,7 @@ def test_detach_blocks_gradients():
 
 def test_grad_shape_matches_data():
     x = Tensor(RngState(13).normal((2, 5)), requires_grad=True)
-    T.tsum(T.relu(x)).backward()
+    T.tsum(relu(x)).backward()
     assert x.grad.shape == x.data.shape
 
 
