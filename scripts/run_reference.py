@@ -37,8 +37,7 @@ def reference(args: argparse.Namespace) -> int:
     print(f"[1/4] dataset: {args.tasks} tasks x {args.pairs_per_task} pairs, gap {args.gap}")
     pairs = generate_paired_set(RngState(args.seed), args.tasks, args.pairs_per_task, args.gap)
     train, heldout = split_pairs(pairs)
-    for arm in ARMS:  # before the pretext, not after it
-        check_heldout(arm, heldout)
+    check_heldout(next(iter(ARMS)), heldout)  # run_arm's check, before the pretext
 
     print(f"[2/4] pretext pre-training, {args.pretext_epochs} epochs")
     backbone, history = pretext_pretrain(

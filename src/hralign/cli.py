@@ -41,10 +41,6 @@ USAGE_ERROR = 1
 RUNTIME_ERROR = 2
 
 
-class UsageError(ValueError):
-    """Arguments that parse but cannot run together; exits USAGE_ERROR."""
-
-
 def _write_run_outputs(out_dir: str, config_text: str, produced: list[str]) -> None:
     os.makedirs(out_dir, exist_ok=True)
     _atomic_write(os.path.join(out_dir, "resolved_config.txt"), config_text.encode("utf-8"))
@@ -143,7 +139,7 @@ def cmd_train(args) -> int:
     else:
         method, label = f"{args.kind}_baseline", f"baseline {args.kind}"
     if args.backbone is None and args.resume is None:
-        raise UsageError("adapt needs --backbone, or --resume to train over its checkpoint's backbone")
+        args.usage_error("--backbone is required without --resume")
     config = _load_train_config(args, method)
     pairs, _ = split_pairs(load_manifest(args.data))
     resume = ModelCheckpoint.load(args.resume) if args.resume else None
@@ -251,27 +247,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_pretrain)
 
-    def add_train_args(p):
+    def add_train_args(p, resumable):
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
         p.add_argument("--data", required=True)
+        p.add_argument("--backbone", required=not resumable,
+                       help="required unless --resume, whose backbone it must be" if resumable else None)
         p.add_argument("--out", default=None, help="override out_dir")
 
     p = sub.add_parser("adapt", help="adapter alignment training")
-    add_train_args(p)
-    p.add_argument("--backbone", default=None, help="required unless --resume, whose backbone it must be")
+    add_train_args(p, resumable=True)
     p.add_argument("--resume", default=None, help="checkpoint to resume from")
-    p.set_defaults(func=cmd_train, kind=None)
+    p.set_defaults(func=cmd_train, kind=None, usage_error=p.error)
 
     p = sub.add_parser("baseline", help="full fine-tune baselines")
     p.add_argument("kind", choices=("pret", "cls"))
-    add_train_args(p)
-    p.add_argument("--backbone", required=True)
+    add_train_args(p, resumable=False)
     p.set_defaults(func=cmd_train, resume=None)
 
     p = sub.add_parser("ablate", help="train and score every arm: adapter positions, frozen, fine-tunes")
-    add_train_args(p)
-    p.add_argument("--backbone", required=True)
+    add_train_args(p, resumable=False)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("eval", help="retrieval and downstream evaluation")
@@ -296,19 +291,16 @@ def run_parsed(parser: argparse.ArgumentParser, argv) -> int:
     under the error contract: 0 success, 1 a usage error (bad arguments, a
     missing input file), 2 a runtime error (an output that cannot be
     written, a ValueError, ManifestError or RuntimeError), each error
-    printed as one ``error:`` line. A ``UsageError`` is a usage error."""
+    printed as one ``error:`` line."""
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        # argparse: 0 for --help, 2 for usage problems; map the latter to 1
-        return 0 if exc.code == 0 else USAGE_ERROR
-    try:
         return args.func(args)
+    except SystemExit as exc:
+        # argparse, parsing or a command's own check through its parser's
+        # error(): 0 for --help, 2 for usage problems; map the latter to 1
+        return 0 if exc.code == 0 else USAGE_ERROR
     except FileNotFoundError as exc:
         print(f"error: file not found: {exc.filename or exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except OSError as exc:  # an output path that cannot be written
         print(f"error: cannot write output: {exc}", file=sys.stderr)

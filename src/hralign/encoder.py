@@ -124,12 +124,7 @@ def encode_batch(
     before block j, junction n_blocks after the last block.
     """
     adapters = adapters or {}
-    # conv2d reads channels-last, so block 0 takes an NCHW view of the
-    # frames; an adapter at junction 0 takes an NCHW copy, since its
-    # residual sum lays out like its input and its bias gradient is summed
-    # in that layout's order
-    x = frames.transpose(0, 3, 1, 2)
-    h = Tensor(np.ascontiguousarray(x) if 0 in adapters else x)
+    h = Tensor(np.ascontiguousarray(frames.transpose(0, 3, 1, 2)))
     for j, block in enumerate(backbone.blocks):
         if j in adapters:
             h = adapter_forward(adapters[j], h)

@@ -10,8 +10,7 @@ produced; only an optimizer step mutates parameter data in place.
 
 :func:`conv2d` takes batched (N, C, H, W) input only; a rank-3 input
 raises :class:`ShapeError`. It reads its input channels-last. It pads into
-an (N, H+2p, W+2p, C) buffer whose border alone it zeroes, since the input
-overwrites the interior, and gathers the patch matrix
+a zeroed (N, H+2p, W+2p, C) buffer and gathers the patch matrix
 (N, Ho*Wo, C*k*k) from it with one ``np.take`` over each flattened frame.
 The flat index is built once per (padded size, C, k, stride), cached and
 read-only; the gather moves whole patch rows where a strided copy would
@@ -581,11 +580,7 @@ def conv2d(x: Tensor, kernels: Tensor, stride: int = 1, padding: int = 0) -> Ten
     ho, wo = (hp - k) // stride + 1, (wp - k) // stride + 1
     xt = x.data.transpose(0, 2, 3, 1)  # (N, H, W, C) view
     if padding:
-        xp = np.empty((n, hp, wp, c_in))  # zeroed at the border only
-        xp[:, :padding] = 0.0
-        xp[:, padding + h :] = 0.0
-        xp[:, padding : padding + h, :padding] = 0.0
-        xp[:, padding : padding + h, padding + w :] = 0.0
+        xp = np.zeros((n, hp, wp, c_in))
         xp[:, padding : padding + h, padding : padding + w] = xt
     else:
         xp = xt

@@ -17,7 +17,6 @@ from helpers import (
     learnable_parameters,
     naive_hr_align_loss,
     rel_err,
-    relu,
     sum_param_sizes,
 )
 from hralign import tensor as T
@@ -64,6 +63,9 @@ def test_criterion_1_gradient_audit():
         conv_w_probe = Tensor(rng.normal((1, 2, 2, 2)))
         relu_in = rng.normal((3, 4))
         relu_in += np.sign(relu_in) * 0.2
+        relu_b = rng.derive("bias_relu").normal(3)
+        relu_x = relu_in.reshape(1, 3, 2, 2) - relu_b.reshape(3, 1, 1)  # x + b is relu_in, off the kink
+        relu_probe = Tensor(other.data.reshape(1, 3, 2, 2))
         mlp_rng = rng.derive("mlp_mse")  # its own stream: the draws above stay put
         mlp_x, mlp_y = Tensor(mlp_rng.normal((5, 3))), Tensor(mlp_rng.normal((5, 2)))
         mlp = {k: mlp_rng.normal(shape) for k, shape in (("w1", (3, 4)), ("b1", 4), ("w2", (4, 2)), ("b2", 2))}
@@ -75,7 +77,8 @@ def test_criterion_1_gradient_audit():
 
         yield "add", lambda x: T.tsum(T.mul(T.add(x, other), other)), rng.normal((3, 4))
         yield "mul", lambda x: T.tsum(T.mul(x, other)), rng.normal((3, 4))
-        yield "relu", lambda x: T.tsum(T.mul(relu(x), other)), relu_in
+        yield "bias_relu_x", lambda x: T.tsum(T.mul(T.bias_relu(x, Tensor(relu_b)), relu_probe)), relu_x
+        yield "bias_relu_b", lambda b: T.tsum(T.mul(T.bias_relu(Tensor(relu_x), b), relu_probe)), relu_b
         yield "power", lambda x: T.tsum(T.power(x, -0.5)), rng.uniform((2, 3), 0.5, 2.0)
         yield "sum", lambda x: T.tsum(T.mul(T.tsum(x, axis=0, keepdims=True), sum_probe)), rng.normal((3, 4))
         yield "mean", lambda x: T.tsum(T.mul(T.tmean(x, axis=(0, 2)), mean_probe)), rng.normal((2, 3, 2))

@@ -521,7 +521,7 @@ def test_cli_resume_without_backbone_trains_over_the_checkpoints_own(pipeline, t
     capsys.readouterr()
     neither = tmp_path / "neither"
     assert run(["adapt", *common, "--out", str(neither), "--set", "steps=1"]) == 1
-    assert "error: adapt needs --backbone, or --resume" in capsys.readouterr().err
+    assert "hralign adapt: error: --backbone is required without --resume\n" in capsys.readouterr().err
     assert not neither.exists()
 
 
