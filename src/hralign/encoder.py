@@ -25,7 +25,7 @@ import numpy as np
 from . import tensor as T
 from .adapter import AdapterBlock, adapter_forward
 from .alignment import TAU, label_stats, pool_many
-from .optim import AdamState, fit
+from .optim import AdamState, epoch_batches, fit
 from .rng import RngState, bounded
 from .tensor import Tensor
 
@@ -167,6 +167,13 @@ def _triplet_indices(t_len: int, draws: list[int]) -> list[int]:
     return [anchor, positive, far]
 
 
+def check_pretext_clips(clips) -> None:
+    """Refuse a clip under 4 frames, where some anchor has no frame 1 or 2 away."""
+    for clip in clips:
+        if clip.length < 4:
+            raise ValueError(f"pretext: the clip of pair {clip.pair_id} has {clip.length} frames, fewer than 4")
+
+
 def pretext_loss(
     encode: Callable[[np.ndarray], Tensor], clips, rng: RngState
 ) -> tuple[Tensor, dict]:
@@ -219,31 +226,25 @@ def pretext_pretrain(
     for any downstream use (a genuine representation collapse at this
     scale).
     """
-    if not human_clips:
-        raise ValueError("pretext_pretrain: empty clip list")
     for clip in human_clips:
         if clip.domain != "human":
             raise ValueError(f"pretext_pretrain: clip {clip.pair_id} is not human-domain")
     if batch_size < 1:
         raise ValueError(f"pretext_pretrain: batch_size must be positive, got {batch_size}")
+    n, bsz = len(human_clips), min(batch_size, len(human_clips))
+    # each epoch's shuffle is drawn from ``rng`` before its first triplets
+    batches = epoch_batches(human_clips, bsz, lambda _: rng.permutation(n))
+    check_pretext_clips(human_clips)
     if epochs < 1:
         raise ValueError(f"pretext_pretrain: epochs must be at least 1, got {epochs}")
     if not (math.isfinite(lr) and lr > 0):
         raise ValueError(f"pretext_pretrain: lr must be finite and positive, got {lr}")
     backbone = Backbone.create(rng)
     params = backbone.named_parameters()
-    n = len(human_clips)
-    bsz = min(batch_size, n)
     per_epoch = n // bsz
-    order = None
 
     def step_loss(step: int) -> tuple[Tensor, dict]:
-        nonlocal order
-        slot = step % per_epoch
-        if slot == 0:  # a fresh shuffle, drawn before the epoch's triplets
-            order = rng.permutation(n)
-        batch = [human_clips[i] for i in order[slot * bsz : (slot + 1) * bsz]]
-        return pretext_loss(lambda fr: encode_batch(backbone, fr), batch, rng)
+        return pretext_loss(lambda fr: encode_batch(backbone, fr), batches(step), rng)
 
     rows = fit(params, AdamState.for_params(params, lr=lr), epochs * per_epoch, step_loss)
     history = [

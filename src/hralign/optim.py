@@ -1,10 +1,11 @@
-"""Adam optimizer over named parameter tensors, and the one training loop."""
+"""Adam optimizer over named parameter tensors, the one training loop and
+the one minibatch schedule it runs on."""
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -72,6 +73,27 @@ def collect_grads(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
 def zero_grads(params: dict[str, Tensor]) -> None:
     for p in params.values():
         p.grad = None
+
+
+def epoch_batches(
+    items: Sequence, batch_size: int, shuffle: Callable[[int], np.ndarray]
+) -> Callable[[int], list]:
+    """The one minibatch schedule, step -> batch: epoch e is the full batches
+    of ``items`` in the order ``shuffle(e)``, called once, by the epoch's
+    first step that runs, and held by this schedule alone (one run's)."""
+    if not items:
+        raise ValueError("dataset is empty")
+    if batch_size > len(items):
+        raise ValueError(f"batch size {batch_size} exceeds dataset size {len(items)}")
+    per_epoch, current = len(items) // batch_size, [None, None]  # epoch, its order
+
+    def batch(step: int) -> list:
+        epoch, slot = divmod(step, per_epoch)
+        if current[0] != epoch:
+            current[:] = epoch, shuffle(epoch)
+        return [items[i] for i in current[1][slot * batch_size : (slot + 1) * batch_size]]
+
+    return batch
 
 
 def fit(

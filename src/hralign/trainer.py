@@ -1,11 +1,13 @@
 """Training loops: adapter alignment and the full-fine-tune baselines.
 
-All runs are deterministic given (config, seed): batch order is derived
-per epoch from the seed, frame sampling consumes the single training RNG
-stream, and that stream plus optimizer moments live in the checkpoint, so
-save/resume reproduces an uninterrupted run bitwise. The alignment loss's
-three streams and the classification head's inputs are all pooled clip
-vectors from ``encoder.encode_pooled``.
+All runs are deterministic given (config, seed): every trainer batches
+through ``optim.epoch_batches``, each epoch shuffled by a stream derived
+from the seed and held by that run's schedule alone, frame sampling
+consumes the single training RNG stream, and that stream plus optimizer
+moments live in the checkpoint, so save/resume reproduces an
+uninterrupted run bitwise. The alignment loss's three streams and the
+classification head's inputs are all pooled clip vectors from
+``encoder.encode_pooled``.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -26,8 +27,8 @@ from . import tensor as T
 from .adapter import ADAPTER_RATIO, POSITION_SPECS, AdapterStack
 from .alignment import AlignmentBatchFeatures, alignment_stats, hr_align_loss, label_stats
 from .dataset import FRAMES_PER_CLIP, PairedDemo, VideoClip, _atomic_write, _check_json, sample_frames
-from .encoder import Backbone, encode_batch, encode_pooled, pretext_loss
-from .optim import AdamState, fit
+from .encoder import Backbone, check_pretext_clips, encode_batch, encode_pooled, pretext_loss
+from .optim import AdamState, epoch_batches, fit
 from .rng import RngState
 from .task_query import QueryEmbedder, embed_texts
 from .tensor import Tensor
@@ -434,33 +435,15 @@ def save_run(checkpoint: ModelCheckpoint, metrics: MetricsLog) -> str:
 # batching
 
 
-@lru_cache(maxsize=64)
-def _epoch_order(seed: int, epoch: int, n: int) -> np.ndarray:
-    """One epoch's shuffle, built once and shared read-only by its steps."""
-    order = RngState(seed).derive("epoch", epoch).permutation(n)
-    order.flags.writeable = False
-    return order
-
-
-def _batch_indices(seed: int, step: int, n: int, batch_size: int) -> list[int]:
-    """Indices for one step under a fresh shuffle per epoch."""
-    per_epoch = n // batch_size
-    epoch = step // per_epoch
-    slot = step % per_epoch
-    order = _epoch_order(seed, epoch, n)
-    return [int(i) for i in order[slot * batch_size : (slot + 1) * batch_size]]
-
-
-def _check_batchable(n: int, batch_size: int) -> None:
-    if n == 0:
-        raise ValueError("dataset is empty")
-    if batch_size > n:
-        raise ValueError(f"batch size {batch_size} exceeds dataset size {n}")
+def _seeded_batches(config: TrainConfig, items: list):
+    """Epoch e shuffled by the seed's ("epoch", e) stream, apart from the training RNG."""
+    seed, n = config.seed, len(items)
+    return epoch_batches(items, config.batch_size, lambda e: RngState(seed).derive("epoch", e).permutation(n))
 
 
 def _fit_checkpoint(
     config: TrainConfig,
-    items: list,
+    batches,
     params: dict[str, Tensor],
     batch_loss,
     resume: ModelCheckpoint | None = None,
@@ -468,9 +451,9 @@ def _fit_checkpoint(
     backbone: Backbone,
     **parts,
 ) -> tuple[ModelCheckpoint, MetricsLog]:
-    """Train ``params`` on the ``_batch_indices`` batches of ``items``.
+    """Train ``params`` on the ``batches`` schedule (``_seeded_batches``).
 
-    Step s trains on ``batch_loss(batch) -> (loss, stats)`` and logs metrics
+    Step s trains on ``batch_loss(batches(s)) -> (loss, stats)`` and logs metrics
     row s + 1; a resumed run goes on from the checkpoint's step and Adam
     state, which must hold both moments of every one of ``params``.
     Returns the checkpoint of ``backbone`` and ``parts`` at
@@ -483,14 +466,7 @@ def _fit_checkpoint(
             raise ValueError(f"resume checkpoint holds no Adam moments of {bare[0]!r}")
     else:
         adam, start = AdamState.for_params(params, lr=config.learning_rate), 0
-    n, seed, bsz = len(items), config.seed, config.batch_size
-    rows = fit(
-        params,
-        adam,
-        config.steps,
-        lambda step: batch_loss([items[i] for i in _batch_indices(seed, step, n, bsz)]),
-        start,
-    )
+    rows = fit(params, adam, config.steps, lambda step: batch_loss(batches(step)), start)
     backbone.freeze()
     metrics = MetricsLog(
         [
@@ -526,7 +502,7 @@ def train_hr_align(
     config = config.validate()
     if config.method != "hr_align":
         raise ValueError(f"train_hr_align got method {config.method!r}")
-    _check_batchable(len(pairs), config.batch_size)
+    batches = _seeded_batches(config, pairs)
     backbone = backbone.copy().freeze()
 
     if resume is not None:
@@ -580,7 +556,7 @@ def train_hr_align(
         return hr_align_loss(feats), alignment_stats(feats)
 
     return _fit_checkpoint(
-        config, pairs, params, batch_loss, resume,
+        config, batches, params, batch_loss, resume,
         backbone=backbone, stack=stack, embedder=embedder, rng=rng,
     )
 
@@ -590,26 +566,26 @@ def train_hr_align(
 
 
 def _baseline_setup(config: TrainConfig, method: str, pairs: list[PairedDemo], backbone: Backbone):
-    """Robot clips, RNG and the unfrozen backbone copy a baseline trains."""
+    """Robot clips, their schedule, RNG and the unfrozen backbone copy a baseline trains."""
     config.validate()
     if config.method != method:
         raise ValueError(f"train_baseline_{method.split('_')[0]} got method {config.method!r}")
     clips = [demo.robot for demo in pairs]
-    _check_batchable(len(clips), config.batch_size)
-    return clips, RngState(config.seed), backbone.copy().unfreeze()
+    return clips, _seeded_batches(config, clips), RngState(config.seed), backbone.copy().unfreeze()
 
 
 def train_baseline_pret(
     config: TrainConfig, pairs: list[PairedDemo], backbone: Backbone
 ) -> tuple[ModelCheckpoint, MetricsLog]:
     """Continue the pretext objective on robot clips, all weights learnable."""
-    clips, rng, backbone = _baseline_setup(config, "pret_baseline", pairs, backbone)
+    clips, batches, rng, backbone = _baseline_setup(config, "pret_baseline", pairs, backbone)
+    check_pretext_clips(clips)
 
     def batch_loss(batch: list[VideoClip]) -> tuple[Tensor, dict]:
         return pretext_loss(lambda fr: encode_batch(backbone, fr), batch, rng)
 
     params = dict(backbone.named_parameters())
-    return _fit_checkpoint(config, clips, params, batch_loss, backbone=backbone, rng=rng)
+    return _fit_checkpoint(config, batches, params, batch_loss, backbone=backbone, rng=rng)
 
 
 def _class_index(task_ids) -> dict[int, int]:
@@ -625,7 +601,7 @@ def train_baseline_cls(
     classes = _class_index(p.task_id for p in pairs)
     if len(classes) < 2:
         raise ValueError(f"classification baseline needs >= 2 task classes, got {len(classes)}")
-    clips, rng, backbone = _baseline_setup(config, "cls_baseline", pairs, backbone)
+    clips, batches, rng, backbone = _baseline_setup(config, "cls_baseline", pairs, backbone)
     head = LinearHead.create(rng, backbone.out_channels, list(classes))
     _fit_head_scaler(head, backbone, clips, config)
     params = {**backbone.named_parameters(), **head.named_parameters()}
@@ -638,7 +614,7 @@ def train_baseline_cls(
         probs = T.softmax(logits.detach(), axis=1).data
         return T.cross_entropy(logits, labels), label_stats(probs, labels)
 
-    return _fit_checkpoint(config, clips, params, batch_loss, backbone=backbone, head=head, rng=rng)
+    return _fit_checkpoint(config, batches, params, batch_loss, backbone=backbone, head=head, rng=rng)
 
 
 def _fit_head_scaler(head, backbone, clips, config) -> None:

@@ -1,10 +1,10 @@
 """Shared test oracles: finite differences, a direct-exponential loss
 reference, the composite graphs of the fused ``tensor`` nodes (the
 behavior-cloning head, bias + ReLU, attention pooling), the per-draw
-permutation and the per-clip frame and triplet samplers, small model and
-checkpoint builders, per-clip evaluation encodes, checkpoint header
-edits, a task-compactness ratio for embedding clouds, a strict JSON
-reader, and ``scripts/run_reference.py`` run in process.
+permutation and the per-clip frame and triplet samplers, small model,
+checkpoint and short-clip builders, per-clip evaluation encodes,
+checkpoint header edits, a task-compactness ratio for embedding clouds, a
+strict JSON reader, and ``scripts/run_reference.py`` run in process.
 
 Everything here is deliberately independent of the library's analytic
 paths: gradients come from central differences on the forward value, and
@@ -14,6 +14,7 @@ of working in log space.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import importlib.util
 import json
@@ -336,6 +337,17 @@ def setting(*keys):
 
 def random_clip_frames(rng: RngState, t: int = 3, h: int = 16, w: int = 16) -> np.ndarray:
     return rng.uniform((t, h, w, 3))
+
+
+def with_short_first_pair(pairs: list, length: int) -> list:
+    """``pairs`` with the first pair's two clips cut to their first
+    ``length`` frames (and stripped of their latent, which would not fit)."""
+    first = pairs[0]
+    human, robot = (
+        dataclasses.replace(clip, frames=clip.frames[:length], positions=None, gripper=None)
+        for clip in (first.human, first.robot)
+    )
+    return [dataclasses.replace(first, human=human, robot=robot), *pairs[1:]]
 
 
 def sum_param_sizes(named: dict) -> int:

@@ -12,11 +12,20 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from helpers import clip_embedding, fail_writes_partway, setting, small_checkpoint, strict_json, with_header
-from hralign import cli, evaluation
+from helpers import (
+    clip_embedding,
+    fail_writes_partway,
+    setting,
+    small_checkpoint,
+    strict_json,
+    with_header,
+    with_short_first_pair,
+)
+from hralign import cli, encoder, evaluation, trainer
 from hralign.cli import _write_run_outputs, cli_main
-from hralign.dataset import load_manifest, split_pairs
+from hralign.dataset import generate_paired_set, load_manifest, save_manifest, split_pairs
 from hralign.evaluation import eval_downstream, eval_retrieval
+from hralign.rng import RngState
 from hralign.trainer import ModelCheckpoint
 from hralign.tensor import from_bytes, to_bytes
 
@@ -115,6 +124,29 @@ def test_pretrain_bad_schedule_exits_two_writing_nothing(tmp_path, capsys, flag,
     manifest = os.path.join(data, "manifest.json")
     assert run(["pretrain", "--data", manifest, "--out", str(out), flag, value]) == 2
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["pretrain"], ["baseline", "pret", "--set", "batch_size=2"]], ids=["pretrain", "baseline-pret"]
+)
+def test_a_clip_too_short_for_the_pretext_exits_two_before_any_step(pipeline, tmp_path, capsys, monkeypatch, command):
+    """A 3-frame clip has an anchor with no frame 1 or 2 away; both pretext
+    commands refuse it up front instead of at whichever step draws it."""
+    pairs = with_short_first_pair(generate_paired_set(RngState(5), 2, 4, 0.5), 3)
+    assert pairs[0].pair_id in {p.pair_id for p in split_pairs(pairs)[0]}  # a training pair
+    manifest = str(tmp_path / "data" / "manifest.json")
+    save_manifest(pairs, manifest)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    for module in (encoder, trainer):
+        monkeypatch.setattr(module, "fit", no_training)
+    out = tmp_path / "out"
+    backbone = [] if command == ["pretrain"] else ["--backbone", pipeline[2]]
+    assert run([*command, "--data", manifest, *backbone, "--out", str(out)]) == 2
+    assert f"error: pretext: the clip of pair {pairs[0].pair_id} has 3 frames, fewer than 4\n" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import per_clip_triplet_indices, random_clip_frames
+from helpers import per_clip_triplet_indices, random_clip_frames, with_short_first_pair
+from hralign import encoder
 from hralign.dataset import VideoClip, generate_paired_set
 from hralign.encoder import Backbone, encode_batch, pretext_loss, pretext_pretrain
 from hralign.rng import RngState
@@ -119,6 +120,21 @@ def test_pretext_rejects_bad_schedule(field, value):
 def test_pretext_rejects_empty():
     with pytest.raises(ValueError):
         pretext_pretrain(RngState(1), [], epochs=1)
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_pretext_pretrain_refuses_a_clip_too_short_before_any_step(monkeypatch, length):
+    """Below 4 frames some anchor has no positive: such a clip once failed
+    at whatever step drew that anchor, if any did."""
+    pairs = with_short_first_pair(generate_paired_set(RngState(3), 2, 4, 0.5), length)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(encoder, "fit", no_training)
+    message = f"^pretext: the clip of pair {pairs[0].pair_id} has {length} frames, fewer than 4$"
+    with pytest.raises(ValueError, match=message):
+        pretext_pretrain(RngState(1), [p.human for p in pairs], epochs=1)
 
 
 def test_pretext_rejects_robot_clips():

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import (
     clip_embedding,
@@ -99,6 +101,53 @@ def test_retrieval_rejects_a_nan_score():
     scores[1, 2] = np.nan
     with pytest.raises(NumericError, match="NaN score"):
         evaluation._retrieval_stats(scores)
+
+
+# Score matrices for the metamorphic properties: coarse values make ties
+# (which rank against the true match), and no finite value comes near
+# underflow, so a power-of-two scale moves no comparison.
+_SCORES = st.integers(min_value=2, max_value=9).flatmap(
+    lambda n: st.lists(
+        st.one_of(
+            st.integers(min_value=-8, max_value=8).map(lambda v: v / 8),
+            st.floats(min_value=-10, max_value=10).filter(lambda v: v == 0 or abs(v) > 1e-100),
+        ),
+        min_size=n * n,
+        max_size=n * n,
+    ).map(lambda values: np.array(values).reshape(n, n))
+)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_SCORES, st.randoms(use_true_random=False))
+def test_retrieval_stats_ignore_the_order_of_the_pairs(scores, random):
+    """Permuting the pairs permutes rows and columns together: each pair
+    keeps its rank, so the recalls are bitwise equal and MRR, a mean in
+    another order, equal to within rounding."""
+    order = list(range(len(scores)))
+    random.shuffle(order)
+    before, after = (evaluation._retrieval_stats(m) for m in (scores, scores[np.ix_(order, order)]))
+    assert after[:2] == before[:2]
+    assert abs(after[2] - before[2]) <= 1e-12
+
+
+@settings(deadline=None, max_examples=60)
+@given(_SCORES, st.lists(st.floats(min_value=-20, max_value=20), min_size=9, max_size=9))
+def test_retrieval_stats_never_rise_for_a_decoy_candidate(scores, decoy):
+    """A candidate column no row is matched to can only tie or outscore
+    a true match, never lower its rank."""
+    column = np.array(decoy[: len(scores)])[:, None]
+    before = evaluation._retrieval_stats(scores)
+    after = evaluation._retrieval_stats(np.concatenate([scores, column], axis=1))
+    assert all(a <= b for a, b in zip(after, before))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_SCORES, st.integers(min_value=-40, max_value=40))
+def test_retrieval_stats_ignore_a_power_of_two_scale(scores, exponent):
+    """Scaling by 2**k is exact here, so every comparison and every number
+    stays bitwise the same."""
+    assert evaluation._retrieval_stats(scores * 2.0**exponent) == evaluation._retrieval_stats(scores)
 
 
 def _dumped(checkpoint, pairs, adapted, path) -> np.ndarray:

@@ -7,7 +7,7 @@ import pytest
 from hralign import tensor as T
 from hralign.dataset import generate_paired_set
 from hralign.encoder import Backbone, encode_batch, pretext_loss, pretext_pretrain
-from hralign.optim import AdamState, adam_step, collect_grads, fit, zero_grads
+from hralign.optim import AdamState, adam_step, collect_grads, epoch_batches, fit, zero_grads
 from hralign.rng import RngState
 from hralign.tensor import NumericError, ShapeError, Tensor
 
@@ -191,6 +191,42 @@ def test_pretext_pretrain_matches_the_hand_rolled_loop(batch_size):
     assert all(ref[k].data.tobytes() == new[k].data.tobytes() for k in ref)
 
 
+def test_epoch_batches_shuffles_once_per_epoch_and_slices_its_order():
+    """Batch k of epoch e is slice k of ``shuffle(e)``, the partial last
+    batch dropped; each epoch's shuffle is called once, by its first step
+    that runs, so a schedule entered mid-epoch draws that epoch's order."""
+    items = [f"item{i}" for i in range(18)]
+    orders = {e: RngState(31).derive("epoch", e).permutation(18) for e in range(3)}
+    calls = []
+
+    def shuffle(epoch):
+        calls.append(epoch)
+        return orders[epoch]
+
+    def expected(step):
+        epoch, k = divmod(step, 4)  # 4 full batches per epoch, 2 items dropped
+        return [items[i] for i in orders[epoch][4 * k : 4 * k + 4]]
+
+    batches = epoch_batches(items, 4, shuffle)
+    assert [batches(step) for step in range(12)] == [expected(step) for step in range(12)]
+    assert calls == [0, 1, 2]
+    calls.clear()
+    resumed = epoch_batches(items, 4, shuffle)
+    assert [resumed(step) for step in (6, 7, 8)] == [expected(step) for step in (6, 7, 8)]
+    assert calls == [1, 2]
+
+
+def test_epoch_batches_refuses_an_empty_list_and_a_batch_larger_than_it():
+    def shuffle(epoch):
+        raise AssertionError("a refused schedule shuffles nothing")
+
+    with pytest.raises(ValueError, match="^dataset is empty$"):
+        epoch_batches([], 1, shuffle)
+    with pytest.raises(ValueError, match="^batch size 5 exceeds dataset size 4$"):
+        epoch_batches([0, 1, 2, 3], 5, shuffle)
+    assert epoch_batches([0, 1, 2, 3], 4, lambda e: [3, 2, 1, 0])(7) == [3, 2, 1, 0]
+
+
 def _package_calls(names, loads: bool = False) -> set[tuple[str, str]]:
     """(where, name) of every call in the package and the scripts of a
     function in ``names``, or with ``loads`` of every load of such a name,
@@ -253,4 +289,16 @@ def test_adapters_run_only_inside_encode_batch():
         ("encoder.encode_pooled", "encode_batch"),
         ("encoder.pretext_pretrain.step_loss.<lambda in pretext_loss>", "encode_batch"),
         ("trainer.train_baseline_pret.batch_loss.<lambda in pretext_loss>", "encode_batch"),
+    }
+
+
+def test_epoch_shuffles_run_only_inside_epoch_batches():
+    """Every minibatch loop takes its order from ``epoch_batches``: the
+    package shuffles by ``permutation`` only in the shuffles the trainers'
+    schedule and pretext pre-training pass it."""
+    assert _package_calls({"permutation", "epoch_batches"}) == {
+        ("trainer._seeded_batches", "epoch_batches"),
+        ("trainer._seeded_batches.<lambda in epoch_batches>", "permutation"),
+        ("encoder.pretext_pretrain", "epoch_batches"),
+        ("encoder.pretext_pretrain.<lambda in epoch_batches>", "permutation"),
     }

@@ -22,6 +22,12 @@ own module outside its own body, by an import of it into another program,
 or by ``<alias of its module>.<name>``; a method or property is reached by
 a ``.<name>`` load anywhere (dunders are exempt). A name only tests reach
 is an API that exists for tests; it belongs in the tests or nowhere.
+
+Every ``functools.lru_cache`` or ``cache`` on a ``def`` in ``src/hralign``
+must be allowlisted with its reason. A cache outlives the run that filled
+it, so one that holds a run's state (a seed's shuffles, say) makes what a
+run computes depend on what ran before it in the process; only a pure
+function of its arguments whose result no caller writes may be cached.
 """
 
 from __future__ import annotations
@@ -49,6 +55,17 @@ UNREACHED_ALLOWED: dict[str, str] = {}
 UNSET_FIELDS_ALLOWED = {
     "batch_size": "tests and small CLI manifests need a batch below 16, and the batch "
     "changes results, so it cannot be derived from the data",
+}
+
+
+# Cached defs, each a pure function of its arguments whose result no
+# caller writes, kept for a stated reason.
+CACHED_ALLOWED = {
+    "tensor._patch_index": "conv2d's gather offsets for one padded frame shape, built per "
+    "call otherwise; returned read-only",
+    "dataset._grids": "the frame's constant coordinate grids; callers only read them",
+    "dataset._warm_background": "the human domain's constant backdrop; callers only read it",
+    "dataset._cool_background": "the robot domain's constant backdrop; callers only read it",
 }
 
 
@@ -290,3 +307,43 @@ def test_config_field_checker_sees_each_way_of_setting_a_field(tmp_path):
         encoding="utf-8",
     )
     assert config_fields_set(tmp_path) == {"by_arm", "by_call", "by_replace"}
+
+
+def cached_defs(root: Path = ROOT) -> set[str]:
+    """``module.name`` of every def in the library under an ``lru_cache`` or
+    ``cache`` decorator, called or bare, by name or through ``functools.``."""
+    out = set()
+    for path, tree in zip(_library(root), _parse(_library(root))):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and any(
+                _name(d.func if isinstance(d, ast.Call) else d) in ("lru_cache", "cache")
+                for d in node.decorator_list
+            ):
+                out.add(f"{path.stem}.{node.name}")
+    return out
+
+
+def test_every_cached_def_is_allowed():
+    cached = cached_defs()
+    assert not cached - set(CACHED_ALLOWED), (
+        "cached defs not allowlisted (a cache must not hold a run's state): "
+        f"{sorted(cached - set(CACHED_ALLOWED))}"
+    )
+    assert not set(CACHED_ALLOWED) - cached, (
+        f"allowlisted cached defs that are gone or no longer cached: {sorted(set(CACHED_ALLOWED) - cached)}"
+    )
+
+
+def test_cached_def_checker_sees_each_form_of_the_decorator(tmp_path):
+    src = tmp_path / "src" / "hralign"
+    src.mkdir(parents=True)
+    (src / "m.py").write_text(
+        "import functools\nfrom functools import cache, lru_cache, wraps\n\n"
+        "@lru_cache(maxsize=1)\ndef a():\n    pass\n\n"
+        "@functools.lru_cache\ndef b():\n    pass\n\n"
+        "@cache\ndef c():\n    pass\n\n"
+        "@wraps(a)\ndef plain():\n    pass\n\n"
+        "class K:\n    @functools.cache\n    def d(self):\n        pass\n",
+        encoding="utf-8",
+    )
+    assert cached_defs(tmp_path) == {"m.a", "m.b", "m.c", "m.d"}

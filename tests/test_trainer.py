@@ -22,6 +22,7 @@ from helpers import (
     setting,
     small_checkpoint,
     sum_param_sizes,
+    with_short_first_pair,
     with_header,
     with_tensors,
     without,
@@ -47,8 +48,6 @@ from hralign.trainer import (
     train_baseline_cls,
     train_baseline_pret,
     train_hr_align,
-    _batch_indices,
-    _epoch_order,
     _fit_head_scaler,
 )
 
@@ -336,12 +335,24 @@ def test_resume_without_adam_moments_is_refused_before_training(
         train_hr_align(loaded.config, small_pairs, loaded.backbone, resume=loaded)
 
 
-def test_epoch_order_is_shared_read_only():
-    order = _epoch_order(31, 2, 18)
-    assert order is _epoch_order(31, 2, 18)
-    assert not order.flags.writeable
-    assert np.array_equal(order, RngState(31).derive("epoch", 2).permutation(18))
-    assert _batch_indices(31, 2 * 4 + 1, 18, 4) == [int(i) for i in order[4:8]]
+def test_each_run_draws_its_own_epoch_shuffles(small_setup, monkeypatch):
+    """Batch order lives in one run's schedule, not in the process: two
+    identical runs each draw one ``permutation`` per epoch they train, so
+    what a run computes cannot hang on what ran before it."""
+    _, train, _, backbone = small_setup
+    calls = []
+    permutation = RngState.permutation
+
+    def counted(self, n):
+        calls.append(n)
+        return permutation(self, n)
+
+    monkeypatch.setattr(RngState, "permutation", counted)
+    config = small_config(steps=9)  # 18 pairs in batches of 4: epochs 0, 1 and 2
+    for _ in range(2):
+        calls.clear()
+        train_hr_align(config, train, backbone)
+        assert calls == [len(train)] * 3
 
 
 def test_checkpoint_save_failing_partway_keeps_previous_file(small_setup, tmp_path, monkeypatch):
@@ -835,6 +846,17 @@ def test_baseline_pret_loss_decreases(small_setup):
     )
     assert metrics.losses[-1] < metrics.losses[0]
     assert checkpoint.backbone.frozen  # frozen for downstream use
+
+
+@pytest.mark.parametrize("length", [1, 2, 3])
+def test_baseline_pret_refuses_a_clip_too_short_before_any_step(small_pairs, monkeypatch, length):
+    """Below 4 frames some anchor has no positive: such a clip once failed
+    at whatever step drew that anchor, if any did."""
+    pairs = with_short_first_pair(small_pairs, length)
+    monkeypatch.setattr(trainer, "fit", _no_training)
+    message = f"^pretext: the clip of pair {pairs[0].pair_id} has {length} frames, fewer than 4$"
+    with pytest.raises(ValueError, match=message):
+        train_baseline_pret(small_config(method="pret_baseline"), pairs, Backbone.create(RngState(0)))
 
 
 def test_baseline_pret_learnable_count_is_full_backbone(small_setup):
