@@ -3,11 +3,12 @@
 
 Generates the paired dataset, pre-trains the frozen backbone on human
 clips, then trains and scores every arm of ``evaluation.ARMS`` (adapter
-positions E, M, L, EML, L without language, the frozen model and the full
-fine-tunes pret_ft and cls_ft; retrieval + downstream each) and writes a
-summary: ``adapted`` is the L arm, ``frozen`` the frozen arm,
-``baselines`` the fine-tunes' first and last losses, and ``ablation``
-every arm's row. Takes about a minute on one CPU core at the default sizes.
+positions E, M, L, EML, L without language, the frozen model, the full
+fine-tunes pret_ft and cls_ft, and the query projection alone, Q;
+retrieval + downstream each) and writes a summary: ``adapted`` is the L
+arm, ``frozen`` the frozen arm, ``baselines`` the fine-tunes' first and
+last losses, and ``ablation`` every arm's row. Takes about a minute on
+one CPU core at the default sizes.
 
 Usage:
     python scripts/run_reference.py --out runs/reference

@@ -26,7 +26,7 @@ from .dataset import (
     split_pairs,
 )
 from .encoder import pretext_pretrain
-from .evaluation import dump_embeddings, eval_downstream, eval_retrieval, run_arms
+from .evaluation import ARMS, dump_embeddings, eval_downstream, eval_retrieval, run_arms
 from .rng import RngState
 from .trainer import (
     ModelCheckpoint,
@@ -56,6 +56,23 @@ def _check_out_dir(path: str) -> None:
     """Every command with an output directory calls this before any work."""
     if os.path.exists(path) and not os.path.isdir(path):
         raise ValueError(f"cannot write output: {path} is not a directory")
+
+
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: ``samefile`` when both exist, else
+    the same resolved path."""
+    if os.path.exists(a) and os.path.exists(b):
+        return os.path.samefile(a, b)
+    return os.path.realpath(a) == os.path.realpath(b)
+
+
+def _check_not_input(out: str, args: argparse.Namespace, flags: tuple[str, ...]) -> None:
+    """Refuse, before any work, an output file ``out`` that is the input one
+    of ``flags`` names, which writing it would destroy."""
+    for flag in flags:
+        path = getattr(args, flag[2:])
+        if path is not None and _same_file(out, path):
+            raise ValueError(f"cannot write output: {out} is the {flag} input")
 
 
 def _load_train_config(args: argparse.Namespace, method: str) -> TrainConfig:
@@ -141,6 +158,7 @@ def cmd_train(args) -> int:
     if args.backbone is None and args.resume is None:
         args.usage_error("--backbone is required without --resume")
     config = _load_train_config(args, method)
+    _check_not_input(os.path.join(config.out_dir, "model.ckpt"), args, ("--backbone", "--resume"))
     pairs, _ = split_pairs(load_manifest(args.data))
     resume = ModelCheckpoint.load(args.resume) if args.resume else None
     # without --backbone a resumed run trains over the checkpoint's own,
@@ -152,6 +170,9 @@ def cmd_train(args) -> int:
 
 def cmd_ablate(args) -> int:
     config = _load_train_config(args, "hr_align")
+    for arm in ARMS:
+        _check_out_dir(os.path.join(config.out_dir, arm))
+        _check_not_input(os.path.join(config.out_dir, arm, "model.ckpt"), args, ("--backbone",))
     pairs = load_manifest(args.data)
     train, heldout = split_pairs(pairs)
     backbone = ModelCheckpoint.load(args.backbone).backbone
@@ -195,20 +216,10 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _same_file(a: str, b: str) -> bool:
-    """Whether two paths name one file: ``samefile`` when both exist, else
-    the same resolved path."""
-    if os.path.exists(a) and os.path.exists(b):
-        return os.path.samefile(a, b)
-    return os.path.realpath(a) == os.path.realpath(b)
-
-
 def cmd_dump(args) -> int:
     if os.path.isdir(args.out):
         raise ValueError(f"cannot write output: {args.out} is a directory")
-    for flag, path in (("--checkpoint", args.checkpoint), ("--data", args.data)):
-        if _same_file(args.out, path):
-            raise ValueError(f"cannot write output: {args.out} is the {flag} input")
+    _check_not_input(args.out, args, ("--checkpoint", "--data"))
     checkpoint = ModelCheckpoint.load(args.checkpoint)
     pairs = load_manifest(args.data)
     clips = [p.human for p in pairs] + [p.robot for p in pairs]
@@ -265,7 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_train_args(p, resumable=False)
     p.set_defaults(func=cmd_train, resume=None)
 
-    p = sub.add_parser("ablate", help="train and score every arm: adapter positions, frozen, fine-tunes")
+    p = sub.add_parser("ablate", help="train and score every arm: adapters, query only, frozen, fine-tunes")
     add_train_args(p, resumable=False)
     p.set_defaults(func=cmd_ablate)
 

@@ -220,11 +220,9 @@ def pretext_pretrain(
     """Train a fresh backbone on human clips; returns it frozen.
 
     The per-epoch mean loss history is returned alongside so callers can
-    track improvement. The default step size is deliberately gentle: this
-    contrastive objective needs only a handful of discriminative channels,
-    and pushing it hard prunes everything else, leaving features too poor
-    for any downstream use (a genuine representation collapse at this
-    scale).
+    track improvement. The README and the acceptance tests pin the default
+    step size, 3e-6, at which the loss stays at chance: 2.8316 -> 2.8309
+    over the reference run's 20 epochs, against ln 17 = 2.8332.
     """
     for clip in human_clips:
         if clip.domain != "human":

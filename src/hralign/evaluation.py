@@ -10,10 +10,9 @@ position, and a tube-following success proxy over whole clips.
 ``ModelCheckpoint.adapters`` picks the adapted or the frozen encoder, and
 every clip is encoded ``EVAL_CHUNK`` clips per ``encode_pooled`` call.
 
-``ARMS`` is the one list of experiments. ``run_arm`` trains an arm through
-``train`` (the frozen arm trains nothing) and scores it with both reports,
-and ``run_arms`` runs the list for ``hralign ablate`` and the reference
-script.
+``ARMS`` is the one list of experiments, each a complete config. ``run_arm``
+trains every arm through ``train`` and scores it with both reports, and
+``run_arms`` runs the list for ``hralign ablate`` and the reference script.
 
 Nothing here is a knob: retrieval's frame seed, the downstream split, head
 sizes, step counts, step sizes, BC seed and tube radius are fixed in the
@@ -352,27 +351,28 @@ def dump_embeddings(
 # ---------------------------------------------------------------------------
 # arms
 
-# The experiments, each as TrainConfig overrides of a caller's base config.
-# An arm that names a method trains it through ``train``; ``frozen`` names
-# none and trains nothing, so it scores the pre-trained backbone as it is.
-# An arm's ``steps`` caps the base's: the two full fine-tunes run at most
-# 120 steps, and the frozen arm none.
+# The experiments, each the TrainConfig overrides of a caller's base config
+# that name all it trains; an arm's ``steps`` caps the base's. ``frozen`` is
+# a 0-step ``hr_align`` run with nothing attached, the pre-trained backbone
+# as it is, and ``Q`` trains the query projection alone.
 ARMS = {
     "E": {"method": "hr_align", "adapter_positions": "E", "use_language": True},
     "M": {"method": "hr_align", "adapter_positions": "M", "use_language": True},
     "L": {"method": "hr_align", "adapter_positions": "L", "use_language": True},
     "EML": {"method": "hr_align", "adapter_positions": "EML", "use_language": True},
     "L_nolang": {"method": "hr_align", "adapter_positions": "L", "use_language": False},
-    "frozen": {"steps": 0},
-    "pret_ft": {"method": "pret_baseline", "learning_rate": 3e-4, "steps": 120},
-    "cls_ft": {"method": "cls_baseline", "learning_rate": 3e-4, "steps": 120},
+    "frozen": {"method": "hr_align", "adapter_positions": "none", "use_language": False, "steps": 0},
+    "pret_ft": {"method": "pret_baseline", "adapter_positions": "none", "use_language": False,
+                "learning_rate": 3e-4, "steps": 120},
+    "cls_ft": {"method": "cls_baseline", "adapter_positions": "none", "use_language": False,
+               "learning_rate": 3e-4, "steps": 120},
+    "Q": {"method": "hr_align", "adapter_positions": "none", "use_language": True},
 }
 
 
 @dataclass
 class ArmRun:
     name: str
-    config: TrainConfig
     checkpoint: ModelCheckpoint
     metrics: MetricsLog
     retrieval: RetrievalReport
@@ -380,17 +380,17 @@ class ArmRun:
 
     @property
     def row(self) -> dict:
-        """The same columns for every arm, naming only what took part;
-        ``total_learnable`` counts the parameters with Adam moments."""
+        """The same columns for every arm, its parts as its config names
+        them; ``total_learnable`` counts the parameters with Adam moments."""
         ckpt = self.checkpoint
         counts = count_learnable(ckpt.stack, ckpt.embedder)
         return {
             "name": self.name,
-            "adapter_positions": self.config.adapter_positions if ckpt.stack is not None else "none",
-            "use_language": ckpt.embedder is not None,
+            "adapter_positions": ckpt.config.adapter_positions,
+            "use_language": ckpt.config.use_language,
             "adapter_params": counts.adapter,
             "projection_params": counts.projection,
-            "total_learnable": sum(m.size for m in ckpt.adam.m.values()) if ckpt.adam else 0,
+            "total_learnable": sum(m.size for m in ckpt.adam.m.values()),
             "final_loss": self.metrics.losses[-1] if self.metrics.rows else None,
             "r2h_recall1": self.retrieval.r2h_recall1,
             "r2h_recall5": self.retrieval.r2h_recall5,
@@ -404,7 +404,7 @@ class ArmRun:
     def to_text(self) -> str:
         row = self.row
         return (
-            f"{self.name:>9}: {self.config.steps:>4} steps  learnable {row['total_learnable']:>6}  "
+            f"{self.name:>9}: {self.checkpoint.step:>4} steps  learnable {row['total_learnable']:>6}  "
             f"r2h@1 {row['r2h_recall1']:.3f}  probe {row['probe_accuracy']:.3f}  bc {row['bc_mse']:.5f}"
         )
 
@@ -431,14 +431,11 @@ def run_arm(
     spec = ARMS[arm]
     steps = min(base.steps, spec.get("steps", base.steps))
     config = replace(base, **{**spec, "steps": steps, "out_dir": f"{base.out_dir}/{arm}"})
-    if "method" in spec:
-        checkpoint, metrics = train(config, train_pairs, backbone)
-    else:
-        checkpoint, metrics = ModelCheckpoint(config, backbone.copy().freeze()), MetricsLog()
+    checkpoint, metrics = train(config, train_pairs, backbone)
     save_run(checkpoint, metrics)
     retrieval = eval_retrieval(checkpoint, heldout, adapted=True)
     downstream = eval_downstream(checkpoint, [p.robot for p in train_pairs + heldout], adapted=True)
-    return ArmRun(arm, config, checkpoint, metrics, retrieval, downstream)
+    return ArmRun(arm, checkpoint, metrics, retrieval, downstream)
 
 
 def run_arms(

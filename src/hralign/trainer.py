@@ -67,6 +67,7 @@ class TrainConfig:
             self.method == "hr_align"
             and self.adapter_positions == "none"
             and not self.use_language
+            and self.steps > 0
         ):
             raise ValueError(
                 "adapter_positions='none' with use_language=False leaves hr_align "

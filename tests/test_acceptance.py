@@ -245,7 +245,7 @@ def test_criterion_7_baseline_structure(reference_split, reference_backbone, ref
 
 def test_criterion_8_ablation_grid(reference_grid, reference_backbone):
     runs, _ = reference_grid
-    ablation_runs = [run for run in runs if run.checkpoint.stack is not None]
+    ablation_runs = [run for run in runs if run.checkpoint.adapters(True)]
     assert len(ablation_runs) == 5
     names = [run.name for run in ablation_runs]
     assert names == ["E", "M", "L", "EML", "L_nolang"]

@@ -422,18 +422,87 @@ def test_cli_dump_refuses_an_out_that_is_its_input(pipeline, tmp_path, capsys, m
     inputs = {"--data": "data/manifest.json", "--checkpoint": "model.ckpt"}
     before = {name: (tmp_path / name).read_bytes() for name in inputs.values()}
     out = str(tmp_path / "data" / ".." / inputs[flag])
-    loads = []
-    load_manifest, load_checkpoint = cli.load_manifest, ModelCheckpoint.load
-    monkeypatch.setattr(cli, "load_manifest", lambda path: loads.append(path) or load_manifest(path))
-    monkeypatch.setattr(
-        ModelCheckpoint, "load", classmethod(lambda _, path: loads.append(path) or load_checkpoint(path))
-    )
+    loads = _spy_loads(monkeypatch)
     argv = ["dump", "--out", out] + [arg for f, name in inputs.items() for arg in (f, str(tmp_path / name))]
     assert run(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: cannot write output:") and out in err and flag in err
     assert loads == []
     assert {name: (tmp_path / name).read_bytes() for name in inputs.values()} == before
+
+
+def _spy_loads(monkeypatch) -> list[str]:
+    """The paths ``load_manifest`` and ``ModelCheckpoint.load`` are called
+    with from here on, in call order."""
+    loads = []
+    load_manifest, load_checkpoint = cli.load_manifest, ModelCheckpoint.load
+    monkeypatch.setattr(cli, "load_manifest", lambda path: loads.append(path) or load_manifest(path))
+    monkeypatch.setattr(
+        ModelCheckpoint, "load", classmethod(lambda _, path: loads.append(path) or load_checkpoint(path))
+    )
+    return loads
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    """Every file under ``root`` by its relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+@pytest.mark.parametrize(
+    "command, flag", [("adapt", "--backbone"), ("adapt", "--resume"), ("baseline", "--backbone")]
+)
+def test_cli_training_refuses_an_out_whose_checkpoint_is_its_input(
+    pipeline, tmp_path, capsys, monkeypatch, command, flag
+):
+    """``adapt --backbone A/model.ckpt --out A`` once trained over A's
+    checkpoint and replaced it, and ``adapt --resume D/model.ckpt --out D``
+    did the same; a training command now exits 2 before it loads anything
+    when its ``model.ckpt`` would be its --backbone or --resume file."""
+    _, manifest, _, model = pipeline
+    run_dir = tmp_path / "run"
+    shutil.copytree(os.path.dirname(model), run_dir)
+    before = _tree(tmp_path)
+    loads = _spy_loads(monkeypatch)
+    argv = [command, *(["pret"] if command == "baseline" else []), "--data", manifest]
+    argv += [flag, str(run_dir / "model.ckpt"), "--out", str(run_dir)]
+    argv += ["--set", "steps=8", "--set", "batch_size=4", "--set", "seed=11"]
+    assert run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write output:") and "model.ckpt" in err and flag in err
+    assert loads == []
+    assert _tree(tmp_path) == before
+
+
+def test_cli_ablate_refuses_an_arm_checkpoint_that_is_its_backbone(pipeline, tmp_path, capsys, monkeypatch):
+    """``ablate --backbone B/frozen/model.ckpt --out B`` once replaced its
+    own --backbone with the frozen arm's checkpoint; it now exits 2 before
+    it loads anything."""
+    _, manifest, backbone, _ = pipeline
+    out = tmp_path / "ablation"
+    (out / "frozen").mkdir(parents=True)
+    shutil.copy(backbone, out / "frozen" / "model.ckpt")
+    before = _tree(tmp_path)
+    loads = _spy_loads(monkeypatch)
+    argv = ["ablate", "--data", manifest, "--backbone", str(out / "frozen" / "model.ckpt"), "--out", str(out)]
+    assert run(argv + ["--set", "steps=1", "--set", "batch_size=4"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write output: {out / 'frozen' / 'model.ckpt'} is the --backbone input\n"
+    assert loads == []
+    assert _tree(tmp_path) == before
+
+
+def test_cli_ablate_refuses_an_arm_path_that_is_a_file_before_any_arm(pipeline, tmp_path, capsys, monkeypatch):
+    """With ``<out>/L`` a file, ``ablate`` once trained E and M, wrote
+    their directories, and only then exited 2; it now checks every arm's
+    path before it loads anything."""
+    out = tmp_path / "ablation"
+    out.mkdir()
+    (out / "L").write_text("kept\n")
+    loads = _spy_loads(monkeypatch)
+    assert run(_ablate_argv(pipeline, out)) == 2
+    assert capsys.readouterr().err == f"error: cannot write output: {out / 'L'} is not a directory\n"
+    assert loads == []
+    assert _tree(tmp_path) == {"ablation/L": b"kept\n"}
 
 
 def test_cli_eval_leaves_no_checkpoint_handle_open(pipeline, tmp_path):
@@ -611,8 +680,8 @@ def test_cli_baseline_refuses_a_config_file_with_a_dropped_key(pipeline, tmp_pat
         assert not out.exists()
 
 
-ARMS = ["E", "M", "L", "EML", "L_nolang", "frozen", "pret_ft", "cls_ft"]
-# (adapter_positions, use_language) each arm's row claims: only parts that took part
+ARMS = ["E", "M", "L", "EML", "L_nolang", "frozen", "pret_ft", "cls_ft", "Q"]
+# (adapter_positions, use_language) of each arm's row and checkpoint config: only parts that took part
 ARM_PARTS = {
     "E": ("E", True),
     "M": ("M", True),
@@ -622,6 +691,7 @@ ARM_PARTS = {
     "frozen": ("none", False),
     "pret_ft": ("none", False),
     "cls_ft": ("none", False),
+    "Q": ("none", True),
 }
 ABLATION_KEYS = [
     "name",
@@ -677,8 +747,7 @@ def test_cli_ablate_trains_scores_and_saves_every_arm(tiny_reference, tmp_path):
         assert sorted(os.listdir(run_dir)) == ["metrics.csv", "model.ckpt"]
         checkpoint = ModelCheckpoint.load(str(run_dir / "model.ckpt"))
         assert (row["adapter_positions"], row["use_language"]) == ARM_PARTS[row["name"]]
-        if checkpoint.stack is not None:
-            assert checkpoint.config.adapter_positions == row["adapter_positions"]
+        assert (checkpoint.config.adapter_positions, checkpoint.config.use_language) == ARM_PARTS[row["name"]]
         assert (checkpoint.embedder is not None) == row["use_language"]
         trained = {"frozen": 0, "pret_ft": backbone_size, "cls_ft": backbone_size + head_size}
         want = trained.get(row["name"], row["adapter_params"] + row["projection_params"])

@@ -172,13 +172,12 @@ def test_identity_adapter_matches_frozen_embeddings(small_ckpt, tmp_path):
 
 
 @pytest.mark.parametrize("adapted", [True, False], ids=["adapted", "frozen"])
-@pytest.mark.parametrize("arm", [arm for arm, spec in evaluation.ARMS.items() if "adapter_positions" in spec])
+@pytest.mark.parametrize("arm", list(evaluation.ARMS))
 def test_chunked_encode_equals_one_call_per_clip(small_pairs, tmp_path, monkeypatch, arm, adapted):
     """Retrieval, the dump and downstream encode at most EVAL_CHUNK clips
     per encode_pooled call, each clip once, bitwise equal to one call per
-    clip, for every arm with adapters (the others encode as its frozen
-    case) and for clip counts that are not a multiple of the chunk (7
-    pairs, 14 dumped clips, 18 robot clips)."""
+    clip, for the parts of every arm and for clip counts that are not a
+    multiple of the chunk (7 pairs, 14 dumped clips, 18 robot clips)."""
     spec = evaluation.ARMS[arm]
     checkpoint = small_checkpoint(spec["adapter_positions"], spec["use_language"], seed=5)
     pairs = small_pairs[:7]
@@ -215,6 +214,35 @@ def test_chunked_encode_equals_one_call_per_clip(small_pairs, tmp_path, monkeypa
     assert len(calls) == math.ceil(len(robot_clips) / EVAL_CHUNK) == 5
     assert all(n_frames == clips for n_frames, clips, _ in calls)
     assert np.array_equal(np.concatenate([out for _, _, out in calls]), np.concatenate(expected))
+
+
+def test_run_arms_saves_each_arm_as_its_row_names_it(small_pairs, tmp_path, monkeypatch):
+    """Every arm trains through ``train`` and its saved checkpoint's header
+    names the parts its row does; the frozen arm's once claimed the base
+    config's L adapters and query projection. The frozen arm encodes
+    bitwise as the backbone it was given."""
+    monkeypatch.setattr(evaluation, "train_linear_probe", lambda *a, **k: 0.0)
+    monkeypatch.setattr(evaluation, "train_bc_head", lambda x, y, seed: lambda f: np.zeros((len(f), 2)))
+    train, heldout = split_pairs(small_pairs)
+    backbone = Backbone.create(RngState(6)).freeze()
+    base = TrainConfig(steps=2, batch_size=4, out_dir=str(tmp_path / "arms"))
+    runs = evaluation.run_arms(base, train, heldout, backbone)
+    assert [run.name for run in runs] == list(evaluation.ARMS)
+    for run in runs:
+        checkpoint = ModelCheckpoint.load(str(tmp_path / "arms" / run.name / "model.ckpt"))
+        config = checkpoint.config
+        assert (config.adapter_positions, config.use_language) == (
+            run.row["adapter_positions"], run.row["use_language"]
+        ), run.name
+        assert bool(checkpoint.adapters(True)) == (config.adapter_positions != "none"), run.name
+        assert (checkpoint.embedder is not None) == config.use_language, run.name
+    frozen = ModelCheckpoint.load(str(tmp_path / "arms" / "frozen" / "model.ckpt"))
+    assert (frozen.step, frozen.adam.m, frozen.adapters(True)) == (0, {}, {})
+    given = ModelCheckpoint(frozen.config, backbone)
+    assert np.array_equal(
+        _dumped(frozen, heldout, True, tmp_path / "frozen.csv"),
+        _dumped(given, heldout, False, tmp_path / "given.csv"),
+    )
 
 
 @pytest.mark.parametrize(

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import run_reference_script
 
-ARMS = ["E", "M", "L", "EML", "L_nolang", "frozen", "pret_ft", "cls_ft"]
+ARMS = ["E", "M", "L", "EML", "L_nolang", "frozen", "pret_ft", "cls_ft", "Q"]
 
 
 def test_reference_summary_reads_off_the_arm_runs(tiny_reference):

@@ -36,6 +36,7 @@ import ast
 import dataclasses
 from pathlib import Path
 
+from hralign.evaluation import ARMS
 from hralign.trainer import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -291,6 +292,15 @@ def test_every_config_field_is_set_by_a_program_or_allowed():
     assert not set(UNSET_FIELDS_ALLOWED) - unset, (
         f"allowlisted fields that a program now sets: {sorted(set(UNSET_FIELDS_ALLOWED) - unset)}"
     )
+
+
+def test_every_arm_names_what_it_trains():
+    """An ``ARMS`` entry is a complete config of what trains: an arm that
+    left its method, adapter positions or query projection to the base
+    config once saved a checkpoint whose header claimed the base's L
+    adapters and projection, which it did not hold."""
+    for arm, spec in ARMS.items():
+        assert {"method", "adapter_positions", "use_language"} <= spec.keys(), arm
 
 
 def test_config_field_checker_sees_each_way_of_setting_a_field(tmp_path):

@@ -140,6 +140,15 @@ def test_config_rejects_hr_align_with_nothing_to_learn():
     TrainConfig(adapter_positions="L", use_language=False).validate()
 
 
+def test_config_with_nothing_to_learn_is_the_frozen_model_at_zero_steps():
+    """A run that takes a step with nothing to learn is refused; with no
+    step to take the same config describes the frozen model, as the
+    frozen arm's checkpoint records it, and loads."""
+    with pytest.raises(ValueError, match="nothing to learn"):
+        TrainConfig(adapter_positions="none", use_language=False, steps=1).validate()
+    TrainConfig(adapter_positions="none", use_language=False, steps=0).validate()
+
+
 def test_readme_config_table_lists_every_field_and_its_default():
     readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Configuration\n", 1)[1].split("\n## ", 1)[0]
