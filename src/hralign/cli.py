@@ -1,6 +1,9 @@
 """Command-line entry points.
 
-Subcommands: generate, pretrain, adapt, baseline, ablate, eval, dump.
+Subcommands: generate, pretrain, train, ablate, eval, dump. ``train
+--arm X`` and ``ablate`` build each arm's config by
+``evaluation.arm_config``, so ``train --arm X --out P/X`` writes the
+checkpoint ``ablate --out P`` writes into ``P/X``.
 Every command that splits a manifest holds out the same pairs,
 ``split_pairs`` at ``dataset.HELDOUT_FRAC``. Every run writes a
 resolved-config copy and a manifest of produced files into its output
@@ -26,7 +29,7 @@ from .dataset import (
     split_pairs,
 )
 from .encoder import pretext_pretrain
-from .evaluation import ARMS, dump_embeddings, eval_downstream, eval_retrieval, run_arms
+from .evaluation import ARMS, arm_config, dump_embeddings, eval_downstream, eval_retrieval, run_arms
 from .rng import RngState
 from .trainer import (
     ModelCheckpoint,
@@ -75,19 +78,23 @@ def _check_not_input(out: str, args: argparse.Namespace, flags: tuple[str, ...])
             raise ValueError(f"cannot write output: {out} is the {flag} input")
 
 
-def _load_train_config(args: argparse.Namespace, method: str) -> TrainConfig:
-    """``--config`` then ``--set`` over the subcommand's ``method``, which neither may change."""
-    mapping = {"method": method}
-    if args.config is not None:
-        mapping.update(load_config(args.config))
+def _load_train_config(args: argparse.Namespace, arms: list[str]) -> TrainConfig:
+    """The base config ``--config`` then ``--set`` give, each key read alone
+    (``train`` validates each arm's whole config). A key that one of
+    ``arms`` fixes to another value is an error naming both; ``steps``
+    caps, so it never conflicts."""
+    mapping = load_config(args.config) if args.config is not None else {}
     for item in args.set or []:
         if "=" not in item:
             raise ValueError(f"--set expects key=value, got {item!r}")
         key, value = item.split("=", 1)
         mapping[key.strip()] = value.strip()
-    if mapping["method"] != method:
-        raise ValueError(f"config sets method {mapping['method']!r}, but {args.command} trains {method!r}")
-    config = TrainConfig.from_mapping(mapping)
+    given = {key: getattr(TrainConfig.from_mapping({key: value}), key) for key, value in mapping.items()}
+    for key, value in given.items():
+        for arm in arms:
+            if key != "steps" and ARMS[arm].get(key, value) != value:
+                raise ValueError(f"config sets {key} = {value!r}, but arm {arm} trains {key} = {ARMS[arm][key]!r}")
+    config = replace(TrainConfig(), **given)
     if args.out is not None:
         config = replace(config, out_dir=args.out)
     _check_out_dir(config.out_dir)
@@ -140,24 +147,11 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _finish_training(checkpoint, metrics, label) -> int:
-    config = checkpoint.config
-    ckpt_path = save_run(checkpoint, metrics)
-    _write_run_outputs(config.out_dir, format_config(config), ["model.ckpt", "metrics.csv"])
-    final = metrics.losses[-1] if metrics.rows else float("nan")
-    print(f"{label}: {config.steps} steps, final loss {final:.4f} -> {ckpt_path}")
-    return 0
-
-
 def cmd_train(args) -> int:
-    """``adapt`` trains hr_align, ``baseline <kind>`` the ``<kind>_baseline`` method."""
-    if args.kind is None:
-        method, label = "hr_align", "adapt"
-    else:
-        method, label = f"{args.kind}_baseline", f"baseline {args.kind}"
+    """Train arm ``--arm`` of ``ARMS`` into the run's ``out_dir``."""
     if args.backbone is None and args.resume is None:
         args.usage_error("--backbone is required without --resume")
-    config = _load_train_config(args, method)
+    config = arm_config(_load_train_config(args, [args.arm]), args.arm)
     _check_not_input(os.path.join(config.out_dir, "model.ckpt"), args, ("--backbone", "--resume"))
     pairs, _ = split_pairs(load_manifest(args.data))
     resume = ModelCheckpoint.load(args.resume) if args.resume else None
@@ -165,11 +159,15 @@ def cmd_train(args) -> int:
     # which train_hr_align copies, leaving the checkpoint untouched
     backbone = ModelCheckpoint.load(args.backbone).backbone if args.backbone else resume.backbone
     checkpoint, metrics = train(config, pairs, backbone, resume)
-    return _finish_training(checkpoint, metrics, label)
+    ckpt_path = save_run(checkpoint, metrics)
+    _write_run_outputs(config.out_dir, format_config(config), ["model.ckpt", "metrics.csv"])
+    final = metrics.losses[-1] if metrics.rows else float("nan")
+    print(f"train {args.arm}: {config.steps} steps, final loss {final:.4f} -> {ckpt_path}")
+    return 0
 
 
 def cmd_ablate(args) -> int:
-    config = _load_train_config(args, "hr_align")
+    config = _load_train_config(args, list(ARMS))
     for arm in ARMS:
         _check_out_dir(os.path.join(config.out_dir, arm))
         _check_not_input(os.path.join(config.out_dir, arm, "model.ckpt"), args, ("--backbone",))
@@ -258,26 +256,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=7)
     p.set_defaults(func=cmd_pretrain)
 
-    def add_train_args(p, resumable):
+    def add_train_args(p):
         p.add_argument("--config", default=None, help="flat key=value config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE", help="config override")
         p.add_argument("--data", required=True)
-        p.add_argument("--backbone", required=not resumable,
-                       help="required unless --resume, whose backbone it must be" if resumable else None)
         p.add_argument("--out", default=None, help="override out_dir")
 
-    p = sub.add_parser("adapt", help="adapter alignment training")
-    add_train_args(p, resumable=True)
-    p.add_argument("--resume", default=None, help="checkpoint to resume from")
-    p.set_defaults(func=cmd_train, kind=None, usage_error=p.error)
-
-    p = sub.add_parser("baseline", help="full fine-tune baselines")
-    p.add_argument("kind", choices=("pret", "cls"))
-    add_train_args(p, resumable=False)
-    p.set_defaults(func=cmd_train, resume=None)
+    p = sub.add_parser("train", help="train one arm: adapters, query only, frozen or a fine-tune")
+    add_train_args(p)
+    p.add_argument("--arm", default="L", choices=ARMS, help="an arm of evaluation.ARMS")
+    p.add_argument("--backbone", help="required unless --resume, whose backbone it must be")
+    p.add_argument("--resume", default=None, help="hr_align checkpoint to go on from")
+    p.set_defaults(func=cmd_train, usage_error=p.error)
 
     p = sub.add_parser("ablate", help="train and score every arm: adapters, query only, frozen, fine-tunes")
-    add_train_args(p, resumable=False)
+    add_train_args(p)
+    p.add_argument("--backbone", required=True)
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("eval", help="retrieval and downstream evaluation")

@@ -5,18 +5,20 @@ other among all held-out candidates; a clip's embedding comes from
 ``encoder.encode_pooled``, the same pooling the alignment loss trains. The
 downstream report freezes the encoder (adapters included) and trains small
 heads on robot features ``encode_pooled`` mean-pools per frame: a linear
-task probe, a two-layer regressor predicting the next latent effector
-position, and a tube-following success proxy over whole clips.
+task probe and a two-layer regressor predicting the next latent effector
+position.
 ``ModelCheckpoint.adapters`` picks the adapted or the frozen encoder, and
 every clip is encoded ``EVAL_CHUNK`` clips per ``encode_pooled`` call.
 
-``ARMS`` is the one list of experiments, each a complete config. ``run_arm``
-trains every arm through ``train`` and scores it with both reports, and
-``run_arms`` runs the list for ``hralign ablate`` and the reference script.
+``ARMS`` is the one list of experiments, each a complete config that
+``arm_config`` lays over a caller's base config. ``run_arm`` trains every
+arm through ``train`` and scores it with both reports, and ``run_arms``
+runs the list for ``hralign ablate`` and the reference script; ``hralign
+train --arm`` builds its one arm's config by ``arm_config`` too.
 
 Nothing here is a knob: retrieval's frame seed, the downstream split, head
-sizes, step counts, step sizes, BC seed and tube radius are fixed in the
-code, as the docstrings of ``eval_retrieval``, ``eval_downstream``,
+sizes, step counts, step sizes and BC seed are fixed in the code, as the
+docstrings of ``eval_retrieval``, ``eval_downstream``,
 ``train_linear_probe`` and ``train_bc_head`` state. Each report's tag says
 what its encode used: ``adapted`` only when adapter blocks or a query
 projection took part, ``fine-tuned`` for a backbone a baseline trained,
@@ -91,7 +93,6 @@ class DownstreamReport:
     tag: str
     probe_accuracy: float
     bc_mse: float
-    success_rate: float
     n_train_clips: int
     n_heldout_clips: int
 
@@ -104,7 +105,6 @@ class DownstreamReport:
             f"{self.n_heldout_clips} held-out clips)\n"
             f"  probe accuracy {self.probe_accuracy:.4f}\n"
             f"  behavior-clone mse {self.bc_mse:.6f}\n"
-            f"  success proxy {self.success_rate:.4f}\n"
         )
 
 
@@ -255,13 +255,12 @@ def eval_downstream(
     robot_clips: list[VideoClip],
     adapted: bool = True,
 ) -> DownstreamReport:
-    """Frozen-feature probe, behavior cloning, and rollout success proxy.
+    """Frozen-feature probe and behavior cloning.
 
-    ``split_pairs`` holds out ``HELDOUT_FRAC`` of the clips, the BC head
-    is initialised from seed 412, and a held-out clip succeeds when every
-    one-step prediction stays within 0.1 of the true path. No gradient
-    ever reaches the encoder or adapters here; features are extracted once,
-    ``EVAL_CHUNK`` clips per call, as plain arrays and only the small heads train.
+    ``split_pairs`` holds out ``HELDOUT_FRAC`` of the clips, and the BC head
+    is initialised from seed 412. No gradient ever reaches the encoder or
+    adapters here; features are extracted once, ``EVAL_CHUNK`` clips per
+    call, as plain arrays and only the small heads train.
     """
     for clip in robot_clips:
         if clip.domain != "robot":
@@ -304,19 +303,10 @@ def eval_downstream(
     mu, sd = standard_stats(train_x)
     predict = train_bc_head((train_x - mu) / sd, train_y, seed=412)
     bc_mse = float(((predict((held_x - mu) / sd) - held_y) ** 2).mean())
-
-    successes = 0
-    for i in held_idx:
-        clip = clips[i]
-        pred = predict((feats[i][:-1] - mu) / sd)
-        err = np.linalg.norm(pred - clip.positions[1:], axis=1)
-        if err.max() <= 0.1:
-            successes += 1
     return DownstreamReport(
         tag=_tag(checkpoint, adapters, None),
         probe_accuracy=probe_acc,
         bc_mse=bc_mse,
-        success_rate=successes / len(held_idx),
         n_train_clips=len(train_idx),
         n_heldout_clips=len(held_idx),
     )
@@ -352,7 +342,7 @@ def dump_embeddings(
 # arms
 
 # The experiments, each the TrainConfig overrides of a caller's base config
-# that name all it trains; an arm's ``steps`` caps the base's. ``frozen`` is
+# that name all it trains; ``arm_config`` applies them. ``frozen`` is
 # a 0-step ``hr_align`` run with nothing attached, the pre-trained backbone
 # as it is, and ``Q`` trains the query projection alone.
 ARMS = {
@@ -368,6 +358,13 @@ ARMS = {
                "learning_rate": 3e-4, "steps": 120},
     "Q": {"method": "hr_align", "adapter_positions": "none", "use_language": True},
 }
+
+
+def arm_config(base: TrainConfig, arm: str) -> TrainConfig:
+    """Arm ``arm`` of ``ARMS`` over ``base``: the arm's keys replace the
+    base's, but its ``steps`` caps the base's rather than replacing them."""
+    spec = ARMS[arm]
+    return replace(base, **{**spec, "steps": min(base.steps, spec.get("steps", base.steps))})
 
 
 @dataclass
@@ -398,7 +395,6 @@ class ArmRun:
             "h2r_recall5": self.retrieval.h2r_recall5,
             "probe_accuracy": self.downstream.probe_accuracy,
             "bc_mse": self.downstream.bc_mse,
-            "success_rate": self.downstream.success_rate,
         }
 
     def to_text(self) -> str:
@@ -428,9 +424,7 @@ def run_arm(
     ``save_run`` into ``<base.out_dir>/<arm>`` and score it: retrieval on
     ``heldout``, downstream on the robot clips of both."""
     check_heldout(arm, heldout)
-    spec = ARMS[arm]
-    steps = min(base.steps, spec.get("steps", base.steps))
-    config = replace(base, **{**spec, "steps": steps, "out_dir": f"{base.out_dir}/{arm}"})
+    config = replace(arm_config(base, arm), out_dir=f"{base.out_dir}/{arm}")
     checkpoint, metrics = train(config, train_pairs, backbone)
     save_run(checkpoint, metrics)
     retrieval = eval_retrieval(checkpoint, heldout, adapted=True)

@@ -3,6 +3,8 @@ import gc
 import hashlib
 import json
 import os
+import re
+import shlex
 import shutil
 import warnings
 from pathlib import Path
@@ -36,7 +38,7 @@ def run(argv):
 
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
-    assert run(["adapt", "--help"]) == 0
+    assert run(["train", "--help"]) == 0
     out = capsys.readouterr().out
     assert "usage" in out.lower()
 
@@ -54,7 +56,7 @@ def test_missing_config_exits_one_naming_path(tmp_path, capsys):
     assert run(["generate", "--out", data, "--tasks", "2", "--pairs-per-task", "2"]) == 0
     code = run(
         [
-            "adapt",
+            "train",
             "--config",
             "/nonexistent/config.txt",
             "--data",
@@ -70,7 +72,7 @@ def test_missing_config_exits_one_naming_path(tmp_path, capsys):
 def test_config_that_is_not_utf8_exits_two_naming_path(tmp_path, capsys):
     config = tmp_path / "bad.cfg"
     config.write_bytes(b"steps = 3\n\xff\xfe\n")
-    argv = ["adapt", "--config", str(config), "--data", "m.json", "--backbone", "b.ckpt"]
+    argv = ["train", "--config", str(config), "--data", "m.json", "--backbone", "b.ckpt"]
     assert run(argv) == 2
     assert f"config is not UTF-8 text: {config}" in capsys.readouterr().err
 
@@ -128,7 +130,7 @@ def test_pretrain_bad_schedule_exits_two_writing_nothing(tmp_path, capsys, flag,
 
 
 @pytest.mark.parametrize(
-    "command", [["pretrain"], ["baseline", "pret", "--set", "batch_size=2"]], ids=["pretrain", "baseline-pret"]
+    "command", [["pretrain"], ["train", "--arm", "pret_ft", "--set", "batch_size=2"]], ids=["pretrain", "train-pret_ft"]
 )
 def test_a_clip_too_short_for_the_pretext_exits_two_before_any_step(pipeline, tmp_path, capsys, monkeypatch, command):
     """A 3-frame clip has an anchor with no frame 1 or 2 away; both pretext
@@ -205,7 +207,7 @@ def test_checkpoint_header_disagreeing_with_its_model_exits_two(
 
 
 def test_unreadable_set_value_exits_two_naming_its_key(tmp_path, capsys):
-    argv = ["adapt", "--data", str(tmp_path / "manifest.json"), "--backbone", "none.ckpt"]
+    argv = ["train", "--data", str(tmp_path / "manifest.json"), "--backbone", "none.ckpt"]
     assert run(argv + ["--set", "steps=x"]) == 2
     assert "config key 'steps'" in capsys.readouterr().err
 
@@ -259,7 +261,7 @@ def test_run_outputs_failing_partway_keep_previous_files(tmp_path, monkeypatch):
 
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """Tiny end-to-end pipeline: generate -> pretrain -> adapt."""
+    """Tiny end-to-end pipeline: generate -> pretrain -> train (the L arm)."""
     root = tmp_path_factory.mktemp("pipeline")
     data = str(root / "data")
     pre = str(root / "pretrain")
@@ -288,7 +290,7 @@ def pipeline(tmp_path_factory):
     assert (
         run(
             [
-                "adapt",
+                "train",
                 "--data",
                 manifest,
                 "--backbone",
@@ -448,14 +450,12 @@ def _tree(root: Path) -> dict[str, bytes]:
     return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-@pytest.mark.parametrize(
-    "command, flag", [("adapt", "--backbone"), ("adapt", "--resume"), ("baseline", "--backbone")]
-)
+@pytest.mark.parametrize("arm, flag", [("L", "--backbone"), ("L", "--resume"), ("pret_ft", "--backbone")])
 def test_cli_training_refuses_an_out_whose_checkpoint_is_its_input(
-    pipeline, tmp_path, capsys, monkeypatch, command, flag
+    pipeline, tmp_path, capsys, monkeypatch, arm, flag
 ):
-    """``adapt --backbone A/model.ckpt --out A`` once trained over A's
-    checkpoint and replaced it, and ``adapt --resume D/model.ckpt --out D``
+    """``train --backbone A/model.ckpt --out A`` once trained over A's
+    checkpoint and replaced it, and ``train --resume D/model.ckpt --out D``
     did the same; a training command now exits 2 before it loads anything
     when its ``model.ckpt`` would be its --backbone or --resume file."""
     _, manifest, _, model = pipeline
@@ -463,7 +463,7 @@ def test_cli_training_refuses_an_out_whose_checkpoint_is_its_input(
     shutil.copytree(os.path.dirname(model), run_dir)
     before = _tree(tmp_path)
     loads = _spy_loads(monkeypatch)
-    argv = [command, *(["pret"] if command == "baseline" else []), "--data", manifest]
+    argv = ["train", "--arm", arm, "--data", manifest]
     argv += [flag, str(run_dir / "model.ckpt"), "--out", str(run_dir)]
     argv += ["--set", "steps=8", "--set", "batch_size=4", "--set", "seed=11"]
     assert run(argv) == 2
@@ -516,41 +516,16 @@ def test_cli_eval_leaves_no_checkpoint_handle_open(pipeline, tmp_path):
     assert leaks == []
 
 
-def test_cli_baseline(pipeline, tmp_path):
-    root, manifest, backbone, model = pipeline
-    out = str(tmp_path / "baseline")
-    code = run(
-        [
-            "baseline",
-            "cls",
-            "--data",
-            manifest,
-            "--backbone",
-            backbone,
-            "--out",
-            out,
-            "--set",
-            "steps=4",
-            "--set",
-            "batch_size=4",
-            "--set",
-            "learning_rate=3e-4",
-        ]
-    )
-    assert code == 0
-    assert os.path.exists(os.path.join(out, "model.ckpt"))
-
-
-@pytest.mark.parametrize("kind", ["pret", "cls"])
-def test_cli_reports_name_a_fine_tuned_checkpoint_fine_tuned(pipeline, tmp_path, kind):
-    """A baseline's checkpoint holds a trained backbone and no adapters:
+@pytest.mark.parametrize("arm", ["pret_ft", "cls_ft"])
+def test_cli_reports_name_a_fine_tuned_checkpoint_fine_tuned(pipeline, tmp_path, arm):
+    """A fine-tune's checkpoint holds a trained backbone and no adapters:
     eval once printed ``retrieval [frozen]`` for it. Its reports are now
     tagged ``fine-tuned``, with or without --frozen, and dump's ``adapted``
     column stays 0, since no adapter or query projection took part."""
     _, manifest, backbone, _ = pipeline
-    out = tmp_path / "baseline"
-    train = ["--set", "steps=2", "--set", "batch_size=4", "--set", "learning_rate=3e-4"]
-    assert run(["baseline", kind, "--data", manifest, "--backbone", backbone, "--out", str(out), *train]) == 0
+    out = tmp_path / arm
+    train = ["--set", "steps=2", "--set", "batch_size=4"]
+    assert run(["train", "--arm", arm, "--data", manifest, "--backbone", backbone, "--out", str(out), *train]) == 0
     model = str(out / "model.ckpt")
     for extra in ([], ["--frozen"]):
         report_dir = tmp_path / f"eval{len(extra)}"
@@ -569,12 +544,12 @@ def test_cli_resume_matches_straight_run(pipeline, tmp_path):
     b = str(tmp_path / "b")
     c = str(tmp_path / "c")
     common = ["--data", manifest, "--backbone", backbone, "--set", "batch_size=4", "--set", "seed=11"]
-    assert run(["adapt", *common, "--out", a, "--set", "steps=6"]) == 0
-    assert run(["adapt", *common, "--out", b, "--set", "steps=3"]) == 0
+    assert run(["train", *common, "--out", a, "--set", "steps=6"]) == 0
+    assert run(["train", *common, "--out", b, "--set", "steps=3"]) == 0
     assert (
         run(
             [
-                "adapt",
+                "train",
                 *common,
                 "--out",
                 c,
@@ -600,17 +575,17 @@ def test_cli_resume_matches_straight_run(pipeline, tmp_path):
 
 
 def test_cli_resume_without_backbone_trains_over_the_checkpoints_own(pipeline, tmp_path, capsys):
-    """``adapt --resume R`` without --backbone once exited 1 (a required
+    """``train --resume R`` without --backbone once exited 1 (a required
     flag); it now goes on over R's own backbone, byte for byte the run
     that names it. Neither flag is a usage error."""
     _, manifest, backbone, _ = pipeline
     common = ["--data", manifest, "--set", "batch_size=4", "--set", "seed=11"]
     half = str(tmp_path / "half")
-    assert run(["adapt", *common, "--backbone", backbone, "--out", half, "--set", "steps=3"]) == 0
+    assert run(["train", *common, "--backbone", backbone, "--out", half, "--set", "steps=3"]) == 0
     resume = ["--set", "steps=6", "--resume", os.path.join(half, "model.ckpt")]
     named, own = str(tmp_path / "named"), str(tmp_path / "own")
-    assert run(["adapt", *common, "--backbone", backbone, "--out", named, *resume]) == 0
-    assert run(["adapt", *common, "--out", own, *resume]) == 0
+    assert run(["train", *common, "--backbone", backbone, "--out", named, *resume]) == 0
+    assert run(["train", *common, "--out", own, *resume]) == 0
     ours, theirs = (ModelCheckpoint.load(os.path.join(d, "model.ckpt")) for d in (named, own))
     for name, tensor in ours.named_tensors().items():
         assert np.array_equal(tensor.data, theirs.named_tensors()[name].data), name
@@ -621,8 +596,8 @@ def test_cli_resume_without_backbone_trains_over_the_checkpoints_own(pipeline, t
     assert losses[0] == losses[1]  # every column but wall_ms
     capsys.readouterr()
     neither = tmp_path / "neither"
-    assert run(["adapt", *common, "--out", str(neither), "--set", "steps=1"]) == 1
-    assert "hralign adapt: error: --backbone is required without --resume\n" in capsys.readouterr().err
+    assert run(["train", *common, "--out", str(neither), "--set", "steps=1"]) == 1
+    assert "hralign train: error: --backbone is required without --resume\n" in capsys.readouterr().err
     assert not neither.exists()
 
 
@@ -634,7 +609,7 @@ def test_cli_resume_over_a_different_backbone_exits_two_writing_nothing(
     assert run(["pretrain", "--data", manifest, "--out", other, "--epochs", "1", "--seed", "12"]) == 0
     out = tmp_path / "resumed"
     argv = [
-        "adapt", "--data", manifest, "--backbone", os.path.join(other, "backbone.ckpt"),
+        "train", "--data", manifest, "--backbone", os.path.join(other, "backbone.ckpt"),
         "--out", str(out), "--set", "steps=8", "--set", "batch_size=4", "--set", "seed=11",
         "--resume", model,
     ]
@@ -650,7 +625,7 @@ def test_cli_resume_from_a_pretrain_checkpoint_exits_two_writing_nothing(pipelin
     _, manifest, backbone, _ = pipeline
     out = tmp_path / "resumed"
     argv = [
-        "adapt", "--data", manifest, "--backbone", backbone, "--resume", backbone,
+        "train", "--data", manifest, "--backbone", backbone, "--resume", backbone,
         "--out", str(out), "--set", "seed=11",  # the pretrain run's seed, so the configs agree
     ]
     assert run(argv) == 2
@@ -668,13 +643,13 @@ DROPPED_KEYS = {
 }
 
 
-def test_cli_baseline_refuses_a_config_file_with_a_dropped_key(pipeline, tmp_path, capsys):
+def test_cli_train_refuses_a_config_file_with_a_dropped_key(pipeline, tmp_path, capsys):
     _, manifest, backbone, _ = pipeline
     for key, value in DROPPED_KEYS.items():
         config = tmp_path / f"{key}.cfg"
         config.write_text(f"steps = 2\n{key} = {value}\n")
-        out = tmp_path / f"baseline_{key}"
-        argv = ["baseline", "pret", "--config", str(config), "--data", manifest, "--backbone", backbone]
+        out = tmp_path / f"pret_ft_{key}"
+        argv = ["train", "--arm", "pret_ft", "--config", str(config), "--data", manifest, "--backbone", backbone]
         assert run(argv + ["--out", str(out)]) == 2, key
         assert f"unknown config key '{key}'" in capsys.readouterr().err
         assert not out.exists()
@@ -707,7 +682,6 @@ ABLATION_KEYS = [
     "h2r_recall5",
     "probe_accuracy",
     "bc_mse",
-    "success_rate",
 ]
 
 
@@ -786,7 +760,7 @@ def _path_flag_argv(pipeline, flag, path, out):
     _, manifest, backbone, _ = pipeline
     if flag == "--checkpoint":
         return ["eval", "--checkpoint", path, "--data", manifest, "--out", out]
-    argv = ["adapt", "--data", manifest, "--out", out, flag, path]
+    argv = ["train", "--data", manifest, "--out", out, flag, path]
     return argv if flag == "--backbone" else argv + ["--backbone", backbone]
 
 
@@ -814,17 +788,14 @@ def _out_argv(pipeline, command, out):
     return {
         "generate": ["generate", "--out", out, "--tasks", "2", "--pairs-per-task", "2"],
         "pretrain": ["pretrain", "--data", manifest, "--out", out, "--epochs", "1"],
-        "adapt": ["adapt", *train],
-        "baseline": ["baseline", "pret", *train],
+        "train": ["train", *train],
         "ablate": ["ablate", *train],
         "eval": ["eval", "--checkpoint", model, "--data", manifest, "--out", out],
         "dump": ["dump", "--checkpoint", model, "--data", manifest, "--out", out],
     }[command]
 
 
-@pytest.mark.parametrize(
-    "command", ["generate", "pretrain", "adapt", "baseline", "ablate", "eval", "dump"]
-)
+@pytest.mark.parametrize("command", ["generate", "pretrain", "train", "ablate", "eval", "dump"])
 def test_output_path_that_cannot_be_written_exits_two_naming_it(
     pipeline, tmp_path, capsys, monkeypatch, command
 ):
@@ -854,58 +825,129 @@ def test_output_path_that_cannot_be_written_exits_two_naming_it(
 
 
 @pytest.mark.parametrize(
-    "command, method, via",
+    "command, setting, via, message",
     [
-        ("adapt", "cls_baseline", "set"),
-        ("adapt", "pret_baseline", "config"),
-        ("baseline", "hr_align", "set"),
-        ("baseline", "cls_baseline", "config"),
-        ("ablate", "pret_baseline", "set"),
+        (["train", "--arm", "pret_ft"], "method=hr_align", "set",
+         "config sets method = 'hr_align', but arm pret_ft trains method = 'pret_baseline'"),
+        (["train"], "method=cls_baseline", "config",
+         "config sets method = 'cls_baseline', but arm L trains method = 'hr_align'"),
+        (["train", "--arm", "L_nolang"], "use_language=true", "set",
+         "config sets use_language = True, but arm L_nolang trains use_language = False"),
+        (["train", "--arm", "cls_ft"], "learning_rate=1e-2", "config",
+         "config sets learning_rate = 0.01, but arm cls_ft trains learning_rate = 0.0003"),
+        (["ablate"], "adapter_positions=E", "set",
+         "config sets adapter_positions = 'E', but arm M trains adapter_positions = 'M'"),
+        (["ablate"], "learning_rate=1e-3", "config",
+         "config sets learning_rate = 0.001, but arm pret_ft trains learning_rate = 0.0003"),
     ],
+    ids=["train-pret_ft-method", "train-L-method", "train-L_nolang-language", "train-cls_ft-lr",
+         "ablate-positions", "ablate-lr"],
 )
-def test_method_other_than_the_subcommands_exits_two_naming_both(
-    pipeline, tmp_path, capsys, monkeypatch, command, method, via
+def test_a_key_an_arm_fixes_to_another_value_exits_two_naming_both(
+    pipeline, tmp_path, capsys, monkeypatch, command, setting, via, message
 ):
-    # `adapt --set method=cls_baseline` once trained hr_align, and `ablate`
-    # wrote the ignored method into resolved_config.txt
-    trained = []
-    for name in ("train", "run_arms"):
-        monkeypatch.setattr(cli, name, lambda *a, _n=name, **k: trained.append(_n))
+    """`adapt --set method=cls_baseline` once trained hr_align, and `ablate
+    --set adapter_positions=E` trained every arm at its own positions while
+    resolved_config.txt recorded E. A key that --config or --set gives and
+    an arm the command trains fixes to another value now exits 2 before
+    anything is loaded, naming the key and the arm."""
     out = tmp_path / "out"
-    argv = _out_argv(pipeline, command, str(out))
+    argv = [*command, *_out_argv(pipeline, command[0], str(out))[1:]]
     if via == "set":
-        argv += ["--set", f"method={method}"]
+        argv += ["--set", setting]
     else:
-        config = tmp_path / "run.cfg"
-        config.write_text(f"method = {method}\n")
-        argv += ["--config", str(config)]
+        (tmp_path / "run.cfg").write_text(setting.replace("=", " = ") + "\n")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    loads = _spy_loads(monkeypatch)
     assert run(argv) == 2
-    ours = {"adapt": "hr_align", "baseline": "pret_baseline", "ablate": "hr_align"}[command]
-    err = capsys.readouterr().err
-    assert f"config sets method {method!r}, but {command} trains {ours!r}" in err
-    assert trained == []
-    assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert loads == []
+    assert os.listdir(tmp_path) == ([] if via == "set" else ["run.cfg"])
 
 
-@pytest.mark.parametrize("command, method", [("adapt", "hr_align"), ("baseline", "pret_baseline")])
-def test_method_equal_to_the_subcommands_is_trained(pipeline, tmp_path, monkeypatch, command, method):
-    trained = []
+@pytest.mark.parametrize(
+    "command, sets, trained",
+    [
+        (["train"], ["method=hr_align", "adapter_positions=L"], ("hr_align", "L", True, 1e-2, 1)),
+        (["train", "--arm", "pret_ft"], ["method=pret_baseline", "learning_rate=3e-4", "steps=500"],
+         ("pret_baseline", "none", False, 3e-4, 120)),
+        (["train", "--arm", "frozen"], ["adapter_positions=none", "use_language=false"],
+         ("hr_align", "none", False, 1e-2, 0)),
+        (["ablate"], ["learning_rate=3e-4"], ("hr_align", "L", True, 3e-4, 1)),
+    ],
+    ids=["train-L", "train-pret_ft", "train-frozen", "ablate"],
+)
+def test_a_key_set_equal_to_the_arms_value_trains(pipeline, tmp_path, monkeypatch, command, sets, trained):
+    """A key an arm fixes may be given at the arm's value, and ``steps`` at
+    any value, since an arm's ``steps`` caps it; ``train`` then trains the
+    arm's config and ``ablate`` runs the arms over the base it was given."""
+    configs = []
 
-    def train(config, *args):
-        trained.append(config.method)
+    def stop(config, *args):
+        configs.append(config)
         raise RuntimeError("stop before training")
 
-    monkeypatch.setattr(cli, "train", train)
-    argv = _out_argv(pipeline, command, str(tmp_path / "out")) + ["--set", f"method={method}"]
-    assert run(argv) == 2
-    assert trained == [method]
+    monkeypatch.setattr(cli, "train", stop)
+    monkeypatch.setattr(cli, "run_arms", stop)
+    argv = [*command, *_out_argv(pipeline, command[0], str(tmp_path / "out"))[1:]]
+    assert run(argv + [token for value in sets for token in ("--set", value)]) == 2
+    fields = ("method", "adapter_positions", "use_language", "learning_rate", "steps")
+    assert [tuple(getattr(c, f) for f in fields) for c in configs] == [trained]
+
+
+@pytest.mark.parametrize(
+    "command", [["adapt"], ["baseline", "pret"], ["baseline", "cls"]], ids=["adapt", "baseline-pret", "baseline-cls"]
+)
+def test_removed_training_subcommands_exit_one_writing_nothing(pipeline, tmp_path, capsys, command):
+    """``adapt`` and ``baseline pret|cls`` are arms of ``train`` now; like a
+    removed flag, each is an unknown subcommand."""
+    _, manifest, backbone, _ = pipeline
+    argv = [*command, "--data", manifest, "--backbone", backbone, "--out", str(tmp_path / "out")]
+    assert run(argv + ["--set", "steps=1"]) == 1
+    assert f"invalid choice: '{command[0]}'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
+
+
+def test_train_writes_each_arm_as_ablate_does(pipeline, tmp_path):
+    """``train --arm X --out P/X`` and ``ablate --out P`` build arm X's
+    config by one ``arm_config``: every arm's ``model.ckpt`` is byte for
+    byte the one ablate writes, and its ``metrics.csv`` too but for
+    ``wall_ms``."""
+    out = tmp_path / "P"
+    ablate = _ablate_argv(pipeline, out)
+
+    def files(arm):
+        metrics = (out / arm / "metrics.csv").read_text().splitlines()
+        return (out / arm / "model.ckpt").read_bytes(), [line.rsplit(",", 1)[0] for line in metrics]
+
+    kept = {}
+    for arm in ARMS:
+        argv = ["train", "--arm", arm, *ablate[1:]]
+        argv[argv.index("--out") + 1] = str(out / arm)
+        assert run(argv) == 0, arm
+        kept[arm] = files(arm)
+    assert run(ablate) == 0
+    for arm in ARMS:
+        assert files(arm) == kept[arm], arm
+
+
+def test_readme_commands_parse():
+    """Every ``hralign`` line of the README's code blocks, continuations
+    joined, parses: the quick start names no removed subcommand or flag."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    blocks = re.findall(r"```[a-z]*\n(.*?)```", readme, flags=re.S)
+    lines = [line for block in blocks for line in block.replace("\\\n", " ").splitlines()]
+    commands = [shlex.split(line, comments=True)[1:] for line in lines if line.startswith("hralign ")]
+    for argv in commands:
+        cli.build_parser().parse_args(argv)
+    assert {argv[0] for argv in commands} == {"generate", "pretrain", "train", "ablate", "eval", "dump"}
 
 
 @pytest.mark.parametrize(
     "command, flag",
     [
         pytest.param(c, ["--heldout-frac", "0.1"], id=f"{c}-heldout-frac")
-        for c in ("pretrain", "adapt", "baseline", "ablate", "eval", "dump")
+        for c in ("pretrain", "train", "ablate", "eval", "dump")
     ]
     + [pytest.param("dump", ["--split", "heldout"], id="dump-split")]
     + [pytest.param(c, ["--seed", "313"], id=f"{c}-seed") for c in ("eval", "dump")],
@@ -930,12 +972,12 @@ def fuzz_files(tmp_path_factory):
     pairs), its pretrain ``backbone.ckpt``, a one-step ``model.ckpt``, a
     config text file, a directory and a missing path."""
     root = tmp_path_factory.mktemp("fuzz")
-    data, pre, adapt = root / "data", root / "pre", root / "adapt"
+    data, pre, adapt = root / "data", root / "pre", root / "train"
     assert run(["generate", "--out", str(data), "--tasks", "2", "--pairs-per-task", "12"]) == 0
     manifest = str(data / "manifest.json")
     assert run(["pretrain", "--data", manifest, "--out", str(pre), "--epochs", "1"]) == 0
     backbone = str(pre / "backbone.ckpt")
-    adapt_argv = ["adapt", "--data", manifest, "--backbone", backbone, "--out", str(adapt)]
+    adapt_argv = ["train", "--data", manifest, "--backbone", backbone, "--out", str(adapt)]
     assert run(adapt_argv + ["--set", "steps=1"]) == 0
     (root / "run.cfg").write_text("steps = 1\n")
     (root / "a_dir").mkdir()
@@ -992,8 +1034,11 @@ _COMMANDS = {
         {"--seed": _SEED, "--lr": st.sampled_from(["3e-6", "0", "-1", "nan", "inf", "1e300"])},
         {"--epochs": st.sampled_from(["1", "0", "-1", "x"])},
     ),
-    "adapt": (_TRAIN[0], {**_TRAIN[1], "--resume": _path("@model", "@backbone")}, _STEPS),
-    "baseline": (*_TRAIN, _STEPS),
+    "train": (
+        _TRAIN[0],
+        {**_TRAIN[1], "--resume": _path("@model", "@backbone"), "--arm": st.sampled_from([*ARMS, "x", ""])},
+        _STEPS,
+    ),
     "ablate": (*_TRAIN, {"--set": st.sampled_from(["steps=1", "steps=0"])}),
     "eval": _READ,
     "dump": _READ,
@@ -1022,16 +1067,17 @@ def _argvs(draw):
         sets = draw(st.one_of(st.just([]), st.lists(_SET, min_size=1, max_size=2)))
         groups += [["--set", value] for value in sets]
     groups.append(draw(_JUNK))
-    head = [command]
-    if command == "baseline":
-        head += draw(st.sampled_from([["pret"], ["cls"], [], ["x"]]))
-    return head + [token for group in draw(st.permutations(groups)) for token in group]
+    return [command] + [token for group in draw(st.permutations(groups)) for token in group]
 
 
 @settings(deadline=None, max_examples=100, suppress_health_check=[HealthCheck.too_slow])
 @example(  # a pretrain output holds nothing to resume from
-    argv=["adapt", "--data", "@manifest", "--backbone", "@backbone", "--resume", "@backbone",
+    argv=["train", "--data", "@manifest", "--backbone", "@backbone", "--resume", "@backbone",
           "--out", "@new", "--set", "steps=1"]
+)
+@example(  # only hr_align arms resume
+    argv=["train", "--arm", "pret_ft", "--data", "@manifest", "--resume", "@model", "--out", "@new",
+          "--set", "steps=1"]
 )
 @given(argv=_argvs())
 def test_cli_exits_zero_one_or_two_whatever_the_argv(fuzz_files, tmp_path_factory, argv):

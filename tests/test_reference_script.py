@@ -18,7 +18,7 @@ def test_reference_summary_reads_off_the_arm_runs(tiny_reference):
     for tag, arm in (("adapted", "L"), ("frozen", "frozen")):
         for key in ("r2h_recall1", "r2h_recall5", "h2r_recall1", "h2r_recall5"):
             assert summary[tag]["retrieval"][key] == rows[arm][key], (tag, key)
-        for key in ("probe_accuracy", "bc_mse", "success_rate"):
+        for key in ("probe_accuracy", "bc_mse"):
             assert summary[tag]["downstream"][key] == rows[arm][key], (tag, key)
         assert summary[tag]["retrieval"]["tag"] == summary[tag]["downstream"]["tag"] == tag
     assert rows["frozen"]["final_loss"] is None and rows["frozen"]["total_learnable"] == 0
