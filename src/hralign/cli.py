@@ -126,13 +126,11 @@ def cmd_pretrain(args) -> int:
     pairs = load_manifest(args.data)
     train, _ = split_pairs(pairs)
     clips = [p.human for p in train]
-    rng = RngState(args.seed)
-    backbone, history = pretext_pretrain(rng, clips, epochs=args.epochs, lr=args.lr)
+    backbone, history = pretext_pretrain(RngState(args.seed), clips, epochs=args.epochs, lr=args.lr)
     os.makedirs(args.out, exist_ok=True)
-    config = TrainConfig(method="hr_align", seed=args.seed, steps=0, out_dir=args.out)
-    checkpoint = ModelCheckpoint(config=config, backbone=backbone, rng=rng, step=0)
+    config = arm_config(TrainConfig(seed=args.seed, out_dir=args.out), "frozen")
     ckpt_path = os.path.join(args.out, "backbone.ckpt")
-    checkpoint.save(ckpt_path)
+    ModelCheckpoint.start(config, backbone).save(ckpt_path)
     _atomic_write_csv(
         os.path.join(args.out, "pretext_loss.csv"),
         ["epoch", "loss"],
@@ -161,8 +159,8 @@ def cmd_train(args) -> int:
     checkpoint, metrics = train(config, pairs, backbone, resume)
     ckpt_path = save_run(checkpoint, metrics)
     _write_run_outputs(config.out_dir, format_config(config), ["model.ckpt", "metrics.csv"])
-    final = metrics.losses[-1] if metrics.rows else float("nan")
-    print(f"train {args.arm}: {config.steps} steps, final loss {final:.4f} -> {ckpt_path}")
+    final = f", final loss {metrics.losses[-1]:.4f}" if metrics.rows else ""
+    print(f"train {args.arm}: {config.steps} steps{final} -> {ckpt_path}")
     return 0
 
 
@@ -175,6 +173,9 @@ def cmd_ablate(args) -> int:
     train, heldout = split_pairs(pairs)
     backbone = ModelCheckpoint.load(args.backbone).backbone
     runs = run_arms(config, train, heldout, backbone)
+    for run in runs:
+        run_config = run.checkpoint.config
+        _write_run_outputs(run_config.out_dir, format_config(run_config), ["model.ckpt", "metrics.csv"])
     rows = [run.row for run in runs]
     _atomic_write_json(os.path.join(config.out_dir, "ablation.json"), rows)
     keys = list(rows[0].keys())

@@ -33,7 +33,7 @@ from .rng import RngState
 from .task_query import QueryEmbedder, embed_texts
 from .tensor import Tensor
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 METRICS_HEADER = "step,loss,pos_sim,hard_neg_sim,wall_ms"
 METHODS = ("hr_align", "pret_baseline", "cls_baseline")
 
@@ -242,11 +242,8 @@ HEADER_SPEC = {
     "config": dict,
     "config_hash": str,
     "backbone": {"channels": [int], "strides": [int], "kernel": int},
-    "stack": bool,
-    "embedder": bool,
     "head": ([int], None),
-    "adam": bool,
-    "rng": ([int], None),
+    "rng": [int],
     "step": int,
 }
 
@@ -261,43 +258,86 @@ def _differing_key(a, b, key: str = "") -> str:
     return key
 
 
+def _parameters(*parts) -> dict[str, Tensor]:
+    """The named parameters of each part that is not None, in order."""
+    return {name: t for part in parts if part is not None for name, t in part.named_parameters().items()}
+
+
 @dataclass
 class ModelCheckpoint:
-    """Everything needed to resume or evaluate a run."""
+    """Everything needed to resume or evaluate a run. ``start`` builds every
+    one, so its config decides which parts it holds."""
 
     config: TrainConfig
     backbone: Backbone
-    stack: AdapterStack | None = None
-    embedder: QueryEmbedder | None = None
-    head: LinearHead | None = None
-    adam: AdamState | None = None
-    rng: RngState | None = None
-    step: int = 0
+    stack: AdapterStack | None
+    embedder: QueryEmbedder | None
+    head: LinearHead | None
+    adam: AdamState
+    rng: RngState
+    step: int
+
+    @classmethod
+    def start(cls, config: TrainConfig, backbone: Backbone, task_ids: list[int] | None = None) -> "ModelCheckpoint":
+        """The step-0 checkpoint of ``config`` over ``backbone`` (not copied):
+        an adapter stack at ``config.adapter_positions`` iff the method is
+        hr_align, a query projection iff hr_align with ``use_language``, a
+        head over ``task_ids`` iff cls_baseline, each drawn in that order
+        from the seed's stream, which goes on as the training RNG; and Adam
+        at the config's lr over the tensors it trains."""
+        rng = RngState(config.seed)
+        stack = embedder = head = None
+        if config.method == "hr_align":
+            stack = AdapterStack.for_positions(config.adapter_positions, backbone, ADAPTER_RATIO, rng)
+            if config.use_language:
+                embedder = QueryEmbedder.create(rng, backbone.out_channels)
+        elif config.method == "cls_baseline":
+            head = LinearHead.create(rng, backbone.out_channels, task_ids)
+        checkpoint = cls(config, backbone, stack, embedder, head, None, rng, 0)
+        checkpoint.adam = AdamState.for_params(checkpoint.trained(), lr=config.learning_rate)
+        return checkpoint
+
+    def trained(self) -> dict[str, Tensor]:
+        """The tensors ``config.method`` trains, by name: hr_align's adapters
+        and query projection, a baseline's backbone and any head."""
+        if self.config.method == "hr_align":
+            return _parameters(self.stack, self.embedder)
+        return _parameters(self.backbone, self.head)
 
     def named_tensors(self) -> dict[str, Tensor]:
-        out = dict(self.backbone.named_parameters())
-        if self.stack is not None:
-            out.update(self.stack.named_parameters())
-        if self.embedder is not None:
-            out.update(self.embedder.named_parameters())
-        if self.head is not None:
-            out.update(self.head.named_parameters())
-            out.update(self.head.named_buffers())
-        return out
+        buffers = self.head.named_buffers() if self.head is not None else {}
+        return {**_parameters(self.backbone, self.stack, self.embedder, self.head), **buffers}
 
     def adapters(self, adapted: bool) -> dict:
         """The adapter blocks to encode with: the stack's, or none (the
         frozen model) when ``adapted`` is false or there is no stack."""
         return self.stack.blocks if adapted and self.stack is not None else {}
 
+    def check_reloadable(self) -> None:
+        """A ValueError for what ``load`` would rebuild otherwise: parts other
+        than ``start``'s for the config, a backbone not frozen, or Adam off
+        the config's lr, the checkpoint's step or the tensors it trains."""
+        config, adam, hr_align = self.config, self.adam, self.config.method == "hr_align"
+        rule = {"adapter stack": hr_align, "query projection": hr_align and config.use_language,
+                "classification head": config.method == "cls_baseline", "training RNG": True, "Adam state": True}
+        for (part, needed), value in zip(rule.items(), (self.stack, self.embedder, self.head, self.rng, adam)):
+            if (value is not None) != needed:
+                raise ValueError(f"checkpoint holds no {part}, which its config needs" if needed
+                                 else f"checkpoint's config needs no {part}, but it holds one")
+        if not self.backbone.frozen or (adam.lr, adam.step) != (config.learning_rate, self.step):
+            raise ValueError("a checkpoint holds a frozen backbone and Adam at its config's lr and its step")
+        trained = self.trained()
+        both = trained.keys() & adam.m.keys() & adam.v.keys()
+        if bare := [name for name in (*trained, *adam.m, *adam.v) if name not in both]:
+            raise ValueError(f"checkpoint's Adam moments disagree with the tensors it trains at {bare[0]!r}")
+
     def _header(self) -> tuple[dict, list[bytes]]:
         """The JSON header and, in name order, the serialized tensors it names;
         a ValueError for what ``load`` would rebuild otherwise."""
+        self.check_reloadable()
         bb, adam = self.backbone, self.adam
-        if not bb.frozen or adam is not None and (adam.lr, adam.step) != (self.config.learning_rate, self.step):
-            raise ValueError("a checkpoint holds a frozen backbone and Adam at its config's lr and its step")
         arrays = {name: t.data for name, t in self.named_tensors().items()}
-        for name in adam.m if adam is not None else ():
+        for name in adam.m:
             arrays[f"adam.m.{name}"], arrays[f"adam.v.{name}"] = adam.m[name], adam.v[name]
         names = sorted(arrays)
         header = {
@@ -308,11 +348,8 @@ class ModelCheckpoint:
             "backbone": {
                 "channels": list(bb.channels), "strides": [blk.stride for blk in bb.blocks], "kernel": bb.kernel,
             },
-            "stack": self.stack is not None,
-            "embedder": self.embedder is not None,
             "head": None if self.head is None else list(self.head.task_ids),
-            "adam": adam is not None,
-            "rng": None if self.rng is None else list(self.rng.state()),
+            "rng": list(self.rng.state()),
             "step": self.step,
         }
         return header, [T.to_bytes(arrays[name]) for name in names]
@@ -333,10 +370,9 @@ class ModelCheckpoint:
         against the model the header builds, and last the header against
         the one ``save`` writes for what was loaded.
 
-        What the header does not hold is derived: the backbone is frozen,
-        the stack sits at ``config.adapter_positions`` with ``ADAPTER_RATIO``,
-        the query projection and the head are ``backbone.out_channels`` wide,
-        and Adam runs at ``config.learning_rate`` from ``step``.
+        What the header does not hold is derived: ``start`` builds the
+        config's parts over the header's frozen backbone, and the tensors,
+        the RNG, the step and Adam's moments are then read in.
         """
         try:
             with open(path, "rb") as fh:
@@ -376,25 +412,15 @@ class ModelCheckpoint:
         if header["step"] < 0:
             raise CheckpointError(f"{path}: header key 'step' is negative: {header['step']}")
 
-        arch, init_rng = header["backbone"], RngState(0)
-        stack = embedder = head = adam = rng = None
+        arch = header["backbone"]
         try:
             config = TrainConfig.from_mapping(header["config"])
-            backbone = Backbone.create(init_rng, arch["channels"], arch["strides"], arch["kernel"]).freeze()
-            width = backbone.out_channels
-            if header["stack"]:
-                stack = AdapterStack.for_positions(config.adapter_positions, backbone, ADAPTER_RATIO, init_rng)
-            if header["embedder"]:
-                embedder = QueryEmbedder.create(init_rng, width)
-            if header["head"] is not None:
-                head = LinearHead.create(init_rng, width, header["head"])
-            if header["adam"]:
-                adam = AdamState(config.learning_rate, step=header["step"])
-            if header["rng"] is not None:
-                rng = RngState.from_state(header["rng"])
+            backbone = Backbone.create(RngState(0), arch["channels"], arch["strides"], arch["kernel"]).freeze()
+            checkpoint = cls.start(config, backbone, header["head"])
+            checkpoint.rng = RngState.from_state(header["rng"])
         except (ValueError, ZeroDivisionError) as e:
             raise CheckpointError(f"{path}: {e}") from e
-        checkpoint = cls(config, backbone, stack, embedder, head, adam, rng, header["step"])
+        checkpoint.step = checkpoint.adam.step = header["step"]
 
         def take(name: str, shape: tuple[int, ...]) -> np.ndarray:
             if name not in arrays:
@@ -405,15 +431,11 @@ class ModelCheckpoint:
                 )
             return arrays[name]
 
-        named = checkpoint.named_tensors()
-        for name, tensor in named.items():
+        for name, tensor in checkpoint.named_tensors().items():
             tensor.data = take(name, tensor.shape)
-        if adam is not None:
-            prefixes = ("adam.m.", "adam.v.")
-            for name in sorted({n[len("adam.m.") :] for n in arrays if n.startswith(prefixes)}):
-                if name not in named:
-                    raise CheckpointError(f"{path}: adam moments of unknown tensor {name!r}")
-                adam.m[name], adam.v[name] = (take(p + name, named[name].shape) for p in prefixes)
+        adam = checkpoint.adam
+        for name, zeros in adam.m.items():
+            adam.m[name], adam.v[name] = take(f"adam.m.{name}", zeros.shape), take(f"adam.v.{name}", zeros.shape)
         rebuilt, _ = checkpoint._header()
         if rebuilt != header:
             key = _differing_key(header, rebuilt)
@@ -442,40 +464,24 @@ def _seeded_batches(config: TrainConfig, items: list):
     return epoch_batches(items, config.batch_size, lambda e: RngState(seed).derive("epoch", e).permutation(n))
 
 
-def _fit_checkpoint(
-    config: TrainConfig,
-    batches,
-    params: dict[str, Tensor],
-    batch_loss,
-    resume: ModelCheckpoint | None = None,
-    *,
-    backbone: Backbone,
-    **parts,
-) -> tuple[ModelCheckpoint, MetricsLog]:
-    """Train ``params`` on the ``batches`` schedule (``_seeded_batches``).
+def _fit_checkpoint(checkpoint: ModelCheckpoint, batches, batch_loss) -> tuple[ModelCheckpoint, MetricsLog]:
+    """Train ``checkpoint.trained()`` from the checkpoint's step to its
+    config's ``steps`` on the ``batches`` schedule (``_seeded_batches``).
 
     Step s trains on ``batch_loss(batches(s)) -> (loss, stats)`` and logs metrics
-    row s + 1; a resumed run goes on from the checkpoint's step and Adam
-    state, which must hold both moments of every one of ``params``.
-    Returns the checkpoint of ``backbone`` and ``parts`` at
-    ``config.steps``, the backbone frozen (a fine-tuned copy is frozen once
-    trained).
+    row s + 1. Returns the checkpoint at ``config.steps``, its backbone
+    frozen (a fine-tuned copy is frozen once trained), and the log.
     """
-    if resume is not None:
-        adam, start = resume.adam, resume.step
-        if bare := [name for name in params if name not in adam.m or name not in adam.v]:
-            raise ValueError(f"resume checkpoint holds no Adam moments of {bare[0]!r}")
-    else:
-        adam, start = AdamState.for_params(params, lr=config.learning_rate), 0
-    rows = fit(params, adam, config.steps, lambda step: batch_loss(batches(step)), start)
-    backbone.freeze()
+    start, steps = checkpoint.step, checkpoint.config.steps
+    rows = fit(checkpoint.trained(), checkpoint.adam, steps, lambda step: batch_loss(batches(step)), start)
+    checkpoint.backbone.freeze()
+    checkpoint.step = steps
     metrics = MetricsLog(
         [
             MetricsRow(step + 1, loss, stats["pos_sim"], stats["hard_neg_sim"], wall_ms)
             for step, (loss, stats, wall_ms) in enumerate(rows, start)
         ]
     )
-    checkpoint = ModelCheckpoint(config, backbone, adam=adam, step=config.steps, **parts)
     return checkpoint, metrics
 
 
@@ -495,18 +501,18 @@ def train_hr_align(
     call over the pairs' clips interleaved human, robot, human, ... (one
     shared sample per robot clip feeds both robot streams), pool the three
     streams, take one Adam step on adapter + query-projection parameters. A
-    ``resume`` checkpoint must hold ``backbone`` bitwise and everything a
-    run goes on from: the adapter stack, the RNG, Adam with both moments of
-    every trained parameter, and the query projection when ``use_language``.
+    ``resume`` checkpoint must hold ``backbone`` bitwise, share all of
+    ``config`` but ``steps`` and ``out_dir``, and be one ``save`` accepts.
     Neither the caller's backbone nor the checkpoint is touched.
     """
     config = config.validate()
     if config.method != "hr_align":
         raise ValueError(f"train_hr_align got method {config.method!r}")
     batches = _seeded_batches(config, pairs)
-    backbone = backbone.copy().freeze()
 
-    if resume is not None:
+    if resume is None:
+        checkpoint = ModelCheckpoint.start(config, backbone.copy().freeze())
+    else:
         bad = [
             f.name for f in dataclasses.fields(TrainConfig)
             if f.name not in ("steps", "out_dir") and getattr(resume.config, f.name) != getattr(config, f.name)
@@ -520,22 +526,10 @@ def train_hr_align(
         )
         if moved := sorted(n for n in ours.keys() | theirs.keys() if ours.get(n) != theirs.get(n)):
             raise ValueError(f"resume backbone differs from the checkpoint's at tensor {moved[0]!r}")
-        parts = {"adapter stack": resume.stack, "training RNG": resume.rng, "Adam state": resume.adam}
-        if config.use_language:
-            parts["query projection use_language needs"] = resume.embedder
-        if absent := [part for part, value in parts.items() if value is None]:
-            raise ValueError(f"resume checkpoint holds no {absent[0]}")
-        resume = copy.deepcopy(resume)
-        stack, embedder, rng = resume.stack, resume.embedder, resume.rng
-    else:
-        rng = RngState(config.seed)
-        stack = AdapterStack.for_positions(config.adapter_positions, backbone, ADAPTER_RATIO, rng)
-        embedder = (
-            QueryEmbedder.create(rng, backbone.out_channels) if config.use_language else None
-        )
-    params = dict(stack.named_parameters())
-    if embedder is not None:
-        params.update(embedder.named_parameters())
+        resume.check_reloadable()
+        checkpoint = copy.deepcopy(resume)
+        checkpoint.config = config
+    backbone, stack, embedder, rng = checkpoint.backbone, checkpoint.stack, checkpoint.embedder, checkpoint.rng
 
     def batch_loss(batch: list[PairedDemo]) -> tuple[Tensor, dict]:
         b = len(batch)
@@ -556,37 +550,35 @@ def train_hr_align(
         )
         return hr_align_loss(feats), alignment_stats(feats)
 
-    return _fit_checkpoint(
-        config, batches, params, batch_loss, resume,
-        backbone=backbone, stack=stack, embedder=embedder, rng=rng,
-    )
+    return _fit_checkpoint(checkpoint, batches, batch_loss)
 
 
 # ---------------------------------------------------------------------------
 # baselines
 
 
-def _baseline_setup(config: TrainConfig, method: str, pairs: list[PairedDemo], backbone: Backbone):
-    """Robot clips, their schedule, RNG and the unfrozen backbone copy a baseline trains."""
+def _baseline_setup(config: TrainConfig, method: str, pairs: list[PairedDemo]):
+    """The robot clips a baseline trains on and their schedule."""
     config.validate()
     if config.method != method:
         raise ValueError(f"train_baseline_{method.split('_')[0]} got method {config.method!r}")
     clips = [demo.robot for demo in pairs]
-    return clips, _seeded_batches(config, clips), RngState(config.seed), backbone.copy().unfreeze()
+    return clips, _seeded_batches(config, clips)
 
 
 def train_baseline_pret(
     config: TrainConfig, pairs: list[PairedDemo], backbone: Backbone
 ) -> tuple[ModelCheckpoint, MetricsLog]:
     """Continue the pretext objective on robot clips, all weights learnable."""
-    clips, batches, rng, backbone = _baseline_setup(config, "pret_baseline", pairs, backbone)
+    clips, batches = _baseline_setup(config, "pret_baseline", pairs)
     check_pretext_clips(clips)
+    checkpoint = ModelCheckpoint.start(config, backbone.copy().unfreeze())
+    backbone, rng = checkpoint.backbone, checkpoint.rng
 
     def batch_loss(batch: list[VideoClip]) -> tuple[Tensor, dict]:
         return pretext_loss(lambda fr: encode_batch(backbone, fr), batch, rng)
 
-    params = dict(backbone.named_parameters())
-    return _fit_checkpoint(config, batches, params, batch_loss, backbone=backbone, rng=rng)
+    return _fit_checkpoint(checkpoint, batches, batch_loss)
 
 
 def _class_index(task_ids) -> dict[int, int]:
@@ -602,10 +594,10 @@ def train_baseline_cls(
     classes = _class_index(p.task_id for p in pairs)
     if len(classes) < 2:
         raise ValueError(f"classification baseline needs >= 2 task classes, got {len(classes)}")
-    clips, batches, rng, backbone = _baseline_setup(config, "cls_baseline", pairs, backbone)
-    head = LinearHead.create(rng, backbone.out_channels, list(classes))
+    clips, batches = _baseline_setup(config, "cls_baseline", pairs)
+    checkpoint = ModelCheckpoint.start(config, backbone.copy().unfreeze(), list(classes))
+    head, backbone, rng = checkpoint.head, checkpoint.backbone, checkpoint.rng
     _fit_head_scaler(head, backbone, clips, config)
-    params = {**backbone.named_parameters(), **head.named_parameters()}
 
     def batch_loss(batch: list[VideoClip]) -> tuple[Tensor, dict]:
         b = len(batch)
@@ -615,7 +607,7 @@ def train_baseline_cls(
         probs = T.softmax(logits.detach(), axis=1).data
         return T.cross_entropy(logits, labels), label_stats(probs, labels)
 
-    return _fit_checkpoint(config, batches, params, batch_loss, backbone=backbone, head=head, rng=rng)
+    return _fit_checkpoint(checkpoint, batches, batch_loss)
 
 
 def _fit_head_scaler(head, backbone, clips, config) -> None:

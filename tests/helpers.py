@@ -27,14 +27,13 @@ import pytest
 
 from hralign import dataset
 from hralign import tensor as T
-from hralign.adapter import ADAPTER_RATIO, AdapterStack
 from hralign.dataset import FRAMES_PER_CLIP, sample_frames
 from hralign.encoder import Backbone, encode_pooled
 from hralign.optim import AdamState, fit
 from hralign.rng import RngState
-from hralign.task_query import QueryEmbedder, embed_texts
+from hralign.task_query import embed_texts
 from hralign.tensor import Tensor, from_bytes
-from hralign.trainer import LinearHead, ModelCheckpoint, TrainConfig
+from hralign.trainer import ModelCheckpoint, TrainConfig
 
 
 def rel_err(a: np.ndarray, b: np.ndarray) -> float:
@@ -197,42 +196,29 @@ def micro_backbone(seed: int = 3, channels=(3, 4, 4, 4)) -> Backbone:
     return Backbone.create(RngState(seed), channels=channels)
 
 
-def small_checkpoint(
-    positions: str = "L", language: bool = True, head: bool = False, adam: bool = False, seed: int = 0
-) -> ModelCheckpoint:
-    """A micro-backbone checkpoint with an adapter stack at ``positions``
-    and, on request, a query projection, a classification head over tasks
-    0, 1 and 2, and Adam moments.
-    Adapter up-projections and moments are drawn at random, so a round trip
-    carries real values."""
-    rng = RngState(seed)
-    backbone = micro_backbone(seed).freeze()
-    stack = AdapterStack.for_positions(positions, backbone, ADAPTER_RATIO, rng)
-    for blk in stack.blocks.values():
-        blk.up_w.data = rng.normal(blk.up_w.shape)
+def small_checkpoint(positions: str = "L", language: bool = True, head: bool = False, seed: int = 0) -> ModelCheckpoint:
+    """A micro-backbone checkpoint built by ``ModelCheckpoint.start``: an
+    hr_align one with an adapter stack at ``positions`` and, when
+    ``language``, a query projection; or, with ``head`` or with nothing for
+    hr_align to learn, a cls_baseline one with a head over tasks 0, 1 and 2.
+    Adapter up-projections and Adam moments are drawn at random, so a round
+    trip carries real values; the step is ``seed % 7``."""
+    hr_align = not head and (language or positions != "none")
     config = TrainConfig(
-        # hr_align needs adapters or a query projection to learn
-        method="hr_align" if language or positions != "none" else "cls_baseline",
-        adapter_positions=positions,
-        use_language=language,
+        method="hr_align" if hr_align else "cls_baseline",
+        adapter_positions=positions if hr_align else "none",
+        use_language=language and hr_align,
+        seed=seed,
         out_dir="runs/small",
     )
-    checkpoint = ModelCheckpoint(
-        config,
-        backbone,
-        stack,
-        QueryEmbedder.create(rng, backbone.out_channels) if language else None,
-        LinearHead.create(rng, backbone.out_channels, [0, 1, 2]) if head else None,
-        rng=rng.derive("train"),
-        step=seed % 7,
-    )
-    if adam:
-        params = learnable_parameters(checkpoint)
-        checkpoint.adam = AdamState.for_params(params, lr=0.01)
-        checkpoint.adam.step = seed % 7
-        for name, p in params.items():
-            checkpoint.adam.m[name] = rng.normal(p.shape)
-            checkpoint.adam.v[name] = rng.uniform(p.shape)
+    checkpoint = ModelCheckpoint.start(config, micro_backbone(seed).freeze(), [0, 1, 2])
+    rng = RngState(seed).derive("values")
+    for blk in checkpoint.adapters(True).values():
+        blk.up_w.data = rng.normal(blk.up_w.shape)
+    for name, p in checkpoint.trained().items():
+        checkpoint.adam.m[name] = rng.normal(p.shape)
+        checkpoint.adam.v[name] = rng.uniform(p.shape)
+    checkpoint.step = checkpoint.adam.step = seed % 7
     return checkpoint
 
 

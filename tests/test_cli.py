@@ -28,7 +28,7 @@ from hralign.cli import _write_run_outputs, cli_main
 from hralign.dataset import generate_paired_set, load_manifest, save_manifest, split_pairs
 from hralign.evaluation import eval_downstream, eval_retrieval
 from hralign.rng import RngState
-from hralign.trainer import ModelCheckpoint
+from hralign.trainer import ModelCheckpoint, format_config
 from hralign.tensor import from_bytes, to_bytes
 
 
@@ -161,7 +161,7 @@ def test_manifest_path_that_is_a_directory_exits_two(tmp_path, capsys):
 @pytest.fixture(scope="module")
 def checkpoint_bytes(tmp_path_factory):
     path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
-    small_checkpoint(adam=True).save(str(path))
+    small_checkpoint().save(str(path))
     return path.read_bytes()
 
 
@@ -562,7 +562,7 @@ def test_cli_resume_matches_straight_run(pipeline, tmp_path):
         == 0
     )
     # headers differ in out_dir only; compare the trajectory-relevant state
-    from hralign.trainer import ModelCheckpoint
+    from hralign.trainer import ModelCheckpoint, format_config
 
     direct = ModelCheckpoint.load(os.path.join(a, "model.ckpt"))
     resumed = ModelCheckpoint.load(os.path.join(c, "model.ckpt"))
@@ -620,16 +620,17 @@ def test_cli_resume_over_a_different_backbone_exits_two_writing_nothing(
 
 
 def test_cli_resume_from_a_pretrain_checkpoint_exits_two_writing_nothing(pipeline, tmp_path, capsys):
-    # a pretrain output holds no adapters, RNG or Adam state to go on from;
-    # resuming from it once died with an AttributeError traceback
+    # a pretrain output is the frozen arm's start checkpoint, which holds no
+    # adapters to go on from; resuming from it once died with an
+    # AttributeError traceback
     _, manifest, backbone, _ = pipeline
     out = tmp_path / "resumed"
     argv = [
         "train", "--data", manifest, "--backbone", backbone, "--resume", backbone,
-        "--out", str(out), "--set", "seed=11",  # the pretrain run's seed, so the configs agree
+        "--out", str(out), "--set", "seed=11",  # the pretrain run's seed, so only the parts differ
     ]
     assert run(argv) == 2
-    assert "error: resume checkpoint holds no adapter stack" in capsys.readouterr().err
+    assert "error: resume config differs on ['adapter_positions', 'use_language']" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -718,8 +719,9 @@ def test_cli_ablate_trains_scores_and_saves_every_arm(tiny_reference, tmp_path):
     head_size = (backbone.out_channels + 1) * 2  # a linear head over the 2 tasks
     for row in rows:
         run_dir = out / row["name"]
-        assert sorted(os.listdir(run_dir)) == ["metrics.csv", "model.ckpt"]
+        assert sorted(os.listdir(run_dir)) == ["files.json", "metrics.csv", "model.ckpt", "resolved_config.txt"]
         checkpoint = ModelCheckpoint.load(str(run_dir / "model.ckpt"))
+        assert (run_dir / "resolved_config.txt").read_text() == format_config(checkpoint.config)
         assert (row["adapter_positions"], row["use_language"]) == ARM_PARTS[row["name"]]
         assert (checkpoint.config.adapter_positions, checkpoint.config.use_language) == ARM_PARTS[row["name"]]
         assert (checkpoint.embedder is not None) == row["use_language"]
@@ -910,25 +912,55 @@ def test_removed_training_subcommands_exit_one_writing_nothing(pipeline, tmp_pat
 
 def test_train_writes_each_arm_as_ablate_does(pipeline, tmp_path):
     """``train --arm X --out P/X`` and ``ablate --out P`` build arm X's
-    config by one ``arm_config``: every arm's ``model.ckpt`` is byte for
-    byte the one ablate writes, and its ``metrics.csv`` too but for
-    ``wall_ms``."""
+    config by one ``arm_config``: every file of each arm's directory is
+    byte for byte the one ablate writes, ``metrics.csv`` but for
+    ``wall_ms``. Ablate once wrote only the base config, and only into P."""
     out = tmp_path / "P"
     ablate = _ablate_argv(pipeline, out)
 
-    def files(arm):
-        metrics = (out / arm / "metrics.csv").read_text().splitlines()
-        return (out / arm / "model.ckpt").read_bytes(), [line.rsplit(",", 1)[0] for line in metrics]
+    def files(root, arm):
+        found = {name: (root / arm / name).read_bytes() for name in sorted(os.listdir(root / arm))}
+        found["metrics.csv"] = [line.rsplit(b",", 1)[0] for line in found["metrics.csv"].splitlines()]
+        return found
 
-    kept = {}
     for arm in ARMS:
         argv = ["train", "--arm", arm, *ablate[1:]]
         argv[argv.index("--out") + 1] = str(out / arm)
         assert run(argv) == 0, arm
-        kept[arm] = files(arm)
+    trained = tmp_path / "trained"
+    out.rename(trained)  # the files name P in their configs; ablate writes P anew
     assert run(ablate) == 0
     for arm in ARMS:
-        assert files(arm) == kept[arm], arm
+        kept = files(trained, arm)
+        assert sorted(kept) == ["files.json", "metrics.csv", "model.ckpt", "resolved_config.txt"], arm
+        assert files(out, arm) == kept, arm
+
+
+def test_a_run_without_steps_prints_no_loss(pipeline, tmp_path, capsys):
+    """A 0-step run has no loss: ``train --arm frozen`` once printed
+    ``final loss nan``, which reads as a diverged run."""
+    _, manifest, backbone, _ = pipeline
+    common = ["--data", manifest, "--backbone", backbone, "--set", "batch_size=4"]
+    frozen, trained = tmp_path / "frozen", tmp_path / "L"
+    assert run(["train", "--arm", "frozen", *common, "--out", str(frozen)]) == 0
+    assert capsys.readouterr().out == f"train frozen: 0 steps -> {frozen / 'model.ckpt'}\n"
+    assert run(["train", "--arm", "L", *common, "--set", "steps=1", "--out", str(trained)]) == 0
+    loss = float((trained / "metrics.csv").read_text().splitlines()[-1].split(",")[1])
+    assert capsys.readouterr().out == f"train L: 1 steps, final loss {loss:.4f} -> {trained / 'model.ckpt'}\n"
+
+
+def test_pretrain_writes_the_frozen_arms_checkpoint(pipeline, tmp_path):
+    """``pretrain --out D`` saves the frozen arm's start checkpoint, so
+    ``train --arm frozen --backbone D/backbone.ckpt --out D`` writes the
+    same bytes. The pretrain header once claimed the L adapters and query
+    projection of a default config, and held neither."""
+    _, manifest, _, _ = pipeline
+    assert len(split_pairs(load_manifest(manifest))[0]) >= 16  # one default batch
+    out = tmp_path / "D"
+    assert run(["pretrain", "--data", manifest, "--out", str(out), "--epochs", "1", "--seed", "11"]) == 0
+    argv = ["train", "--arm", "frozen", "--data", manifest, "--backbone", str(out / "backbone.ckpt")]
+    assert run(argv + ["--out", str(out), "--set", "seed=11"]) == 0
+    assert (out / "model.ckpt").read_bytes() == (out / "backbone.ckpt").read_bytes()
 
 
 def test_readme_commands_parse():

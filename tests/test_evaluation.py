@@ -70,7 +70,7 @@ def test_retrieval_requires_two_pairs(small_ckpt):
 def test_gap_zero_perfect_recall():
     pairs = generate_paired_set(RngState(43), 3, 4, 0.0)
     backbone = Backbone.create(RngState(43)).freeze()
-    checkpoint = ModelCheckpoint(config=TrainConfig(steps=0), backbone=backbone)
+    checkpoint = ModelCheckpoint.start(evaluation.arm_config(TrainConfig(), "frozen"), backbone)
     for adapted in (False, True):
         report = eval_retrieval(checkpoint, pairs, adapted=adapted)
         assert report.r2h_recall1 == 1.0
@@ -85,7 +85,7 @@ def test_all_zero_embeddings_rank_every_true_match_behind_its_ties(small_ckpt):
     backbone = Backbone.create(RngState(45)).freeze()
     last = backbone.blocks[-1].b
     last.data = np.full_like(last.data, -1000.0)
-    checkpoint = ModelCheckpoint(config=TrainConfig(steps=0), backbone=backbone)
+    checkpoint = ModelCheckpoint.start(evaluation.arm_config(TrainConfig(), "frozen"), backbone)
     assert not clip_embedding(checkpoint, heldout[0].robot, "", adapted=False).any()
     n = len(heldout)
     assert n > 5
@@ -241,7 +241,7 @@ def test_run_arms_saves_each_arm_as_its_row_names_it(small_pairs, tmp_path, monk
         assert (checkpoint.embedder is not None) == config.use_language, run.name
     frozen = ModelCheckpoint.load(str(tmp_path / "arms" / "frozen" / "model.ckpt"))
     assert (frozen.step, frozen.adam.m, frozen.adapters(True)) == (0, {}, {})
-    given = ModelCheckpoint(frozen.config, backbone)
+    given = ModelCheckpoint.start(frozen.config, backbone)
     assert np.array_equal(
         _dumped(frozen, heldout, True, tmp_path / "frozen.csv"),
         _dumped(given, heldout, False, tmp_path / "given.csv"),

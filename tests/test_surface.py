@@ -357,3 +357,58 @@ def test_cached_def_checker_sees_each_form_of_the_decorator(tmp_path):
         encoding="utf-8",
     )
     assert cached_defs(tmp_path) == {"m.a", "m.b", "m.c", "m.d"}
+
+
+def checkpoint_builders(root: Path = ROOT) -> set[str]:
+    """``file:function`` of every call in the programs that builds a
+    ``ModelCheckpoint``: a call of that name, or of ``cls`` in one of the
+    class's own methods."""
+    out = set()
+
+    def visit(node, path: str, where: str, in_class: bool) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, path, child.name, child.name == "ModelCheckpoint")
+            elif isinstance(child, ast.FunctionDef):
+                visit(child, path, f"{where}.{child.name}" if where else child.name, in_class)
+            else:
+                if isinstance(child, ast.Call) and (
+                    _name(child.func) == "ModelCheckpoint"
+                    or (in_class and getattr(child.func, "id", None) == "cls")
+                ):
+                    out.add(f"{path}:{where or '<module>'}")
+                visit(child, path, where, in_class)
+
+    for path, tree in zip(_programs(root), _parse(_programs(root))):
+        visit(tree, path.relative_to(root).as_posix(), "", False)
+    return out
+
+
+def test_only_start_builds_a_checkpoint():
+    """A run's config decides what its checkpoint holds: training, resume,
+    ``load`` and ``pretrain`` all build through ``ModelCheckpoint.start``.
+    Four places once each decided which parts a checkpoint held, and the
+    pretrain header claimed adapters it did not hold."""
+    assert checkpoint_builders() == {"src/hralign/trainer.py:ModelCheckpoint.start"}
+
+
+def test_builder_checker_sees_each_way_of_building(tmp_path):
+    src = tmp_path / "src" / "hralign"
+    src.mkdir(parents=True)
+    (src / "m.py").write_text(
+        "class ModelCheckpoint:\n"
+        "    @classmethod\n    def start(cls):\n        return cls()\n\n"
+        "    @classmethod\n    def load(cls):\n        def inner():\n            return cls()\n        return inner()\n\n"
+        "class Other:\n    @classmethod\n    def make(cls):\n        return cls()\n\n"
+        "def build():\n    return ModelCheckpoint()\n\n"
+        "x = m.ModelCheckpoint.start()\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / "scripts" / "s.py").write_text("from m import ModelCheckpoint\nModelCheckpoint()\n", encoding="utf-8")
+    assert checkpoint_builders(tmp_path) == {
+        "src/hralign/m.py:ModelCheckpoint.start",
+        "src/hralign/m.py:ModelCheckpoint.load.inner",
+        "src/hralign/m.py:build",
+        "scripts/s.py:<module>",
+    }

@@ -31,7 +31,7 @@ from hralign import trainer
 from hralign.adapter import ADAPTER_RATIO, POSITION_SPECS
 from hralign.dataset import generate_paired_set, split_pairs
 from hralign.encoder import Backbone, pretext_pretrain
-from hralign.evaluation import dump_embeddings, eval_downstream, eval_retrieval
+from hralign.evaluation import arm_config, dump_embeddings, eval_downstream, eval_retrieval
 from hralign.rng import RngState
 from hralign.task_query import TEXT_DIM
 from hralign.tensor import to_bytes
@@ -301,21 +301,27 @@ def _no_training(*args, **kwargs):
 
 
 @pytest.mark.parametrize(
-    "field, part",
+    "field, message",
     [
-        ("stack", "adapter stack"),
-        ("rng", "training RNG"),
-        ("adam", "Adam state"),
-        ("embedder", "query projection use_language needs"),
+        ("stack", "checkpoint holds no adapter stack, which its config needs"),
+        ("rng", "checkpoint holds no training RNG, which its config needs"),
+        ("adam", "checkpoint holds no Adam state, which its config needs"),
+        ("embedder", "checkpoint holds no query projection, which its config needs"),
+        ("head", "checkpoint's config needs no classification head, but it holds one"),
     ],
-    ids=["stack", "rng", "adam", "embedder"],
+    ids=["stack", "rng", "adam", "embedder", "head"],
 )
-def test_resume_missing_a_part_is_refused_before_training(small_pairs, monkeypatch, field, part):
+def test_resume_missing_a_part_is_refused_before_training(small_pairs, tmp_path, monkeypatch, field, message):
     # a pretrain output resumed by `adapt --resume` once died with an
-    # AttributeError on its missing adapter stack
-    checkpoint = dataclasses.replace(small_checkpoint("L", adam=True), **{field: None})
+    # AttributeError on its missing adapter stack; a checkpoint whose parts
+    # are not its config's is one save refuses, and resume refuses it alike
+    value = small_checkpoint(head=True).head if field == "head" else None
+    checkpoint = dataclasses.replace(small_checkpoint("L"), **{field: value})
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        checkpoint.save(str(tmp_path / "model.ckpt"))
+    assert os.listdir(tmp_path) == []
     monkeypatch.setattr(trainer, "fit", _no_training)
-    with pytest.raises(ValueError, match=f"^resume checkpoint holds no {part}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         train_hr_align(checkpoint.config, small_pairs, checkpoint.backbone, resume=checkpoint)
 
 
@@ -330,18 +336,23 @@ def test_resume_missing_a_part_is_refused_before_training(small_pairs, monkeypat
 def test_resume_without_adam_moments_is_refused_before_training(
     small_pairs, tmp_path, monkeypatch, dropped, first
 ):
-    # such a resealed file loads (its header still says adam), and resuming
-    # from it once died with a bare KeyError inside adam_step
+    # resuming from such a resealed file once died with a bare KeyError
+    # inside adam_step; load now refuses the file, naming the first missing
+    # moment, and resume refuses a checkpoint in memory that lacks one
     path = tmp_path / "model.ckpt"
-    small_checkpoint("L", adam=True).save(str(path))
+    small_checkpoint("L").save(str(path))
     path.write_bytes(
         with_tensors(path.read_bytes(), lambda tensors: {n: b for n, b in tensors.items() if not dropped(n)})
     )
-    loaded = ModelCheckpoint.load(str(path))
-    assert loaded.adam is not None and first not in loaded.adam.m
+    with pytest.raises(CheckpointError, match=re.escape(f"{path}: no tensor entry 'adam.m.{first}'")):
+        ModelCheckpoint.load(str(path))
+    checkpoint = small_checkpoint("L")
+    for name in [n for n in checkpoint.adam.m if dropped(f"adam.m.{n}")]:
+        del checkpoint.adam.m[name], checkpoint.adam.v[name]
     monkeypatch.setattr(trainer, "fit", _no_training)
-    with pytest.raises(ValueError, match=f"^resume checkpoint holds no Adam moments of '{first}'$"):
-        train_hr_align(loaded.config, small_pairs, loaded.backbone, resume=loaded)
+    message = f"^checkpoint's Adam moments disagree with the tensors it trains at '{first}'$"
+    with pytest.raises(ValueError, match=message):
+        train_hr_align(checkpoint.config, small_pairs, checkpoint.backbone, resume=checkpoint)
 
 
 def test_each_run_draws_its_own_epoch_shuffles(small_setup, monkeypatch):
@@ -394,8 +405,17 @@ def test_metrics_save_failing_partway_keeps_previous_file(tmp_path, monkeypatch)
 
 @pytest.fixture(scope="module")
 def checkpoint_bytes(tmp_path_factory):
+    """An hr_align checkpoint's file: L adapters and a query projection."""
     path = str(tmp_path_factory.mktemp("ckpt") / "model.ckpt")
-    small_checkpoint("L", language=True, head=True, adam=True, seed=3).save(path)
+    small_checkpoint("L", language=True, seed=3).save(path)
+    return Path(path).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def head_checkpoint_bytes(tmp_path_factory):
+    """A cls_baseline checkpoint's file: a head over tasks 0, 1 and 2."""
+    path = str(tmp_path_factory.mktemp("ckpt") / "model.ckpt")
+    small_checkpoint(head=True, seed=3).save(path)
     return Path(path).read_bytes()
 
 
@@ -441,13 +461,17 @@ def test_checkpoint_missing_tensor_entry_raises_checkpoint_error(checkpoint_byte
         ModelCheckpoint.load(str(path))
 
 
-def test_saved_checkpoint_holds_the_version_2_header_and_a_sha256_trailer(checkpoint_bytes):
+@pytest.mark.parametrize(
+    "fixture, head", [("checkpoint_bytes", None), ("head_checkpoint_bytes", [0, 1, 2])], ids=["hr_align", "cls"]
+)
+def test_saved_checkpoint_holds_the_version_3_header_and_a_sha256_trailer(request, fixture, head):
+    checkpoint_bytes = request.getfixturevalue(fixture)
     hlen = header_length(checkpoint_bytes)
     header = json.loads(checkpoint_bytes[4 : 4 + hlen])
     assert list(header) == sorted(trainer.HEADER_SPEC)
+    assert not {"stack", "embedder", "adam"} & header.keys()  # the config decides the parts
     assert header["backbone"] == {"channels": [3, 4, 4, 4], "kernel": 3, "strides": [2, 2, 1]}
-    flags = {key: header[key] for key in ("version", "stack", "embedder", "head", "adam", "step")}
-    assert flags == {"version": 2, "stack": True, "embedder": True, "head": [0, 1, 2], "adam": True, "step": 3}
+    assert {key: header[key] for key in ("version", "head", "step")} == {"version": 3, "head": head, "step": 3}
     assert b"".join(body_tensors(checkpoint_bytes).values()) == checkpoint_bytes[4 + hlen : -32]
     assert checkpoint_bytes[-32:] == hashlib.sha256(checkpoint_bytes[:-32]).digest()
 
@@ -480,7 +504,7 @@ def _version_1_bytes(checkpoint: ModelCheckpoint) -> bytes:
             "ratio": ADAPTER_RATIO,
         },
         "embedder": {"text_dim": TEXT_DIM, "out_dim": bb.out_channels},
-        "head": {"in_dim": bb.out_channels, "task_ids": checkpoint.head.task_ids},
+        "head": None,
         "adam": {"lr": adam.lr, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step": adam.step},
         "rng": list(checkpoint.rng.state()),
         "step": checkpoint.step,
@@ -493,15 +517,20 @@ def test_version_1_checkpoint_raises_unsupported_version(tmp_path):
     # "version 1" named three incompatible layouts, so an older file failed
     # on whichever key had changed instead of on its version
     path = tmp_path / "model.ckpt"
-    path.write_bytes(_version_1_bytes(small_checkpoint("L", head=True, adam=True, seed=3)))
+    path.write_bytes(_version_1_bytes(small_checkpoint("L", seed=3)))
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: unsupported checkpoint version 1")):
         ModelCheckpoint.load(str(path))
 
 
 @pytest.mark.parametrize(
     "header",
-    [{"version": 3}, {"version": 1, "tensors": 5}, {"version": 0, "head": {"in_dim": 4}}],
-    ids=["3_alone", "1_bad_tensors", "0_old_head"],
+    [
+        {"version": 4},
+        {"version": 2, "stack": True, "embedder": True, "adam": True},  # the flags the config now decides
+        {"version": 1, "tensors": 5},
+        {"version": 0, "head": {"in_dim": 4}},
+    ],
+    ids=["4_alone", "2_presence_flags", "1_bad_tensors", "0_old_head"],
 )
 def test_any_other_version_raises_unsupported_version_whatever_its_keys(
     checkpoint_bytes, tmp_path, header
@@ -513,16 +542,30 @@ def test_any_other_version_raises_unsupported_version_whatever_its_keys(
         ModelCheckpoint.load(str(path))
 
 
-@pytest.mark.parametrize("change", ["unfrozen_backbone", "adam_lr", "adam_step"])
-def test_save_refuses_a_checkpoint_load_would_rebuild_otherwise(tmp_path, change):
-    checkpoint = small_checkpoint(adam=True, seed=3)
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ("unfrozen_backbone", "frozen backbone and Adam at its config's lr and its step"),
+        ("adam_lr", "frozen backbone and Adam at its config's lr and its step"),
+        ("adam_step", "frozen backbone and Adam at its config's lr and its step"),
+        ("moment_dropped", "Adam moments disagree with the tensors it trains at 'query.proj_w'"),
+        ("moment_of_untrained", "Adam moments disagree with the tensors it trains at 'backbone.block0.b'"),
+    ],
+)
+def test_save_refuses_a_checkpoint_load_would_rebuild_otherwise(tmp_path, change, message):
+    checkpoint = small_checkpoint(seed=3)
+    adam = checkpoint.adam
     if change == "unfrozen_backbone":
         checkpoint.backbone.unfreeze()
     elif change == "adam_lr":
-        checkpoint.adam.lr *= 2
+        adam.lr *= 2
+    elif change == "adam_step":
+        adam.step += 1
+    elif change == "moment_dropped":
+        del adam.v["query.proj_w"]
     else:
-        checkpoint.adam.step += 1
-    with pytest.raises(ValueError, match="frozen backbone and Adam at its config's lr and its step"):
+        adam.m["backbone.block0.b"] = adam.v["backbone.block0.b"] = np.zeros(4)
+    with pytest.raises(ValueError, match=re.escape(message)):
         checkpoint.save(str(tmp_path / "model.ckpt"))
     assert os.listdir(tmp_path) == []
 
@@ -570,8 +613,8 @@ def test_checkpoint_header_missing_key_raises_checkpoint_error(
         (setting("rng", 1, "x"), "rng[1]"),
         (setting("step", True), "step"),
         (setting("version", True), "version"),
-        (setting("stack", 1), "stack"),
-        (setting("head", 0, "0"), "head[0]"),
+        (setting("rng", None), "rng"),
+        (setting("head", ["0"]), "head[0]"),
     ],
     ids=[
         "tensors",
@@ -586,7 +629,7 @@ def test_checkpoint_header_missing_key_raises_checkpoint_error(
         "rng[1]",
         "step_bool",
         "version_bool",
-        "stack_int",
+        "rng_null",
         "head[0]",
     ],
 )
@@ -599,6 +642,16 @@ def test_checkpoint_header_value_of_wrong_type_raises_checkpoint_error(
         CheckpointError, match=re.escape(f"{path}: header key '{key}' has the wrong type")
     ):
         ModelCheckpoint.load(str(path))
+
+
+class _on_head:
+    """A header edit meant for the cls_baseline checkpoint, the one with a head."""
+
+    def __init__(self, edit):
+        self.edit = edit
+
+    def __call__(self, header):
+        return self.edit(header)
 
 
 def _swap_names(header):
@@ -619,9 +672,11 @@ def _swap_names(header):
         ),
         (setting("config_hash", "0" * 64), "header key 'config_hash' disagrees"),
         (_swap_names, "header key 'tensors["),
-        (setting("stack", False), "adam moments of unknown tensor 'adapter.j3.down_b'"),
-        (setting("embedder", False), "adam moments of unknown tensor 'query.proj_b'"),
+        (setting("stack", True), "header key 'stack' disagrees"),
+        (setting("embedder", False), "header key 'embedder' disagrees"),
+        (setting("adam", True), "header key 'adam' disagrees"),
         (setting("config", "adapter_positions", "E"), "no tensor entry 'adapter.j0.down_w'"),
+        (setting("config", "method", "pret_baseline"), "no tensor entry 'adam.m.backbone.block0.w'"),
         (setting("step", -1), "header key 'step' is negative"),
         (setting("config", "steps", 1.7), "config key 'steps'"),
         (setting("config", "steps", [1]), "config key 'steps'"),
@@ -634,18 +689,22 @@ def _swap_names(header):
         (setting("config", "tau", 0.1), "unknown config key 'tau'"),
         (setting("config", "normalize", True), "unknown config key 'normalize'"),
         (setting("config", "adapter_ratio", 4), "unknown config key 'adapter_ratio'"),
-        (setting("head", [0, 2, 1]), "head task ids must be ascending and distinct"),
-        (setting("head", [0, 1, 1]), "head task ids must be ascending and distinct"),
-        (setting("head", [0, 1]), "tensor 'head.w' has shape (4, 3), the model (4, 2)"),
+        (setting("head", [0, 1, 2]), "header key 'head' disagrees"),
+        (_on_head(setting("head", [0, 2, 1])), "head task ids must be ascending and distinct"),
+        (_on_head(setting("head", [0, 1, 1])), "head task ids must be ascending and distinct"),
+        (_on_head(setting("head", [0, 1])), "tensor 'head.w' has shape (4, 3), the model (4, 2)"),
+        (_on_head(setting("head", None)), "head task ids must be ascending and distinct, got None"),
     ],
     ids=[
         "kernel",
         "stride_0",
         "config_hash",
         "swapped_names",
-        "no_stack",
-        "no_embedder",
+        "v2_stack_flag",
+        "v2_embedder_flag",
+        "v2_adam_flag",
         "config_positions",
+        "config_method",
         "negative_step",
         "config_steps_fraction",
         "config_steps_list",
@@ -655,16 +714,19 @@ def _swap_names(header):
         "config_dropped_tau",
         "config_dropped_normalize",
         "config_dropped_adapter_ratio",
+        "head_on_hr_align",
         "head_task_ids_unsorted",
         "head_task_ids_repeated",
         "head_task_ids_too_few",
+        "head_null_on_cls",
     ],
 )
 def test_checkpoint_header_disagreeing_with_its_model_raises_checkpoint_error(
-    checkpoint_bytes, tmp_path, edit, message
+    checkpoint_bytes, head_checkpoint_bytes, tmp_path, edit, message
 ):
+    raw = head_checkpoint_bytes if isinstance(edit, _on_head) else checkpoint_bytes
     path = tmp_path / "model.ckpt"
-    path.write_bytes(with_header(checkpoint_bytes, edit))
+    path.write_bytes(with_header(raw, edit))
     with pytest.raises(CheckpointError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
         ModelCheckpoint.load(str(path))
 
@@ -704,14 +766,11 @@ def _swapping(a, b):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (_dropping("adam.m.head.b"), "no tensor entry 'adam.m.head.b'"),
-        (
-            _adding("adam.m.backbone.block0.b", "backbone.block0.b"),
-            "no tensor entry 'adam.v.backbone.block0.b'",
-        ),
-        (_adding("adam.m.nothing", "head.b"), "adam moments of unknown tensor 'nothing'"),
-        (_adding("stray", "head.b"), "header key 'tensors' disagrees"),
-        (_swapping("backbone.block0.w", "head.b"), "header key 'tensors["),
+        (_dropping("adam.m.query.proj_b"), "no tensor entry 'adam.m.query.proj_b'"),
+        (_dropping("adam.v.query.proj_b"), "no tensor entry 'adam.v.query.proj_b'"),
+        (_adding("adam.m.nothing", "query.proj_b"), "header key 'tensors' disagrees"),
+        (_adding("stray", "query.proj_b"), "header key 'tensors' disagrees"),
+        (_swapping("backbone.block0.w", "query.proj_b"), "header key 'tensors["),
     ],
     ids=[
         "dropped_adam_m",
@@ -764,7 +823,6 @@ checkpoints = st.builds(
     positions=st.sampled_from(POSITION_SPECS),
     language=st.booleans(),
     head=st.booleans(),
-    adam=st.booleans(),
     seed=st.integers(0, 1000),
 )
 
@@ -1076,13 +1134,15 @@ def test_head_scaler_pass_peaks_at_one_batch_not_the_whole_set():
 # conftest.py pins: at two OpenBLAS threads conv2d's 25-frame weight-gradient
 # GEMMs, (32x400)@(400x144) and (32x400)@(400x288), change their last bits
 # and move ``cls_baseline_partial``'s digest. The five were re-pinned when the
-# checkpoint format went to version 2, whose bodies ``BODY_DIGESTS`` pins.
+# checkpoint format went to version 2, whose bodies ``BODY_DIGESTS`` pins, and
+# again at version 3, which dropped the header's presence flags and reads
+# the parts from the config, its bodies unchanged.
 WRITE_PATH_DIGESTS = {
-    "pretext": "9289fcfb5dbdb2bd659166af9fbbbf6fec07829c8af61c116bf9ba0c7c2ac46b",
-    "pret_baseline": "86674508b9ab7afb287222c805e5d4ed644666293bfd9fa446d660e503a4029c",
-    "cls_baseline": "103edeca9645d5d84dd9a09770f2c448cef0a507406a81350ab24138814fa2f7",
-    "cls_baseline_partial": "df783e779a610d241f54d69160f74bb418e64b3de98add4db59fa7970e80e526",
-    "hr_align_EML": "01ab1db0e22f0c2f598afa926fe2eae0de7e88c6e55a6c8c8de07117ec50f942",
+    "pretext": "50781786b1b3639c94eb2dd83fbc150ca26457e528889048d48ebe33b4f6db6c",
+    "pret_baseline": "fc75585a9432608427a279904cebdb86853c9c064533886ca22b34500c857b09",
+    "cls_baseline": "7351e840014e74a8f799c166be85bdd45552872544ec7f845948b3a2c7c8e461",
+    "cls_baseline_partial": "66e722e990a911d82e9c8dfc48ff9c55ed42983b6fc19b49227903937ad51131",
+    "hr_align_EML": "d3a434103991b58a1510367ede930d9a47ccd21c21a07c021580748608775446",
 }
 
 
@@ -1112,7 +1172,7 @@ def pinned_runs(small_setup):
     rng = RngState(37)
     backbone, _ = pretext_pretrain(rng, [p.human for p in train], epochs=2, lr=3e-4, batch_size=8)
     fixed = dict(steps=3, out_dir="runs/pinned")
-    pretext = ModelCheckpoint(config=small_config(**fixed), backbone=backbone, rng=rng, step=0)
+    pretext = ModelCheckpoint.start(arm_config(small_config(**fixed), "frozen"), backbone)
     return {
         "pretext": (pretext, None),
         "pret_baseline": train_baseline_pret(
