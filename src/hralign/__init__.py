@@ -8,7 +8,7 @@ dataset with a controllable domain gap, and retrieval / downstream
 evaluation of the adapted representation.
 """
 
-from .adapter import AdapterBlock, AdapterStack, adapter_forward, count_learnable
+from .adapter import AdapterBlock, adapter_forward
 from .alignment import AlignmentBatchFeatures, hr_align_loss
 from .dataset import (
     PairedDemo,

@@ -23,6 +23,7 @@ from .dataset import (
     _atomic_write,
     _atomic_write_csv,
     _atomic_write_json,
+    _write_run_outputs,
     generate_paired_set,
     load_manifest,
     save_manifest,
@@ -42,13 +43,6 @@ from .trainer import (
 
 USAGE_ERROR = 1
 RUNTIME_ERROR = 2
-
-
-def _write_run_outputs(out_dir: str, config_text: str, produced: list[str]) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    _atomic_write(os.path.join(out_dir, "resolved_config.txt"), config_text.encode("utf-8"))
-    files = {"produced": sorted(produced + ["resolved_config.txt", "files.json"])}
-    _atomic_write_json(os.path.join(out_dir, "files.json"), files)
 
 
 def _flat_args_text(args: argparse.Namespace, keys: list[str]) -> str:
@@ -158,7 +152,6 @@ def cmd_train(args) -> int:
     backbone = ModelCheckpoint.load(args.backbone).backbone if args.backbone else resume.backbone
     checkpoint, metrics = train(config, pairs, backbone, resume)
     ckpt_path = save_run(checkpoint, metrics)
-    _write_run_outputs(config.out_dir, format_config(config), ["model.ckpt", "metrics.csv"])
     final = f", final loss {metrics.losses[-1]:.4f}" if metrics.rows else ""
     print(f"train {args.arm}: {config.steps} steps{final} -> {ckpt_path}")
     return 0
@@ -173,9 +166,6 @@ def cmd_ablate(args) -> int:
     train, heldout = split_pairs(pairs)
     backbone = ModelCheckpoint.load(args.backbone).backbone
     runs = run_arms(config, train, heldout, backbone)
-    for run in runs:
-        run_config = run.checkpoint.config
-        _write_run_outputs(run_config.out_dir, format_config(run_config), ["model.ckpt", "metrics.csv"])
     rows = [run.row for run in runs]
     _atomic_write_json(os.path.join(config.out_dir, "ablation.json"), rows)
     keys = list(rows[0].keys())

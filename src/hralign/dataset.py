@@ -473,6 +473,16 @@ def _atomic_write_json(path: str, value) -> None:
     _atomic_write(path, json.dumps(value, indent=2, allow_nan=False).encode("utf-8"))
 
 
+def _write_run_outputs(out_dir: str, config_text: str, produced: list[str]) -> None:
+    """A run directory's record, written atomically beside the files it
+    ``produced``: ``resolved_config.txt`` holding ``config_text`` and
+    ``files.json`` listing every file the run wrote there."""
+    os.makedirs(out_dir, exist_ok=True)
+    _atomic_write(os.path.join(out_dir, "resolved_config.txt"), config_text.encode("utf-8"))
+    files = {"produced": sorted(produced + ["resolved_config.txt", "files.json"])}
+    _atomic_write_json(os.path.join(out_dir, "files.json"), files)
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 

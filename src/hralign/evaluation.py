@@ -6,9 +6,11 @@ other among all held-out candidates; a clip's embedding comes from
 downstream report freezes the encoder (adapters included) and trains small
 heads on robot features ``encode_pooled`` mean-pools per frame: a linear
 task probe and a two-layer regressor predicting the next latent effector
-position.
-``ModelCheckpoint.adapters`` picks the adapted or the frozen encoder, and
-every clip is encoded ``EVAL_CHUNK`` clips per ``encode_pooled`` call.
+position, so every robot clip needs at least 2 frames.
+``ModelCheckpoint.adapters`` picks the adapted encoder (the checkpoint's
+adapter blocks, by junction) or the frozen one (no blocks), and every clip
+is encoded ``EVAL_CHUNK`` clips per ``encode_pooled`` call. An arm's row
+counts its adapter and query-projection parameters as summed tensor sizes.
 
 ``ARMS`` is the one list of experiments, each a complete config that
 ``arm_config`` lays over a caller's base config. ``run_arm`` trains every
@@ -39,7 +41,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import tensor as T
-from .adapter import count_learnable
+from .adapter import adapter_parameters
 from .dataset import FRAMES_PER_CLIP, PairedDemo, VideoClip, _atomic_write_csv, sample_frames, split_pairs
 from .encoder import Backbone, encode_pooled
 from .optim import AdamState, fit
@@ -51,6 +53,7 @@ from .trainer import (
     ModelCheckpoint,
     TrainConfig,
     _class_index,
+    _parameters,
     save_run,
     standard_stats,
     train,
@@ -258,13 +261,17 @@ def eval_downstream(
     """Frozen-feature probe and behavior cloning.
 
     ``split_pairs`` holds out ``HELDOUT_FRAC`` of the clips, and the BC head
-    is initialised from seed 412. No gradient ever reaches the encoder or
-    adapters here; features are extracted once, ``EVAL_CHUNK`` clips per
-    call, as plain arrays and only the small heads train.
+    is initialised from seed 412. Every clip must be a robot clip of at
+    least 2 frames, since behavior cloning predicts each frame's next one.
+    No gradient ever reaches the encoder or adapters here; features are
+    extracted once, ``EVAL_CHUNK`` clips per call, as plain arrays and only
+    the small heads train.
     """
     for clip in robot_clips:
         if clip.domain != "robot":
             raise ValueError(f"downstream eval expects robot clips, got {clip.domain!r}")
+        if clip.length < 2:
+            raise ValueError(f"clip pair {clip.pair_id} has 1 frame, but behavior cloning needs a next frame")
     train, held = split_pairs(robot_clips)
     if not train or not held:
         raise ValueError("downstream split too small")
@@ -378,15 +385,15 @@ class ArmRun:
     @property
     def row(self) -> dict:
         """The same columns for every arm, its parts as its config names
-        them; ``total_learnable`` counts the parameters with Adam moments."""
+        them; the parameter counts are summed tensor sizes, and
+        ``total_learnable`` counts the parameters with Adam moments."""
         ckpt = self.checkpoint
-        counts = count_learnable(ckpt.stack, ckpt.embedder)
         return {
             "name": self.name,
             "adapter_positions": ckpt.config.adapter_positions,
             "use_language": ckpt.config.use_language,
-            "adapter_params": counts.adapter,
-            "projection_params": counts.projection,
+            "adapter_params": sum(t.size for t in adapter_parameters(ckpt.blocks).values()),
+            "projection_params": sum(t.size for t in _parameters(ckpt.embedder).values()),
             "total_learnable": sum(m.size for m in ckpt.adam.m.values()),
             "final_loss": self.metrics.losses[-1] if self.metrics.rows else None,
             "r2h_recall1": self.retrieval.r2h_recall1,

@@ -24,9 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .adapter import ADAPTER_RATIO, POSITION_SPECS, AdapterStack
+from .adapter import POSITION_SPECS, AdapterBlock, adapter_blocks, adapter_parameters
 from .alignment import AlignmentBatchFeatures, alignment_stats, hr_align_loss, label_stats
-from .dataset import FRAMES_PER_CLIP, PairedDemo, VideoClip, _atomic_write, _check_json, sample_frames
+from .dataset import (
+    FRAMES_PER_CLIP, PairedDemo, VideoClip, _atomic_write, _check_json, _write_run_outputs, sample_frames
+)
 from .encoder import Backbone, check_pretext_clips, encode_batch, encode_pooled, pretext_loss
 from .optim import AdamState, epoch_batches, fit
 from .rng import RngState
@@ -270,7 +272,7 @@ class ModelCheckpoint:
 
     config: TrainConfig
     backbone: Backbone
-    stack: AdapterStack | None
+    blocks: dict[int, AdapterBlock]
     embedder: QueryEmbedder | None
     head: LinearHead | None
     adam: AdamState
@@ -280,20 +282,20 @@ class ModelCheckpoint:
     @classmethod
     def start(cls, config: TrainConfig, backbone: Backbone, task_ids: list[int] | None = None) -> "ModelCheckpoint":
         """The step-0 checkpoint of ``config`` over ``backbone`` (not copied):
-        an adapter stack at ``config.adapter_positions`` iff the method is
-        hr_align, a query projection iff hr_align with ``use_language``, a
-        head over ``task_ids`` iff cls_baseline, each drawn in that order
-        from the seed's stream, which goes on as the training RNG; and Adam
-        at the config's lr over the tensors it trains."""
+        adapter blocks at ``config.adapter_positions`` iff the method is
+        hr_align (else none), a query projection iff hr_align with
+        ``use_language``, a head over ``task_ids`` iff cls_baseline, each
+        drawn in that order from the seed's stream, which goes on as the
+        training RNG; and Adam at the config's lr over the tensors it trains."""
         rng = RngState(config.seed)
-        stack = embedder = head = None
+        blocks, embedder, head = {}, None, None
         if config.method == "hr_align":
-            stack = AdapterStack.for_positions(config.adapter_positions, backbone, ADAPTER_RATIO, rng)
+            blocks = adapter_blocks(config.adapter_positions, backbone, rng)
             if config.use_language:
                 embedder = QueryEmbedder.create(rng, backbone.out_channels)
         elif config.method == "cls_baseline":
             head = LinearHead.create(rng, backbone.out_channels, task_ids)
-        checkpoint = cls(config, backbone, stack, embedder, head, None, rng, 0)
+        checkpoint = cls(config, backbone, blocks, embedder, head, None, rng, 0)
         checkpoint.adam = AdamState.for_params(checkpoint.trained(), lr=config.learning_rate)
         return checkpoint
 
@@ -301,44 +303,48 @@ class ModelCheckpoint:
         """The tensors ``config.method`` trains, by name: hr_align's adapters
         and query projection, a baseline's backbone and any head."""
         if self.config.method == "hr_align":
-            return _parameters(self.stack, self.embedder)
+            return {**adapter_parameters(self.blocks), **_parameters(self.embedder)}
         return _parameters(self.backbone, self.head)
 
     def named_tensors(self) -> dict[str, Tensor]:
         buffers = self.head.named_buffers() if self.head is not None else {}
-        return {**_parameters(self.backbone, self.stack, self.embedder, self.head), **buffers}
+        adapters = adapter_parameters(self.blocks)
+        return {**_parameters(self.backbone), **adapters, **_parameters(self.embedder, self.head), **buffers}
 
-    def adapters(self, adapted: bool) -> dict:
-        """The adapter blocks to encode with: the stack's, or none (the
-        frozen model) when ``adapted`` is false or there is no stack."""
-        return self.stack.blocks if adapted and self.stack is not None else {}
+    def adapters(self, adapted: bool) -> dict[int, AdapterBlock]:
+        """The adapter blocks to encode with: the checkpoint's, or none (the
+        frozen model) when ``adapted`` is false."""
+        return self.blocks if adapted else {}
+
+    def _arrays(self) -> dict[str, np.ndarray]:
+        """Every array a file of the checkpoint holds, by name: its tensors,
+        then Adam's moments."""
+        arrays = {name: t.data for name, t in self.named_tensors().items()}
+        for key, moments in (("m", self.adam.m), ("v", self.adam.v)):
+            arrays.update({f"adam.{key}.{name}": value for name, value in moments.items()})
+        return arrays
 
     def check_reloadable(self) -> None:
-        """A ValueError for what ``load`` would rebuild otherwise: parts other
-        than ``start``'s for the config, a backbone not frozen, or Adam off
-        the config's lr, the checkpoint's step or the tensors it trains."""
-        config, adam, hr_align = self.config, self.adam, self.config.method == "hr_align"
-        rule = {"adapter stack": hr_align, "query projection": hr_align and config.use_language,
-                "classification head": config.method == "cls_baseline", "training RNG": True, "Adam state": True}
-        for (part, needed), value in zip(rule.items(), (self.stack, self.embedder, self.head, self.rng, adam)):
-            if (value is not None) != needed:
-                raise ValueError(f"checkpoint holds no {part}, which its config needs" if needed
-                                 else f"checkpoint's config needs no {part}, but it holds one")
+        """A ValueError for what ``load`` would rebuild otherwise: a backbone
+        not frozen, Adam off the config's lr or the checkpoint's step, or an
+        array other, by name or shape, than the checkpoint ``start`` builds
+        for the config over this backbone holds."""
+        config, adam = self.config, self.adam
         if not self.backbone.frozen or (adam.lr, adam.step) != (config.learning_rate, self.step):
             raise ValueError("a checkpoint holds a frozen backbone and Adam at its config's lr and its step")
-        trained = self.trained()
-        both = trained.keys() & adam.m.keys() & adam.v.keys()
-        if bare := [name for name in (*trained, *adam.m, *adam.v) if name not in both]:
-            raise ValueError(f"checkpoint's Adam moments disagree with the tensors it trains at {bare[0]!r}")
+        rebuilt = ModelCheckpoint.start(config, self.backbone, None if self.head is None else self.head.task_ids)
+        held, built = ({name: a.shape for name, a in c._arrays().items()} for c in (self, rebuilt))
+        for name in (*held, *built):
+            shapes = held.get(name), built.get(name)
+            if shapes[0] != shapes[1]:
+                ours, theirs = ("absent" if shape is None else f"of shape {shape}" for shape in shapes)
+                raise ValueError(f"checkpoint tensor {name!r} is {ours}, but {theirs} in what its config builds")
 
     def _header(self) -> tuple[dict, list[bytes]]:
         """The JSON header and, in name order, the serialized tensors it names;
         a ValueError for what ``load`` would rebuild otherwise."""
         self.check_reloadable()
-        bb, adam = self.backbone, self.adam
-        arrays = {name: t.data for name, t in self.named_tensors().items()}
-        for name in adam.m:
-            arrays[f"adam.m.{name}"], arrays[f"adam.v.{name}"] = adam.m[name], adam.v[name]
+        bb, arrays = self.backbone, self._arrays()
         names = sorted(arrays)
         header = {
             "version": CHECKPOINT_VERSION,
@@ -445,12 +451,14 @@ class ModelCheckpoint:
 
 def save_run(checkpoint: ModelCheckpoint, metrics: MetricsLog) -> str:
     """Write a trained run's ``model.ckpt`` and ``metrics.csv`` into its
-    ``config.out_dir``; returns the checkpoint's path."""
+    ``config.out_dir``, and beside them its record: the config as
+    ``resolved_config.txt`` and ``files.json``. Returns the checkpoint's path."""
     out_dir = checkpoint.config.out_dir
     os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, "model.ckpt")
     checkpoint.save(path)
     metrics.save(os.path.join(out_dir, "metrics.csv"))
+    _write_run_outputs(out_dir, format_config(checkpoint.config), ["model.ckpt", "metrics.csv"])
     return path
 
 
@@ -529,7 +537,7 @@ def train_hr_align(
         resume.check_reloadable()
         checkpoint = copy.deepcopy(resume)
         checkpoint.config = config
-    backbone, stack, embedder, rng = checkpoint.backbone, checkpoint.stack, checkpoint.embedder, checkpoint.rng
+    backbone, blocks, embedder, rng = checkpoint.backbone, checkpoint.blocks, checkpoint.embedder, checkpoint.rng
 
     def batch_loss(batch: list[PairedDemo]) -> tuple[Tensor, dict]:
         b = len(batch)
@@ -546,7 +554,7 @@ def train_hr_align(
         feats = AlignmentBatchFeatures(
             encode_pooled(backbone, human, b, queries=frozen_queries),
             encode_pooled(backbone, robot, b, queries=frozen_queries),
-            encode_pooled(backbone, robot, b, stack.blocks, queries),
+            encode_pooled(backbone, robot, b, blocks, queries),
         )
         return hr_align_loss(feats), alignment_stats(feats)
 

@@ -20,7 +20,7 @@ from helpers import (
     sum_param_sizes,
 )
 from hralign import tensor as T
-from hralign.adapter import AdapterBlock, AdapterStack, adapter_forward, count_learnable
+from hralign.adapter import AdapterBlock, adapter_blocks, adapter_forward, adapter_parameters
 from hralign.alignment import AlignmentBatchFeatures, hr_align_loss, pool_many
 from hralign.dataset import generate_paired_set, load_manifest, save_manifest, split_pairs
 from hralign.encoder import Backbone, encode_batch
@@ -106,12 +106,13 @@ def test_criterion_1_gradient_audit():
     # the loss audited through the full encode/adapt/pool pipeline
     for seed in range(AUDIT_SEEDS):
         rng = RngState(2000 + seed)
-        backbone = Backbone.create(rng, channels=(3, 4, 4), strides=(2, 1)).freeze()
-        stack = AdapterStack.for_positions("L", backbone, 2, rng)
+        # 8 channels at the last junction give its adapter a bottleneck of 2
+        backbone = Backbone.create(rng, channels=(3, 4, 8), strides=(2, 1)).freeze()
+        blocks = adapter_blocks("L", backbone, rng)
         frames = rng.uniform((2, 2, 8, 8, 3))  # two clips of two frames
-        texts_bags = Tensor(rng.normal((2, 4)))
+        texts_bags = Tensor(rng.normal((2, 8)))
         human_feat = encode_batch(backbone, rng.uniform((4, 8, 8, 3)))
-        up0 = stack.blocks[backbone.n_blocks]
+        up0 = blocks[backbone.n_blocks]
         up0.up_w.data = rng.normal(up0.up_w.shape) * 0.2
 
         def pipeline(up_w):
@@ -120,8 +121,6 @@ def test_criterion_1_gradient_audit():
                 down_b=Tensor(up0.down_b.data),
                 up_w=up_w,
                 up_b=Tensor(up0.up_b.data),
-                channels=up0.channels,
-                bottleneck=up0.bottleneck,
             )
             adapted = encode_batch(
                 backbone, frames.reshape(4, 8, 8, 3), {backbone.n_blocks: live}
@@ -167,10 +166,10 @@ def test_criterion_3_identity_at_init():
     positions = ("E", "M", "L", "EML")
     rng = RngState(78)
     for i in range(100):
-        stack = AdapterStack.for_positions(positions[i % 4], backbone, 4, rng)
+        blocks = adapter_blocks(positions[i % 4], backbone, rng)
         frames = rng.uniform((3, 16, 16, 3))
         frozen = encode_batch(backbone, frames)
-        adapted = encode_batch(backbone, frames, stack.blocks)
+        adapted = encode_batch(backbone, frames, blocks)
         assert np.array_equal(adapted.data, frozen.data), f"clip {i}"
     print("PASS criterion 3: zero up-projection == frozen stream, bitwise, 100 clips")
 
@@ -180,7 +179,7 @@ def test_criterion_4_frozen_backbone_and_learnable_set(reference_run):
     for name, tensor in checkpoint.backbone.named_parameters().items():
         assert np.array_equal(tensor.data, snapshot[name]), name
     learnable = set(learnable_parameters(checkpoint))
-    expected = set(checkpoint.stack.named_parameters()) | set(
+    expected = set(adapter_parameters(checkpoint.blocks)) | set(
         checkpoint.embedder.named_parameters()
     )
     assert learnable == expected
@@ -231,15 +230,15 @@ def test_criterion_7_baseline_structure(reference_split, reference_backbone, ref
     acc = classification_accuracy(cls.checkpoint, train)
     assert acc > 1.0 / 8.0, f"cls training accuracy {acc:.3f} not above chance"
 
-    checkpoint = reference_arms["L"].checkpoint
-    counts = count_learnable(checkpoint.stack, checkpoint.embedder)
-    ratio = counts.adapter / sum_param_sizes(checkpoint.backbone.named_parameters())
+    checkpoint, row = reference_arms["L"].checkpoint, reference_arms["L"].row
+    assert row["adapter_params"] == sum_param_sizes(adapter_parameters(checkpoint.blocks))
+    ratio = row["adapter_params"] / sum_param_sizes(checkpoint.backbone.named_parameters())
     assert ratio < 0.10, f"adaptation footprint {ratio:.3f} >= 10%"
     print(
         f"PASS criterion 7: baselines complete with full-backbone counts "
         f"({backbone_size} params, cls acc {acc:.3f} > chance); adapter footprint "
-        f"{counts.adapter}/{backbone_size} = {ratio:.3%} < 10% "
-        f"(total learnable incl. projection: {counts.adapter + counts.projection})"
+        f"{row['adapter_params']}/{backbone_size} = {ratio:.3%} < 10% "
+        f"(total learnable incl. projection: {row['total_learnable']})"
     )
 
 
@@ -251,7 +250,7 @@ def test_criterion_8_ablation_grid(reference_grid, reference_backbone):
     assert names == ["E", "M", "L", "EML", "L_nolang"]
     # independent size-sum oracle for the counts, then strict ordering
     oracle = {
-        run.name: sum_param_sizes(run.checkpoint.stack.named_parameters())
+        run.name: sum_param_sizes(adapter_parameters(run.checkpoint.blocks))
         for run in ablation_runs
     }
     for run in ablation_runs:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import gc
 import hashlib
 import json
@@ -24,8 +25,8 @@ from helpers import (
     with_short_first_pair,
 )
 from hralign import cli, encoder, evaluation, trainer
-from hralign.cli import _write_run_outputs, cli_main
-from hralign.dataset import generate_paired_set, load_manifest, save_manifest, split_pairs
+from hralign.cli import cli_main
+from hralign.dataset import _write_run_outputs, generate_paired_set, load_manifest, save_manifest, split_pairs
 from hralign.evaluation import eval_downstream, eval_retrieval
 from hralign.rng import RngState
 from hralign.trainer import ModelCheckpoint, format_config
@@ -514,6 +515,36 @@ def test_cli_eval_leaves_no_checkpoint_handle_open(pipeline, tmp_path):
         gc.collect()
     leaks = [str(w.message) for w in caught if model in str(w.message)]
     assert leaks == []
+
+
+@pytest.mark.parametrize("command", ["eval", "ablate"])
+def test_one_frame_robot_clips_exit_two_naming_the_clip(pipeline, tmp_path, capsys, command):
+    """Behavior cloning predicts each robot frame's next one: over clips of
+    1 frame each, eval and ablate once died with a raw
+    ZeroDivisionError from the BC loss; downstream now refuses the first
+    such clip before it encodes anything."""
+    _, _, backbone, model = pipeline
+
+    def first_frame(clip):  # a pair shares one latent, so both its clips are cut
+        return dataclasses.replace(clip, frames=clip.frames[:1], positions=clip.positions[:1], gripper=clip.gripper[:1])
+
+    pairs = [
+        dataclasses.replace(p, human=first_frame(p.human), robot=first_frame(p.robot))
+        for p in generate_paired_set(RngState(11), 3, 8, 0.6)
+    ]
+    manifest = str(tmp_path / "data" / "manifest.json")
+    save_manifest(pairs, manifest)
+    out = tmp_path / "out"
+    argv = {
+        "eval": ["eval", "--checkpoint", model, "--data", manifest, "--out", str(out)],
+        "ablate": ["ablate", "--data", manifest, "--backbone", backbone, "--out", str(out),
+                   "--set", "steps=1", "--set", "batch_size=4"],
+    }[command]
+    assert run(argv) == 2
+    message = f"clip pair {pairs[0].pair_id} has 1 frame, but behavior cloning needs a next frame"
+    assert capsys.readouterr().err == f"error: {message}\n"
+    if command == "eval":
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("arm", ["pret_ft", "cls_ft"])

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
@@ -148,6 +148,34 @@ def test_retrieval_stats_ignore_a_power_of_two_scale(scores, exponent):
     """Scaling by 2**k is exact here, so every comparison and every number
     stays bitwise the same."""
     assert evaluation._retrieval_stats(scores * 2.0**exponent) == evaluation._retrieval_stats(scores)
+
+
+# The least gap between a true match's score and any other score in its
+# row or column that the orthogonal-map property admits: far above the
+# ~1e-13 a map moves a score of these sizes by in rounding, so no
+# comparison can flip.
+_ORTHOGONAL_MARGIN = 1e-9
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(2, 9), st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_retrieval_stats_ignore_one_orthogonal_map_of_both_streams(n, dim, seed):
+    """Rotating or reflecting the robot and the human embeddings alike keeps
+    every dot product up to rounding, so on scores whose gaps exceed the
+    margin each true match keeps its rank: the recalls are equal and MRR is
+    equal to within 1e-12."""
+    rng = RngState(seed)
+    robot, human = rng.normal((n, dim)), rng.normal((n, dim))
+    scores = robot @ human.T
+    diag, off = np.diag(scores), ~np.eye(n, dtype=bool)
+    gaps = np.concatenate([(scores - diag[:, None])[off], (scores - diag[None, :])[off]])
+    assume(np.abs(gaps).min() > _ORTHOGONAL_MARGIN)
+    q, _ = np.linalg.qr(rng.derive("map").normal((dim, dim)))
+    mapped = (robot @ q) @ (human @ q).T
+    for before, after in ((scores, mapped), (scores.T, mapped.T)):
+        want, got = evaluation._retrieval_stats(before), evaluation._retrieval_stats(after)
+        assert got[:2] == want[:2]
+        assert abs(got[2] - want[2]) <= 1e-12
 
 
 def _dumped(checkpoint, pairs, adapted, path) -> np.ndarray:

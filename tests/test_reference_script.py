@@ -1,11 +1,13 @@
 """``scripts/run_reference.py`` end to end at a tiny size (the session
 fixture ``tiny_reference``), and its exit codes."""
 
+import json
 import os
 
 import pytest
 
 from helpers import run_reference_script
+from hralign.trainer import ModelCheckpoint, format_config
 
 ARMS = ["E", "M", "L", "EML", "L_nolang", "frozen", "pret_ft", "cls_ft", "Q"]
 
@@ -27,8 +29,12 @@ def test_reference_summary_reads_off_the_arm_runs(tiny_reference):
         assert len(losses) == 2 and losses[1] == rows[f"{kind}_ft"]["final_loss"]
     assert not (out / "adapt").exists()
     assert sorted(os.listdir(out / "ablation")) == sorted(ARMS)
-    for arm in ARMS:
-        assert sorted(os.listdir(out / "ablation" / arm)) == ["metrics.csv", "model.ckpt"]
+    for arm in ARMS:  # each arm's directory holds the record train and ablate write
+        arm_dir = out / "ablation" / arm
+        assert sorted(os.listdir(arm_dir)) == ["files.json", "metrics.csv", "model.ckpt", "resolved_config.txt"]
+        config = ModelCheckpoint.load(str(arm_dir / "model.ckpt")).config
+        assert (arm_dir / "resolved_config.txt").read_text() == format_config(config)
+        assert json.loads((arm_dir / "files.json").read_text()) == {"produced": sorted(os.listdir(arm_dir))}
     assert (out / "embeddings.csv").exists()
 
 

@@ -23,6 +23,10 @@ or by ``<alias of its module>.<name>``; a method or property is reached by
 a ``.<name>`` load anywhere (dunders are exempt). A name only tests reach
 is an API that exists for tests; it belongs in the tests or nowhere.
 
+Every annotated field of a library class must be read by an attribute
+load (``x.<field>``) in a program. A field only tests read is state that
+exists for tests; what a program needs of it can be read off the others.
+
 Every ``functools.lru_cache`` or ``cache`` on a ``def`` in ``src/hralign``
 must be allowlisted with its reason. A cache outlives the run that filled
 it, so one that holds a run's state (a seed's shuffles, say) makes what a
@@ -50,6 +54,10 @@ ALLOWED = {
 
 # Names no program reaches, each kept for a stated reason.
 UNREACHED_ALLOWED: dict[str, str] = {}
+
+
+# Annotated class fields no program reads, each kept for a stated reason.
+UNREAD_FIELDS_ALLOWED: dict[str, str] = {}
 
 
 # TrainConfig fields no program sets, each kept for a stated reason.
@@ -223,6 +231,25 @@ def unreached_names(root: Path = ROOT) -> set[str]:
     return unreached
 
 
+def unread_fields(root: Path = ROOT) -> set[str]:
+    """``Class.field`` of each annotated field in the body of a library class
+    that no attribute load in the programs reads."""
+    loaded = {
+        node.attr
+        for tree in _parse(_programs(root))
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return {
+        f"{cls.name}.{stmt.target.id}"
+        for tree in _parse(_library(root))
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name) and stmt.target.id not in loaded
+    }
+
+
 def test_every_default_is_set_by_a_program_or_allowed():
     unset = unset_defaults()
     assert not unset - set(ALLOWED), (
@@ -281,6 +308,34 @@ def test_name_checker_sees_an_unreached_name(tmp_path):
         encoding="utf-8",
     )
     assert unreached_names(tmp_path) == {"m.recursive", "K.unused"}
+
+
+def test_every_field_is_read_by_a_program_or_allowed():
+    """A field no program reads once kept an adapter's bottleneck width,
+    which the shape of its tensors already holds."""
+    unread = unread_fields()
+    assert not unread - set(UNREAD_FIELDS_ALLOWED), (
+        "class fields no program reads (derive them or drop them): "
+        f"{sorted(unread - set(UNREAD_FIELDS_ALLOWED))}"
+    )
+    assert not set(UNREAD_FIELDS_ALLOWED) - unread, (
+        f"allowlisted fields that a program now reads: {sorted(set(UNREAD_FIELDS_ALLOWED) - unread)}"
+    )
+
+
+def test_field_checker_sees_an_unread_field(tmp_path):
+    """Only an attribute load reads a field: a store, a bare name, a string
+    and a load in the tests do not."""
+    src = tmp_path / "src" / "hralign"
+    src.mkdir(parents=True)
+    (src / "m.py").write_text(
+        "class K:\n    read: int\n    stored: int\n    named: int\n    quoted: int\n    plain = 1\n\n"
+        "k = K()\nk.stored = named = 2\nprint(k.read, getattr(k, 'quoted'))\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "t.py").write_text("print(k.stored, k.named, k.quoted)\n", encoding="utf-8")
+    assert unread_fields(tmp_path) == {"K.stored", "K.named", "K.quoted"}
 
 
 def test_every_config_field_is_set_by_a_program_or_allowed():

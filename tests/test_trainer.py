@@ -18,6 +18,7 @@ from helpers import (
     fail_writes_partway,
     header_length,
     learnable_parameters,
+    micro_backbone,
     seal,
     setting,
     small_checkpoint,
@@ -28,13 +29,13 @@ from helpers import (
     without,
 )
 from hralign import trainer
-from hralign.adapter import ADAPTER_RATIO, POSITION_SPECS
+from hralign.adapter import ADAPTER_RATIO, POSITION_SPECS, adapter_blocks, adapter_parameters
 from hralign.dataset import generate_paired_set, split_pairs
 from hralign.encoder import Backbone, pretext_pretrain
-from hralign.evaluation import arm_config, dump_embeddings, eval_downstream, eval_retrieval
+from hralign.evaluation import ARMS, arm_config, dump_embeddings, eval_downstream, eval_retrieval
 from hralign.rng import RngState
 from hralign.task_query import TEXT_DIM
-from hralign.tensor import to_bytes
+from hralign.tensor import Tensor, to_bytes
 from hralign.trainer import (
     CheckpointError,
     LinearHead,
@@ -178,12 +179,11 @@ def test_zero_steps_identity(small_setup):
     checkpoint, metrics = train_hr_align(small_config(steps=0), train, backbone)
     assert metrics.rows == []
     assert checkpoint.step == 0
-    init_rng = RngState(31)
-    from hralign.adapter import AdapterStack
-
-    fresh = AdapterStack.for_positions("L", backbone, 4, init_rng)
-    for name, tensor in fresh.named_parameters().items():
-        assert np.array_equal(tensor.data, checkpoint.stack.named_parameters()[name].data)
+    fresh = adapter_parameters(adapter_blocks("L", backbone, RngState(31)))
+    held = adapter_parameters(checkpoint.blocks)
+    assert list(held) == list(fresh)
+    for name, tensor in fresh.items():
+        assert np.array_equal(tensor.data, held[name].data)
 
 
 def test_batch_larger_than_dataset_rejected(small_setup):
@@ -224,7 +224,7 @@ def test_no_language_learnable_set(small_setup):
 def test_training_moves_adapter_weights(small_setup):
     _, train, _, backbone = small_setup
     checkpoint, metrics = train_hr_align(small_config(steps=8), train, backbone)
-    up = checkpoint.stack.named_parameters()["adapter.j3.up_w"]
+    up = checkpoint.blocks[3].up_w
     assert not np.array_equal(up.data, np.zeros_like(up.data))
     assert len(metrics.rows) == 8
     assert all(r.loss > 0 for r in metrics.rows)
@@ -300,23 +300,34 @@ def _no_training(*args, **kwargs):
     raise AssertionError("training started")
 
 
+def _up_w_of_shape(checkpoint, shape):
+    """The checkpoint's adapter blocks with junction 3's up-projection swapped for zeros of ``shape``."""
+    return {3: dataclasses.replace(checkpoint.blocks[3], up_w=Tensor(np.zeros(shape), requires_grad=True))}
+
+
 @pytest.mark.parametrize(
-    "field, message",
+    "field, value, message",
     [
-        ("stack", "checkpoint holds no adapter stack, which its config needs"),
-        ("rng", "checkpoint holds no training RNG, which its config needs"),
-        ("adam", "checkpoint holds no Adam state, which its config needs"),
-        ("embedder", "checkpoint holds no query projection, which its config needs"),
-        ("head", "checkpoint's config needs no classification head, but it holds one"),
+        ("blocks", lambda _: {}, "'adapter.j3.down_w' is absent, but of shape (1, 4, 1, 1)"),
+        ("embedder", lambda _: None, f"'query.proj_w' is absent, but of shape ({TEXT_DIM}, 4)"),
+        ("head", lambda _: small_checkpoint(head=True).head, "'head.w' is of shape (4, 3), but absent"),
+        ("blocks", lambda _: small_checkpoint("E").blocks, "'adapter.j0.down_w' is of shape (1, 3, 1, 1), but absent"),
+        (
+            "blocks", lambda c: _up_w_of_shape(c, (4, 2, 1, 1)),
+            "'adapter.j3.up_w' is of shape (4, 2, 1, 1), but of shape (4, 1, 1, 1)",
+        ),
     ],
-    ids=["stack", "rng", "adam", "embedder", "head"],
+    ids=["blocks", "embedder", "head", "E_blocks_on_L", "wrong_shape"],
 )
-def test_resume_missing_a_part_is_refused_before_training(small_pairs, tmp_path, monkeypatch, field, message):
+def test_resume_missing_a_part_is_refused_before_training(small_pairs, tmp_path, monkeypatch, field, value, message):
     # a pretrain output resumed by `adapt --resume` once died with an
-    # AttributeError on its missing adapter stack; a checkpoint whose parts
-    # are not its config's is one save refuses, and resume refuses it alike
-    value = small_checkpoint(head=True).head if field == "head" else None
-    checkpoint = dataclasses.replace(small_checkpoint("L"), **{field: value})
+    # AttributeError on its missing adapter stack, and save once wrote an L
+    # config holding E adapters, which load then refused; a checkpoint whose
+    # tensors are not, by name and shape, the ones ``start`` builds for its
+    # config is one save refuses, writing nothing, and resume refuses alike
+    checkpoint = small_checkpoint("L")
+    checkpoint = dataclasses.replace(checkpoint, **{field: value(checkpoint)})
+    message = f"checkpoint tensor {message} in what its config builds"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         checkpoint.save(str(tmp_path / "model.ckpt"))
     assert os.listdir(tmp_path) == []
@@ -350,7 +361,7 @@ def test_resume_without_adam_moments_is_refused_before_training(
     for name in [n for n in checkpoint.adam.m if dropped(f"adam.m.{n}")]:
         del checkpoint.adam.m[name], checkpoint.adam.v[name]
     monkeypatch.setattr(trainer, "fit", _no_training)
-    message = f"^checkpoint's Adam moments disagree with the tensors it trains at '{first}'$"
+    message = f"^checkpoint tensor 'adam.m.{first}' is absent, but of shape .* in what its config builds$"
     with pytest.raises(ValueError, match=message):
         train_hr_align(checkpoint.config, small_pairs, checkpoint.backbone, resume=checkpoint)
 
@@ -500,7 +511,7 @@ def _version_1_bytes(checkpoint: ModelCheckpoint) -> bytes:
             "kernel": bb.kernel, "frozen": True,
         },
         "stack": {
-            "positions": config.adapter_positions, "junctions": list(checkpoint.stack.blocks),
+            "positions": config.adapter_positions, "junctions": list(checkpoint.blocks),
             "ratio": ADAPTER_RATIO,
         },
         "embedder": {"text_dim": TEXT_DIM, "out_dim": bb.out_channels},
@@ -548,8 +559,8 @@ def test_any_other_version_raises_unsupported_version_whatever_its_keys(
         ("unfrozen_backbone", "frozen backbone and Adam at its config's lr and its step"),
         ("adam_lr", "frozen backbone and Adam at its config's lr and its step"),
         ("adam_step", "frozen backbone and Adam at its config's lr and its step"),
-        ("moment_dropped", "Adam moments disagree with the tensors it trains at 'query.proj_w'"),
-        ("moment_of_untrained", "Adam moments disagree with the tensors it trains at 'backbone.block0.b'"),
+        ("moment_dropped", "tensor 'adam.v.query.proj_w' is absent, but of shape (64, 4)"),
+        ("moment_of_untrained", "tensor 'adam.m.backbone.block0.b' is of shape (4,), but absent"),
     ],
 )
 def test_save_refuses_a_checkpoint_load_would_rebuild_otherwise(tmp_path, change, message):
@@ -888,6 +899,25 @@ def test_checkpoint_roundtrip_values(small_setup, tmp_path):
         assert np.array_equal(checkpoint.adam.m[name], loaded.adam.m[name])
     # requires_grad flags survive
     assert set(learnable_parameters(loaded)) == set(learnable_parameters(checkpoint))
+
+
+@pytest.mark.parametrize("arm", list(ARMS))
+def test_every_arm_saves_loads_and_saves_the_same_bytes(tmp_path, arm):
+    """Each arm's checkpoint, its trained tensors and Adam moments drawn at
+    random, is one ``save`` writes and ``load`` rebuilds as ``start`` builds
+    the arm's config: the adapter blocks by junction, then the same bytes."""
+    config = arm_config(TrainConfig(seed=3, out_dir="runs/small"), arm)
+    checkpoint = ModelCheckpoint.start(config, micro_backbone(3).freeze(), [0, 1, 2])
+    rng = RngState(3).derive("values")
+    for name, tensor in checkpoint.trained().items():
+        tensor.data = rng.normal(tensor.shape)
+        checkpoint.adam.m[name], checkpoint.adam.v[name] = rng.normal(tensor.shape), rng.uniform(tensor.shape)
+    first, second = tmp_path / "first.ckpt", tmp_path / "second.ckpt"
+    checkpoint.save(str(first))
+    loaded = ModelCheckpoint.load(str(first))
+    assert list(loaded.blocks) == list(checkpoint.blocks)
+    loaded.save(str(second))
+    assert second.read_bytes() == first.read_bytes()
 
 
 # baselines -------------------------------------------------------------------
