@@ -28,7 +28,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from hralign.cli import run_parsed
 from hralign.dataset import _atomic_write_json, generate_paired_set, save_manifest, split_pairs
 from hralign.encoder import pretext_pretrain
-from hralign.evaluation import ARMS, check_heldout, dump_embeddings, run_arms
+from hralign.evaluation import ARMS, check_arms_data, dump_embeddings, run_arms
 from hralign.rng import RngState
 from hralign.trainer import TrainConfig
 
@@ -38,7 +38,7 @@ def reference(args: argparse.Namespace) -> int:
     print(f"[1/4] dataset: {args.tasks} tasks x {args.pairs_per_task} pairs, gap {args.gap}")
     pairs = generate_paired_set(RngState(args.seed), args.tasks, args.pairs_per_task, args.gap)
     train, heldout = split_pairs(pairs)
-    check_heldout(next(iter(ARMS)), heldout)  # run_arm's check, before the pretext
+    check_arms_data(train, heldout)  # run_arms's check, before the pretext
 
     print(f"[2/4] pretext pre-training, {args.pretext_epochs} epochs")
     backbone, history = pretext_pretrain(

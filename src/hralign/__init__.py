@@ -30,7 +30,7 @@ from .evaluation import (
 )
 from .optim import AdamState, adam_step
 from .rng import RngState, fnv1a64
-from .task_query import QueryEmbedder, TaskDescription
+from .task_query import TaskDescription
 from .tensor import Tensor
 from .trainer import (
     MetricsLog,

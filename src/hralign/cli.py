@@ -30,7 +30,9 @@ from .dataset import (
     split_pairs,
 )
 from .encoder import pretext_pretrain
-from .evaluation import ARMS, arm_config, dump_embeddings, eval_downstream, eval_retrieval, run_arms
+from .evaluation import (
+    ARMS, arm_config, check_downstream_clips, dump_embeddings, eval_downstream, eval_retrieval, run_arms
+)
 from .rng import RngState
 from .trainer import (
     ModelCheckpoint,
@@ -186,8 +188,9 @@ def cmd_eval(args) -> int:
     pairs = load_manifest(args.data)
     _, heldout = split_pairs(pairs)
     adapted = not args.frozen
-    retrieval = eval_retrieval(checkpoint, heldout, adapted=adapted)
     robot_clips = [p.robot for p in pairs]
+    check_downstream_clips(robot_clips)  # before retrieval encodes anything
+    retrieval = eval_retrieval(checkpoint, heldout, adapted=adapted)
     downstream = eval_downstream(checkpoint, robot_clips, adapted=adapted)
     if Path(args.checkpoint).read_bytes() != before:
         raise RuntimeError("evaluation mutated the checkpoint file")

@@ -222,6 +222,7 @@ def sample_trajectory(task_id: int, rng: RngState) -> LatentTrajectory:
 @lru_cache(maxsize=1)
 def _grids() -> tuple[np.ndarray, np.ndarray]:
     ys, xs = np.mgrid[0:FRAME_H, 0:FRAME_W].astype(np.float64)
+    xs.flags.writeable = ys.flags.writeable = False
     return xs, ys
 
 
@@ -238,6 +239,7 @@ def _warm_background() -> np.ndarray:
     bg[..., 0] = 0.50 + 0.14 * wave
     bg[..., 1] = 0.40 + 0.10 * wave
     bg[..., 2] = 0.30 + 0.05 * wave
+    bg.flags.writeable = False
     return bg
 
 
@@ -250,6 +252,7 @@ def _cool_background() -> np.ndarray:
     bg[..., 0] = 0.28 + 0.04 * line
     bg[..., 1] = 0.35 + 0.12 * line
     bg[..., 2] = 0.48 + 0.17 * line
+    bg.flags.writeable = False
     return bg
 
 

@@ -7,16 +7,17 @@ downstream report freezes the encoder (adapters included) and trains small
 heads on robot features ``encode_pooled`` mean-pools per frame: a linear
 task probe and a two-layer regressor predicting the next latent effector
 position, so every robot clip needs at least 2 frames.
-``ModelCheckpoint.adapters`` picks the adapted encoder (the checkpoint's
-adapter blocks, by junction) or the frozen one (no blocks), and every clip
+``_encode_parts`` picks the adapted encoder (the checkpoint's adapter
+blocks and query projection) or the frozen one (neither), and every clip
 is encoded ``EVAL_CHUNK`` clips per ``encode_pooled`` call. An arm's row
 counts its adapter and query-projection parameters as summed tensor sizes.
 
 ``ARMS`` is the one list of experiments, each a complete config that
-``arm_config`` lays over a caller's base config. ``run_arm`` trains every
-arm through ``train`` and scores it with both reports, and ``run_arms``
-runs the list for ``hralign ablate`` and the reference script; ``hralign
-train --arm`` builds its one arm's config by ``arm_config`` too.
+``arm_config`` lays over a caller's base config. ``run_arms``, the runner
+of ``hralign ablate`` and the reference script, trains every arm through
+``train`` and scores it with both reports, once ``check_arms_data``
+accepts the data; ``hralign train --arm`` builds its one arm's config by
+``arm_config`` too.
 
 Nothing here is a knob: retrieval's frame seed, the downstream split, head
 sizes, step counts, step sizes and BC seed are fixed in the code, as the
@@ -43,7 +44,7 @@ import numpy as np
 from . import tensor as T
 from .adapter import adapter_parameters
 from .dataset import FRAMES_PER_CLIP, PairedDemo, VideoClip, _atomic_write_csv, sample_frames, split_pairs
-from .encoder import Backbone, encode_pooled
+from .encoder import Backbone, check_pretext_clips, encode_pooled
 from .optim import AdamState, fit
 from .rng import RngState
 from .task_query import embed_texts
@@ -53,9 +54,9 @@ from .trainer import (
     ModelCheckpoint,
     TrainConfig,
     _class_index,
-    _parameters,
     save_run,
     standard_stats,
+    task_classes,
     train,
 )
 
@@ -121,6 +122,12 @@ class DownstreamReport:
 EVAL_CHUNK = 4
 
 
+def _encode_parts(checkpoint: ModelCheckpoint, adapted: bool) -> tuple[dict, dict]:
+    """The adapter blocks and query projection an evaluator encodes with:
+    the checkpoint's, or neither (the frozen model) when ``adapted`` is false."""
+    return (checkpoint.blocks, checkpoint.query) if adapted else ({}, {})
+
+
 def _clip_embeddings(
     checkpoint: ModelCheckpoint, clips: list[VideoClip], texts: list[str], adapted: bool
 ) -> np.ndarray:
@@ -129,8 +136,7 @@ def _clip_embeddings(
     clips of a pair sample the same), pooled by task query when adapted with
     a query projection, else uniformly. Each query is projected alone: one
     batched projection moves the embeddings' last bits."""
-    adapters = checkpoint.adapters(adapted)
-    embedder = checkpoint.embedder if adapted else None
+    blocks, query = _encode_parts(checkpoint, adapted)
     rows = [np.empty((0, checkpoint.backbone.out_channels))]
     for start in range(0, len(clips), EVAL_CHUNK):
         chunk = clips[start : start + EVAL_CHUNK]
@@ -139,20 +145,20 @@ def _clip_embeddings(
             for c in chunk
         ])
         queries = None
-        if embedder is not None:
+        if query:
             queries = Tensor(np.concatenate(
-                [embed_texts(embedder, [text]).data for text in texts[start : start + EVAL_CHUNK]]
+                [embed_texts(query, [text]).data for text in texts[start : start + EVAL_CHUNK]]
             ))
-        rows.append(encode_pooled(checkpoint.backbone, frames, len(chunk), adapters, queries).data)
+        rows.append(encode_pooled(checkpoint.backbone, frames, len(chunk), blocks, queries).data)
     return np.concatenate(rows)
 
 
-def _tag(checkpoint: ModelCheckpoint, adapters: dict, embedder) -> str:
+def _tag(checkpoint: ModelCheckpoint, blocks: dict, query: dict) -> str:
     """A report's tag, whatever was asked for: ``adapted`` when adapter
     blocks or a query projection took part in its encode; else
     ``fine-tuned`` when a baseline method trained the checkpoint's
     backbone, which every encode of it then uses; else ``frozen``."""
-    if adapters or embedder is not None:
+    if blocks or query:
         return "adapted"
     return "frozen" if checkpoint.config.method == "hr_align" else "fine-tuned"
 
@@ -188,7 +194,7 @@ def eval_retrieval(
     r2h = _retrieval_stats(scores_r2h)
     h2r = _retrieval_stats(scores_r2h.T)
     return RetrievalReport(
-        tag=_tag(checkpoint, checkpoint.adapters(adapted), checkpoint.embedder if adapted else None),
+        tag=_tag(checkpoint, *_encode_parts(checkpoint, adapted)),
         r2h_recall1=r2h[0],
         r2h_recall5=r2h[1],
         h2r_recall1=h2r[0],
@@ -253,6 +259,21 @@ def train_bc_head(train_x: np.ndarray, train_y: np.ndarray, seed: int):
     return predict
 
 
+def check_downstream_clips(robot_clips: list[VideoClip]) -> None:
+    """Refuse a clip downstream cannot score: each must be a robot clip of at
+    least 2 frames carrying its latent, since BC predicts each next position."""
+    for clip in robot_clips:
+        if clip.domain != "robot":
+            raise ValueError(f"downstream eval expects robot clips, got {clip.domain!r}")
+        if clip.length < 2:
+            raise ValueError(f"clip pair {clip.pair_id} has 1 frame, but behavior cloning needs a next frame")
+        if clip.positions is None:
+            raise ValueError(
+                f"clip pair {clip.pair_id} carries no latent trajectory; "
+                "behavior cloning needs generated or latent-annotated data"
+            )
+
+
 def eval_downstream(
     checkpoint: ModelCheckpoint,
     robot_clips: list[VideoClip],
@@ -261,33 +282,22 @@ def eval_downstream(
     """Frozen-feature probe and behavior cloning.
 
     ``split_pairs`` holds out ``HELDOUT_FRAC`` of the clips, and the BC head
-    is initialised from seed 412. Every clip must be a robot clip of at
-    least 2 frames, since behavior cloning predicts each frame's next one.
-    No gradient ever reaches the encoder or adapters here; features are
-    extracted once, ``EVAL_CHUNK`` clips per call, as plain arrays and only
-    the small heads train.
+    is initialised from seed 412. The clips must pass
+    ``check_downstream_clips``. No gradient ever reaches the encoder or
+    adapters here; features are extracted once, ``EVAL_CHUNK`` clips per
+    call, as plain arrays and only the small heads train.
     """
-    for clip in robot_clips:
-        if clip.domain != "robot":
-            raise ValueError(f"downstream eval expects robot clips, got {clip.domain!r}")
-        if clip.length < 2:
-            raise ValueError(f"clip pair {clip.pair_id} has 1 frame, but behavior cloning needs a next frame")
+    check_downstream_clips(robot_clips)
     train, held = split_pairs(robot_clips)
     if not train or not held:
         raise ValueError("downstream split too small")
     clips = train + held
-    for clip in clips:
-        if clip.positions is None:
-            raise ValueError(
-                f"clip pair {clip.pair_id} carries no latent trajectory; "
-                "behavior cloning needs generated or latent-annotated data"
-            )
     train_idx, held_idx = np.arange(len(train)), np.arange(len(train), len(clips))
-    adapters, feats = checkpoint.adapters(adapted), []
+    blocks, feats = _encode_parts(checkpoint, adapted)[0], []
     for start in range(0, len(clips), EVAL_CHUNK):
         chunk = clips[start : start + EVAL_CHUNK]
         frames = np.concatenate([c.frames for c in chunk])
-        pooled = encode_pooled(checkpoint.backbone, frames, len(frames), adapters, normalize=False)
+        pooled = encode_pooled(checkpoint.backbone, frames, len(frames), blocks, normalize=False)
         feats += np.split(pooled.data, np.cumsum([c.length for c in chunk])[:-1])
     classes = _class_index(c.task_id for c in clips)
 
@@ -311,7 +321,7 @@ def eval_downstream(
     predict = train_bc_head((train_x - mu) / sd, train_y, seed=412)
     bc_mse = float(((predict((held_x - mu) / sd) - held_y) ** 2).mean())
     return DownstreamReport(
-        tag=_tag(checkpoint, adapters, None),
+        tag=_tag(checkpoint, blocks, {}),
         probe_accuracy=probe_acc,
         bc_mse=bc_mse,
         n_train_clips=len(train_idx),
@@ -335,7 +345,7 @@ def dump_embeddings(
     width = checkpoint.backbone.out_channels
     header = ["clip_id", "task_id", "domain", "adapted"] + [f"f{i}" for i in range(width)]
     texts = [descriptions[clip.pair_id] for clip in clips]
-    tag = _tag(checkpoint, checkpoint.adapters(adapted), checkpoint.embedder if adapted else None)
+    tag = _tag(checkpoint, *_encode_parts(checkpoint, adapted))
     rows = [
         [f"{clip.pair_id}_{clip.domain}", clip.task_id, clip.domain, int(tag == "adapted")]
         + [repr(float(v)) for v in vec]
@@ -393,7 +403,7 @@ class ArmRun:
             "adapter_positions": ckpt.config.adapter_positions,
             "use_language": ckpt.config.use_language,
             "adapter_params": sum(t.size for t in adapter_parameters(ckpt.blocks).values()),
-            "projection_params": sum(t.size for t in _parameters(ckpt.embedder).values()),
+            "projection_params": sum(t.size for t in ckpt.query.values()),
             "total_learnable": sum(m.size for m in ckpt.adam.m.values()),
             "final_loss": self.metrics.losses[-1] if self.metrics.rows else None,
             "r2h_recall1": self.retrieval.r2h_recall1,
@@ -412,35 +422,31 @@ class ArmRun:
         )
 
 
-def check_heldout(arm: str, heldout: list[PairedDemo]) -> None:
-    """Refuse, as ``run_arm`` does, to score arm ``arm`` on fewer than the 2
-    held-out pairs retrieval ranks; a caller with work to do before the
-    arms run checks first."""
+def check_arms_data(train: list[PairedDemo], heldout: list[PairedDemo]) -> None:
+    """Refuse data some arm or its scoring cannot use: under 2 held-out
+    pairs for retrieval, robot clips downstream refuses, training clips too
+    short for ``pret_ft``'s pretext, or under 2 task classes for ``cls_ft``."""
     if len(heldout) < 2:
-        raise ValueError(f"arm {arm} needs at least 2 held-out pairs, got {len(heldout)}")
-
-
-def run_arm(
-    base: TrainConfig,
-    arm: str,
-    train_pairs: list[PairedDemo],
-    heldout: list[PairedDemo],
-    backbone: Backbone,
-) -> ArmRun:
-    """Train arm ``arm`` of ``ARMS`` on ``train_pairs``, save it by
-    ``save_run`` into ``<base.out_dir>/<arm>`` and score it: retrieval on
-    ``heldout``, downstream on the robot clips of both."""
-    check_heldout(arm, heldout)
-    config = replace(arm_config(base, arm), out_dir=f"{base.out_dir}/{arm}")
-    checkpoint, metrics = train(config, train_pairs, backbone)
-    save_run(checkpoint, metrics)
-    retrieval = eval_retrieval(checkpoint, heldout, adapted=True)
-    downstream = eval_downstream(checkpoint, [p.robot for p in train_pairs + heldout], adapted=True)
-    return ArmRun(arm, checkpoint, metrics, retrieval, downstream)
+        raise ValueError(f"arm {next(iter(ARMS))} needs at least 2 held-out pairs, got {len(heldout)}")
+    check_downstream_clips([p.robot for p in train + heldout])
+    check_pretext_clips([p.robot for p in train])
+    task_classes(train)
 
 
 def run_arms(
-    base: TrainConfig, train: list[PairedDemo], heldout: list[PairedDemo], backbone: Backbone
+    base: TrainConfig, train_pairs: list[PairedDemo], heldout: list[PairedDemo], backbone: Backbone
 ) -> list[ArmRun]:
-    """Every arm of ``ARMS``, in order."""
-    return [run_arm(base, arm, train, heldout, backbone) for arm in ARMS]
+    """Every arm of ``ARMS``, in order, once ``check_arms_data`` accepts the
+    data: each trained on ``train_pairs``, saved by ``save_run`` into
+    ``<base.out_dir>/<arm>`` and scored, retrieval on ``heldout`` and
+    downstream on the robot clips of both."""
+    check_arms_data(train_pairs, heldout)
+    runs = []
+    for arm in ARMS:
+        config = replace(arm_config(base, arm), out_dir=f"{base.out_dir}/{arm}")
+        checkpoint, metrics = train(config, train_pairs, backbone)
+        save_run(checkpoint, metrics)
+        retrieval = eval_retrieval(checkpoint, heldout, adapted=True)
+        downstream = eval_downstream(checkpoint, [p.robot for p in train_pairs + heldout], adapted=True)
+        runs.append(ArmRun(arm, checkpoint, metrics, retrieval, downstream))
+    return runs

@@ -32,7 +32,7 @@ from .dataset import (
 from .encoder import Backbone, check_pretext_clips, encode_batch, encode_pooled, pretext_loss
 from .optim import AdamState, epoch_batches, fit
 from .rng import RngState
-from .task_query import QueryEmbedder, embed_texts
+from .task_query import embed_texts, query_projection
 from .tensor import Tensor
 
 CHECKPOINT_VERSION = 3
@@ -260,20 +260,16 @@ def _differing_key(a, b, key: str = "") -> str:
     return key
 
 
-def _parameters(*parts) -> dict[str, Tensor]:
-    """The named parameters of each part that is not None, in order."""
-    return {name: t for part in parts if part is not None for name, t in part.named_parameters().items()}
-
-
 @dataclass
 class ModelCheckpoint:
     """Everything needed to resume or evaluate a run. ``start`` builds every
-    one, so its config decides which parts it holds."""
+    one, so its config decides which parts it holds; adapter blocks and the
+    query projection are plain data, empty where it builds none."""
 
     config: TrainConfig
     backbone: Backbone
     blocks: dict[int, AdapterBlock]
-    embedder: QueryEmbedder | None
+    query: dict[str, Tensor]
     head: LinearHead | None
     adam: AdamState
     rng: RngState
@@ -288,14 +284,14 @@ class ModelCheckpoint:
         drawn in that order from the seed's stream, which goes on as the
         training RNG; and Adam at the config's lr over the tensors it trains."""
         rng = RngState(config.seed)
-        blocks, embedder, head = {}, None, None
+        blocks, query, head = {}, {}, None
         if config.method == "hr_align":
             blocks = adapter_blocks(config.adapter_positions, backbone, rng)
             if config.use_language:
-                embedder = QueryEmbedder.create(rng, backbone.out_channels)
+                query = query_projection(rng, backbone.out_channels)
         elif config.method == "cls_baseline":
             head = LinearHead.create(rng, backbone.out_channels, task_ids)
-        checkpoint = cls(config, backbone, blocks, embedder, head, None, rng, 0)
+        checkpoint = cls(config, backbone, blocks, query, head, None, rng, 0)
         checkpoint.adam = AdamState.for_params(checkpoint.trained(), lr=config.learning_rate)
         return checkpoint
 
@@ -303,18 +299,12 @@ class ModelCheckpoint:
         """The tensors ``config.method`` trains, by name: hr_align's adapters
         and query projection, a baseline's backbone and any head."""
         if self.config.method == "hr_align":
-            return {**adapter_parameters(self.blocks), **_parameters(self.embedder)}
-        return _parameters(self.backbone, self.head)
+            return {**adapter_parameters(self.blocks), **self.query}
+        return {**self.backbone.named_parameters(), **(self.head.named_parameters() if self.head else {})}
 
     def named_tensors(self) -> dict[str, Tensor]:
-        buffers = self.head.named_buffers() if self.head is not None else {}
-        adapters = adapter_parameters(self.blocks)
-        return {**_parameters(self.backbone), **adapters, **_parameters(self.embedder, self.head), **buffers}
-
-    def adapters(self, adapted: bool) -> dict[int, AdapterBlock]:
-        """The adapter blocks to encode with: the checkpoint's, or none (the
-        frozen model) when ``adapted`` is false."""
-        return self.blocks if adapted else {}
+        head = {**self.head.named_parameters(), **self.head.named_buffers()} if self.head else {}
+        return {**self.backbone.named_parameters(), **adapter_parameters(self.blocks), **self.query, **head}
 
     def _arrays(self) -> dict[str, np.ndarray]:
         """Every array a file of the checkpoint holds, by name: its tensors,
@@ -537,7 +527,7 @@ def train_hr_align(
         resume.check_reloadable()
         checkpoint = copy.deepcopy(resume)
         checkpoint.config = config
-    backbone, blocks, embedder, rng = checkpoint.backbone, checkpoint.blocks, checkpoint.embedder, checkpoint.rng
+    backbone, blocks, query, rng = checkpoint.backbone, checkpoint.blocks, checkpoint.query, checkpoint.rng
 
     def batch_loss(batch: list[PairedDemo]) -> tuple[Tensor, dict]:
         b = len(batch)
@@ -546,8 +536,8 @@ def train_hr_align(
         frames = sample_frames([c for d in batch for c in (d.human, d.robot)], FRAMES_PER_CLIP, rng)
         frames = frames.reshape(b, 2, FRAMES_PER_CLIP, *frames.shape[1:])
         human, robot = (frames[:, k].reshape(-1, *frames.shape[3:]) for k in (0, 1))
-        if embedder is not None:
-            queries = embed_texts(embedder, [d.description.text for d in batch])
+        if query:
+            queries = embed_texts(query, [d.description.text for d in batch])
             frozen_queries = queries.detach()
         else:
             queries = frozen_queries = None
@@ -595,13 +585,20 @@ def _class_index(task_ids) -> dict[int, int]:
     return {task_id: i for i, task_id in enumerate(sorted(set(task_ids)))}
 
 
+def task_classes(pairs: list[PairedDemo]) -> dict[int, int]:
+    """The classification baseline's class of each task id of ``pairs``;
+    a ValueError for fewer than 2 classes."""
+    classes = _class_index(p.task_id for p in pairs)
+    if len(classes) < 2:
+        raise ValueError(f"classification baseline needs >= 2 task classes, got {len(classes)}")
+    return classes
+
+
 def train_baseline_cls(
     config: TrainConfig, pairs: list[PairedDemo], backbone: Backbone
 ) -> tuple[ModelCheckpoint, MetricsLog]:
     """Fine-tune by classifying robot clips into their task categories."""
-    classes = _class_index(p.task_id for p in pairs)
-    if len(classes) < 2:
-        raise ValueError(f"classification baseline needs >= 2 task classes, got {len(classes)}")
+    classes = task_classes(pairs)
     clips, batches = _baseline_setup(config, "cls_baseline", pairs)
     checkpoint = ModelCheckpoint.start(config, backbone.copy().unfreeze(), list(classes))
     head, backbone, rng = checkpoint.head, checkpoint.backbone, checkpoint.rng

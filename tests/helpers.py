@@ -213,7 +213,7 @@ def small_checkpoint(positions: str = "L", language: bool = True, head: bool = F
     )
     checkpoint = ModelCheckpoint.start(config, micro_backbone(seed).freeze(), [0, 1, 2])
     rng = RngState(seed).derive("values")
-    for blk in checkpoint.adapters(True).values():
+    for blk in checkpoint.blocks.values():
         blk.up_w.data = rng.normal(blk.up_w.shape)
     for name, p in checkpoint.trained().items():
         checkpoint.adam.m[name] = rng.normal(p.shape)
@@ -228,17 +228,16 @@ def clip_embedding(checkpoint: ModelCheckpoint, clip, text: str, adapted: bool) 
     seed 311's ``eval-frames`` stream of the pair id; the adapted path pools
     by ``text``'s task query when the checkpoint has a query projection."""
     frames = sample_frames([clip], FRAMES_PER_CLIP, RngState(311).derive("eval-frames", clip.pair_id))
-    queries = None
-    if adapted and checkpoint.embedder is not None:
-        queries = embed_texts(checkpoint.embedder, [text]).detach()
-    return encode_pooled(checkpoint.backbone, frames, 1, checkpoint.adapters(adapted), queries).data[0]
+    blocks, query = (checkpoint.blocks, checkpoint.query) if adapted else ({}, {})
+    queries = embed_texts(query, [text]).detach() if query else None
+    return encode_pooled(checkpoint.backbone, frames, 1, blocks, queries).data[0]
 
 
 def frame_features(checkpoint: ModelCheckpoint, clip, adapted: bool) -> np.ndarray:
     """(T_len, C) unnormalised per-frame features of a whole clip from its
     own ``encode_pooled`` call: the per-clip oracle of ``eval_downstream``."""
-    adapters = checkpoint.adapters(adapted)
-    return encode_pooled(checkpoint.backbone, clip.frames, clip.length, adapters, normalize=False).data
+    blocks = checkpoint.blocks if adapted else {}
+    return encode_pooled(checkpoint.backbone, clip.frames, clip.length, blocks, normalize=False).data
 
 
 def learnable_parameters(checkpoint: ModelCheckpoint) -> dict:

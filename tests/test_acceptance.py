@@ -179,9 +179,7 @@ def test_criterion_4_frozen_backbone_and_learnable_set(reference_run):
     for name, tensor in checkpoint.backbone.named_parameters().items():
         assert np.array_equal(tensor.data, snapshot[name]), name
     learnable = set(learnable_parameters(checkpoint))
-    expected = set(adapter_parameters(checkpoint.blocks)) | set(
-        checkpoint.embedder.named_parameters()
-    )
+    expected = set(adapter_parameters(checkpoint.blocks)) | set(checkpoint.query)
     assert learnable == expected
     assert all(n.startswith(("adapter.", "query.")) for n in learnable)
     print(
@@ -244,7 +242,7 @@ def test_criterion_7_baseline_structure(reference_split, reference_backbone, ref
 
 def test_criterion_8_ablation_grid(reference_grid, reference_backbone):
     runs, _ = reference_grid
-    ablation_runs = [run for run in runs if run.checkpoint.adapters(True)]
+    ablation_runs = [run for run in runs if run.checkpoint.blocks]
     assert len(ablation_runs) == 5
     names = [run.name for run in ablation_runs]
     assert names == ["E", "M", "L", "EML", "L_nolang"]

@@ -6,7 +6,7 @@ from hralign import tensor as T
 from hralign.adapter import ADAPTER_RATIO, AdapterBlock, adapter_blocks, adapter_forward, adapter_parameters
 from hralign.encoder import Backbone, encode_batch
 from hralign.rng import RngState
-from hralign.task_query import TEXT_DIM, QueryEmbedder
+from hralign.task_query import TEXT_DIM, query_projection
 from hralign.tensor import ShapeError, Tensor
 
 
@@ -153,7 +153,7 @@ def test_count_matches_size_sum_oracle():
     adapter block of C channels and bottleneck b has 2*C*b + C + b
     parameters, the query projection TEXT_DIM*C' + C' at feature width C'."""
     bb = frozen_backbone()
-    embedder = QueryEmbedder.create(RngState(17), bb.out_channels)
+    projection = query_projection(RngState(17), bb.out_channels)
     for positions in ("E", "M", "L", "EML"):
         blocks = adapter_blocks(positions, bb, RngState(18))
         widths = [(bb.channels[j], max(1, bb.channels[j] // ADAPTER_RATIO)) for j in blocks]
@@ -161,7 +161,7 @@ def test_count_matches_size_sum_oracle():
             2 * c * b + c + b for c, b in widths
         )
     width = bb.out_channels
-    assert sum(t.size for t in embedder.named_parameters().values()) == TEXT_DIM * width + width
+    assert sum(t.size for t in projection.values()) == TEXT_DIM * width + width
 
 
 def test_count_ordering_reference_widths():

@@ -339,8 +339,8 @@ def test_cli_eval_and_dump(pipeline, tmp_path):
     assert len(lines) == 1 + 2 * 24  # header + human+robot clips of 24 pairs
 
 
-def test_cli_eval_report_equals_the_reports_run_arm_writes(pipeline, tmp_path):
-    """``hralign eval`` scores a checkpoint as ``run_arm`` does, so it
+def test_cli_eval_report_equals_the_reports_run_arms_writes(pipeline, tmp_path):
+    """``hralign eval`` scores a checkpoint as ``run_arms`` does, so it
     reproduces ``summary.json``'s numbers: every evaluation seed is fixed
     in the code, and the command takes none."""
     root, manifest, backbone, model = pipeline
@@ -517,23 +517,44 @@ def test_cli_eval_leaves_no_checkpoint_handle_open(pipeline, tmp_path):
     assert leaks == []
 
 
-@pytest.mark.parametrize("command", ["eval", "ablate"])
-def test_one_frame_robot_clips_exit_two_naming_the_clip(pipeline, tmp_path, capsys, command):
-    """Behavior cloning predicts each robot frame's next one: over clips of
-    1 frame each, eval and ablate once died with a raw
-    ZeroDivisionError from the BC loss; downstream now refuses the first
-    such clip before it encodes anything."""
+@pytest.mark.parametrize(
+    "command, tasks, length, message",
+    [
+        ("eval", 3, 1, "clip pair {} has 1 frame, but behavior cloning needs a next frame"),
+        ("ablate", 3, 1, "clip pair {} has 1 frame, but behavior cloning needs a next frame"),
+        ("ablate", 3, 3, "pretext: the clip of pair {} has 3 frames, fewer than 4"),
+        ("ablate", 1, None, "classification baseline needs >= 2 task classes, got 1"),
+    ],
+    ids=["eval-1-frame", "ablate-1-frame", "ablate-3-frames", "ablate-1-task"],
+)
+def test_data_some_arm_cannot_use_exits_two_before_anything_is_encoded(
+    pipeline, tmp_path, capsys, monkeypatch, command, tasks, length, message
+):
+    """Behavior cloning predicts each robot frame's next one, pret_ft's
+    pretext needs 4 frames a clip and cls_ft 2 tasks. Over 1-frame clips,
+    eval and ablate once died with a raw ZeroDivisionError from the BC loss;
+    later eval encoded every held-out clip for retrieval, and ablate trained
+    and saved each arm before the one that refused the data (E over 1-frame
+    clips, all but the fine-tunes over 3-frame ones). Both now refuse the
+    first such clip, or the single task, before anything is encoded, and
+    ablate leaves no arm directory."""
     _, _, backbone, model = pipeline
 
-    def first_frame(clip):  # a pair shares one latent, so both its clips are cut
-        return dataclasses.replace(clip, frames=clip.frames[:1], positions=clip.positions[:1], gripper=clip.gripper[:1])
+    def cut(clip):  # a pair shares one latent, so both its clips are cut
+        return dataclasses.replace(
+            clip, frames=clip.frames[:length], positions=clip.positions[:length], gripper=clip.gripper[:length]
+        )
 
     pairs = [
-        dataclasses.replace(p, human=first_frame(p.human), robot=first_frame(p.robot))
+        dataclasses.replace(p, human=cut(p.human), robot=cut(p.robot))
         for p in generate_paired_set(RngState(11), 3, 8, 0.6)
+        if p.task_id < tasks
     ]
     manifest = str(tmp_path / "data" / "manifest.json")
     save_manifest(pairs, manifest)
+    encoded = []
+    monkeypatch.setattr(evaluation, "encode_pooled", lambda *a, **k: encoded.append(a))
+    monkeypatch.setattr(trainer, "encode_pooled", lambda *a, **k: encoded.append(a))
     out = tmp_path / "out"
     argv = {
         "eval": ["eval", "--checkpoint", model, "--data", manifest, "--out", str(out)],
@@ -541,10 +562,9 @@ def test_one_frame_robot_clips_exit_two_naming_the_clip(pipeline, tmp_path, caps
                    "--set", "steps=1", "--set", "batch_size=4"],
     }[command]
     assert run(argv) == 2
-    message = f"clip pair {pairs[0].pair_id} has 1 frame, but behavior cloning needs a next frame"
-    assert capsys.readouterr().err == f"error: {message}\n"
-    if command == "eval":
-        assert not out.exists()
+    assert capsys.readouterr().err == f"error: {message.format(split_pairs(pairs)[0][0].pair_id)}\n"
+    assert encoded == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("arm", ["pret_ft", "cls_ft"])
@@ -755,7 +775,7 @@ def test_cli_ablate_trains_scores_and_saves_every_arm(tiny_reference, tmp_path):
         assert (run_dir / "resolved_config.txt").read_text() == format_config(checkpoint.config)
         assert (row["adapter_positions"], row["use_language"]) == ARM_PARTS[row["name"]]
         assert (checkpoint.config.adapter_positions, checkpoint.config.use_language) == ARM_PARTS[row["name"]]
-        assert (checkpoint.embedder is not None) == row["use_language"]
+        assert bool(checkpoint.query) == row["use_language"]
         trained = {"frozen": 0, "pret_ft": backbone_size, "cls_ft": backbone_size + head_size}
         want = trained.get(row["name"], row["adapter_params"] + row["projection_params"])
         assert row["total_learnable"] == want, row["name"]

@@ -435,7 +435,10 @@ MANIFEST_PROBES = {
     "position=10**400": (lambda d: _set(d, ["pairs", 0, "latent", "positions", 0, 0], 10**400),
                          "pair 0: clip clips/p0000_h.bin: int too large to convert to float"),
     "description empty": (lambda d: _set(d, ["pairs", 0, "description"], ""),
-                          "manifest key 'pairs[0].description': task description text must be non-empty"),
+                          "manifest key 'pairs[0].description': task description text holds no token: ''"),
+    # a blank text once loaded, then stopped a language run at the first batch to draw it
+    "description blank": (lambda d: _set(d, ["pairs", 1, "description"], " \t "),
+                          "manifest key 'pairs[1].description': task description text holds no token: ' \\t '"),
     "human_file empty": (lambda d: _set(d, ["pairs", 0, "human_file"], ""), "pair 0: cannot read clip file"),
     # json writes and reads these as the NaN / Infinity literals
     "position=NaN": (lambda d: _set(d, ["pairs", 0, "latent", "positions", 0, 0], float("nan")),

@@ -265,10 +265,10 @@ def test_run_arms_saves_each_arm_as_its_row_names_it(small_pairs, tmp_path, monk
         assert (config.adapter_positions, config.use_language) == (
             run.row["adapter_positions"], run.row["use_language"]
         ), run.name
-        assert bool(checkpoint.adapters(True)) == (config.adapter_positions != "none"), run.name
-        assert (checkpoint.embedder is not None) == config.use_language, run.name
+        assert bool(checkpoint.blocks) == (config.adapter_positions != "none"), run.name
+        assert bool(checkpoint.query) == config.use_language, run.name
     frozen = ModelCheckpoint.load(str(tmp_path / "arms" / "frozen" / "model.ckpt"))
-    assert (frozen.step, frozen.adam.m, frozen.adapters(True)) == (0, {}, {})
+    assert (frozen.step, frozen.adam.m, frozen.blocks, frozen.query) == (0, {}, {}, {})
     given = ModelCheckpoint.start(frozen.config, backbone)
     assert np.array_equal(
         _dumped(frozen, heldout, True, tmp_path / "frozen.csv"),

@@ -38,7 +38,10 @@ from __future__ import annotations
 
 import ast
 import dataclasses
+import importlib
 from pathlib import Path
+
+import numpy as np
 
 from hralign.evaluation import ARMS
 from hralign.trainer import TrainConfig
@@ -68,13 +71,17 @@ UNSET_FIELDS_ALLOWED = {
 
 
 # Cached defs, each a pure function of its arguments whose result no
-# caller writes, kept for a stated reason.
+# caller writes, kept for a stated reason, with sample arguments to call it on.
 CACHED_ALLOWED = {
-    "tensor._patch_index": "conv2d's gather offsets for one padded frame shape, built per "
-    "call otherwise; returned read-only",
-    "dataset._grids": "the frame's constant coordinate grids; callers only read them",
-    "dataset._warm_background": "the human domain's constant backdrop; callers only read it",
-    "dataset._cool_background": "the robot domain's constant backdrop; callers only read it",
+    "tensor._patch_index": ("conv2d's gather offsets for one padded frame shape, built per "
+                            "call otherwise", (18, 18, 3, 3, 1)),
+    "dataset._grids": ("the frame's constant coordinate grids", ()),
+    "dataset._warm_background": ("the human domain's constant backdrop", ()),
+    "dataset._cool_background": ("the robot domain's constant backdrop", ()),
+    "task_query.build_table": ("the constant bucket table, 65,536 normals drawn again for each "
+                               "language checkpoint built, saved or loaded otherwise", ()),
+    "task_query.bag_of_tokens": ("one description's mean bucket vector, a pure function of its "
+                                 "text, hashed per training step otherwise", ("Push the block",)),
 }
 
 
@@ -397,6 +404,17 @@ def test_every_cached_def_is_allowed():
     assert not set(CACHED_ALLOWED) - cached, (
         f"allowlisted cached defs that are gone or no longer cached: {sorted(set(CACHED_ALLOWED) - cached)}"
     )
+
+
+def test_every_cached_def_returns_read_only_arrays():
+    """A cached result is shared by every later caller, so no caller may
+    write it: each array a cached def returns is read-only."""
+    for name, (_, args) in CACHED_ALLOWED.items():
+        module, attr = name.split(".")
+        result = getattr(importlib.import_module(f"hralign.{module}"), attr)(*args)
+        arrays = result if isinstance(result, tuple) else (result,)
+        assert arrays and all(isinstance(a, np.ndarray) for a in arrays), name
+        assert not [a for a in arrays if a.flags.writeable], f"{name} returns a writable array"
 
 
 def test_cached_def_checker_sees_each_form_of_the_decorator(tmp_path):

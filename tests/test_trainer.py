@@ -34,7 +34,7 @@ from hralign.dataset import generate_paired_set, split_pairs
 from hralign.encoder import Backbone, pretext_pretrain
 from hralign.evaluation import ARMS, arm_config, dump_embeddings, eval_downstream, eval_retrieval
 from hralign.rng import RngState
-from hralign.task_query import TEXT_DIM
+from hralign.task_query import _TABLE_SEED, TEXT_DIM
 from hralign.tensor import Tensor, to_bytes
 from hralign.trainer import (
     CheckpointError,
@@ -218,7 +218,7 @@ def test_no_language_learnable_set(small_setup):
     _, train, _, backbone = small_setup
     checkpoint, _ = train_hr_align(small_config(use_language=False), train, backbone)
     assert all(n.startswith("adapter.") for n in learnable_parameters(checkpoint))
-    assert checkpoint.embedder is None
+    assert checkpoint.query == {}
 
 
 def test_training_moves_adapter_weights(small_setup):
@@ -309,7 +309,7 @@ def _up_w_of_shape(checkpoint, shape):
     "field, value, message",
     [
         ("blocks", lambda _: {}, "'adapter.j3.down_w' is absent, but of shape (1, 4, 1, 1)"),
-        ("embedder", lambda _: None, f"'query.proj_w' is absent, but of shape ({TEXT_DIM}, 4)"),
+        ("query", lambda _: {}, f"'query.proj_w' is absent, but of shape ({TEXT_DIM}, 4)"),
         ("head", lambda _: small_checkpoint(head=True).head, "'head.w' is of shape (4, 3), but absent"),
         ("blocks", lambda _: small_checkpoint("E").blocks, "'adapter.j0.down_w' is of shape (1, 3, 1, 1), but absent"),
         (
@@ -317,7 +317,7 @@ def _up_w_of_shape(checkpoint, shape):
             "'adapter.j3.up_w' is of shape (4, 2, 1, 1), but of shape (4, 1, 1, 1)",
         ),
     ],
-    ids=["blocks", "embedder", "head", "E_blocks_on_L", "wrong_shape"],
+    ids=["blocks", "query", "head", "E_blocks_on_L", "wrong_shape"],
 )
 def test_resume_missing_a_part_is_refused_before_training(small_pairs, tmp_path, monkeypatch, field, value, message):
     # a pretrain output resumed by `adapt --resume` once died with an
@@ -918,6 +918,27 @@ def test_every_arm_saves_loads_and_saves_the_same_bytes(tmp_path, arm):
     assert list(loaded.blocks) == list(checkpoint.blocks)
     loaded.save(str(second))
     assert second.read_bytes() == first.read_bytes()
+
+
+def test_the_bucket_table_is_drawn_at_most_once_per_process(tmp_path, monkeypatch):
+    """Every arm's checkpoint through ``start``, ``save``, ``load`` and a
+    second ``save`` draws the constant bucket table at most once in all (none
+    when an earlier test built it): once every language checkpoint drew it
+    again on each save and twice on each load."""
+    draws, normal = [], RngState.normal
+
+    def counted(rng, shape):
+        if rng.seed == _TABLE_SEED:
+            draws.append(shape)
+        return normal(rng, shape)
+
+    monkeypatch.setattr(RngState, "normal", counted)
+    for arm in ARMS:
+        config = arm_config(TrainConfig(seed=3, out_dir="runs/small"), arm)
+        path = str(tmp_path / f"{arm}.ckpt")
+        ModelCheckpoint.start(config, micro_backbone(3).freeze(), [0, 1, 2]).save(path)
+        ModelCheckpoint.load(path).save(path)
+    assert len(draws) <= 1, draws
 
 
 # baselines -------------------------------------------------------------------
