@@ -427,7 +427,7 @@ def check_arms_data(train: list[PairedDemo], heldout: list[PairedDemo]) -> None:
     pairs for retrieval, robot clips downstream refuses, training clips too
     short for ``pret_ft``'s pretext, or under 2 task classes for ``cls_ft``."""
     if len(heldout) < 2:
-        raise ValueError(f"arm {next(iter(ARMS))} needs at least 2 held-out pairs, got {len(heldout)}")
+        raise ValueError(f"the held-out split needs at least 2 pairs, got {len(heldout)}")
     check_downstream_clips([p.robot for p in train + heldout])
     check_pretext_clips([p.robot for p in train])
     task_classes(train)

@@ -195,39 +195,19 @@ def standard_stats(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return x.mean(axis=0), x.std(axis=0) + 1e-8
 
 
-@dataclass
-class LinearHead:
-    """Linear classifier over standardized pooled features.
-
-    Class k is the k-th of ``task_ids``, the ascending task ids the head
-    was trained on. ``mu``/``sd`` are fixed standardization buffers computed
-    once from the training clips; without them the pooled features bunch
-    too tightly around a common direction for a linear head to separate.
-    """
-
-    w: Tensor  # (C, K)
-    b: Tensor  # (K,)
-    mu: Tensor  # (C,), buffer
-    sd: Tensor  # (C,), buffer
-    task_ids: list[int]  # (K,)
-
-    @classmethod
-    def create(cls, rng: RngState, in_dim: int, task_ids: list[int]) -> "LinearHead":
-        if not task_ids or any(a >= b for a, b in zip(task_ids, task_ids[1:])):
-            raise ValueError(f"head task ids must be ascending and distinct, got {task_ids}")
-        n_classes = len(task_ids)
-        w = Tensor(rng.normal((in_dim, n_classes)) / np.sqrt(in_dim), requires_grad=True)
-        b = Tensor(np.zeros(n_classes), requires_grad=True)
-        return cls(w, b, Tensor(np.zeros(in_dim)), Tensor(np.ones(in_dim)), list(task_ids))
-
-    def named_parameters(self) -> dict[str, Tensor]:
-        return {"head.w": self.w, "head.b": self.b}
-
-    def named_buffers(self) -> dict[str, Tensor]:
-        return {"head.mu": self.mu, "head.sd": self.sd}
-
-    def standardize(self, pooled: Tensor) -> Tensor:
-        return T.mul(T.add(pooled, Tensor(-self.mu.data)), Tensor(1.0 / self.sd.data))
+def linear_head(rng: RngState, in_dim: int, n_classes: int) -> dict[str, Tensor]:
+    """A fresh linear classifier over standardized pooled features, by
+    checkpoint name: ``head.w`` (C, K) and ``head.b`` (K,) train, while
+    ``head.mu`` and ``head.sd`` (C,) are fixed standardization buffers
+    ``_fit_head_scaler`` computes once from the training clips; without
+    them the pooled features bunch too tightly around a common direction
+    for a linear head to separate."""
+    return {
+        "head.w": Tensor(rng.normal((in_dim, n_classes)) / np.sqrt(in_dim), requires_grad=True),
+        "head.b": Tensor(np.zeros(n_classes), requires_grad=True),
+        "head.mu": Tensor(np.zeros(in_dim)),
+        "head.sd": Tensor(np.ones(in_dim)),
+    }
 
 
 class CheckpointError(ValueError):
@@ -263,14 +243,17 @@ def _differing_key(a, b, key: str = "") -> str:
 @dataclass
 class ModelCheckpoint:
     """Everything needed to resume or evaluate a run. ``start`` builds every
-    one, so its config decides which parts it holds; adapter blocks and the
-    query projection are plain data, empty where it builds none."""
+    one, so its config decides which parts it holds; adapter blocks, the
+    query projection and the classification head are plain data, empty
+    where it builds none. Class k of the head is the k-th of ``task_ids``,
+    the ascending task ids it was trained on."""
 
     config: TrainConfig
     backbone: Backbone
     blocks: dict[int, AdapterBlock]
     query: dict[str, Tensor]
-    head: LinearHead | None
+    head: dict[str, Tensor]
+    task_ids: list[int]
     adam: AdamState
     rng: RngState
     step: int
@@ -280,31 +263,35 @@ class ModelCheckpoint:
         """The step-0 checkpoint of ``config`` over ``backbone`` (not copied):
         adapter blocks at ``config.adapter_positions`` iff the method is
         hr_align (else none), a query projection iff hr_align with
-        ``use_language``, a head over ``task_ids`` iff cls_baseline, each
-        drawn in that order from the seed's stream, which goes on as the
-        training RNG; and Adam at the config's lr over the tensors it trains."""
+        ``use_language``, a head over ``task_ids`` iff cls_baseline (which
+        must be ascending and distinct), each drawn in that order from the
+        seed's stream, which goes on as the training RNG; and Adam at the
+        config's lr over the tensors it trains."""
         rng = RngState(config.seed)
-        blocks, query, head = {}, {}, None
+        blocks, query, head, ids = {}, {}, {}, []
         if config.method == "hr_align":
             blocks = adapter_blocks(config.adapter_positions, backbone, rng)
             if config.use_language:
                 query = query_projection(rng, backbone.out_channels)
         elif config.method == "cls_baseline":
-            head = LinearHead.create(rng, backbone.out_channels, task_ids)
-        checkpoint = cls(config, backbone, blocks, query, head, None, rng, 0)
+            if not task_ids or any(a >= b for a, b in zip(task_ids, task_ids[1:])):
+                raise ValueError(f"head task ids must be ascending and distinct, got {task_ids}")
+            head, ids = linear_head(rng, backbone.out_channels, len(task_ids)), list(task_ids)
+        checkpoint = cls(config, backbone, blocks, query, head, ids, None, rng, 0)
         checkpoint.adam = AdamState.for_params(checkpoint.trained(), lr=config.learning_rate)
         return checkpoint
 
     def trained(self) -> dict[str, Tensor]:
         """The tensors ``config.method`` trains, by name: hr_align's adapters
-        and query projection, a baseline's backbone and any head."""
+        and query projection, a baseline's backbone and any head's weights,
+        the head tensors that take a gradient."""
         if self.config.method == "hr_align":
             return {**adapter_parameters(self.blocks), **self.query}
-        return {**self.backbone.named_parameters(), **(self.head.named_parameters() if self.head else {})}
+        head = {name: t for name, t in self.head.items() if t.requires_grad}
+        return {**self.backbone.named_parameters(), **head}
 
     def named_tensors(self) -> dict[str, Tensor]:
-        head = {**self.head.named_parameters(), **self.head.named_buffers()} if self.head else {}
-        return {**self.backbone.named_parameters(), **adapter_parameters(self.blocks), **self.query, **head}
+        return {**self.backbone.named_parameters(), **adapter_parameters(self.blocks), **self.query, **self.head}
 
     def _arrays(self) -> dict[str, np.ndarray]:
         """Every array a file of the checkpoint holds, by name: its tensors,
@@ -316,13 +303,17 @@ class ModelCheckpoint:
 
     def check_reloadable(self) -> None:
         """A ValueError for what ``load`` would rebuild otherwise: a backbone
-        not frozen, Adam off the config's lr or the checkpoint's step, or an
-        array other, by name or shape, than the checkpoint ``start`` builds
-        for the config over this backbone holds."""
+        not frozen, Adam off the config's lr or the checkpoint's step, or task
+        ids or an array other, by name or shape, than the checkpoint
+        ``start`` builds for the config over this backbone holds."""
         config, adam = self.config, self.adam
         if not self.backbone.frozen or (adam.lr, adam.step) != (config.learning_rate, self.step):
             raise ValueError("a checkpoint holds a frozen backbone and Adam at its config's lr and its step")
-        rebuilt = ModelCheckpoint.start(config, self.backbone, None if self.head is None else self.head.task_ids)
+        rebuilt = ModelCheckpoint.start(config, self.backbone, self.task_ids)
+        if self.task_ids != rebuilt.task_ids:
+            raise ValueError(
+                f"checkpoint task ids are {self.task_ids}, but {rebuilt.task_ids} in what its config builds"
+            )
         held, built = ({name: a.shape for name, a in c._arrays().items()} for c in (self, rebuilt))
         for name in (*held, *built):
             shapes = held.get(name), built.get(name)
@@ -344,7 +335,7 @@ class ModelCheckpoint:
             "backbone": {
                 "channels": list(bb.channels), "strides": [blk.stride for blk in bb.blocks], "kernel": bb.kernel,
             },
-            "head": None if self.head is None else list(self.head.task_ids),
+            "head": self.task_ids or None,
             "rng": list(self.rng.state()),
             "step": self.step,
         }
@@ -633,32 +624,32 @@ def _fit_head_scaler(head, backbone, clips, config) -> None:
         chunk = clips[start : start + config.batch_size]
         frames = sample_frames(chunk, FRAMES_PER_CLIP, rng)
         rows.append(encode_pooled(backbone, frames, len(chunk), normalize=False).data)
-    head.mu.data, head.sd.data = standard_stats(np.concatenate(rows, axis=0))
+    head["head.mu"].data, head["head.sd"].data = standard_stats(np.concatenate(rows, axis=0))
 
 
-def _head_logits(head: LinearHead, backbone, frames, b) -> Tensor:
+def _head_logits(head: dict[str, Tensor], backbone, frames, b) -> Tensor:
     """(B, K) class logits of B clips' (B*T, H, W, C) frames."""
-    pooled = head.standardize(encode_pooled(backbone, frames, b, normalize=False))
-    return T.add(T.matmul(pooled, head.w), head.b)
+    pooled = encode_pooled(backbone, frames, b, normalize=False)
+    pooled = T.mul(T.add(pooled, Tensor(-head["head.mu"].data)), Tensor(1.0 / head["head.sd"].data))
+    return T.add(T.matmul(pooled, head["head.w"]), head["head.b"])
 
 
 def classification_accuracy(checkpoint: ModelCheckpoint, pairs: list[PairedDemo]) -> float:
     """Accuracy of a cls-baseline checkpoint on the given pairs' robot clips,
     their frames sampled from seed 977.
 
-    Each pair's task id maps to its class among the head's ``task_ids``, so
-    the pairs may hold any of the head's tasks but no task it never saw.
+    Each pair's task id maps to its class among the checkpoint's
+    ``task_ids``, so the pairs may hold any of the head's tasks but no task
+    it never saw.
     """
-    head = checkpoint.head
-    if head is None:
+    head, task_ids = checkpoint.head, checkpoint.task_ids
+    if not head:
         raise ValueError("checkpoint has no classification head")
     if not pairs:
         raise ValueError("classification_accuracy: no pairs to score")
-    classes = _class_index(head.task_ids)
+    classes = _class_index(task_ids)
     if unseen := [p.task_id for p in pairs if p.task_id not in classes]:
-        raise ValueError(
-            f"classification_accuracy: task {unseen[0]} is not among the head's tasks {head.task_ids}"
-        )
+        raise ValueError(f"classification_accuracy: task {unseen[0]} is not among the head's tasks {task_ids}")
     rng = RngState(977)
     hits = 0
     for demo in pairs:

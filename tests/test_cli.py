@@ -805,7 +805,7 @@ def test_cli_ablate_without_heldout_pairs_exits_two_writing_nothing(pipeline, tm
     argv = _ablate_argv(pipeline, out)
     argv[argv.index("--data") + 1] = os.path.join(data, "manifest.json")
     assert run(argv) == 2
-    assert "at least 2 held-out pairs, got 0" in capsys.readouterr().err
+    assert "held-out split needs at least 2 pairs, got 0" in capsys.readouterr().err
     assert not out.exists()
 
 

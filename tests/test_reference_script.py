@@ -41,7 +41,7 @@ def test_reference_summary_reads_off_the_arm_runs(tiny_reference):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["--tasks", "2", "--pairs-per-task", "2"], "arm E needs at least 2 held-out pairs, got 0"),
+        (["--tasks", "2", "--pairs-per-task", "2"], "the held-out split needs at least 2 pairs, got 0"),
         (["--gap", "nan"], "gap must lie in [0, 1], got nan"),
     ],
     ids=["no-heldout", "gap-nan"],

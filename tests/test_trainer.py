@@ -38,7 +38,6 @@ from hralign.task_query import _TABLE_SEED, TEXT_DIM
 from hralign.tensor import Tensor, to_bytes
 from hralign.trainer import (
     CheckpointError,
-    LinearHead,
     MetricsLog,
     MetricsRow,
     ModelCheckpoint,
@@ -50,6 +49,7 @@ from hralign.trainer import (
     train_baseline_pret,
     train_hr_align,
     _fit_head_scaler,
+    linear_head,
 )
 
 
@@ -941,6 +941,42 @@ def test_the_bucket_table_is_drawn_at_most_once_per_process(tmp_path, monkeypatc
     assert len(draws) <= 1, draws
 
 
+@pytest.mark.parametrize(
+    "task_ids", [[0, 2, 1], [0, 1, 1], [], None], ids=["unsorted", "repeated", "empty", "none"]
+)
+def test_start_refuses_cls_task_ids_not_ascending_and_distinct(task_ids):
+    # class k is the k-th task id, so an unsorted list would swap classes
+    # and a repeated one would give two classes one task
+    config = TrainConfig(method="cls_baseline", adapter_positions="none", use_language=False, out_dir="runs/small")
+    message = f"head task ids must be ascending and distinct, got {task_ids}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ModelCheckpoint.start(config, micro_backbone(3).freeze(), task_ids)
+
+
+def test_linear_head_is_named_and_drawn_from_its_stream():
+    """The head's weight is the one draw it takes from the caller's stream,
+    scaled by 1/sqrt(in_dim); its bias starts at zero, and its
+    standardization buffers at the identity take no gradient."""
+    rng, reference = RngState(5), RngState(5)
+    head = linear_head(rng, 4, 3)
+    assert list(head) == ["head.w", "head.b", "head.mu", "head.sd"]
+    assert np.array_equal(head["head.w"].data, reference.normal((4, 3)) / 2.0)
+    assert rng.state() == reference.state()
+    assert np.array_equal(head["head.b"].data, np.zeros(3))
+    assert np.array_equal(head["head.mu"].data, np.zeros(4)) and np.array_equal(head["head.sd"].data, np.ones(4))
+    assert [name for name, t in head.items() if t.requires_grad] == ["head.w", "head.b"]
+
+
+def test_save_refuses_task_ids_its_config_builds_no_head_for(tmp_path):
+    # the header's ``head`` key holds the task ids, so an hr_align checkpoint
+    # holding some would write a file whose header load refuses
+    checkpoint = dataclasses.replace(small_checkpoint("L"), task_ids=[0, 1, 2])
+    message = "checkpoint task ids are [0, 1, 2], but [] in what its config builds"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        checkpoint.save(str(tmp_path / "model.ckpt"))
+    assert os.listdir(tmp_path) == []
+
+
 # baselines -------------------------------------------------------------------
 
 
@@ -1007,7 +1043,7 @@ def test_baseline_cls_zero_steps_identity(small_setup):
     )
     for name, tensor in checkpoint.backbone.named_parameters().items():
         assert np.array_equal(before[name], tensor.data)
-    assert checkpoint.head is not None
+    assert sorted(checkpoint.head) == ["head.b", "head.mu", "head.sd", "head.w"]
 
 
 def test_baseline_cls_accuracy_evaluable(small_setup):
@@ -1031,13 +1067,13 @@ def test_classification_accuracy_scores_a_subset_of_the_trained_tasks(small_setu
         train,
         backbone.copy().unfreeze(),
     )
-    assert checkpoint.head.task_ids == [0, 1, 2]
+    assert checkpoint.task_ids == [0, 1, 2]
     predicted = []
     head_logits = trainer._head_logits
 
     def recording(head, backbone, frames, b):
         logits = head_logits(head, backbone, frames, b)
-        predicted.append(head.task_ids[int(np.argmax(logits.data[0]))])
+        predicted.append(checkpoint.task_ids[int(np.argmax(logits.data[0]))])
         return logits
 
     monkeypatch.setattr(trainer, "_head_logits", recording)
@@ -1158,7 +1194,7 @@ def test_head_scaler_pass_peaks_at_one_batch_not_the_whole_set():
 
     def peak_bytes(n: int) -> int:
         backbone = Backbone.create(RngState(41))
-        head = LinearHead.create(RngState(41), backbone.out_channels, [0, 1, 2, 3])
+        head = linear_head(RngState(41), backbone.out_channels, 4)
         tracemalloc.start()
         try:
             _fit_head_scaler(head, backbone, clips[:n], config)
