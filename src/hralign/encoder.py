@@ -3,11 +3,12 @@
 The backbone is a stack of (conv, ReLU) blocks applied to each frame
 independently; a clip of T frames maps to a T x H' x W' x C' feature map.
 Adapters are data: ``encode_batch`` takes a dict of adapter blocks keyed
-by junction and runs each at its junction. ``encode_pooled`` is the one
-path from clips' frames to one pooled vector per clip, shared by the
-alignment loss, the classification head, retrieval and the downstream
-features. Pre-training is time-contrastive: pooled features of temporally
-close frames attract, far frames and other clips' frames repel. Its
+by junction and runs each at its junction. Every encode is ``encode_batch``
+then ``alignment.pool_many``: ``encode_pooled`` composes them for a training
+batch, and ``encode_clips`` encodes a set once, ``CLIP_CHUNK`` clips a call,
+into per-clip maps that evaluation pools per protocol. Pre-training is
+time-contrastive: pooled features of temporally close frames attract, far
+frames and other clips' frames repel. Its
 positive lies 1 or 2 frames from the anchor, it scores at the alignment
 loss's temperature ``alignment.TAU``, and ``pretext_pretrain`` always trains
 a fresh backbone drawn from its ``rng``; these are fixed in the code, not
@@ -18,7 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -32,6 +34,12 @@ from .tensor import Tensor
 REF_CHANNELS = (3, 16, 32, 32)
 REF_STRIDES = (2, 2, 1)
 REF_KERNEL = 3
+
+# Clips per ``encode_batch`` call of ``encode_clips``. Encoding costs ~1.5 MB
+# of transient memory per whole reference clip, so 4 (~5 MB) stays below one
+# L training step's ~12 MB peak and evaluation never sets a run's peak
+# memory; 16 would not (~17.5 MB), and is no faster.
+CLIP_CHUNK = 4
 
 
 @dataclass
@@ -148,6 +156,20 @@ def encode_pooled(
     ``queries``; each row is L2-normalised when ``normalize``."""
     feat = encode_batch(backbone, frames, adapters)
     return pool_many(T.reshape(feat, (clips, -1, feat.shape[-1])), queries, normalize)
+
+
+def encode_clips(
+    backbone: Backbone, stacks: Iterable[np.ndarray], adapters: dict[int, AdapterBlock] | None = None
+) -> Iterator[np.ndarray]:
+    """Each clip's (T, H' * W', C') map as a plain array, in input order, from
+    per-clip (T, H, W, C) frame stacks read one ``CLIP_CHUNK`` per
+    ``encode_batch`` call; conv2d runs one GEMM per frame, so each map is
+    bitwise its clip's own encode."""
+    stacks = iter(stacks)
+    while chunk := list(islice(stacks, CLIP_CHUNK)):
+        feat = encode_batch(backbone, np.concatenate(chunk), adapters).data
+        maps = feat.reshape(len(feat), -1, feat.shape[-1])
+        yield from np.split(maps, np.cumsum([len(s) for s in chunk])[:-1])
 
 
 # ---------------------------------------------------------------------------

@@ -1,16 +1,16 @@
 """Representation quality checks for adapted vs frozen encoders.
 
-Retrieval asks whether paired human/robot clips embed closest to each
-other among all held-out candidates; a clip's embedding comes from
-``encoder.encode_pooled``, the same pooling the alignment loss trains. The
-downstream report freezes the encoder (adapters included) and trains small
-heads on robot features ``encode_pooled`` mean-pools per frame: a linear
-task probe and a two-layer regressor predicting the next latent effector
-position, so every robot clip needs at least 2 frames.
-``_encode_parts`` picks the adapted encoder (the checkpoint's adapter
-blocks and query projection) or the frozen one (neither), and every clip
-is encoded ``EVAL_CHUNK`` clips per ``encode_pooled`` call. An arm's row
-counts its adapter and query-projection parameters as summed tensor sizes.
+Evaluation encodes a set of clips once, by ``encoder.encode_clips``, and
+pools the maps per protocol with ``alignment.pool_many``, the pooling the
+alignment loss trains. Retrieval asks whether paired human/robot clips embed
+closest to each other among all held-out candidates, each stream's maps
+pooled in one call. The downstream report freezes the encoder (adapters
+included) and trains small heads on robot features, each clip's map
+mean-pooled per frame as it arrives: a linear task probe and a two-layer
+regressor predicting the next latent effector position, so every robot
+clip needs at least 2 frames. ``_encode_parts`` picks the adapted encoder
+(the checkpoint's adapter blocks and query projection) or the frozen one
+(neither). An arm's row counts its parameters as summed tensor sizes.
 
 ``ARMS`` is the one list of experiments, each a complete config that
 ``arm_config`` lays over a caller's base config. ``run_arms``, the runner
@@ -44,7 +44,8 @@ import numpy as np
 from . import tensor as T
 from .adapter import adapter_parameters
 from .dataset import FRAMES_PER_CLIP, PairedDemo, VideoClip, _atomic_write_csv, sample_frames, split_pairs
-from .encoder import Backbone, check_pretext_clips, encode_pooled
+from .alignment import pool_many
+from .encoder import Backbone, check_pretext_clips, encode_clips
 from .optim import AdamState, fit
 from .rng import RngState
 from .task_query import embed_texts
@@ -115,13 +116,6 @@ class DownstreamReport:
 # ---------------------------------------------------------------------------
 # embedding extraction
 
-# Clips per ``encode_pooled`` call. Encoding costs ~1.5 MB of transient
-# memory per whole reference clip, so 4 (~5 MB) stays below one L training
-# step's ~12 MB peak and evaluation never sets a run's peak memory; 16 would
-# not (~17.5 MB), and is no faster.
-EVAL_CHUNK = 4
-
-
 def _encode_parts(checkpoint: ModelCheckpoint, adapted: bool) -> tuple[dict, dict]:
     """The adapter blocks and query projection an evaluator encodes with:
     the checkpoint's, or neither (the frozen model) when ``adapted`` is false."""
@@ -134,23 +128,18 @@ def _clip_embeddings(
     """(len(clips), C) pooled embeddings, clip i described by ``texts[i]``:
     frames from seed 311's ``eval-frames`` stream of the pair id (so both
     clips of a pair sample the same), pooled by task query when adapted with
-    a query projection, else uniformly. Each query is projected alone: one
-    batched projection moves the embeddings' last bits."""
+    a query projection, else uniformly, all in one call. Each query is
+    projected alone: one batched projection moves the last bits."""
     blocks, query = _encode_parts(checkpoint, adapted)
-    rows = [np.empty((0, checkpoint.backbone.out_channels))]
-    for start in range(0, len(clips), EVAL_CHUNK):
-        chunk = clips[start : start + EVAL_CHUNK]
-        frames = np.concatenate([
-            sample_frames([c], FRAMES_PER_CLIP, RngState(311).derive("eval-frames", c.pair_id))
-            for c in chunk
-        ])
-        queries = None
-        if query:
-            queries = Tensor(np.concatenate(
-                [embed_texts(query, [text]).data for text in texts[start : start + EVAL_CHUNK]]
-            ))
-        rows.append(encode_pooled(checkpoint.backbone, frames, len(chunk), blocks, queries).data)
-    return np.concatenate(rows)
+    width = checkpoint.backbone.out_channels
+    if not clips:
+        return np.empty((0, width))
+    stacks = (
+        sample_frames([c], FRAMES_PER_CLIP, RngState(311).derive("eval-frames", c.pair_id)) for c in clips
+    )
+    maps = np.stack(list(encode_clips(checkpoint.backbone, stacks, blocks)))
+    queries = Tensor(np.concatenate([embed_texts(query, [text]).data for text in texts])) if query else None
+    return pool_many(Tensor(maps.reshape(len(clips), -1, width)), queries).data
 
 
 def _tag(checkpoint: ModelCheckpoint, blocks: dict, query: dict) -> str:
@@ -284,39 +273,28 @@ def eval_downstream(
     ``split_pairs`` holds out ``HELDOUT_FRAC`` of the clips, and the BC head
     is initialised from seed 412. The clips must pass
     ``check_downstream_clips``. No gradient ever reaches the encoder or
-    adapters here; features are extracted once, ``EVAL_CHUNK`` clips per
-    call, as plain arrays and only the small heads train.
+    adapters here; each clip's map is pooled per frame, uniformly and
+    unnormalised, as it arrives, and only the small heads train.
     """
     check_downstream_clips(robot_clips)
     train, held = split_pairs(robot_clips)
     if not train or not held:
         raise ValueError("downstream split too small")
-    clips = train + held
-    train_idx, held_idx = np.arange(len(train)), np.arange(len(train), len(clips))
-    blocks, feats = _encode_parts(checkpoint, adapted)[0], []
-    for start in range(0, len(clips), EVAL_CHUNK):
-        chunk = clips[start : start + EVAL_CHUNK]
-        frames = np.concatenate([c.frames for c in chunk])
-        pooled = encode_pooled(checkpoint.backbone, frames, len(frames), blocks, normalize=False)
-        feats += np.split(pooled.data, np.cumsum([c.length for c in chunk])[:-1])
+    clips, n = train + held, len(train)
+    blocks = _encode_parts(checkpoint, adapted)[0]
+    feats = [  # (T_len, C) per clip
+        pool_many(Tensor(m), None, normalize=False).data
+        for m in encode_clips(checkpoint.backbone, (c.frames for c in clips), blocks)
+    ]
     classes = _class_index(c.task_id for c in clips)
 
     clip_feat = np.stack([f.mean(axis=0) for f in feats])
     labels = np.array([classes[c.task_id] for c in clips])
-    probe_acc = train_linear_probe(
-        clip_feat[train_idx],
-        labels[train_idx],
-        clip_feat[held_idx],
-        labels[held_idx],
-        n_classes=len(classes),
-    )
+    probe_acc = train_linear_probe(clip_feat[:n], labels[:n], clip_feat[n:], labels[n:], n_classes=len(classes))
 
-    def bc_samples(indices):
-        xs = np.concatenate([feats[i][:-1] for i in indices])
-        return xs, np.concatenate([clips[i].positions[1:] for i in indices])
-
-    train_x, train_y = bc_samples(train_idx)
-    held_x, held_y = bc_samples(held_idx)
+    xs, ys = [f[:-1] for f in feats], [c.positions[1:] for c in clips]  # frame t predicts position t + 1
+    train_x, held_x = np.concatenate(xs[:n]), np.concatenate(xs[n:])
+    train_y, held_y = np.concatenate(ys[:n]), np.concatenate(ys[n:])
     mu, sd = standard_stats(train_x)
     predict = train_bc_head((train_x - mu) / sd, train_y, seed=412)
     bc_mse = float(((predict((held_x - mu) / sd) - held_y) ** 2).mean())
@@ -324,8 +302,8 @@ def eval_downstream(
         tag=_tag(checkpoint, blocks, {}),
         probe_accuracy=probe_acc,
         bc_mse=bc_mse,
-        n_train_clips=len(train_idx),
-        n_heldout_clips=len(held_idx),
+        n_train_clips=len(train),
+        n_heldout_clips=len(held),
     )
 
 

@@ -93,8 +93,8 @@ another memory layout would move them all.
   as views where the composite materialised them, so each (B, P, C)
   product it forms equals the composite's element for element; the
   reductions over P or C see C-contiguous products in both, which holds
-  whenever the values are C-contiguous, as ``encoder.encode_pooled``
-  hands them. It keeps every ``+ 0.0`` whose signed zero could reach a
+  whenever the values are C-contiguous, as ``encode_pooled`` and
+  evaluation's kept ``encode_clips`` maps are. It keeps every ``+ 0.0`` whose signed zero could reach a
   later sum, and ``mul(pooled, pooled)``'s two separate accumulations.
 
 ``_adopt`` is ``_accumulate`` for a gradient the op has just made in the
@@ -472,8 +472,7 @@ def attention_pool(values: Tensor, queries: Tensor, normalize: bool) -> Tensor:
     under the softmax of their dots with its row of (B, C) ``queries``, then
     scaled to unit L2 norm when ``normalize``, as one graph node: bitwise
     the composite graph's value and gradients on C-contiguous ``values``,
-    the layout ``encoder.encode_pooled`` hands it (the module docstring says
-    why)."""
+    the layout of every encode's maps (the module docstring says why)."""
     v, q = values.data, queries.data
     b, p, c = v.shape
     if q.shape != (b, c):

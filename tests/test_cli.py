@@ -553,8 +553,10 @@ def test_data_some_arm_cannot_use_exits_two_before_anything_is_encoded(
     manifest = str(tmp_path / "data" / "manifest.json")
     save_manifest(pairs, manifest)
     encoded = []
-    monkeypatch.setattr(evaluation, "encode_pooled", lambda *a, **k: encoded.append(a))
-    monkeypatch.setattr(trainer, "encode_pooled", lambda *a, **k: encoded.append(a))
+    # every encode in the package runs encoder.encode_batch, by that name in
+    # encoder or in trainer (the pretext lambda of pret_ft)
+    monkeypatch.setattr(encoder, "encode_batch", lambda *a, **k: encoded.append(a))
+    monkeypatch.setattr(trainer, "encode_batch", lambda *a, **k: encoded.append(a))
     out = tmp_path / "out"
     argv = {
         "eval": ["eval", "--checkpoint", model, "--data", manifest, "--out", str(out)],

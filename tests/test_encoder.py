@@ -1,12 +1,14 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import per_clip_triplet_indices, random_clip_frames, with_short_first_pair
+from helpers import per_clip_triplet_indices, random_clip_frames, small_checkpoint, with_short_first_pair
 from hralign import encoder
 from hralign.dataset import VideoClip, generate_paired_set
-from hralign.encoder import Backbone, encode_batch, pretext_loss, pretext_pretrain
+from hralign.encoder import CLIP_CHUNK, Backbone, encode_batch, encode_clips, pretext_loss, pretext_pretrain
 from hralign.rng import RngState
 from hralign.tensor import ShapeError, Tensor
 
@@ -89,6 +91,44 @@ def test_encode_frozen_retains_no_gradients():
     assert not out.requires_grad
     for p in bb.named_parameters().values():
         assert p.grad is None
+
+
+@pytest.mark.parametrize("positions", ["none", "E", "L", "EML"])
+@pytest.mark.parametrize("n_clips", [0, 1, 4, 5, 9])
+def test_encode_clips_equals_one_encode_batch_per_clip(monkeypatch, positions, n_clips):
+    """``encode_clips`` yields each clip's (T, H' * W', C') map in input
+    order, bitwise its own ``encode_batch`` map, from ceil(n / CLIP_CHUNK)
+    calls of whole clips (none for no clips), and reads a generator input no
+    further than the end of the chunk it is yielding from."""
+    checkpoint = small_checkpoint(positions, language=False, seed=n_clips)
+    backbone, adapters = checkpoint.backbone, checkpoint.blocks or None
+    assert len(checkpoint.blocks) == {"none": 0, "E": 1, "L": 1, "EML": 4}[positions]
+    rng = RngState(40 + n_clips)
+    lengths = [2 + rng.randint(23) for _ in range(n_clips)]  # 2 to 24 frames
+    stacks = [random_clip_frames(rng, t=n) for n in lengths]
+    width = backbone.out_channels
+    expected = [encode_batch(backbone, s, adapters).data.reshape(len(s), -1, width) for s in stacks]
+    calls, read = [], []
+
+    def spy(bb, frames, blocks=None):
+        calls.append(frames)
+        return encode_batch(bb, frames, blocks)
+
+    def source():
+        for stack in stacks:
+            read.append(stack)
+            yield stack
+
+    monkeypatch.setattr(encoder, "encode_batch", spy)
+    maps = []
+    for m in encode_clips(backbone, source(), adapters):
+        assert len(read) <= (len(maps) // CLIP_CHUNK + 1) * CLIP_CHUNK
+        maps.append(m)
+    assert len(maps) == n_clips
+    assert all(np.array_equal(m, e) for m, e in zip(maps, expected))
+    assert len(calls) == math.ceil(n_clips / CLIP_CHUNK)
+    chunks = [stacks[i : i + CLIP_CHUNK] for i in range(0, n_clips, CLIP_CHUNK)]
+    assert all(np.array_equal(f, np.concatenate(chunk)) for f, chunk in zip(calls, chunks))
 
 
 # pretext --------------------------------------------------------------------

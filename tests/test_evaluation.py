@@ -1,6 +1,7 @@
 import csv
 import math
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -17,11 +18,11 @@ from helpers import (
     small_checkpoint,
     task_compactness_ratio,
 )
-from hralign import evaluation
-from hralign.dataset import generate_paired_set, split_pairs
-from hralign.encoder import Backbone, encode_pooled, pretext_pretrain
+from hralign import encoder, evaluation
+from hralign.alignment import pool_many
+from hralign.dataset import FRAMES_PER_CLIP, generate_paired_set, split_pairs
+from hralign.encoder import CLIP_CHUNK, Backbone, encode_batch, pretext_pretrain
 from hralign.evaluation import (
-    EVAL_CHUNK,
     RetrievalReport,
     dump_embeddings,
     eval_downstream,
@@ -206,27 +207,36 @@ ARM_PARTS = list(dict.fromkeys((s["adapter_positions"], s["use_language"]) for s
 @pytest.mark.parametrize("adapted", [True, False], ids=["adapted", "frozen"])
 @pytest.mark.parametrize("positions, language", ARM_PARTS)
 def test_chunked_encode_equals_one_call_per_clip(small_pairs, tmp_path, monkeypatch, positions, language, adapted):
-    """Retrieval, the dump and downstream encode at most EVAL_CHUNK clips
-    per encode_pooled call, each clip once, bitwise equal to one call per
+    """Retrieval, the dump and downstream encode at most CLIP_CHUNK clips
+    per encode_batch call, each clip once, bitwise equal to one call per
     clip, for the parts of every arm and for clip counts that are not a
     multiple of the chunk (7 pairs, 14 dumped clips, 18 robot clips)."""
     checkpoint = small_checkpoint(positions, language, seed=5)
     pairs = small_pairs[:7]
-    calls = []
+    calls, pooled = [], []
 
-    def spy(backbone, frames, clips, *args, **kwargs):
-        out = encode_pooled(backbone, frames, clips, *args, **kwargs)
-        calls.append((len(frames), clips, out.data))
+    def spy(backbone, frames, *args, **kwargs):
+        calls.append(frames)
+        return encode_batch(backbone, frames, *args, **kwargs)
+
+    def spy_pool(*args, **kwargs):
+        out = pool_many(*args, **kwargs)
+        pooled.append(out.data)
         return out
 
-    monkeypatch.setattr(evaluation, "encode_pooled", spy)
     human, robot = (
         np.stack([clip_embedding(checkpoint, getattr(p, side), p.description.text, adapted) for p in pairs])
         for side in ("human", "robot")
     )
+    robot_clips = [p.robot for p in small_pairs]
+    train, held = split_pairs(robot_clips)
+    ordered = train + held
+    expected = [frame_features(checkpoint, clip, adapted) for clip in ordered]
+    monkeypatch.setattr(encoder, "encode_batch", spy)
     dumped = _dumped(checkpoint, pairs, adapted, tmp_path / "emb.csv")
     assert np.array_equal(dumped, np.concatenate([human, robot]))
-    assert [clips for _, clips, _ in calls] == [4, 4, 4, 2]
+    assert [len(frames) // FRAMES_PER_CLIP for frames in calls] == [4, 4, 4, 2]
+    assert all(len(frames) % FRAMES_PER_CLIP == 0 for frames in calls)
 
     report = eval_retrieval(checkpoint, pairs, adapted=adapted)
     scores = robot @ human.T
@@ -234,17 +244,18 @@ def test_chunked_encode_equals_one_call_per_clip(small_pairs, tmp_path, monkeypa
     assert (report.r2h_recall1, report.r2h_recall5, report.r2h_mrr) == r2h
     assert (report.h2r_recall1, report.h2r_recall5, report.h2r_mrr) == h2r
 
-    # downstream: one per-frame call per chunk of whole clips, in split order
+    # downstream: one call per chunk of whole clips in split order, each
+    # clip's map pooled per frame on its own
     monkeypatch.setattr(evaluation, "train_linear_probe", lambda *a, **k: 0.0)
     monkeypatch.setattr(evaluation, "train_bc_head", lambda x, y, seed: lambda f: np.zeros((len(f), 2)))
+    monkeypatch.setattr(evaluation, "pool_many", spy_pool)
     calls.clear()
-    robot_clips = [p.robot for p in small_pairs]
     eval_downstream(checkpoint, robot_clips, adapted=adapted)
-    train, held = split_pairs(robot_clips)
-    expected = [frame_features(checkpoint, clip, adapted) for clip in train + held]
-    assert len(calls) == math.ceil(len(robot_clips) / EVAL_CHUNK) == 5
-    assert all(n_frames == clips for n_frames, clips, _ in calls)
-    assert np.array_equal(np.concatenate([out for _, _, out in calls]), np.concatenate(expected))
+    assert len(calls) == math.ceil(len(robot_clips) / CLIP_CHUNK) == 5
+    chunks = [ordered[i : i + CLIP_CHUNK] for i in range(0, len(ordered), CLIP_CHUNK)]
+    assert all(np.array_equal(f, np.concatenate([c.frames for c in chunk])) for f, chunk in zip(calls, chunks))
+    assert len(pooled) == len(expected)
+    assert all(np.array_equal(out, e) for out, e in zip(pooled, expected))
 
 
 def test_run_arms_saves_each_arm_as_its_row_names_it(small_pairs, tmp_path, monkeypatch):
@@ -366,7 +377,7 @@ def test_eval_downstream_holds_out_the_robot_clips_of_split_pairs(small_ckpt, mo
     """The probe scores exactly the robot clips of split_pairs' held-out
     pairs, whatever order the clips arrive in, and each clip is encoded once."""
     pairs, _, heldout, checkpoint = small_ckpt
-    probe, encode = evaluation.train_linear_probe, evaluation.encode_pooled
+    probe = evaluation.train_linear_probe
     scored, encoded = {}, []
 
     def spy_probe(train_x, train_y, test_x, test_y, n_classes):
@@ -375,10 +386,10 @@ def test_eval_downstream_holds_out_the_robot_clips_of_split_pairs(small_ckpt, mo
 
     def spy_encode(backbone, frames, *args, **kwargs):
         encoded.append(frames)
-        return encode(backbone, frames, *args, **kwargs)
+        return encode_batch(backbone, frames, *args, **kwargs)
 
     monkeypatch.setattr(evaluation, "train_linear_probe", spy_probe)
-    monkeypatch.setattr(evaluation, "encode_pooled", spy_encode)
+    monkeypatch.setattr(encoder, "encode_batch", spy_encode)
     robot = [p.robot for p in reversed(pairs)]
     report = eval_downstream(checkpoint, robot, adapted=True)
     train, held = split_pairs(robot)
@@ -418,10 +429,31 @@ def test_eval_downstream_checks_every_latent_before_encoding(small_ckpt, monkeyp
     last = split_pairs(robot)[1][-1]
     robot = [dataclasses.replace(c, positions=None) if c is last else c for c in robot]
     calls = []
-    monkeypatch.setattr(evaluation, "encode_pooled", lambda *a, **k: calls.append(a))
+    monkeypatch.setattr(encoder, "encode_batch", lambda *a, **k: calls.append(a))
     with pytest.raises(ValueError, match=f"clip pair {last.pair_id} carries no latent trajectory"):
         eval_downstream(checkpoint, robot)
     assert calls == []
+
+
+def test_downstream_encode_peaks_at_one_chunk_not_the_whole_set(monkeypatch):
+    # each clip's map (4 KiB a frame at reference size) is pooled as it
+    # arrives; holding every map would grow the peak with the set
+    monkeypatch.setattr(evaluation, "train_linear_probe", lambda *a, **k: 0.0)
+    monkeypatch.setattr(evaluation, "train_bc_head", lambda x, y, seed: lambda f: np.zeros((len(f), 2)))
+    clips = [p.robot for p in generate_paired_set(RngState(41), 4, 16, 0.5)]
+    config = evaluation.arm_config(TrainConfig(), "L")
+    checkpoint = ModelCheckpoint.start(config, Backbone.create(RngState(41)).freeze())
+
+    def peak_bytes(n: int) -> int:
+        tracemalloc.start()
+        try:
+            eval_downstream(checkpoint, clips[:n])
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak_bytes(16), peak_bytes(64)
+    assert large <= 1.5 * small, f"{small / 2**20:.1f} MB at 16 clips, {large / 2**20:.1f} at 64"
 
 
 def _fused_bc_head(monkeypatch, train_x, train_y, seed):

@@ -282,11 +282,13 @@ def test_trainers_run_only_through_train():
 
 def test_adapters_run_only_inside_encode_batch():
     """Adapters are data: ``adapter_forward`` runs only in ``encode_batch``'s
-    block loop, and ``encode_batch`` is called only by ``encode_pooled`` and by
-    the encode lambdas the two ``pretext_loss`` callers pass."""
+    block loop, and ``encode_batch`` is called only by ``encode_pooled`` (a
+    batch), ``encode_clips`` (a set) and the encode lambdas the two
+    ``pretext_loss`` callers pass."""
     assert _package_calls({"adapter_forward", "encode_batch"}) == {
         ("encoder.encode_batch", "adapter_forward"),
         ("encoder.encode_pooled", "encode_batch"),
+        ("encoder.encode_clips", "encode_batch"),
         ("encoder.pretext_pretrain.step_loss.<lambda in pretext_loss>", "encode_batch"),
         ("trainer.train_baseline_pret.batch_loss.<lambda in pretext_loss>", "encode_batch"),
     }
