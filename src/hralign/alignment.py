@@ -1,8 +1,10 @@
 """Task-aware attention pooling and the human-robot contrastive alignment loss.
 
-Pooling flattens a feature map to positions x channels, scores each
-position against the task query, and averages positions under the softmax
-weights. The alignment loss is a symmetric InfoNCE-style objective over a
+Pooling flattens a feature map to positions x channels and averages the
+positions, either uniformly or under the softmax of each position's dot
+with the task query; when asked, ``tensor.l2_normalize``, the library's
+one L2 normalisation, then scales each pooled row to unit norm. The
+alignment loss is a symmetric InfoNCE-style objective over a
 batch of (human-frozen, robot-frozen, robot-adapted) pooled triples: each
 human feature must match its paired adapted robot feature better than the
 unadapted robot feature and better than every other pair's adapted
@@ -25,16 +27,15 @@ TAU = 0.1
 
 
 def pool_many(values: Tensor, queries: Tensor | None, normalize: bool = True) -> Tensor:
-    """Attention-pool (B, P, C) position features with (B, C) queries.
+    """Pool (B, P, C) position features to (B, C), then scale each row to
+    unit L2 norm when ``normalize``.
 
-    A ``None`` query means uniform weights, i.e. a plain mean over
-    positions (the language-off path). With queries the pooling and its
-    normalisation are one graph node, ``tensor.attention_pool``.
+    With (B, C) queries the pooling is ``tensor.attention_pool``; a
+    ``None`` query means uniform weights, i.e. a plain mean over positions
+    (the language-off path).
     """
-    if queries is not None:
-        return T.attention_pool(values, queries, normalize)
-    pooled = T.tmean(values, axis=1)
-    return T.l2_normalize(pooled, axis=1) if normalize else pooled
+    pooled = T.tmean(values, axis=1) if queries is None else T.attention_pool(values, queries)
+    return T.l2_normalize(pooled) if normalize else pooled
 
 
 @dataclass

@@ -70,7 +70,7 @@ skips are exact, and the signed zeros they would have turned to +0.0 only
 reach sums and products whose zero results each parameter's own
 ``_accumulate`` turns to +0.0.
 
-Two more fused nodes serve every encode and every alignment step, and
+Three more fused nodes serve every encode and every alignment step, and
 hold their bits by the same rule: each runs its composite graph's numpy
 operations in the same order, on arrays laid out as the composite's are,
 and drops only copies that cannot change a bit. The fusion is allowed to
@@ -87,15 +87,22 @@ another memory layout would move them all.
   ``add``'s ``_unbroadcast`` does, and hands it to the input without the
   two full-size copies the composite's ``_accumulate`` calls made.
 - :func:`attention_pool` is task-query pooling: the softmax over positions
-  of each position's dot with the query, the weighted sum, and the L2
-  normalisation of ``l2_normalize`` when asked, about twelve composite
-  nodes. Backward reads the broadcast gradients of the two position sums
-  as views where the composite materialised them, so each (B, P, C)
-  product it forms equals the composite's element for element; the
-  reductions over P or C see C-contiguous products in both, which holds
-  whenever the values are C-contiguous, as ``encode_pooled`` and
-  evaluation's kept ``encode_clips`` maps are. It keeps every ``+ 0.0`` whose signed zero could reach a
-  later sum, and ``mul(pooled, pooled)``'s two separate accumulations.
+  of each position's dot with the query and the weighted sum, seven
+  composite nodes. Backward reads the broadcast gradients of the two
+  position sums as views where the composite materialised them, so each
+  (B, P, C) product it forms equals the composite's element for element;
+  the reductions over P or C see C-contiguous products in both, which
+  holds whenever the values are C-contiguous, as ``encode_pooled`` and
+  evaluation's kept ``encode_clips`` maps are.
+- :func:`l2_normalize` scales each row of a (B, C) tensor to unit L2 norm,
+  the five composite nodes of ``a * (sum(a * a) + 1e-24) ** -0.5``; it is
+  the one normalisation after either pooling. Backward adds its three
+  terms to the input's gradient one by one, in the composite's order
+  (the scale's, then ``mul(a, a)``'s two), so an input fed to it twice
+  sums its gradient as the composite does. It drops the composite's
+  ``+ 0.0`` on the squared norm's gradient: after the first term's
+  ``_accumulate`` no entry of the input's gradient is -0.0, so the sign
+  of a zero added to it cannot show.
 
 ``_adopt`` is ``_accumulate`` for a gradient the op has just made in the
 input's layout: the array becomes ``.grad`` instead of being copied.
@@ -301,17 +308,6 @@ def bias_relu(x: Tensor, b: Tensor) -> Tensor:
     return _from_op(data, (x, b), bwd)
 
 
-def power(a: Tensor, p: float) -> Tensor:
-    """Elementwise ``a ** p`` for a fixed scalar exponent."""
-    p = float(p)
-    data = a.data**p
-
-    def bwd(g):
-        _accumulate(a, g * p * a.data ** (p - 1.0))
-
-    return _from_op(data, (a,), bwd)
-
-
 def tsum(a: Tensor, axis: Axis = None, keepdims: bool = False) -> Tensor:
     data = a.data.sum(axis=axis, keepdims=keepdims)
 
@@ -467,12 +463,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _from_op(data, (a,), bwd)
 
 
-def attention_pool(values: Tensor, queries: Tensor, normalize: bool) -> Tensor:
+def attention_pool(values: Tensor, queries: Tensor) -> Tensor:
     """Each of the B rows of (B, P, C) ``values`` pooled over its P positions
-    under the softmax of their dots with its row of (B, C) ``queries``, then
-    scaled to unit L2 norm when ``normalize``, as one graph node: bitwise
-    the composite graph's value and gradients on C-contiguous ``values``,
-    the layout of every encode's maps (the module docstring says why)."""
+    under the softmax of their dots with its row of (B, C) ``queries``, as
+    one graph node: bitwise the composite graph's value and gradients on
+    C-contiguous ``values``, the layout of every encode's maps (the module
+    docstring says why)."""
     v, q = values.data, queries.data
     b, p, c = v.shape
     if q.shape != (b, c):
@@ -484,27 +480,10 @@ def attention_pool(values: Tensor, queries: Tensor, normalize: bool) -> Tensor:
     e = np.exp(logits - logits.max(axis=1, keepdims=True))
     weights = e / e.sum(axis=1, keepdims=True)
     wr = weights.reshape(b, p, 1)
-    pooled = (v * wr).sum(axis=1)  # (B, C)
-    if normalize:
-        s = (pooled * pooled).sum(axis=1, keepdims=True) + 1e-24
-        inv = s**-0.5
-        data = pooled * inv
-    else:
-        data = pooled
+    data = (v * wr).sum(axis=1)  # (B, C)
 
     def bwd(g):
-        if normalize:
-            g_pooled = g * inv
-            g_pooled += 0.0
-            g_inv = (g * pooled).sum(axis=1, keepdims=True)
-            g_s = g_inv * -0.5 * s**-1.5  # power's g * p * s ** (p - 1)
-            g_s += 0.0
-            g_sq = g_s * pooled
-            g_pooled += g_sq  # mul(pooled, pooled) accumulates g * pooled twice
-            g_pooled += g_sq
-        else:
-            g_pooled = g
-        g_m2 = g_pooled.reshape(b, 1, c)  # the pooling sum's gradient, broadcast over P
+        g_m2 = g.reshape(b, 1, c)  # the pooling sum's gradient, broadcast over P
         if values.requires_grad:
             _adopt(values, np.multiply(g_m2, wr, out=np.empty_like(v)))
         g_w = (g_m2 * v).sum(axis=2)
@@ -533,16 +512,25 @@ def logsumexp(a: Tensor, axis: int = -1) -> Tensor:
     return _from_op(data, (a,), bwd)
 
 
-def l2_normalize(a: Tensor, axis: int = -1) -> Tensor:
-    """Scale slices along ``axis`` to unit Euclidean norm.
+def l2_normalize(a: Tensor) -> Tensor:
+    """Each row of (B, C) ``a`` scaled to unit Euclidean norm, as one graph
+    node: bitwise the value and gradient of the composite graph of
+    ``a * (sum(a * a, axis=1) + 1e-24) ** -0.5`` (the module docstring says
+    why). The 1e-24 only matters for an all-zero row, which stays zero."""
+    if a.ndim != 2:
+        raise ShapeError(f"l2_normalize: expected (B, C), got {a.shape}")
+    x = a.data
+    s = (x * x).sum(axis=1, keepdims=True) + 1e-24
+    inv = s**-0.5
 
-    Composite of primitive ops, so gradients come for free. The 1e-24
-    added to the squared norm only matters for exactly-zero slices, which
-    stay zero.
-    """
-    sq = tsum(mul(a, a), axis=axis, keepdims=True)
-    inv = power(add(sq, Tensor(1e-24)), -0.5)
-    return mul(a, inv)
+    def bwd(g):
+        g_inv = (g * x).sum(axis=1, keepdims=True)
+        g_sq = g_inv * -0.5 * s**-1.5 * x  # the composite's g * p * s ** (p - 1), times a
+        _accumulate(a, g * inv)
+        a.grad += g_sq  # mul(a, a) accumulates g * a twice
+        a.grad += g_sq
+
+    return _from_op(x * inv, (a,), bwd)
 
 
 # ---------------------------------------------------------------------------

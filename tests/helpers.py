@@ -1,10 +1,10 @@
 """Shared test oracles: finite differences, a direct-exponential loss
 reference, the composite graphs of the fused ``tensor`` nodes (the
-behavior-cloning head, bias + ReLU, attention pooling), the per-draw
-permutation and the per-clip frame and triplet samplers, small model,
-checkpoint and short-clip builders, per-clip evaluation encodes,
-checkpoint header edits, a task-compactness ratio for embedding clouds, a
-strict JSON reader, and ``scripts/run_reference.py`` run in process.
+behavior-cloning head, bias + ReLU, L2 normalisation, attention pooling),
+the per-draw permutation and the per-clip frame and triplet samplers,
+small model, checkpoint and short-clip builders, per-clip evaluation
+encodes, checkpoint header edits, a task-compactness ratio for embedding
+clouds, a strict JSON reader, and ``scripts/run_reference.py`` run in process.
 
 Everything here is deliberately independent of the library's analytic
 paths: gradients come from central differences on the forward value, and
@@ -144,14 +144,32 @@ def composite_bias_relu(x: Tensor, b: Tensor) -> Tensor:
     return relu(T.add(x, T.reshape(b, (b.size, 1, 1))))
 
 
+def power(a: Tensor, p: float) -> Tensor:
+    """Elementwise ``a ** p`` for a fixed scalar exponent: the graph node
+    the composite normalisation builds on."""
+    data = a.data**p
+
+    def bwd(g):
+        T._accumulate(a, g * p * a.data ** (p - 1.0))
+
+    return T._from_op(data, (a,), bwd)
+
+
+def composite_l2_normalize(a: Tensor) -> Tensor:
+    """The graph ``tensor.l2_normalize`` fuses: the oracle of its bits."""
+    sq = T.tsum(T.mul(a, a), axis=1, keepdims=True)
+    return T.mul(a, power(T.add(sq, Tensor(1e-24)), -0.5))
+
+
 def composite_attention_pool(values: Tensor, queries: Tensor, normalize: bool) -> Tensor:
-    """The graph of primitive ops ``tensor.attention_pool`` fuses: the
-    oracle of its bits."""
+    """The graph of primitive ops ``tensor.attention_pool`` fuses, then the
+    composite normalisation when ``normalize``: the oracle of the bits of
+    ``attention_pool`` and of ``l2_normalize`` over it."""
     b, p, c = values.shape
     logits = T.tsum(T.mul(values, T.reshape(queries, (b, 1, c))), axis=2)  # (B, P)
     weights = T.softmax(logits, axis=1)
     pooled = T.tsum(T.mul(values, T.reshape(weights, (b, p, 1))), axis=1)  # (B, C)
-    return T.l2_normalize(pooled, axis=1) if normalize else pooled
+    return composite_l2_normalize(pooled) if normalize else pooled
 
 
 def randint_permutation(rng: RngState, n: int) -> list[int]:

@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import check_grad_against_fd, naive_hr_align_loss, rel_err
+from helpers import (
+    check_grad_against_fd,
+    composite_attention_pool,
+    composite_l2_normalize,
+    naive_hr_align_loss,
+    rel_err,
+)
 from hralign import tensor as T
 from hralign.alignment import (
     AlignmentBatchFeatures,
@@ -83,6 +89,33 @@ def test_pool_channel_mismatch():
     rng = RngState(5)
     with pytest.raises(ShapeError):
         pool_many(clip_positions(rng), Tensor(np.zeros((1, 5))))
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+@pytest.mark.parametrize("with_queries", [True, False])
+def test_pool_many_bitwise_equals_the_composite_graph(with_queries, normalize):
+    """Uniform or attention pooling, normalised or not: the value and the
+    gradients of the values and the queries keep their bits against the
+    composite graph of primitive ops."""
+    rng = RngState(7)
+    v0, q0 = rng.normal((3, 10, 6)), rng.normal((3, 6))
+    g = rng.normal((3, 6)) * (rng.uniform((3, 6)) > 0.2)
+
+    def composite(values, queries):
+        if queries is not None:
+            return composite_attention_pool(values, queries, normalize)
+        pooled = T.tmean(values, axis=1)
+        return composite_l2_normalize(pooled) if normalize else pooled
+
+    results = []
+    for op in (lambda v, q: pool_many(v, q, normalize), composite):
+        values = Tensor(v0.copy(), requires_grad=True)
+        queries = Tensor(q0.copy(), requires_grad=True) if with_queries else None
+        out = op(values, queries)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        results.append([out.data, values.grad] + ([queries.grad] if with_queries else []))
+    for got, want in zip(*results):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_pool_gradient_vs_fd():

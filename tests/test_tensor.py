@@ -7,6 +7,7 @@ from helpers import (
     check_grad_against_fd,
     composite_attention_pool,
     composite_bias_relu,
+    composite_l2_normalize,
     numeric_grad,
     rel_err,
     relu,
@@ -311,7 +312,7 @@ def _selector_rows(x, start, stop):
 def _selector_pretext_loss(feats, b, temperature):
     """The time-contrastive loss as written with selector matrices and an
     ``eye``-masked diagonal."""
-    pooled = T.l2_normalize(T.tmean(feats, axis=(1, 2)), axis=1)
+    pooled = composite_l2_normalize(T.tmean(feats, axis=(1, 2)))
     a_rows, p_rows, f_rows = (_selector_rows(pooled, i * b, (i + 1) * b) for i in range(3))
     inv_tau = 1.0 / temperature
     cross = T.mul(T.matmul(a_rows, T.transpose(p_rows)), Tensor(inv_tau))
@@ -450,16 +451,23 @@ def test_bias_relu_bitwise_equals_the_composite_graph(shape, layout, trainable, 
     st.booleans(),
 )
 def test_attention_pool_bitwise_equals_the_composite_graph(shape, normalize, trainable, seed, scale, twice):
-    """Value and both gradients keep their bits against the composite
-    pooling graph (softmax attention, weighted sum, l2_normalize), with
-    sharp and flat attention, zeros in the upstream gradient, and gradients
-    that accumulate when the operands feed the node ``twice``."""
+    """Value and both gradients of ``attention_pool``, and of
+    ``l2_normalize`` over it when ``normalize``, keep their bits against the
+    composite pooling graph (softmax attention, weighted sum, and the
+    composite normalisation), with sharp and flat attention, zeros in the
+    upstream gradient, and gradients that accumulate when the operands feed
+    the node ``twice``."""
     b, p, c = shape
     rng = RngState(seed)
     v0, q0 = rng.normal((b, p, c)), rng.normal((b, c)) * scale
     g = rng.normal((b, c)) * (rng.uniform((b, c)) > 0.2)
+
+    def fused(values, queries, normalize):
+        pooled = T.attention_pool(values, queries)
+        return T.l2_normalize(pooled) if normalize else pooled
+
     grads = []
-    for op in (T.attention_pool, composite_attention_pool):
+    for op in (fused, composite_attention_pool):
         values, queries = Tensor(v0, requires_grad=trainable[0]), Tensor(q0.copy(), requires_grad=trainable[1])
         out = op(values, queries, normalize)
         if twice:
@@ -474,17 +482,52 @@ def test_attention_pool_bitwise_equals_the_composite_graph(shape, normalize, tra
             assert np.array_equal(_int_bits(got), _int_bits(want)) and _same_layout(got, want)
 
 
+@settings(deadline=None, max_examples=60)
+@given(
+    st.tuples(st.integers(min_value=1, max_value=6), st.integers(min_value=1, max_value=8)),
+    st.integers(min_value=0, max_value=2**32),
+    st.sampled_from([1e-3, 1.0, 8.0]),
+    st.booleans(),
+    st.booleans(),
+)
+def test_l2_normalize_bitwise_equals_the_composite_graph(shape, seed, scale, zero_row, twice):
+    """Value, layout and gradient keep their bits against the composite
+    ``mul(a, power(add(tsum(mul(a, a)), 1e-24), -0.5))``, with an all-zero
+    row (it stays zero), zeros in the upstream gradient, and a gradient
+    that accumulates when the input feeds the node ``twice``."""
+    rng = RngState(seed)
+    a0 = rng.normal(shape) * scale
+    if zero_row:
+        a0[0] = 0.0
+    g = rng.normal(shape) * (rng.uniform(shape) > 0.2)
+    grads = []
+    for op in (T.l2_normalize, composite_l2_normalize):
+        a = Tensor(a0.copy(), requires_grad=True)
+        out = T.add(op(a), op(a)) if twice else op(a)
+        T.tsum(T.mul(out, Tensor(g))).backward()
+        grads.append((out.data, a.grad))
+    (out, ga), (ref, ra) = grads
+    assert np.array_equal(_int_bits(out), _int_bits(ref)) and _same_layout(out, ref)
+    assert np.array_equal(_int_bits(ga), _int_bits(ra)) and _same_layout(ga, ra)
+    if zero_row:
+        assert np.array_equal(_int_bits(out[0]), np.zeros(shape[1], dtype=np.int64))
+        assert np.isfinite(ga[0]).all()
+
+
 def test_fused_nodes_reject_shapes_and_nan_as_their_composites_do():
     with pytest.raises(ShapeError, match="bias_relu"):
         T.bias_relu(Tensor(np.zeros((2, 3, 4, 4))), Tensor(np.zeros(4)))
     with pytest.raises(ShapeError, match="bias_relu"):
         T.bias_relu(Tensor(np.zeros((3, 4, 4))), Tensor(np.zeros(3)))
     with pytest.raises(ShapeError, match="do not match"):
-        T.attention_pool(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((2, 4))), True)
+        T.attention_pool(Tensor(np.zeros((2, 5, 3))), Tensor(np.zeros((2, 4))))
     values = np.zeros((1, 5, 3))
     values[0, 2, 1] = np.nan
     with pytest.raises(NumericError, match="NaN"):
-        T.attention_pool(Tensor(values), Tensor(np.ones((1, 3))), True)
+        T.attention_pool(Tensor(values), Tensor(np.ones((1, 3))))
+    for bad in ((4,), (2, 3, 4)):
+        with pytest.raises(ShapeError, match="l2_normalize"):
+            T.l2_normalize(Tensor(np.ones(bad)))
 
 
 def test_mlp_mse_rejects_trainable_data_and_shapes_that_do_not_chain():
@@ -649,7 +692,7 @@ def test_logsumexp_matches_naive():
 def test_l2_normalize_unit_norm():
     rng = RngState(9)
     x = rng.normal((5, 7))
-    out = T.l2_normalize(Tensor(x), axis=1)
+    out = T.l2_normalize(Tensor(x))
     norms = np.linalg.norm(out.data, axis=1)
     assert np.abs(norms - 1.0).max() < 1e-9
 
@@ -666,17 +709,17 @@ def test_l2_normalize_unit_norm():
         ("reshape", lambda x: T.tsum(T.mul(T.reshape(x, (2, 6)), Tensor(RngState(24).normal((2, 6))))), (3, 4)),
         ("softmax", lambda x: T.tsum(T.mul(T.softmax(x, axis=1), Tensor(RngState(25).normal((3, 4))))), (3, 4)),
         ("logsumexp", lambda x: T.tsum(T.logsumexp(x, axis=0)), (3, 4)),
-        ("l2_normalize", lambda x: T.tsum(T.mul(T.l2_normalize(x, axis=1), Tensor(RngState(26).normal((3, 4))))), (3, 4)),
-        ("power", lambda x: T.tsum(T.power(T.add(T.mul(x, x), Tensor(0.5)), -0.5)), (3, 4)),
+        ("l2_normalize", lambda x: T.tsum(T.mul(T.l2_normalize(x), Tensor(RngState(26).normal((3, 4))))), (3, 4)),
+        ("l2_normalize_twice", lambda x: T.tsum(T.mul(T.add(T.l2_normalize(x), T.l2_normalize(x)), Tensor(RngState(40).normal((3, 4))))), (3, 4)),
         ("concat", lambda x: T.tsum(T.mul(T.concat([x, x], axis=1), Tensor(RngState(27).normal((3, 8))))), (3, 4)),
         ("take_slice", lambda x: T.tsum(T.mul(T.take(x, slice(1, 3)), Tensor(RngState(28).normal((2, 4))))), (3, 4)),
         ("take_index", lambda x: T.tsum(T.mul(T.take(x, (np.array([0, 2, 2, 1]), np.array([1, 3, 3, 0]))), Tensor(RngState(29).normal(4)))), (3, 4)),
         ("cross_entropy", lambda x: T.cross_entropy(x, np.array([2, 0, 3])), (3, 4)),
         ("bias_relu", lambda x: T.tsum(T.mul(T.bias_relu(x, Tensor(np.zeros(3))), Tensor(RngState(31).normal((2, 3, 2, 2))))), (2, 3, 2, 2)),
         ("bias_relu_bias", lambda x: T.tsum(T.mul(T.bias_relu(Tensor(RngState(32).normal((2, 3, 2, 2))), x), Tensor(RngState(33).normal((2, 3, 2, 2))))), (3,)),
-        ("attention_pool", lambda x: T.tsum(T.mul(T.attention_pool(x, Tensor(RngState(34).normal((2, 3))), True), Tensor(RngState(35).normal((2, 3))))), (2, 4, 3)),
-        ("attention_pool_query", lambda x: T.tsum(T.mul(T.attention_pool(Tensor(RngState(36).normal((2, 4, 3))), x, True), Tensor(RngState(37).normal((2, 3))))), (2, 3)),
-        ("attention_pool_unnormalised", lambda x: T.tsum(T.mul(T.attention_pool(x, Tensor(RngState(38).normal((2, 3))), False), Tensor(RngState(39).normal((2, 3))))), (2, 4, 3)),
+        ("attention_pool", lambda x: T.tsum(T.mul(T.l2_normalize(T.attention_pool(x, Tensor(RngState(34).normal((2, 3))))), Tensor(RngState(35).normal((2, 3))))), (2, 4, 3)),
+        ("attention_pool_query", lambda x: T.tsum(T.mul(T.l2_normalize(T.attention_pool(Tensor(RngState(36).normal((2, 4, 3))), x)), Tensor(RngState(37).normal((2, 3))))), (2, 3)),
+        ("attention_pool_unnormalised", lambda x: T.tsum(T.mul(T.attention_pool(x, Tensor(RngState(38).normal((2, 3)))), Tensor(RngState(39).normal((2, 3))))), (2, 4, 3)),
     ],
 )
 def test_op_gradients_vs_fd(name, build, shape):
