@@ -60,7 +60,7 @@ def reference(args: argparse.Namespace) -> int:
         runs["L"].checkpoint,
         [p.human for p in heldout] + [p.robot for p in heldout],
         os.path.join(args.out, "embeddings.csv"),
-        descriptions={p.pair_id: p.description.text for p in heldout},
+        descriptions={p.pair_id: p.description for p in heldout},
         adapted=True,
     )
     summary = {

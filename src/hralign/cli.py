@@ -215,9 +215,8 @@ def cmd_dump(args) -> int:
     checkpoint = ModelCheckpoint.load(args.checkpoint)
     pairs = load_manifest(args.data)
     clips = [p.human for p in pairs] + [p.robot for p in pairs]
-    descriptions = {p.pair_id: p.description.text for p in pairs}
-    out_dir = os.path.dirname(os.path.abspath(args.out)) or "."
-    os.makedirs(out_dir, exist_ok=True)
+    descriptions = {p.pair_id: p.description for p in pairs}
+    os.makedirs(os.path.dirname(os.path.abspath(args.out)), exist_ok=True)
     dump_embeddings(checkpoint, clips, args.out, descriptions=descriptions, adapted=not args.frozen)
     print(f"wrote {len(clips)} embeddings -> {args.out}")
     return 0

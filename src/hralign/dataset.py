@@ -28,7 +28,6 @@ from typing import TypeVar
 import numpy as np
 
 from .rng import RngState, bounded, shuffled
-from .task_query import TaskDescription
 from .tensor import from_bytes, to_bytes
 
 FRAME_H = 16
@@ -144,12 +143,12 @@ class VideoClip:
 class PairedDemo:
     human: VideoClip
     robot: VideoClip
-    description: TaskDescription
+    description: str
 
     def __post_init__(self):
         if self.human.pair_id != self.robot.pair_id:
             raise ValueError("pair ids disagree between the two clips")
-        if len({self.human.task_id, self.robot.task_id, self.description.task_id}) != 1:
+        if self.human.task_id != self.robot.task_id:
             raise ValueError("task ids disagree within the pair")
         if self.human.domain != "human" or self.robot.domain != "robot":
             raise ValueError("pair must hold one human and one robot clip")
@@ -351,7 +350,7 @@ def generate_paired_set(
             text = template.format(verb=verb, noun=noun)
             human = render_clip(traj, props, "human", gap, pair_id)
             robot = render_clip(traj, props, "robot", gap, pair_id)
-            pairs.append(PairedDemo(human, robot, TaskDescription(text, task_id)))
+            pairs.append(PairedDemo(human, robot, text))
             pair_id += 1
     return pairs
 
@@ -510,7 +509,7 @@ def save_manifest(pairs: list[PairedDemo], path: str) -> None:
         entry = {
             "pair_id": pair.pair_id,
             "task_id": pair.task_id,
-            "description": pair.description.text,
+            "description": pair.description,
             "human_file": human_rel,
             "robot_file": robot_rel,
             "human_len": pair.human.length,
@@ -564,10 +563,11 @@ def load_manifest(path: str) -> list[PairedDemo]:
             )
         latent = entry.get("latent")
         _check_json(prefix, ManifestError, latent, LATENT_SPEC, f"pairs[{i}].latent")
-        try:
-            description = TaskDescription(entry["description"], entry["task_id"])
-        except ValueError as e:
-            raise ManifestError(f"{prefix} key 'pairs[{i}].description': {e}") from e
+        text = entry["description"]
+        if not text.split():
+            raise ManifestError(
+                f"{prefix} key 'pairs[{i}].description': task description text holds no token: {text!r}"
+            )
         clips = {}
         for side in ("human", "robot"):
             rel = entry[f"{side}_file"]
@@ -601,5 +601,5 @@ def load_manifest(path: str) -> list[PairedDemo]:
                 clips[side] = VideoClip(frames, side, entry["task_id"], pid, positions, gripper)
             except (ValueError, OverflowError) as e:  # OverflowError: an int too large for a float
                 raise ManifestError(f"pair {pid}: clip {rel}: {e}") from e
-        pairs.append(PairedDemo(clips["human"], clips["robot"], description))
+        pairs.append(PairedDemo(clips["human"], clips["robot"], text))
     return pairs

@@ -2,6 +2,7 @@
 
 The backbone is a stack of (conv, ReLU) blocks applied to each frame
 independently; a clip of T frames maps to a T x H' x W' x C' feature map.
+Its widths and kernel are its blocks' tensor shapes; each conv pads by k // 2.
 Adapters are data: ``encode_batch`` takes a dict of adapter blocks keyed
 by junction and runs each at its junction. Every encode is ``encode_batch``
 then ``alignment.pool_many``: ``encode_pooled`` composes them for a training
@@ -47,16 +48,13 @@ class ConvBlock:
     w: Tensor  # (C_out, C_in, k, k)
     b: Tensor  # (C_out,)
     stride: int
-    padding: int
 
 
 class Backbone:
     """Per-frame conv encoder; its weights learn unless ``frozen``."""
 
-    def __init__(self, blocks: list[ConvBlock], channels: tuple[int, ...], kernel: int):
+    def __init__(self, blocks: list[ConvBlock]):
         self.blocks = blocks
-        self.channels = channels
-        self.kernel = kernel
 
     @classmethod
     def create(
@@ -66,8 +64,13 @@ class Backbone:
         strides: Sequence[int] = REF_STRIDES,
         kernel: int = REF_KERNEL,
     ) -> "Backbone":
-        if len(strides) != len(channels) - 1:
-            raise ValueError("strides must have one entry per block")
+        if not strides or len(strides) != len(channels) - 1:
+            got = f"channels {list(channels)} and strides {list(strides)}"
+            raise ValueError(f"a backbone needs one or more blocks, one stride each, got {got}")
+        sizes = {f"channels[{i}]": width for i, width in enumerate(channels)} | {"kernel": kernel}
+        for what, size in sizes.items():
+            if not isinstance(size, int) or size < 1:
+                raise ValueError(f"{what} must be a positive int, got {size!r}")
         for i, stride in enumerate(strides):
             if not isinstance(stride, int) or stride < 1:
                 raise ValueError(f"block {i}: stride must be a positive int, got {stride!r}")
@@ -76,12 +79,21 @@ class Backbone:
             scale = math.sqrt(2.0 / (c_in * kernel * kernel))
             w = Tensor(rng.normal((c_out, c_in, kernel, kernel)) * scale, requires_grad=True)
             b = Tensor(np.zeros(c_out), requires_grad=True)
-            blocks.append(ConvBlock(w, b, stride, kernel // 2))
-        return cls(blocks, tuple(channels), kernel)
+            blocks.append(ConvBlock(w, b, stride))
+        return cls(blocks)
 
     @property
     def n_blocks(self) -> int:
         return len(self.blocks)
+
+    @property
+    def channels(self) -> tuple[int, ...]:
+        """The input width, then each block's output width."""
+        return (self.blocks[0].w.shape[1], *(blk.w.shape[0] for blk in self.blocks))
+
+    @property
+    def kernel(self) -> int:
+        return self.blocks[0].w.shape[-1]
 
     @property
     def out_channels(self) -> int:
@@ -116,11 +128,10 @@ class Backbone:
                 Tensor(blk.w.data.copy(), requires_grad=blk.w.requires_grad),
                 Tensor(blk.b.data.copy(), requires_grad=blk.b.requires_grad),
                 blk.stride,
-                blk.padding,
             )
             for blk in self.blocks
         ]
-        return Backbone(blocks, self.channels, self.kernel)
+        return Backbone(blocks)
 
 
 def encode_batch(
@@ -131,12 +142,12 @@ def encode_batch(
     ``adapters`` maps junction indices to adapter blocks: junction j sits
     before block j, junction n_blocks after the last block.
     """
-    adapters = adapters or {}
+    adapters, padding = adapters or {}, backbone.kernel // 2
     h = Tensor(np.ascontiguousarray(frames.transpose(0, 3, 1, 2)))
     for j, block in enumerate(backbone.blocks):
         if j in adapters:
             h = adapter_forward(adapters[j], h)
-        h = T.bias_relu(T.conv2d(h, block.w, stride=block.stride, padding=block.padding), block.b)
+        h = T.bias_relu(T.conv2d(h, block.w, stride=block.stride, padding=padding), block.b)
     if backbone.n_blocks in adapters:
         h = adapter_forward(adapters[backbone.n_blocks], h)
     return T.transpose(h, (0, 2, 3, 1))
@@ -266,7 +277,7 @@ def pretext_pretrain(
     def step_loss(step: int) -> tuple[Tensor, dict]:
         return pretext_loss(lambda fr: encode_batch(backbone, fr), batches(step), rng)
 
-    rows = fit(params, AdamState.for_params(params, lr=lr), epochs * per_epoch, step_loss)
+    rows = fit(params, AdamState.for_params(params), lr, epochs * per_epoch, step_loss)
     history = [
         float(np.mean([loss for loss, _, _ in rows[e * per_epoch : (e + 1) * per_epoch]]))
         for e in range(epochs)

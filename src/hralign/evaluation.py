@@ -174,7 +174,7 @@ def eval_retrieval(
     """Cross-domain pair retrieval by dot product over pooled embeddings (frames from seed 311)."""
     if len(heldout_pairs) < 2:
         raise ValueError(f"retrieval needs at least 2 pairs, got {len(heldout_pairs)}")
-    texts = [p.description.text for p in heldout_pairs]
+    texts = [p.description for p in heldout_pairs]
     human, robot = (  # row i of each stream embeds pair i
         _clip_embeddings(checkpoint, [getattr(p, side) for p in heldout_pairs], texts, adapted)
         for side in ("human", "robot")
@@ -213,9 +213,7 @@ def train_linear_probe(
     params = {"w": w, "b": b}
     x_t = Tensor(train_x)
     fit(
-        params,
-        AdamState.for_params(params, lr=0.05),
-        300,
+        params, AdamState.for_params(params), 0.05, 300,
         lambda _: (T.cross_entropy(T.add(T.matmul(x_t, w), b), train_y), {}),
     )
     pred = np.argmax(test_x @ w.data + b.data, axis=1)
@@ -235,9 +233,7 @@ def train_bc_head(train_x: np.ndarray, train_y: np.ndarray, seed: int):
     params = {"w1": w1, "b1": b1, "w2": w2, "b2": b2}
     x_t, y_t = Tensor(train_x), Tensor(train_y)
     fit(
-        params,
-        AdamState.for_params(params, lr=1e-2),
-        400,
+        params, AdamState.for_params(params), 1e-2, 400,
         lambda _: (T.mlp_mse(x_t, w1, b1, w2, b2, y_t), {}),
     )
 
@@ -395,7 +391,7 @@ class ArmRun:
     def to_text(self) -> str:
         row = self.row
         return (
-            f"{self.name:>9}: {self.checkpoint.step:>4} steps  learnable {row['total_learnable']:>6}  "
+            f"{self.name:>9}: {self.checkpoint.adam.step:>4} steps  learnable {row['total_learnable']:>6}  "
             f"r2h@1 {row['r2h_recall1']:.3f}  probe {row['probe_accuracy']:.3f}  bc {row['bc_mse']:.5f}"
         )
 

@@ -1,5 +1,6 @@
 """Adam optimizer over named parameter tensors, the one training loop and
-the one minibatch schedule it runs on."""
+the one minibatch schedule it runs on. The step size is an argument of each
+step, not part of Adam's state."""
 
 from __future__ import annotations
 
@@ -21,14 +22,13 @@ EPS = 1e-8
 class AdamState:
     """Step count plus per-parameter moment buffers, keyed by name."""
 
-    lr: float
     step: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params: dict[str, Tensor], lr: float) -> "AdamState":
-        state = cls(lr=lr)
+    def for_params(cls, params: dict[str, Tensor]) -> "AdamState":
+        state = cls()
         for name, p in params.items():
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
@@ -36,9 +36,9 @@ class AdamState:
 
 
 def adam_step(
-    params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState
+    params: dict[str, Tensor], grads: dict[str, np.ndarray], state: AdamState, lr: float
 ) -> AdamState:
-    """One bias-corrected Adam update, in place on ``params``."""
+    """One bias-corrected Adam update of step size ``lr``, in place on ``params``."""
     state.step += 1
     t = state.step
     c1 = 1.0 - BETA1**t
@@ -58,7 +58,7 @@ def adam_step(
         state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
         m_hat = state.m[name] / c1
         v_hat = state.v[name] / c2
-        p.data = p.data - state.lr * m_hat / (np.sqrt(v_hat) + EPS)
+        p.data = p.data - lr * m_hat / (np.sqrt(v_hat) + EPS)
     return state
 
 
@@ -99,11 +99,12 @@ def epoch_batches(
 def fit(
     params: dict[str, Tensor],
     adam: AdamState,
+    lr: float,
     steps: int,
     step_fn: Callable[[int], tuple[Tensor, dict]],
     start: int = 0,
 ) -> list[tuple[float, dict, float]]:
-    """The training loop: steps ``start .. steps-1`` of Adam on ``params``.
+    """The training loop: steps ``start .. steps-1`` of Adam at ``lr`` on ``params``.
 
     ``step_fn(step)`` builds the step's loss and a stats dict; the loop then
     clears the gradients, backpropagates and takes one Adam step. Returns
@@ -121,14 +122,14 @@ def fit(
             loss, stats = step_fn(step)
             zero_grads(params)
             loss.backward()
-            adam_step(params, collect_grads(params), adam)
+            adam_step(params, collect_grads(params), adam, lr)
             for name, p in params.items():
                 if not np.isfinite(p.data).all():
                     raise NumericError(
-                        f"fit: step {step} at lr {adam.lr!r} left parameter {name!r} non-finite"
+                        f"fit: step {step} at lr {lr!r} left parameter {name!r} non-finite"
                     )
             value = loss.item()
             if not np.isfinite(value):
-                raise NumericError(f"fit: step {step} at lr {adam.lr!r} gave the non-finite loss {value}")
+                raise NumericError(f"fit: step {step} at lr {lr!r} gave the non-finite loss {value}")
             rows.append((value, stats, (time.perf_counter() - t0) * 1e3))
     return rows

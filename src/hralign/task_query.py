@@ -12,7 +12,6 @@ by checkpoint name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -27,16 +26,6 @@ _TABLE_SEED = 0x7A11E5
 # Projection init scale, calibrated so query-position logits start wide
 # enough for the softmax attention to concentrate within a short run.
 _PROJ_SCALE = 24.0
-
-
-@dataclass
-class TaskDescription:
-    text: str
-    task_id: int
-
-    def __post_init__(self):
-        if not self.text.lower().split():
-            raise ValueError(f"task description text holds no token: {self.text!r}")
 
 
 def token_bucket(token: str) -> int:

@@ -3,10 +3,11 @@
 All runs are deterministic given (config, seed): every trainer batches
 through ``optim.epoch_batches``, each epoch shuffled by a stream derived
 from the seed and held by that run's schedule alone, frame sampling
-consumes the single training RNG stream, and that stream plus optimizer
-moments live in the checkpoint, so save/resume reproduces an
-uninterrupted run bitwise. The alignment loss's three streams and the
-classification head's inputs are pooled clip vectors from one
+consumes the single training RNG stream, and that stream plus Adam's
+step count and moments live in the checkpoint, so save/resume reproduces
+an uninterrupted run bitwise. Each fact of a run is held once: its step is
+Adam's, its step size the config's. The alignment loss's three streams and
+the classification head's inputs are pooled clip vectors from one
 ``encoder.encode_pooled`` call per batch, its standardiser's from
 ``encoder.encode_clips``.
 """
@@ -247,7 +248,8 @@ class ModelCheckpoint:
     one, so its config decides which parts it holds; adapter blocks, the
     query projection and the classification head are plain data, empty
     where it builds none. Class k of the head is the k-th of ``task_ids``,
-    the ascending task ids it was trained on."""
+    the ascending task ids it was trained on; the run's step is
+    ``adam.step``."""
 
     config: TrainConfig
     backbone: Backbone
@@ -257,7 +259,6 @@ class ModelCheckpoint:
     task_ids: list[int]
     adam: AdamState
     rng: RngState
-    step: int
 
     @classmethod
     def start(cls, config: TrainConfig, backbone: Backbone, task_ids: list[int] | None = None) -> "ModelCheckpoint":
@@ -266,8 +267,8 @@ class ModelCheckpoint:
         hr_align (else none), a query projection iff hr_align with
         ``use_language``, a head over ``task_ids`` iff cls_baseline (which
         must be ascending and distinct), each drawn in that order from the
-        seed's stream, which goes on as the training RNG; and Adam at the
-        config's lr over the tensors it trains."""
+        seed's stream, which goes on as the training RNG; and Adam at step 0
+        over the tensors it trains."""
         rng = RngState(config.seed)
         blocks, query, head, ids = {}, {}, {}, []
         if config.method == "hr_align":
@@ -278,8 +279,8 @@ class ModelCheckpoint:
             if not task_ids or any(a >= b for a, b in zip(task_ids, task_ids[1:])):
                 raise ValueError(f"head task ids must be ascending and distinct, got {task_ids}")
             head, ids = linear_head(rng, backbone.out_channels, len(task_ids)), list(task_ids)
-        checkpoint = cls(config, backbone, blocks, query, head, ids, None, rng, 0)
-        checkpoint.adam = AdamState.for_params(checkpoint.trained(), lr=config.learning_rate)
+        checkpoint = cls(config, backbone, blocks, query, head, ids, None, rng)
+        checkpoint.adam = AdamState.for_params(checkpoint.trained())
         return checkpoint
 
     def trained(self) -> dict[str, Tensor]:
@@ -304,13 +305,11 @@ class ModelCheckpoint:
 
     def check_reloadable(self) -> None:
         """A ValueError for what ``load`` would rebuild otherwise: a backbone
-        not frozen, Adam off the config's lr or the checkpoint's step, or task
-        ids or an array other, by name or shape, than the checkpoint
-        ``start`` builds for the config over this backbone holds."""
-        config, adam = self.config, self.adam
-        if not self.backbone.frozen or (adam.lr, adam.step) != (config.learning_rate, self.step):
-            raise ValueError("a checkpoint holds a frozen backbone and Adam at its config's lr and its step")
-        rebuilt = ModelCheckpoint.start(config, self.backbone, self.task_ids)
+        not frozen, or task ids or an array other, by name or shape, than the
+        checkpoint ``start`` builds for the config over this backbone holds."""
+        if not self.backbone.frozen:
+            raise ValueError("a checkpoint holds a frozen backbone")
+        rebuilt = ModelCheckpoint.start(self.config, self.backbone, self.task_ids)
         if self.task_ids != rebuilt.task_ids:
             raise ValueError(
                 f"checkpoint task ids are {self.task_ids}, but {rebuilt.task_ids} in what its config builds"
@@ -338,7 +337,7 @@ class ModelCheckpoint:
             },
             "head": self.task_ids or None,
             "rng": list(self.rng.state()),
-            "step": self.step,
+            "step": self.adam.step,
         }
         return header, [T.to_bytes(arrays[name]) for name in names]
 
@@ -406,9 +405,9 @@ class ModelCheckpoint:
             backbone = Backbone.create(RngState(0), arch["channels"], arch["strides"], arch["kernel"]).freeze()
             checkpoint = cls.start(config, backbone, header["head"])
             checkpoint.rng = RngState.from_state(header["rng"])
-        except (ValueError, ZeroDivisionError) as e:
+        except ValueError as e:
             raise CheckpointError(f"{path}: {e}") from e
-        checkpoint.step = checkpoint.adam.step = header["step"]
+        checkpoint.adam.step = header["step"]
 
         def take(name: str, shape: tuple[int, ...]) -> np.ndarray:
             if name not in arrays:
@@ -462,10 +461,12 @@ def _fit_checkpoint(checkpoint: ModelCheckpoint, batches, batch_loss) -> tuple[M
     row s + 1. Returns the checkpoint at ``config.steps``, its backbone
     frozen (a fine-tuned copy is frozen once trained), and the log.
     """
-    start, steps = checkpoint.step, checkpoint.config.steps
-    rows = fit(checkpoint.trained(), checkpoint.adam, steps, lambda step: batch_loss(batches(step)), start)
+    config, start = checkpoint.config, checkpoint.adam.step
+    rows = fit(
+        checkpoint.trained(), checkpoint.adam, config.learning_rate, config.steps,
+        lambda step: batch_loss(batches(step)), start,
+    )
     checkpoint.backbone.freeze()
-    checkpoint.step = steps
     metrics = MetricsLog(
         [
             MetricsRow(step + 1, loss, stats["pos_sim"], stats["hard_neg_sim"], wall_ms)
@@ -509,8 +510,8 @@ def train_hr_align(
         ]
         if bad:
             raise ValueError(f"resume config differs on {bad}")
-        if config.steps < resume.step:
-            raise ValueError(f"steps={config.steps} is below the checkpoint's step {resume.step}")
+        if config.steps < resume.adam.step:
+            raise ValueError(f"steps={config.steps} is below the checkpoint's step {resume.adam.step}")
         ours, theirs = (
             {n: T.to_bytes(t.data) for n, t in b.named_parameters().items()} for b in (backbone, resume.backbone)
         )
@@ -529,7 +530,7 @@ def train_hr_align(
         frames = frames.reshape(b, 2, FRAMES_PER_CLIP, *frames.shape[1:])
         human, robot = (frames[:, k].reshape(-1, *frames.shape[3:]) for k in (0, 1))
         if query:
-            queries = embed_texts(query, [d.description.text for d in batch])
+            queries = embed_texts(query, [d.description for d in batch])
             frozen_queries = queries.detach()
         else:
             queries = frozen_queries = None

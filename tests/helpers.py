@@ -121,7 +121,7 @@ def composite_bc_head(train_x: np.ndarray, train_y: np.ndarray, seed: int):
         err = T.add(T.add(T.matmul(h, w2), b2), T.neg(y_t))
         return T.tmean(T.mul(err, err)), {}
 
-    rows = fit(params, AdamState.for_params(params, lr=1e-2), 400, mse)
+    rows = fit(params, AdamState.for_params(params), 1e-2, 400, mse)
     return [loss for loss, _, _ in rows], {name: p.data for name, p in params.items()}
 
 
@@ -236,7 +236,7 @@ def small_checkpoint(positions: str = "L", language: bool = True, head: bool = F
     for name, p in checkpoint.trained().items():
         checkpoint.adam.m[name] = rng.normal(p.shape)
         checkpoint.adam.v[name] = rng.uniform(p.shape)
-    checkpoint.step = checkpoint.adam.step = seed % 7
+    checkpoint.adam.step = seed % 7
     return checkpoint
 
 
@@ -336,6 +336,21 @@ def setting(*keys):
         return header
 
     return edit
+
+
+# Checkpoint header edits that describe no backbone, each with the refusal
+# ``Backbone.create`` names it by. A kernel or a channel width of 0 once
+# loaded as a raw "float division by zero", a kernel of -1 as numpy's
+# reshape error.
+BACKBONE_PROBES = {
+    "kernel_0": (setting("backbone", "kernel", 0), "kernel must be a positive int, got 0"),
+    "kernel_-1": (setting("backbone", "kernel", -1), "kernel must be a positive int, got -1"),
+    "width_0": (setting("backbone", "channels", 1, 0), "channels[1] must be a positive int, got 0"),
+    "no_block": (
+        lambda header: setting("backbone", "strides", [])(setting("backbone", "channels", [3])(header)),
+        "a backbone needs one or more blocks, one stride each, got channels [3] and strides []",
+    ),
+}
 
 
 def random_clip_frames(rng: RngState, t: int = 3, h: int = 16, w: int = 16) -> np.ndarray:

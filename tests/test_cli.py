@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    BACKBONE_PROBES,
     clip_embedding,
     fail_writes_partway,
     setting,
@@ -207,6 +208,12 @@ def test_checkpoint_header_disagreeing_with_its_model_exits_two(
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, message", BACKBONE_PROBES.values(), ids=BACKBONE_PROBES.keys())
+def test_checkpoint_of_no_backbone_exits_two_naming_the_value(tmp_path, capsys, checkpoint_bytes, edit, message):
+    assert eval_checkpoint(tmp_path, with_header(checkpoint_bytes, edit)) == 2
+    assert f"model.ckpt: {message}\n" in capsys.readouterr().err
+
+
 def test_unreadable_set_value_exits_two_naming_its_key(tmp_path, capsys):
     argv = ["train", "--data", str(tmp_path / "manifest.json"), "--backbone", "none.ckpt"]
     assert run(argv + ["--set", "steps=x"]) == 2
@@ -368,7 +375,7 @@ def test_cli_dump_frozen_writes_the_unadapted_embeddings(pipeline, tmp_path):
     for row in rows:
         assert row["adapted"] == "0"
         pair = pairs[int(row["clip_id"].split("_")[0])]
-        clip, text = getattr(pair, row["domain"]), pair.description.text
+        clip, text = getattr(pair, row["domain"]), pair.description
         frozen = clip_embedding(checkpoint, clip, text, adapted=False)
         assert [float(row[f"f{i}"]) for i in range(len(frozen))] == frozen.tolist()
         assert not np.array_equal(frozen, clip_embedding(checkpoint, clip, text, adapted=True))

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import per_clip_triplet_indices, random_clip_frames, small_checkpoint, with_short_first_pair
 from hralign import encoder
+from hralign.adapter import AdapterBlock
 from hralign.dataset import VideoClip, generate_paired_set
 from hralign.encoder import CLIP_CHUNK, Backbone, encode_batch, encode_clips, pretext_loss, pretext_pretrain
 from hralign.rng import RngState
@@ -91,6 +93,22 @@ def test_encode_frozen_retains_no_gradients():
     assert not out.requires_grad
     for p in bb.named_parameters().values():
         assert p.grad is None
+
+
+def test_junction_0_encode_bits_are_pinned():
+    """A junction-0 adapter's bottleneck-1 down-projection is a GEMV whose
+    bits follow its input's memory layout, so this digest, recorded at one
+    BLAS thread, pins the layout the frames reach it in (an NCHW copy): a
+    view of the channels-last frames moves it. ``up_w`` is drawn nonzero so
+    the adapter's output reaches the encode."""
+    rng = RngState(11)
+    backbone = Backbone.create(rng)
+    block = AdapterBlock.create(backbone.channels[0], rng)
+    block.up_w.data = rng.normal(block.up_w.shape)
+    feat = encode_batch(backbone, rng.uniform((2, 16, 16, 3)), {0: block}).data
+    assert hashlib.sha256(feat.tobytes()).hexdigest() == (
+        "e005e40d8918538e3e4a9f91f4b35c954ff7628570ebbfbf4eb6de3ba0bf0b87"
+    )
 
 
 @pytest.mark.parametrize("positions", ["none", "E", "L", "EML"])

@@ -183,7 +183,7 @@ def _dumped(checkpoint, pairs, adapted, path) -> np.ndarray:
     """The f-columns ``dump_embeddings`` writes for the pairs' human then
     robot clips; ``repr`` round-trips each float exactly."""
     clips = [p.human for p in pairs] + [p.robot for p in pairs]
-    descriptions = {p.pair_id: p.description.text for p in pairs}
+    descriptions = {p.pair_id: p.description for p in pairs}
     dump_embeddings(checkpoint, clips, str(path), descriptions, adapted=adapted)
     with open(path, newline="") as fh:
         return np.array([[float(v) for v in row[4:]] for row in list(csv.reader(fh))[1:]])
@@ -225,7 +225,7 @@ def test_chunked_encode_equals_one_call_per_clip(small_pairs, tmp_path, monkeypa
         return out
 
     human, robot = (
-        np.stack([clip_embedding(checkpoint, getattr(p, side), p.description.text, adapted) for p in pairs])
+        np.stack([clip_embedding(checkpoint, getattr(p, side), p.description, adapted) for p in pairs])
         for side in ("human", "robot")
     )
     robot_clips = [p.robot for p in small_pairs]
@@ -279,7 +279,7 @@ def test_run_arms_saves_each_arm_as_its_row_names_it(small_pairs, tmp_path, monk
         assert bool(checkpoint.blocks) == (config.adapter_positions != "none"), run.name
         assert bool(checkpoint.query) == config.use_language, run.name
     frozen = ModelCheckpoint.load(str(tmp_path / "arms" / "frozen" / "model.ckpt"))
-    assert (frozen.step, frozen.adam.m, frozen.blocks, frozen.query) == (0, {}, {}, {})
+    assert (frozen.adam.step, frozen.adam.m, frozen.blocks, frozen.query) == (0, {}, {}, {})
     given = ModelCheckpoint.start(frozen.config, backbone)
     assert np.array_equal(
         _dumped(frozen, heldout, True, tmp_path / "frozen.csv"),
@@ -461,9 +461,9 @@ def _fused_bc_head(monkeypatch, train_x, train_y, seed):
     its one ``fit`` call."""
     seen = {}
 
-    def spy(params, adam, steps, step_fn):
+    def spy(params, adam, lr, steps, step_fn):
         seen["params"] = params
-        seen["rows"] = fit(params, adam, steps, step_fn)
+        seen["rows"] = fit(params, adam, lr, steps, step_fn)
         return seen["rows"]
 
     monkeypatch.setattr(evaluation, "fit", spy)
@@ -522,7 +522,7 @@ def test_eval_does_not_mutate_checkpoint_file(small_ckpt, tmp_path):
 def test_dump_embeddings_schema(small_ckpt, tmp_path):
     pairs, _, _, checkpoint = small_ckpt
     clips = [p.human for p in pairs[:3]] + [p.robot for p in pairs[:3]]
-    descriptions = {p.pair_id: p.description.text for p in pairs[:3]}
+    descriptions = {p.pair_id: p.description for p in pairs[:3]}
     path = str(tmp_path / "emb.csv")
     dump_embeddings(checkpoint, clips, path, descriptions=descriptions, adapted=True)
     with open(path) as fh:
@@ -538,7 +538,7 @@ def test_dump_embeddings_schema(small_ckpt, tmp_path):
 def test_dump_embeddings_failing_partway_keeps_previous_file(small_ckpt, tmp_path, monkeypatch):
     pairs, _, _, checkpoint = small_ckpt
     path = str(tmp_path / "emb.csv")
-    descriptions = {p.pair_id: p.description.text for p in pairs[:3]}
+    descriptions = {p.pair_id: p.description for p in pairs[:3]}
     dump_embeddings(checkpoint, [pairs[0].human], path, descriptions)
     before = Path(path).read_bytes()
     fail_writes_partway(monkeypatch)

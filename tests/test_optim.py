@@ -18,16 +18,16 @@ SRC = ROOT / "src" / "hralign"
 def test_zero_gradient_leaves_params_and_bumps_step():
     w = Tensor(RngState(1).normal((3, 2)), requires_grad=True)
     before = w.data.copy()
-    state = AdamState.for_params({"w": w}, lr=0.1)
-    state = adam_step({"w": w}, {"w": np.zeros((3, 2))}, state)
+    state = AdamState.for_params({"w": w})
+    state = adam_step({"w": w}, {"w": np.zeros((3, 2))}, state, 0.1)
     assert np.array_equal(w.data, before)
     assert state.step == 1
 
 
 def test_first_step_magnitude_is_lr():
     w = Tensor(np.array(0.5), requires_grad=True)
-    state = AdamState.for_params({"w": w}, lr=0.01)
-    adam_step({"w": w}, {"w": np.array(3.7)}, state)
+    state = AdamState.for_params({"w": w})
+    adam_step({"w": w}, {"w": np.array(3.7)}, state, 0.01)
     delta = float(w.data) - 0.5
     assert delta < 0  # opposite sign to the gradient
     assert abs(abs(delta) - 0.01) < 1e-6  # bias correction makes |step| ~ lr
@@ -36,30 +36,30 @@ def test_first_step_magnitude_is_lr():
 def test_descent_on_quadratic():
     w = Tensor(np.array(1.0), requires_grad=True)
     params = {"w": w}
-    state = AdamState.for_params(params, lr=0.1)
+    state = AdamState.for_params(params)
     values = []
     for _ in range(10):
         zero_grads(params)
         loss = T.mul(w, w)
         loss.backward()
-        adam_step(params, collect_grads(params), state)
+        adam_step(params, collect_grads(params), state, 0.1)
         values.append(abs(float(w.data)))
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
 def test_shape_mismatch_rejected():
     w = Tensor(np.zeros((2, 2)), requires_grad=True)
-    state = AdamState.for_params({"w": w}, lr=0.1)
+    state = AdamState.for_params({"w": w})
     with pytest.raises(ShapeError):
-        adam_step({"w": w}, {"w": np.zeros(3)}, state)
+        adam_step({"w": w}, {"w": np.zeros(3)}, state, 0.1)
 
 
 def test_moment_shapes_validated():
     w = Tensor(np.zeros((2, 2)), requires_grad=True)
-    state = AdamState.for_params({"w": w}, lr=0.1)
+    state = AdamState.for_params({"w": w})
     state.m["w"] = np.zeros(5)
     with pytest.raises(ShapeError):
-        adam_step({"w": w}, {"w": np.zeros((2, 2))}, state)
+        adam_step({"w": w}, {"w": np.zeros((2, 2))}, state, 0.1)
 
 
 def test_collect_grads_defaults_missing_to_zero():
@@ -74,14 +74,14 @@ def test_collect_grads_defaults_missing_to_zero():
 def test_fit_with_start_at_steps_takes_no_step():
     w = Tensor(np.array([1.0, -2.0]), requires_grad=True)
     params = {"w": w}
-    state = AdamState.for_params(params, lr=0.1)
+    state = AdamState.for_params(params)
     calls = []
 
     def step_fn(step):
         calls.append(step)
         return T.tsum(T.mul(w, w)), {}
 
-    assert fit(params, state, 4, step_fn, start=4) == []
+    assert fit(params, state, 0.1, 4, step_fn, start=4) == []
     assert calls == []
     assert state.step == 0
     assert np.array_equal(w.data, [1.0, -2.0])
@@ -90,7 +90,7 @@ def test_fit_with_start_at_steps_takes_no_step():
 def test_fit_rows_in_step_order_with_forward_losses():
     w = Tensor(np.array([1.0, -2.0, 0.5]), requires_grad=True)
     params = {"w": w}
-    state = AdamState.for_params(params, lr=0.1)
+    state = AdamState.for_params(params)
     forward = []
 
     def step_fn(step):
@@ -98,7 +98,7 @@ def test_fit_rows_in_step_order_with_forward_losses():
         forward.append(loss.item())
         return loss, {"step": step}
 
-    rows = fit(params, state, 7, step_fn, start=2)
+    rows = fit(params, state, 0.1, 7, step_fn, start=2)
     assert [stats["step"] for _, stats, _ in rows] == [2, 3, 4, 5, 6]
     assert [loss for loss, _, _ in rows] == forward
     assert all(ms >= 0.0 for _, _, ms in rows)
@@ -110,8 +110,8 @@ def test_fit_gives_unreached_parameters_a_zero_gradient():
     w = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     idle = Tensor(np.array([3.0]), requires_grad=True)
     params = {"w": w, "idle": idle}
-    state = AdamState.for_params(params, lr=0.1)
-    fit(params, state, 3, lambda _: (T.tsum(T.mul(w, w)), {}))
+    state = AdamState.for_params(params)
+    fit(params, state, 0.1, 3, lambda _: (T.tsum(T.mul(w, w)), {}))
     assert np.array_equal(idle.data, [3.0])
     assert np.array_equal(state.m["idle"], [0.0])
 
@@ -120,7 +120,7 @@ def test_fit_names_the_step_and_parameter_left_non_finite():
     a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     b = Tensor(np.array([0.5]), requires_grad=True)
     params = {"a": a, "b": b}
-    state = AdamState.for_params(params, lr=0.1)
+    state = AdamState.for_params(params)
 
     def step_fn(step):
         scale = np.inf if step == 2 else 1.0  # an infinite gradient: Adam's step is inf/inf
@@ -129,7 +129,7 @@ def test_fit_names_the_step_and_parameter_left_non_finite():
     with np.errstate(all="ignore"), pytest.raises(
         NumericError, match=r"^fit: step 2 at lr 0\.1 left parameter 'b' non-finite$"
     ):
-        fit(params, state, 5, step_fn)
+        fit(params, state, 0.1, 5, step_fn)
     assert state.step == 3
     assert np.isfinite(a.data).all()
 
@@ -137,14 +137,14 @@ def test_fit_names_the_step_and_parameter_left_non_finite():
 def test_fit_names_the_step_whose_loss_is_non_finite():
     a = Tensor(np.array([1.0, 2.0]), requires_grad=True)
     params = {"a": a}
-    state = AdamState.for_params(params, lr=0.1)
+    state = AdamState.for_params(params)
 
     def step_fn(step):
         offset = np.inf if step == 1 else 0.0  # a constant: every gradient stays finite
         return T.add(T.tsum(T.mul(a, a)), Tensor(offset)), {}
 
     with pytest.raises(NumericError, match=r"^fit: step 1 at lr 0\.1 gave the non-finite loss inf$"):
-        fit(params, state, 3, step_fn)
+        fit(params, state, 0.1, 3, step_fn)
     assert state.step == 2
     assert np.isfinite(a.data).all()
 
@@ -162,7 +162,7 @@ def _seed_pretext_pretrain(rng, human_clips, epochs, lr, batch_size):
     loss. ``fit`` must reproduce it bitwise."""
     backbone = Backbone.create(rng)
     params = backbone.named_parameters()
-    adam = AdamState.for_params(params, lr=lr)
+    adam = AdamState.for_params(params)
     n = len(human_clips)
     bsz = min(batch_size, n)
     history = []
@@ -174,7 +174,7 @@ def _seed_pretext_pretrain(rng, human_clips, epochs, lr, batch_size):
             loss, _ = pretext_loss(lambda fr: encode_batch(backbone, fr), batch, rng)
             zero_grads(params)
             loss.backward()
-            adam_step(params, collect_grads(params), adam)
+            adam_step(params, collect_grads(params), adam, lr)
             losses.append(loss.item())
         history.append(float(np.mean(losses)))
     return backbone, history

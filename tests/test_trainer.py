@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from conftest import BASELINE_LR
 from helpers import (
+    BACKBONE_PROBES,
     body_tensors,
     fail_writes_partway,
     header_length,
@@ -178,7 +179,7 @@ def test_zero_steps_identity(small_setup):
     _, train, _, backbone = small_setup
     checkpoint, metrics = train_hr_align(small_config(steps=0), train, backbone)
     assert metrics.rows == []
-    assert checkpoint.step == 0
+    assert checkpoint.adam.step == 0
     fresh = adapter_parameters(adapter_blocks("L", backbone, RngState(31)))
     held = adapter_parameters(checkpoint.blocks)
     assert list(held) == list(fresh)
@@ -278,7 +279,7 @@ def test_resume_below_checkpoint_step_rejected(small_setup):
         train_hr_align(small_config(steps=3), train, backbone, resume=part)
     # resuming at the checkpoint's own step is a no-op, not an error
     same, metrics = train_hr_align(small_config(steps=5), train, backbone, resume=part)
-    assert same.step == 5 and not metrics.rows
+    assert same.adam.step == 5 and not metrics.rows
 
 
 def test_resume_over_a_different_backbone_rejected(small_setup):
@@ -293,7 +294,7 @@ def test_resume_over_a_different_backbone_rejected(small_setup):
     with pytest.raises(ValueError, match="differs from the checkpoint's at tensor 'backbone.block"):
         train_hr_align(small_config(steps=4), train, Backbone.create(RngState(2)), resume=part)
     resumed, _ = train_hr_align(small_config(steps=4), train, backbone.copy().unfreeze(), resume=part)
-    assert resumed.step == 4  # the same weights resume, frozen or not
+    assert resumed.adam.step == 4  # the same weights resume, frozen or not
 
 
 def _no_training(*args, **kwargs):
@@ -398,7 +399,7 @@ def test_checkpoint_save_failing_partway_keeps_previous_file(small_setup, tmp_pa
         second.save(path)
     monkeypatch.undo()
     assert Path(path).read_bytes() == before
-    assert ModelCheckpoint.load(path).step == 2
+    assert ModelCheckpoint.load(path).adam.step == 2
     assert os.listdir(tmp_path) == ["model.ckpt"]
 
 
@@ -516,9 +517,9 @@ def _version_1_bytes(checkpoint: ModelCheckpoint) -> bytes:
         },
         "embedder": {"text_dim": TEXT_DIM, "out_dim": bb.out_channels},
         "head": None,
-        "adam": {"lr": adam.lr, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step": adam.step},
+        "adam": {"lr": config.learning_rate, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8, "step": adam.step},
         "rng": list(checkpoint.rng.state()),
-        "step": checkpoint.step,
+        "step": checkpoint.adam.step,
     }
     header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
     return struct.pack("<I", len(header_bytes)) + header_bytes + b"".join(blobs)
@@ -556,9 +557,7 @@ def test_any_other_version_raises_unsupported_version_whatever_its_keys(
 @pytest.mark.parametrize(
     "change, message",
     [
-        ("unfrozen_backbone", "frozen backbone and Adam at its config's lr and its step"),
-        ("adam_lr", "frozen backbone and Adam at its config's lr and its step"),
-        ("adam_step", "frozen backbone and Adam at its config's lr and its step"),
+        ("unfrozen_backbone", "a checkpoint holds a frozen backbone"),
         ("moment_dropped", "tensor 'adam.v.query.proj_w' is absent, but of shape (64, 4)"),
         ("moment_of_untrained", "tensor 'adam.m.backbone.block0.b' is of shape (4,), but absent"),
     ],
@@ -568,10 +567,6 @@ def test_save_refuses_a_checkpoint_load_would_rebuild_otherwise(tmp_path, change
     adam = checkpoint.adam
     if change == "unfrozen_backbone":
         checkpoint.backbone.unfreeze()
-    elif change == "adam_lr":
-        adam.lr *= 2
-    elif change == "adam_step":
-        adam.step += 1
     elif change == "moment_dropped":
         del adam.v["query.proj_w"]
     else:
@@ -652,6 +647,16 @@ def test_checkpoint_header_value_of_wrong_type_raises_checkpoint_error(
     with pytest.raises(
         CheckpointError, match=re.escape(f"{path}: header key '{key}' has the wrong type")
     ):
+        ModelCheckpoint.load(str(path))
+
+
+@pytest.mark.parametrize("edit, message", BACKBONE_PROBES.values(), ids=BACKBONE_PROBES.keys())
+def test_checkpoint_of_no_backbone_raises_checkpoint_error_naming_the_value(
+    checkpoint_bytes, tmp_path, edit, message
+):
+    path = tmp_path / "model.ckpt"
+    path.write_bytes(with_header(checkpoint_bytes, edit))
+    with pytest.raises(CheckpointError, match="^" + re.escape(f"{path}: {message}") + "$"):
         ModelCheckpoint.load(str(path))
 
 
@@ -890,7 +895,6 @@ def test_checkpoint_roundtrip_values(small_setup, tmp_path):
     checkpoint.save(path)
     loaded = ModelCheckpoint.load(path)
     assert loaded.config == checkpoint.config
-    assert loaded.step == checkpoint.step
     assert loaded.rng.state() == checkpoint.rng.state()
     for name, tensor in checkpoint.named_tensors().items():
         assert np.array_equal(tensor.data, loaded.named_tensors()[name].data), name
@@ -1356,7 +1360,7 @@ def test_read_path_evaluations_match_pinned_digests(pinned_runs, small_setup, tm
     def report_sha(report) -> str:
         return sha(json.dumps(report.to_dict(), sort_keys=True).encode())
 
-    descriptions = {p.pair_id: p.description.text for p in heldout}
+    descriptions = {p.pair_id: p.description for p in heldout}
     clips = [clip for p in heldout for clip in (p.human, p.robot)]
     digests = {}
     for tag, adapted in (("adapted", True), ("frozen", False)):
