@@ -500,23 +500,12 @@ def save_manifest(pairs: list[PairedDemo], path: str) -> None:
     os.makedirs(clips_dir, exist_ok=True)
     entries = []
     for pair in pairs:
-        human_rel = f"clips/p{pair.pair_id:04d}_h.bin"
-        robot_rel = f"clips/p{pair.pair_id:04d}_r.bin"
-        human_bytes = to_bytes(pair.human.frames)
-        robot_bytes = to_bytes(pair.robot.frames)
-        _atomic_write(os.path.join(root, human_rel), human_bytes)
-        _atomic_write(os.path.join(root, robot_rel), robot_bytes)
-        entry = {
-            "pair_id": pair.pair_id,
-            "task_id": pair.task_id,
-            "description": pair.description,
-            "human_file": human_rel,
-            "robot_file": robot_rel,
-            "human_len": pair.human.length,
-            "robot_len": pair.robot.length,
-            "human_sha256": _sha256(human_bytes),
-            "robot_sha256": _sha256(robot_bytes),
-        }
+        entry = {"pair_id": pair.pair_id, "task_id": pair.task_id, "description": pair.description}
+        for side in ("human", "robot"):
+            clip, rel = getattr(pair, side), f"clips/p{pair.pair_id:04d}_{side[0]}.bin"
+            blob = to_bytes(clip.frames)
+            _atomic_write(os.path.join(root, rel), blob)
+            entry.update({f"{side}_file": rel, f"{side}_len": clip.length, f"{side}_sha256": _sha256(blob)})
         if pair.human.positions is not None:
             entry["latent"] = {
                 "positions": [[float(x), float(y)] for x, y in pair.human.positions],

@@ -6,7 +6,9 @@ from the seed and held by that run's schedule alone, frame sampling
 consumes the single training RNG stream, and that stream plus Adam's
 step count and moments live in the checkpoint, so save/resume reproduces
 an uninterrupted run bitwise. Each fact of a run is held once: its step is
-Adam's, its step size the config's. The alignment loss's three streams and
+Adam's, its step size the config's. A valid checkpoint is one
+``ModelCheckpoint.from_bytes`` parses: ``load`` reads through it, and
+``save`` and resume run it on the bytes ``save`` would write. The alignment loss's three streams and
 the classification head's inputs are pooled clip vectors from one
 ``encoder.encode_pooled`` call per batch, its standardiser's from
 ``encoder.encode_clips``.
@@ -14,7 +16,6 @@ the classification head's inputs are pooled clip vectors from one
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import hashlib
 import json
@@ -117,8 +118,8 @@ def _coerce(key: str, value, default):
 
 
 def parse_config_text(text: str) -> dict:
-    """Flat ``key = value`` lines; '#' starts a comment."""
-    out = {}
+    """Flat ``key = value`` lines, each key on one line; '#' starts a comment."""
+    out, line_of = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -126,7 +127,10 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"config line {lineno} is not 'key = value': {raw!r}")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if key in line_of:
+            raise ValueError(f"config line {lineno} repeats key {key!r} of line {line_of[key]}")
+        out[key], line_of[key] = value.strip(), lineno
     return out
 
 
@@ -295,37 +299,12 @@ class ModelCheckpoint:
     def named_tensors(self) -> dict[str, Tensor]:
         return {**self.backbone.named_parameters(), **adapter_parameters(self.blocks), **self.query, **self.head}
 
-    def _arrays(self) -> dict[str, np.ndarray]:
-        """Every array a file of the checkpoint holds, by name: its tensors,
-        then Adam's moments."""
-        arrays = {name: t.data for name, t in self.named_tensors().items()}
+    def _header(self) -> tuple[dict, list[bytes]]:
+        """The JSON header and, in name order, the serialized arrays it names:
+        the checkpoint's tensors, then Adam's moments."""
+        bb, arrays = self.backbone, {name: t.data for name, t in self.named_tensors().items()}
         for key, moments in (("m", self.adam.m), ("v", self.adam.v)):
             arrays.update({f"adam.{key}.{name}": value for name, value in moments.items()})
-        return arrays
-
-    def check_reloadable(self) -> None:
-        """A ValueError for what ``load`` would rebuild otherwise: a backbone
-        not frozen, or task ids or an array other, by name or shape, than the
-        checkpoint ``start`` builds for the config over this backbone holds."""
-        if not self.backbone.frozen:
-            raise ValueError("a checkpoint holds a frozen backbone")
-        rebuilt = ModelCheckpoint.start(self.config, self.backbone, self.task_ids)
-        if self.task_ids != rebuilt.task_ids:
-            raise ValueError(
-                f"checkpoint task ids are {self.task_ids}, but {rebuilt.task_ids} in what its config builds"
-            )
-        held, built = ({name: a.shape for name, a in c._arrays().items()} for c in (self, rebuilt))
-        for name in (*held, *built):
-            shapes = held.get(name), built.get(name)
-            if shapes[0] != shapes[1]:
-                ours, theirs = ("absent" if shape is None else f"of shape {shape}" for shape in shapes)
-                raise ValueError(f"checkpoint tensor {name!r} is {ours}, but {theirs} in what its config builds")
-
-    def _header(self) -> tuple[dict, list[bytes]]:
-        """The JSON header and, in name order, the serialized tensors it names;
-        a ValueError for what ``load`` would rebuild otherwise."""
-        self.check_reloadable()
-        bb, arrays = self.backbone, self._arrays()
         names = sorted(arrays)
         header = {
             "version": CHECKPOINT_VERSION,
@@ -341,26 +320,27 @@ class ModelCheckpoint:
         }
         return header, [T.to_bytes(arrays[name]) for name in names]
 
-    def save(self, path: str) -> None:
-        """Write the header's length and JSON, the tensors in name order, and
-        a sha256 of every byte before it."""
+    def to_bytes(self) -> bytes:
+        """The header's length and JSON, the tensors in name order, and a
+        sha256 of every byte before it; a ValueError for the one checkpoint
+        no file can hold, one whose backbone is not frozen."""
+        if not self.backbone.frozen:
+            raise ValueError("a checkpoint holds a frozen backbone")
         header, blobs = self._header()
         header_bytes = json.dumps(header, sort_keys=True).encode("utf-8")
         data = b"".join([struct.pack("<I", len(header_bytes)), header_bytes, *blobs])
-        _atomic_write(path, data + hashlib.sha256(data).digest())
+        return data + hashlib.sha256(data).digest()
+
+    def save(self, path: str) -> None:
+        """Write ``to_bytes`` to ``path`` if ``load`` would read them back,
+        else raise the ``CheckpointError`` it would, writing nothing."""
+        raw = self.to_bytes()
+        ModelCheckpoint.from_bytes(raw, path)
+        _atomic_write(path, raw)
 
     @classmethod
     def load(cls, path: str) -> "ModelCheckpoint":
-        """Read a checkpoint, checking its version, then its sha256 trailer,
-        its header against ``HEADER_SPEC``, that every tensor value is
-        finite, that no bytes follow the last tensor, every tensor's shape
-        against the model the header builds, and last the header against
-        the one ``save`` writes for what was loaded.
-
-        What the header does not hold is derived: ``start`` builds the
-        config's parts over the header's frozen backbone, and the tensors,
-        the RNG, the step and Adam's moments are then read in.
-        """
+        """``from_bytes`` of the file at ``path``, its errors naming it."""
         try:
             with open(path, "rb") as fh:
                 raw = fh.read()
@@ -368,36 +348,51 @@ class ModelCheckpoint:
             raise
         except OSError as e:  # a directory, or no read permission
             raise CheckpointError(f"{path}: cannot be read: {e.strerror}") from e
+        return cls.from_bytes(raw, path)
+
+    @classmethod
+    def from_bytes(cls, raw: bytes, where: str) -> "ModelCheckpoint":
+        """Parse a checkpoint's bytes, checking its version, then its sha256
+        trailer, its header against ``HEADER_SPEC``, that every tensor value
+        is finite, that no bytes follow the last tensor, every tensor's
+        shape against the model the header builds, and last the header
+        against the one ``to_bytes`` writes for what was parsed; each
+        ``CheckpointError`` begins with ``where``.
+
+        What the header does not hold is derived: ``start`` builds the
+        config's parts over the header's frozen backbone, and the tensors,
+        the RNG, the step and Adam's moments are then read in.
+        """
         if len(raw) < 4:
-            raise CheckpointError(f"{path}: {len(raw)} bytes, too short for a checkpoint")
+            raise CheckpointError(f"{where}: {len(raw)} bytes, too short for a checkpoint")
         (hlen,) = struct.unpack_from("<I", raw, 0)
         if 4 + hlen > len(raw):
-            raise CheckpointError(f"{path}: header truncated ({len(raw) - 4} of {hlen} bytes present)")
+            raise CheckpointError(f"{where}: header truncated ({len(raw) - 4} of {hlen} bytes present)")
         try:
             header = json.loads(raw[4 : 4 + hlen].decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise CheckpointError(f"{path}: header is not valid JSON: {e}") from e
+            raise CheckpointError(f"{where}: header is not valid JSON: {e}") from e
         if not isinstance(header, dict):
-            raise CheckpointError(f"{path}: header is not a JSON object")
-        _check_json(f"{path}: header", CheckpointError, header, {"version": int})
+            raise CheckpointError(f"{where}: header is not a JSON object")
+        _check_json(f"{where}: header", CheckpointError, header, {"version": int})
         if header["version"] != CHECKPOINT_VERSION:
-            raise CheckpointError(f"{path}: unsupported checkpoint version {header['version']}")
+            raise CheckpointError(f"{where}: unsupported checkpoint version {header['version']}")
         body, digest = raw[4 + hlen : -32], raw[-32:]
         if len(raw) < 4 + hlen + 32 or hashlib.sha256(raw[:-32]).digest() != digest:
-            raise CheckpointError(f"{path}: sha256 mismatch, the file is truncated or corrupt")
-        _check_json(f"{path}: header", CheckpointError, header, HEADER_SPEC)
+            raise CheckpointError(f"{where}: sha256 mismatch, the file is truncated or corrupt")
+        _check_json(f"{where}: header", CheckpointError, header, HEADER_SPEC)
         arrays, end = {}, 0
         for name in header["tensors"]:
             try:
                 arrays[name], end = T.from_bytes(body, end)
             except (struct.error, ValueError) as e:
-                raise CheckpointError(f"{path}: tensor {name!r} is corrupt: {e}") from e
+                raise CheckpointError(f"{where}: tensor {name!r} is corrupt: {e}") from e
             if not np.isfinite(arrays[name]).all():
-                raise CheckpointError(f"{path}: tensor {name!r} holds a NaN or infinite value")
+                raise CheckpointError(f"{where}: tensor {name!r} holds a NaN or infinite value")
         if len(body) > end:
-            raise CheckpointError(f"{path}: {len(body) - end} trailing bytes after the last tensor")
+            raise CheckpointError(f"{where}: {len(body) - end} trailing bytes after the last tensor")
         if header["step"] < 0:
-            raise CheckpointError(f"{path}: header key 'step' is negative: {header['step']}")
+            raise CheckpointError(f"{where}: header key 'step' is negative: {header['step']}")
 
         arch = header["backbone"]
         try:
@@ -406,15 +401,15 @@ class ModelCheckpoint:
             checkpoint = cls.start(config, backbone, header["head"])
             checkpoint.rng = RngState.from_state(header["rng"])
         except ValueError as e:
-            raise CheckpointError(f"{path}: {e}") from e
+            raise CheckpointError(f"{where}: {e}") from e
         checkpoint.adam.step = header["step"]
 
         def take(name: str, shape: tuple[int, ...]) -> np.ndarray:
             if name not in arrays:
-                raise CheckpointError(f"{path}: no tensor entry {name!r}")
+                raise CheckpointError(f"{where}: no tensor entry {name!r}")
             if arrays[name].shape != shape:
                 raise CheckpointError(
-                    f"{path}: tensor {name!r} has shape {arrays[name].shape}, the model {shape}"
+                    f"{where}: tensor {name!r} has shape {arrays[name].shape}, the model {shape}"
                 )
             return arrays[name]
 
@@ -426,7 +421,7 @@ class ModelCheckpoint:
         rebuilt, _ = checkpoint._header()
         if rebuilt != header:
             key = _differing_key(header, rebuilt)
-            raise CheckpointError(f"{path}: header key {key!r} disagrees with the checkpoint")
+            raise CheckpointError(f"{where}: header key {key!r} disagrees with the checkpoint")
         return checkpoint
 
 
@@ -492,9 +487,11 @@ def train_hr_align(
     call over the pairs' clips interleaved human, robot, human, ... (one
     shared sample per robot clip feeds both robot streams), pool the three
     streams, take one Adam step on adapter + query-projection parameters. A
-    ``resume`` checkpoint must hold ``backbone`` bitwise, share all of
-    ``config`` but ``steps`` and ``out_dir``, and be one ``save`` accepts.
-    Neither the caller's backbone nor the checkpoint is touched.
+    ``resume`` checkpoint must hold ``backbone`` bitwise and share all of
+    ``config`` but ``steps`` and ``out_dir``; training goes on from what
+    ``from_bytes`` parses its ``to_bytes`` to, so it is refused as ``load``
+    would refuse its file, and neither the caller's backbone nor the
+    checkpoint is touched.
     """
     config = config.validate()
     if config.method != "hr_align":
@@ -517,8 +514,7 @@ def train_hr_align(
         )
         if moved := sorted(n for n in ours.keys() | theirs.keys() if ours.get(n) != theirs.get(n)):
             raise ValueError(f"resume backbone differs from the checkpoint's at tensor {moved[0]!r}")
-        resume.check_reloadable()
-        checkpoint = copy.deepcopy(resume)
+        checkpoint = ModelCheckpoint.from_bytes(resume.to_bytes(), "resume checkpoint")
         checkpoint.config = config
     backbone, blocks, query, rng = checkpoint.backbone, checkpoint.blocks, checkpoint.query, checkpoint.rng
 

@@ -79,6 +79,15 @@ def test_config_that_is_not_utf8_exits_two_naming_path(tmp_path, capsys):
     assert f"config is not UTF-8 text: {config}" in capsys.readouterr().err
 
 
+def test_config_repeating_a_key_exits_two_writing_nothing(tmp_path, capsys):
+    config = tmp_path / "run.cfg"
+    config.write_text("steps = 10\n# more steps\nsteps = 20\n")
+    argv = ["train", "--config", str(config), "--data", "m.json", "--backbone", "b.ckpt"]
+    assert run(argv + ["--out", str(tmp_path / "out")]) == 2
+    assert "config line 3 repeats key 'steps' of line 1" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == ["run.cfg"]
+
+
 def test_bad_manifest_exits_two(tmp_path, capsys):
     out = str(tmp_path / "pre")
     code = run(["pretrain", "--data", str(tmp_path / "missing.json"), "--out", out])

@@ -83,6 +83,13 @@ def test_config_parse_comments_and_spacing():
     assert mapping == {"steps": "42", "method": "hr_align"}
 
 
+def test_config_refuses_a_key_given_twice():
+    # the last of two lines giving a key once won: steps = 10 then
+    # steps = 20 trained 20 steps
+    with pytest.raises(ValueError, match=r"^config line 3 repeats key 'steps' of line 1$"):
+        parse_config_text("steps = 10\n# more steps\n steps=20\n")
+
+
 def test_config_rejects_unknown_key():
     with pytest.raises(ValueError, match="unknown config key"):
         TrainConfig.from_mapping({"nonsense": "1"})
@@ -309,13 +316,13 @@ def _up_w_of_shape(checkpoint, shape):
 @pytest.mark.parametrize(
     "field, value, message",
     [
-        ("blocks", lambda _: {}, "'adapter.j3.down_w' is absent, but of shape (1, 4, 1, 1)"),
-        ("query", lambda _: {}, f"'query.proj_w' is absent, but of shape ({TEXT_DIM}, 4)"),
-        ("head", lambda _: small_checkpoint(head=True).head, "'head.w' is of shape (4, 3), but absent"),
-        ("blocks", lambda _: small_checkpoint("E").blocks, "'adapter.j0.down_w' is of shape (1, 3, 1, 1), but absent"),
+        ("blocks", lambda _: {}, "no tensor entry 'adapter.j3.down_w'"),
+        ("query", lambda _: {}, "no tensor entry 'query.proj_w'"),
+        ("head", lambda _: small_checkpoint(head=True).head, "header key 'tensors' disagrees with the checkpoint"),
+        ("blocks", lambda _: small_checkpoint("E").blocks, "no tensor entry 'adapter.j3.down_w'"),
         (
             "blocks", lambda c: _up_w_of_shape(c, (4, 2, 1, 1)),
-            "'adapter.j3.up_w' is of shape (4, 2, 1, 1), but of shape (4, 1, 1, 1)",
+            "tensor 'adapter.j3.up_w' has shape (4, 2, 1, 1), the model (4, 1, 1, 1)",
         ),
     ],
     ids=["blocks", "query", "head", "E_blocks_on_L", "wrong_shape"],
@@ -325,15 +332,16 @@ def test_resume_missing_a_part_is_refused_before_training(small_pairs, tmp_path,
     # AttributeError on its missing adapter stack, and save once wrote an L
     # config holding E adapters, which load then refused; a checkpoint whose
     # tensors are not, by name and shape, the ones ``start`` builds for its
-    # config is one save refuses, writing nothing, and resume refuses alike
+    # config is one save refuses with load's message, writing nothing, and
+    # resume refuses alike
     checkpoint = small_checkpoint("L")
     checkpoint = dataclasses.replace(checkpoint, **{field: value(checkpoint)})
-    message = f"checkpoint tensor {message} in what its config builds"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        checkpoint.save(str(tmp_path / "model.ckpt"))
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(f'{path}: {message}')}$"):
+        checkpoint.save(str(path))
     assert os.listdir(tmp_path) == []
     monkeypatch.setattr(trainer, "fit", _no_training)
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+    with pytest.raises(CheckpointError, match=f"^{re.escape(f'resume checkpoint: {message}')}$"):
         train_hr_align(checkpoint.config, small_pairs, checkpoint.backbone, resume=checkpoint)
 
 
@@ -362,8 +370,8 @@ def test_resume_without_adam_moments_is_refused_before_training(
     for name in [n for n in checkpoint.adam.m if dropped(f"adam.m.{n}")]:
         del checkpoint.adam.m[name], checkpoint.adam.v[name]
     monkeypatch.setattr(trainer, "fit", _no_training)
-    message = f"^checkpoint tensor 'adam.m.{first}' is absent, but of shape .* in what its config builds$"
-    with pytest.raises(ValueError, match=message):
+    message = re.escape(f"resume checkpoint: no tensor entry 'adam.m.{first}'")
+    with pytest.raises(CheckpointError, match=f"^{message}$"):
         train_hr_align(checkpoint.config, small_pairs, checkpoint.backbone, resume=checkpoint)
 
 
@@ -558,22 +566,41 @@ def test_any_other_version_raises_unsupported_version_whatever_its_keys(
     "change, message",
     [
         ("unfrozen_backbone", "a checkpoint holds a frozen backbone"),
-        ("moment_dropped", "tensor 'adam.v.query.proj_w' is absent, but of shape (64, 4)"),
-        ("moment_of_untrained", "tensor 'adam.m.backbone.block0.b' is of shape (4,), but absent"),
+        ("moment_dropped", "{where}: no tensor entry 'adam.v.query.proj_w'"),
+        ("moment_of_untrained", "{where}: header key 'tensors' disagrees with the checkpoint"),
+        ("nan_tensor", "{where}: tensor 'adapter.j3.down_w' holds a NaN or infinite value"),
+        ("inf_moment", "{where}: tensor 'adam.v.adapter.j3.down_w' holds a NaN or infinite value"),
+        ("negative_step", "{where}: header key 'step' is negative: -1"),
     ],
+    ids=["unfrozen_backbone", "moment_dropped", "moment_of_untrained", "nan_tensor", "inf_moment", "negative_step"],
 )
-def test_save_refuses_a_checkpoint_load_would_rebuild_otherwise(tmp_path, change, message):
+def test_save_refuses_a_checkpoint_load_would_rebuild_otherwise(small_pairs, tmp_path, monkeypatch, change, message):
+    # save once wrote a NaN tensor, an infinite moment and a negative step,
+    # files load then refused; save and resume now run load's own checks on
+    # the bytes save would write, so each is refused before a byte is written
+    # or a step is taken
     checkpoint = small_checkpoint(seed=3)
     adam = checkpoint.adam
     if change == "unfrozen_backbone":
         checkpoint.backbone.unfreeze()
     elif change == "moment_dropped":
         del adam.v["query.proj_w"]
-    else:
+    elif change == "moment_of_untrained":
         adam.m["backbone.block0.b"] = adam.v["backbone.block0.b"] = np.zeros(4)
-    with pytest.raises(ValueError, match=re.escape(message)):
-        checkpoint.save(str(tmp_path / "model.ckpt"))
+    elif change == "nan_tensor":
+        checkpoint.blocks[3].down_w.data.flat[0] = np.nan
+    elif change == "inf_moment":
+        adam.v["adapter.j3.down_w"].flat[0] = np.inf
+    else:
+        adam.step = -1
+    refusal = ValueError if change == "unfrozen_backbone" else CheckpointError
+    path = tmp_path / "model.ckpt"
+    with pytest.raises(refusal, match=f"^{re.escape(message.format(where=path))}$"):
+        checkpoint.save(str(path))
     assert os.listdir(tmp_path) == []
+    monkeypatch.setattr(trainer, "fit", _no_training)
+    with pytest.raises(refusal, match=f"^{re.escape(message.format(where='resume checkpoint'))}$"):
+        train_hr_align(checkpoint.config, small_pairs, checkpoint.backbone, resume=checkpoint)
 
 
 @pytest.mark.parametrize("header", [[1], "x"], ids=["list", "string"])
@@ -975,9 +1002,10 @@ def test_save_refuses_task_ids_its_config_builds_no_head_for(tmp_path):
     # the header's ``head`` key holds the task ids, so an hr_align checkpoint
     # holding some would write a file whose header load refuses
     checkpoint = dataclasses.replace(small_checkpoint("L"), task_ids=[0, 1, 2])
-    message = "checkpoint task ids are [0, 1, 2], but [] in what its config builds"
-    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-        checkpoint.save(str(tmp_path / "model.ckpt"))
+    path = tmp_path / "model.ckpt"
+    message = f"{path}: header key 'head' disagrees with the checkpoint"
+    with pytest.raises(CheckpointError, match=f"^{re.escape(message)}$"):
+        checkpoint.save(str(path))
     assert os.listdir(tmp_path) == []
 
 
